@@ -12,16 +12,6 @@ import numpy as np
 from .errors import DataError
 
 
-def normalize_wavelet_columns(psi: np.ndarray) -> np.ndarray:
-    """L1-normalize each column so its absolute sum is 1."""
-    psi = np.asarray(psi, dtype=np.float64)
-    sums = np.abs(psi).sum(axis=0)
-    if np.any(sums == 0.0):
-        bad = int(np.argmax(sums == 0.0))
-        raise DataError(f"wavelet column {bad} is identically zero")
-    return psi / sums[None, :]
-
-
 def elu(s: np.ndarray) -> np.ndarray:
     return np.where(s > 0, s, np.expm1(s))
 
@@ -61,33 +51,75 @@ def minmax_backward(dz: np.ndarray, span: np.ndarray) -> np.ndarray:
     return de
 
 
-def conv_forward(x: np.ndarray, weights: list, ops: list):
-    """Z = Norm(ELU(sum_s P_s X W_s)) over the layer's operator set."""
-    if len(weights) != len(ops):
+class DenseOperator:
+    """Adapter for explicit per-scale matrices: a list, or a dict keyed by
+    scale index, of (n, n) arrays P_s.
+
+    A layer's operator exposes ``forward(x, weights)`` returning
+    sum_s P_s X W_s and ``backward(x, ds, weights)`` returning the input
+    gradient and one weight gradient per scale; an operator set also
+    answers ``key in ops`` and ``select(keys)``, the layer operator over
+    those scale keys (a ``KeyError`` names a missing one).
+    ``wavelets.WaveletOperator`` and ``chebyshev.ChebyshevOperator``
+    implement the same interface without forming the matrices.
+    """
+
+    def __init__(self, mats):
+        if isinstance(mats, dict):
+            self.keys, self.mats = list(mats), list(mats.values())
+        else:
+            self.keys, self.mats = list(range(len(mats))), list(mats)
+
+    @property
+    def n_scales(self) -> int:
+        return len(self.mats)
+
+    def select(self, keys) -> "DenseOperator":
+        index = dict(zip(self.keys, self.mats))
+        return DenseOperator([index[k] for k in keys])
+
+    def forward(self, x, weights):
+        s = self.mats[0] @ (x @ weights[0])
+        for w, p in zip(weights[1:], self.mats[1:]):
+            s += p @ (x @ w)
+        return s
+
+    def backward(self, x, ds, weights):
+        dx = np.zeros_like(x)
+        dws = []
+        for w, p in zip(weights, self.mats):
+            u = p.T @ ds
+            dx += u @ w.T
+            dws.append(x.T @ u)
+        return dx, dws
+
+
+def as_operator(ops):
+    """ops itself when it implements the operator interface, else the
+    dense adapter over its matrices."""
+    return ops if hasattr(ops, "select") else DenseOperator(ops)
+
+
+def conv_forward(x: np.ndarray, weights: list, ops):
+    """Z = Norm(ELU(sum_s P_s X W_s)) over the layer's operator."""
+    op = as_operator(ops)
+    if len(weights) != op.n_scales:
         raise DataError("one weight matrix per operator required")
     if x.shape[1] != weights[0].shape[0]:
         raise DataError(
             f"input dim {x.shape[1]} does not match weights {weights[0].shape[0]}"
         )
-    s = ops[0] @ (x @ weights[0])
-    for w, p in zip(weights[1:], ops[1:]):
-        s += p @ (x @ w)
+    s = op.forward(x, weights)
     e = elu(s)
     z, mn, span = minmax_forward(e)
     return z, (x, s, mn, span)
 
 
-def conv_backward(cache, dz: np.ndarray, weights: list, ops: list):
+def conv_backward(cache, dz: np.ndarray, weights: list, ops):
     x, s, mn, span = cache
     de = minmax_backward(dz, span)
     ds = de * elu_grad(s)
-    dx = np.zeros_like(x)
-    dws = []
-    for w, p in zip(weights, ops):
-        u = p.T @ ds
-        dx += u @ w.T
-        dws.append(x.T @ u)
-    return dx, dws
+    return as_operator(ops).backward(x, ds, weights)
 
 
 def affine_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):

@@ -6,9 +6,12 @@ affine layers, described by an architecture string such as
 
     MGCONV96(16)+MGCONV96(16)+MGCONV128(16)+FC256
 
-Per-shape operators are supplied as a dict keyed by scale index: for the
-wavelet network these are transposed L1-normalized wavelet matrices; the
-Chebyshev baseline plugs in polynomial operators through the same interface.
+Per-shape operators are an operator set keyed by scale index (see
+``layers.DenseOperator`` for the interface).  The wavelet network uses a
+``wavelets.WaveletOperator``: the transposed L1-normalized wavelet matrices
+in factored spectral form, never stored as n x n arrays.  The Chebyshev
+baseline plugs in its sparse polynomial recursion through the same
+interface, and a dict of explicit matrices also works.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ import numpy as np
 
 from . import layers
 from .errors import DataError
-from .filters import FilterBank, select_scales
+from .filters import FilterBank, g_of, select_scales
 from .spectral import SpectralBasis
-from .wavelets import wavelet_matrix
+from .wavelets import WaveletOperator, atom_l1_norms
 
 DEFAULT_ARCHITECTURE = (
     "MGCONV96(16)+MGCONV96(16)+MGCONV96(16)+MGCONV96(16)+MGCONV96(16)"
@@ -109,6 +112,24 @@ def _glorot(rng, shape):
     return rng.uniform(-bound, bound, size=shape)
 
 
+def _param_shapes(specs, input_dim: int, head_dim: Optional[int]) -> dict:
+    """{parameter name: shape} in initialization order."""
+    shapes = {}
+    dim = input_dim
+    for li, spec in enumerate(specs):
+        if spec.kind == "conv":
+            for j in range(spec.n_scales):
+                shapes[f"conv{li}.w{j}"] = (dim, spec.out_dim)
+        else:
+            shapes[f"fc{li}.w"] = (dim, spec.out_dim)
+            shapes[f"fc{li}.b"] = (spec.out_dim,)
+        dim = spec.out_dim
+    if head_dim is not None:
+        shapes["head.w"] = (dim, head_dim)
+        shapes["head.b"] = (head_dim,)
+    return shapes
+
+
 def build_model(
     architecture: str = DEFAULT_ARCHITECTURE,
     input_dim: int = DEFAULT_INPUT_DIM,
@@ -121,21 +142,10 @@ def build_model(
     specs = parse_architecture(architecture)
     scale_sets = [_scale_set_for(kind, s.n_scales) for s in specs if s.kind == "conv"]
     rng = np.random.default_rng(seed)
-    params = {}
-    dim = input_dim
-    conv_i = 0
-    for li, spec in enumerate(specs):
-        if spec.kind == "conv":
-            for j in range(spec.n_scales):
-                params[f"conv{li}.w{j}"] = _glorot(rng, (dim, spec.out_dim))
-            conv_i += 1
-        else:
-            params[f"fc{li}.w"] = _glorot(rng, (dim, spec.out_dim))
-            params[f"fc{li}.b"] = np.zeros(spec.out_dim)
-        dim = spec.out_dim
-    if head_dim is not None:
-        params["head.w"] = _glorot(rng, (dim, head_dim))
-        params["head.b"] = np.zeros(head_dim)
+    params = {
+        name: _glorot(rng, shape) if len(shape) == 2 else np.zeros(shape)
+        for name, shape in _param_shapes(specs, input_dim, head_dim).items()
+    }
     return Model(kind, specs, input_dim, scale_sets, params, head_dim)
 
 
@@ -148,23 +158,29 @@ def required_operator_keys(model: Model) -> list:
 
 def build_wavelet_operators(
     basis: SpectralBasis, bank: FilterBank, keys
-) -> dict:
-    """{scale index: transposed L1-normalized wavelet matrix}."""
-    ops = {}
-    for s in keys:
-        psi = wavelet_matrix(basis, bank, int(s))
-        ops[int(s)] = np.ascontiguousarray(layers.normalize_wavelet_columns(psi).T)
-    return ops
+) -> WaveletOperator:
+    """Factored transposed L1-normalized wavelet matrices for the scale
+    indices in keys."""
+    keys = [int(s) for s in keys]
+    responses = np.empty((basis.k, len(keys)))
+    for j, s in enumerate(keys):
+        responses[:, j] = g_of(bank, s, basis.eigenvalues)
+    norms = atom_l1_norms(basis.eigenvectors, responses)
+    zero = np.argwhere(norms == 0.0)
+    if zero.size:
+        v, j = zero[0]
+        raise DataError(f"wavelet column {v} of scale {keys[j]} is identically zero")
+    return WaveletOperator(basis.eigenvectors, responses, 1.0 / norms, keys)
 
 
-def _layer_ops(model: Model, conv_i: int, shape_ops: dict) -> list:
+def _layer_ops(model: Model, conv_i: int, shape_ops):
     try:
-        return [shape_ops[s] for s in model.scale_sets[conv_i]]
+        return layers.as_operator(shape_ops).select(model.scale_sets[conv_i])
     except KeyError as exc:
         raise DataError(f"missing operator for scale index {exc.args[0]}") from None
 
 
-def forward(model: Model, x: np.ndarray, shape_ops: dict):
+def forward(model: Model, x: np.ndarray, shape_ops):
     """Run the stack; returns (descriptors, caches) for backward."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.input_dim:
@@ -186,7 +202,7 @@ def forward(model: Model, x: np.ndarray, shape_ops: dict):
     return x, caches
 
 
-def backward(model: Model, caches, dout: np.ndarray, shape_ops: dict):
+def backward(model: Model, caches, dout: np.ndarray, shape_ops):
     """Gradients of every parameter plus the input, given d(output)."""
     grads = {}
     dx = dout
@@ -251,6 +267,57 @@ def save_checkpoint(
         np.savez(fh, **arrays)
 
 
+def _is_count(value, minimum: int = 1) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
+
+
+def _model_from_meta(meta: dict, params: dict, path) -> Model:
+    """The checkpoint's model, after checking its metadata fields and that
+    every parameter array has the shape the architecture implies."""
+
+    def bad(field, value):
+        return DataError(f"{path}: checkpoint field {field!r} is missing or invalid: "
+                         f"{value!r}")
+
+    kind = meta.get("kind")
+    if kind not in ("mgcn", "chebyshev"):
+        raise bad("kind", kind)
+    if not isinstance(meta.get("architecture"), str):
+        raise bad("architecture", meta.get("architecture"))
+    specs = parse_architecture(meta["architecture"])
+    input_dim = meta.get("input_dim")
+    if not _is_count(input_dim):
+        raise bad("input_dim", input_dim)
+    head_dim = meta.get("head_dim")
+    if head_dim is not None and not _is_count(head_dim):
+        raise bad("head_dim", head_dim)
+    scale_sets = meta.get("scale_sets")
+    conv_specs = [sp for sp in specs if sp.kind == "conv"]
+    if not (
+        isinstance(scale_sets, list)
+        and len(scale_sets) == len(conv_specs)
+        and all(
+            isinstance(keys, list)
+            and len(keys) == sp.n_scales
+            and all(_is_count(k, 0) for k in keys)
+            for keys, sp in zip(scale_sets, conv_specs)
+        )
+    ):
+        raise bad("scale_sets", scale_sets)
+    expected = _param_shapes(specs, input_dim, head_dim)
+    if set(params) != set(expected):
+        missing = sorted(set(expected) - set(params))
+        extra = sorted(set(params) - set(expected))
+        raise DataError(f"{path}: checkpoint parameters do not match the "
+                        f"architecture (missing {missing}, unexpected {extra})")
+    for name, shape in expected.items():
+        arr = params[name]
+        if arr.shape != shape or arr.dtype.kind != "f":
+            raise DataError(f"{path}: parameter {name} is {arr.dtype} {arr.shape}, "
+                            f"the architecture needs float {shape}")
+    return Model(kind, specs, input_dim, scale_sets, params, head_dim)
+
+
 def load_checkpoint(path):
     """Returns (model, opt_state, rng_state, metadata)."""
     try:
@@ -259,24 +326,25 @@ def load_checkpoint(path):
         raise DataError(f"cannot read checkpoint {path}: {exc}") from None
     if "__meta__" not in data.files:
         raise DataError(f"{path}: not a checkpoint file")
-    meta = json.loads(bytes(data["__meta__"]).decode())
+    try:
+        meta = json.loads(bytes(data["__meta__"]).decode())
+    except ValueError:  # includes UnicodeDecodeError
+        raise DataError(f"{path}: checkpoint metadata is not valid JSON") from None
+    if not isinstance(meta, dict):
+        raise DataError(f"{path}: checkpoint metadata is not a JSON object")
     if meta.get("format_version") != _CHECKPOINT_VERSION:
         raise DataError(
             f"{path}: unsupported checkpoint version {meta.get('format_version')}"
         )
-    specs = parse_architecture(meta["architecture"])
-    params = {}
-    for key in data.files:
-        if key.startswith("param/"):
-            params[key[len("param/") :]] = data[key]
-    model = Model(
-        meta["kind"],
-        specs,
-        int(meta["input_dim"]),
-        [list(map(int, s)) for s in meta["scale_sets"]],
-        params,
-        meta["head_dim"],
-    )
+    try:
+        params = {
+            key[len("param/") :]: data[key]
+            for key in data.files
+            if key.startswith("param/")
+        }
+    except ValueError as exc:
+        raise DataError(f"{path}: unreadable parameter array: {exc}") from None
+    model = _model_from_meta(meta, params, path)
     opt_state = None
     if "opt/step" in data.files:
         opt_state = {

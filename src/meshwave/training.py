@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from . import losses, model as model_mod
-from .errors import DataError
+from .errors import DataError, NumericalError
 
 
 @dataclass
@@ -42,12 +42,13 @@ class TrainConfig:
 
 @dataclass
 class ShapeData:
-    """One training shape: input features, template labels, and the dense
-    per-scale operators the conv layers consume."""
+    """One training shape: input features, template labels, and the
+    per-scale operator set the conv layers consume (``s in ops`` for each
+    scale index the model needs)."""
 
     features: np.ndarray  # (n, input_dim)
     labels: Optional[np.ndarray]  # per-vertex template vertex index
-    ops: dict  # scale index -> dense operator
+    ops: object  # operator set keyed by scale index
     name: str = ""
 
     @property
@@ -93,6 +94,15 @@ def adam_step(
         p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
 
+def _check_finite(loss: float, grads: dict, where: str):
+    """Raise before the optimizer step when the loss or a gradient is NaN/inf."""
+    if not np.isfinite(loss):
+        raise NumericalError(f"{where}: training loss is not finite ({loss})")
+    for name, g in grads.items():
+        if not np.isfinite(g).all():
+            raise NumericalError(f"{where}: gradient of {name} is not finite")
+
+
 def _check_dataset(net: model_mod.Model, shapes, need_labels: bool):
     if not shapes:
         raise DataError("training dataset is empty")
@@ -122,6 +132,7 @@ def _phase1_epoch(net, shapes, state, cfg) -> float:
         ddesc, grads = model_mod.head_backward(net, head_cache, dlogits)
         _, body_grads = model_mod.backward(net, caches, ddesc, sh.ops)
         grads.update(body_grads)
+        _check_finite(loss, grads, f"phase 1, shape {sh.name!r}")
         adam_step(
             net.params, grads, state, cfg.lr_phase1, cfg.weight_decay_phase1,
             cfg.beta1, cfg.beta2, cfg.eps,
@@ -155,6 +166,7 @@ def _phase2_step(net, sa, sb, state, cfg, rng) -> float:
     _, grads_a = model_mod.backward(net, caches_a, dfull_a, sa.ops)
     _, grads_b = model_mod.backward(net, caches_b, dfull_b, sb.ops)
     grads = {k: grads_a[k] + grads_b[k] for k in grads_a}
+    _check_finite(loss, grads, f"phase 2, shapes {sa.name!r}/{sb.name!r}")
     adam_step(
         net.params, grads, state, cfg.lr_phase2, cfg.weight_decay_phase2,
         cfg.beta1, cfg.beta2, cfg.eps,
@@ -172,6 +184,8 @@ def train(
     """Runs both phases in place; returns (model, history).
 
     history = {"phase1": per-epoch mean loss, "phase2": per-epoch mean loss}.
+    Raises NumericalError, before that step's update, when a loss or a
+    gradient is not finite.
     """
     _check_dataset(net, shapes, need_labels=config.phase1_epochs > 0)
     if config.phase1_epochs > 0 and net.head_dim is None:

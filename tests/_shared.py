@@ -8,10 +8,12 @@ from functools import lru_cache
 
 import numpy as np
 
+from meshwave.errors import DataError
 from meshwave.filters import build_filter_bank
 from meshwave.mesh import TriMesh, cotangent_laplacian, lumped_areas
 from meshwave.spectral import SpectralBasis, eig_generalized
 from meshwave.synthetic import bent_bar, icosphere
+from meshwave.wavelets import wavelet_matrix
 
 
 def basis_of(mesh: TriMesh, k: int) -> SpectralBasis:
@@ -96,3 +98,33 @@ def fd_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
 def grads_close(analytic: np.ndarray, fd: np.ndarray, tol: float = 1e-4) -> bool:
     scale = max(1.0, float(np.abs(analytic).max()))
     return bool(np.abs(analytic - fd).max() <= tol * scale)
+
+
+def normalize_columns(psi: np.ndarray) -> np.ndarray:
+    """L1-normalize each column so its absolute sum is 1."""
+    psi = np.asarray(psi, dtype=np.float64)
+    sums = np.abs(psi).sum(axis=0)
+    if np.any(sums == 0.0):
+        bad = int(np.argmax(sums == 0.0))
+        raise DataError(f"wavelet column {bad} is identically zero")
+    return psi / sums[None, :]
+
+
+def dense_wavelet_operators(basis: SpectralBasis, bank, keys) -> dict:
+    """Oracle for the factored wavelet operator: {s: P_s} with P_s the
+    transposed, column-L1-normalized dense atom matrix of scale s."""
+    return {int(s): normalize_columns(wavelet_matrix(basis, bank, int(s))).T
+            for s in keys}
+
+
+def dense_chebyshev(lap, areas: np.ndarray, lambda_max: float, order: int) -> dict:
+    """Oracle for the recursive Chebyshev operator: dense {m: T_m(M)} for
+    M = 2 A^-1 L / lambda_max - I, built by the matrix recursion."""
+    n = areas.shape[0]
+    base = (2.0 / lambda_max) * (lap.toarray() / areas[:, None]) - np.eye(n)
+    ops = {0: np.eye(n)}
+    if order > 1:
+        ops[1] = base
+    for m in range(2, order):
+        ops[m] = 2.0 * (base @ ops[m - 1]) - ops[m - 2]
+    return ops

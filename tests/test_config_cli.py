@@ -315,6 +315,35 @@ def test_train_and_infer_end_to_end(work, tmp_path, capsys):
     assert np.isfinite(field.values).all()
 
 
+def test_train_non_finite_exits_3_without_checkpoint(work, tmp_path, capsys,
+                                                    monkeypatch):
+    from meshwave import cli
+
+    real = cli._descriptor_field
+
+    def poisoned(*args, **kwargs):
+        field = real(*args, **kwargs)
+        values = field.values.copy()
+        values[5, 2] = np.nan
+        return dataclasses.replace(field, values=values)
+
+    monkeypatch.setattr(cli, "_descriptor_field", poisoned)
+    cfg = default_config()
+    cfg["pipeline"]["output_dir"] = str(tmp_path)
+    cfg["descriptor"]["k"] = 12
+    cfg["descriptor"]["num"] = 16
+    cfg["model"]["architecture"] = "MGCONV8(3)+FC16"
+    cfg["train"]["meshes"] = [str(work["mesh_path"])]
+    cfg["train"]["phase1_epochs"] = 2
+    cfg["train"]["phase2_epochs"] = 0
+    cfg_path = tmp_path / "nan.cfg"
+    save_config(cfg, cfg_path)
+    ckpt = tmp_path / "model.npz"
+    assert main(["train", "--config", str(cfg_path), "-o", str(ckpt)]) == 3
+    assert "not finite" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
 def test_infer_rejects_wrong_input_dim(work, tmp_path, capsys):
     cfg = default_config()
     cfg["pipeline"]["output_dir"] = str(tmp_path)

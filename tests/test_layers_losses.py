@@ -16,7 +16,6 @@ from meshwave.layers import (
     minmax_apply,
     minmax_backward,
     minmax_forward,
-    normalize_wavelet_columns,
 )
 from meshwave.losses import cross_entropy, hardnet_loss
 
@@ -24,16 +23,16 @@ import _shared
 
 
 def test_normalize_columns_values():
-    out = normalize_wavelet_columns(np.array([[2.0], [-1.0]]))
+    out = _shared.normalize_columns(np.array([[2.0], [-1.0]]))
     assert np.array_equal(out, [[2.0 / 3.0], [-1.0 / 3.0]])
     psi = np.array([[0.5, 3.0], [0.5, -1.0]])
-    normed = normalize_wavelet_columns(psi)
+    normed = _shared.normalize_columns(psi)
     assert np.allclose(np.abs(normed).sum(axis=0), 1.0, rtol=1e-15)
 
 
 def test_normalize_columns_rejects_zero():
     with pytest.raises(DataError, match="column 1"):
-        normalize_wavelet_columns(np.array([[1.0, 0.0], [2.0, 0.0]]))
+        _shared.normalize_columns(np.array([[1.0, 0.0], [2.0, 0.0]]))
 
 
 def test_elu_values():

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from meshwave import layers
 from meshwave.chebyshev import chebyshev_operators, spectral_max
-from meshwave.errors import DataError
+from meshwave.errors import DataError, NumericalError
 from meshwave.filters import build_filter_bank
 from meshwave.mesh import cotangent_laplacian, lumped_areas
 from meshwave.model import (
@@ -91,7 +93,7 @@ def _toy_ops(rng, n, keys):
     ops = {}
     for s in keys:
         raw = rng.standard_normal((n, n))
-        ops[s] = layers.normalize_wavelet_columns(raw).T
+        ops[s] = _shared.normalize_columns(raw).T
     return ops
 
 
@@ -165,18 +167,22 @@ def test_model_permutation_equivariance(rng):
     assert np.allclose(moved, base[perm], rtol=1e-12, atol=1e-14)
 
 
-def test_build_wavelet_operators(rng):
+def test_build_wavelet_operators():
     basis = _shared.bar_basis(0.3, 15)
     bank = _shared.bank_for(basis.lambda_max)
     ops = build_wavelet_operators(basis, bank, [8, 16])
-    assert sorted(ops) == [8, 16]
-    for s, op in ops.items():
-        # rows of the transposed matrix are L1-normalized atom columns
-        assert np.allclose(np.abs(op).sum(axis=1), 1.0, rtol=1e-12)
-    from meshwave.wavelets import wavelet_matrix
-
-    expect = layers.normalize_wavelet_columns(wavelet_matrix(basis, bank, 8)).T
-    assert np.array_equal(ops[8], expect)
+    assert 8 in ops and 16 in ops and 24 not in ops
+    dense = _shared.dense_wavelet_operators(basis, bank, [8, 16])
+    n = basis.n_vertices
+    eye = np.eye(n)
+    for keys in ([8], [16], [16, 8, 16]):
+        # P_s applied to the identity reproduces the oracle matrix
+        applied = ops.select(keys).forward(eye, [eye] * len(keys))
+        expect = sum(dense[s] for s in keys)
+        assert np.abs(applied - expect).max() <= 1e-12 * np.abs(expect).max()
+        if len(keys) == 1:
+            # rows of the transposed matrix are L1-normalized atom columns
+            assert np.allclose(np.abs(applied).sum(axis=1), 1.0, rtol=1e-12)
 
 
 def test_chebyshev_operators_match_eigen_oracle():
@@ -186,9 +192,11 @@ def test_chebyshev_operators_match_eigen_oracle():
     lmax = spectral_max(lap, areas)
     order = 5
     ops = chebyshev_operators(lap, areas, lmax, order)
-    assert len(ops) == order
+    assert all(m in ops for m in range(order)) and order not in ops
+    dense = _shared.dense_chebyshev(lap, areas, lmax, order)
     n = mesh.n_vertices
-    assert np.array_equal(ops[0], np.eye(n))
+    eye = np.eye(n)
+    assert np.array_equal(ops.select([0]).forward(eye, [eye]), eye)
     # generalized eigenvectors diagonalize the rescaled operator, so
     # T_m(base) = V diag(cos(m arccos(mu))) V^-1 with mu in [-1, 1]
     import scipy.linalg
@@ -200,7 +208,8 @@ def test_chebyshev_operators_match_eigen_oracle():
     for m in range(order):
         tm = np.cos(m * np.arccos(np.clip(mu, -1.0, 1.0)))
         expect = vecs @ (tm[:, None] * inv)
-        assert np.abs(ops[m] - expect).max() <= 1e-8
+        assert np.abs(ops.select([m]).forward(eye, [eye]) - expect).max() <= 1e-8
+        assert np.abs(dense[m] - expect).max() <= 1e-8
 
 
 def test_chebyshev_validation():
@@ -381,6 +390,79 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
     q.write_bytes(b"garbage")
     with pytest.raises(DataError):
         load_checkpoint(q)
+
+
+def _tampered_checkpoint(tmp_path, edit_meta=None, edit_params=None):
+    """A valid checkpoint rewritten with its metadata or parameters edited."""
+    net = build_model("MGCONV6(3)+FC5", input_dim=4, head_dim=9, seed=5)
+    good = tmp_path / "good.npz"
+    save_checkpoint(good, net)
+    with np.load(good) as data:
+        arrays = {k: data[k] for k in data.files}
+    meta = json.loads(bytes(arrays["__meta__"]).decode())
+    if edit_meta:
+        edit_meta(meta)
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    if edit_params:
+        edit_params(arrays)
+    bad = tmp_path / "bad.npz"
+    np.savez(bad, **arrays)
+    return bad
+
+
+_MISSING = object()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("architecture", _MISSING),
+    ("architecture", 7),
+    ("kind", _MISSING),
+    ("kind", "transformer"),
+    ("input_dim", _MISSING),
+    ("input_dim", "4"),
+    ("input_dim", 0),
+    ("scale_sets", _MISSING),
+    ("scale_sets", [[8, 16]]),
+    ("scale_sets", [["8", 16, 24]]),
+    ("head_dim", "9"),
+    ("head_dim", 0),
+])
+def test_checkpoint_rejects_bad_metadata(tmp_path, field, value):
+    def edit(meta):
+        if value is _MISSING:
+            del meta[field]
+        else:
+            meta[field] = value
+
+    with pytest.raises(DataError, match=field):
+        load_checkpoint(_tampered_checkpoint(tmp_path, edit_meta=edit))
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda a: a.update({"param/fc1.w": np.zeros((2, 2))}), "fc1.w"),
+    (lambda a: a.update({"param/conv0.w2": np.zeros((4, 6), dtype=np.int64)}),
+     "conv0.w2"),
+    (lambda a: a.pop("param/head.b"), "missing"),
+    (lambda a: a.update({"param/extra": np.zeros(3)}), "unexpected"),
+])
+def test_checkpoint_rejects_mismatched_parameters(tmp_path, edit, match):
+    with pytest.raises(DataError, match=match):
+        load_checkpoint(_tampered_checkpoint(tmp_path, edit_params=edit))
+
+
+def test_train_stops_on_non_finite_loss(rng):
+    net = build_model("MGCONV6(3)+FC5", input_dim=4, head_dim=20, seed=1)
+    shape = _labeled_shape(rng, net, 20)
+    shape.features[3, 1] = np.nan
+    before = {k: v.copy() for k, v in net.params.items()}
+    state = adam_init(net.params)
+    with pytest.raises(NumericalError, match="not finite"):
+        train(net, [shape], TrainConfig(phase1_epochs=1, phase2_epochs=0),
+              opt_state=state)
+    # raised before the optimizer step touched anything
+    assert state["step"] == 0
+    for k in before:
+        assert np.array_equal(net.params[k], before[k])
 
 
 def test_head_requires_head(rng):

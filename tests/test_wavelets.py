@@ -129,18 +129,6 @@ def test_permutation_equivariance(rng):
         assert np.allclose(moved[np.ix_(perm, perm)], base, atol=1e-12)
 
 
-def test_sparsity_threshold():
-    basis = _shared.bar_basis(0.3, 20)
-    bank = _shared.bank_for(basis.lambda_max)
-    dense = wavelet_matrix(basis, bank, 25)
-    thresholded = wavelet_matrix(basis, bank, 25, sparsity_threshold=1e-4)
-    kept = np.abs(dense) >= 1e-4
-    assert np.array_equal(thresholded[kept], dense[kept])
-    assert (thresholded[~kept] == 0.0).all()
-    # a tiny threshold changes nothing
-    assert np.array_equal(wavelet_matrix(basis, bank, 25, sparsity_threshold=1e-300), dense)
-
-
 def _r90(mesh, dist, column):
     mass = np.abs(column)
     order = np.argsort(dist)
