@@ -121,7 +121,8 @@ class WaveletOperator:
         return out
 
     def backward(self, x, ds, weights):
-        """With V_s = Phi' (r_s * dS): dW_s = (Phi' X)' G_s V_s and
+        """With V_s = Phi' (r_s * dS), one product accumulated a block of
+        rows at a time: dW_s = (Phi' X)' G_s V_s and
         dX = Phi sum_s G_s V_s W_s'."""
         n, k = self.phi.shape
         n_out = ds.shape[1]

@@ -233,6 +233,8 @@ def test_spectral_max_dense_and_iterative():
         top = spectral_max(lap, areas)
         dense = scipy.linalg.eigh(lap.toarray(), np.diag(areas), eigvals_only=True)[-1]
         assert top == pytest.approx(dense, rel=1e-8)
+        # a rerun is bitwise identical, so the Chebyshev baseline is deterministic
+        assert all(spectral_max(lap, areas) == top for _ in range(5))
     basis = _shared.bar_basis(0.3, 20, nu=8, nv=4)
     lap = cotangent_laplacian(small)
     assert spectral_max(lap, lumped_areas(small)) >= basis.lambda_max
@@ -426,7 +428,7 @@ _MISSING = object()
     ("scale_sets", [["8", 16, 24]]),
     ("head_dim", "9"),
     ("head_dim", 0),
-])
+], ids=lambda v: "missing" if v is _MISSING else None)
 def test_checkpoint_rejects_bad_metadata(tmp_path, field, value):
     def edit(meta):
         if value is _MISSING:
@@ -444,7 +446,7 @@ def test_checkpoint_rejects_bad_metadata(tmp_path, field, value):
      "conv0.w2"),
     (lambda a: a.pop("param/head.b"), "missing"),
     (lambda a: a.update({"param/extra": np.zeros(3)}), "unexpected"),
-])
+], ids=["wrong-shape", "wrong-dtype", "missing", "unexpected"])
 def test_checkpoint_rejects_mismatched_parameters(tmp_path, edit, match):
     with pytest.raises(DataError, match=match):
         load_checkpoint(_tampered_checkpoint(tmp_path, edit_params=edit))
