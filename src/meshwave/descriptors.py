@@ -11,6 +11,7 @@ self-describing binary or exported as CSV.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -19,7 +20,7 @@ import numpy as np
 from .errors import DataError
 from .filters import bank_hash, filter_responses, select_scales
 from .spectral import project
-from .wavelets import wavelet_matrix
+from .wavelets import atom_ranges
 
 DEFAULT_DIMS = 128
 
@@ -54,8 +55,8 @@ def _decompose_with_responses(basis, responses, signals, power):
     """Energy table eps[m, v] given per-filter responses at the eigenvalues.
 
     The per-mode couplings omega[j, i] sum the analysis-times-mode terms
-    over all filters and vertices; factoring the j- and i-sums turns the
-    whole table into a handful of small matmuls.
+    over all filters and vertices; every sum over modes or vertices is
+    one GEMM over a (k, n_filters * d) slab, laid out [j, m, i].
     """
     signals = np.asarray(signals, dtype=np.float64)
     if signals.ndim == 1:
@@ -65,17 +66,14 @@ def _decompose_with_responses(basis, responses, signals, power):
     # (not just the outer mode sum) makes the table blind to translation
     sigma[0] = 0.0
     phi = basis.eigenvectors
-    areas = basis.areas
-    # analysis tables per signal: W[m, v, i]
-    coeff = np.einsum("mj,ji->mji", responses, sigma)
-    tables = np.einsum("vj,mji->mvi", phi, coeff) * areas[None, :, None]
-    # omega[j, i] = sum_m g_m(lambda_j) sum_v W_i(m, v) phi_j(v)
-    mode_sums = np.einsum("vj,mvi->mji", phi, tables)
-    omega = np.einsum("mj,mji->ji", responses, mode_sums)
+    n, k = phi.shape
+    g = responses.T[:, :, None]  # (k, n_filters, 1)
+    # analysis tables W_i(m, v), then omega[j, i] = sum_m g_m(lambda_j) sum_v W_i(m, v) phi_j(v)
+    tables = (phi @ (g * sigma[:, None, :]).reshape(k, -1)) * basis.areas[:, None]
+    omega = (g * (phi.T @ tables).reshape(g.shape[:2] + (-1,))).sum(axis=1)  # (k, d)
     lam_pow = basis.eigenvalues ** power  # zero mode drops out (lambda_0 = 0)
-    spectral_weights = np.einsum("j,mj,ji->mji", lam_pow, responses, omega)
-    fields = np.einsum("vj,mji->mvi", phi, spectral_weights)
-    return np.einsum("mvi,mvi->mv", tables, fields)
+    fields = phi @ (lam_pow[:, None, None] * g * omega[:, None, :]).reshape(k, -1)
+    return (tables * fields).reshape(n, g.shape[1], -1).sum(axis=2).T
 
 
 def energy_decomposition(basis, bank, signals, power=2):
@@ -92,19 +90,6 @@ def energy_decomposition(basis, bank, signals, power=2):
     return _decompose_with_responses(basis, responses, signals, power)
 
 
-def minmax_columns(matrix):
-    """Columnwise (x - min) / (max - min); constant columns become 0.5."""
-    lo = matrix.min(axis=0)
-    hi = matrix.max(axis=0)
-    span = hi - lo
-    flat = span == 0
-    span = np.where(flat, 1.0, span)
-    out = (matrix - lo[None, :]) / span[None, :]
-    if flat.any():
-        out[:, flat] = 0.5
-    return out
-
-
 def subsample_columns(n_total, n_keep):
     """Uniform stride over column indices, first column always kept."""
     if n_keep > n_total:
@@ -116,22 +101,32 @@ def weds(basis, bank, coords, n_dims=DEFAULT_DIMS, power=2):
     """Wavelet energy decomposition descriptor, one row per vertex.
 
     Cascades the energy table over a select_scales(n_dims) set of
-    wavelet weightings (32 values each) and subsamples to n_dims.
+    wavelet weightings (32 values each) and subsamples to n_dims.  The
+    weighting of scale m is the atom matrix, column v = a(v) K_m[:, v]
+    with K_m = Phi diag(g_m) Phi', minmax-normalized per column (the
+    positive areas cancel; constant columns give 0.5).  By linearity
+    that is (eps K_m - rowsum(eps) lo_m) / (hi_m - lo_m) with lo_m, hi_m
+    the column ranges of K_m: no (n, n) array is ever allocated.
     """
     if n_dims > 1024:
         raise DataError("descriptor dimension is capped at 1024")
-    eps = energy_decomposition(basis, bank, coords, power)
-    blocks = []
-    for m in select_scales(n_dims):
-        weights = minmax_columns(wavelet_matrix(basis, bank, int(m)))
-        blocks.append((eps @ weights).T)  # (n, n_filters)
-    values = np.concatenate(blocks, axis=1)
+    eps = energy_decomposition(basis, bank, coords, power)  # (n_filters, n)
+    phi = basis.eigenvectors
+    responses = filter_responses(bank, basis.eigenvalues)[select_scales(n_dims)].T
+    lo, hi = atom_ranges(phi, responses)  # (n, scales)
+    slab = responses[:, :, None] * (eps @ phi).T[:, None, :]  # (k, scales, filters)
+    values = (phi @ slab.reshape(phi.shape[1], -1)).reshape(lo.shape + (-1,))
+    totals = eps.sum(axis=1)
+    flat = hi == lo
+    values = (values - lo[:, :, None] * totals) / np.where(flat, 1.0, hi - lo)[:, :, None]
+    values[flat] = 0.5 * totals
+    values = values.reshape(phi.shape[0], -1)
     if values.shape[1] > n_dims:
         values = values[:, subsample_columns(values.shape[1], n_dims)]
     meta = {
         "type": "weds",
         "k": basis.k,
-        "scale_count": len(blocks),
+        "scale_count": lo.shape[1],
         "sample_count": int(n_dims),
         "power": int(power),
         "bank_hash": bank_hash(bank),
@@ -218,19 +213,21 @@ def load_descriptors(path):
     with open(path, "rb") as handle:
         if handle.read(4) != _MAGIC:
             raise DataError(f"{path}: not a descriptor file")
-        (version,) = struct.unpack("<I", handle.read(4))
+        try:
+            version, n, d, meta_len = struct.unpack("<IQQQ", handle.read(28))
+        except struct.error as exc:
+            raise DataError(f"{path}: truncated descriptor header") from exc
         if version != _VERSION:
             raise DataError(f"{path}: unsupported descriptor version {version}")
-        n, d = struct.unpack("<QQ", handle.read(16))
-        (meta_len,) = struct.unpack("<Q", handle.read(8))
+        if meta_len + n * d * 8 > os.fstat(handle.fileno()).st_size - handle.tell():
+            raise DataError(f"{path}: truncated descriptor data ({n}x{d} in header)")
         try:
             meta = json.loads(handle.read(meta_len).decode())
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataError(f"{path}: corrupt metadata block") from exc
-        payload = handle.read(n * d * 8)
-        if len(payload) != n * d * 8:
-            raise DataError(f"{path}: truncated descriptor data")
-        values = np.frombuffer(payload, dtype=np.float64).reshape(n, d)
+        if not isinstance(meta, dict):
+            raise DataError(f"{path}: metadata block is not a JSON object")
+        values = np.frombuffer(handle.read(n * d * 8), dtype=np.float64).reshape(n, d)
     return DescriptorField(values.copy(), meta.get("type", "unknown"), meta)
 
 

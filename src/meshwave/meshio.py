@@ -8,6 +8,7 @@ validation lives in mesh.load_mesh.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -62,6 +63,8 @@ def read_off(path):
         n_vert, n_face = int(counts[0]), int(counts[1])
     except ValueError as exc:
         raise DataError(f"{path}: malformed OFF counts line") from exc
+    if min(n_vert, n_face) < 0 or n_vert + n_face > len(text):
+        raise DataError(f"{path}: OFF counts {n_vert}, {n_face} do not fit the file")
     vertices = np.empty((n_vert, 3), dtype=np.float64)
     triangles = np.empty((n_face, 3), dtype=np.int64)
     try:
@@ -134,7 +137,12 @@ def _parse_ply_header(handle, path):
         if parts[0] == "format":
             fmt = parts[1]
         elif parts[0] == "element":
-            elements.append(_PlyElement(parts[1], int(parts[2])))
+            try:
+                elements.append(_PlyElement(parts[1], int(parts[2])))
+            except (IndexError, ValueError):
+                raise DataError(f"{path}: malformed PLY line {line!r}") from None
+            if not 0 <= elements[-1].count <= os.fstat(handle.fileno()).st_size:
+                raise DataError(f"{path}: PLY element count does not fit the file")
         elif parts[0] == "property":
             if not elements:
                 raise DataError(f"{path}: property before element in PLY header")
@@ -178,10 +186,11 @@ def read_ply(path):
             if element.name == "vertex":
                 vdt = _ply_vertex_dtype(element, path)
                 if fmt == "ascii":
-                    rows = []
-                    for _ in range(element.count):
-                        rows.append(tuple(handle.readline().split()))
-                    data = np.array(rows, dtype=vdt)
+                    rows = [tuple(handle.readline().split()) for _ in range(element.count)]
+                    try:
+                        data = np.array(rows, dtype=vdt)
+                    except ValueError as exc:
+                        raise DataError(f"{path}: malformed PLY vertex row") from exc
                 else:
                     buf = handle.read(vdt.itemsize * element.count)
                     if len(buf) != vdt.itemsize * element.count:

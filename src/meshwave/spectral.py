@@ -160,6 +160,14 @@ def load_basis(path, expect_mesh_hash=None):
             )
     except (OSError, KeyError, ValueError) as exc:
         raise DataError(f"{path}: unreadable basis cache: {exc}") from exc
+    vals, vecs, areas = basis.eigenvalues, basis.eigenvectors, basis.areas
+    if not (all(a.dtype.kind == "f" and np.isfinite(a).all() for a in (vals, vecs, areas))
+            and vals.ndim == 1 and vals.size and vals[0] == 0 and (np.diff(vals) >= 0).all()
+            and areas.ndim == 1 and (areas > 0).all()
+            and vecs.shape == (areas.shape[0], vals.shape[0])):
+        raise DataError(f"{path}: inconsistent basis cache: need finite eigenvalues (k,) "
+                        "ascending from 0, eigenvectors (n, k) and positive areas (n,); "
+                        f"got {vals.shape}, {vecs.shape}, {areas.shape}")
     if expect_mesh_hash is not None and basis.mesh_hash != expect_mesh_hash:
         raise DataError(
             f"{path}: stale basis cache (mesh content hash mismatch); "

@@ -144,22 +144,6 @@ def bent_bar(curvature=0.0, nu=22, nv=10):
     return grid_mesh(u, v, lambda uu, vv: _bar_point(uu, vv, curvature))
 
 
-def bent_bar_fine(curvature=0.0, nu=22, nv=10, factor=3):
-    """Same surface with the u-grid refined `factor`-fold, nesting the
-    coarse grid: coarse vertex (i, j) sits at fine index (factor*i, j)."""
-    fine_nu = factor * (nu - 1) + 1
-    u = np.linspace(0.0, 1.0, fine_nu)
-    v = np.linspace(0.0, 1.0, nv)
-    return grid_mesh(u, v, lambda uu, vv: _bar_point(uu, vv, curvature))
-
-
-def bent_bar_fine_correspondence(nu=22, nv=10, factor=3):
-    """Ground-truth map: coarse vertex index -> coincident fine index."""
-    coarse = np.arange(nu * nv, dtype=np.int64)
-    i, j = coarse // nv, coarse % nv
-    return (factor * i) * nv + j
-
-
 def midpoint_refine(mesh):
     """1:4 split of every triangle at edge midpoints (no smoothing).
 

@@ -1,5 +1,5 @@
-"""Spectral graph wavelets: explicit atoms, analysis, synthesis, and the
-factored convolution operator.
+"""Spectral graph wavelets: analysis, synthesis, blockwise atom column
+statistics, and the factored convolution operator.
 
 A wavelet at scale index m centered on vertex v is the filtered delta
 psi[x] = a(v) * sum_j g_m(lambda_j) phi_j(v) phi_j(x); index 0 is the
@@ -13,16 +13,6 @@ import numpy as np
 
 from .filters import filter_responses
 from .spectral import project
-
-
-def wavelet_matrix(basis, bank, m):
-    """Dense (n, n) matrix whose column v is the atom at vertex v."""
-    from .filters import g_of
-
-    g = g_of(bank, m, basis.eigenvalues)
-    atoms = (basis.eigenvectors * g[None, :]) @ basis.eigenvectors.T
-    atoms *= basis.areas[None, :]
-    return atoms
 
 
 def wavelet_coeffs(basis, bank, signal):
@@ -54,21 +44,33 @@ def _blocks(n: int, width: int):
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
-def atom_l1_norms(phi, responses):
-    """(n, S) column L1 norms of the filters Phi diag(g_s) Phi'.
-
-    responses is (k, S), one filter per column.  Atoms are formed a block
-    of centre vertices at a time, so no (n, n) array is ever allocated.
-    """
+def _atom_blocks(phi, responses):
+    """Yield (cols, atoms), atoms[:, s, c] column cols[c] of the filter
+    Phi diag(g_s) Phi' (responses is (k, S)), in blocks of centre vertices
+    of at most _BLOCK_ENTRIES entries: no (n, n) array is ever allocated."""
     n, k = phi.shape
     n_filters = responses.shape[1]
-    norms = np.empty((n, n_filters))
     for cols in _blocks(n, n * n_filters):
         scaled = responses[:, :, None] * phi[cols].T[:, None, :]  # (k, S, b)
-        atoms = phi @ scaled.reshape(k, -1)  # (n, S * b)
-        sums = np.abs(atoms).sum(axis=0)
-        norms[cols] = sums.reshape(n_filters, cols.stop - cols.start).T
+        atoms = phi @ scaled.reshape(k, -1)
+        yield cols, atoms.reshape(n, n_filters, cols.stop - cols.start)
+
+
+def atom_l1_norms(phi, responses):
+    """(n, S) column L1 norms of the filters Phi diag(g_s) Phi'."""
+    norms = np.empty((phi.shape[0], responses.shape[1]))
+    for cols, atoms in _atom_blocks(phi, responses):
+        norms[cols] = np.abs(atoms).sum(axis=0).T
     return norms
+
+
+def atom_ranges(phi, responses):
+    """(n, S) column minima and maxima of the filters Phi diag(g_s) Phi'."""
+    lo, hi = np.empty((2, phi.shape[0], responses.shape[1]))
+    for cols, atoms in _atom_blocks(phi, responses):
+        lo[cols] = atoms.min(axis=0).T
+        hi[cols] = atoms.max(axis=0).T
+    return lo, hi
 
 
 class WaveletOperator:

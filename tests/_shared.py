@@ -8,12 +8,12 @@ from functools import lru_cache
 
 import numpy as np
 
+from meshwave.descriptors import energy_decomposition, subsample_columns
 from meshwave.errors import DataError
-from meshwave.filters import build_filter_bank
+from meshwave.filters import build_filter_bank, g_of, select_scales
 from meshwave.mesh import TriMesh, cotangent_laplacian, lumped_areas
 from meshwave.spectral import SpectralBasis, eig_generalized
 from meshwave.synthetic import bent_bar, icosphere
-from meshwave.wavelets import wavelet_matrix
 
 
 def basis_of(mesh: TriMesh, k: int) -> SpectralBasis:
@@ -108,6 +108,42 @@ def normalize_columns(psi: np.ndarray) -> np.ndarray:
         bad = int(np.argmax(sums == 0.0))
         raise DataError(f"wavelet column {bad} is identically zero")
     return psi / sums[None, :]
+
+
+def wavelet_matrix(basis: SpectralBasis, bank, m: int) -> np.ndarray:
+    """Dense (n, n) matrix whose column v is the scale-m atom at vertex v."""
+    g = g_of(bank, m, basis.eigenvalues)
+    atoms = (basis.eigenvectors * g[None, :]) @ basis.eigenvectors.T
+    atoms *= basis.areas[None, :]
+    return atoms
+
+
+def minmax_columns(matrix: np.ndarray) -> np.ndarray:
+    """Columnwise (x - min) / (max - min); constant columns become 0.5."""
+    lo = matrix.min(axis=0)
+    hi = matrix.max(axis=0)
+    span = hi - lo
+    flat = span == 0
+    span = np.where(flat, 1.0, span)
+    out = (matrix - lo[None, :]) / span[None, :]
+    if flat.any():
+        out[:, flat] = 0.5
+    return out
+
+
+def dense_weds(basis: SpectralBasis, bank, coords, n_dims: int, power: int = 2):
+    """Oracle for descriptors.weds: per selected scale, the energy table
+    times the column-minmax-normalized dense atom matrix, concatenated
+    and subsampled to n_dims columns."""
+    eps = energy_decomposition(basis, bank, coords, power)
+    values = np.concatenate(
+        [(eps @ minmax_columns(wavelet_matrix(basis, bank, int(m)))).T
+         for m in select_scales(n_dims)],
+        axis=1,
+    )
+    if values.shape[1] > n_dims:
+        values = values[:, subsample_columns(values.shape[1], n_dims)]
+    return values
 
 
 def dense_wavelet_operators(basis: SpectralBasis, bank, keys) -> dict:

@@ -1,4 +1,5 @@
 import dataclasses
+import struct
 import subprocess
 import sys
 
@@ -222,6 +223,28 @@ def test_match_eval_flow(work, tmp_path, capsys):
     curves = (tmp_path / "report.curves.csv").read_text()
     assert "cge,0,1" in curves
     assert "cmc,1,1" in curves
+
+
+def test_match_rejects_header_beyond_file(work, tmp_path, capsys):
+    huge = bytearray(work["desc_path"].read_bytes())
+    huge[8:16] = struct.pack("<Q", 1 << 62)  # row count far beyond the file
+    bad = tmp_path / "huge.mwd"
+    bad.write_bytes(bytes(huge))
+    rc = main(["match", str(bad), str(work["desc_path"]), "-o", str(tmp_path / "m.txt")])
+    assert rc == 2
+    assert "truncated descriptor data" in capsys.readouterr().err
+
+
+def test_descriptor_rejects_inconsistent_basis(work, tmp_path, capsys):
+    bad = tmp_path / "bad.npz"
+    np.savez(bad, version=np.int64(1), eigenvalues=np.arange(3.0),
+             eigenvectors=np.zeros((5, 2)), areas=np.ones(7),
+             mesh_hash=np.bytes_(work["mesh"].content_hash().encode()))
+    rc = main(["descriptor", str(work["mesh_path"]), "-k", "3", "--basis", str(bad),
+               "-o", str(tmp_path / "d.mwd")])
+    assert rc == 2
+    assert "inconsistent basis cache" in capsys.readouterr().err
+    assert not (tmp_path / "d.mwd").exists()
 
 
 def test_eval_stale_correspondence(work, tmp_path, capsys):

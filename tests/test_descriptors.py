@@ -1,7 +1,12 @@
+import dataclasses
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+from meshwave import wavelets
 from meshwave.descriptors import (
     DescriptorField,
     _decompose_with_responses,
@@ -11,14 +16,13 @@ from meshwave.descriptors import (
     export_descriptors_csv,
     hks,
     load_descriptors,
-    minmax_columns,
     save_descriptors,
     subsample_columns,
     weds,
     wks,
 )
 from meshwave.errors import DataError
-from meshwave.filters import build_filter_bank, filter_responses, g_of
+from meshwave.filters import build_filter_bank, filter_responses, select_scales
 from meshwave.mesh import TriMesh, cotangent_laplacian, lumped_areas
 from meshwave.synthetic import antipodal_permutation, bent_bar, icosphere
 
@@ -124,7 +128,7 @@ def test_power_validation():
 
 def test_minmax_columns():
     m = np.array([[2.0, 1.0], [0.0, 1.0], [1.0, 1.0]])
-    out = minmax_columns(m)
+    out = _shared.minmax_columns(m)
     assert np.array_equal(out[:, 0], [1.0, 0.0, 0.5])
     assert np.array_equal(out[:, 1], [0.5, 0.5, 0.5])  # constant column
 
@@ -149,6 +153,65 @@ def test_weds_shapes_and_metadata():
     assert tiny.values.shape == (mesh.n_vertices, 96)
     with pytest.raises(DataError):
         weds(basis, bank, mesh.vertices, n_dims=2048)
+
+
+@pytest.mark.parametrize("n_dims", [96, 128, 384, 1024])  # 1024 repeats scale 16
+@pytest.mark.parametrize("shape", ["bar", "sphere"])
+def test_weds_matches_dense_oracle(shape, n_dims):
+    if shape == "bar":
+        basis, mesh = _shared.bar_basis(0.3, 40), _shared.bar(0.3)
+    else:
+        basis, mesh = _shared.sphere_basis(3, 60), _shared.sphere(3)
+    bank = _shared.bank_for(basis.lambda_max)
+    got = weds(basis, bank, mesh.vertices, n_dims=n_dims).values
+    want = _shared.dense_weds(basis, bank, mesh.vertices, n_dims)
+    assert got.shape == want.shape == (mesh.n_vertices, n_dims)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_weds_flat_atoms_weigh_every_vertex_by_half():
+    # a wavelet scale so coarse that its response underflows to 0 at every
+    # eigenvalue has all-zero atoms: every column is flat
+    basis, mesh = _shared.bar_basis(0.3, 40), _shared.bar(0.3)
+    bank = _shared.bank_for(basis.lambda_max)
+    scales = bank.scales.copy()
+    scales[select_scales(96)[0] - 1] = 1e3 / basis.eigenvalues[1]
+    flat_bank = dataclasses.replace(bank, scales=scales)
+    got = weds(basis, flat_bank, mesh.vertices, n_dims=96).values
+    want = _shared.dense_weds(basis, flat_bank, mesh.vertices, 96)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    totals = energy_decomposition(basis, flat_bank, mesh.vertices).sum(axis=1)
+    assert np.array_equal(got[:, :32], np.broadcast_to(0.5 * totals[:32], (mesh.n_vertices, 32)))
+
+
+def test_atom_ranges_blockwise_with_constant_columns(rng, monkeypatch):
+    monkeypatch.setattr(wavelets, "_BLOCK_ENTRIES", 200)  # two centre vertices a block
+    n = 30
+    phi = np.column_stack([np.full(n, 0.5), rng.standard_normal((n, 3))])
+    # a general filter, the zero filter, and one passing only the constant mode
+    responses = np.column_stack([rng.standard_normal(4), np.zeros(4), [2.0, 0.0, 0.0, 0.0]])
+    lo, hi = wavelets.atom_ranges(phi, responses)
+    dense = (phi * responses[:, 0]) @ phi.T
+    tol = 1e-14 * np.abs(dense).max()
+    assert np.abs(lo[:, 0] - dense.min(axis=0)).max() <= tol
+    assert np.abs(hi[:, 0] - dense.max(axis=0)).max() <= tol
+    assert (lo[:, 1] == 0.0).all() and (hi[:, 1] == 0.0).all()
+    assert (lo[:, 2] == 0.5).all() and (hi[:, 2] == 0.5).all()
+
+
+def test_weds_memory_stays_below_one_atom_matrix():
+    basis = _shared.sphere_basis(4, 100)
+    n = basis.n_vertices
+    bank = _shared.bank_for(basis.lambda_max)
+    tracemalloc.start()
+    try:
+        field = weds(basis, bank, _shared.sphere(4).vertices)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert field.values.shape == (n, 128)
+    # one dense atom matrix alone would take n^2 * 8 bytes
+    assert peak < n * n * 8
 
 
 def test_weds_rigid_invariance(rng):
@@ -350,6 +413,18 @@ def test_load_rejects_bad_files(tmp_path):
     save_descriptors(q, field)
     q.write_bytes(q.read_bytes()[:-9])
     with pytest.raises(DataError, match="truncated"):
+        load_descriptors(q)
+    save_descriptors(q, field)
+    huge = bytearray(q.read_bytes())
+    huge[8:16] = struct.pack("<Q", 1 << 62)  # row count far beyond the file
+    q.write_bytes(bytes(huge))
+    with pytest.raises(DataError, match="truncated"):
+        load_descriptors(q)
+    q.write_bytes(bytes(huge[:20]))  # header cut inside the counts
+    with pytest.raises(DataError, match="truncated"):
+        load_descriptors(q)
+    q.write_bytes(b"MWDF" + struct.pack("<IQQQ", 1, 3, 2, 2) + b"[]" + bytes(48))
+    with pytest.raises(DataError, match="not a JSON object"):
         load_descriptors(q)
 
 

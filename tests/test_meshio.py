@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from meshwave.cli import main
 from meshwave.errors import DataError, MeshError
 from meshwave.mesh import load_mesh
 from meshwave.meshio import read_mesh_file, read_obj, read_off, read_ply, write_ply
@@ -166,6 +167,27 @@ def test_off_truncated_body(tmp_path):
     p.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n")
     with pytest.raises(DataError):
         read_off(p)
+
+
+_PLY_HEAD = "ply\nformat ascii 1.0\nelement vertex {}\nproperty float x\n" \
+    "property float y\nproperty float z\nelement face 1\n" \
+    "property list uchar int vertex_indices\nend_header\n"
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("negative.off", "OFF\n-3 1 0\n", "do not fit"),
+    ("huge.off", "OFF\n1000000000 1 0\n0 0 0\n", "do not fit"),
+    ("count.ply", _PLY_HEAD.format("x"), "malformed PLY line"),
+    ("huge.ply", _PLY_HEAD.format(10 ** 12), "does not fit"),
+    ("short_row.ply", _PLY_HEAD.format(3) + "0 0 0\n1 0\n0 1 0\n3 0 1 2\n",
+     "malformed PLY vertex row"),
+], ids=["negative-off", "huge-off", "ply-count", "huge-ply", "short-ply-row"])
+def test_malformed_mesh_exits_2(tmp_path, capsys, name, text, message):
+    p = tmp_path / name
+    p.write_text(text)
+    assert main(["basis", str(p), "-k", "3", "-o", str(tmp_path / "b.npz")]) == 2
+    err = capsys.readouterr().err
+    assert name in err and message in err
 
 
 def test_unknown_extension(tmp_path):

@@ -182,6 +182,39 @@ def test_load_rejects_foreign_npz(tmp_path):
         load_basis(p)
 
 
+def _cache_arrays(basis):
+    return dict(version=np.int64(1), eigenvalues=basis.eigenvalues,
+                eigenvectors=basis.eigenvectors, areas=basis.areas,
+                mesh_hash=np.bytes_(basis.mesh_hash.encode()))
+
+
+def _zero_area(areas):
+    areas = areas.copy()
+    areas[3] = 0.0
+    return areas
+
+
+@pytest.mark.parametrize("override", [
+    dict(eigenvalues=np.arange(3.0), eigenvectors=np.zeros((5, 2)), areas=np.ones(7)),
+    dict(areas=lambda b: _zero_area(b.areas)),
+    dict(areas=lambda b: b.areas[:-1]),
+    dict(eigenvalues=lambda b: b.eigenvalues[::-1].copy()),
+    dict(eigenvalues=lambda b: b.eigenvalues + 1.0),
+    dict(eigenvalues=lambda b: b.eigenvalues[None, :]),
+    dict(eigenvectors=lambda b: np.where(b.eigenvectors > 0.5, np.nan, b.eigenvectors)),
+    dict(eigenvectors=lambda b: b.eigenvectors.astype(np.int64)),
+], ids=["mismatched-shapes", "zero-area", "short-areas", "descending", "no-zero-mode",
+        "2d-eigenvalues", "nan-eigenvector", "integer-eigenvectors"])
+def test_load_rejects_inconsistent_cache(tmp_path, override):
+    basis = _shared.bar_basis(0.3, 8)
+    arrays = _cache_arrays(basis)
+    arrays.update({k: v(basis) if callable(v) else v for k, v in override.items()})
+    p = tmp_path / "bad.npz"
+    np.savez(p, **arrays)
+    with pytest.raises(DataError, match="inconsistent basis cache"):
+        load_basis(p)
+
+
 def test_determinism():
     a = _shared.basis_of(_shared.bar(0.3), 15)
     b = _shared.basis_of(_shared.bar(0.3), 15)

@@ -7,7 +7,7 @@ import pytest
 from meshwave.filters import FilterBank, build_filter_bank, g_of
 from meshwave.geodesics import geodesic_from
 from meshwave.spectral import project
-from meshwave.wavelets import reconstruct, wavelet_coeffs, wavelet_matrix
+from meshwave.wavelets import reconstruct, wavelet_coeffs
 
 import _shared
 
@@ -22,7 +22,7 @@ def test_atom_matrix_matches_triple_loop():
     bank = _shared.bank_for(basis.lambda_max)
     n, k = mesh.n_vertices, basis.k
     for m in (0, 1, 16):
-        got = wavelet_matrix(basis, bank, m)
+        got = _shared.wavelet_matrix(basis, bank, m)
         g = np.array([g_of(bank, m, basis.eigenvalues[j]) for j in range(k)])
         expect = np.zeros((n, n))
         for x in range(n):
@@ -39,7 +39,7 @@ def test_scaling_atom_on_one_mode():
     # which is strictly positive everywhere
     basis = _shared.bar_basis(0.3, 1)
     bank = _shared.bank_for(1.0)
-    atoms = wavelet_matrix(basis, bank, 0)
+    atoms = _shared.wavelet_matrix(basis, bank, 0)
     phi0 = basis.eigenvectors[:, 0]
     expect = np.outer(phi0, basis.areas * 1.004 * phi0)
     assert np.allclose(atoms, expect, rtol=1e-12)
@@ -53,7 +53,7 @@ def test_coeffs_match_a_inner_product(rng):
     table = wavelet_coeffs(basis, bank, f)
     assert table.shape == (bank.n_filters, mesh.n_vertices)
     for m in (0, 5, 31):
-        atoms = wavelet_matrix(basis, bank, m)
+        atoms = _shared.wavelet_matrix(basis, bank, m)
         expect = atoms.T @ (basis.areas * f)  # <f, psi_{m,v}>_A per column v
         assert np.abs(table[m] - expect).max() <= 1e-8 * np.abs(expect).max()
 
@@ -92,7 +92,7 @@ def test_reconstruction_matches_explicit_route(rng):
     table = wavelet_coeffs(basis, bank, f)
     back = np.zeros(mesh.n_vertices)
     for m in range(bank.n_filters):
-        atoms = wavelet_matrix(basis, bank, m)
+        atoms = _shared.wavelet_matrix(basis, bank, m)
         back += atoms @ (table[m] / basis.areas)
     lib = reconstruct(basis, bank, table)
     assert np.abs(back - lib).max() <= 1e-8 * np.abs(lib).max()
@@ -124,8 +124,8 @@ def test_permutation_equivariance(rng):
     perm = rng.permutation(mesh.n_vertices)
     permuted = _shared.permute_basis(basis, perm)
     for m in (0, 9):
-        base = wavelet_matrix(basis, bank, m)
-        moved = wavelet_matrix(permuted, bank, m)
+        base = _shared.wavelet_matrix(basis, bank, m)
+        moved = _shared.wavelet_matrix(permuted, bank, m)
         assert np.allclose(moved[np.ix_(perm, perm)], base, atol=1e-12)
 
 
@@ -147,7 +147,7 @@ def test_finer_scales_localize():
     dist = geodesic_from(mesh, center)
     radii = []
     for m in (3, 5, 7, 9, 11, 13, 15, 17):
-        atoms = wavelet_matrix(basis, bank, m)
+        atoms = _shared.wavelet_matrix(basis, bank, m)
         radii.append(_r90(mesh, dist, atoms[:, center]))
     assert (np.diff(radii) < 0).all(), radii
 
@@ -164,8 +164,8 @@ def test_cross_tessellation_atom_correlation(rng):
     centers = rng.choice(coarse.n_vertices, size=40, replace=False)
     worst = 1.0
     for m in (3, 5, 10, 16, 22, 28):
-        ca = wavelet_matrix(cb, bank, m)
-        fa = wavelet_matrix(fb, bank, m)
+        ca = _shared.wavelet_matrix(cb, bank, m)
+        fa = _shared.wavelet_matrix(fb, bank, m)
         for v in centers:
             a = ca[:, v]
             b = fa[: coarse.n_vertices, v]
