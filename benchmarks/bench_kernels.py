@@ -1,4 +1,4 @@
-"""Times the numba kernels against their numpy/scipy fallbacks.
+"""Times the numba kernels against their numpy fallbacks.
 
 Run from the repository root:
 
@@ -6,8 +6,7 @@ Run from the repository root:
 
 Each kernel is warmed up once (numba compiles on first call), then the
 minimum of several timed repeats is reported for both paths along with
-the speedup.  The two paths compute identical results; the assembly
-kernels agree bitwise and Dijkstra to floating-point roundoff.
+the speedup.  The two paths agree bitwise.
 """
 
 import argparse
@@ -16,7 +15,6 @@ import time
 import numpy as np
 
 from meshwave import _kernels
-from meshwave.geodesics import edge_graph
 from meshwave.synthetic import icosphere
 
 
@@ -39,8 +37,6 @@ def main():
     parser.add_argument("--subdivisions", type=int, default=5,
                         help="icosphere refinement level (5 -> 10242 vertices)")
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--sources", type=int, default=32,
-                        help="number of Dijkstra source vertices")
     args = parser.parse_args()
 
     if not _kernels.HAS_NUMBA:
@@ -70,16 +66,6 @@ def main():
                  args.repeats),
         _best_of(lambda: _kernels.vertex_areas_numba(t, tri_areas, n),
                  args.repeats),
-    ))
-
-    indptr, indices, weights = edge_graph(mesh)
-    sources = np.linspace(0, n - 1, args.sources).astype(np.int64)
-    grab = (indptr, indices, weights, sources, n)
-    _kernels.dijkstra_numba(*grab)
-    pairs.append((
-        f"dijkstra x{args.sources}",
-        _best_of(lambda: _kernels.dijkstra_numpy(*grab), args.repeats),
-        _best_of(lambda: _kernels.dijkstra_numba(*grab), args.repeats),
     ))
 
     print(f"best of {args.repeats} repeats:")

@@ -1,13 +1,14 @@
 """Loop-bound numeric kernels, numba-compiled when available.
 
-Only kernels that are genuinely loop-shaped live here (per-triangle
-assembly scatters and graph Dijkstra); everything matmul-bound in the
-package stays on BLAS.  Set MESHWAVE_NUMBA=0 to force the plain
-numpy/scipy fallbacks; benchmarks/bench_kernels.py times both paths.
+Only kernels that are genuinely loop-shaped live here (the per-triangle
+assembly scatters); everything matmul-bound in the package stays on BLAS,
+and graph Dijkstra is scipy's (see geodesics).  Set MESHWAVE_NUMBA=0 to
+force the plain numpy fallbacks; benchmarks/bench_kernels.py times both
+paths.
 
 The numpy and numba variants mirror each other's arithmetic expression
-by expression so the two paths agree to the last bit on the assembly
-kernels (summation order is identical).
+by expression so the two paths agree to the last bit (summation order is
+identical).
 """
 
 from __future__ import annotations
@@ -139,96 +140,3 @@ def vertex_areas(triangles, tri_areas, n_vertices):
     if USE_NUMBA:
         return vertex_areas_numba(triangles, tri_areas, n_vertices)
     return vertex_areas_numpy(triangles, tri_areas, n_vertices)
-
-
-# ---------------------------------------------------------------------------
-# Dijkstra over a CSR edge graph
-
-
-def dijkstra_numpy(indptr, indices, weights, sources, n_vertices):
-    """scipy fallback; returns (len(sources), n_vertices) float64."""
-    import scipy.sparse as sp
-    import scipy.sparse.csgraph as csgraph
-
-    graph = sp.csr_matrix((weights, indices, indptr), shape=(n_vertices, n_vertices))
-    dist = csgraph.dijkstra(graph, directed=False, indices=np.asarray(sources))
-    return np.atleast_2d(dist)
-
-
-@njit(**_NJIT_OPTS)
-def _dijkstra_one_nb(indptr, indices, weights, source, dist):
-    n = dist.shape[0]
-    for i in range(n):
-        dist[i] = np.inf
-    # binary min-heap with lazy deletion; each edge pushes at most once
-    cap = indptr[n] + 1
-    heap_d = np.empty(cap, dtype=np.float64)
-    heap_v = np.empty(cap, dtype=np.int64)
-    heap_d[0] = 0.0
-    heap_v[0] = source
-    size = 1
-    dist[source] = 0.0
-    while size > 0:
-        d = heap_d[0]
-        u = heap_v[0]
-        size -= 1
-        heap_d[0] = heap_d[size]
-        heap_v[0] = heap_v[size]
-        pos = 0
-        while True:
-            child = 2 * pos + 1
-            if child >= size:
-                break
-            if child + 1 < size and heap_d[child + 1] < heap_d[child]:
-                child += 1
-            if heap_d[child] < heap_d[pos]:
-                heap_d[pos], heap_d[child] = heap_d[child], heap_d[pos]
-                heap_v[pos], heap_v[child] = heap_v[child], heap_v[pos]
-                pos = child
-            else:
-                break
-        if d > dist[u]:
-            continue
-        for e in range(indptr[u], indptr[u + 1]):
-            v = indices[e]
-            nd = d + weights[e]
-            if nd < dist[v]:
-                dist[v] = nd
-                pos = size
-                heap_d[pos] = nd
-                heap_v[pos] = v
-                size += 1
-                while pos > 0:
-                    parent = (pos - 1) // 2
-                    if heap_d[pos] < heap_d[parent]:
-                        heap_d[pos], heap_d[parent] = heap_d[parent], heap_d[pos]
-                        heap_v[pos], heap_v[parent] = heap_v[parent], heap_v[pos]
-                        pos = parent
-                    else:
-                        break
-    return dist
-
-
-@njit(**_NJIT_OPTS)
-def _dijkstra_multi_nb(indptr, indices, weights, sources, n_vertices):
-    out = np.empty((sources.shape[0], n_vertices), dtype=np.float64)
-    for s in range(sources.shape[0]):
-        _dijkstra_one_nb(indptr, indices, weights, sources[s], out[s])
-    return out
-
-
-def dijkstra_numba(indptr, indices, weights, sources, n_vertices):
-    return _dijkstra_multi_nb(
-        np.ascontiguousarray(indptr, dtype=np.int64),
-        np.ascontiguousarray(indices, dtype=np.int64),
-        np.ascontiguousarray(weights, dtype=np.float64),
-        np.ascontiguousarray(sources, dtype=np.int64),
-        n_vertices,
-    )
-
-
-def dijkstra(indptr, indices, weights, sources, n_vertices):
-    sources = np.asarray(sources, dtype=np.int64)
-    if USE_NUMBA:
-        return dijkstra_numba(indptr, indices, weights, sources, n_vertices)
-    return dijkstra_numpy(indptr, indices, weights, sources, n_vertices)

@@ -228,6 +228,8 @@ def load_descriptors(path):
         if not isinstance(meta, dict):
             raise DataError(f"{path}: metadata block is not a JSON object")
         values = np.frombuffer(handle.read(n * d * 8), dtype=np.float64).reshape(n, d)
+    if not np.isfinite(values).all():
+        raise DataError(f"{path}: non-finite descriptor values")
     return DescriptorField(values.copy(), meta.get("type", "unknown"), meta)
 
 

@@ -4,21 +4,38 @@ All geodesic quantities are normalized by the square root of the target
 surface area, which makes every metric invariant to rigid motion and uniform
 scaling of the target mesh. Scaled (x1e3) values are emitted alongside for
 reporting.
+
+Matching and ranks are decided by scipy's ``cdist`` squared distances, the
+direct sums of (a - b)^2, so exact ties stay exact and go to the lowest
+index. They are not computed for every pair: each 512-row chunk is first
+screened with one GEMM, |a|^2 + |b|^2 - 2 A B', whose rounding error
+against ``cdist`` has a rigorous bound (derived at `_screened`). Only the
+columns the bound cannot decide are recomputed with ``cdist``, which gives
+each entry bit-identical to the full table, so the outputs are those of the
+full ``cdist`` table.
+
+Geodesic errors run Dijkstra from the predicted vertices of the wrong
+matches only (a correct match has error exactly 0) and gather the entries
+at the ground-truth vertices, through `geodesics.geodesic_pairs`; one run
+serves both the direct and the symmetric ground truth, and no n x n table
+is formed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import DataError
-from .geodesics import geodesic_multi
+from .geodesics import geodesic_pairs
 from .mesh import TriMesh, lumped_areas
 
 _CHUNK = 512  # rows of the source block held against the full target table
+_U = 2.0**-53  # unit roundoff of float64
+_ETA = float(np.finfo(np.float64).smallest_subnormal)
 
 
 @dataclass(frozen=True)
@@ -104,11 +121,7 @@ def write_correspondence(path, indices, comment: Optional[str] = None):
             fh.write(f"{v}\n")
 
 
-def nn_match(desc_a: np.ndarray, desc_b: np.ndarray) -> CorrespondenceMap:
-    """For each row of A, the index of the L2-nearest row of B.
-
-    Ties resolve to the lowest index (argmin keeps the first minimum).
-    """
+def _descriptor_pair(desc_a, desc_b) -> tuple[np.ndarray, np.ndarray]:
     desc_a = np.asarray(desc_a, dtype=np.float64)
     desc_b = np.asarray(desc_b, dtype=np.float64)
     if desc_a.ndim != 2 or desc_b.ndim != 2:
@@ -117,11 +130,82 @@ def nn_match(desc_a: np.ndarray, desc_b: np.ndarray) -> CorrespondenceMap:
         raise DataError(
             f"descriptor dimension mismatch: {desc_a.shape[1]} vs {desc_b.shape[1]}"
         )
-    out = np.empty(desc_a.shape[0], dtype=np.int64)
+    if not (np.isfinite(desc_a).all() and np.isfinite(desc_b).all()):
+        raise DataError("descriptor fields contain non-finite values")
+    return desc_a, desc_b
+
+
+def _screened(desc_a: np.ndarray, desc_b: np.ndarray):
+    """Yield (rows, approx, tol) for each chunk of rows of A.
+
+    approx[i, j] = |a_i|^2 + |b_j|^2 - 2 a_i.b_j, from one GEMM, and every
+    entry lies within tol[i] / 2 of cdist's value for (a_i, b_j).
+
+    The bound.  Let u = 2**-53, g_d = d u / (1 - d u) and S = |a|^2 + |b|^2.
+    A dot product of length d, in any summation order, with or without
+    FMA, is off by at most g_d sum |x_k y_k| (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., section 3.1). So the two
+    norms are off by g_d |a|^2 and g_d |b|^2, a.b by g_d S / 2 (as
+    2|a_k b_k| <= a_k^2 + b_k^2); the multiply-by-2 is exact and the two
+    additions, with results bounded by 2S, add at most 4 u S: the screen
+    is within (2d + 4) u S of the exact |a - b|^2, to first order in u.
+    cdist sums fl(a_k - b_k)^2, each term off by 3u relative, within
+    (d + 3) u |a - b|^2 <= 2 (d + 3) u S of the exact value. The two
+    therefore differ by at most E = (4d + 10) u S, plus 2d subnormal
+    spacings eta when products underflow. tol = 8 (d + 4) (u (|a|^2 +
+    max |b|^2) + eta) is at least 2E + 12 u S for every column; the spare
+    12 u S covers the rounding of the comparisons against tol (2 u S) and
+    the second-order terms. If 4 (|a|^2 + max |b|^2) overflows, the
+    chunk's approx is cdist itself and tol is 0.
+    """
+    a_sq = np.einsum("ij,ij->i", desc_a, desc_a)
+    b_sq = np.einsum("ij,ij->i", desc_b, desc_b)
+    b_max = b_sq.max(initial=0.0)
+    slack = 8.0 * (desc_a.shape[1] + 4)
+    overflow = not np.isfinite(4.0 * (a_sq.max(initial=0.0) + b_max))
     for lo in range(0, desc_a.shape[0], _CHUNK):
-        # direct (a-b)^2 sums, no GEMM cancellation: exact ties stay exact
-        d = cdist(desc_a[lo : lo + _CHUNK], desc_b, "sqeuclidean")
-        out[lo : lo + _CHUNK] = np.argmin(d, axis=1)
+        rows = slice(lo, lo + _CHUNK)
+        if overflow:
+            block = desc_a[rows]
+            yield rows, cdist(block, desc_b, "sqeuclidean"), np.zeros(block.shape[0])
+            continue
+        approx = desc_a[rows] @ desc_b.T
+        approx *= -2.0
+        approx += a_sq[rows, None]
+        approx += b_sq
+        yield rows, approx, slack * (_U * (a_sq[rows] + b_max) + _ETA)
+
+
+def _exact(row: np.ndarray, desc_b: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """cdist of one source row against some target rows; each entry is
+    bit-identical to the same entry of the full cdist table."""
+    return cdist(row[None, :], desc_b[cols], "sqeuclidean")[0]
+
+
+def nn_match(desc_a: np.ndarray, desc_b: np.ndarray) -> CorrespondenceMap:
+    """For each row of A, the index of the L2-nearest row of B.
+
+    Ties resolve to the lowest index (argmin keeps the first minimum).
+    Non-finite values are a `DataError`.
+
+    With E the screen's error (tol >= 2E, see `_screened`), the cdist
+    minimiser j* satisfies approx[j*] <= cdist[j*] + E <= cdist[j'] + E <=
+    approx[j'] + 2E for the screen's minimiser j', so every column within
+    tol of the screen's minimum is a candidate and j* is among them. A row
+    with one candidate is decided; the others take the first cdist argmin
+    over their candidates, in index order.
+    """
+    desc_a, desc_b = _descriptor_pair(desc_a, desc_b)
+    out = np.empty(desc_a.shape[0], dtype=np.int64)
+    for rows, approx, tol in _screened(desc_a, desc_b):
+        best = approx.argmin(axis=1)
+        lowest = approx[np.arange(best.size), best]
+        near = approx <= (lowest + tol)[:, None]
+        block = desc_a[rows]
+        for i in np.flatnonzero(np.count_nonzero(near, axis=1) > 1):
+            cols = np.flatnonzero(near[i])
+            best[i] = cols[_exact(block[i], desc_b, cols).argmin()]
+        out[rows] = best
     return CorrespondenceMap(out)
 
 
@@ -136,7 +220,10 @@ def normalized_errors(
     """Per-source geodesic error on the target, divided by sqrt(target area).
 
     Returns (direct, symmetric); symmetric is None when the ground truth has
-    no symmetric map.
+    no symmetric map. A correct match has error exactly 0; every other
+    error is the graph distance from the predicted vertex to the true one,
+    from one Dijkstra run per distinct predicted vertex shared by both
+    ground truths (`geodesics.geodesic_pairs`).
     """
     pred = map_.indices
     if pred.shape != gt.direct.shape:
@@ -144,46 +231,28 @@ def normalized_errors(
     n_t = target_mesh.n_vertices
     _check_against_target(pred, n_t, "correspondence map")
     _check_against_target(gt.direct, n_t, "ground truth")
-    sources = [gt.direct]
+    truths = [gt.direct]
     if gt.symmetric is not None:
         _check_against_target(gt.symmetric, n_t, "symmetric ground truth")
-        sources.append(gt.symmetric)
-    uniq = np.unique(np.concatenate(sources))
-    dist = geodesic_multi(target_mesh, uniq)
-    row_of = np.full(n_t, -1, dtype=np.int64)
-    row_of[uniq] = np.arange(uniq.size)
+        truths.append(gt.symmetric)
+    wrong = [np.flatnonzero(pred != truth) for truth in truths]
+    dist = geodesic_pairs(
+        target_mesh,
+        pred[np.concatenate(wrong)],
+        np.concatenate([truth[w] for truth, w in zip(truths, wrong)]),
+    )
     scale = 1.0 / np.sqrt(lumped_areas(target_mesh).sum())
-    direct = dist[row_of[gt.direct], pred] * scale
+    errors, at = [], 0
+    for w in wrong:
+        err = np.zeros(pred.shape[0])
+        err[w] = dist[at : at + w.size] * scale
+        errors.append(err)
+        at += w.size
+    direct = errors[0]
     symmetric = None
     if gt.symmetric is not None:
-        symmetric = np.minimum(direct, dist[row_of[gt.symmetric], pred] * scale)
+        symmetric = np.minimum(direct, errors[1])
     return direct, symmetric
-
-
-def average_geodesic_error(
-    map_: CorrespondenceMap, gt: GroundTruth, target_mesh: TriMesh
-) -> tuple[float, Optional[float]]:
-    direct, symmetric = normalized_errors(map_, gt, target_mesh)
-    return float(direct.mean()), None if symmetric is None else float(symmetric.mean())
-
-
-def cge_curve(
-    map_: CorrespondenceMap,
-    gt: GroundTruth,
-    target_mesh: TriMesh,
-    radii: np.ndarray,
-    symmetric: bool = False,
-) -> np.ndarray:
-    """Fraction of source vertices with normalized geodesic error <= r."""
-    radii = np.asarray(radii, dtype=np.float64)
-    direct, sym = normalized_errors(map_, gt, target_mesh)
-    if symmetric:
-        if sym is None:
-            raise DataError("symmetric curve requested but no symmetric map given")
-        err = sym
-    else:
-        err = direct
-    return (err[None, :] <= radii[:, None]).mean(axis=1)
 
 
 def match_ranks(
@@ -193,23 +262,35 @@ def match_ranks(
 
     Ordering is by squared distance with index as the tie-breaker, so the
     rank of a tied true target counts only tied rows with a lower index.
+    Non-finite values are a `DataError`.
+
+    A column whose screened value is more than tol below the true target's
+    is surely closer in cdist, one more than tol above surely farther (see
+    `_screened`). Only the band in between, which holds the true target
+    and every column tied with it, is recomputed with cdist and counted by
+    the closer-plus-tied-before rule.
     """
-    desc_a = np.asarray(desc_a, dtype=np.float64)
-    desc_b = np.asarray(desc_b, dtype=np.float64)
-    if desc_a.shape[1] != desc_b.shape[1]:
-        raise DataError("descriptor dimension mismatch")
+    desc_a, desc_b = _descriptor_pair(desc_a, desc_b)
     gt_direct = np.asarray(gt_direct, dtype=np.int64)
     if gt_direct.shape[0] != desc_a.shape[0]:
         raise DataError("ground truth length differs from source descriptor count")
     _check_against_target(gt_direct, desc_b.shape[0], "ground truth")
     ranks = np.empty(desc_a.shape[0], dtype=np.int64)
-    for lo in range(0, desc_a.shape[0], _CHUNK):
-        d = cdist(desc_a[lo : lo + _CHUNK], desc_b, "sqeuclidean")
-        g = gt_direct[lo : lo + _CHUNK]
-        d_true = d[np.arange(g.size), g]
-        closer = (d < d_true[:, None]).sum(axis=1)
-        tied_before = ((d == d_true[:, None]) & (np.arange(d.shape[1])[None, :] < g[:, None])).sum(axis=1)
-        ranks[lo : lo + _CHUNK] = closer + tied_before + 1
+    for rows, approx, tol in _screened(desc_a, desc_b):
+        g = gt_direct[rows]
+        at_true = approx[np.arange(g.size), g]
+        low = (at_true - tol)[:, None]
+        high = (at_true + tol)[:, None]
+        closer = np.count_nonzero(approx < low, axis=1)
+        band = np.count_nonzero(approx <= high, axis=1) - closer
+        block = desc_a[rows]
+        for i in np.flatnonzero(band > 1):
+            cols = np.flatnonzero((approx[i] >= low[i]) & (approx[i] <= high[i]))
+            d = _exact(block[i], desc_b, cols)
+            d_true = d[np.searchsorted(cols, g[i])]
+            closer[i] += np.count_nonzero(d < d_true)
+            closer[i] += np.count_nonzero((d == d_true) & (cols < g[i]))
+        ranks[rows] = closer + 1
     return ranks
 
 
@@ -227,37 +308,6 @@ def cmc_curve(
     ks = np.arange(1, kmax + 1, dtype=np.int64)
     fractions = (ranks[None, :] <= ks[:, None]).mean(axis=1)
     return ks, fractions
-
-
-def evaluate(
-    desc_a: np.ndarray,
-    desc_b: np.ndarray,
-    gt: GroundTruth,
-    target_mesh: TriMesh,
-    radii: Optional[np.ndarray] = None,
-    kmax: Optional[int] = None,
-) -> EvalReport:
-    """Run the full matching benchmark for one descriptor pair."""
-    if radii is None:
-        radii = np.linspace(0.0, 0.25, 51)
-    if kmax is None:
-        kmax = min(100, np.asarray(desc_b).shape[0])
-    map_ = nn_match(desc_a, desc_b)
-    direct, symmetric = normalized_errors(map_, gt, target_mesh)
-    fractions = (direct[None, :] <= np.asarray(radii)[:, None]).mean(axis=1)
-    ks, cmc = cmc_curve(desc_a, desc_b, gt.direct, kmax)
-    exact = float((map_.indices == gt.direct).mean())
-    return EvalReport(
-        age_direct=float(direct.mean()),
-        age_symmetric=None if symmetric is None else float(symmetric.mean()),
-        cge_radii=np.asarray(radii, dtype=np.float64),
-        cge_fractions=fractions,
-        n_source=int(np.asarray(desc_a).shape[0]),
-        n_target=int(np.asarray(desc_b).shape[0]),
-        cmc_ranks=ks,
-        cmc_fractions=cmc,
-        extra={"exact_match_rate": exact},
-    )
 
 
 def evaluate_map(
@@ -281,6 +331,24 @@ def evaluate_map(
         n_target=int(target_mesh.n_vertices),
         extra={"exact_match_rate": exact},
     )
+
+
+def evaluate(
+    desc_a: np.ndarray,
+    desc_b: np.ndarray,
+    gt: GroundTruth,
+    target_mesh: TriMesh,
+    radii: Optional[np.ndarray] = None,
+    kmax: Optional[int] = None,
+) -> EvalReport:
+    """Run the full matching benchmark for one descriptor pair: the
+    nearest-neighbour map's `evaluate_map` report plus the rank curve."""
+    n_target = np.asarray(desc_b).shape[0]
+    if kmax is None:
+        kmax = min(100, n_target)
+    report = evaluate_map(nn_match(desc_a, desc_b), gt, target_mesh, radii)
+    ks, cmc = cmc_curve(desc_a, desc_b, gt.direct, kmax)
+    return replace(report, n_target=n_target, cmc_ranks=ks, cmc_fractions=cmc)
 
 
 def report_summary_text(report: EvalReport) -> str:

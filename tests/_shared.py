@@ -7,10 +7,13 @@ memoized here.  Callers must treat everything returned as read-only.
 from functools import lru_cache
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from meshwave.descriptors import energy_decomposition, subsample_columns
 from meshwave.errors import DataError
+from meshwave.evaluation import normalized_errors
 from meshwave.filters import build_filter_bank, g_of, select_scales
+from meshwave.geodesics import geodesic_multi
 from meshwave.mesh import TriMesh, cotangent_laplacian, lumped_areas
 from meshwave.spectral import SpectralBasis, eig_generalized
 from meshwave.synthetic import bent_bar, icosphere
@@ -164,3 +167,49 @@ def dense_chebyshev(lap, areas: np.ndarray, lambda_max: float, order: int) -> di
     for m in range(2, order):
         ops[m] = 2.0 * (base @ ops[m - 1]) - ops[m - 2]
     return ops
+
+
+def average_geodesic_error(map_, gt, target_mesh):
+    """Mean normalized geodesic error, direct and (or None) symmetric."""
+    direct, symmetric = normalized_errors(map_, gt, target_mesh)
+    return float(direct.mean()), None if symmetric is None else float(symmetric.mean())
+
+
+def cge_curve(map_, gt, target_mesh, radii, symmetric: bool = False) -> np.ndarray:
+    """Fraction of source vertices with normalized geodesic error <= r."""
+    radii = np.asarray(radii, dtype=np.float64)
+    direct, sym = normalized_errors(map_, gt, target_mesh)
+    if symmetric:
+        if sym is None:
+            raise DataError("symmetric curve requested but no symmetric map given")
+        err = sym
+    else:
+        err = direct
+    return (err[None, :] <= radii[:, None]).mean(axis=1)
+
+
+def cdist_match(desc_a, desc_b) -> np.ndarray:
+    """Oracle for evaluation.nn_match: first argmin of the full cdist table."""
+    return cdist(desc_a, desc_b, "sqeuclidean").argmin(axis=1)
+
+
+def cdist_ranks(desc_a, desc_b, gt_direct) -> np.ndarray:
+    """Oracle for evaluation.match_ranks on the full cdist table: rows
+    strictly closer than the true target, plus tied rows of lower index,
+    plus one."""
+    d = cdist(desc_a, desc_b, "sqeuclidean")
+    d_true = d[np.arange(d.shape[0]), gt_direct][:, None]
+    before = np.arange(d.shape[1])[None, :] < np.asarray(gt_direct)[:, None]
+    return (d < d_true).sum(axis=1) + ((d == d_true) & before).sum(axis=1) + 1
+
+
+def table_errors(map_, gt, target_mesh):
+    """Oracle for evaluation.normalized_errors: one dense geodesic table
+    from every vertex, looked up from the ground-truth side."""
+    dist = geodesic_multi(target_mesh, np.arange(target_mesh.n_vertices))
+    scale = 1.0 / np.sqrt(lumped_areas(target_mesh).sum())
+    pred = map_.indices
+    direct = dist[gt.direct, pred] * scale
+    if gt.symmetric is None:
+        return direct, None
+    return direct, np.minimum(direct, dist[gt.symmetric, pred] * scale)

@@ -15,7 +15,7 @@ from meshwave.config import (
     parse_config,
     save_config,
 )
-from meshwave.descriptors import load_descriptors
+from meshwave.descriptors import DescriptorField, load_descriptors, save_descriptors
 from meshwave.errors import DataError, MeshwaveError, NumericalError, UsageError
 from meshwave.evaluation import read_correspondence, write_correspondence
 from meshwave.meshio import write_ply
@@ -391,3 +391,21 @@ def test_train_requires_meshes(tmp_path, capsys):
     save_config(default_config(), cfg_path)
     assert main(["train", "--config", str(cfg_path)]) == 2
     assert "meshes is empty" in capsys.readouterr().err
+
+
+def test_match_and_eval_reject_non_finite_descriptors(work, tmp_path, capsys):
+    bad = tmp_path / "nan.mwd"
+    save_descriptors(bad, DescriptorField(np.full((60, 2), np.nan), "weds"))
+    good = tmp_path / "good.mwd"
+    save_descriptors(good, DescriptorField(np.ones((60, 2)), "weds"))
+    out = tmp_path / "m.txt"
+    assert main(["match", str(bad), str(good), "-o", str(out)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+    gt = tmp_path / "gt.txt"
+    write_correspondence(gt, np.arange(60))
+    prefix = tmp_path / "report"
+    assert main(["eval", str(gt), str(gt), str(work["mesh_path"]),
+                 "--desc-a", str(good), "--desc-b", str(bad), "-o", str(prefix)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "report.summary.txt").exists()

@@ -426,6 +426,9 @@ def test_load_rejects_bad_files(tmp_path):
     q.write_bytes(b"MWDF" + struct.pack("<IQQQ", 1, 3, 2, 2) + b"[]" + bytes(48))
     with pytest.raises(DataError, match="not a JSON object"):
         load_descriptors(q)
+    save_descriptors(q, DescriptorField(np.array([[1.0, np.inf], [0.0, 2.0]]), "hks"))
+    with pytest.raises(DataError, match="non-finite"):
+        load_descriptors(q)
 
 
 def test_csv_export(tmp_path):

@@ -5,8 +5,6 @@ from meshwave.errors import DataError
 from meshwave.evaluation import (
     CorrespondenceMap,
     GroundTruth,
-    average_geodesic_error,
-    cge_curve,
     cmc_curve,
     evaluate,
     evaluate_map,
@@ -110,9 +108,9 @@ def test_identity_map_zero_error():
     direct, symmetric = normalized_errors(map_, gt, mesh)
     assert np.abs(direct).max() == 0.0
     assert symmetric is None
-    age, age_sym = average_geodesic_error(map_, gt, mesh)
+    age, age_sym = _shared.average_geodesic_error(map_, gt, mesh)
     assert age == 0.0 and age_sym is None
-    curve = cge_curve(map_, gt, mesh, np.array([0.0, 0.1]))
+    curve = _shared.cge_curve(map_, gt, mesh, np.array([0.0, 0.1]))
     assert np.array_equal(curve, [1.0, 1.0])
 
 
@@ -135,8 +133,8 @@ def test_symmetric_error_never_exceeds_direct(rng):
     gt = GroundTruth(np.arange(n), symmetric=rng.permutation(n))
     direct, symmetric = normalized_errors(pred, gt, mesh)
     assert (symmetric <= direct + 1e-15).all()
-    curve_d = cge_curve(pred, gt, mesh, np.linspace(0, 2, 9))
-    curve_s = cge_curve(pred, gt, mesh, np.linspace(0, 2, 9), symmetric=True)
+    curve_d = _shared.cge_curve(pred, gt, mesh, np.linspace(0, 2, 9))
+    curve_s = _shared.cge_curve(pred, gt, mesh, np.linspace(0, 2, 9), symmetric=True)
     assert (curve_s >= curve_d).all()
     assert curve_d[-1] == 1.0  # radius 2 x sqrt(area) swallows the sphere
 
@@ -147,7 +145,7 @@ def test_cge_at_zero_radius_is_exact_rate(rng):
     pred = rng.integers(0, n, size=n)
     map_ = CorrespondenceMap(pred)
     gt = GroundTruth(np.arange(n))
-    curve = cge_curve(map_, gt, mesh, np.array([0.0]))
+    curve = _shared.cge_curve(map_, gt, mesh, np.array([0.0]))
     assert curve[0] == (pred == np.arange(n)).mean()
 
 
@@ -188,7 +186,7 @@ def test_out_of_range_validation():
             CorrespondenceMap(np.arange(n - 1)), GroundTruth(np.arange(n)), mesh
         )
     with pytest.raises(DataError, match="symmetric"):
-        cge_curve(
+        _shared.cge_curve(
             CorrespondenceMap(np.arange(n)),
             GroundTruth(np.arange(n)),
             mesh,
@@ -265,3 +263,92 @@ def test_correspondence_file_errors(tmp_path):
     s.write_text("# only comments\n")
     with pytest.raises(DataError, match="no indices"):
         read_correspondence(s)
+
+
+def _adversarial_pairs(seed):
+    """(name, desc_a, desc_b) cases built to sit on the screen's edges:
+    exact duplicates and copies, near-ties at every relative scale, a
+    large common offset, one dimension, single rows, and magnitudes whose
+    squares overflow or underflow."""
+    rng = np.random.default_rng(seed)
+    d = 9
+    b = rng.standard_normal((70, d))
+    b[40:50] = b[10:20]  # duplicated target rows
+    b[60] = b[3]
+    src = rng.integers(0, 70, size=60)
+    cases = [("copies", b[src].copy(), b)]
+    for eps in (1e-16, 1e-14, 1e-12, 1e-8, 1e-4, 1.0):
+        a = b[src] * (1.0 + eps * rng.standard_normal((60, d)))
+        cases.append((f"perturbed {eps:g}", a, b))
+    cases.append(("offset 1e6", b[src] + 1e6 + 1e-10 * rng.standard_normal((60, d)), b + 1e6))
+    b1 = np.round(rng.standard_normal((50, 1)), 2)  # d = 1, many exact ties
+    cases.append(("d=1", np.round(rng.standard_normal((40, 1)), 2), b1))
+    cases.append(("single row", b[src[:1]] * (1 + 1e-15), b))
+    cases.append(("single target", b[src], b[:1]))
+    cases.append(("overflow", b[src] * 1e160, b * 1e160))
+    near = b[src] * (1.0 + 1e-3 * rng.standard_normal((60, d)))
+    cases.append(("underflow", near * 1e-162, b * 1e-162))  # subnormal squares
+    many = rng.standard_normal((1100, 3))  # crosses the 512-row chunks
+    cases.append(("chunks", np.round(many, 1), np.round(many[::-1][:300], 1)))
+    return cases
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_screened_match_and_ranks_equal_cdist(seed):
+    rng = np.random.default_rng(100 + seed)
+    for name, a, b in _adversarial_pairs(seed):
+        assert np.array_equal(nn_match(a, b).indices, _shared.cdist_match(a, b)), name
+        gt = rng.integers(0, b.shape[0], size=a.shape[0])
+        nearest = _shared.cdist_match(a, b)
+        for truth in (gt, nearest):
+            got = match_ranks(a, b, truth)
+            assert np.array_equal(got, _shared.cdist_ranks(a, b, truth)), name
+
+
+def test_match_rejects_non_finite(rng):
+    a = rng.standard_normal((5, 2))
+    for bad in (np.nan, np.inf, -np.inf):
+        poisoned = a.copy()
+        poisoned[3, 1] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            nn_match(poisoned, a)
+        with pytest.raises(DataError, match="non-finite"):
+            nn_match(a, poisoned)
+        with pytest.raises(DataError, match="non-finite"):
+            match_ranks(a, poisoned, np.arange(5))
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_normalized_errors_match_table_oracle(rng, symmetric):
+    mesh = _shared.bar(0.4, nu=12, nv=6)
+    n = mesh.n_vertices
+    pred = rng.integers(0, n, size=n)
+    pred[::3] = np.arange(n)[::3]  # a third are exact
+    gt = GroundTruth(np.arange(n), rng.permutation(n) if symmetric else None)
+    map_ = CorrespondenceMap(pred)
+    direct, sym = normalized_errors(map_, gt, mesh)
+    ref_direct, ref_sym = _shared.table_errors(map_, gt, mesh)
+    scale = np.abs(ref_direct).max()
+    assert np.abs(direct - ref_direct).max() <= 1e-12 * scale
+    assert (direct[::3] == 0.0).all()
+    if symmetric:
+        assert np.abs(sym - ref_sym).max() <= 1e-12 * scale
+    else:
+        assert sym is None
+
+
+def test_normalized_errors_memory_below_quarter_table(rng):
+    import tracemalloc
+
+    mesh = _shared.sphere(4)
+    n = mesh.n_vertices
+    assert n == 2562
+    map_ = CorrespondenceMap(rng.integers(0, n, size=n))
+    gt = GroundTruth(np.arange(n), rng.permutation(n))
+    tracemalloc.start()
+    try:
+        normalized_errors(map_, gt, mesh)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 4

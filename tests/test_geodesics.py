@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from meshwave.geodesics import edge_graph, geodesic_from, geodesic_multi
+from meshwave import geodesics
+from meshwave.geodesics import edge_graph, geodesic_from, geodesic_multi, geodesic_pairs
 from meshwave.synthetic import icosphere, strip_mesh
 
 import _shared
@@ -23,6 +24,38 @@ def test_strip_distances_are_prefix_sums():
     d = geodesic_from(mesh, 0)
     expect = np.concatenate([[0.0], np.cumsum(np.diff(xs))])
     assert np.allclose(d[0::2], expect, rtol=1e-12)
+
+
+def test_dijkstra_line_graph_prefix_sums():
+    # the strip's bottom row is the path 0-2-4-6 with weights 2, 3, 5
+    mesh = strip_mesh(np.array([0.0, 2.0, 5.0, 10.0]), height=0.05)
+    dist = geodesic_multi(mesh, np.array([0]))
+    assert dist.shape == (1, mesh.n_vertices)
+    assert np.array_equal(dist[0, 0::2], [0.0, 2.0, 5.0, 10.0])
+
+
+@pytest.mark.parametrize("block_entries", [1 << 20, 150])
+def test_pairs_gather_the_table(rng, monkeypatch, block_entries):
+    # 150 entries hold three rows of the 50-vertex bar: Dijkstra in blocks
+    monkeypatch.setattr(geodesics, "_BLOCK_ENTRIES", block_entries)
+    mesh = _shared.bar(0.4, nu=10, nv=5)
+    sources = rng.integers(0, mesh.n_vertices, size=40)
+    sources[::4] = sources[0]  # repeated sources share one run
+    targets = rng.integers(0, mesh.n_vertices, size=40)
+    table = geodesic_multi(mesh, sources)
+    got = geodesic_pairs(mesh, sources, targets)
+    assert np.array_equal(got, table[np.arange(40), targets])
+    assert geodesic_pairs(mesh, [], []).shape == (0,)
+
+
+def test_pairs_validation():
+    mesh = icosphere(1)
+    with pytest.raises(ValueError, match="differ in length"):
+        geodesic_pairs(mesh, [0, 1], [2])
+    with pytest.raises(IndexError):
+        geodesic_pairs(mesh, [0], [mesh.n_vertices])
+    with pytest.raises(IndexError):
+        geodesic_pairs(mesh, [-1], [0])
 
 
 def test_triangle_inequality(rng):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from meshwave import _kernels as K
-from meshwave.geodesics import edge_graph
 from meshwave.synthetic import bent_bar, icosphere
 
 needs_numba = pytest.mark.skipif(not K.HAS_NUMBA, reason="numba not installed")
@@ -68,27 +67,6 @@ def test_vertex_areas_conserve_total():
     assert (v > 0).all()
 
 
-def test_dijkstra_line_graph_prefix_sums():
-    # path graph 0-1-2-3 with weights 2, 3, 5
-    indptr = np.array([0, 1, 3, 5, 6])
-    indices = np.array([1, 0, 2, 1, 3, 2], dtype=np.int64)
-    weights = np.array([2.0, 2.0, 3.0, 3.0, 5.0, 5.0])
-    dist = K.dijkstra_numpy(indptr, indices, weights, np.array([0]), 4)
-    assert dist.shape == (1, 4)
-    assert np.array_equal(dist[0], [0.0, 2.0, 5.0, 10.0])
-
-
-@needs_numba
-def test_dijkstra_paths_agree():
-    mesh = icosphere(2)
-    indptr, indices, weights = edge_graph(mesh)
-    sources = np.array([0, 17, 41], dtype=np.int64)
-    d_np = K.dijkstra_numpy(indptr, indices, weights, sources, mesh.n_vertices)
-    d_nb = K.dijkstra_numba(indptr, indices, weights, sources, mesh.n_vertices)
-    # scipy and the njit loop accumulate in different orders
-    assert np.allclose(d_np, d_nb, rtol=1e-12, atol=1e-12)
-
-
 def test_dispatchers_return_valid_results():
     mesh = _mesh()
     cots, areas = K.triangle_geometry(mesh.vertices, mesh.triangles)
@@ -96,7 +74,3 @@ def test_dispatchers_return_valid_results():
     assert (areas > 0).all()
     v = K.vertex_areas(mesh.triangles, areas, mesh.n_vertices)
     assert v.shape == (mesh.n_vertices,)
-    indptr, indices, weights = edge_graph(mesh)
-    d = K.dijkstra(indptr, indices, weights, np.array([0], dtype=np.int64), mesh.n_vertices)
-    assert d[0, 0] == 0.0
-    assert np.isfinite(d).all()
