@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._files import atomic_write
 from .chebyshev import chebyshev_operators, spectral_max
 from .config import default_config, format_config, load_config
 from .descriptors import (
@@ -227,11 +228,12 @@ def _cmd_eval(args, cfg):
         ks, fractions = cmc_curve(da.values, db.values, gt.direct, kmax)
         report = dataclasses.replace(report, cmc_ranks=ks, cmc_fractions=fractions)
     summary = report_summary_text(report)
-    prefix = Path(args.out_prefix)
-    summary_path = prefix.with_suffix(".summary.txt")
-    curves_path = prefix.with_suffix(".curves.csv")
-    summary_path.write_text(summary, encoding="utf-8")
-    curves_path.write_text(report_csv_text(report), encoding="utf-8")
+    # the suffixes extend the whole prefix: "-o run.1" writes run.1.summary.txt
+    summary_path = f"{args.out_prefix}.summary.txt"
+    curves_path = f"{args.out_prefix}.curves.csv"
+    for path, text in ((summary_path, summary), (curves_path, report_csv_text(report))):
+        with atomic_write(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
     sys.stdout.write(summary)
     _log(f"wrote {summary_path}")
     _log(f"wrote {curves_path}")

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._files import atomic_write
 from .errors import DataError
 from .filters import bank_hash, filter_responses, select_scales
 from .spectral import project
@@ -172,22 +173,6 @@ def wks(basis, n_energies=DEFAULT_DIMS, sigma_factor=7.0):
     return DescriptorField(values, "wks", meta)
 
 
-def descriptor_drift(field_a, field_b):
-    """Diagnostic comparing two fields on the same vertex set: relative
-    value drift and the fraction of vertices whose within-row value
-    ranking changed."""
-    a, b = field_a.values, field_b.values
-    if a.shape != b.shape:
-        raise DataError("descriptor fields have different shapes")
-    scale = max(np.abs(a).max(), np.abs(b).max(), 1e-300)
-    value_drift = np.abs(a - b).max() / scale
-    rank_changed = (np.argsort(a, axis=1) != np.argsort(b, axis=1)).any(axis=1)
-    return {
-        "max_rel_value_drift": float(value_drift),
-        "rank_change_fraction": float(rank_changed.mean()),
-    }
-
-
 # ---------------------------------------------------------------------------
 # file format: magic, version, counts, JSON metadata block, float64 rows
 
@@ -200,7 +185,7 @@ def save_descriptors(path, descriptor_field):
     meta = dict(descriptor_field.metadata)
     meta.setdefault("type", descriptor_field.kind)
     meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as handle:
+    with atomic_write(path) as handle:
         handle.write(_MAGIC)
         handle.write(struct.pack("<I", _VERSION))
         handle.write(struct.pack("<QQ", values.shape[0], values.shape[1]))

@@ -29,6 +29,7 @@ from typing import Optional
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from ._files import atomic_write
 from .errors import DataError
 from .geodesics import geodesic_pairs
 from .mesh import TriMesh, lumped_areas
@@ -113,7 +114,7 @@ def read_correspondence(path, n_target: Optional[int] = None) -> np.ndarray:
 
 def write_correspondence(path, indices, comment: Optional[str] = None):
     indices = np.asarray(indices, dtype=np.int64)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         if comment:
             for line in comment.splitlines():
                 fh.write(f"# {line}\n")

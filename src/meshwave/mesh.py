@@ -45,12 +45,8 @@ class TriMesh:
         return len(self.triangles)
 
     def edges(self):
-        """Unique undirected edges, (n_edges, 2) with e[0] < e[1]."""
-        pairs = np.concatenate(
-            [self.triangles[:, [0, 1]], self.triangles[:, [1, 2]], self.triangles[:, [2, 0]]]
-        )
-        pairs.sort(axis=1)
-        return np.unique(pairs, axis=0)
+        """Unique undirected edges, (n_edges, 2) with e[0] < e[1], sorted."""
+        return _edges_and_counts(self.triangles, self.n_vertices)[0]
 
     def content_hash(self):
         """sha256 over counts and exact vertex/triangle bytes."""
@@ -61,6 +57,18 @@ class TriMesh:
         digest.update(self.vertices.tobytes())
         digest.update(self.triangles.tobytes())
         return digest.hexdigest()
+
+
+def _edges_and_counts(triangles, n):
+    """Unique undirected edges (a < b, sorted by a then b) and the number of
+    triangle sides on each.
+
+    Each edge is the 1-D key a * n + b, which sorts like the row (a, b)
+    when 0 <= a, b < n; a row-wise `np.unique` would sort a void view.
+    """
+    pairs = np.concatenate([triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]])
+    keys, counts = np.unique(pairs.min(axis=1) * n + pairs.max(axis=1), return_counts=True)
+    return np.stack([keys // n, keys % n], axis=1), counts
 
 
 def validate_mesh(mesh):
@@ -82,13 +90,10 @@ def validate_mesh(mesh):
         bad = int(np.argmin(areas))
         raise MeshError(f"degenerate triangle {bad}: near-zero area")
     # edge-manifold: every undirected edge borders at most two triangles
-    pairs = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-    pairs.sort(axis=1)
-    _, counts = np.unique(pairs, axis=0, return_counts=True)
+    edges, counts = _edges_and_counts(t, len(v))
     if (counts > 2).any():
         raise MeshError("non-manifold edge: more than two incident triangles")
     # connected, counting isolated vertices as their own components
-    edges = mesh.edges()
     adj = sp.csr_matrix(
         (np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(len(v), len(v))
     )

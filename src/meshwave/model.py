@@ -24,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import layers
+from ._files import atomic_write
 from .errors import DataError
 from .filters import FilterBank, g_of, select_scales
 from .spectral import SpectralBasis
@@ -263,7 +264,7 @@ def save_checkpoint(
             arrays[f"opt/m/{name}"] = arr
         for name, arr in opt_state["v"].items():
             arrays[f"opt/v/{name}"] = arr
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         np.savez(fh, **arrays)
 
 

@@ -17,6 +17,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from ._files import atomic_write
 from .errors import DataError, NumericalError
 
 logger = logging.getLogger(__name__)
@@ -137,14 +138,16 @@ _CACHE_VERSION = 1
 
 
 def save_basis(path, basis):
-    np.savez(
-        path,
-        version=np.int64(_CACHE_VERSION),
-        eigenvalues=basis.eigenvalues,
-        eigenvectors=basis.eigenvectors,
-        areas=basis.areas,
-        mesh_hash=np.bytes_(basis.mesh_hash.encode()),
-    )
+    """Write the basis cache to exactly `path` (no ".npz" is appended)."""
+    with atomic_write(path) as handle:
+        np.savez(
+            handle,
+            version=np.int64(_CACHE_VERSION),
+            eigenvalues=basis.eigenvalues,
+            eigenvectors=basis.eigenvectors,
+            areas=basis.areas,
+            mesh_hash=np.bytes_(basis.mesh_hash.encode()),
+        )
 
 
 def load_basis(path, expect_mesh_hash=None):

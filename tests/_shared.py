@@ -213,3 +213,27 @@ def table_errors(map_, gt, target_mesh):
     if gt.symmetric is None:
         return direct, None
     return direct, np.minimum(direct, dist[gt.symmetric, pred] * scale)
+
+
+def descriptor_drift(field_a, field_b):
+    """Diagnostic comparing two fields on the same vertex set: relative
+    value drift and the fraction of vertices whose within-row value
+    ranking changed."""
+    a, b = field_a.values, field_b.values
+    if a.shape != b.shape:
+        raise DataError("descriptor fields have different shapes")
+    scale = max(np.abs(a).max(), np.abs(b).max(), 1e-300)
+    value_drift = np.abs(a - b).max() / scale
+    rank_changed = (np.argsort(a, axis=1) != np.argsort(b, axis=1)).any(axis=1)
+    return {
+        "max_rel_value_drift": float(value_drift),
+        "rank_change_fraction": float(rank_changed.mean()),
+    }
+
+
+def rowwise_edges(mesh: TriMesh) -> np.ndarray:
+    """Oracle for TriMesh.edges: sorted triangle sides, row-wise unique."""
+    t = mesh.triangles
+    pairs = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
+    pairs.sort(axis=1)
+    return np.unique(pairs, axis=0)

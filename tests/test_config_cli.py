@@ -225,6 +225,22 @@ def test_match_eval_flow(work, tmp_path, capsys):
     assert "cmc,1,1" in curves
 
 
+def test_eval_prefix_keeps_its_dotted_parts(work, tmp_path):
+    gt = tmp_path / "gt.txt"
+    write_correspondence(gt, np.arange(60))
+    shifted = tmp_path / "shifted.txt"
+    write_correspondence(shifted, np.roll(np.arange(60), 1))
+    for corr, tag in ((gt, "parent"), (shifted, "change")):
+        assert main(["eval", str(corr), str(gt), str(work["mesh_path"]),
+                     "-o", str(tmp_path / f"1.{tag}")]) == 0
+    assert sorted(p.name for p in tmp_path.glob("1.*")) == [
+        "1.change.curves.csv", "1.change.summary.txt",
+        "1.parent.curves.csv", "1.parent.summary.txt",
+    ]
+    assert "exact_match_rate = 1\n" in (tmp_path / "1.parent.summary.txt").read_text()
+    assert "exact_match_rate = 0\n" in (tmp_path / "1.change.summary.txt").read_text()
+
+
 def test_match_rejects_header_beyond_file(work, tmp_path, capsys):
     huge = bytearray(work["desc_path"].read_bytes())
     huge[8:16] = struct.pack("<Q", 1 << 62)  # row count far beyond the file

@@ -10,7 +10,6 @@ from meshwave import wavelets
 from meshwave.descriptors import (
     DescriptorField,
     _decompose_with_responses,
-    descriptor_drift,
     dirichlet_energy,
     energy_decomposition,
     export_descriptors_csv,
@@ -377,14 +376,14 @@ def test_signature_homogeneity_on_sphere():
 
 def test_descriptor_drift_diagnostic():
     a = DescriptorField(np.array([[1.0, 2.0], [3.0, 4.0]]), "weds")
-    same = descriptor_drift(a, a)
+    same = _shared.descriptor_drift(a, a)
     assert same["max_rel_value_drift"] == 0.0
     assert same["rank_change_fraction"] == 0.0
     b = DescriptorField(np.array([[2.0, 1.0], [3.0, 4.0]]), "weds")
-    moved = descriptor_drift(a, b)
+    moved = _shared.descriptor_drift(a, b)
     assert moved["rank_change_fraction"] == 0.5
     with pytest.raises(DataError):
-        descriptor_drift(a, DescriptorField(np.zeros((3, 2)), "weds"))
+        _shared.descriptor_drift(a, DescriptorField(np.zeros((3, 2)), "weds"))
 
 
 def test_save_load_round_trip(tmp_path):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra
 
 from meshwave import geodesics
 from meshwave.geodesics import edge_graph, geodesic_from, geodesic_multi, geodesic_pairs
-from meshwave.synthetic import icosphere, strip_mesh
+from meshwave.mesh import TriMesh
+from meshwave.synthetic import bent_bar, icosphere, strip_mesh
 
 import _shared
 
@@ -34,6 +36,18 @@ def test_dijkstra_line_graph_prefix_sums():
     assert np.array_equal(dist[0, 0::2], [0.0, 2.0, 5.0, 10.0])
 
 
+def _record_limits(monkeypatch) -> list:
+    """Make geodesic_pairs' Dijkstra calls log their `limit` argument."""
+    limits = []
+
+    def recording(*args, limit=np.inf, **kwargs):
+        limits.append(limit)
+        return dijkstra(*args, limit=limit, **kwargs)
+
+    monkeypatch.setattr(geodesics, "dijkstra", recording)
+    return limits
+
+
 @pytest.mark.parametrize("block_entries", [1 << 20, 150])
 def test_pairs_gather_the_table(rng, monkeypatch, block_entries):
     # 150 entries hold three rows of the 50-vertex bar: Dijkstra in blocks
@@ -42,10 +56,54 @@ def test_pairs_gather_the_table(rng, monkeypatch, block_entries):
     sources = rng.integers(0, mesh.n_vertices, size=40)
     sources[::4] = sources[0]  # repeated sources share one run
     targets = rng.integers(0, mesh.n_vertices, size=40)
+    targets[1] = sources[1]  # a zero distance
     table = geodesic_multi(mesh, sources)
     got = geodesic_pairs(mesh, sources, targets)
     assert np.array_equal(got, table[np.arange(40), targets])
     assert geodesic_pairs(mesh, [], []).shape == (0,)
+
+
+@pytest.mark.parametrize("block_entries", [1 << 20, 720])
+def test_pairs_on_a_closing_bar_run_several_rounds(rng, monkeypatch, block_entries):
+    # bent almost into a ring, the bar's two ends are near in space but a
+    # whole bar length apart along the surface, so sources rerun with
+    # doubled radii; 720 entries hold three rows of the 240-vertex bar
+    monkeypatch.setattr(geodesics, "_BLOCK_ENTRIES", block_entries)
+    mesh = bent_bar(3.0, nu=40, nv=6)
+    ends = np.concatenate([np.arange(6), np.arange(234, 240)])  # u = 0 and u = 1
+    sources = np.concatenate([ends, rng.integers(0, mesh.n_vertices, size=30)])
+    targets = np.concatenate([np.roll(ends, 6), rng.integers(0, mesh.n_vertices, size=30)])
+    sources[-5:] = sources[0]  # repeated sources share one run
+    table = geodesic_multi(mesh, sources)
+    expect = table[np.arange(sources.size), targets]
+    euclid = np.linalg.norm(mesh.vertices[sources] - mesh.vertices[targets], axis=1)
+    assert (expect[:12] > 10 * euclid[:12]).all()
+    limits = _record_limits(monkeypatch)
+    assert np.array_equal(geodesic_pairs(mesh, sources, targets), expect)
+    assert len(set(limits)) >= 4 and np.isfinite(limits).all()
+
+
+def test_pairs_across_components_are_inf(monkeypatch):
+    vertices = np.concatenate([np.eye(3), np.eye(3) + 10.0])
+    mesh = TriMesh(vertices, [[0, 1, 2], [3, 4, 5]])  # two components
+    sources, targets = np.array([0, 0, 4, 5, 1]), np.array([1, 3, 2, 4, 1])
+    expect = geodesic_multi(mesh, sources)[np.arange(5), targets]
+    limits = _record_limits(monkeypatch)
+    got = geodesic_pairs(mesh, sources, targets)
+    assert np.array_equal(got, expect)
+    assert np.isinf(got[[1, 2]]).all() and np.isfinite(got[[0, 3, 4]]).all()
+    # the rounds end with one unbounded run once the radius passes the
+    # total edge length
+    assert limits[-1] == np.inf and np.isfinite(limits[:-1]).all()
+
+
+def test_pairs_near_pair_runs_bounded(monkeypatch):
+    mesh = _shared.sphere(4)  # 2,562 vertices
+    source, target = mesh.edges()[0]
+    expect = geodesic_from(mesh, source)[target]
+    limits = _record_limits(monkeypatch)
+    assert geodesic_pairs(mesh, [source], [target])[0] == expect
+    assert limits and np.isfinite(limits).all()
 
 
 def test_pairs_validation():

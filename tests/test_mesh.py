@@ -193,3 +193,13 @@ def test_content_hash_sensitivity():
 def test_edges_unique_and_sorted():
     edges = equilateral_triangle().edges()
     assert np.array_equal(edges, [[0, 1], [0, 2], [1, 2]])
+
+
+@pytest.mark.parametrize(
+    "mesh", [_shared.sphere(4), bent_bar(3.0, nu=40, nv=6), equilateral_triangle()],
+    ids=["icosphere", "bent_bar", "triangle"],
+)
+def test_edges_match_rowwise_unique(mesh):
+    edges = mesh.edges()
+    expect = _shared.rowwise_edges(mesh)
+    assert edges.dtype == expect.dtype and np.array_equal(edges, expect)
