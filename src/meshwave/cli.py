@@ -4,6 +4,16 @@ training, inference, and visualization export.
 Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 numerical
 failure. Artifacts carry the content hashes of their inputs; a cached file
 whose hash no longer matches its input is refused, never silently reused.
+
+`descriptor --basis B` and `infer --basis B` also keep the wavelet atom
+column statistics (L1 norms, minima, maxima; one symmetric tile sweep per
+scale set, see ``wavelets.atom_stats``) in the sidecar B.atoms.npz. It is
+keyed by the SHA-256 of the eigenvalues, eigenvectors and areas of the
+basis in use (after truncation to -k) and the filter bank's hash: scales
+stored under the same key are reused, missing ones are computed and merged
+in, and a sidecar under another key (a rebuilt basis that differs, another
+bank) is recomputed and replaced, so `basis --force` leaves it alone. A
+sidecar that fails its checks exits 2.
 """
 
 from __future__ import annotations
@@ -90,6 +100,11 @@ def _basis_for(mesh, k: int, cache_path=None):
     return _compute_basis(mesh, k)
 
 
+def _atom_cache(basis_path):
+    """The atom statistics sidecar of a basis cache file, or None."""
+    return None if basis_path is None else f"{basis_path}.atoms.npz"
+
+
 def _bank_settings(cfg):
     b = cfg["bank"]
     return dict(
@@ -102,12 +117,14 @@ def _bank_settings(cfg):
     )
 
 
-def _descriptor_field(mesh, basis, cfg, kind: str, num: int, power: int):
+def _descriptor_field(mesh, basis, cfg, kind: str, num: int, power: int,
+                      atom_cache=None):
     if kind == "weds":
         bank = build_filter_bank(
             basis.lambda_max, eigenvalues=basis.eigenvalues, **_bank_settings(cfg)
         )
-        return weds(basis, bank, mesh.vertices, n_dims=num, power=power)
+        return weds(basis, bank, mesh.vertices, n_dims=num, power=power,
+                    atom_cache=atom_cache)
     if kind == "hks":
         return hks(basis, n_times=num)
     if kind == "wks":
@@ -177,7 +194,8 @@ def _cmd_descriptor(args, cfg):
     k = args.k if args.k is not None else cfg["descriptor"]["k"]
     power = args.power if args.power is not None else cfg["descriptor"]["power"]
     basis = _basis_for(mesh, k, args.basis)
-    field = _descriptor_field(mesh, basis, cfg, kind, num, power)
+    field = _descriptor_field(mesh, basis, cfg, kind, num, power,
+                              _atom_cache(args.basis))
     field.metadata["mesh_hash"] = mesh.content_hash()
     out = Path(args.out) if args.out else Path(f"{args.mesh}.{kind}.mwd")
     save_descriptors(out, field)
@@ -355,7 +373,7 @@ def _cmd_infer(args, cfg):
             basis.lambda_max, eigenvalues=basis.eigenvalues,
             **_bank_settings(bank_cfg),
         )
-        ops = build_wavelet_operators(basis, bank, needed)
+        ops = build_wavelet_operators(basis, bank, needed, _atom_cache(args.basis))
     out_values, _ = model_forward(net, field.values, ops)
     learned = dataclasses.replace(
         field,
@@ -428,7 +446,8 @@ def build_parser() -> _Parser:
     p.add_argument("-k", type=int, help="number of eigenpairs")
     p.add_argument("--power", type=int, choices=(1, 2),
                    help="eigenvalue power in the energy table")
-    p.add_argument("--basis", help="use a cached basis file")
+    p.add_argument("--basis", help="use a cached basis file (atom statistics "
+                                    "are cached beside it in BASIS.atoms.npz)")
     p.add_argument("-o", "--out", help="output file (default MESH.TYPE.mwd)")
     p.add_argument("--csv", help="also export the field as CSV")
     p.set_defaults(func=_cmd_descriptor)
@@ -466,7 +485,8 @@ def build_parser() -> _Parser:
     p.add_argument("mesh")
     p.add_argument("descriptors", help="input descriptor file (network input)")
     p.add_argument("-k", type=int, help="override the checkpoint's eigenpair count")
-    p.add_argument("--basis", help="use a cached basis file")
+    p.add_argument("--basis", help="use a cached basis file (atom statistics "
+                                    "are cached beside it in BASIS.atoms.npz)")
     p.add_argument("-o", "--out", help="output file (default MESH.learned.mwd)")
     p.set_defaults(func=_cmd_infer)
 

@@ -21,7 +21,7 @@ from ._files import atomic_write
 from .errors import DataError
 from .filters import bank_hash, filter_responses, select_scales
 from .spectral import project
-from .wavelets import atom_ranges
+from .wavelets import filter_atom_stats
 
 DEFAULT_DIMS = 128
 
@@ -98,7 +98,7 @@ def subsample_columns(n_total, n_keep):
     return (np.arange(n_keep, dtype=np.int64) * n_total) // n_keep
 
 
-def weds(basis, bank, coords, n_dims=DEFAULT_DIMS, power=2):
+def weds(basis, bank, coords, n_dims=DEFAULT_DIMS, power=2, atom_cache=None):
     """Wavelet energy decomposition descriptor, one row per vertex.
 
     Cascades the energy table over a select_scales(n_dims) set of
@@ -107,14 +107,17 @@ def weds(basis, bank, coords, n_dims=DEFAULT_DIMS, power=2):
     with K_m = Phi diag(g_m) Phi', minmax-normalized per column (the
     positive areas cancel; constant columns give 0.5).  By linearity
     that is (eps K_m - rowsum(eps) lo_m) / (hi_m - lo_m) with lo_m, hi_m
-    the column ranges of K_m: no (n, n) array is ever allocated.
+    the column ranges of K_m: no (n, n) array is ever allocated.  The
+    ranges come from ``wavelets.filter_atom_stats``; `atom_cache` is its
+    sidecar file, or None to compute them.
     """
     if n_dims > 1024:
         raise DataError("descriptor dimension is capped at 1024")
     eps = energy_decomposition(basis, bank, coords, power)  # (n_filters, n)
     phi = basis.eigenvectors
-    responses = filter_responses(bank, basis.eigenvalues)[select_scales(n_dims)].T
-    lo, hi = atom_ranges(phi, responses)  # (n, scales)
+    scales = select_scales(n_dims)
+    _, lo, hi = filter_atom_stats(basis, bank, scales, atom_cache)  # (n, scales)
+    responses = filter_responses(bank, basis.eigenvalues)[scales].T
     slab = responses[:, :, None] * (eps @ phi).T[:, None, :]  # (k, scales, filters)
     values = (phi @ slab.reshape(phi.shape[1], -1)).reshape(lo.shape + (-1,))
     totals = eps.sum(axis=1)
@@ -222,7 +225,7 @@ def export_descriptors_csv(path, descriptor_field):
     """Plain CSV, one vertex per row, 17 significant digits."""
     values = descriptor_field.values
     header = ",".join(f"dim_{i}" for i in range(values.shape[1]))
-    with open(path, "w") as handle:
+    with atomic_write(path, "w") as handle:
         handle.write(header + "\n")
         for row in values:
             handle.write(",".join(f"{x:.17g}" for x in row) + "\n")

@@ -114,13 +114,8 @@ def build_filter_bank(
     span_fine=DEFAULT_SPAN_FINE,
     eigenvalues=None,
     tol=FRAME_TOL,
-    refit=False,
 ):
-    """Construct and validate a bank; raises if the frame misses `tol`.
-
-    With refit=True, a least-squares adjustment of the three response
-    constants (scale span fixed) is attempted before giving up.
-    """
+    """Construct and validate a bank; raises if the frame misses `tol`."""
     if lambda_max <= 0:
         raise DataError(f"lambda_max must be positive, got {lambda_max}")
     if n_scales < 1:
@@ -135,46 +130,12 @@ def build_filter_bank(
         span_fine=span_fine,
     )
     dev, where = frame_residual(bank, eigenvalues)
-    if dev > tol and refit:
-        bank = refit_constants(bank, eigenvalues)
-        dev, where = frame_residual(bank, eigenvalues)
     if dev > tol:
         raise NumericalError(
             f"filter bank is not a tight enough frame: |G-1| = {dev:.4f} > {tol}"
             f" at lambda = {where:.6g}"
         )
     return replace(bank, residual=dev)
-
-
-def refit_constants(bank, eigenvalues=None):
-    """Least-squares refit of the three response constants.
-
-    The scale ladder (span endpoints and count) stays fixed; only the
-    wavelet amplitude and the scaling filter's amplitude and decay move.
-    """
-    from scipy.optimize import least_squares
-
-    grid = _residual_grid(bank.lambda_max, eigenvalues)
-
-    def residuals(params):
-        trial = replace(
-            bank,
-            amplitude=params[0],
-            scaling_amplitude=params[1],
-            scaling_decay=params[2],
-        )
-        return (filter_responses(trial, grid) ** 2).sum(axis=0) - 1.0
-
-    start = np.array([bank.amplitude, bank.scaling_amplitude, bank.scaling_decay])
-    fit = least_squares(residuals, start, method="lm", max_nfev=2000)
-    refit = replace(
-        bank,
-        amplitude=float(fit.x[0]),
-        scaling_amplitude=float(fit.x[1]),
-        scaling_decay=float(fit.x[2]),
-    )
-    # keep the stored residual in sync with the new constants
-    return replace(refit, residual=frame_residual(refit, eigenvalues)[0])
 
 
 def select_scales(n_dims):

@@ -8,12 +8,14 @@ validation lives in mesh.load_mesh.
 
 from __future__ import annotations
 
+import itertools
 import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
+from ._files import atomic_write
 from .errors import DataError
 
 _PLY_DTYPES = {
@@ -65,20 +67,28 @@ def read_off(path):
         raise DataError(f"{path}: malformed OFF counts line") from exc
     if min(n_vert, n_face) < 0 or n_vert + n_face > len(text):
         raise DataError(f"{path}: OFF counts {n_vert}, {n_face} do not fit the file")
-    vertices = np.empty((n_vert, 3), dtype=np.float64)
-    triangles = np.empty((n_face, 3), dtype=np.int64)
-    try:
-        for i in range(n_vert):
-            parts = next(lines).split()
-            vertices[i] = [float(parts[0]), float(parts[1]), float(parts[2])]
-        for i in range(n_face):
-            parts = next(lines).split()
-            if int(parts[0]) != 3:
-                raise DataError(f"{path}: face {i} has {parts[0]} vertices, need 3")
-            triangles[i] = [int(parts[1]), int(parts[2]), int(parts[3])]
-    except (StopIteration, IndexError, ValueError) as exc:
-        raise DataError(f"{path}: truncated or malformed OFF body") from exc
+    body = list(itertools.islice(lines, n_vert + n_face))
+    if len(body) < n_vert + n_face:
+        raise DataError(f"{path}: truncated or malformed OFF body")
+    vertices = _off_columns(path, body[:n_vert], (0, 1, 2), np.float64)
+    arity = _off_columns(path, body[n_vert:], (0,), np.int64)[:, 0]
+    bad = np.flatnonzero(arity != 3)
+    if bad.size:
+        i = bad[0]
+        raise DataError(f"{path}: face {i} has {body[n_vert + i].split()[0]} vertices, need 3")
+    triangles = _off_columns(path, body[n_vert:], (1, 2, 3), np.int64)
     return vertices, triangles
+
+
+def _off_columns(path, rows, columns, dtype):
+    """(len(rows), len(columns)) array of the given columns of OFF body
+    rows; columns past the last one read are neither parsed nor checked."""
+    if not rows:
+        return np.empty((0, len(columns)), dtype=dtype)
+    try:
+        return np.loadtxt(rows, dtype=dtype, usecols=columns, ndmin=2, comments=None)
+    except ValueError as exc:
+        raise DataError(f"{path}: truncated or malformed OFF body") from exc
 
 
 def read_obj(path):
@@ -263,7 +273,8 @@ def write_ply(path, vertices, triangles, colors=None, comment=None):
         lines.append(row)
     for t in triangles:
         lines.append(f"3 {t[0]} {t[1]} {t[2]}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    with atomic_write(path, "w") as handle:
+        handle.write("\n".join(lines) + "\n")
 
 
 _READERS = {".off": read_off, ".obj": read_obj, ".ply": read_ply}

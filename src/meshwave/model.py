@@ -28,7 +28,7 @@ from ._files import atomic_write
 from .errors import DataError
 from .filters import FilterBank, g_of, select_scales
 from .spectral import SpectralBasis
-from .wavelets import WaveletOperator, atom_l1_norms
+from .wavelets import WaveletOperator, filter_atom_stats
 
 DEFAULT_ARCHITECTURE = (
     "MGCONV96(16)+MGCONV96(16)+MGCONV96(16)+MGCONV96(16)+MGCONV96(16)"
@@ -158,15 +158,17 @@ def required_operator_keys(model: Model) -> list:
 
 
 def build_wavelet_operators(
-    basis: SpectralBasis, bank: FilterBank, keys
+    basis: SpectralBasis, bank: FilterBank, keys, atom_cache=None
 ) -> WaveletOperator:
     """Factored transposed L1-normalized wavelet matrices for the scale
-    indices in keys."""
+    indices in keys.  The normalizers come from
+    ``wavelets.filter_atom_stats``; `atom_cache` is its sidecar file, or
+    None to compute them."""
     keys = [int(s) for s in keys]
+    norms, _, _ = filter_atom_stats(basis, bank, keys, atom_cache)
     responses = np.empty((basis.k, len(keys)))
     for j, s in enumerate(keys):
         responses[:, j] = g_of(bank, s, basis.eigenvalues)
-    norms = atom_l1_norms(basis.eigenvectors, responses)
     zero = np.argwhere(norms == 0.0)
     if zero.size:
         v, j = zero[0]

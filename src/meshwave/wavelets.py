@@ -1,18 +1,39 @@
-"""Spectral graph wavelets: analysis, synthesis, blockwise atom column
-statistics, and the factored convolution operator.
+"""Spectral graph wavelets: analysis, synthesis, atom column statistics
+(with their sidecar cache file), and the factored convolution operator.
 
 A wavelet at scale index m centered on vertex v is the filtered delta
 psi[x] = a(v) * sum_j g_m(lambda_j) phi_j(v) phi_j(x); index 0 is the
 scaling-function atom.  Analysis coefficients use the A-inner product,
 so with the full basis and an exact frame, synthesis inverts analysis.
+
+Up to the positive area a(v), atom column v is column v of the symmetric
+filter K_m = Phi diag(g_m) Phi'.  WEDS needs each column's minimum and
+maximum, the conv layers its L1 norm.  ``atom_stats`` gets all three
+from one sweep over the tiles I <= J of K (symmetry supplies the tiles
+below the diagonal), S scales per GEMM and at most _BLOCK_ENTRIES
+entries per tile.  ``filter_atom_stats`` can keep them in a sidecar file
+keyed by the SHA-256 of the basis arrays (eigenvalues, eigenvectors,
+areas) and the bank's ``bank_hash``: scales stored for the same key are
+reused, missing ones are computed and merged in, and a file with
+another key is replaced.
 """
 
 from __future__ import annotations
 
+import hashlib
+import logging
+import math
+import os
+import zipfile
+
 import numpy as np
 
-from .filters import filter_responses
+from ._files import atomic_write
+from .errors import DataError
+from .filters import bank_hash, filter_responses
 from .spectral import project
+
+logger = logging.getLogger(__name__)
 
 
 def wavelet_coeffs(basis, bank, signal):
@@ -44,33 +65,124 @@ def _blocks(n: int, width: int):
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
-def _atom_blocks(phi, responses):
-    """Yield (cols, atoms), atoms[:, s, c] column cols[c] of the filter
-    Phi diag(g_s) Phi' (responses is (k, S)), in blocks of centre vertices
-    of at most _BLOCK_ENTRIES entries: no (n, n) array is ever allocated."""
+def atom_stats(phi, responses):
+    """(l1, lo, hi), each (n, S): column L1 norms, minima and maxima of
+    the filters K_s = Phi diag(g_s) Phi' (responses is (k, S)).
+
+    K_s is symmetric, so only its tiles I <= J are formed, all S scales
+    in one GEMM.  Each tile is reduced along its rows into columns J and,
+    off the diagonal, along its columns into columns I.
+    """
     n, k = phi.shape
     n_filters = responses.shape[1]
-    for cols in _blocks(n, n * n_filters):
-        scaled = responses[:, :, None] * phi[cols].T[:, None, :]  # (k, S, b)
-        atoms = phi @ scaled.reshape(k, -1)
-        yield cols, atoms.reshape(n, n_filters, cols.stop - cols.start)
+    width = max(1, math.isqrt(_BLOCK_ENTRIES // max(1, n_filters)))
+    l1 = np.zeros((n, n_filters))
+    lo = np.full((n, n_filters), np.inf)
+    hi = np.full((n, n_filters), -np.inf)
+    for i in range(0, n, width):
+        rows = slice(i, min(i + width, n))
+        scaled = (responses[:, :, None] * phi[rows].T[:, None, :]).reshape(k, -1)
+        for j in range(i, n, width):
+            cols = slice(j, min(j + width, n))
+            # tile[v, s, x] = K_s[x, v] = K_s[v, x] for x in rows, v in cols
+            tile = (phi[cols] @ scaled).reshape(cols.stop - j, n_filters, rows.stop - i)
+            sides = [(cols, tile)]
+            if i != j:
+                sides.append((rows, tile.transpose(2, 1, 0)))
+            for into, side in sides:
+                np.minimum(lo[into], side.min(axis=2), out=lo[into])
+                np.maximum(hi[into], side.max(axis=2), out=hi[into])
+            np.abs(tile, out=tile)
+            for into, side in sides:
+                l1[into] += side.sum(axis=2)
+    return l1, lo, hi
 
 
-def atom_l1_norms(phi, responses):
-    """(n, S) column L1 norms of the filters Phi diag(g_s) Phi'."""
-    norms = np.empty((phi.shape[0], responses.shape[1]))
-    for cols, atoms in _atom_blocks(phi, responses):
-        norms[cols] = np.abs(atoms).sum(axis=0).T
-    return norms
+_STATS_VERSION = 1
+_STATS = ("l1", "lo", "hi")
 
 
-def atom_ranges(phi, responses):
-    """(n, S) column minima and maxima of the filters Phi diag(g_s) Phi'."""
-    lo, hi = np.empty((2, phi.shape[0], responses.shape[1]))
-    for cols, atoms in _atom_blocks(phi, responses):
-        lo[cols] = atoms.min(axis=0).T
-        hi[cols] = atoms.max(axis=0).T
-    return lo, hi
+def _basis_hash(basis) -> str:
+    """SHA-256 of a basis's eigenvalues, eigenvectors and areas."""
+    digest = hashlib.sha256()
+    for array in (basis.eigenvalues, basis.eigenvectors, basis.areas):
+        array = np.ascontiguousarray(array, dtype=np.float64)
+        digest.update(repr(array.shape).encode())
+        digest.update(array)
+    return digest.hexdigest()
+
+
+def _load_stats(path, keys, n, n_scales):
+    """(filters, [l1, lo, hi]) stored at path under keys, or None when
+    there is no file or it holds another basis or bank."""
+    if not os.path.exists(path):
+        return None
+    try:
+        with np.load(path) as data:
+            if int(data["version"]) != _STATS_VERSION:
+                raise DataError(f"{path}: unsupported atom statistics version")
+            if (bytes(data["basis_hash"]), bytes(data["bank_hash"])) != keys:
+                return None
+            filters = data["filters"]
+            l1, lo, hi = arrays = [data[name] for name in _STATS]
+    except (OSError, EOFError, KeyError, TypeError, ValueError,
+            zipfile.BadZipFile) as exc:
+        raise DataError(f"{path}: unreadable atom statistics: {exc}") from exc
+    if not (filters.ndim == 1 and filters.dtype.kind in "iu"
+            and np.unique(filters).size == filters.size
+            and ((0 <= filters) & (filters <= n_scales)).all()
+            and all(a.dtype == np.float64 and a.shape == (n, filters.size)
+                    and np.isfinite(a).all() for a in arrays)
+            and (lo <= hi).all() and (l1 >= np.maximum(hi, -lo)).all()):
+        raise DataError(
+            f"{path}: inconsistent atom statistics: need unique filter indices "
+            f"in 0..{n_scales} and finite float64 l1, lo, hi of shape (n={n}, "
+            f"filters) with lo <= hi <= l1 and -lo <= l1"
+        )
+    return filters.astype(np.int64), arrays
+
+
+def _save_stats(path, keys, filters, arrays):
+    try:
+        with atomic_write(path) as handle:
+            np.savez(handle, version=np.int64(_STATS_VERSION),
+                     basis_hash=np.bytes_(keys[0]), bank_hash=np.bytes_(keys[1]),
+                     filters=filters, **dict(zip(_STATS, arrays)))
+    except OSError as exc:  # the statistics are a cache: the result stands
+        logger.warning("%s: atom statistics not cached: %s", path, exc)
+
+
+def filter_atom_stats(basis, bank, filters, cache=None):
+    """atom_stats of the bank's filters with indices `filters` (repeats
+    allowed): (l1, lo, hi), column j of each for filters[j].
+
+    With `cache`, a sidecar file path, statistics stored there for the
+    same basis and bank are reused, the scales it lacks are computed and
+    merged in, and a file for another basis or bank is replaced.
+    """
+    filters = np.asarray(filters, dtype=np.int64).reshape(-1)
+    bad = filters[(filters < 0) | (filters > bank.n_scales)]
+    if bad.size:
+        raise DataError(f"filter index {bad[0]} out of range 0..{bank.n_scales}")
+    n = basis.n_vertices
+    have, arrays = filters[:0], [np.empty((n, 0))] * 3
+    if cache is not None:
+        keys = (_basis_hash(basis).encode(), bank_hash(bank).encode())
+        stored = _load_stats(cache, keys, n, bank.n_scales)
+        if stored is not None:
+            have, arrays = stored
+    missing = np.setdiff1d(filters, have)
+    if missing.size:
+        responses = filter_responses(bank, basis.eigenvalues)[missing].T
+        new = atom_stats(basis.eigenvectors, responses)
+        have = np.concatenate([have, missing])
+        order = np.argsort(have)
+        have = have[order]
+        arrays = [np.hstack([a, b])[:, order] for a, b in zip(arrays, new)]
+        if cache is not None:
+            _save_stats(cache, keys, have, arrays)
+    index = np.searchsorted(have, filters)
+    return tuple(a[:, index] for a in arrays)
 
 
 class WaveletOperator:

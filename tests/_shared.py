@@ -4,6 +4,7 @@ Eigendecompositions dominate suite runtime, so meshes and bases are
 memoized here.  Callers must treat everything returned as read-only.
 """
 
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -12,7 +13,14 @@ from scipy.spatial.distance import cdist
 from meshwave.descriptors import energy_decomposition, subsample_columns
 from meshwave.errors import DataError
 from meshwave.evaluation import normalized_errors
-from meshwave.filters import build_filter_bank, g_of, select_scales
+from meshwave.filters import (
+    _residual_grid,
+    build_filter_bank,
+    filter_responses,
+    frame_residual,
+    g_of,
+    select_scales,
+)
 from meshwave.geodesics import geodesic_multi
 from meshwave.mesh import TriMesh, cotangent_laplacian, lumped_areas
 from meshwave.spectral import SpectralBasis, eig_generalized
@@ -48,6 +56,26 @@ def bar_basis(curvature: float, k: int, nu: int = 22, nv: int = 10) -> SpectralB
 @lru_cache(maxsize=None)
 def bank_for(lambda_max: float):
     return build_filter_bank(lambda_max)
+
+
+def refit_constants(bank, eigenvalues=None):
+    """Least-squares refit of a bank's three response constants (the
+    wavelet amplitude, the scaling filter's amplitude and decay) towards a
+    tight frame; the scale ladder stays fixed."""
+    from scipy.optimize import least_squares
+
+    grid = _residual_grid(bank.lambda_max, eigenvalues)
+
+    def residuals(params):
+        trial = replace(bank, amplitude=params[0], scaling_amplitude=params[1],
+                        scaling_decay=params[2])
+        return (filter_responses(trial, grid) ** 2).sum(axis=0) - 1.0
+
+    start = np.array([bank.amplitude, bank.scaling_amplitude, bank.scaling_decay])
+    fit = least_squares(residuals, start, method="lm", max_nfev=2000)
+    refit = replace(bank, amplitude=float(fit.x[0]), scaling_amplitude=float(fit.x[1]),
+                    scaling_decay=float(fit.x[2]))
+    return replace(refit, residual=frame_residual(refit, eigenvalues)[0])
 
 
 def permute_mesh(mesh: TriMesh, perm: np.ndarray) -> TriMesh:

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from meshwave import __version__
+from meshwave import __version__, wavelets
 from meshwave.cli import main
 from meshwave.config import (
     default_config,
@@ -15,11 +15,13 @@ from meshwave.config import (
     parse_config,
     save_config,
 )
-from meshwave.descriptors import DescriptorField, load_descriptors, save_descriptors
+from meshwave.descriptors import DescriptorField, load_descriptors, save_descriptors, weds
 from meshwave.errors import DataError, MeshwaveError, NumericalError, UsageError
 from meshwave.evaluation import read_correspondence, write_correspondence
 from meshwave.meshio import write_ply
-from meshwave.model import load_checkpoint
+from meshwave.filters import build_filter_bank
+from meshwave.model import build_model, load_checkpoint, required_operator_keys, save_checkpoint
+from meshwave.spectral import load_basis
 
 import _shared
 
@@ -425,3 +427,167 @@ def test_match_and_eval_reject_non_finite_descriptors(work, tmp_path, capsys):
                  "--desc-a", str(good), "--desc-b", str(bad), "-o", str(prefix)]) == 2
     assert "non-finite" in capsys.readouterr().err
     assert not (tmp_path / "report.summary.txt").exists()
+
+
+# ------------------------------------------------- atom statistics sidecar
+
+
+@pytest.fixture
+def own_basis(work, tmp_path):
+    """A private copy of the module's basis cache: its sidecar starts absent."""
+    path = tmp_path / "bar.basis.npz"
+    path.write_bytes(work["basis_path"].read_bytes())
+    return path
+
+
+def _sidecar(basis_path):
+    return basis_path.parent / (basis_path.name + ".atoms.npz")
+
+
+def _descriptor(work, basis_path, out, *extra):
+    return main(["descriptor", str(work["mesh_path"]), "--type", "weds", "--num", "16",
+                 "-k", "12", "--basis", str(basis_path), "-o", str(out), *extra])
+
+
+def _library_weds(work, basis_path, n_dims):
+    basis = load_basis(basis_path)
+    bank = build_filter_bank(basis.lambda_max, eigenvalues=basis.eigenvalues)
+    return weds(basis, bank, work["mesh"].vertices, n_dims=n_dims).values
+
+
+def _stamp(path):
+    stat = path.stat()
+    return stat.st_ino, stat.st_mtime_ns
+
+
+def test_atom_sidecar_warm_descriptor_matches_cold(work, own_basis, tmp_path):
+    cold, warm = tmp_path / "cold.mwd", tmp_path / "warm.mwd"
+    assert _descriptor(work, own_basis, cold) == 0
+    sidecar = _sidecar(own_basis)
+    stamp = _stamp(sidecar)
+    assert _descriptor(work, own_basis, warm) == 0
+    assert _stamp(sidecar) == stamp  # a hit rewrites nothing
+    assert warm.read_bytes() == cold.read_bytes()
+    assert np.array_equal(load_descriptors(cold).values, _library_weds(work, own_basis, 16))
+
+
+def test_atom_sidecar_warm_infer_matches_cold(work, own_basis, tmp_path):
+    net = build_model("MGCONV8(3)+FC16", input_dim=16, seed=3)
+    ckpt = tmp_path / "net.npz"
+    save_checkpoint(ckpt, net)
+    outs = []
+    for name in ("cold", "warm"):
+        out = tmp_path / f"{name}.mwd"
+        assert main(["infer", str(ckpt), str(work["mesh_path"]), str(work["desc_path"]),
+                     "-k", "12", "--basis", str(own_basis), "-o", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    with np.load(_sidecar(own_basis)) as data:
+        assert data["filters"].tolist() == required_operator_keys(net)
+
+
+@pytest.mark.parametrize("change", ["basis", "bank"])
+def test_atom_sidecar_is_recomputed_for_another_basis_or_bank(work, own_basis, tmp_path,
+                                                               change):
+    assert _descriptor(work, own_basis, tmp_path / "first.mwd") == 0
+    sidecar = _sidecar(own_basis)
+    with np.load(sidecar) as data:
+        keys = bytes(data["basis_hash"]), bytes(data["bank_hash"])
+    if change == "basis":  # more pairs: the basis in use changes, its path does not
+        stamp = _stamp(sidecar)
+        assert main(["basis", str(work["mesh_path"]), "-k", "14", "-o", str(own_basis),
+                     "--force"]) == 0
+        assert _stamp(sidecar) == stamp  # basis --force leaves the sidecar alone
+        extra = ["-k", "14"]
+    else:  # another scale ladder
+        cfg = tmp_path / "bank.cfg"
+        cfg.write_text("[bank]\nspan_fine = 0.201\n")
+        extra = ["--config", str(cfg)]
+    fresh = tmp_path / "fresh" / own_basis.name
+    fresh.parent.mkdir()
+    fresh.write_bytes(own_basis.read_bytes())
+    assert _descriptor(work, fresh, tmp_path / "cold.mwd", *extra) == 0
+    assert _descriptor(work, own_basis, tmp_path / "stale.mwd", *extra) == 0
+    assert (tmp_path / "stale.mwd").read_bytes() == (tmp_path / "cold.mwd").read_bytes()
+    with np.load(sidecar) as data:
+        changed = bytes(data["basis_hash"]) != keys[0], bytes(data["bank_hash"]) != keys[1]
+    # a new basis also moves lambda_max, on which the bank depends
+    assert changed == ((True, True) if change == "basis" else (False, True))
+
+
+def test_atom_sidecar_merges_new_scales(work, own_basis, tmp_path, monkeypatch):
+    computed = []
+    real = wavelets.atom_stats
+
+    def counting(phi, responses):
+        computed.append(responses.shape[1])
+        return real(phi, responses)
+
+    monkeypatch.setattr(wavelets, "atom_stats", counting)
+    assert _descriptor(work, own_basis, tmp_path / "a.mwd") == 0  # scales 24, 16, 8
+    sidecar = _sidecar(own_basis)
+    with np.load(sidecar) as data:
+        first = {name: data[name] for name in ("filters", "l1", "lo", "hi")}
+    for _ in range(2):  # scales 26, 21, 16, 11, 6: four are new, then none
+        assert _descriptor(work, own_basis, tmp_path / "b.mwd", "--num", "160") == 0
+    assert computed == [3, 4]
+    with np.load(sidecar) as data:
+        assert data["filters"].tolist() == [6, 8, 11, 16, 21, 24, 26]
+        kept = np.searchsorted(data["filters"], first["filters"])
+        for name in ("l1", "lo", "hi"):
+            assert np.array_equal(data[name][:, kept], first[name])
+    want = _library_weds(work, own_basis, 160)
+    got = load_descriptors(tmp_path / "b.mwd").values
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def _corrupt(sidecar, how):
+    if how == "truncated":
+        data = sidecar.read_bytes()
+        sidecar.write_bytes(data[: len(data) // 2])
+        return
+    with np.load(sidecar) as data:
+        arrays = dict(data)
+    if how == "nan":
+        arrays["l1"][3, 0] = np.nan
+    elif how == "lo-above-hi":
+        arrays["lo"][5, 1] = arrays["hi"][5, 1] + 1.0
+    else:  # one vertex short
+        for name in ("l1", "lo", "hi"):
+            arrays[name] = arrays[name][:-1]
+    np.savez(sidecar, **arrays)
+
+
+@pytest.mark.parametrize("command", ["descriptor", "infer"])
+@pytest.mark.parametrize("how", ["nan", "lo-above-hi", "wrong-shape", "truncated"])
+def test_bad_atom_sidecar_exits_2(work, own_basis, tmp_path, capsys, command, how):
+    ckpt = tmp_path / "net.npz"
+    save_checkpoint(ckpt, build_model("MGCONV8(3)+FC16", input_dim=16, seed=3))
+    out = tmp_path / "out.mwd"
+    run = {
+        "descriptor": lambda: _descriptor(work, own_basis, out),
+        "infer": lambda: main(["infer", str(ckpt), str(work["mesh_path"]),
+                               str(work["desc_path"]), "-k", "12",
+                               "--basis", str(own_basis), "-o", str(out)]),
+    }[command]
+    assert run() == 0
+    out.unlink()
+    _corrupt(_sidecar(own_basis), how)
+    capsys.readouterr()
+    assert run() == 2
+    err = capsys.readouterr().err
+    assert "atom statistics" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_unwritable_atom_sidecar_leaves_the_result(work, own_basis, tmp_path, monkeypatch,
+                                                   caplog):
+    def refuse(path, *args, **kwargs):
+        raise OSError("read-only file system")
+
+    monkeypatch.setattr(wavelets, "atomic_write", refuse)
+    out = tmp_path / "x.mwd"
+    assert _descriptor(work, own_basis, out) == 0
+    assert not _sidecar(own_basis).exists()
+    assert "atom statistics not cached" in caplog.text
+    assert np.array_equal(load_descriptors(out).values, _library_weds(work, own_basis, 16))

@@ -184,18 +184,20 @@ def test_weds_flat_atoms_weigh_every_vertex_by_half():
 
 
 def test_atom_ranges_blockwise_with_constant_columns(rng, monkeypatch):
-    monkeypatch.setattr(wavelets, "_BLOCK_ENTRIES", 200)  # two centre vertices a block
+    monkeypatch.setattr(wavelets, "_BLOCK_ENTRIES", 200)  # tiles 8 vertices wide
     n = 30
     phi = np.column_stack([np.full(n, 0.5), rng.standard_normal((n, 3))])
     # a general filter, the zero filter, and one passing only the constant mode
     responses = np.column_stack([rng.standard_normal(4), np.zeros(4), [2.0, 0.0, 0.0, 0.0]])
-    lo, hi = wavelets.atom_ranges(phi, responses)
+    l1, lo, hi = wavelets.atom_stats(phi, responses)
     dense = (phi * responses[:, 0]) @ phi.T
     tol = 1e-14 * np.abs(dense).max()
     assert np.abs(lo[:, 0] - dense.min(axis=0)).max() <= tol
     assert np.abs(hi[:, 0] - dense.max(axis=0)).max() <= tol
-    assert (lo[:, 1] == 0.0).all() and (hi[:, 1] == 0.0).all()
+    assert np.abs(l1[:, 0] - np.abs(dense).sum(axis=0)).max() <= n * tol
+    assert (lo[:, 1] == 0.0).all() and (hi[:, 1] == 0.0).all() and (l1[:, 1] == 0.0).all()
     assert (lo[:, 2] == 0.5).all() and (hi[:, 2] == 0.5).all()
+    assert np.allclose(l1[:, 2], 0.5 * n, rtol=1e-15)
 
 
 def test_weds_memory_stays_below_one_atom_matrix():

@@ -3,7 +3,7 @@ import pytest
 
 from meshwave import _files
 from meshwave.cli import main
-from meshwave.descriptors import DescriptorField, save_descriptors
+from meshwave.descriptors import DescriptorField, export_descriptors_csv, save_descriptors
 from meshwave.evaluation import write_correspondence
 from meshwave.meshio import write_ply
 from meshwave.model import build_model, save_checkpoint
@@ -49,6 +49,9 @@ _WRITERS = {
     "model.npz": lambda p, i: save_checkpoint(p, build_model("FC4", input_dim=3, seed=i)),
     "map.txt": lambda p, i: write_correspondence(p, np.arange(5) + i, comment="made by a test"),
     "report.summary.txt": lambda p, i: _eval(p.parent, np.roll(np.arange(60), i)),
+    "mesh.ply": lambda p, i: write_ply(p, np.eye(3) * (1 + i), [[0, 1, 2]],
+                                       colors=np.full((3, 3), 9 * i)),
+    "field.csv": lambda p, i: export_descriptors_csv(p, DescriptorField(np.full((4, 2), i), "weds")),
 }
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,12 @@ from meshwave.filters import (
     frame_residual,
     g_of,
     parse_bank,
-    refit_constants,
     select_scales,
     serialize_bank,
     wavelet_response,
 )
+
+import _shared
 
 # stock constants on the uniform evaluation grid
 _STOCK_RESIDUAL = 0.007909420970738545
@@ -116,13 +119,14 @@ def test_refit_recovers_broken_amplitude():
     # a mildly detuned amplitude fails the tolerance until refit kicks in
     with pytest.raises(NumericalError):
         build_filter_bank(10.0, amplitude=0.46)
-    bank = build_filter_bank(10.0, amplitude=0.46, refit=True)
+    stock = build_filter_bank(10.0)
+    bank = _shared.refit_constants(dataclasses.replace(stock, amplitude=0.46))
     assert bank.residual <= 0.01
 
 
 def test_refit_constants_updates_residual():
     stock = build_filter_bank(10.0)
-    detuned = refit_constants(
+    detuned = _shared.refit_constants(
         FilterBank(
             lambda_max=stock.lambda_max,
             scales=stock.scales,

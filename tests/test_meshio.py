@@ -7,7 +7,7 @@ from meshwave.cli import main
 from meshwave.errors import DataError, MeshError
 from meshwave.mesh import load_mesh
 from meshwave.meshio import read_mesh_file, read_obj, read_off, read_ply, write_ply
-from meshwave.synthetic import icosphere
+from meshwave.synthetic import bent_bar, icosphere
 
 TRI_OFF = """OFF
 3 1 0
@@ -166,6 +166,56 @@ def test_off_truncated_body(tmp_path):
     p = tmp_path / "short.off"
     p.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n")
     with pytest.raises(DataError):
+        read_off(p)
+
+
+def _loop_read_off(path):
+    """Oracle for read_off's body parse: one Python float/int per token."""
+    lines = [raw.split("#", 1)[0].strip() for raw in path.read_text().splitlines()]
+    lines = [line for line in lines if line]
+    n_vert, n_face = (int(c) for c in lines[1].split()[:2])
+    body = [line.split() for line in lines[2:2 + n_vert + n_face]]
+    vertices = np.array([[float(t) for t in row[:3]] for row in body[:n_vert]])
+    triangles = np.array([[int(t) for t in row[1:4]] for row in body[n_vert:]])
+    return vertices.reshape(n_vert, 3), triangles.reshape(n_face, 3)
+
+
+@pytest.mark.parametrize("mesh", [icosphere(4), bent_bar(0.6, nu=50, nv=22)],
+                         ids=["sphere-2562", "bar-1100"])
+def test_read_off_matches_loop_oracle(tmp_path, mesh, rng):
+    # comments, blank lines and extra trailing columns are skipped; the
+    # vertices carry every double digit
+    coords = mesh.vertices * rng.uniform(1e-3, 1e3)
+    rows = [f"{x:.17g} {y:.17g} {z:.17g}" for x, y, z in coords]
+    rows[1] += " 0.5 0.25 0.125"
+    rows[2] += "  # a comment"
+    faces = [f"3 {a} {b} {c}" for a, b, c in mesh.triangles]
+    faces[0] += " 255 0 0"
+    p = tmp_path / "m.off"
+    p.write_text("OFF\n# made by a test\n" + f"{len(rows)} {len(faces)} 0\n"
+                 + "\n".join(rows[:5]) + "\n\n" + "\n".join(rows[5:] + faces) + "\n")
+    vertices, triangles = read_off(p)
+    want_v, want_t = _loop_read_off(p)
+    assert vertices.dtype == np.float64 and triangles.dtype == np.int64
+    assert vertices.tobytes() == want_v.tobytes()
+    assert triangles.tobytes() == want_t.tobytes()
+    assert np.array_equal(vertices, coords)
+
+
+@pytest.mark.parametrize("body, message", [
+    ("0 0 0\n1 0 0\n", "truncated or malformed"),  # truncated
+    ("0 0 0\n1 0\n0 1 0\n3 0 1 2\n", "truncated or malformed"),  # short row
+    ("0 0 0\n1 x 0\n0 1 0\n3 0 1 2\n", "truncated or malformed"),  # non-numeric
+    ("0 0 0\n1 0 0\n0 1 0\n3 0 1\n", "truncated or malformed"),  # short face
+    ("0 0 0\n1 0 0\n0 1 0\n3 0 1.5 2\n", "truncated or malformed"),  # float index
+    ("0 0 0\n1 0 0\n0 1 0\n4 0 1 2 0\n", "face 0 has 4 vertices"),
+    ("0 0 0\n1 0 0\n0 1 0\n2 0 1\n", "face 0 has 2 vertices"),
+], ids=["truncated", "short-row", "non-numeric", "short-face", "float-index",
+        "quad", "segment"])
+def test_off_body_errors(tmp_path, body, message):
+    p = tmp_path / "bad.off"
+    p.write_text("OFF\n3 1 0\n" + body)
+    with pytest.raises(DataError, match=message):
         read_off(p)
 
 

@@ -1,10 +1,13 @@
 """Wavelet atoms, analysis, synthesis, and the locality/consistency
 properties the descriptor stack depends on."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from meshwave.filters import FilterBank, build_filter_bank, g_of
+from meshwave import wavelets
+from meshwave.filters import FilterBank, build_filter_bank, filter_responses, g_of
 from meshwave.geodesics import geodesic_from
 from meshwave.spectral import project
 from meshwave.wavelets import reconstruct, wavelet_coeffs
@@ -32,6 +35,48 @@ def test_atom_matrix_matches_triple_loop():
                     s += g[j] * basis.eigenvectors[v, j] * basis.eigenvectors[x, j]
                 expect[x, v] = basis.areas[v] * s
         assert np.allclose(got, expect, atol=1e-12 * np.abs(expect).max())
+
+
+_STATS_CASES = {
+    # n = 1,100 and 642: neither is a multiple of the 256- or 512-wide tiles
+    "bar-1100": lambda: _shared.bar_basis(0.6, 100, nu=50, nv=22),
+    "sphere-642": lambda: _shared.sphere_basis(3, 100),
+}
+
+
+@pytest.mark.parametrize("case", _STATS_CASES)
+@pytest.mark.parametrize("block_entries", [None, 5000])
+@pytest.mark.parametrize("scales", [[3, 9, 17, 24], list(range(0, 32, 2))])
+def test_atom_stats_match_dense_oracles(monkeypatch, case, block_entries, scales):
+    if block_entries is not None:  # many diagonal, off-diagonal and partial tiles
+        monkeypatch.setattr(wavelets, "_BLOCK_ENTRIES", block_entries)
+    basis = _STATS_CASES[case]()
+    bank = _shared.bank_for(basis.lambda_max)
+    responses = filter_responses(bank, basis.eigenvalues)[scales].T
+    l1, lo, hi = wavelets.atom_stats(basis.eigenvectors, responses)
+    a = basis.areas[None, :]
+    for j, m in enumerate(scales):
+        atoms = _shared.wavelet_matrix(basis, bank, m)  # column v is a(v) K_m[:, v]
+        scale = np.abs(atoms).max()
+        normalized = atoms / (a * l1[:, j])
+        assert np.abs(normalized - _shared.normalize_columns(atoms)).max() <= 1e-12 * np.abs(normalized).max()
+        assert np.abs(a * lo[:, j] - atoms.min(axis=0)).max() <= 1e-12 * scale
+        assert np.abs(a * hi[:, j] - atoms.max(axis=0)).max() <= 1e-12 * scale
+        minmax = (atoms - a * lo[:, j]) / (a * (hi[:, j] - lo[:, j]))
+        assert np.abs(minmax - _shared.minmax_columns(atoms)).max() <= 1e-12
+
+
+def test_atom_stats_of_an_underflowing_scale_are_zero(monkeypatch):
+    monkeypatch.setattr(wavelets, "_BLOCK_ENTRIES", 3000)
+    basis = _shared.bar_basis(0.3, 40)
+    bank = _shared.bank_for(basis.lambda_max)
+    scales = bank.scales.copy()
+    scales[4] = 1e3 / basis.eigenvalues[1]  # g_5 = 0 at every eigenvalue
+    flat = dataclasses.replace(bank, scales=scales)
+    assert not g_of(flat, 5, basis.eigenvalues).any()
+    l1, lo, hi = wavelets.filter_atom_stats(basis, flat, [5, 6])
+    assert not (l1[:, 0].any() or lo[:, 0].any() or hi[:, 0].any())
+    assert (l1[:, 1] > 0).all() and (lo[:, 1] < hi[:, 1]).all()
 
 
 def test_scaling_atom_on_one_mode():
