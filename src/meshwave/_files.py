@@ -1,9 +1,15 @@
-"""Atomic artifact writes: a new file beside the target, then os.replace."""
+"""Artifact file access: atomic writes (a new file beside the target, then
+os.replace) and .npz reads whose every failure is a DataError."""
 
 from __future__ import annotations
 
 import contextlib
 import os
+import zipfile
+
+import numpy as np
+
+from .errors import DataError
 
 
 @contextlib.contextmanager
@@ -25,3 +31,19 @@ def atomic_write(path, mode: str = "wb", **kwargs):
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+@contextlib.contextmanager
+def open_npz(path, what: str):
+    """Open the .npz archive at `path` and yield it.
+
+    Any failure to read it, in the open or in the block, raises DataError
+    naming `what`: a missing, truncated or non-zip file, a plain .npy, an
+    absent key, an array stored with pickle.
+    """
+    try:
+        with np.load(path) as data:  # a plain .npy raises TypeError here
+            yield data
+    except (OSError, EOFError, KeyError, TypeError, ValueError,
+            zipfile.BadZipFile) as exc:
+        raise DataError(f"{path}: unreadable {what}: {exc}") from exc

@@ -13,7 +13,6 @@ def configure_threads():
         "OPENBLAS_NUM_THREADS",
         "MKL_NUM_THREADS",
         "NUMEXPR_NUM_THREADS",
-        "NUMBA_NUM_THREADS",
     ):
         # explicit user settings win over the umbrella variable
         os.environ.setdefault(var, n)

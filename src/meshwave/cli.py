@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from ._files import atomic_write
 from .chebyshev import chebyshev_operators, spectral_max
-from .config import default_config, format_config, load_config
+from .config import check_bank, default_config, format_config, load_config
 from .descriptors import (
     export_descriptors_csv,
     hks,
@@ -105,26 +105,26 @@ def _atom_cache(basis_path):
     return None if basis_path is None else f"{basis_path}.atoms.npz"
 
 
-def _bank_settings(cfg):
-    b = cfg["bank"]
-    return dict(
-        n_scales=b["n_scales"],
-        amplitude=b["amplitude"],
-        scaling_amplitude=b["scaling_amplitude"],
-        scaling_decay=b["scaling_decay"],
-        span_coarse=b["span_coarse"],
-        span_fine=b["span_fine"],
-    )
+def _bank(basis, settings):
+    """The filter bank of a [bank] section's settings for a basis."""
+    return build_filter_bank(basis.lambda_max, eigenvalues=basis.eigenvalues,
+                             **settings)
+
+
+def _shape_operators(kind, mesh, basis, bank_settings, keys, atom_cache=None):
+    """A network's per-shape operators for its scale (or order) keys."""
+    if kind == "chebyshev":
+        lap = cotangent_laplacian(mesh)
+        areas = lumped_areas(mesh)
+        return chebyshev_operators(lap, areas, spectral_max(lap, areas), max(keys) + 1)
+    return build_wavelet_operators(basis, _bank(basis, bank_settings), keys, atom_cache)
 
 
 def _descriptor_field(mesh, basis, cfg, kind: str, num: int, power: int,
                       atom_cache=None):
     if kind == "weds":
-        bank = build_filter_bank(
-            basis.lambda_max, eigenvalues=basis.eigenvalues, **_bank_settings(cfg)
-        )
-        return weds(basis, bank, mesh.vertices, n_dims=num, power=power,
-                    atom_cache=atom_cache)
+        return weds(basis, _bank(basis, cfg["bank"]), mesh.vertices, n_dims=num,
+                    power=power, atom_cache=atom_cache)
     if kind == "hks":
         return hks(basis, n_times=num)
     if kind == "wks":
@@ -277,16 +277,7 @@ def _load_training_shapes(cfg, kind, paths, corr_paths):
             labels = read_correspondence(corr_paths[i])
         else:
             labels = np.arange(mesh.n_vertices, dtype=np.int64)
-        if kind == "chebyshev":
-            lap = cotangent_laplacian(mesh)
-            areas = lumped_areas(mesh)
-            ops = chebyshev_operators(lap, areas, spectral_max(lap, areas),
-                                      max(needed) + 1)
-        else:
-            bank = build_filter_bank(
-                basis.lambda_max, eigenvalues=basis.eigenvalues, **_bank_settings(cfg)
-            )
-            ops = build_wavelet_operators(basis, bank, needed)
+        ops = _shape_operators(kind, mesh, basis, cfg["bank"], needed)
         shapes.append(ShapeData(field.values, labels, ops, name=str(path)))
         hashes.append(mesh.content_hash())
     return shapes, hashes
@@ -360,20 +351,10 @@ def _cmd_infer(args, cfg):
         )
     desc_cfg = meta.get("descriptor", {})
     k = args.k if args.k is not None else desc_cfg.get("k", cfg["descriptor"]["k"])
+    bank = check_bank(meta.get("bank", cfg["bank"]), f"{args.checkpoint} metadata")
     basis = _basis_for(mesh, k, args.basis)
-    needed = required_operator_keys(net)
-    if net.kind == "chebyshev":
-        lap = cotangent_laplacian(mesh)
-        areas = lumped_areas(mesh)
-        ops = chebyshev_operators(lap, areas, spectral_max(lap, areas),
-                                  max(needed) + 1)
-    else:
-        bank_cfg = {"bank": meta.get("bank", cfg["bank"])}
-        bank = build_filter_bank(
-            basis.lambda_max, eigenvalues=basis.eigenvalues,
-            **_bank_settings(bank_cfg),
-        )
-        ops = build_wavelet_operators(basis, bank, needed, _atom_cache(args.basis))
+    ops = _shape_operators(net.kind, mesh, basis, bank, required_operator_keys(net),
+                           _atom_cache(args.basis))
     out_values, _ = model_forward(net, field.values, ops)
     learned = dataclasses.replace(
         field,

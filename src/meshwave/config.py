@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 
+from . import filters
 from .errors import DataError
 from .model import DEFAULT_ARCHITECTURE
 
@@ -26,13 +27,13 @@ SCHEMA = {
         "num": (int, 128),
         "power": (int, 2),
     },
-    "bank": {
-        "n_scales": (int, 31),
-        "amplitude": (float, 0.443),
-        "scaling_amplitude": (float, 1.004),
-        "scaling_decay": (float, 38.462),
-        "span_coarse": (float, 46.0),
-        "span_fine": (float, 0.2),
+    "bank": {  # keys are build_filter_bank's parameter names
+        "n_scales": (int, filters.DEFAULT_NUM_SCALES),
+        "amplitude": (float, filters.DEFAULT_AMPLITUDE),
+        "scaling_amplitude": (float, filters.DEFAULT_SCALING_AMPLITUDE),
+        "scaling_decay": (float, filters.DEFAULT_SCALING_DECAY),
+        "span_coarse": (float, filters.DEFAULT_SPAN_COARSE),
+        "span_fine": (float, filters.DEFAULT_SPAN_FINE),
     },
     "model": {
         "architecture": (str, DEFAULT_ARCHITECTURE),
@@ -108,6 +109,18 @@ def parse_config(text: str, source: str = "<config>") -> dict:
     return cfg
 
 
+def check_bank(values, source: str) -> dict:
+    """A stored [bank] section, checked: exactly the schema's keys, each
+    of its type tag (an int serves a float). Raises DataError otherwise."""
+    keys = SCHEMA["bank"]
+    if not (isinstance(values, dict) and set(values) == set(keys) and all(
+            isinstance(values[key], (int, tag)) and not isinstance(values[key], bool)
+            for key, (tag, _) in keys.items())):
+        types = {key: tag.__name__ for key, (tag, _) in keys.items()}
+        raise DataError(f"{source}: [bank] needs exactly {types}, got {values!r}")
+    return {key: tag(values[key]) for key, (tag, _) in keys.items()}
+
+
 def format_config(cfg: dict) -> str:
     lines = []
     for section, keys in SCHEMA.items():
@@ -125,8 +138,3 @@ def load_config(path) -> dict:
     except OSError as exc:
         raise DataError(f"cannot read config {path}: {exc}") from None
     return parse_config(text, source=str(path))
-
-
-def save_config(cfg: dict, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_config(cfg))

@@ -23,7 +23,7 @@ is formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -332,24 +332,6 @@ def evaluate_map(
         n_target=int(target_mesh.n_vertices),
         extra={"exact_match_rate": exact},
     )
-
-
-def evaluate(
-    desc_a: np.ndarray,
-    desc_b: np.ndarray,
-    gt: GroundTruth,
-    target_mesh: TriMesh,
-    radii: Optional[np.ndarray] = None,
-    kmax: Optional[int] = None,
-) -> EvalReport:
-    """Run the full matching benchmark for one descriptor pair: the
-    nearest-neighbour map's `evaluate_map` report plus the rank curve."""
-    n_target = np.asarray(desc_b).shape[0]
-    if kmax is None:
-        kmax = min(100, n_target)
-    report = evaluate_map(nn_match(desc_a, desc_b), gt, target_mesh, radii)
-    ks, cmc = cmc_curve(desc_a, desc_b, gt.direct, kmax)
-    return replace(report, n_target=n_target, cmc_ranks=ks, cmc_fractions=cmc)
 
 
 def report_summary_text(report: EvalReport) -> str:

@@ -130,7 +130,7 @@ def build_filter_bank(
         span_fine=span_fine,
     )
     dev, where = frame_residual(bank, eigenvalues)
-    if dev > tol:
+    if not dev <= tol:  # a NaN setting gives a NaN residual
         raise NumericalError(
             f"filter bank is not a tight enough frame: |G-1| = {dev:.4f} > {tol}"
             f" at lambda = {where:.6g}"
@@ -177,34 +177,6 @@ def serialize_bank(bank):
     }
     lines = [f"{key} = {values[key]:.17g}" for key in _SERIAL_FIELDS]
     return "\n".join(lines) + "\n"
-
-
-def parse_bank(text):
-    """Inverse of serialize_bank; the residual is re-validated on build."""
-    values = {}
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise DataError(f"malformed filter-bank line {line!r}")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
-    unknown = set(values) - set(_SERIAL_FIELDS)
-    if unknown:
-        raise DataError(f"unknown filter-bank keys: {sorted(unknown)}")
-    missing = set(_SERIAL_FIELDS) - set(values)
-    if missing:
-        raise DataError(f"missing filter-bank keys: {sorted(missing)}")
-    return build_filter_bank(
-        lambda_max=float(values["lambda_max"]),
-        n_scales=int(values["n_scales"]),
-        amplitude=float(values["amplitude"]),
-        scaling_amplitude=float(values["scaling_amplitude"]),
-        scaling_decay=float(values["scaling_decay"]),
-        span_coarse=float(values["span_coarse"]),
-        span_fine=float(values["span_fine"]),
-    )
 
 
 def bank_hash(bank):

@@ -67,11 +67,6 @@ def _check_vertices(mesh: TriMesh, vertices, what: str) -> np.ndarray:
     return vertices
 
 
-def geodesic_from(mesh: TriMesh, source: int) -> np.ndarray:
-    """Distance from one source vertex to every vertex."""
-    return geodesic_multi(mesh, np.asarray([source]))[0]
-
-
 def geodesic_multi(mesh: TriMesh, sources) -> np.ndarray:
     """Distances from several source vertices; rows follow `sources`."""
     sources = _check_vertices(mesh, sources, "source")

@@ -2,7 +2,7 @@
 
 The Laplacian here is the cotangent-weighted graph operator with
 barycentric (area/3) mass lumping.  Both are assembled through the
-kernels in _kernels, so the numba/numpy backends share one code path.
+per-triangle kernels in _kernels.
 """
 
 from __future__ import annotations

@@ -24,9 +24,9 @@ from typing import Optional
 import numpy as np
 
 from . import layers
-from ._files import atomic_write
+from ._files import atomic_write, open_npz
 from .errors import DataError
-from .filters import FilterBank, g_of, select_scales
+from .filters import FilterBank, filter_responses, select_scales
 from .spectral import SpectralBasis
 from .wavelets import WaveletOperator, filter_atom_stats
 
@@ -105,6 +105,8 @@ def _scale_set_for(kind: str, n_scales: int) -> list:
     if kind == "chebyshev":
         # polynomial order in place of a wavelet scale set
         return list(range(n_scales))
+    if n_scales < 3:  # select_scales never returns fewer than three
+        raise DataError(f"a wavelet conv layer needs at least 3 scales, got {n_scales}")
     return [int(s) for s in select_scales(32 * n_scales)]
 
 
@@ -166,9 +168,7 @@ def build_wavelet_operators(
     None to compute them."""
     keys = [int(s) for s in keys]
     norms, _, _ = filter_atom_stats(basis, bank, keys, atom_cache)
-    responses = np.empty((basis.k, len(keys)))
-    for j, s in enumerate(keys):
-        responses[:, j] = g_of(bank, s, basis.eigenvalues)
+    responses = filter_responses(bank, basis.eigenvalues)[keys].T
     zero = np.argwhere(norms == 0.0)
     if zero.size:
         v, j = zero[0]
@@ -323,14 +323,12 @@ def _model_from_meta(meta: dict, params: dict, path) -> Model:
 
 def load_checkpoint(path):
     """Returns (model, opt_state, rng_state, metadata)."""
+    with open_npz(path, "checkpoint") as data:
+        if "__meta__" not in data.files:
+            raise DataError(f"{path}: not a checkpoint file")
+        arrays = {key: data[key] for key in data.files}
     try:
-        data = np.load(path)
-    except (OSError, ValueError) as exc:
-        raise DataError(f"cannot read checkpoint {path}: {exc}") from None
-    if "__meta__" not in data.files:
-        raise DataError(f"{path}: not a checkpoint file")
-    try:
-        meta = json.loads(bytes(data["__meta__"]).decode())
+        meta = json.loads(bytes(arrays.pop("__meta__")).decode())
     except ValueError:  # includes UnicodeDecodeError
         raise DataError(f"{path}: checkpoint metadata is not valid JSON") from None
     if not isinstance(meta, dict):
@@ -339,28 +337,13 @@ def load_checkpoint(path):
         raise DataError(
             f"{path}: unsupported checkpoint version {meta.get('format_version')}"
         )
-    try:
-        params = {
-            key[len("param/") :]: data[key]
-            for key in data.files
-            if key.startswith("param/")
-        }
-    except ValueError as exc:
-        raise DataError(f"{path}: unreadable parameter array: {exc}") from None
-    model = _model_from_meta(meta, params, path)
+
+    def under(prefix):
+        return {k[len(prefix) :]: a for k, a in arrays.items() if k.startswith(prefix)}
+
+    model = _model_from_meta(meta, under("param/"), path)
     opt_state = None
-    if "opt/step" in data.files:
-        opt_state = {
-            "step": int(data["opt/step"]),
-            "m": {
-                k[len("opt/m/") :]: data[k]
-                for k in data.files
-                if k.startswith("opt/m/")
-            },
-            "v": {
-                k[len("opt/v/") :]: data[k]
-                for k in data.files
-                if k.startswith("opt/v/")
-            },
-        }
+    if "opt/step" in arrays:
+        opt_state = {"step": int(arrays["opt/step"]),
+                     "m": under("opt/m/"), "v": under("opt/v/")}
     return model, opt_state, meta.get("rng_state"), meta.get("metadata", {})

@@ -17,7 +17,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ._files import atomic_write
+from ._files import atomic_write, open_npz
 from .errors import DataError, NumericalError
 
 logger = logging.getLogger(__name__)
@@ -129,11 +129,6 @@ def project(basis, signal):
                                    else basis.areas * signal)
 
 
-def synthesize(basis, coefficients):
-    """Inverse of project on the retained band: f = Phi sigma."""
-    return basis.eigenvectors @ np.asarray(coefficients, dtype=np.float64)
-
-
 _CACHE_VERSION = 1
 
 
@@ -151,18 +146,15 @@ def save_basis(path, basis):
 
 
 def load_basis(path, expect_mesh_hash=None):
-    try:
-        with np.load(path) as data:
-            if int(data["version"]) != _CACHE_VERSION:
-                raise DataError(f"{path}: unsupported basis cache version")
-            basis = SpectralBasis(
-                data["eigenvalues"],
-                data["eigenvectors"],
-                data["areas"],
-                bytes(data["mesh_hash"]).decode(),
-            )
-    except (OSError, KeyError, ValueError) as exc:
-        raise DataError(f"{path}: unreadable basis cache: {exc}") from exc
+    with open_npz(path, "basis cache") as data:
+        if int(data["version"]) != _CACHE_VERSION:
+            raise DataError(f"{path}: unsupported basis cache version")
+        basis = SpectralBasis(
+            data["eigenvalues"],
+            data["eigenvectors"],
+            data["areas"],
+            bytes(data["mesh_hash"]).decode(),
+        )
     vals, vecs, areas = basis.eigenvalues, basis.eigenvectors, basis.areas
     if not (all(a.dtype.kind == "f" and np.isfinite(a).all() for a in (vals, vecs, areas))
             and vals.ndim == 1 and vals.size and vals[0] == 0 and (np.diff(vals) >= 0).all()

@@ -24,11 +24,10 @@ import hashlib
 import logging
 import math
 import os
-import zipfile
 
 import numpy as np
 
-from ._files import atomic_write
+from ._files import atomic_write, open_npz
 from .errors import DataError
 from .filters import bank_hash, filter_responses
 from .spectral import project
@@ -117,17 +116,13 @@ def _load_stats(path, keys, n, n_scales):
     there is no file or it holds another basis or bank."""
     if not os.path.exists(path):
         return None
-    try:
-        with np.load(path) as data:
-            if int(data["version"]) != _STATS_VERSION:
-                raise DataError(f"{path}: unsupported atom statistics version")
-            if (bytes(data["basis_hash"]), bytes(data["bank_hash"])) != keys:
-                return None
-            filters = data["filters"]
-            l1, lo, hi = arrays = [data[name] for name in _STATS]
-    except (OSError, EOFError, KeyError, TypeError, ValueError,
-            zipfile.BadZipFile) as exc:
-        raise DataError(f"{path}: unreadable atom statistics: {exc}") from exc
+    with open_npz(path, "atom statistics") as data:
+        if int(data["version"]) != _STATS_VERSION:
+            raise DataError(f"{path}: unsupported atom statistics version")
+        if (bytes(data["basis_hash"]), bytes(data["bank_hash"])) != keys:
+            return None
+        filters = data["filters"]
+        l1, lo, hi = arrays = [data[name] for name in _STATS]
     if not (filters.ndim == 1 and filters.dtype.kind in "iu"
             and np.unique(filters).size == filters.size
             and ((0 <= filters) & (filters <= n_scales)).all()

@@ -13,7 +13,6 @@ from meshwave.config import (
     format_config,
     load_config,
     parse_config,
-    save_config,
 )
 from meshwave.descriptors import DescriptorField, load_descriptors, save_descriptors, weds
 from meshwave.errors import DataError, MeshwaveError, NumericalError, UsageError
@@ -333,7 +332,7 @@ def test_train_and_infer_end_to_end(work, tmp_path, capsys):
     cfg["train"]["phase1_epochs"] = 2
     cfg["train"]["phase2_epochs"] = 0
     cfg_path = tmp_path / "pipe.cfg"
-    save_config(cfg, cfg_path)
+    cfg_path.write_text(format_config(cfg))
 
     ckpt = tmp_path / "model.npz"
     assert main(["train", "--config", str(cfg_path), "-o", str(ckpt)]) == 0
@@ -378,7 +377,7 @@ def test_train_non_finite_exits_3_without_checkpoint(work, tmp_path, capsys,
     cfg["train"]["phase1_epochs"] = 2
     cfg["train"]["phase2_epochs"] = 0
     cfg_path = tmp_path / "nan.cfg"
-    save_config(cfg, cfg_path)
+    cfg_path.write_text(format_config(cfg))
     ckpt = tmp_path / "model.npz"
     assert main(["train", "--config", str(cfg_path), "-o", str(ckpt)]) == 3
     assert "not finite" in capsys.readouterr().err
@@ -395,7 +394,7 @@ def test_infer_rejects_wrong_input_dim(work, tmp_path, capsys):
     cfg["train"]["phase1_epochs"] = 1
     cfg["train"]["phase2_epochs"] = 0
     cfg_path = tmp_path / "p.cfg"
-    save_config(cfg, cfg_path)
+    cfg_path.write_text(format_config(cfg))
     ckpt = tmp_path / "m.npz"
     assert main(["train", "--config", str(cfg_path), "-o", str(ckpt)]) == 0
     rc = main(["infer", str(ckpt), str(work["mesh_path"]),
@@ -406,7 +405,7 @@ def test_infer_rejects_wrong_input_dim(work, tmp_path, capsys):
 
 def test_train_requires_meshes(tmp_path, capsys):
     cfg_path = tmp_path / "empty.cfg"
-    save_config(default_config(), cfg_path)
+    cfg_path.write_text(format_config(default_config()))
     assert main(["train", "--config", str(cfg_path)]) == 2
     assert "meshes is empty" in capsys.readouterr().err
 
@@ -541,6 +540,11 @@ def test_atom_sidecar_merges_new_scales(work, own_basis, tmp_path, monkeypatch):
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
+def _infer(work, ckpt, basis_path, out):
+    return main(["infer", str(ckpt), str(work["mesh_path"]), str(work["desc_path"]),
+                 "-k", "12", "--basis", str(basis_path), "-o", str(out)])
+
+
 def _corrupt(sidecar, how):
     if how == "truncated":
         data = sidecar.read_bytes()
@@ -566,9 +570,7 @@ def test_bad_atom_sidecar_exits_2(work, own_basis, tmp_path, capsys, command, ho
     out = tmp_path / "out.mwd"
     run = {
         "descriptor": lambda: _descriptor(work, own_basis, out),
-        "infer": lambda: main(["infer", str(ckpt), str(work["mesh_path"]),
-                               str(work["desc_path"]), "-k", "12",
-                               "--basis", str(own_basis), "-o", str(out)]),
+        "infer": lambda: _infer(work, ckpt, own_basis, out),
     }[command]
     assert run() == 0
     out.unlink()
@@ -577,6 +579,49 @@ def test_bad_atom_sidecar_exits_2(work, own_basis, tmp_path, capsys, command, ho
     assert run() == 2
     err = capsys.readouterr().err
     assert "atom statistics" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def _unreadable(path, how):
+    if how == "truncated":
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+    else:  # a plain .npy under the .npz name
+        with open(path, "wb") as fh:
+            np.save(fh, np.arange(5.0))
+
+
+@pytest.mark.parametrize("command", ["descriptor", "infer"])
+@pytest.mark.parametrize("how", ["truncated", "npy"])
+def test_unreadable_npz_exits_2(work, own_basis, tmp_path, capsys, command, how):
+    ckpt = tmp_path / "net.npz"
+    save_checkpoint(ckpt, build_model("MGCONV8(3)+FC16", input_dim=16, seed=3))
+    out = tmp_path / "out.mwd"
+    if command == "descriptor":
+        _unreadable(own_basis, how)
+        code = _descriptor(work, own_basis, out)
+    else:
+        _unreadable(ckpt, how)
+        code = _infer(work, ckpt, own_basis, out)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "unreadable" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bank", [
+    {},
+    "x",
+    dict(default_config()["bank"], n_scales="31"),
+], ids=["empty", "string", "string-n_scales"])
+def test_infer_rejects_bad_bank_metadata(work, own_basis, tmp_path, capsys, bank):
+    ckpt = tmp_path / "net.npz"
+    save_checkpoint(ckpt, build_model("MGCONV8(3)+FC16", input_dim=16, seed=3),
+                    metadata={"bank": bank})
+    out = tmp_path / "out.mwd"
+    assert _infer(work, ckpt, own_basis, out) == 2
+    err = capsys.readouterr().err
+    assert "[bank]" in err and "Traceback" not in err
     assert not out.exists()
 
 

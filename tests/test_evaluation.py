@@ -6,7 +6,6 @@ from meshwave.evaluation import (
     CorrespondenceMap,
     GroundTruth,
     cmc_curve,
-    evaluate,
     evaluate_map,
     match_ranks,
     nn_match,
@@ -16,7 +15,7 @@ from meshwave.evaluation import (
     report_summary_text,
     write_correspondence,
 )
-from meshwave.geodesics import geodesic_from
+from meshwave.geodesics import geodesic_multi
 from meshwave.mesh import TriMesh, lumped_areas
 from meshwave.synthetic import icosphere
 
@@ -121,7 +120,7 @@ def test_constant_map_against_geodesic_oracle():
     gt = GroundTruth(np.arange(n))
     direct, _ = normalized_errors(map_, gt, mesh)
     scale = np.sqrt(lumped_areas(mesh).sum())
-    expect = geodesic_from(mesh, 0) / scale  # distance from each true target to 0
+    expect = geodesic_multi(mesh, [0])[0] / scale  # distance from each true target to 0
     assert np.allclose(np.sort(direct), np.sort(expect), rtol=1e-12)
     assert direct[0] == 0.0
 
@@ -204,17 +203,14 @@ def test_evaluate_end_to_end(rng):
     desc = weds(basis, bank, mesh.vertices, n_dims=96).values
     noisy = desc + 1e-9 * rng.standard_normal(desc.shape)
     gt = GroundTruth(np.arange(mesh.n_vertices))
-    report = evaluate(noisy, desc, gt, mesh)
+    report = evaluate_map(nn_match(noisy, desc), gt, mesh)
+    _, cmc = cmc_curve(noisy, desc, gt.direct, kmax=10)
     assert report.age_direct <= 1e-6
     assert report.extra["exact_match_rate"] >= 0.99
-    assert report.cmc_fractions[0] == report.extra["exact_match_rate"]
+    assert cmc[0] == report.extra["exact_match_rate"]
     assert report.cge_fractions[-1] == 1.0
     assert report.n_source == report.n_target == mesh.n_vertices
-    # the same map scored through evaluate_map agrees
-    rep2 = evaluate_map(nn_match(noisy, desc), gt, mesh)
-    assert rep2.age_direct == report.age_direct
-    assert rep2.extra["exact_match_rate"] == report.extra["exact_match_rate"]
-    assert rep2.cmc_ranks.size == 0
+    assert report.cmc_ranks.size == 0
 
 
 def test_report_text_formats(rng):

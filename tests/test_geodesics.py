@@ -3,7 +3,7 @@ import pytest
 from scipy.sparse.csgraph import dijkstra
 
 from meshwave import geodesics
-from meshwave.geodesics import edge_graph, geodesic_from, geodesic_multi, geodesic_pairs
+from meshwave.geodesics import edge_graph, geodesic_multi, geodesic_pairs
 from meshwave.mesh import TriMesh
 from meshwave.synthetic import bent_bar, icosphere, strip_mesh
 
@@ -12,7 +12,7 @@ import _shared
 
 def test_source_distance_zero():
     mesh = _shared.bar(0.3)
-    d = geodesic_from(mesh, 17)
+    d = geodesic_multi(mesh, [17])[0]
     assert d[17] == 0.0
     assert (d >= 0).all()
     assert np.isfinite(d).all()
@@ -23,7 +23,7 @@ def test_strip_distances_are_prefix_sums():
     # of the segment lengths; vertex (i, j) sits at index 2 * i + j
     xs = np.array([0.0, 0.5, 1.7, 1.9, 4.0])
     mesh = strip_mesh(xs, height=0.05)
-    d = geodesic_from(mesh, 0)
+    d = geodesic_multi(mesh, [0])[0]
     expect = np.concatenate([[0.0], np.cumsum(np.diff(xs))])
     assert np.allclose(d[0::2], expect, rtol=1e-12)
 
@@ -100,7 +100,7 @@ def test_pairs_across_components_are_inf(monkeypatch):
 def test_pairs_near_pair_runs_bounded(monkeypatch):
     mesh = _shared.sphere(4)  # 2,562 vertices
     source, target = mesh.edges()[0]
-    expect = geodesic_from(mesh, source)[target]
+    expect = geodesic_multi(mesh, [source])[0][target]
     limits = _record_limits(monkeypatch)
     assert geodesic_pairs(mesh, [source], [target])[0] == expect
     assert limits and np.isfinite(limits).all()
@@ -128,7 +128,7 @@ def test_triangle_inequality(rng):
 def test_sphere_antipodal_distance():
     # graph distance overshoots the great-circle pi by a few percent
     mesh = icosphere(3)
-    d = geodesic_from(mesh, 0)
+    d = geodesic_multi(mesh, [0])[0]
     far = d.max()
     assert np.pi <= far <= 1.1 * np.pi
 
@@ -138,7 +138,7 @@ def test_multi_matches_single():
     sources = np.array([0, 13, 49])
     multi = geodesic_multi(mesh, sources)
     for row, s in enumerate(sources):
-        assert np.array_equal(multi[row], geodesic_from(mesh, s))
+        assert np.array_equal(multi[row], geodesic_multi(mesh, [s])[0])
 
 
 def test_symmetry():
@@ -150,9 +150,9 @@ def test_symmetry():
 def test_source_validation():
     mesh = icosphere(1)
     with pytest.raises(IndexError):
-        geodesic_from(mesh, mesh.n_vertices)
+        geodesic_multi(mesh, [mesh.n_vertices])
     with pytest.raises(IndexError):
-        geodesic_from(mesh, -1)
+        geodesic_multi(mesh, [-1])
     with pytest.raises(ValueError):
         geodesic_multi(mesh, [[0, 1]])
 

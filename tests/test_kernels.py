@@ -1,12 +1,10 @@
-"""Numba and numpy kernel paths must agree bit for bit."""
+"""Per-triangle assembly kernels against hand formulas."""
 
 import numpy as np
 import pytest
 
 from meshwave import _kernels as K
-from meshwave.synthetic import bent_bar, icosphere
-
-needs_numba = pytest.mark.skipif(not K.HAS_NUMBA, reason="numba not installed")
+from meshwave.synthetic import bent_bar
 
 
 def _mesh():
@@ -15,7 +13,7 @@ def _mesh():
 
 def test_triangle_geometry_matches_hand_formula():
     mesh = _mesh()
-    cots, areas = K.triangle_geometry_numpy(mesh.vertices, mesh.triangles)
+    cots, areas = K.triangle_geometry(mesh.vertices, mesh.triangles)
     for t in (0, 5, len(mesh.triangles) - 1):
         tri = mesh.vertices[mesh.triangles[t]]
         # area from the cross product, cotangent from dot/|cross| per corner
@@ -32,7 +30,7 @@ def test_cotangents_sum_identity():
     # the three corner cotangents of any triangle satisfy
     # cot a cot b + cot b cot c + cot c cot a = 1
     mesh = _mesh()
-    cots, _ = K.triangle_geometry_numpy(mesh.vertices, mesh.triangles)
+    cots, _ = K.triangle_geometry(mesh.vertices, mesh.triangles)
     s = (
         cots[:, 0] * cots[:, 1]
         + cots[:, 1] * cots[:, 2]
@@ -41,28 +39,10 @@ def test_cotangents_sum_identity():
     assert np.allclose(s, 1.0, atol=1e-10)
 
 
-@needs_numba
-def test_triangle_geometry_paths_bitwise_equal():
-    mesh = _mesh()
-    c_np, a_np = K.triangle_geometry_numpy(mesh.vertices, mesh.triangles)
-    c_nb, a_nb = K.triangle_geometry_numba(mesh.vertices, mesh.triangles)
-    assert np.array_equal(c_np, c_nb)
-    assert np.array_equal(a_np, a_nb)
-
-
-@needs_numba
-def test_vertex_areas_paths_bitwise_equal():
-    mesh = icosphere(2)
-    _, tri_areas = K.triangle_geometry_numpy(mesh.vertices, mesh.triangles)
-    v_np = K.vertex_areas_numpy(mesh.triangles, tri_areas, mesh.n_vertices)
-    v_nb = K.vertex_areas_numba(mesh.triangles, tri_areas, mesh.n_vertices)
-    assert np.array_equal(v_np, v_nb)
-
-
 def test_vertex_areas_conserve_total():
     mesh = _mesh()
-    _, tri_areas = K.triangle_geometry_numpy(mesh.vertices, mesh.triangles)
-    v = K.vertex_areas_numpy(mesh.triangles, tri_areas, mesh.n_vertices)
+    _, tri_areas = K.triangle_geometry(mesh.vertices, mesh.triangles)
+    v = K.vertex_areas(mesh.triangles, tri_areas, mesh.n_vertices)
     assert v.sum() == pytest.approx(tri_areas.sum(), rel=1e-12)
     assert (v > 0).all()
 

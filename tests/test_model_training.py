@@ -59,7 +59,7 @@ def test_architecture_rejects_malformed():
 
 
 def test_build_model_shapes():
-    net = build_model("MGCONV8(3)+MGCONV4(2)+FC6", input_dim=5, head_dim=11)
+    net = build_model("MGCONV8(3)+MGCONV4(3)+FC6", input_dim=5, head_dim=11)
     assert net.params["conv0.w0"].shape == (5, 8)
     assert net.params["conv0.w2"].shape == (5, 8)
     assert net.params["conv1.w0"].shape == (8, 4)
@@ -71,6 +71,17 @@ def test_build_model_shapes():
     # wavelet scale sets follow the dimension budget of each conv layer
     assert net.scale_sets[0] == [24, 16, 8]
     assert required_operator_keys(net) == [8, 16, 24]
+
+
+@pytest.mark.parametrize("n_scales", [1, 2])
+def test_wavelet_conv_needs_three_scales(n_scales):
+    arch = f"MGCONV8({n_scales})+FC4"
+    with pytest.raises(DataError, match="at least 3 scales"):
+        build_model(arch, input_dim=3)
+    # a Chebyshev layer takes any polynomial order count
+    assert build_model(arch, input_dim=3, kind="chebyshev").scale_sets == [
+        list(range(n_scales))
+    ]
 
 
 def test_build_model_chebyshev_scale_sets():

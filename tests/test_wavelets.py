@@ -8,7 +8,7 @@ import pytest
 
 from meshwave import wavelets
 from meshwave.filters import FilterBank, build_filter_bank, filter_responses, g_of
-from meshwave.geodesics import geodesic_from
+from meshwave.geodesics import geodesic_multi
 from meshwave.spectral import project
 from meshwave.wavelets import reconstruct, wavelet_coeffs
 
@@ -189,7 +189,7 @@ def test_finer_scales_localize():
     basis = _shared.sphere_basis(3, 300)
     bank = build_filter_bank(basis.lambda_max, eigenvalues=basis.eigenvalues)
     center = 0
-    dist = geodesic_from(mesh, center)
+    dist = geodesic_multi(mesh, [center])[0]
     radii = []
     for m in (3, 5, 7, 9, 11, 13, 15, 17):
         atoms = _shared.wavelet_matrix(basis, bank, m)
