@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from ._files import atomic_write
 from .chebyshev import chebyshev_operators, spectral_max
-from .config import check_bank, default_config, format_config, load_config
+from .config import check_section, default_config, format_config, load_config
 from .descriptors import (
     export_descriptors_csv,
     hks,
@@ -301,18 +301,9 @@ def _cmd_train(args, cfg):
         head_dim=head_dim,
         seed=seed,
     )
-    tc = cfg["train"]
-    train_cfg = TrainConfig(
-        phase1_epochs=tc["phase1_epochs"],
-        phase2_epochs=tc["phase2_epochs"],
-        lr_phase1=tc["lr_phase1"],
-        weight_decay_phase1=tc["weight_decay_phase1"],
-        lr_phase2=tc["lr_phase2"],
-        weight_decay_phase2=tc["weight_decay_phase2"],
-        margin=tc["margin"],
-        pairs_per_step=tc["pairs_per_step"],
-        seed=seed,
-    )
+    settings = {f.name: cfg["train"][f.name]
+                for f in dataclasses.fields(TrainConfig) if f.name != "seed"}
+    train_cfg = TrainConfig(**settings, seed=seed)
     opt_state = adam_init(net.params)
     rng = np.random.default_rng(seed)
     net, history = train(net, shapes, train_cfg, opt_state=opt_state, rng=rng)
@@ -349,9 +340,10 @@ def _cmd_infer(args, cfg):
             f"descriptor dim {field.n_dims} does not match model input "
             f"{net.input_dim}"
         )
-    desc_cfg = meta.get("descriptor", {})
-    k = args.k if args.k is not None else desc_cfg.get("k", cfg["descriptor"]["k"])
-    bank = check_bank(meta.get("bank", cfg["bank"]), f"{args.checkpoint} metadata")
+    source = f"{args.checkpoint} metadata"
+    desc_cfg = check_section("descriptor", meta.get("descriptor", cfg["descriptor"]), source)
+    k = args.k if args.k is not None else desc_cfg["k"]
+    bank = check_section("bank", meta.get("bank", cfg["bank"]), source)
     basis = _basis_for(mesh, k, args.basis)
     ops = _shape_operators(net.kind, mesh, basis, bank, required_operator_keys(net),
                            _atom_cache(args.basis))

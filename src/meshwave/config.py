@@ -8,10 +8,12 @@ digits, which makes parse/format a lossless round trip.
 from __future__ import annotations
 
 import copy
+import dataclasses
 
 from . import filters
 from .errors import DataError
 from .model import DEFAULT_ARCHITECTURE
+from .training import TrainConfig
 
 _PATHS = "paths"  # comma-separated list of strings
 
@@ -39,17 +41,11 @@ SCHEMA = {
         "architecture": (str, DEFAULT_ARCHITECTURE),
         "kind": (str, "mgcn"),
     },
-    "train": {
+    "train": {  # the file lists, then every TrainConfig field but the seed
         "meshes": (_PATHS, []),
         "correspondences": (_PATHS, []),
-        "phase1_epochs": (int, 200),
-        "phase2_epochs": (int, 100),
-        "lr_phase1": (float, 1e-3),
-        "weight_decay_phase1": (float, 1e-4),
-        "lr_phase2": (float, 5e-4),
-        "weight_decay_phase2": (float, 5e-5),
-        "margin": (float, 1.0),
-        "pairs_per_step": (int, 512),
+        **{f.name: (type(f.default), f.default)
+           for f in dataclasses.fields(TrainConfig) if f.name != "seed"},
     },
 }
 
@@ -109,15 +105,16 @@ def parse_config(text: str, source: str = "<config>") -> dict:
     return cfg
 
 
-def check_bank(values, source: str) -> dict:
-    """A stored [bank] section, checked: exactly the schema's keys, each
-    of its type tag (an int serves a float). Raises DataError otherwise."""
-    keys = SCHEMA["bank"]
+def check_section(section: str, values, source: str) -> dict:
+    """A stored [section] of scalars, checked: exactly the schema's keys,
+    each of its type tag (an int serves a float, a bool serves nothing).
+    Raises DataError otherwise."""
+    keys = SCHEMA[section]
     if not (isinstance(values, dict) and set(values) == set(keys) and all(
-            isinstance(values[key], (int, tag)) and not isinstance(values[key], bool)
-            for key, (tag, _) in keys.items())):
+            isinstance(values[key], (int, float) if tag is float else tag)
+            and not isinstance(values[key], bool) for key, (tag, _) in keys.items())):
         types = {key: tag.__name__ for key, (tag, _) in keys.items()}
-        raise DataError(f"{source}: [bank] needs exactly {types}, got {values!r}")
+        raise DataError(f"{source}: [{section}] needs exactly {types}, got {values!r}")
     return {key: tag(values[key]) for key, (tag, _) in keys.items()}
 
 

@@ -6,6 +6,13 @@ the per-scale energies with minmax-normalized wavelet weights into a
 multiscale descriptor.  Heat- and wave-kernel signatures are provided
 as spectral baselines, and every descriptor can be saved to a small
 self-describing binary or exported as CSV.
+
+The energy table and the WEDS weights apply K_m = Phi diag(g_m) through
+``wavelets._spectral_filter``.  For an A-orthonormal basis (Phi' A Phi =
+I; ``eig_generalized`` refuses a deviation over 1e-7) the table's mode
+coupling sum_m g_m Phi' A K_m(sigma) is G(lambda) sigma, with G = sum_m
+g_m^2 the frame function, so the table takes two kernel calls and no
+GEMM over the vertices.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from ._files import atomic_write
 from .errors import DataError
 from .filters import bank_hash, filter_responses, select_scales
 from .spectral import project
-from .wavelets import filter_atom_stats
+from .wavelets import _spectral_filter, filter_atom_stats
 
 DEFAULT_DIMS = 128
 
@@ -53,12 +60,14 @@ def dirichlet_energy(laplacian, signal):
 
 
 def _decompose_with_responses(basis, responses, signals, power):
-    """Energy table eps[m, v] given per-filter responses at the eigenvalues.
+    """Energy table eps[m, v] given the (k, n_filters) response table.
 
-    The per-mode couplings omega[j, i] sum the analysis-times-mode terms
-    over all filters and vertices; every sum over modes or vertices is
-    one GEMM over a (k, n_filters * d) slab, laid out [j, m, i].
+    eps[m, v] = a(v) sum_i K_m(sigma_i)(v) K_m(lambda^p G sigma_i)(v),
+    two calls of the filter kernel on the analysis coefficients sigma_i
+    of the signal columns; K_m(c) is Phi diag(g_m) c.
     """
+    if power not in (1, 2):
+        raise DataError(f"power must be 1 or 2, got {power}")
     signals = np.asarray(signals, dtype=np.float64)
     if signals.ndim == 1:
         signals = signals[:, None]
@@ -66,15 +75,12 @@ def _decompose_with_responses(basis, responses, signals, power):
     # the constant mode carries no energy; dropping it from the analysis
     # (not just the outer mode sum) makes the table blind to translation
     sigma[0] = 0.0
-    phi = basis.eigenvectors
-    n, k = phi.shape
-    g = responses.T[:, :, None]  # (k, n_filters, 1)
-    # analysis tables W_i(m, v), then omega[j, i] = sum_m g_m(lambda_j) sum_v W_i(m, v) phi_j(v)
-    tables = (phi @ (g * sigma[:, None, :]).reshape(k, -1)) * basis.areas[:, None]
-    omega = (g * (phi.T @ tables).reshape(g.shape[:2] + (-1,))).sum(axis=1)  # (k, d)
-    lam_pow = basis.eigenvalues ** power  # zero mode drops out (lambda_0 = 0)
-    fields = phi @ (lam_pow[:, None, None] * g * omega[:, None, :]).reshape(k, -1)
-    return (tables * fields).reshape(n, g.shape[1], -1).sum(axis=2).T
+    frame = (responses ** 2).sum(axis=1)  # G(lambda_j)
+    # lambda_0 = 0 drops the zero mode from the second factor as well
+    weight = (basis.eigenvalues ** power * frame)[:, None]
+    tables = _spectral_filter(basis.eigenvectors, responses, sigma)  # (n, n_filters, d)
+    fields = _spectral_filter(basis.eigenvectors, responses, weight * sigma)
+    return ((tables * fields).sum(axis=2) * basis.areas[:, None]).T
 
 
 def energy_decomposition(basis, bank, signals, power=2):
@@ -85,9 +91,7 @@ def energy_decomposition(basis, bank, signals, power=2):
     otherwise); power=2 makes the table invariant to uniform rescaling
     of the mesh.
     """
-    if power not in (1, 2):
-        raise DataError(f"power must be 1 or 2, got {power}")
-    responses = filter_responses(bank, basis.eigenvalues)
+    responses = filter_responses(bank, basis.eigenvalues).T
     return _decompose_with_responses(basis, responses, signals, power)
 
 
@@ -113,13 +117,12 @@ def weds(basis, bank, coords, n_dims=DEFAULT_DIMS, power=2, atom_cache=None):
     """
     if n_dims > 1024:
         raise DataError("descriptor dimension is capped at 1024")
-    eps = energy_decomposition(basis, bank, coords, power)  # (n_filters, n)
+    responses = filter_responses(bank, basis.eigenvalues).T  # (k, n_filters)
+    eps = _decompose_with_responses(basis, responses, coords, power)  # (n_filters, n)
     phi = basis.eigenvectors
     scales = select_scales(n_dims)
-    _, lo, hi = filter_atom_stats(basis, bank, scales, atom_cache)  # (n, scales)
-    responses = filter_responses(bank, basis.eigenvalues)[scales].T
-    slab = responses[:, :, None] * (eps @ phi).T[:, None, :]  # (k, scales, filters)
-    values = (phi @ slab.reshape(phi.shape[1], -1)).reshape(lo.shape + (-1,))
+    _, lo, hi = filter_atom_stats(basis, bank, responses, scales, atom_cache)  # (n, scales)
+    values = _spectral_filter(phi, responses[:, scales], (eps @ phi).T)  # (n, scales, filters)
     totals = eps.sum(axis=1)
     flat = hi == lo
     values = (values - lo[:, :, None] * totals) / np.where(flat, 1.0, hi - lo)[:, :, None]

@@ -34,12 +34,9 @@ from .mesh import TriMesh
 _BLOCK_ENTRIES = 1 << 20  # distance-table entries held per Dijkstra block
 
 
-def edge_graph(mesh: TriMesh):
-    """CSR adjacency of the mesh edge graph, weighted by edge length.
-
-    Returns (indptr, indices, weights) with both directions of every edge
-    present.
-    """
+def edge_graph(mesh: TriMesh) -> sparse.csr_matrix:
+    """CSR adjacency of the mesh edge graph, weighted by edge length, with
+    both directions of every edge present."""
     edges = mesh.edges()
     lengths = np.linalg.norm(
         mesh.vertices[edges[:, 0]] - mesh.vertices[edges[:, 1]], axis=1
@@ -48,14 +45,7 @@ def edge_graph(mesh: TriMesh):
     rows = np.concatenate([edges[:, 0], edges[:, 1]])
     cols = np.concatenate([edges[:, 1], edges[:, 0]])
     vals = np.concatenate([lengths, lengths])
-    adj = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    return adj.indptr, adj.indices.astype(np.int64), adj.data
-
-
-def _graph(mesh: TriMesh):
-    indptr, indices, weights = edge_graph(mesh)
-    n = mesh.n_vertices
-    return sparse.csr_matrix((weights, indices, indptr), shape=(n, n))
+    return sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
 def _check_vertices(mesh: TriMesh, vertices, what: str) -> np.ndarray:
@@ -70,7 +60,7 @@ def _check_vertices(mesh: TriMesh, vertices, what: str) -> np.ndarray:
 def geodesic_multi(mesh: TriMesh, sources) -> np.ndarray:
     """Distances from several source vertices; rows follow `sources`."""
     sources = _check_vertices(mesh, sources, "source")
-    return np.atleast_2d(dijkstra(_graph(mesh), directed=False, indices=sources))
+    return np.atleast_2d(dijkstra(edge_graph(mesh), directed=False, indices=sources))
 
 
 def geodesic_pairs(mesh: TriMesh, sources, targets) -> np.ndarray:
@@ -93,7 +83,7 @@ def geodesic_pairs(mesh: TriMesh, sources, targets) -> np.ndarray:
         raise ValueError("sources and targets differ in length")
     out = np.full(sources.shape[0], np.inf)
     uniq, row = np.unique(sources, return_inverse=True)
-    graph = _graph(mesh)
+    graph = edge_graph(mesh)
     # graph distance >= Euclidean distance, so no source settles all of its
     # targets before its search radius reaches need[source]
     euclid = np.linalg.norm(mesh.vertices[sources] - mesh.vertices[targets], axis=1)

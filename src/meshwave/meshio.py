@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import os
-import struct
 from pathlib import Path
 
 import numpy as np
@@ -70,25 +69,26 @@ def read_off(path):
     body = list(itertools.islice(lines, n_vert + n_face))
     if len(body) < n_vert + n_face:
         raise DataError(f"{path}: truncated or malformed OFF body")
-    vertices = _off_columns(path, body[:n_vert], (0, 1, 2), np.float64)
-    arity = _off_columns(path, body[n_vert:], (0,), np.int64)[:, 0]
+    vertices = _columns(path, body[:n_vert], (0, 1, 2), np.float64, "OFF body")
+    arity = _columns(path, body[n_vert:], (0,), np.int64, "OFF body")[:, 0]
     bad = np.flatnonzero(arity != 3)
     if bad.size:
         i = bad[0]
         raise DataError(f"{path}: face {i} has {body[n_vert + i].split()[0]} vertices, need 3")
-    triangles = _off_columns(path, body[n_vert:], (1, 2, 3), np.int64)
+    triangles = _columns(path, body[n_vert:], (1, 2, 3), np.int64, "OFF body")
     return vertices, triangles
 
 
-def _off_columns(path, rows, columns, dtype):
-    """(len(rows), len(columns)) array of the given columns of OFF body
-    rows; columns past the last one read are neither parsed nor checked."""
+def _columns(path, rows, columns, dtype, what):
+    """(len(rows), len(columns)) array of the given columns of text rows
+    (an OFF body, PLY faces); columns past the last one read are neither
+    parsed nor checked."""
     if not rows:
         return np.empty((0, len(columns)), dtype=dtype)
     try:
         return np.loadtxt(rows, dtype=dtype, usecols=columns, ndmin=2, comments=None)
     except ValueError as exc:
-        raise DataError(f"{path}: truncated or malformed OFF body") from exc
+        raise DataError(f"{path}: truncated or malformed {what}") from exc
 
 
 def read_obj(path):
@@ -184,6 +184,34 @@ def _ply_vertex_dtype(element, path):
     return np.dtype(fields)
 
 
+def _read_ply_faces(handle, element, fmt, path):
+    """(count, 3) int64 vertex indices of a PLY face element of triangles."""
+    prop = element.properties[0] if element.properties else ()
+    if len(prop) != 3:
+        raise DataError(f"{path}: face element lacks a list property")
+    if fmt == "ascii":
+        # a missing row reads as a face of no vertices
+        rows = [handle.readline().decode("ascii", "replace").strip() or "0"
+                for _ in range(element.count)]
+        arity = _columns(path, rows, (0,), np.int64, "PLY face data")[:, 0]
+    else:
+        if not {prop[1], prop[2]} <= _PLY_DTYPES.keys():
+            raise DataError(f"{path}: unsupported PLY list types {prop[1:]}")
+        row = np.dtype([("n", "<" + _PLY_DTYPES[prop[1]]),
+                        ("index", "<" + _PLY_DTYPES[prop[2]], (3,))])
+        buf = handle.read(row.itemsize * element.count)
+        faces = np.frombuffer(buf, dtype=row, count=len(buf) // row.itemsize)
+        arity = faces["n"]
+    bad = np.flatnonzero(arity != 3)
+    if bad.size:
+        raise DataError(f"{path}: face {bad[0]} is not a triangle")
+    if fmt == "ascii":
+        return _columns(path, rows, (1, 2, 3), np.int64, "PLY face data")
+    if faces.size != element.count:
+        raise DataError(f"{path}: truncated PLY face data")
+    return faces["index"].astype(np.int64)
+
+
 def read_ply(path):
     with open(path, "rb") as handle:
         fmt, elements = _parse_ply_header(handle, path)
@@ -210,32 +238,7 @@ def read_ply(path):
                     [data["x"], data["y"], data["z"]], axis=1
                 ).astype(np.float64)
             elif element.name == "face":
-                prop = element.properties[0]
-                if len(prop) != 3:
-                    raise DataError(f"{path}: face element lacks a list property")
-                _, count_kind, item_kind = prop
-                triangles = np.empty((element.count, 3), dtype=np.int64)
-                if fmt == "ascii":
-                    for i in range(element.count):
-                        parts = handle.readline().split()
-                        if not parts or int(parts[0]) != 3:
-                            raise DataError(f"{path}: face {i} is not a triangle")
-                        triangles[i] = [int(parts[1]), int(parts[2]), int(parts[3])]
-                else:
-                    cfmt = "<" + np.dtype(_PLY_DTYPES[count_kind]).char
-                    idt = np.dtype("<" + _PLY_DTYPES[item_kind])
-                    csize = struct.calcsize(cfmt)
-                    for i in range(element.count):
-                        cbuf = handle.read(csize)
-                        if len(cbuf) != csize:
-                            raise DataError(f"{path}: truncated PLY face data")
-                        (count,) = struct.unpack(cfmt, cbuf)
-                        if count != 3:
-                            raise DataError(f"{path}: face {i} is not a triangle")
-                        ibuf = handle.read(idt.itemsize * 3)
-                        if len(ibuf) != idt.itemsize * 3:
-                            raise DataError(f"{path}: truncated PLY face data")
-                        triangles[i] = np.frombuffer(ibuf, dtype=idt)
+                triangles = _read_ply_faces(handle, element, fmt, path)
             else:
                 # skip unknown elements conservatively (ascii lines / raw guess
                 # is impossible without fixed-size rows, so refuse)

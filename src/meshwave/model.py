@@ -167,13 +167,13 @@ def build_wavelet_operators(
     ``wavelets.filter_atom_stats``; `atom_cache` is its sidecar file, or
     None to compute them."""
     keys = [int(s) for s in keys]
-    norms, _, _ = filter_atom_stats(basis, bank, keys, atom_cache)
-    responses = filter_responses(bank, basis.eigenvalues)[keys].T
+    responses = filter_responses(bank, basis.eigenvalues).T
+    norms, _, _ = filter_atom_stats(basis, bank, responses, keys, atom_cache)
     zero = np.argwhere(norms == 0.0)
     if zero.size:
         v, j = zero[0]
         raise DataError(f"wavelet column {v} of scale {keys[j]} is identically zero")
-    return WaveletOperator(basis.eigenvectors, responses, 1.0 / norms, keys)
+    return WaveletOperator(basis.eigenvectors, responses[:, keys], 1.0 / norms, keys)
 
 
 def _layer_ops(model: Model, conv_i: int, shape_ops):
@@ -342,8 +342,11 @@ def load_checkpoint(path):
         return {k[len(prefix) :]: a for k, a in arrays.items() if k.startswith(prefix)}
 
     model = _model_from_meta(meta, under("param/"), path)
+    metadata = meta.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise DataError(f"{path}: checkpoint metadata field is not a JSON object")
     opt_state = None
     if "opt/step" in arrays:
         opt_state = {"step": int(arrays["opt/step"]),
                      "m": under("opt/m/"), "v": under("opt/v/")}
-    return model, opt_state, meta.get("rng_state"), meta.get("metadata", {})
+    return model, opt_state, meta.get("rng_state"), metadata

@@ -21,9 +21,6 @@ class TrainConfig:
     weight_decay_phase1: float = 1e-4
     lr_phase2: float = 5e-4
     weight_decay_phase2: float = 5e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     margin: float = 1.0
     pairs_per_step: int = 512
     seed: int = 0
@@ -31,7 +28,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.phase1_epochs < 0 or self.phase2_epochs < 0:
             raise DataError("epoch counts must be non-negative")
-        for name in ("lr_phase1", "lr_phase2", "beta1", "beta2", "eps", "margin"):
+        for name in ("lr_phase1", "lr_phase2", "margin"):
             if getattr(self, name) <= 0:
                 raise DataError(f"{name} must be positive")
         if self.weight_decay_phase1 < 0 or self.weight_decay_phase2 < 0:
@@ -133,10 +130,7 @@ def _phase1_epoch(net, shapes, state, cfg) -> float:
         _, body_grads = model_mod.backward(net, caches, ddesc, sh.ops)
         grads.update(body_grads)
         _check_finite(loss, grads, f"phase 1, shape {sh.name!r}")
-        adam_step(
-            net.params, grads, state, cfg.lr_phase1, cfg.weight_decay_phase1,
-            cfg.beta1, cfg.beta2, cfg.eps,
-        )
+        adam_step(net.params, grads, state, cfg.lr_phase1, cfg.weight_decay_phase1)
         total += loss
     return total / len(shapes)
 
@@ -167,10 +161,7 @@ def _phase2_step(net, sa, sb, state, cfg, rng) -> float:
     _, grads_b = model_mod.backward(net, caches_b, dfull_b, sb.ops)
     grads = {k: grads_a[k] + grads_b[k] for k in grads_a}
     _check_finite(loss, grads, f"phase 2, shapes {sa.name!r}/{sb.name!r}")
-    adam_step(
-        net.params, grads, state, cfg.lr_phase2, cfg.weight_decay_phase2,
-        cfg.beta1, cfg.beta2, cfg.eps,
-    )
+    adam_step(net.params, grads, state, cfg.lr_phase2, cfg.weight_decay_phase2)
     return loss
 
 

@@ -6,6 +6,15 @@ psi[x] = a(v) * sum_j g_m(lambda_j) phi_j(v) phi_j(x); index 0 is the
 scaling-function atom.  Analysis coefficients use the A-inner product,
 so with the full basis and an exact frame, synthesis inverts analysis.
 
+Every filter K_s = Phi diag(g_s) Phi' is applied by one kernel,
+``_spectral_filter``: Phi diag(g_s) times spectral coefficients (one
+(k, d) block for all S filters or one per filter), for any rows of Phi,
+in one GEMM.  Analysis, the atom tiles, the forward conv pass, and the
+energy table and WEDS weights call it; synthesis and the backward pass
+keep their Phi'-side products.  For an A-orthonormal basis (Phi' A Phi
+= I) synthesis after analysis is Phi diag(G) Phi' A, with G = sum_s g_s^2
+the frame function of Hammond, Vandergheynst & Gribonval (ACHA 2011).
+
 Up to the positive area a(v), atom column v is column v of the symmetric
 filter K_m = Phi diag(g_m) Phi'.  WEDS needs each column's minimum and
 maximum, the conv layers its L1 norm.  ``atom_stats`` gets all three
@@ -35,12 +44,23 @@ from .spectral import project
 logger = logging.getLogger(__name__)
 
 
+def _spectral_filter(phi, responses, coeffs):
+    """(rows, S, d): Phi diag(g_s) C_s for the rows of Phi given and the S
+    filter responses (k, S), in one GEMM; coeffs is one (k, d) block C
+    shared by the filters or one (k, S, d) block per filter."""
+    if coeffs.ndim == 2:
+        coeffs = coeffs[:, None, :]
+    slab = (responses[:, :, None] * coeffs).reshape(phi.shape[1], -1)
+    return (phi @ slab).reshape(phi.shape[0], responses.shape[1], -1)
+
+
 def wavelet_coeffs(basis, bank, signal):
     """Analysis table (n_filters, n): row m holds <f, psi_{m, v}>_A."""
     sigma = project(basis, np.asarray(signal, dtype=np.float64))
-    responses = filter_responses(bank, basis.eigenvalues)
+    responses = filter_responses(bank, basis.eigenvalues).T
     # W[m, v] = a(v) * sum_j g_m(lambda_j) sigma_j phi_j(v)
-    return (responses * sigma[None, :]) @ basis.eigenvectors.T * basis.areas[None, :]
+    table = _spectral_filter(basis.eigenvectors, responses, sigma[:, None])
+    return table[:, :, 0].T * basis.areas
 
 
 def reconstruct(basis, bank, coeffs):
@@ -72,7 +92,7 @@ def atom_stats(phi, responses):
     in one GEMM.  Each tile is reduced along its rows into columns J and,
     off the diagonal, along its columns into columns I.
     """
-    n, k = phi.shape
+    n = phi.shape[0]
     n_filters = responses.shape[1]
     width = max(1, math.isqrt(_BLOCK_ENTRIES // max(1, n_filters)))
     l1 = np.zeros((n, n_filters))
@@ -80,11 +100,10 @@ def atom_stats(phi, responses):
     hi = np.full((n, n_filters), -np.inf)
     for i in range(0, n, width):
         rows = slice(i, min(i + width, n))
-        scaled = (responses[:, :, None] * phi[rows].T[:, None, :]).reshape(k, -1)
         for j in range(i, n, width):
             cols = slice(j, min(j + width, n))
             # tile[v, s, x] = K_s[x, v] = K_s[v, x] for x in rows, v in cols
-            tile = (phi[cols] @ scaled).reshape(cols.stop - j, n_filters, rows.stop - i)
+            tile = _spectral_filter(phi[cols], responses, phi[rows].T)
             sides = [(cols, tile)]
             if i != j:
                 sides.append((rows, tile.transpose(2, 1, 0)))
@@ -147,9 +166,10 @@ def _save_stats(path, keys, filters, arrays):
         logger.warning("%s: atom statistics not cached: %s", path, exc)
 
 
-def filter_atom_stats(basis, bank, filters, cache=None):
+def filter_atom_stats(basis, bank, responses, filters, cache=None):
     """atom_stats of the bank's filters with indices `filters` (repeats
-    allowed): (l1, lo, hi), column j of each for filters[j].
+    allowed): (l1, lo, hi), column j of each for filters[j].  responses
+    is the bank's (k, n_filters) table at the basis eigenvalues.
 
     With `cache`, a sidecar file path, statistics stored there for the
     same basis and bank are reused, the scales it lacks are computed and
@@ -168,8 +188,7 @@ def filter_atom_stats(basis, bank, filters, cache=None):
             have, arrays = stored
     missing = np.setdiff1d(filters, have)
     if missing.size:
-        responses = filter_responses(bank, basis.eigenvalues)[missing].T
-        new = atom_stats(basis.eigenvectors, responses)
+        new = atom_stats(basis.eigenvectors, responses[:, missing])
         have = np.concatenate([have, missing])
         order = np.argsort(have)
         have = have[order]
@@ -217,15 +236,14 @@ class WaveletOperator:
 
     def forward(self, x, weights):
         """sum_s P_s X W_s: one Phi' X, one GEMM against [W_1 ... W_S],
-        then Phi [Z_1 ... Z_S] and the R-weighted sum over scales, a block
-        of rows at a time."""
+        then Phi diag(g_s) Z_s for every s and the R-weighted sum over
+        scales, a block of rows at a time."""
         n, k = self.phi.shape
         n_out = weights[0].shape[1]
-        z = (self.phi.T @ x) @ np.hstack(weights)
-        z = (z.reshape(k, -1, n_out) * self.responses[:, :, None]).reshape(k, -1)
+        z = ((self.phi.T @ x) @ np.hstack(weights)).reshape(k, self.n_scales, n_out)
         out = np.empty((n, n_out))
-        for rows in _blocks(n, z.shape[1]):
-            u = (self.phi[rows] @ z).reshape(-1, self.n_scales, n_out)
+        for rows in _blocks(n, self.n_scales * n_out):
+            u = _spectral_filter(self.phi[rows], self.responses, z)
             out[rows] = np.einsum("ns,nsd->nd", self.normalizers[rows], u)
         return out
 

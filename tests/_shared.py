@@ -23,7 +23,7 @@ from meshwave.filters import (
 )
 from meshwave.geodesics import geodesic_multi
 from meshwave.mesh import TriMesh, cotangent_laplacian, lumped_areas
-from meshwave.spectral import SpectralBasis, eig_generalized
+from meshwave.spectral import SpectralBasis, eig_generalized, project
 from meshwave.synthetic import bent_bar, icosphere
 
 
@@ -160,6 +160,23 @@ def minmax_columns(matrix: np.ndarray) -> np.ndarray:
     if flat.any():
         out[:, flat] = 0.5
     return out
+
+
+def three_stage_energy(basis: SpectralBasis, responses, signals, power: int):
+    """Oracle for the energy table with its per-mode coupling formed
+    explicitly: analysis tables W_i, omega = sum_m g_m Phi' W_i(m), then
+    the fields Phi diag(lambda^p g_m) omega.  responses is (k, n_filters)."""
+    signals = np.asarray(signals, dtype=np.float64).reshape(basis.n_vertices, -1)
+    sigma = project(basis, signals)
+    sigma[0] = 0.0
+    phi = basis.eigenvectors
+    n, k = phi.shape
+    g = responses[:, :, None]  # (k, n_filters, 1)
+    tables = (phi @ (g * sigma[:, None, :]).reshape(k, -1)) * basis.areas[:, None]
+    omega = (g * (phi.T @ tables).reshape(g.shape[:2] + (-1,))).sum(axis=1)  # (k, d)
+    lam_pow = basis.eigenvalues ** power
+    fields = phi @ (lam_pow[:, None, None] * g * omega[:, None, :]).reshape(k, -1)
+    return (tables * fields).reshape(n, g.shape[1], -1).sum(axis=2).T
 
 
 def dense_weds(basis: SpectralBasis, bank, coords, n_dims: int, power: int = 2):

@@ -625,6 +625,26 @@ def test_infer_rejects_bad_bank_metadata(work, own_basis, tmp_path, capsys, bank
     assert not out.exists()
 
 
+@pytest.mark.parametrize("metadata, message", [
+    ({"descriptor": "x"}, "[descriptor]"),
+    ({"descriptor": {}}, "[descriptor]"),
+    ({"descriptor": dict(default_config()["descriptor"], k="12")}, "[descriptor]"),
+    ("x", "not a JSON object"),
+], ids=["string", "empty", "string-k", "metadata-string"])
+def test_infer_rejects_bad_descriptor_metadata(work, own_basis, tmp_path, capsys, metadata,
+                                               message):
+    ckpt = tmp_path / "net.npz"
+    save_checkpoint(ckpt, build_model("MGCONV8(3)+FC16", input_dim=16, seed=3),
+                    metadata=metadata)
+    out = tmp_path / "out.mwd"
+    # no -k: the checkpoint's k is the one in use
+    assert main(["infer", str(ckpt), str(work["mesh_path"]), str(work["desc_path"]),
+                 "--basis", str(own_basis), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_unwritable_atom_sidecar_leaves_the_result(work, own_basis, tmp_path, monkeypatch,
                                                    caplog):
     def refuse(path, *args, **kwargs):

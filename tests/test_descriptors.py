@@ -79,9 +79,24 @@ def test_energy_table_matches_loop_oracle():
     bank = _shared.bank_for(basis.lambda_max)
     responses = filter_responses(bank, basis.eigenvalues)
     for power in (1, 2):
-        fast = _decompose_with_responses(basis, responses, mesh.vertices, power)
+        fast = _decompose_with_responses(basis, responses.T, mesh.vertices, power)
         slow = _loop_decomposition(basis, responses, mesh.vertices, power)
         assert np.abs(fast - slow).max() <= 1e-10 * np.abs(slow).max()
+
+
+@pytest.mark.parametrize("case", ["sphere-lanczos", "bar-dense"])
+def test_energy_table_matches_three_stage_oracle(case):
+    # the frame-function coupling G sigma against the explicit Phi' A GEMM
+    if case == "sphere-lanczos":
+        basis, mesh = _shared.sphere_basis(4, 100), _shared.sphere(4)
+    else:
+        mesh = _shared.bar(0.3, nu=8, nv=4)
+        basis = _shared.basis_of(mesh, mesh.n_vertices)
+    responses = filter_responses(_shared.bank_for(basis.lambda_max), basis.eigenvalues).T
+    for power in (1, 2):
+        got = _decompose_with_responses(basis, responses, mesh.vertices, power)
+        want = _shared.three_stage_energy(basis, responses, mesh.vertices, power)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_exact_frame_conserves_energy():
@@ -93,7 +108,7 @@ def test_exact_frame_conserves_energy():
     responses = np.zeros((4, k))
     for j in range(k):
         responses[j % 4, j] = 1.0
-    eps = _decompose_with_responses(basis, responses, mesh.vertices, 1)
+    eps = _decompose_with_responses(basis, responses.T, mesh.vertices, 1)
     lap = cotangent_laplacian(mesh)
     total = dirichlet_energy(lap, mesh.vertices).sum()
     assert eps.sum() == pytest.approx(total, rel=1e-6)

@@ -159,7 +159,8 @@ def test_source_validation():
 
 def test_edge_graph_shape():
     mesh = icosphere(1)
-    indptr, indices, weights = edge_graph(mesh)
+    graph = edge_graph(mesh)
+    indptr, indices, weights = graph.indptr, graph.indices, graph.data
     assert indptr[-1] == indices.shape[0] == weights.shape[0]
     assert indptr.shape[0] == mesh.n_vertices + 1
     assert (weights > 0).all()

@@ -140,6 +140,31 @@ def test_ply_binary_truncated(tmp_path):
         read_ply(p)
 
 
+def test_ply_binary_faces_match_the_mesh(tmp_path):
+    mesh = icosphere(3)
+    p = tmp_path / "sphere.ply"
+    p.write_bytes(_binary_ply(mesh.vertices, mesh.triangles))
+    _, triangles = read_ply(p)
+    assert triangles.dtype == np.int64
+    assert triangles.tobytes() == mesh.triangles.astype(np.int64).tobytes()
+
+
+@pytest.mark.parametrize("cut, message", [
+    (0, "face 1 is not a triangle"),  # a quad as the second face
+    (9, "truncated PLY face data"),  # the quad's count survives, two indices do not
+    (25, "truncated PLY face data"),  # the second face is gone
+], ids=["quad", "quad-cut", "truncated-block"])
+def test_ply_binary_face_errors(tmp_path, cut, message):
+    vertices = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=np.float64)
+    blob = _binary_ply(vertices, [[0, 1, 2]]).replace(b"element face 1", b"element face 2")
+    blob += struct.pack("<B4i", 4, 0, 1, 3, 2)
+    p = tmp_path / "bad.ply"
+    p.write_bytes(blob[:len(blob) - cut])
+    with pytest.raises(DataError, match=message):
+        read_ply(p)
+    assert main(["descriptor", str(p)]) == 2
+
+
 def test_ply_quad_face_rejected(tmp_path):
     p = tmp_path / "quad.ply"
     p.write_text(
@@ -231,7 +256,14 @@ _PLY_HEAD = "ply\nformat ascii 1.0\nelement vertex {}\nproperty float x\n" \
     ("huge.ply", _PLY_HEAD.format(10 ** 12), "does not fit"),
     ("short_row.ply", _PLY_HEAD.format(3) + "0 0 0\n1 0\n0 1 0\n3 0 1 2\n",
      "malformed PLY vertex row"),
-], ids=["negative-off", "huge-off", "ply-count", "huge-ply", "short-ply-row"])
+    ("short_face.ply", _PLY_HEAD.format(3) + "0 0 0\n1 0 0\n0 1 0\n3 0 1\n",
+     "malformed PLY face data"),
+    ("word_face.ply", _PLY_HEAD.format(3) + "0 0 0\n1 0 0\n0 1 0\n3 0 x 2\n",
+     "malformed PLY face data"),
+    ("no_face.ply", _PLY_HEAD.format(3) + "0 0 0\n1 0 0\n0 1 0\n",
+     "face 0 is not a triangle"),
+], ids=["negative-off", "huge-off", "ply-count", "huge-ply", "short-ply-row",
+        "short-ply-face", "non-numeric-ply-face", "missing-ply-face"])
 def test_malformed_mesh_exits_2(tmp_path, capsys, name, text, message):
     p = tmp_path / name
     p.write_text(text)

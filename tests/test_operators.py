@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from meshwave import model, wavelets
+from meshwave import descriptors, filters, model, wavelets
 from meshwave.chebyshev import chebyshev_operators, spectral_max
 from meshwave.errors import DataError
 from meshwave.layers import DenseOperator
@@ -106,3 +106,21 @@ def test_default_network_operators_stay_below_dense_size(rng):
     # one dense P_s alone would take n^2 * 8 bytes
     assert _held_bytes(ops) < n * n * 8
     assert peak < n * n * 8, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_one_response_table_per_weds_and_operator_build(monkeypatch):
+    # the (k, n_filters) table is built once per call and handed down
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return filters.filter_responses(*args, **kwargs)
+
+    for module in (descriptors, model, wavelets):
+        monkeypatch.setattr(module, "filter_responses", counting)
+    basis, mesh = _shared.bar_basis(0.3, 40), _shared.bar(0.3)
+    bank = _shared.bank_for(basis.lambda_max)
+    descriptors.weds(basis, bank, mesh.vertices)
+    assert len(calls) == 1
+    model.build_wavelet_operators(basis, bank, [3, 9, 17])
+    assert len(calls) == 2

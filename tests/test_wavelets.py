@@ -74,9 +74,29 @@ def test_atom_stats_of_an_underflowing_scale_are_zero(monkeypatch):
     scales[4] = 1e3 / basis.eigenvalues[1]  # g_5 = 0 at every eigenvalue
     flat = dataclasses.replace(bank, scales=scales)
     assert not g_of(flat, 5, basis.eigenvalues).any()
-    l1, lo, hi = wavelets.filter_atom_stats(basis, flat, [5, 6])
+    responses = filter_responses(flat, basis.eigenvalues).T
+    l1, lo, hi = wavelets.filter_atom_stats(basis, flat, responses, [5, 6])
     assert not (l1[:, 0].any() or lo[:, 0].any() or hi[:, 0].any())
     assert (l1[:, 1] > 0).all() and (lo[:, 1] < hi[:, 1]).all()
+
+
+@pytest.mark.parametrize("rows", [slice(None), slice(3, 17), [29, 0, 5, 5]],
+                         ids=["all", "slice", "gather"])
+def test_spectral_filter_matches_explicit_products(rng, rows):
+    _, basis = _small_basis()
+    bank = _shared.bank_for(basis.lambda_max)
+    phi = basis.eigenvectors
+    k, scales = basis.k, [0, 3, 17, 31]
+    responses = filter_responses(bank, basis.eigenvalues)[scales].T  # (k, S)
+    shared = rng.standard_normal((k, 5))
+    per_filter = rng.standard_normal((k, len(scales), 5))
+    got_shared = wavelets._spectral_filter(phi[rows], responses, shared)
+    got_each = wavelets._spectral_filter(phi[rows], responses, per_filter)
+    assert got_shared.shape == got_each.shape == (phi[rows].shape[0], len(scales), 5)
+    for s, m in enumerate(scales):
+        kernel = phi[rows] @ np.diag(g_of(bank, m, basis.eigenvalues))  # Phi diag(g_m)
+        for got, want in ((got_shared, kernel @ shared), (got_each, kernel @ per_filter[:, s])):
+            assert np.abs(got[:, s] - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_scaling_atom_on_one_mode():
