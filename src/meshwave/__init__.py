@@ -2,7 +2,6 @@
 
 __version__ = "0.1.0"
 
-from . import _threads  # noqa: F401  (sets thread env vars before numpy loads)
 from .mesh import TriMesh, cotangent_laplacian, load_mesh, lumped_areas, validate_mesh
 
 __all__ = [

@@ -5,15 +5,20 @@ Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 numerical
 failure. Artifacts carry the content hashes of their inputs; a cached file
 whose hash no longer matches its input is refused, never silently reused.
 
+`--config` files set the [pipeline], [descriptor], [model] and [train]
+sections of ``config.SCHEMA``. The filter bank has no settings: every
+command builds the stock bank (``filters.STOCK``) on the basis in use, and
+`infer` refuses a checkpoint that records any other [bank].
+
 `descriptor --basis B` and `infer --basis B` also keep the wavelet atom
 column statistics (L1 norms, minima, maxima; one symmetric tile sweep per
 scale set, see ``wavelets.atom_stats``) in the sidecar B.atoms.npz. It is
 keyed by the SHA-256 of the eigenvalues, eigenvectors and areas of the
 basis in use (after truncation to -k) and the filter bank's hash: scales
 stored under the same key are reused, missing ones are computed and merged
-in, and a sidecar under another key (a rebuilt basis that differs, another
-bank) is recomputed and replaced, so `basis --force` leaves it alone. A
-sidecar that fails its checks exits 2.
+in, and a sidecar under another key (a rebuilt basis that differs) is
+recomputed and replaced, so `basis --force` leaves it alone. A sidecar that
+fails its checks exits 2.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from .evaluation import (
     report_summary_text,
     write_correspondence,
 )
-from .filters import build_filter_bank
+from .filters import STOCK, build_filter_bank
 from .mesh import cotangent_laplacian, load_mesh, lumped_areas
 from .meshio import write_ply
 from .model import (
@@ -105,25 +110,22 @@ def _atom_cache(basis_path):
     return None if basis_path is None else f"{basis_path}.atoms.npz"
 
 
-def _bank(basis, settings):
-    """The filter bank of a [bank] section's settings for a basis."""
-    return build_filter_bank(basis.lambda_max, eigenvalues=basis.eigenvalues,
-                             **settings)
+def _bank(basis):
+    return build_filter_bank(basis.lambda_max, eigenvalues=basis.eigenvalues)
 
 
-def _shape_operators(kind, mesh, basis, bank_settings, keys, atom_cache=None):
+def _shape_operators(kind, mesh, basis, keys, atom_cache=None):
     """A network's per-shape operators for its scale (or order) keys."""
     if kind == "chebyshev":
         lap = cotangent_laplacian(mesh)
         areas = lumped_areas(mesh)
         return chebyshev_operators(lap, areas, spectral_max(lap, areas), max(keys) + 1)
-    return build_wavelet_operators(basis, _bank(basis, bank_settings), keys, atom_cache)
+    return build_wavelet_operators(basis, _bank(basis), keys, atom_cache)
 
 
-def _descriptor_field(mesh, basis, cfg, kind: str, num: int, power: int,
-                      atom_cache=None):
+def _descriptor_field(mesh, basis, kind: str, num: int, power: int, atom_cache=None):
     if kind == "weds":
-        return weds(basis, _bank(basis, cfg["bank"]), mesh.vertices, n_dims=num,
+        return weds(basis, _bank(basis), mesh.vertices, n_dims=num,
                     power=power, atom_cache=atom_cache)
     if kind == "hks":
         return hks(basis, n_times=num)
@@ -144,20 +146,6 @@ def _check_desc_mesh(desc, mesh, what: str):
             f"{what}: descriptor rows ({desc.n_vertices}) do not match "
             f"mesh vertices ({mesh.n_vertices})"
         )
-
-
-def _read_comment_meta(path) -> dict:
-    meta = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line.startswith("#"):
-                continue
-            body = line[1:].strip()
-            if "=" in body:
-                key, _, val = body.partition("=")
-                meta[key.strip()] = val.strip()
-    return meta
 
 
 # ---------------------------------------------------------------- commands
@@ -194,8 +182,7 @@ def _cmd_descriptor(args, cfg):
     k = args.k if args.k is not None else cfg["descriptor"]["k"]
     power = args.power if args.power is not None else cfg["descriptor"]["power"]
     basis = _basis_for(mesh, k, args.basis)
-    field = _descriptor_field(mesh, basis, cfg, kind, num, power,
-                              _atom_cache(args.basis))
+    field = _descriptor_field(mesh, basis, kind, num, power, _atom_cache(args.basis))
     field.metadata["mesh_hash"] = mesh.content_hash()
     out = Path(args.out) if args.out else Path(f"{args.mesh}.{kind}.mwd")
     save_descriptors(out, field)
@@ -225,13 +212,8 @@ def _cmd_match(args, cfg):
 
 def _cmd_eval(args, cfg):
     target = load_mesh(args.target_mesh)
-    meta = _read_comment_meta(args.correspondence)
-    if "target_mesh" in meta and meta["target_mesh"] != target.content_hash():
-        raise DataError(
-            f"{args.correspondence}: correspondence targets a different mesh "
-            "(content hash mismatch); refusing stale artifact"
-        )
-    pred = read_correspondence(args.correspondence, n_target=target.n_vertices)
+    pred = read_correspondence(args.correspondence, n_target=target.n_vertices,
+                               expect_target_hash=target.content_hash())
     direct = read_correspondence(args.gt, n_target=target.n_vertices)
     symmetric = None
     if args.gt_symmetric:
@@ -272,12 +254,12 @@ def _load_training_shapes(cfg, kind, paths, corr_paths):
     for i, path in enumerate(paths):
         mesh = load_mesh(path)
         basis = _compute_basis(mesh, k)
-        field = _descriptor_field(mesh, basis, cfg, dtype, num, power)
+        field = _descriptor_field(mesh, basis, dtype, num, power)
         if corr_paths:
             labels = read_correspondence(corr_paths[i])
         else:
             labels = np.arange(mesh.n_vertices, dtype=np.int64)
-        ops = _shape_operators(kind, mesh, basis, cfg["bank"], needed)
+        ops = _shape_operators(kind, mesh, basis, needed)
         shapes.append(ShapeData(field.values, labels, ops, name=str(path)))
         hashes.append(mesh.content_hash())
     return shapes, hashes
@@ -311,7 +293,6 @@ def _cmd_train(args, cfg):
     out.parent.mkdir(parents=True, exist_ok=True)
     metadata = {
         "descriptor": cfg["descriptor"],
-        "bank": cfg["bank"],
         "train_meshes": [str(p) for p in paths],
         "mesh_hashes": hashes,
         "history": history,
@@ -343,9 +324,12 @@ def _cmd_infer(args, cfg):
     source = f"{args.checkpoint} metadata"
     desc_cfg = check_section("descriptor", meta.get("descriptor", cfg["descriptor"]), source)
     k = args.k if args.k is not None else desc_cfg["k"]
-    bank = check_section("bank", meta.get("bank", cfg["bank"]), source)
+    # older checkpoints record the bank's constants; only the stock bank exists
+    if meta.get("bank", STOCK) != STOCK:
+        raise DataError(f"{source}: [bank] must be absent or the stock {STOCK}, "
+                        f"got {meta['bank']!r}")
     basis = _basis_for(mesh, k, args.basis)
-    ops = _shape_operators(net.kind, mesh, basis, bank, required_operator_keys(net),
+    ops = _shape_operators(net.kind, mesh, basis, required_operator_keys(net),
                            _atom_cache(args.basis))
     out_values, _ = model_forward(net, field.values, ops)
     learned = dataclasses.replace(

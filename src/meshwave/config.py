@@ -10,7 +10,6 @@ from __future__ import annotations
 import copy
 import dataclasses
 
-from . import filters
 from .errors import DataError
 from .model import DEFAULT_ARCHITECTURE
 from .training import TrainConfig
@@ -28,14 +27,6 @@ SCHEMA = {
         "k": (int, 100),
         "num": (int, 128),
         "power": (int, 2),
-    },
-    "bank": {  # keys are build_filter_bank's parameter names
-        "n_scales": (int, filters.DEFAULT_NUM_SCALES),
-        "amplitude": (float, filters.DEFAULT_AMPLITUDE),
-        "scaling_amplitude": (float, filters.DEFAULT_SCALING_AMPLITUDE),
-        "scaling_decay": (float, filters.DEFAULT_SCALING_DECAY),
-        "span_coarse": (float, filters.DEFAULT_SPAN_COARSE),
-        "span_fine": (float, filters.DEFAULT_SPAN_FINE),
     },
     "model": {
         "architecture": (str, DEFAULT_ARCHITECTURE),

@@ -42,8 +42,6 @@ _ETA = float(np.finfo(np.float64).smallest_subnormal)
 @dataclass(frozen=True)
 class CorrespondenceMap:
     indices: np.ndarray  # per-source-vertex target index
-    source_hash: str = ""
-    target_hash: str = ""
 
     def __post_init__(self):
         idx = np.ascontiguousarray(self.indices, dtype=np.int64)
@@ -87,19 +85,36 @@ class EvalReport:
     extra: dict = field(default_factory=dict)
 
 
-def read_correspondence(path, n_target: Optional[int] = None) -> np.ndarray:
-    """One 0-based target index per line; '#' lines are comments."""
+def read_correspondence(path, n_target: Optional[int] = None,
+                        expect_target_hash: Optional[str] = None) -> np.ndarray:
+    """One 0-based target index per line; '#' lines are comments, and a
+    '# target_mesh = HASH' comment (as `match` writes) must equal
+    expect_target_hash when that is given."""
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                val = int(line)
-            except ValueError:
-                raise DataError(f"{path}:{ln}: not an integer: {line!r}") from None
-            out.append(val)
+    target_hash = None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for ln, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if line.startswith("#"):
+                    key, eq, val = line[1:].partition("=")
+                    if eq and key.strip() == "target_mesh":
+                        target_hash = val.strip()
+                    continue
+                if not line:
+                    continue
+                try:
+                    val = int(line)
+                except ValueError:
+                    raise DataError(f"{path}:{ln}: not an integer: {line!r}") from None
+                out.append(val)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read correspondence {path}: {exc}") from None
+    if expect_target_hash is not None and target_hash not in (None, expect_target_hash):
+        raise DataError(
+            f"{path}: correspondence targets a different mesh "
+            "(content hash mismatch); refusing stale artifact"
+        )
     idx = np.asarray(out, dtype=np.int64)
     if idx.size == 0:
         raise DataError(f"{path}: no indices found")

@@ -3,9 +3,10 @@
 The bank holds one low-pass scaling filter h and K band-pass wavelet
 filters g(t_m *), with log-spaced scales t_m chosen so the coarsest
 wavelet peaks near the bottom of the spectrum and the finest beyond the
-top.  The squared responses sum to 1 within a checked tolerance; the
-stock constants achieve 0.0093 regardless of lambda_max (responses
-depend on lambda / lambda_max only).
+top.  The squared responses sum to 1 within FRAME_TOL.  The constants
+are fixed (STOCK): responses depend on lambda / lambda_max only, so one
+set serves every mesh, and it is a narrow optimum (a 1% change to most
+constants breaks the tolerance).
 """
 
 from __future__ import annotations
@@ -17,12 +18,14 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 
-DEFAULT_AMPLITUDE = 0.443  # peak value of each wavelet filter
-DEFAULT_SCALING_AMPLITUDE = 1.004  # h(0)
-DEFAULT_SCALING_DECAY = 38.462  # cubic-exponential decay rate of h
-DEFAULT_SPAN_COARSE = 46.0  # t_1 * lambda_max
-DEFAULT_SPAN_FINE = 0.2  # t_K * lambda_max
-DEFAULT_NUM_SCALES = 31
+STOCK = {
+    "n_scales": 31,  # K; select_scales assumes K + 1 = 32 filters
+    "amplitude": 0.443,  # peak value of each wavelet filter
+    "scaling_amplitude": 1.004,  # h(0)
+    "scaling_decay": 38.462,  # cubic-exponential decay rate of h
+    "span_coarse": 46.0,  # t_1 * lambda_max
+    "span_fine": 0.2,  # t_K * lambda_max
+}
 FRAME_TOL = 0.01
 _RESIDUAL_GRID = 256
 
@@ -96,43 +99,20 @@ def frame_residual(bank, eigenvalues=None):
     return float(dev[worst]), float(grid[worst])
 
 
-def _make_scales(lambda_max, n_scales, span_coarse, span_fine):
-    return np.exp(
-        np.linspace(
-            np.log(span_coarse / lambda_max), np.log(span_fine / lambda_max), n_scales
-        )
-    )
-
-
-def build_filter_bank(
-    lambda_max,
-    n_scales=DEFAULT_NUM_SCALES,
-    amplitude=DEFAULT_AMPLITUDE,
-    scaling_amplitude=DEFAULT_SCALING_AMPLITUDE,
-    scaling_decay=DEFAULT_SCALING_DECAY,
-    span_coarse=DEFAULT_SPAN_COARSE,
-    span_fine=DEFAULT_SPAN_FINE,
-    eigenvalues=None,
-    tol=FRAME_TOL,
-):
-    """Construct and validate a bank; raises if the frame misses `tol`."""
+def build_filter_bank(lambda_max, eigenvalues=None):
+    """The stock bank on [0, lambda_max]; raises NumericalError if its
+    frame misses FRAME_TOL on the grid plus the given eigenvalues."""
     if lambda_max <= 0:
         raise DataError(f"lambda_max must be positive, got {lambda_max}")
-    if n_scales < 1:
-        raise DataError("need at least one wavelet scale")
-    bank = FilterBank(
-        lambda_max=float(lambda_max),
-        scales=_make_scales(lambda_max, n_scales, span_coarse, span_fine),
-        amplitude=amplitude,
-        scaling_amplitude=scaling_amplitude,
-        scaling_decay=scaling_decay,
-        span_coarse=span_coarse,
-        span_fine=span_fine,
-    )
+    constants = dict(STOCK)
+    n_scales = constants.pop("n_scales")
+    scales = np.exp(np.linspace(np.log(constants["span_coarse"] / lambda_max),
+                                np.log(constants["span_fine"] / lambda_max), n_scales))
+    bank = FilterBank(float(lambda_max), scales, **constants)
     dev, where = frame_residual(bank, eigenvalues)
-    if not dev <= tol:  # a NaN setting gives a NaN residual
+    if not dev <= FRAME_TOL:  # a NaN lambda_max gives a NaN residual
         raise NumericalError(
-            f"filter bank is not a tight enough frame: |G-1| = {dev:.4f} > {tol}"
+            f"filter bank is not a tight enough frame: |G-1| = {dev:.4f} > {FRAME_TOL}"
             f" at lambda = {where:.6g}"
         )
     return replace(bank, residual=dev)
@@ -153,29 +133,9 @@ def select_scales(n_dims):
     return pts[1:-1]
 
 
-_SERIAL_FIELDS = (
-    "lambda_max",
-    "n_scales",
-    "amplitude",
-    "scaling_amplitude",
-    "scaling_decay",
-    "span_coarse",
-    "span_fine",
-)
-
-
 def serialize_bank(bank):
-    """Key-value text block capturing everything needed to rebuild."""
-    values = {
-        "lambda_max": bank.lambda_max,
-        "n_scales": bank.n_scales,
-        "amplitude": bank.amplitude,
-        "scaling_amplitude": bank.scaling_amplitude,
-        "scaling_decay": bank.scaling_decay,
-        "span_coarse": bank.span_coarse,
-        "span_fine": bank.span_fine,
-    }
-    lines = [f"{key} = {values[key]:.17g}" for key in _SERIAL_FIELDS]
+    """Key-value text block: lambda_max and the STOCK keys, at full precision."""
+    lines = [f"{key} = {getattr(bank, key):.17g}" for key in ("lambda_max", *STOCK)]
     return "\n".join(lines) + "\n"
 
 

@@ -130,6 +130,11 @@ class _PlyElement:
         self.properties = []  # (name, dtype) or (name, count_dtype, item_dtype)
 
 
+# tokens on each PLY header line, keyword included
+_PLY_HEADER_TOKENS = {"format": 3, "element": 3, "property": 3, "property list": 5,
+                      "end_header": 1}
+
+
 def _parse_ply_header(handle, path):
     magic = handle.readline().strip()
     if magic != b"ply":
@@ -144,26 +149,28 @@ def _parse_ply_header(handle, path):
         if not line or line.startswith("comment") or line.startswith("obj_info"):
             continue
         parts = line.split()
-        if parts[0] == "format":
+        keyword = "property list" if parts[:2] == ["property", "list"] else parts[0]
+        if keyword not in _PLY_HEADER_TOKENS:
+            raise DataError(f"{path}: unrecognized PLY header line {line!r}")
+        if len(parts) != _PLY_HEADER_TOKENS[keyword]:
+            raise DataError(f"{path}: malformed PLY line {line!r}")
+        if keyword == "format":
             fmt = parts[1]
-        elif parts[0] == "element":
+        elif keyword == "element":
             try:
                 elements.append(_PlyElement(parts[1], int(parts[2])))
-            except (IndexError, ValueError):
+            except ValueError:
                 raise DataError(f"{path}: malformed PLY line {line!r}") from None
             if not 0 <= elements[-1].count <= os.fstat(handle.fileno()).st_size:
                 raise DataError(f"{path}: PLY element count does not fit the file")
-        elif parts[0] == "property":
-            if not elements:
-                raise DataError(f"{path}: property before element in PLY header")
-            if parts[1] == "list":
-                elements[-1].properties.append((parts[4], parts[2], parts[3]))
-            else:
-                elements[-1].properties.append((parts[2], parts[1]))
-        elif parts[0] == "end_header":
+        elif keyword == "end_header":
             break
+        elif not elements:
+            raise DataError(f"{path}: property before element in PLY header")
+        elif keyword == "property list":
+            elements[-1].properties.append((parts[4], parts[2], parts[3]))
         else:
-            raise DataError(f"{path}: unrecognized PLY header line {line!r}")
+            elements[-1].properties.append((parts[2], parts[1]))
     if fmt not in ("ascii", "binary_little_endian"):
         raise DataError(f"{path}: unsupported PLY format {fmt!r}")
     return fmt, elements

@@ -66,12 +66,16 @@ def _fix_signs(vectors):
     return vectors * signs
 
 
+def _ortho_error(a_vecs, vecs):
+    """max |Phi' A Phi - I| from A Phi and Phi."""
+    return np.abs(a_vecs.T @ vecs - np.eye(vecs.shape[1])).max()
+
+
 def _verify(laplacian, areas, vals, vecs):
-    gram = (vecs * areas[:, None]).T @ vecs
-    ortho_err = np.abs(gram - np.eye(len(vals))).max()
+    a_vecs = vecs * areas[:, None]
+    ortho_err = _ortho_error(a_vecs, vecs)
     if ortho_err > _ORTHO_TOL:
         raise NumericalError(f"basis not A-orthonormal: max deviation {ortho_err:.3e}")
-    a_vecs = vecs * areas[:, None]
     resid = laplacian @ vecs - a_vecs * vals[None, :]
     rel = np.linalg.norm(resid, axis=0) / np.linalg.norm(a_vecs, axis=0)
     if rel.max() > _RESIDUAL_REL:
@@ -163,6 +167,10 @@ def load_basis(path, expect_mesh_hash=None):
         raise DataError(f"{path}: inconsistent basis cache: need finite eigenvalues (k,) "
                         "ascending from 0, eigenvectors (n, k) and positive areas (n,); "
                         f"got {vals.shape}, {vecs.shape}, {areas.shape}")
+    ortho_err = _ortho_error(vecs * areas[:, None], vecs)
+    if ortho_err > _ORTHO_TOL:
+        raise DataError(f"{path}: inconsistent basis cache: eigenvectors not "
+                        f"A-orthonormal (max deviation {ortho_err:.3e})")
     if expect_mesh_hash is not None and basis.mesh_hash != expect_mesh_hash:
         raise DataError(
             f"{path}: stale basis cache (mesh content hash mismatch); "

@@ -2,10 +2,11 @@
 
 The bent bar is a tapered strip with an asymmetric height ripple (both
 parametric mirror symmetries are broken, so nearest-neighbor matching
-has a unique answer), bent around a cylinder of curvature kappa.  Two
-nested tessellations are provided: B triples the u-resolution of A and
-keeps every A vertex, which makes exact cross-resolution ground truth
-possible.
+has a unique answer), bent around a cylinder of curvature kappa, on an
+nu-by-nv parameter grid.  Poses of one grid share vertex order, so the
+identity map is their exact ground truth.  ``midpoint_refine`` splits a
+mesh 1:4 and keeps every vertex index, which gives cross-resolution
+ground truth.
 """
 
 from __future__ import annotations

@@ -18,9 +18,9 @@ from meshwave.descriptors import DescriptorField, load_descriptors, save_descrip
 from meshwave.errors import DataError, MeshwaveError, NumericalError, UsageError
 from meshwave.evaluation import read_correspondence, write_correspondence
 from meshwave.meshio import write_ply
-from meshwave.filters import build_filter_bank
+from meshwave.filters import STOCK, build_filter_bank, filter_responses
 from meshwave.model import build_model, load_checkpoint, required_operator_keys, save_checkpoint
-from meshwave.spectral import load_basis
+from meshwave.spectral import load_basis, save_basis
 
 import _shared
 
@@ -32,7 +32,7 @@ def test_default_config_values():
     cfg = default_config()
     assert cfg["descriptor"]["type"] == "weds"
     assert cfg["descriptor"]["k"] == 100
-    assert cfg["bank"]["n_scales"] == 31
+    assert "bank" not in cfg  # the filter bank has no settings
     assert cfg["train"]["meshes"] == []
 
 
@@ -40,7 +40,7 @@ def test_config_round_trip_is_lossless():
     cfg = default_config()
     cfg["pipeline"]["seed"] = 42
     cfg["train"]["lr_phase1"] = 1.0 / 3.0
-    cfg["bank"]["span_fine"] = 0.1 + 0.2
+    cfg["train"]["margin"] = 0.1 + 0.2
     cfg["train"]["meshes"] = ["a.obj", "b.obj"]
     assert parse_config(format_config(cfg)) == cfg
 
@@ -78,6 +78,17 @@ def test_config_errors_carry_source_and_line():
         assert "pipe.cfg:" in str(err.value)
     with pytest.raises(DataError, match="pipe.cfg:2"):
         parse_config("[descriptor]\nwhat = 1", source="pipe.cfg")
+
+
+def test_bank_section_exits_2(work, tmp_path, capsys):
+    # the filter bank has no settings, so [bank] is an unknown section
+    cfg = tmp_path / "bank.cfg"
+    cfg.write_text("[bank]\nn_scales = 31\n")
+    out = tmp_path / "d.mwd"
+    assert main(["descriptor", str(work["mesh_path"]), "--num", "16", "-k", "12",
+                 "--config", str(cfg), "-o", str(out)]) == 2
+    assert "unknown section [bank]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_load_config_missing_file(tmp_path):
@@ -272,6 +283,17 @@ def test_eval_stale_correspondence(work, tmp_path, capsys):
     rc = main(["eval", str(corr), str(gt_path), str(work["mesh_path"])])
     assert rc == 2
     assert "different mesh" in capsys.readouterr().err
+
+
+def test_descriptor_rejects_non_orthonormal_basis(work, tmp_path, capsys):
+    basis = load_basis(work["basis_path"])
+    bad = tmp_path / "scaled.npz"
+    save_basis(bad, dataclasses.replace(basis, eigenvectors=basis.eigenvectors * 1.001))
+    out = tmp_path / "d.mwd"
+    assert main(["descriptor", str(work["mesh_path"]), "-k", "12", "--basis", str(bad),
+                 "-o", str(out)]) == 2
+    assert "not A-orthonormal" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_dissimilarity_colors(work, tmp_path):
@@ -488,20 +510,24 @@ def test_atom_sidecar_warm_infer_matches_cold(work, own_basis, tmp_path):
 @pytest.mark.parametrize("change", ["basis", "bank"])
 def test_atom_sidecar_is_recomputed_for_another_basis_or_bank(work, own_basis, tmp_path,
                                                                change):
-    assert _descriptor(work, own_basis, tmp_path / "first.mwd") == 0
     sidecar = _sidecar(own_basis)
-    with np.load(sidecar) as data:
-        keys = bytes(data["basis_hash"]), bytes(data["bank_hash"])
     if change == "basis":  # more pairs: the basis in use changes, its path does not
+        assert _descriptor(work, own_basis, tmp_path / "first.mwd") == 0
         stamp = _stamp(sidecar)
         assert main(["basis", str(work["mesh_path"]), "-k", "14", "-o", str(own_basis),
                      "--force"]) == 0
         assert _stamp(sidecar) == stamp  # basis --force leaves the sidecar alone
         extra = ["-k", "14"]
-    else:  # another scale ladder
-        cfg = tmp_path / "bank.cfg"
-        cfg.write_text("[bank]\nspan_fine = 0.201\n")
-        extra = ["--config", str(cfg)]
+    else:  # the same basis, stored by a library caller under a detuned bank
+        basis = load_basis(own_basis)
+        bank = dataclasses.replace(
+            build_filter_bank(basis.lambda_max, eigenvalues=basis.eigenvalues),
+            amplitude=0.46)
+        wavelets.filter_atom_stats(basis, bank, filter_responses(bank, basis.eigenvalues).T,
+                                   [24, 16, 8], cache=sidecar)
+        extra = []
+    with np.load(sidecar) as data:
+        keys = bytes(data["basis_hash"]), bytes(data["bank_hash"])
     fresh = tmp_path / "fresh" / own_basis.name
     fresh.parent.mkdir()
     fresh.write_bytes(own_basis.read_bytes())
@@ -612,8 +638,9 @@ def test_unreadable_npz_exits_2(work, own_basis, tmp_path, capsys, command, how)
 @pytest.mark.parametrize("bank", [
     {},
     "x",
-    dict(default_config()["bank"], n_scales="31"),
-], ids=["empty", "string", "string-n_scales"])
+    dict(STOCK, n_scales="31"),
+    dict(STOCK, span_fine=0.201),
+], ids=["empty", "string", "string-n_scales", "other-span_fine"])
 def test_infer_rejects_bad_bank_metadata(work, own_basis, tmp_path, capsys, bank):
     ckpt = tmp_path / "net.npz"
     save_checkpoint(ckpt, build_model("MGCONV8(3)+FC16", input_dim=16, seed=3),
@@ -623,6 +650,19 @@ def test_infer_rejects_bad_bank_metadata(work, own_basis, tmp_path, capsys, bank
     err = capsys.readouterr().err
     assert "[bank]" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_infer_accepts_stock_bank_metadata(work, own_basis, tmp_path):
+    # checkpoints written before the bank lost its settings record the stock one
+    net = build_model("MGCONV8(3)+FC16", input_dim=16, seed=3)
+    outs = []
+    for name, metadata in (("none", None), ("stock", {"bank": dict(STOCK)})):
+        ckpt = tmp_path / f"{name}.npz"
+        save_checkpoint(ckpt, net, metadata=metadata)
+        out = tmp_path / f"{name}.mwd"
+        assert _infer(work, ckpt, own_basis, out) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("metadata, message", [

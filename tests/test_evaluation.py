@@ -259,6 +259,19 @@ def test_correspondence_file_errors(tmp_path):
     s.write_text("# only comments\n")
     with pytest.raises(DataError, match="no indices"):
         read_correspondence(s)
+    with pytest.raises(DataError, match="cannot read correspondence"):
+        read_correspondence(tmp_path / "missing.txt")
+
+
+def test_correspondence_target_hash(tmp_path):
+    p = tmp_path / "map.txt"
+    write_correspondence(p, [1, 0], comment="source_mesh = aa\ntarget_mesh = bb")
+    assert read_correspondence(p, expect_target_hash="bb").tolist() == [1, 0]
+    with pytest.raises(DataError, match="different mesh"):
+        read_correspondence(p, expect_target_hash="aa")
+    # a file without the comment (hand-written ground truth) carries no claim
+    write_correspondence(p, [1, 0])
+    assert read_correspondence(p, expect_target_hash="aa").tolist() == [1, 0]
 
 
 def _adversarial_pairs(seed):

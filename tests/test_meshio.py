@@ -262,8 +262,15 @@ _PLY_HEAD = "ply\nformat ascii 1.0\nelement vertex {}\nproperty float x\n" \
      "malformed PLY face data"),
     ("no_face.ply", _PLY_HEAD.format(3) + "0 0 0\n1 0 0\n0 1 0\n",
      "face 0 is not a triangle"),
+    ("short_list.ply", _PLY_HEAD.format(3).replace("uchar int vertex_indices", "uchar"),
+     "malformed PLY line"),
+    ("bare_format.ply", _PLY_HEAD.format(3).replace("format ascii 1.0", "format"),
+     "malformed PLY line"),
+    ("unnamed.ply", _PLY_HEAD.format(3).replace("float z", "double"),
+     "malformed PLY line"),
 ], ids=["negative-off", "huge-off", "ply-count", "huge-ply", "short-ply-row",
-        "short-ply-face", "non-numeric-ply-face", "missing-ply-face"])
+        "short-ply-face", "non-numeric-ply-face", "missing-ply-face", "short-ply-list",
+        "bare-ply-format", "unnamed-ply-property"])
 def test_malformed_mesh_exits_2(tmp_path, capsys, name, text, message):
     p = tmp_path / name
     p.write_text(text)

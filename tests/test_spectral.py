@@ -202,8 +202,9 @@ def _zero_area(areas):
     dict(eigenvalues=lambda b: b.eigenvalues[None, :]),
     dict(eigenvectors=lambda b: np.where(b.eigenvectors > 0.5, np.nan, b.eigenvectors)),
     dict(eigenvectors=lambda b: b.eigenvectors.astype(np.int64)),
+    dict(eigenvectors=lambda b: b.eigenvectors * 1.001),  # Gram deviation 2e-3
 ], ids=["mismatched-shapes", "zero-area", "short-areas", "descending", "no-zero-mode",
-        "2d-eigenvalues", "nan-eigenvector", "integer-eigenvectors"])
+        "2d-eigenvalues", "nan-eigenvector", "integer-eigenvectors", "scaled-eigenvectors"])
 def test_load_rejects_inconsistent_cache(tmp_path, override):
     basis = _shared.bar_basis(0.3, 8)
     arrays = _cache_arrays(basis)
