@@ -1,5 +1,5 @@
 """Artifact file access: atomic writes (a new file beside the target, then
-os.replace) and .npz reads whose every failure is a DataError."""
+os.replace) and reads whose file-system failures are DataErrors."""
 
 from __future__ import annotations
 
@@ -19,18 +19,37 @@ def atomic_write(path, mode: str = "wb", **kwargs):
     When the block ends normally the file replaces `path` in one
     `os.replace`, so a reader sees either the old file or the whole new
     one. When the block raises, the new file is removed and `path` is left
-    as it was. `mode` and `kwargs` go to `open` ("w" becomes "x").
+    as it was. `mode` and `kwargs` go to `open` ("w" becomes "x"). An
+    OSError from creating the new file or from the replace (a missing
+    directory, a file in its place, no permission) raises DataError; one
+    from the block itself propagates unchanged.
     """
     path = os.fspath(path)
     tmp = f"{path}.{os.urandom(6).hex()}.tmp"
     try:
-        with open(tmp, mode.replace("w", "x"), **kwargs) as handle:
+        handle = open(tmp, mode.replace("w", "x"), **kwargs)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    try:
+        with handle:
             yield handle
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def open_read(path, what: str, mode: str = "rb", **kwargs):
+    """`open(path, mode, **kwargs)` for reading; an OSError (a missing file,
+    a directory, no permission) raises DataError naming `what`."""
+    try:
+        return open(path, mode, **kwargs)
+    except OSError as exc:
+        raise DataError(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
 
 
 @contextlib.contextmanager

@@ -14,6 +14,7 @@ from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
 from .errors import DataError, NumericalError
+from .spectral import standard_form
 
 _DENSE_LIMIT = 320
 
@@ -26,9 +27,7 @@ def spectral_max(laplacian, areas) -> float:
     [-1, 1] where T_m grows exponentially.
     """
     areas = np.asarray(areas, dtype=np.float64)
-    inv_sqrt = 1.0 / np.sqrt(areas)
-    sym = sparse.csr_matrix(laplacian).multiply(inv_sqrt[:, None]).multiply(
-        inv_sqrt[None, :])
+    sym = standard_form(laplacian, areas)[0]
     n = areas.shape[0]
     if n <= _DENSE_LIMIT:
         top = float(np.linalg.eigvalsh(sym.toarray())[-1])

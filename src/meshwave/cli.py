@@ -211,6 +211,10 @@ def _cmd_match(args, cfg):
 
 
 def _cmd_eval(args, cfg):
+    if args.n_radii < 1:
+        raise UsageError(f"--n-radii must be at least 1, got {args.n_radii}")
+    if not 0.0 <= args.max_radius < np.inf:
+        raise UsageError(f"--max-radius must be finite and >= 0, got {args.max_radius}")
     target = load_mesh(args.target_mesh)
     pred = read_correspondence(args.correspondence, n_target=target.n_vertices,
                                expect_target_hash=target.content_hash())

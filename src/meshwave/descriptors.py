@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._files import atomic_write
+from ._files import atomic_write, open_read
 from .errors import DataError
 from .filters import bank_hash, filter_responses, select_scales
 from .spectral import project
@@ -201,7 +201,7 @@ def save_descriptors(path, descriptor_field):
 
 
 def load_descriptors(path):
-    with open(path, "rb") as handle:
+    with open_read(path, "descriptor file") as handle:
         if handle.read(4) != _MAGIC:
             raise DataError(f"{path}: not a descriptor file")
         try:

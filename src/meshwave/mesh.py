@@ -115,12 +115,13 @@ def load_mesh(path, validate=True):
 def lumped_areas(mesh):
     """Barycentric vertex areas: one third of each incident triangle.
 
-    Entries are strictly positive and sum to the total surface area.
+    Entries are finite, strictly positive and sum to the total surface area.
     """
     _, tri_areas = _kernels.triangle_geometry(mesh.vertices, mesh.triangles)
     areas = _kernels.vertex_areas(mesh.triangles, tri_areas, mesh.n_vertices)
-    if (areas <= 0).any():
-        raise MeshError("vertex with non-positive lumped area")
+    if not (np.isfinite(areas) & (areas > 0)).all():
+        raise MeshError("vertex with non-finite or non-positive lumped area "
+                        "(coordinates too large?)")
     total = tri_areas.sum()
     if abs(areas.sum() - total) > _MASS_REL_TOL * total:
         raise MeshError("lumped areas do not sum to the surface area")
@@ -149,6 +150,8 @@ def cotangent_laplacian(mesh):
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n),
     ).tocsr()
+    if not np.isfinite(lap.data).all():
+        raise MeshError("non-finite Laplacian entry (coordinates too large?)")
     asym = abs(lap - lap.T)
     if asym.nnz and asym.max() > 0:
         raise MeshError("Laplacian assembly lost symmetry")

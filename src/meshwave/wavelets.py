@@ -162,7 +162,7 @@ def _save_stats(path, keys, filters, arrays):
             np.savez(handle, version=np.int64(_STATS_VERSION),
                      basis_hash=np.bytes_(keys[0]), bank_hash=np.bytes_(keys[1]),
                      filters=filters, **dict(zip(_STATS, arrays)))
-    except OSError as exc:  # the statistics are a cache: the result stands
+    except (OSError, DataError) as exc:  # the statistics are a cache: the result stands
         logger.warning("%s: atom statistics not cached: %s", path, exc)
 
 

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from meshwave import __version__, wavelets
+from meshwave import __version__, _files, cli, wavelets
 from meshwave.cli import main
 from meshwave.config import (
     default_config,
@@ -21,6 +21,7 @@ from meshwave.meshio import write_ply
 from meshwave.filters import STOCK, build_filter_bank, filter_responses
 from meshwave.model import build_model, load_checkpoint, required_operator_keys, save_checkpoint
 from meshwave.spectral import load_basis, save_basis
+from meshwave.synthetic import bent_bar
 
 import _shared
 
@@ -450,6 +451,71 @@ def test_match_and_eval_reject_non_finite_descriptors(work, tmp_path, capsys):
     assert not (tmp_path / "report.summary.txt").exists()
 
 
+@pytest.mark.parametrize("scale", [1e150, 1e200])  # inf areas; then NaN weights too
+@pytest.mark.parametrize("grid", [(12, 6), (30, 20)], ids=["dense", "lanczos"])
+def test_non_finite_geometry_exits_2_before_any_solver(tmp_path, capsys, monkeypatch,
+                                                       grid, scale):
+    def no_solver(*args, **kwargs):
+        raise AssertionError("the eigensolver ran")
+
+    monkeypatch.setattr(cli, "eig_generalized", no_solver)
+    mesh = bent_bar(0.3, *grid)
+    path = tmp_path / "huge.ply"
+    write_ply(path, mesh.vertices * scale, mesh.triangles)
+    out = tmp_path / "huge.basis.npz"
+    with np.errstate(all="ignore"):
+        assert main(["basis", str(path), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def _tree(*roots):
+    return sorted(p for root in roots for p in root.rglob("*"))
+
+
+# each writes into tmp_path/missing (absent) or reads from it
+_FS_FAILURES = {
+    "basis -o": lambda w, d: ["basis", w["mesh_path"], "-k", "12", "-o", d / "b.npz"],
+    "basis -o under a file": lambda w, d: ["basis", w["mesh_path"], "-k", "12",
+                                           "-o", d.parent / "gt.txt" / "b.npz"],
+    "descriptor -o": lambda w, d: ["descriptor", w["mesh_path"], "--type", "hks", "--num", "8",
+                                   "-k", "12", "--basis", w["basis_path"], "-o", d / "x.mwd"],
+    "match -o": lambda w, d: ["match", w["desc_path"], w["desc_path"], "-o", d / "map.txt"],
+    "match missing input": lambda w, d: ["match", d / "a.mwd", w["desc_path"],
+                                         "-o", d.parent / "map.txt"],
+    "eval -o": lambda w, d: ["eval", d.parent / "gt.txt", d.parent / "gt.txt", w["mesh_path"],
+                             "-o", d / "report"],
+    "dissimilarity -o": lambda w, d: ["dissimilarity", w["desc_path"], w["mesh_path"],
+                                      "--vertex", "0", "-o", d / "x.ply"],
+}
+
+
+@pytest.mark.parametrize("case", _FS_FAILURES)
+def test_artifact_file_system_errors_exit_2(work, tmp_path, capsys, case):
+    write_correspondence(tmp_path / "gt.txt", np.arange(60))
+    before = _tree(tmp_path, work["root"])
+    argv = [str(a) for a in _FS_FAILURES[case](work, tmp_path / "missing")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "cannot" in err and "Traceback" not in err
+    assert _tree(tmp_path, work["root"]) == before
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--n-radii", "0"), ("--n-radii", "-2"),
+    ("--max-radius", "-1"), ("--max-radius", "nan"), ("--max-radius", "inf"),
+])
+def test_eval_rejects_an_empty_or_negative_radius_range(work, tmp_path, capsys, flag, value):
+    gt = tmp_path / "gt.txt"
+    write_correspondence(gt, np.arange(60))
+    prefix = tmp_path / "report"
+    assert main(["eval", str(gt), str(gt), str(work["mesh_path"]), flag, value,
+                 "-o", str(prefix)]) == 1
+    assert flag in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gt.txt"]
+
+
 # ------------------------------------------------- atom statistics sidecar
 
 
@@ -691,6 +757,21 @@ def test_unwritable_atom_sidecar_leaves_the_result(work, own_basis, tmp_path, mo
         raise OSError("read-only file system")
 
     monkeypatch.setattr(wavelets, "atomic_write", refuse)
+    out = tmp_path / "x.mwd"
+    assert _descriptor(work, own_basis, out) == 0
+    assert not _sidecar(own_basis).exists()
+    assert "atom statistics not cached" in caplog.text
+    assert np.array_equal(load_descriptors(out).values, _library_weds(work, own_basis, 16))
+
+
+def test_sidecar_in_an_unwritable_place_leaves_the_result(work, own_basis, tmp_path,
+                                                         monkeypatch, caplog):
+    def refuse_sidecar(path, *args, **kwargs):
+        if ".atoms.npz." in str(path):  # the sidecar's temporary file
+            raise PermissionError(13, "Permission denied")
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(_files, "open", refuse_sidecar, raising=False)
     out = tmp_path / "x.mwd"
     assert _descriptor(work, own_basis, out) == 0
     assert not _sidecar(own_basis).exists()

@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy import sparse
+from scipy.sparse.linalg import eigsh
 
+from meshwave import spectral
+from meshwave.chebyshev import spectral_max
 from meshwave.errors import DataError, NumericalError
-from meshwave.mesh import cotangent_laplacian, lumped_areas
+from meshwave.mesh import TriMesh, cotangent_laplacian, lumped_areas, validate_mesh
 from meshwave.spectral import (
     eig_generalized,
     load_basis,
     project,
     save_basis,
 )
-from meshwave.synthetic import equilateral_triangle, icosphere
+from meshwave.synthetic import bent_bar, equilateral_triangle, icosphere
 
 import _shared
 
@@ -226,3 +230,79 @@ def test_lambda_max_property():
     basis = _shared.bar_basis(0.3, 12)
     assert basis.lambda_max == basis.eigenvalues[-1]
     assert basis.k == 12
+
+
+def _fan(ring):
+    """A flat disk: one hub vertex joined to a ring of `ring` vertices, and a
+    second, outer ring.  The hub's valence makes every ordering's band at
+    least ring / 2."""
+    angles = 2 * np.pi * np.arange(ring) / ring
+    rings = [np.stack([r * np.cos(angles + turn), r * np.sin(angles + turn),
+                       np.zeros(ring)], axis=1)
+             for r, turn in ((1.0, 0.0), (2.0, np.pi / ring))]
+    inner = 1 + np.arange(ring)
+    outer = inner + ring
+    after = np.roll(inner, -1)
+    triangles = np.vstack([
+        np.stack([np.zeros(ring, dtype=np.int64), inner, after], axis=1),
+        np.stack([inner, outer, after], axis=1),
+        np.stack([after, outer, np.roll(outer, -1)], axis=1),
+    ])
+    return validate_mesh(TriMesh(np.vstack([np.zeros((1, 3))] + rings), triangles))
+
+
+@pytest.mark.parametrize("mesh, k, banded", [
+    (icosphere(3), 100, True),  # 642 vertices; k = 100 closes the l = 9 cluster
+    (bent_bar(0.3, nu=35, nv=20), 100, True),
+    (_fan(400), 21, False),  # 801 vertices, band 398 > 4 sqrt(801)
+], ids=["sphere", "bar", "fan"])
+def test_lanczos_matches_dense_oracle(monkeypatch, mesh, k, banded):
+    inverses = []
+    banded_inverse = spectral._banded_inverse
+
+    def spy(sym, sigma):
+        inverses.append(banded_inverse(sym, sigma))
+        return inverses[-1]
+
+    monkeypatch.setattr(spectral, "_banded_inverse", spy)
+    lap = cotangent_laplacian(mesh)
+    areas = lumped_areas(mesh)
+    basis = eig_generalized(lap, areas, k)
+    assert mesh.n_vertices > spectral._DENSE_LIMIT
+    assert len(inverses) == 1 and (inverses[0] is not None) == banded
+    vals, vecs = scipy.linalg.eigh(lap.toarray(), np.diag(areas))
+    lam_max = vals[k - 1]
+    assert vals[k] - lam_max > 1e-3 * lam_max  # the cut falls on a gap
+    assert np.abs(basis.eigenvalues - vals[:k]).max() <= 1e-10 * lam_max
+    # rank-k spectral projectors, in the A^1/2 frame where they are orthogonal
+    half = np.sqrt(areas)[:, None]
+    got, expect = half * basis.eigenvectors, half * vecs[:, :k]
+    assert np.linalg.norm(got @ got.T - expect @ expect.T, 2) <= 1e-9
+
+
+def test_lanczos_basis_cache_is_byte_identical(tmp_path):
+    mesh = _shared.bar(0.3, nu=35, nv=20)
+    for name in ("a.npz", "b.npz"):
+        save_basis(tmp_path / name, _shared.basis_of(mesh, 30))
+    assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+
+
+def test_shifted_operator_that_is_not_definite_is_numerical():
+    mesh = _shared.bar(0.3, nu=35, nv=20)
+    lap = cotangent_laplacian(mesh).tolil()
+    lap[0, 0] = -1e3  # C - sigma I has a negative pivot
+    with pytest.raises(NumericalError, match="not positive definite"):
+        eig_generalized(lap.tocsr(), lumped_areas(mesh), 20)
+
+
+@pytest.mark.parametrize("grid", [(32, 14), (50, 22)])
+@pytest.mark.parametrize("curvature", [0.25, 0.9, 0.55])
+def test_spectral_max_is_the_former_inline_expression(grid, curvature):
+    mesh = bent_bar(curvature, *grid)
+    lap, areas = cotangent_laplacian(mesh), lumped_areas(mesh)
+    inv_sqrt = 1.0 / np.sqrt(areas)
+    sym = sparse.csr_matrix(lap).multiply(inv_sqrt[:, None]).multiply(inv_sqrt[None, :])
+    rng = np.random.default_rng(0x5EED)
+    expect = float(eigsh(sym.tocsc(), k=1, which="LA", v0=rng.standard_normal(len(areas)),
+                         return_eigenvectors=False)[0])
+    assert spectral_max(lap, areas) == expect
