@@ -20,21 +20,24 @@ def triangle_geometry(vertices, triangles):
     """Per-corner cotangents and per-triangle areas.
 
     Returns (cots, areas): cots[t, c] is the cotangent of the interior
-    angle at corner c of triangle t, areas[t] the triangle area.
+    angle at corner c of triangle t, areas[t] the triangle area. Overflow
+    and zero areas give non-finite entries without a warning; the callers
+    in mesh reject them.
     """
     v0 = vertices[triangles[:, 0]]
     v1 = vertices[triangles[:, 1]]
     v2 = vertices[triangles[:, 2]]
-    e0 = v2 - v1  # edge opposite corner 0
-    e1 = v0 - v2
-    e2 = v1 - v0
-    cr = np.cross(e2, -e1)  # (v1-v0) x (v2-v0)
-    double_area = np.sqrt((cr * cr).sum(axis=1))
-    cots = np.empty((len(triangles), 3), dtype=np.float64)
-    cots[:, 0] = -(e2 * e1).sum(axis=1) / double_area
-    cots[:, 1] = -(e0 * e2).sum(axis=1) / double_area
-    cots[:, 2] = -(e1 * e0).sum(axis=1) / double_area
-    return cots, double_area / 2.0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        e0 = v2 - v1  # edge opposite corner 0
+        e1 = v0 - v2
+        e2 = v1 - v0
+        cr = np.cross(e2, -e1)  # (v1-v0) x (v2-v0)
+        double_area = np.sqrt((cr * cr).sum(axis=1))
+        cots = np.empty((len(triangles), 3), dtype=np.float64)
+        cots[:, 0] = -(e2 * e1).sum(axis=1) / double_area
+        cots[:, 1] = -(e0 * e2).sum(axis=1) / double_area
+        cots[:, 2] = -(e1 * e0).sum(axis=1) / double_area
+        return cots, double_area / 2.0
 
 
 # ---------------------------------------------------------------------------

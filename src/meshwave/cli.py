@@ -278,6 +278,13 @@ def _cmd_train(args, cfg):
         raise DataError("one correspondence file per training mesh required")
     seed = args.seed if args.seed is not None else cfg["pipeline"]["seed"]
     kind = cfg["model"]["kind"]
+    out = Path(args.out) if args.out else Path(cfg["pipeline"]["output_dir"]) / "model.npz"
+    # refuse an output under a file before training, not after
+    parent = out.parent
+    while not parent.exists() and parent != parent.parent:
+        parent = parent.parent
+    if not parent.is_dir():
+        raise DataError(f"cannot write {out}: {parent} is not a directory")
     shapes, hashes = _load_training_shapes(cfg, kind, paths, corr_paths)
     head_dim = int(max(int(s.labels.max()) for s in shapes)) + 1
     net = build_model(
@@ -293,8 +300,10 @@ def _cmd_train(args, cfg):
     opt_state = adam_init(net.params)
     rng = np.random.default_rng(seed)
     net, history = train(net, shapes, train_cfg, opt_state=opt_state, rng=rng)
-    out = Path(args.out) if args.out else Path(cfg["pipeline"]["output_dir"]) / "model.npz"
-    out.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot write {out}: {exc.strerror or exc}") from exc
     metadata = {
         "descriptor": cfg["descriptor"],
         "train_meshes": [str(p) for p in paths],

@@ -218,10 +218,12 @@ def load_descriptors(path):
             raise DataError(f"{path}: corrupt metadata block") from exc
         if not isinstance(meta, dict):
             raise DataError(f"{path}: metadata block is not a JSON object")
-        values = np.frombuffer(handle.read(n * d * 8), dtype=np.float64).reshape(n, d)
+        values = np.empty((n, d), dtype=np.float64)
+        if handle.readinto(values) != values.nbytes:
+            raise DataError(f"{path}: truncated descriptor data ({n}x{d} in header)")
     if not np.isfinite(values).all():
         raise DataError(f"{path}: non-finite descriptor values")
-    return DescriptorField(values.copy(), meta.get("type", "unknown"), meta)
+    return DescriptorField(values, meta.get("type", "unknown"), meta)
 
 
 def export_descriptors_csv(path, descriptor_field):

@@ -7,12 +7,14 @@ reporting.
 
 Matching and ranks are decided by scipy's ``cdist`` squared distances, the
 direct sums of (a - b)^2, so exact ties stay exact and go to the lowest
-index. They are not computed for every pair: each 512-row chunk is first
-screened with one GEMM, |a|^2 + |b|^2 - 2 A B', whose rounding error
-against ``cdist`` has a rigorous bound (derived at `_screened`). Only the
-columns the bound cannot decide are recomputed with ``cdist``, which gives
-each entry bit-identical to the full table, so the outputs are those of the
-full ``cdist`` table.
+index. They are not computed for every pair: each chunk of rows, at most
+2**18 table entries (2 MB), is first screened with one GEMM of [A, 1]
+against [-2B, |b|^2]', which gives |b|^2 - 2 a.b: the squared distance
+less the row's constant |a|^2. Its rounding error against ``cdist`` has a
+rigorous bound (derived at `_screened`). Only the columns the bound cannot
+decide are recomputed with ``cdist``, which gives each entry
+bit-identical to the full table, so the outputs are those of the full
+``cdist`` table.
 
 Geodesic errors run Dijkstra from the predicted vertices of the wrong
 matches only (a correct match has error exactly 0) and gather the entries
@@ -34,7 +36,7 @@ from .errors import DataError
 from .geodesics import geodesic_pairs
 from .mesh import TriMesh, lumped_areas
 
-_CHUNK = 512  # rows of the source block held against the full target table
+_CHUNK_ENTRIES = 2**18  # screen entries per chunk: 2 MB of float64
 _U = 2.0**-53  # unit roundoff of float64
 _ETA = float(np.finfo(np.float64).smallest_subnormal)
 
@@ -154,41 +156,58 @@ def _descriptor_pair(desc_a, desc_b) -> tuple[np.ndarray, np.ndarray]:
 def _screened(desc_a: np.ndarray, desc_b: np.ndarray):
     """Yield (rows, approx, tol) for each chunk of rows of A.
 
-    approx[i, j] = |a_i|^2 + |b_j|^2 - 2 a_i.b_j, from one GEMM, and every
-    entry lies within tol[i] / 2 of cdist's value for (a_i, b_j).
+    approx[i, j] = |b_j|^2 - 2 a_i.b_j, from one GEMM of [a_i, 1] against
+    [-2 b_j, |b_j|^2], and it lies within tol[i] / 2 of cdist's value for
+    (a_i, b_j) minus the row's constant |a_i|^2. Every decision of
+    `nn_match` and `match_ranks` compares columns within one row, so the
+    constant never needs adding. A chunk holds at most _CHUNK_ENTRIES
+    entries (a whole row when B is wider); the array yielded is reused by
+    the next chunk.
 
-    The bound.  Let u = 2**-53, g_d = d u / (1 - d u) and S = |a|^2 + |b|^2.
-    A dot product of length d, in any summation order, with or without
-    FMA, is off by at most g_d sum |x_k y_k| (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., section 3.1). So the two
-    norms are off by g_d |a|^2 and g_d |b|^2, a.b by g_d S / 2 (as
-    2|a_k b_k| <= a_k^2 + b_k^2); the multiply-by-2 is exact and the two
-    additions, with results bounded by 2S, add at most 4 u S: the screen
-    is within (2d + 4) u S of the exact |a - b|^2, to first order in u.
+    The bound.  Let u = 2**-53, g_n = n u / (1 - n u) and S = |a|^2 + |b|^2.
+    A dot product of length n, in any summation order, with or without
+    FMA, is off by at most g_n sum |x_k y_k| (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., section 3.1). The norm
+    |b|^2 is off by g_d |b|^2; scaling by -2 and by 1 is exact. The GEMM
+    is a dot product of length d + 1 with sum |x_k y_k| = 2 sum |a_k b_k|
+    + fl(|b|^2) <= |a|^2 + 2 |b|^2 (as 2 |a_k b_k| <= a_k^2 + b_k^2), so,
+    to first order in u, the screen is within (d + 1) u |a|^2 + (3d + 2) u
+    |b|^2 <= (3d + 2) u S of the exact |b|^2 - 2 a.b = |a - b|^2 - |a|^2.
     cdist sums fl(a_k - b_k)^2, each term off by 3u relative, within
-    (d + 3) u |a - b|^2 <= 2 (d + 3) u S of the exact value. The two
-    therefore differ by at most E = (4d + 10) u S, plus 2d subnormal
-    spacings eta when products underflow. tol = 8 (d + 4) (u (|a|^2 +
-    max |b|^2) + eta) is at least 2E + 12 u S for every column; the spare
-    12 u S covers the rounding of the comparisons against tol (2 u S) and
-    the second-order terms. If 4 (|a|^2 + max |b|^2) overflows, the
-    chunk's approx is cdist itself and tol is 0.
+    (d + 3) u |a - b|^2 <= 2 (d + 3) u S of the exact value. The screen
+    and cdist minus |a|^2 therefore differ by at most E' = (5d + 8) u S,
+    plus 2d subnormal spacings eta when products underflow (3d rounded
+    products, each off by at most eta / 2; sums in the subnormal range
+    are exact). tol = 10 (d + 3) (u (|a|^2 + max |b|^2) + eta) is at least
+    2E' + 14 u S + 4d eta for every column. The spare 14 u S covers the
+    rounding of the sums against tol (at most u (2S + tol) each, as
+    |approx| <= |b|^2 + 2 |a| |b| <= 2S) and the second-order terms. If
+    4 (|a|^2 + max |b|^2) overflows, the chunk's approx is cdist itself
+    and tol is 0.
     """
+    n_b, d = desc_b.shape
     a_sq = np.einsum("ij,ij->i", desc_a, desc_a)
     b_sq = np.einsum("ij,ij->i", desc_b, desc_b)
     b_max = b_sq.max(initial=0.0)
-    slack = 8.0 * (desc_a.shape[1] + 4)
-    overflow = not np.isfinite(4.0 * (a_sq.max(initial=0.0) + b_max))
-    for lo in range(0, desc_a.shape[0], _CHUNK):
-        rows = slice(lo, lo + _CHUNK)
-        if overflow:
-            block = desc_a[rows]
-            yield rows, cdist(block, desc_b, "sqeuclidean"), np.zeros(block.shape[0])
-            continue
-        approx = desc_a[rows] @ desc_b.T
-        approx *= -2.0
-        approx += a_sq[rows, None]
-        approx += b_sq
+    step = max(1, _CHUNK_ENTRIES // max(n_b, 1))
+    if not np.isfinite(4.0 * (a_sq.max(initial=0.0) + b_max)):
+        for lo in range(0, desc_a.shape[0], step):
+            block = desc_a[lo : lo + step]
+            yield slice(lo, lo + step), cdist(block, desc_b, "sqeuclidean"), np.zeros(len(block))
+        return
+    slack = 10.0 * (d + 3)
+    b_aug = np.empty((d + 1, n_b))
+    np.multiply(desc_b.T, -2.0, out=b_aug[:d])
+    b_aug[d] = b_sq
+    a_aug = np.empty((min(step, desc_a.shape[0]), d + 1))
+    a_aug[:, d] = 1.0
+    screen = np.empty((a_aug.shape[0], n_b))
+    for lo in range(0, desc_a.shape[0], step):
+        rows = slice(lo, lo + step)
+        block = desc_a[rows]
+        m = len(block)
+        a_aug[:m, :d] = block
+        approx = np.matmul(a_aug[:m], b_aug, out=screen[:m])
         yield rows, approx, slack * (_U * (a_sq[rows] + b_max) + _ETA)
 
 
@@ -204,22 +223,27 @@ def nn_match(desc_a: np.ndarray, desc_b: np.ndarray) -> CorrespondenceMap:
     Ties resolve to the lowest index (argmin keeps the first minimum).
     Non-finite values are a `DataError`.
 
-    With E the screen's error (tol >= 2E, see `_screened`), the cdist
-    minimiser j* satisfies approx[j*] <= cdist[j*] + E <= cdist[j'] + E <=
-    approx[j'] + 2E for the screen's minimiser j', so every column within
-    tol of the screen's minimum is a candidate and j* is among them. A row
-    with one candidate is decided; the others take the first cdist argmin
-    over their candidates, in index order.
+    With E' the screen's error (tol >= 2E', see `_screened`), the cdist
+    minimiser j* satisfies approx[j*] <= cdist[j*] - |a|^2 + E' <= cdist[j']
+    - |a|^2 + E' <= approx[j'] + 2E' for the screen's minimiser j', so every
+    column within tol of the screen's minimum is a candidate and j* is
+    among them. A row whose second-smallest screen value is beyond tol
+    has one candidate and is decided; the others take the first cdist
+    argmin over their candidates, in index order.
     """
     desc_a, desc_b = _descriptor_pair(desc_a, desc_b)
     out = np.empty(desc_a.shape[0], dtype=np.int64)
     for rows, approx, tol in _screened(desc_a, desc_b):
+        at = np.arange(approx.shape[0])
         best = approx.argmin(axis=1)
-        lowest = approx[np.arange(best.size), best]
-        near = approx <= (lowest + tol)[:, None]
+        lowest = approx[at, best]
+        limit = lowest + tol
+        approx[at, best] = np.inf
+        open_rows = np.flatnonzero(approx.min(axis=1) <= limit)
+        approx[at, best] = lowest
         block = desc_a[rows]
-        for i in np.flatnonzero(np.count_nonzero(near, axis=1) > 1):
-            cols = np.flatnonzero(near[i])
+        for i in open_rows:
+            cols = np.flatnonzero(approx[i] <= limit[i])
             best[i] = cols[_exact(block[i], desc_b, cols).argmin()]
         out[rows] = best
     return CorrespondenceMap(out)

@@ -86,7 +86,9 @@ def validate_mesh(mesh):
     ).any():
         raise MeshError("degenerate triangle: repeated vertex")
     _, areas = _kernels.triangle_geometry(v, t)
-    if (areas < _DEGENERATE_REL_AREA * areas.mean()).any():
+    if not np.isfinite(areas).all():
+        raise MeshError("non-finite triangle area (coordinates too large?)")
+    if (areas <= _DEGENERATE_REL_AREA * areas.mean()).any():
         bad = int(np.argmin(areas))
         raise MeshError(f"degenerate triangle {bad}: near-zero area")
     # edge-manifold: every undirected edge borders at most two triangles

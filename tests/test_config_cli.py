@@ -1,12 +1,14 @@
 import dataclasses
+import os
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from meshwave import __version__, _files, cli, wavelets
+from meshwave import __version__, _files, cli, evaluation, wavelets
 from meshwave.cli import main
 from meshwave.config import (
     default_config,
@@ -238,6 +240,35 @@ def test_match_eval_flow(work, tmp_path, capsys):
     assert "cmc,1,1" in curves
 
 
+def test_match_and_rank_curve_across_chunks_equal_cdist(tmp_path):
+    rng = np.random.default_rng(7)
+    mesh = bent_bar(0.4, 40, 25)
+    n = mesh.n_vertices
+    assert n > 2 * (evaluation._CHUNK_ENTRIES // n)  # three chunks or more
+    mesh_path = tmp_path / "bar.ply"
+    write_ply(mesh_path, mesh.vertices, mesh.triangles)
+    desc_b = np.round(rng.standard_normal((n, 6)), 1)
+    desc_a = np.round(desc_b + 0.2 * rng.standard_normal((n, 6)), 1)  # many exact ties
+    paths = {}
+    for tag, values in (("a", desc_a), ("b", desc_b)):
+        paths[tag] = tmp_path / f"{tag}.mwd"
+        save_descriptors(paths[tag], DescriptorField(values, "weds"))
+    corr = tmp_path / "pred.txt"
+    assert main(["match", str(paths["a"]), str(paths["b"]), "-o", str(corr)]) == 0
+    assert np.array_equal(read_correspondence(corr), _shared.cdist_match(desc_a, desc_b))
+    gt = tmp_path / "gt.txt"
+    write_correspondence(gt, np.arange(n))
+    prefix = tmp_path / "report"
+    assert main(["eval", str(corr), str(gt), str(mesh_path), "--desc-a", str(paths["a"]),
+                 "--desc-b", str(paths["b"]), "-o", str(prefix)]) == 0
+    ranks = _shared.cdist_ranks(desc_a, desc_b, np.arange(n))
+    ks = np.arange(1, 101)
+    expect = [f"cmc,{k},{f:.17g}" for k, f in zip(ks, (ranks <= ks[:, None]).mean(axis=1))]
+    curves = (tmp_path / "report.curves.csv").read_text().splitlines()
+    assert [ln for ln in curves if ln.startswith("cmc,")] == expect
+    assert 0.0 < (ranks == 1).mean() < 1.0
+
+
 def test_eval_prefix_keeps_its_dotted_parts(work, tmp_path):
     gt = tmp_path / "gt.txt"
     write_correspondence(gt, np.arange(60))
@@ -426,6 +457,25 @@ def test_infer_rejects_wrong_input_dim(work, tmp_path, capsys):
     assert "does not match model input" in capsys.readouterr().err
 
 
+def test_train_output_under_a_file_exits_2_before_training(work, tmp_path, capsys,
+                                                          monkeypatch):
+    def no_shapes(*args, **kwargs):
+        raise AssertionError("training shapes were loaded")
+
+    monkeypatch.setattr(cli, "_load_training_shapes", no_shapes)
+    cfg = default_config()
+    cfg["train"]["meshes"] = [str(work["mesh_path"])]
+    cfg_path = tmp_path / "p.cfg"
+    cfg_path.write_text(format_config(cfg))
+    (tmp_path / "plain").write_text("a file, not a directory\n")
+    before = _tree(tmp_path)
+    for out in ("plain/model.npz", "plain/sub/model.npz"):
+        assert main(["train", "--config", str(cfg_path), "-o", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write") and err.count("\n") == 1
+    assert _tree(tmp_path) == before
+
+
 def test_train_requires_meshes(tmp_path, capsys):
     cfg_path = tmp_path / "empty.cfg"
     cfg_path.write_text(format_config(default_config()))
@@ -467,6 +517,27 @@ def test_non_finite_geometry_exits_2_before_any_solver(tmp_path, capsys, monkeyp
         assert main(["basis", str(path), "-o", str(out)]) == 2
     err = capsys.readouterr().err
     assert "non-finite" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])  # inf or NaN areas; zero areas
+def test_extreme_geometry_exits_2_without_runtime_warnings(tmp_path, scale):
+    mesh = bent_bar(0.3, 12, 6)
+    path = tmp_path / "extreme.ply"
+    write_ply(path, mesh.vertices * scale, mesh.triangles)
+    out = tmp_path / "extreme.basis.npz"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    env.pop("PYTHONWARNINGS", None)
+    run = subprocess.run(
+        [sys.executable, "-W", "always::RuntimeWarning", "-m", "meshwave", "basis",
+         str(path), "-o", str(out)],
+        capture_output=True, text=True, env=env,
+    )
+    assert run.returncode == 2
+    assert "Warning" not in run.stderr and run.stderr.count("\n") == 1
+    assert run.stderr.startswith("error: ")
     assert not out.exists()
 
 

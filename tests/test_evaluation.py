@@ -276,8 +276,10 @@ def test_correspondence_target_hash(tmp_path):
 
 def _adversarial_pairs(seed):
     """(name, desc_a, desc_b) cases built to sit on the screen's edges:
-    exact duplicates and copies, near-ties at every relative scale, a
-    large common offset, one dimension, single rows, and magnitudes whose
+    exact duplicates and copies, near-ties at every relative scale and at
+    the edge of the tolerance, a large common offset, one dimension,
+    single rows, targets so wide that a chunk holds few rows or one,
+    sources much shorter or longer than targets, and magnitudes whose
     squares overflow or underflow."""
     rng = np.random.default_rng(seed)
     d = 9
@@ -299,6 +301,36 @@ def _adversarial_pairs(seed):
     cases.append(("underflow", near * 1e-162, b * 1e-162))  # subnormal squares
     many = rng.standard_normal((1100, 3))  # crosses the 512-row chunks
     cases.append(("chunks", np.round(many, 1), np.round(many[::-1][:300], 1)))
+    # wide targets: two rows a chunk with 9 rows, then one row wider than a chunk
+    wide = np.round(rng.standard_normal((100_003, 3)), 1)  # many exact ties
+    cases.append(("wide target", np.round(rng.standard_normal((9, 3)), 1), wide))
+    wider = np.round(rng.standard_normal((2**18 + 5, 2)), 2)
+    cases.append(("wider than a chunk", np.round(rng.standard_normal((3, 2)), 2), wider))
+    # the screen drops |a|^2 and weighs |a|^2 and |b|^2 differently
+    cases.append(("|a| << |b|", b[src] * 1e-7, b))
+    unit = b / np.linalg.norm(b, axis=1, keepdims=True)
+    unit *= 1.0 + 2.0**-52 * rng.integers(0, 4, size=(70, 1))  # norms a few ulps apart
+    cases.append(("|a| << |b|, ties in |b|", 1e-16 * rng.standard_normal((60, d)), unit))
+    for ratio in (1e7, 1e16):  # at 1e16, cdist rounds most columns to one value
+        jitter = 1.0 + 1e-12 * rng.standard_normal((60, d))
+        cases.append((f"|a| >> |b| {ratio:g}", b[src] * ratio**0.5 * jitter, b / ratio**0.5))
+    mixed_a = b[src] * (1.0 + 1e-9 * rng.standard_normal((60, d)))
+    mixed_a[::3] *= 1e-5
+    mixed_a[1::3] *= 1e5
+    mixed_b = b.copy()
+    mixed_b[::2] *= 1e-3
+    mixed_b[1::2] *= 1e3
+    cases.append(("mixed magnitudes", mixed_a, mixed_b))
+    # row k of a has two targets, base_k + e and base_k + (1 + delta_k) e,
+    # whose squared distances differ by about 2 delta_k: from 0.05 to 20
+    # times the screen's tolerance, on either side
+    base = rng.standard_normal((40, d))
+    e = rng.standard_normal(d)
+    e /= np.linalg.norm(e)
+    tol = 10 * (d + 3) * 2.0**-53 * 2 * (base**2).sum(axis=1).max()
+    delta = np.geomspace(0.05, 20, 40) * tol / 2 * rng.choice([-1.0, 1.0], 40)
+    edge_b = np.concatenate([base + e, base + np.outer(1.0 + delta, e)])
+    cases.append(("edge of tol", base, edge_b))
     return cases
 
 
