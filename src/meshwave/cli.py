@@ -123,6 +123,17 @@ def _shape_operators(kind, mesh, basis, keys, atom_cache=None):
     return build_wavelet_operators(basis, _bank(basis), keys, atom_cache)
 
 
+def _check_destination(out, make_parents=False):
+    """Refuse an output path before any work is done: its directory must
+    exist, or with `make_parents` its nearest existing ancestor must be a
+    directory."""
+    parent = Path(out).parent
+    while make_parents and not parent.exists() and parent != parent.parent:
+        parent = parent.parent
+    if not parent.is_dir():
+        raise DataError(f"cannot write {out}: {parent} is not a directory")
+
+
 def _descriptor_field(mesh, basis, kind: str, num: int, power: int, atom_cache=None):
     if kind == "weds":
         return weds(basis, _bank(basis), mesh.vertices, n_dims=num,
@@ -181,6 +192,8 @@ def _cmd_descriptor(args, cfg):
     num = args.num if args.num is not None else cfg["descriptor"]["num"]
     k = args.k if args.k is not None else cfg["descriptor"]["k"]
     power = args.power if args.power is not None else cfg["descriptor"]["power"]
+    if args.csv:  # a failed export must not leave the new .mwd behind
+        _check_destination(args.csv)
     basis = _basis_for(mesh, k, args.basis)
     field = _descriptor_field(mesh, basis, kind, num, power, _atom_cache(args.basis))
     field.metadata["mesh_hash"] = mesh.content_hash()
@@ -279,12 +292,7 @@ def _cmd_train(args, cfg):
     seed = args.seed if args.seed is not None else cfg["pipeline"]["seed"]
     kind = cfg["model"]["kind"]
     out = Path(args.out) if args.out else Path(cfg["pipeline"]["output_dir"]) / "model.npz"
-    # refuse an output under a file before training, not after
-    parent = out.parent
-    while not parent.exists() and parent != parent.parent:
-        parent = parent.parent
-    if not parent.is_dir():
-        raise DataError(f"cannot write {out}: {parent} is not a directory")
+    _check_destination(out, make_parents=True)  # before training, not after
     shapes, hashes = _load_training_shapes(cfg, kind, paths, corr_paths)
     head_dim = int(max(int(s.labels.max()) for s in shapes)) + 1
     net = build_model(

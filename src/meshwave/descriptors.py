@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._files import atomic_write, open_read
-from .errors import DataError
+from .errors import DataError, NumericalError
 from .filters import bank_hash, filter_responses, select_scales
 from .spectral import project
 from .wavelets import _spectral_filter, filter_atom_stats
@@ -95,6 +95,12 @@ def energy_decomposition(basis, bank, signals, power=2):
     return _decompose_with_responses(basis, responses, signals, power)
 
 
+def _check_count(n):
+    """Refuse a descriptor dimension below 1, as ``select_scales`` does."""
+    if n < 1:
+        raise DataError("descriptor dimension must be positive")
+
+
 def subsample_columns(n_total, n_keep):
     """Uniform stride over column indices, first column always kept."""
     if n_keep > n_total:
@@ -146,6 +152,7 @@ def hks(basis, n_times=DEFAULT_DIMS, times=None):
     if basis.k < 2:
         raise DataError("heat kernel signature needs at least two eigenpairs")
     if times is None:
+        _check_count(n_times)
         lam1 = basis.eigenvalues[1]
         lam_k = basis.eigenvalues[-1]
         times = np.exp(
@@ -163,7 +170,12 @@ def hks(basis, n_times=DEFAULT_DIMS, times=None):
 
 
 def wks(basis, n_energies=DEFAULT_DIMS, sigma_factor=7.0):
-    """Wave kernel signature: Gaussian band-passes in log-eigenvalue."""
+    """Wave kernel signature: Gaussian band-passes in log-eigenvalue.
+
+    Each band is normalized by its total weight over the spectrum; a band
+    narrow enough to fall between eigenvalues has its weight underflow and
+    raises NumericalError."""
+    _check_count(n_energies)
     if basis.k < 3:
         raise DataError("wave kernel signature needs at least three eigenpairs")
     log_ev = np.log(basis.eigenvalues[1:])
@@ -173,8 +185,14 @@ def wks(basis, n_energies=DEFAULT_DIMS, sigma_factor=7.0):
         raise DataError("spectrum too narrow for the requested energy count")
     energies = np.linspace(log_ev[0] + 2 * sigma, log_ev[-1] - 2 * sigma, n_energies)
     band = np.exp(-((energies[None, :] - log_ev[:, None]) ** 2) / (2.0 * sigma ** 2))
+    weight = band.sum(axis=0)
+    lost = int((weight < np.finfo(np.float64).tiny).sum())
+    if lost:
+        raise NumericalError(
+            f"wave kernel signature: {lost} of {n_energies} energy bands underflow "
+            f"between the {basis.k} eigenvalues; lower the energy count or raise k")
     values = (basis.eigenvectors[:, 1:] ** 2) @ band
-    values /= band.sum(axis=0)[None, :]
+    values /= weight[None, :]
     meta = {"type": "wks", "k": basis.k, "sample_count": int(n_energies)}
     return DescriptorField(values, "wks", meta)
 
@@ -187,7 +205,11 @@ _VERSION = 1
 
 
 def save_descriptors(path, descriptor_field):
+    """Write the field to `path`; non-finite values raise NumericalError and
+    write nothing, as ``load_descriptors`` would refuse the file."""
     values = np.ascontiguousarray(descriptor_field.values, dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise NumericalError(f"cannot write {path}: non-finite descriptor values")
     meta = dict(descriptor_field.metadata)
     meta.setdefault("type", descriptor_field.kind)
     meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()

@@ -10,7 +10,12 @@ from functools import lru_cache
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from meshwave.descriptors import energy_decomposition, subsample_columns
+from meshwave.descriptors import (
+    DescriptorField,
+    energy_decomposition,
+    save_descriptors,
+    subsample_columns,
+)
 from meshwave.errors import DataError
 from meshwave.evaluation import normalized_errors
 from meshwave.filters import (
@@ -282,3 +287,14 @@ def rowwise_edges(mesh: TriMesh) -> np.ndarray:
     pairs = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
     pairs.sort(axis=1)
     return np.unique(pairs, axis=0)
+
+
+def write_raw_descriptors(path, values, kind: str = "weds"):
+    """A descriptor file holding `values` as given, NaN and inf included.
+    save_descriptors refuses non-finite values, so this writes a zero field
+    of the same shape and overwrites its value block, the file's tail."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    save_descriptors(path, DescriptorField(np.zeros_like(values), kind))
+    data = bytearray(path.read_bytes())
+    data[len(data) - values.nbytes:] = values.tobytes()
+    path.write_bytes(bytes(data))

@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -214,6 +215,48 @@ def test_descriptor_basis_too_small(work, tmp_path, capsys):
     ])
     assert rc == 2
     assert "k=12" in capsys.readouterr().err
+
+
+def test_wks_with_underflowing_bands_exits_3_and_writes_nothing(tmp_path, capsys):
+    mesh = bent_bar(0.3, 12, 6)  # 72 vertices
+    path = tmp_path / "bar.ply"
+    write_ply(path, mesh.vertices, mesh.triangles)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["descriptor", str(path), "--type", "wks", "--num", "2000", "-k", "20",
+                     "-o", str(tmp_path / "w.mwd")]) == 3
+    err = capsys.readouterr().err
+    assert "underflow" in err and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["bar.ply"]
+
+
+@pytest.mark.parametrize("source", ["--num", "config"])
+@pytest.mark.parametrize("kind, num", [("hks", -3), ("hks", 0), ("wks", 0), ("wks", -3)])
+def test_descriptor_count_below_one_exits_2(work, tmp_path, capsys, source, kind, num):
+    if source == "config":
+        cfg = tmp_path / "d.cfg"
+        cfg.write_text(f"[descriptor]\nnum = {num}\n")
+        count = ["--config", str(cfg)]
+    else:
+        count = ["--num", str(num)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["descriptor", str(work["mesh_path"]), "--type", kind, "-k", "12",
+                     "--basis", str(work["basis_path"]), "-o", str(tmp_path / "d.mwd"),
+                     *count]) == 2
+    err = capsys.readouterr().err
+    assert "must be positive" in err and err.count("\n") == 1
+    assert not (tmp_path / "d.mwd").exists()
+
+
+@pytest.mark.parametrize("csv", ["nodir/x.csv", "plain/x.csv"], ids=["missing", "under a file"])
+def test_descriptor_csv_destination_is_checked_before_the_mwd(work, tmp_path, capsys, csv):
+    (tmp_path / "plain").write_text("")
+    assert main(["descriptor", str(work["mesh_path"]), "--type", "hks", "--num", "8",
+                 "-k", "12", "--basis", str(work["basis_path"]),
+                 "-o", str(tmp_path / "a.mwd"), "--csv", str(tmp_path / csv)]) == 2
+    assert "is not a directory" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["plain"]
 
 
 def test_match_eval_flow(work, tmp_path, capsys):
@@ -485,7 +528,7 @@ def test_train_requires_meshes(tmp_path, capsys):
 
 def test_match_and_eval_reject_non_finite_descriptors(work, tmp_path, capsys):
     bad = tmp_path / "nan.mwd"
-    save_descriptors(bad, DescriptorField(np.full((60, 2), np.nan), "weds"))
+    _shared.write_raw_descriptors(bad, np.full((60, 2), np.nan))
     good = tmp_path / "good.mwd"
     save_descriptors(good, DescriptorField(np.ones((60, 2)), "weds"))
     out = tmp_path / "m.txt"

@@ -20,7 +20,7 @@ from meshwave.descriptors import (
     weds,
     wks,
 )
-from meshwave.errors import DataError
+from meshwave.errors import DataError, NumericalError
 from meshwave.filters import build_filter_bank, filter_responses, select_scales
 from meshwave.mesh import TriMesh, cotangent_laplacian, lumped_areas
 from meshwave.synthetic import antipodal_permutation, bent_bar, icosphere
@@ -380,6 +380,30 @@ def test_wks_window_must_fit_spectrum():
         wks(basis, n_energies=64, sigma_factor=20.0)
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_signature_counts_below_one_are_data_errors(count):
+    basis = _shared.bar_basis(0.3, 40)
+    with pytest.raises(DataError, match="must be positive"):
+        hks(basis, n_times=count)
+    with pytest.raises(DataError, match="must be positive"):
+        wks(basis, n_energies=count)
+
+
+def test_wks_bands_that_underflow_are_numerical():
+    # 2,000 bands over 19 log-eigenvalues: sigma is 0.35% of the log range,
+    # so a band between two eigenvalues has no weight left
+    with pytest.raises(NumericalError, match="underflow"):
+        wks(_shared.bar_basis(0.3, 20), n_energies=2000)
+
+
+def test_save_refuses_non_finite_values(tmp_path):
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NumericalError, match="non-finite"):
+            save_descriptors(tmp_path / "bad.mwd",
+                             DescriptorField(np.array([[1.0, bad]]), "hks"))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_signature_homogeneity_on_sphere():
     # every vertex of a sphere looks the same, so spectral signatures
     # must be nearly constant across vertices; needs the finer
@@ -442,7 +466,7 @@ def test_load_rejects_bad_files(tmp_path):
     q.write_bytes(b"MWDF" + struct.pack("<IQQQ", 1, 3, 2, 2) + b"[]" + bytes(48))
     with pytest.raises(DataError, match="not a JSON object"):
         load_descriptors(q)
-    save_descriptors(q, DescriptorField(np.array([[1.0, np.inf], [0.0, 2.0]]), "hks"))
+    _shared.write_raw_descriptors(q, np.array([[1.0, np.inf], [0.0, 2.0]]), "hks")
     with pytest.raises(DataError, match="non-finite"):
         load_descriptors(q)
 

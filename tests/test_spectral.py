@@ -306,3 +306,50 @@ def test_spectral_max_is_the_former_inline_expression(grid, curvature):
     expect = float(eigsh(sym.tocsc(), k=1, which="LA", v0=rng.standard_normal(len(areas)),
                          return_eigenvectors=False)[0])
     assert spectral_max(lap, areas) == expect
+
+
+@pytest.mark.parametrize("mesh, k", [
+    (bent_bar(0.3, 30, 14), 100),  # 420 vertices, the training bar
+    (icosphere(2), 96),  # 162 vertices; degenerate clusters, the cut closes one
+], ids=["bar", "sphere"])
+def test_dense_matches_generalized_oracle(mesh, k):
+    lap = cotangent_laplacian(mesh)
+    areas = lumped_areas(mesh)
+    basis = eig_generalized(lap, areas, k)
+    assert mesh.n_vertices <= spectral._DENSE_LIMIT
+    vals, vecs = scipy.linalg.eigh(lap.toarray(), np.diag(areas))
+    lam_max = basis.lambda_max
+    assert np.abs(basis.eigenvalues - vals[:k]).max() <= 1e-12 * lam_max
+    # A-weighted projectors onto each whole cluster, in the A^1/2 frame
+    bounds = np.flatnonzero(np.diff(vals[:k + 1]) > 1e-6 * lam_max) + 1
+    assert bounds[-1] == k
+    half = np.sqrt(areas)[:, None]
+    for lo, hi in zip(np.r_[0, bounds[:-1]], bounds):
+        got, expect = half * basis.eigenvectors[:, lo:hi], half * vecs[:, lo:hi]
+        assert np.linalg.norm(got @ got.T - expect @ expect.T) <= 1e-10, (lo, hi)
+
+
+@pytest.mark.parametrize("drop", [0, 1], ids=["k=n", "k=n-1"])
+def test_dense_full_spectrum_keeps_the_exact_zero_mode(monkeypatch, drop):
+    monkeypatch.setattr(spectral, "_DENSE_LIMIT", 0)  # only k >= n - 1 routes to dense
+    mesh = _shared.bar(0.3, nu=6, nv=4)
+    areas = lumped_areas(mesh)
+    basis = eig_generalized(cotangent_laplacian(mesh), areas, mesh.n_vertices - drop)
+    assert basis.k == mesh.n_vertices - drop
+    assert basis.eigenvalues[0] == 0.0 and (basis.eigenvalues[1:] > 0).all()
+    expect = 1.0 / np.sqrt(areas.sum())
+    assert np.abs(basis.eigenvectors[:, 0] - expect).max() <= 1e-12 * expect
+
+
+def test_dense_and_lanczos_branches_agree(monkeypatch):
+    mesh = bent_bar(0.3, 50, 10)  # 500 vertices, dense by default
+    lap = cotangent_laplacian(mesh)
+    areas = lumped_areas(mesh)
+    dense = eig_generalized(lap, areas, 100)
+    monkeypatch.setattr(spectral, "_DENSE_LIMIT", 400)
+    lanczos = eig_generalized(lap, areas, 100)
+    lam_max = dense.lambda_max
+    assert np.abs(lanczos.eigenvalues - dense.eigenvalues).max() <= 1e-10 * lam_max
+    half = np.sqrt(areas)[:, None]
+    got, expect = half * lanczos.eigenvectors, half * dense.eigenvectors
+    assert np.linalg.norm(got @ got.T - expect @ expect.T, 2) <= 1e-9
