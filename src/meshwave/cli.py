@@ -59,6 +59,7 @@ from .filters import STOCK, build_filter_bank
 from .mesh import cotangent_laplacian, load_mesh, lumped_areas
 from .meshio import write_ply
 from .model import (
+    architecture_operator_keys,
     build_model,
     build_wavelet_operators,
     forward as model_forward,
@@ -264,10 +265,7 @@ def _load_training_shapes(cfg, kind, paths, corr_paths):
     num = cfg["descriptor"]["num"]
     power = cfg["descriptor"]["power"]
     dtype = cfg["descriptor"]["type"]
-    arch_model = build_model(
-        cfg["model"]["architecture"], input_dim=num, kind=kind, seed=0
-    )
-    needed = required_operator_keys(arch_model)
+    needed = architecture_operator_keys(cfg["model"]["architecture"], kind)
     for i, path in enumerate(paths):
         mesh = load_mesh(path)
         basis = _compute_basis(mesh, k)

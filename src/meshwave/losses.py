@@ -1,11 +1,13 @@
-"""Training losses with analytic gradients: softmax cross-entropy and the
-hardest-in-batch triplet margin loss over corresponding descriptor pairs."""
+"""Training losses with analytic gradients: softmax cross-entropy (alone,
+or fused with the affine classification head) and the hardest-in-batch
+triplet margin loss over corresponding descriptor pairs."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import DataError
+from .wavelets import _blocks
 
 # distances below this are treated as zero-length for gradient purposes
 _DIST_FLOOR = 1e-12
@@ -13,23 +15,79 @@ _DIST_FLOOR = 1e-12
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """Mean softmax cross-entropy over rows; returns (loss, dlogits)."""
-    logits = np.asarray(logits, dtype=np.float64)
+    dlogits = np.array(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    n, d = logits.shape
+    _check_labels(labels, *dlogits.shape)
+    loss = -_softmax_xent(dlogits, labels, dlogits.shape[0]).mean()
+    return float(loss), dlogits
+
+
+def _check_labels(labels: np.ndarray, n: int, classes: int):
     if labels.shape != (n,):
         raise DataError("one label per logit row required")
-    if labels.size and (labels.min() < 0 or labels.max() >= d):
-        raise DataError(f"label out of range for {d} classes")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    total = exp.sum(axis=1)
-    log_softmax = shifted - np.log(total)[:, None]
-    rows = np.arange(n)
-    loss = -log_softmax[rows, labels].mean()
-    dlogits = exp / total[:, None]
-    dlogits[rows, labels] -= 1.0
-    dlogits /= n
-    return float(loss), dlogits
+    if labels.size and (labels.min() < 0 or labels.max() >= classes):
+        raise DataError(f"label out of range for {classes} classes")
+
+
+def _softmax_xent(z: np.ndarray, labels: np.ndarray, n: int) -> np.ndarray:
+    """Turns a block of logit rows into their share of d(mean loss over n
+    rows) in place; returns each row's log-softmax at its label."""
+    z -= z.max(axis=1, keepdims=True)
+    at = np.arange(z.shape[0]), labels
+    shifted = z[at]
+    np.exp(z, out=z)
+    total = z.sum(axis=1)
+    z /= total[:, None]
+    z[at] -= 1.0
+    z /= n
+    return shifted - np.log(total)
+
+
+def _head_logits(desc: np.ndarray, w: np.ndarray, b: np.ndarray, rows: slice):
+    logits = desc[rows] @ w
+    logits += b
+    return logits
+
+
+def head_cross_entropy(desc: np.ndarray, w: np.ndarray, b: np.ndarray,
+                       labels: np.ndarray):
+    """Mean softmax cross-entropy of the affine head desc @ w + b, fused
+    with the head's backward pass; returns (loss, ddesc, dw, db).
+
+    The logits are formed, turned into their gradient in place and used
+    up one block of rows at a time, at most 2**20 entries a block, so the
+    (n, classes) matrix is never held whole.  With one block every step
+    runs in the order of ``layers.affine_forward``, ``cross_entropy`` and
+    ``layers.affine_backward``, and the results are bitwise theirs.
+    """
+    desc = np.asarray(desc, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    n, classes = desc.shape[0], w.shape[1]
+    _check_labels(labels, n, classes)
+    picked = np.empty(n)
+    ddesc = np.empty((n, w.shape[0]))
+    dw = db = None
+    for rows in _blocks(n, classes):
+        z = _head_logits(desc, w, b, rows)
+        picked[rows] = _softmax_xent(z, labels[rows], n)
+        ddesc[rows] = z @ w.T
+        if dw is None:
+            dw, db = desc[rows].T @ z, z.sum(axis=0)
+        else:
+            dw += desc[rows].T @ z
+            db += z.sum(axis=0)
+        del z  # before the next block's logits
+    return float(-picked.mean()), ddesc, dw, db
+
+
+def head_predictions(desc: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per row, the class whose head logit desc @ w + b is largest, over
+    the row blocks of ``head_cross_entropy``."""
+    desc = np.asarray(desc, dtype=np.float64)
+    pred = np.empty(desc.shape[0], dtype=np.int64)
+    for rows in _blocks(desc.shape[0], w.shape[1]):
+        pred[rows] = _head_logits(desc, w, b, rows).argmax(axis=1)
+    return pred
 
 
 def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

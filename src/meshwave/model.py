@@ -133,6 +133,12 @@ def _param_shapes(specs, input_dim: int, head_dim: Optional[int]) -> dict:
     return shapes
 
 
+def _scale_sets(kind: str, specs) -> list:
+    if kind not in ("mgcn", "chebyshev"):
+        raise DataError(f"unknown model kind {kind!r}")
+    return [_scale_set_for(kind, s.n_scales) for s in specs if s.kind == "conv"]
+
+
 def build_model(
     architecture: str = DEFAULT_ARCHITECTURE,
     input_dim: int = DEFAULT_INPUT_DIM,
@@ -140,10 +146,8 @@ def build_model(
     head_dim: Optional[int] = None,
     seed: int = 0,
 ) -> Model:
-    if kind not in ("mgcn", "chebyshev"):
-        raise DataError(f"unknown model kind {kind!r}")
     specs = parse_architecture(architecture)
-    scale_sets = [_scale_set_for(kind, s.n_scales) for s in specs if s.kind == "conv"]
+    scale_sets = _scale_sets(kind, specs)
     rng = np.random.default_rng(seed)
     params = {
         name: _glorot(rng, shape) if len(shape) == 2 else np.zeros(shape)
@@ -153,10 +157,13 @@ def build_model(
 
 
 def required_operator_keys(model: Model) -> list:
-    keys = set()
-    for s in model.scale_sets:
-        keys.update(s)
-    return sorted(keys)
+    return sorted(set().union(*model.scale_sets))
+
+
+def architecture_operator_keys(architecture: str, kind: str = "mgcn") -> list:
+    """The operator keys of a model with this architecture and kind,
+    without drawing its parameters."""
+    return sorted(set().union(*_scale_sets(kind, parse_architecture(architecture))))
 
 
 def build_wavelet_operators(
@@ -205,9 +212,20 @@ def forward(model: Model, x: np.ndarray, shape_ops):
     return x, caches
 
 
-def backward(model: Model, caches, dout: np.ndarray, shape_ops):
-    """Gradients of every parameter plus the input, given d(output)."""
-    grads = {}
+def backward(model: Model, caches, dout: np.ndarray, shape_ops, grads=None):
+    """Gradients of every parameter plus the input, given d(output).
+
+    With a `grads` dict, each layer's gradients are added into its arrays
+    in place (a name it lacks is set), and that dict is returned.
+    """
+    grads = {} if grads is None else grads
+
+    def put(name, g):
+        if name in grads:
+            grads[name] += g
+        else:
+            grads[name] = g
+
     dx = dout
     conv_i = len(model.scale_sets)
     for li in range(len(model.specs) - 1, -1, -1):
@@ -219,25 +237,14 @@ def backward(model: Model, caches, dout: np.ndarray, shape_ops):
                 caches[li], dx, ws, _layer_ops(model, conv_i, shape_ops)
             )
             for j, dw in enumerate(dws):
-                grads[f"conv{li}.w{j}"] = dw
+                put(f"conv{li}.w{j}", dw)
         else:
             dx, dw, db = layers.affine_backward(
                 caches[li], dx, model.params[f"fc{li}.w"]
             )
-            grads[f"fc{li}.w"] = dw
-            grads[f"fc{li}.b"] = db
+            put(f"fc{li}.w", dw)
+            put(f"fc{li}.b", db)
     return dx, grads
-
-
-def head_forward(model: Model, desc: np.ndarray):
-    if model.head_dim is None:
-        raise DataError("model has no classification head")
-    return layers.affine_forward(desc, model.params["head.w"], model.params["head.b"])
-
-
-def head_backward(model: Model, cache, dlogits: np.ndarray):
-    dx, dw, db = layers.affine_backward(cache, dlogits, model.params["head.w"])
-    return dx, {"head.w": dw, "head.b": db}
 
 
 def save_checkpoint(

@@ -219,11 +219,12 @@ def load_basis(path, expect_mesh_hash=None):
     vals, vecs, areas = basis.eigenvalues, basis.eigenvectors, basis.areas
     if not (all(a.dtype.kind == "f" and np.isfinite(a).all() for a in (vals, vecs, areas))
             and vals.ndim == 1 and vals.size and vals[0] == 0 and (np.diff(vals) >= 0).all()
+            and (vals[1:] > 0).all()
             and areas.ndim == 1 and (areas > 0).all()
             and vecs.shape == (areas.shape[0], vals.shape[0])):
         raise DataError(f"{path}: inconsistent basis cache: need finite eigenvalues (k,) "
-                        "ascending from 0, eigenvectors (n, k) and positive areas (n,); "
-                        f"got {vals.shape}, {vecs.shape}, {areas.shape}")
+                        "ascending from a single 0, eigenvectors (n, k) and positive "
+                        f"areas (n,); got {vals.shape}, {vecs.shape}, {areas.shape}")
     ortho_err = _ortho_error(vecs * areas[:, None], vecs)
     if ortho_err > _ORTHO_TOL:
         raise DataError(f"{path}: inconsistent basis cache: eigenvectors not "

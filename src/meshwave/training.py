@@ -1,6 +1,13 @@
 """Two-phase training: per-vertex classification, then descriptor metric
 learning on sampled corresponding pairs. One shape (or shape pair) per
-optimizer step; deterministic given the seed."""
+optimizer step; deterministic given the seed.
+
+A step's working set stays bounded at any number of template classes.
+Phase 1 runs the classification head and its cross-entropy fused, over
+row blocks of at most 2**20 logits (``losses.head_cross_entropy``), so
+the (n, classes) logit matrix is never held.  A phase-2 step keeps one
+gradient dict: shape A's backward pass fills it, A's caches are freed,
+and shape B's backward pass adds into it in place."""
 
 from __future__ import annotations
 
@@ -124,11 +131,12 @@ def _phase1_epoch(net, shapes, state, cfg) -> float:
     total = 0.0
     for sh in shapes:
         desc, caches = model_mod.forward(net, sh.features, sh.ops)
-        logits, head_cache = model_mod.head_forward(net, desc)
-        loss, dlogits = losses.cross_entropy(logits, sh.labels)
-        ddesc, grads = model_mod.head_backward(net, head_cache, dlogits)
-        _, body_grads = model_mod.backward(net, caches, ddesc, sh.ops)
-        grads.update(body_grads)
+        loss, ddesc, dw, db = losses.head_cross_entropy(
+            desc, net.params["head.w"], net.params["head.b"], sh.labels
+        )
+        _, grads = model_mod.backward(net, caches, ddesc, sh.ops,
+                                      grads={"head.w": dw, "head.b": db})
+        del desc, caches, ddesc  # gone before the next shape's forward pass
         _check_finite(loss, grads, f"phase 1, shape {sh.name!r}")
         adam_step(net.params, grads, state, cfg.lr_phase1, cfg.weight_decay_phase1)
         total += loss
@@ -157,9 +165,11 @@ def _phase2_step(net, sa, sb, state, cfg, rng) -> float:
     dfull_b = np.zeros_like(desc_b)
     dfull_a[ra] = da
     dfull_b[rb] = db
-    _, grads_a = model_mod.backward(net, caches_a, dfull_a, sa.ops)
-    _, grads_b = model_mod.backward(net, caches_b, dfull_b, sb.ops)
-    grads = {k: grads_a[k] + grads_b[k] for k in grads_a}
+    del desc_a, desc_b
+    _, grads = model_mod.backward(net, caches_a, dfull_a, sa.ops)
+    # A's working set goes before B's backward adds into A's gradients
+    del caches_a, dfull_a
+    model_mod.backward(net, caches_b, dfull_b, sb.ops, grads=grads)
     _check_finite(loss, grads, f"phase 2, shapes {sa.name!r}/{sb.name!r}")
     adam_step(net.params, grads, state, cfg.lr_phase2, cfg.weight_decay_phase2)
     return loss
@@ -176,7 +186,9 @@ def train(
 
     history = {"phase1": per-epoch mean loss, "phase2": per-epoch mean loss}.
     Raises NumericalError, before that step's update, when a loss or a
-    gradient is not finite.
+    gradient is not finite.  No step holds an (n, classes) array: the
+    head's logits are formed a row block at a time (see the module
+    docstring).
     """
     _check_dataset(net, shapes, need_labels=config.phase1_epochs > 0)
     if config.phase1_epochs > 0 and net.head_dim is None:
@@ -209,6 +221,8 @@ def train(
 
 
 def classification_accuracy(net, shape: ShapeData) -> float:
+    if net.head_dim is None:
+        raise DataError("model has no classification head")
     desc, _ = model_mod.forward(net, shape.features, shape.ops)
-    logits, _ = model_mod.head_forward(net, desc)
-    return float((logits.argmax(axis=1) == shape.labels).mean())
+    pred = losses.head_predictions(desc, net.params["head.w"], net.params["head.b"])
+    return float((pred == shape.labels).mean())

@@ -350,6 +350,23 @@ def test_descriptor_rejects_inconsistent_basis(work, tmp_path, capsys):
     assert not (tmp_path / "d.mwd").exists()
 
 
+@pytest.mark.parametrize("kind", ["weds", "hks", "wks"])
+def test_basis_with_a_second_zero_eigenvalue_exits_2(work, tmp_path, capsys, kind):
+    # the eigensolver never writes one; hks/wks would take log(0) on it
+    basis = load_basis(work["basis_path"])
+    vals = basis.eigenvalues.copy()
+    vals[1] = 0.0
+    bad = tmp_path / "two-zeros.npz"
+    save_basis(bad, dataclasses.replace(basis, eigenvalues=vals))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["descriptor", str(work["mesh_path"]), "--type", kind, "--num", "16",
+                     "-k", "12", "--basis", str(bad), "-o", str(tmp_path / "d.mwd")]) == 2
+    err = capsys.readouterr().err
+    assert "inconsistent basis cache" in err and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["two-zeros.npz"]
+
+
 def test_eval_stale_correspondence(work, tmp_path, capsys):
     corr = tmp_path / "stale.txt"
     write_correspondence(gt_path := tmp_path / "g.txt", np.arange(60))

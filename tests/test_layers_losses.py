@@ -17,7 +17,12 @@ from meshwave.layers import (
     minmax_backward,
     minmax_forward,
 )
-from meshwave.losses import cross_entropy, hardnet_loss
+from meshwave.losses import (
+    cross_entropy,
+    hardnet_loss,
+    head_cross_entropy,
+    head_predictions,
+)
 
 import _shared
 
@@ -235,6 +240,76 @@ def test_cross_entropy_validation():
         cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
     with pytest.raises(DataError, match="one label per"):
         cross_entropy(np.zeros((2, 3)), np.array([0]))
+
+
+def _unfused_head(desc, w, b, labels):
+    """The head and its loss as separate layers: the fused loss's oracle."""
+    logits, cache = affine_forward(desc, w, b)
+    loss, dlogits = cross_entropy(logits, labels)
+    ddesc, dw, db = affine_backward(cache, dlogits, w)
+    return loss, ddesc, dw, db
+
+
+def _out_of_place_cross_entropy(logits, labels):
+    """Softmax cross-entropy with a new array per step, the order the
+    in-place block kernel must keep."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    total = exp.sum(axis=1)
+    rows = np.arange(len(labels))
+    loss = -(shifted - np.log(total)[:, None])[rows, labels].mean()
+    dlogits = exp / total[:, None]
+    dlogits[rows, labels] -= 1.0
+    dlogits /= len(labels)
+    return float(loss), dlogits
+
+
+def _head_case(rng, n, d, classes):
+    desc = rng.standard_normal((n, d))
+    w = rng.standard_normal((d, classes)) / np.sqrt(d)
+    b = 0.1 * rng.standard_normal(classes)
+    return desc, w, b, rng.integers(0, classes, size=n)
+
+
+# up to 2**20 logits the fused loss runs as one block; 1024 x 1024 is the edge
+@pytest.mark.parametrize("n, d, classes", [(7, 3, 5), (420, 256, 420), (1024, 8, 1024)])
+def test_head_cross_entropy_one_block_is_bitwise_the_unfused_head(rng, n, d, classes):
+    desc, w, b, labels = _head_case(rng, n, d, classes)
+    fused = head_cross_entropy(desc, w, b, labels)
+    expect = _unfused_head(desc, w, b, labels)
+    assert fused[0] == expect[0]
+    for got, want in zip(fused[1:], expect[1:]):
+        assert got.shape == want.shape and np.array_equal(got, want)
+    logits, _ = affine_forward(desc, w, b)
+    loss, dlogits = cross_entropy(logits, labels)
+    ref_loss, ref_dlogits = _out_of_place_cross_entropy(logits, labels)
+    assert loss == ref_loss and np.array_equal(dlogits, ref_dlogits)
+
+
+def test_head_cross_entropy_across_row_blocks(rng):
+    desc, w, b, labels = _head_case(rng, 1100, 16, 1100)  # 1.21M logits, two blocks
+    fused = head_cross_entropy(desc, w, b, labels)
+    expect = _unfused_head(desc, w, b, labels)
+    assert fused[0] == pytest.approx(expect[0], rel=1e-12)
+    for got, want in zip(fused[1:], expect[1:]):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n, classes", [(30, 7), (1100, 1100)])
+def test_head_predictions_are_the_logit_argmax(rng, n, classes):
+    desc, w, b, _ = _head_case(rng, n, 5, classes)
+    logits, _ = affine_forward(desc, w, b)
+    assert np.array_equal(head_predictions(desc, w, b), logits.argmax(axis=1))
+
+
+def test_head_cross_entropy_validation():
+    desc, w, b = np.zeros((2, 4)), np.zeros((4, 3)), np.zeros(3)
+    with pytest.raises(DataError, match="label out of range"):
+        head_cross_entropy(desc, w, b, np.array([0, 3]))
+    with pytest.raises(DataError, match="label out of range"):
+        head_cross_entropy(desc, w, b, np.array([-1, 0]))
+    with pytest.raises(DataError, match="one label per"):
+        head_cross_entropy(desc, w, b, np.array([0]))
 
 
 def test_hardnet_hand_cases():

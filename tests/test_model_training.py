@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,12 +12,12 @@ from meshwave.mesh import cotangent_laplacian, lumped_areas
 from meshwave.model import (
     DEFAULT_ARCHITECTURE,
     Model,
+    architecture_operator_keys,
     backward,
     build_model,
     build_wavelet_operators,
     forward,
     format_architecture,
-    head_forward,
     load_checkpoint,
     parse_architecture,
     required_operator_keys,
@@ -479,6 +480,64 @@ def test_train_stops_on_non_finite_loss(rng):
 
 
 def test_head_requires_head(rng):
-    net = build_model("FC4", input_dim=3, seed=0)
+    net = build_model("MGCONV6(3)+FC5", input_dim=4, seed=1)
+    shape = _labeled_shape(rng, net, 20)
     with pytest.raises(DataError, match="no classification head"):
-        head_forward(net, rng.standard_normal((5, 4)))
+        classification_accuracy(net, shape)
+
+
+def test_backward_adds_into_given_gradients_bitwise(rng):
+    net, x, ops = _toy_model_and_shape(rng)
+    _, _, ops_b = _toy_model_and_shape(rng)
+    x_b = rng.standard_normal(x.shape)
+    runs = []
+    for features, shape_ops in ((x, ops), (x_b, ops_b)):
+        out, caches = forward(net, features, shape_ops)
+        runs.append((caches, rng.standard_normal(out.shape), shape_ops))
+    separate = [backward(net, *run)[1] for run in runs]
+    _, grads = backward(net, *runs[0])
+    dx, same = backward(net, *runs[1], grads=grads)
+    assert same is grads and list(grads) == list(separate[0])
+    assert np.array_equal(dx, backward(net, *runs[1])[0])
+    for name, g in grads.items():
+        assert np.array_equal(g, separate[0][name] + separate[1][name]), name
+
+
+@pytest.mark.parametrize("arch", [DEFAULT_ARCHITECTURE, "MGCONV8(5)+MGCONV4(3)+FC6", "FC4"])
+@pytest.mark.parametrize("kind", ["mgcn", "chebyshev"])
+def test_architecture_operator_keys_match_a_built_model(arch, kind):
+    net = build_model(arch, input_dim=3, kind=kind)
+    assert architecture_operator_keys(arch, kind) == required_operator_keys(net)
+
+
+def test_architecture_operator_keys_reject_what_build_model_rejects():
+    with pytest.raises(DataError, match="unknown model kind"):
+        architecture_operator_keys("FC4", "mystery")
+    with pytest.raises(DataError, match="at least 3 scales"):
+        architecture_operator_keys("MGCONV8(2)+FC4", "mgcn")
+    with pytest.raises(DataError, match="cannot parse"):
+        architecture_operator_keys("CONV8(3)", "mgcn")
+
+
+def test_phase1_epoch_holds_no_n_by_n_logits():
+    # 1,300 vertices: 1.69M logits, so the fused head runs in two row
+    # blocks of at most 2**20, and holding both at once would also fail;
+    # the unfused head held several n x n arrays at once
+    basis = _shared.bar_basis(0.3, 20, nu=50, nv=26)
+    n = basis.n_vertices
+    net = build_model("MGCONV8(3)+FC16", input_dim=4, head_dim=n, seed=0)
+    ops = build_wavelet_operators(basis, _shared.bank_for(basis.lambda_max),
+                                  required_operator_keys(net))
+    features = np.random.default_rng(0).standard_normal((n, 4))
+    shape = ShapeData(features, np.arange(n, dtype=np.int64), ops)
+    state = adam_init(net.params)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        _, history = train(net, [shape], TrainConfig(phase1_epochs=1, phase2_epochs=0),
+                           opt_state=state)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(history["phase1"][0])
+    assert peak < n * n * 8, f"phase-1 epoch traced {peak / 1e6:.1f} MB"

@@ -203,11 +203,12 @@ def _zero_area(areas):
     dict(areas=lambda b: b.areas[:-1]),
     dict(eigenvalues=lambda b: b.eigenvalues[::-1].copy()),
     dict(eigenvalues=lambda b: b.eigenvalues + 1.0),
+    dict(eigenvalues=lambda b: np.concatenate([[0.0, 0.0], b.eigenvalues[2:]])),
     dict(eigenvalues=lambda b: b.eigenvalues[None, :]),
     dict(eigenvectors=lambda b: np.where(b.eigenvectors > 0.5, np.nan, b.eigenvectors)),
     dict(eigenvectors=lambda b: b.eigenvectors.astype(np.int64)),
     dict(eigenvectors=lambda b: b.eigenvectors * 1.001),  # Gram deviation 2e-3
-], ids=["mismatched-shapes", "zero-area", "short-areas", "descending", "no-zero-mode",
+], ids=["mismatched-shapes", "zero-area", "short-areas", "descending", "no-zero-mode", "second-zero",
         "2d-eigenvalues", "nan-eigenvector", "integer-eigenvectors", "scaled-eigenvectors"])
 def test_load_rejects_inconsistent_cache(tmp_path, override):
     basis = _shared.bar_basis(0.3, 8)
