@@ -2,46 +2,48 @@
 
 Solves L phi = lambda A phi for the k lowest pairs on the symmetric
 standard form C = A^-1/2 L A^-1/2, which has the pencil's eigenvalues; the
-eigenvectors come back as phi = A^-1/2 psi.  Up to 512 vertices (or when k
-reaches n - 1) dense LAPACK (syevd) solves C: at k = 100 on one thread
-that takes about 30 ms at 420 vertices, where the generalized pencil took 43.
-Otherwise shift-invert Lanczos runs on C with no mass products (ARPACK
-mode 3 with an identity B); its solves go through a band Cholesky factor
-of C - sigma I after reverse Cuthill-McKee ordering (George & Liu, 1981)
-while the ordered band b stays within 4 sqrt(n); wider bands fall back to
-scipy's SuperLU factor.  Surface meshes have b near 1.6 sqrt(n)
-(icospheres) or 0.7 sqrt(n) (bent bars), where one band solve at 2,562
-vertices takes 0.21 ms against SuperLU's 0.37 ms; a high-valence hub
-widens b to its valence.  Retained eigenvectors are A-orthonormal,
-ascending, sign-fixed (largest-magnitude entry positive), and the zero
-mode is clamped to exactly 0 after the residual checks pass.
+eigenvectors come back as phi = A^-1/2 psi.  Up to 512 vertices, or when
+the Krylov basis of 2 (k + 8) + 2 blocks would not fit in n, dense LAPACK
+(syevd) solves C: at k = 100 on one thread that takes about 30 ms at 420
+vertices.  Otherwise a block Krylov-Schur iteration (Stewart, SIAM J.
+Matrix Anal. Appl. 23, 2001; Zhou & Saad, Numer. Algorithms 47, 2008) runs
+on T = (C - sigma I)^-1 with blocks of 8 vectors, so its Gram-Schmidt
+passes, restarts and Ritz vectors are GEMMs against a basis held as rows.
+Its solves go through a band Cholesky factor of C - sigma I after reverse
+Cuthill-McKee ordering (George & Liu, 1981) while the ordered band b stays
+within 4 sqrt(n); wider bands fall back to scipy's SuperLU factor.
+Surface meshes have b near 1.6 sqrt(n) (icospheres) or 0.7 sqrt(n) (bent
+bars), where one band solve at 2,562 vertices takes 0.21 ms against
+SuperLU's 0.37 ms; a high-valence hub widens b to its valence.  Retained
+eigenvectors are A-orthonormal, ascending, sign-fixed (largest-magnitude
+entry positive), and the zero mode is clamped to exactly 0 after the
+residual checks pass.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import reverse_cuthill_mckee
+from scipy.sparse.linalg import splu
 
 from ._files import atomic_write, open_npz
 from .errors import DataError, NumericalError
 
-logger = logging.getLogger(__name__)
-
 _DENSE_LIMIT = 512
-# tol=0 means machine precision.  Anything looser lets ARPACK declare
-# convergence before a degenerate cluster is fully resolved, which silently
-# drops a multiplet member (seen on sphere spectra).
-_SOLVER_TOL = 0.0
-# Same failure mode at the window edge: solve a few pairs past k and keep
-# the first k, so a cluster straddling the cut cannot lose members.
-_EIGSH_PAD = 8
-_MAXITER_PER_PAIR = 50
+# Solve a few pairs past k and keep the first k, so a degenerate cluster
+# straddling the cut cannot lose members.
+_PAD = 8
+# Krylov block size: an exact multiplet wider than the block is seen only
+# through rounding (icosphere multiplets have at most 5 members).
+_BLOCK = 8
+# Converged when every wanted Ritz residual is below this times theta_max.
+_RITZ_TOL = 1e-14
+_MAX_RESTARTS = 100
+_RESTART_ENTRIES = 1 << 18  # slab size of the in-place restart product
 _ZERO_MODE_REL = 1e-8
 _ORTHO_TOL = 1e-7
 _RESIDUAL_REL = 1e-6
@@ -111,15 +113,16 @@ def standard_form(laplacian, areas):
     return sym, inv_sqrt
 
 
-def _banded_inverse(sym, sigma):
-    """(C - sigma I)^-1 as a LinearOperator from a band Cholesky factor of
-    the RCM-ordered C - sigma I, or None when the band is too wide."""
+def _shifted_solver(sym, sigma):
+    """A solve with C - sigma I on (n, j) blocks, through a band Cholesky
+    factor of the RCM-ordered matrix, or scipy's SuperLU factor when that
+    band is too wide."""
     n = sym.shape[0]
     perm = reverse_cuthill_mckee(sym, symmetric_mode=True)
     upper = sp.triu(sym[perm][:, perm], format="coo")
     band = int((upper.col - upper.row).max())
     if band > _BAND_PER_SQRT_N * np.sqrt(n):
-        return None
+        return splu(sp.csc_matrix(sym - sigma * sp.identity(n))).solve
     # upper band storage: entry (i, j), i <= j, sits at row band + i - j
     packed = np.zeros((band + 1, n))
     packed[band + upper.row - upper.col, upper.col] = upper.data
@@ -136,7 +139,54 @@ def _banded_inverse(sym, sigma):
                                                   check_finite=False)
         return out
 
-    return spla.LinearOperator((n, n), matvec=solve, dtype=np.float64)
+    return solve
+
+
+def _krylov_schur(solve, n, n_want):
+    """Largest n_want eigenpairs (theta, Ritz vectors as (n, n_want)) of the
+    symmetric positive definite T = solve, by block Krylov-Schur.
+
+    The basis is kept as rows, so Gram-Schmidt and the restart are GEMMs;
+    the projected matrix H = V' T V comes from the Gram-Schmidt coefficients
+    and QR factors, read from its lower triangle.
+    """
+    b = _BLOCK
+    m = b * -(-max(2 * n_want, n_want + 3 * b) // b)
+    keep = m - b * ((m - n_want) // (2 * b))  # about n_want + (m - n_want) / 2
+    basis = np.empty((m + b, n))
+    proj = np.zeros((m, m))
+    start = np.random.default_rng(0x5EED).standard_normal((n, b))  # reruns identical
+    basis[:b] = np.linalg.qr(start)[0].T
+    size = 0  # basis[:size] spans the projection; basis[size:size + b] is open
+    for _ in range(_MAX_RESTARTS + 1):
+        while size < m:
+            top = size + b
+            block = solve(basis[size:top].T).T  # (b, n) rows, like the basis
+            coef = basis[:top] @ block.T
+            block -= coef.T @ basis[:top]
+            again = basis[:top] @ block.T  # second Gram-Schmidt pass
+            block -= again.T @ basis[:top]
+            coef += again
+            q, beta = np.linalg.qr(block.T)
+            basis[top:top + b] = q.T
+            proj[size:top, size:top] = coef[size:]
+            if top < m:
+                proj[top:top + b, size:top] = beta
+            size = top
+        theta, ritz = np.linalg.eigh(proj)  # syevd on the lower triangle
+        theta, ritz = theta[::-1], ritz[:, ::-1]  # largest theta first
+        coupling = beta @ ritz[m - b:]  # Ritz pair i's residual is basis[m:]' coupling[:, i]
+        if np.linalg.norm(coupling[:, :n_want], axis=0).max() <= _RITZ_TOL * theta[0]:
+            return theta[:n_want], basis[:m].T @ ritz[:, :n_want]
+        chunk = max(1, _RESTART_ENTRIES // m)
+        for lo in range(0, n, chunk):  # no second (m, n) array
+            basis[:keep, lo:lo + chunk] = ritz[:, :keep].T @ basis[:m, lo:lo + chunk]
+        basis[keep:keep + b] = basis[m:]
+        proj[:] = 0.0
+        proj[:keep, :keep] = np.diag(theta[:keep])
+        proj[keep:keep + b, :keep] = coupling[:, :keep]
+        size = keep
+    raise NumericalError(f"eigensolver did not converge in {_MAX_RESTARTS} restarts")
 
 
 def eig_generalized(laplacian, areas, k, mesh_hash=""):
@@ -147,26 +197,14 @@ def eig_generalized(laplacian, areas, k, mesh_hash=""):
     areas = np.asarray(areas, dtype=np.float64)
     sym, inv_sqrt = standard_form(laplacian, areas)
     sym = sym.tocsr()
-    if n <= _DENSE_LIMIT or k >= n - 1:
+    n_want = k + _PAD
+    if n <= _DENSE_LIMIT or 2 * n_want + 2 * _BLOCK > n:
         vals, vecs = scipy.linalg.eigh(sym.toarray(), driver="evd")
     else:
         # shift slightly negative (spectrum is >= 0) at the pencil's scale
         sigma = -0.01 * (laplacian.diagonal().sum() / areas.sum())
-        rng = np.random.default_rng(0x5EED)  # fixed start vector: reruns identical
-        n_solve = min(n - 2, k + _EIGSH_PAD)
-        try:
-            vals, vecs = spla.eigsh(
-                sym,
-                k=n_solve,
-                sigma=sigma,
-                which="LM",
-                tol=_SOLVER_TOL,
-                maxiter=_MAXITER_PER_PAIR * n_solve,
-                v0=rng.standard_normal(n),
-                OPinv=_banded_inverse(sym, sigma),
-            )
-        except spla.ArpackNoConvergence as exc:
-            raise NumericalError(f"eigensolver did not converge: {exc}") from exc
+        theta, vecs = _krylov_schur(_shifted_solver(sym, sigma), n, n_want)
+        vals = sigma + 1.0 / theta
     order = np.argsort(vals)[:k]
     vals = vals[order]
     vecs = np.ascontiguousarray(_fix_signs(vecs[:, order] * inv_sqrt[:, None]))

@@ -110,16 +110,6 @@ def grid_mesh(u_coords, v_coords, surface):
     return TriMesh(vertices, np.array(faces, dtype=np.int64))
 
 
-def strip_mesh(x_coords, height=0.1):
-    """Two-row planar strip; bottom-row geodesics are exact prefix sums."""
-    x = np.asarray(x_coords, dtype=np.float64)
-
-    def surf(u, v):
-        return u, v * height, np.zeros_like(u)
-
-    return grid_mesh(x, np.array([0.0, 1.0]), surf)
-
-
 _BAR_LENGTH = 2.0
 _BAR_WIDTH = 0.5
 

@@ -60,6 +60,9 @@ class ShapeData:
         return self.features.shape[0]
 
 
+_ADAM_ENTRIES = 1 << 16
+
+
 def adam_init(params: dict) -> dict:
     return {
         "step": 0,
@@ -78,24 +81,28 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ):
-    """In-place Adam update with decoupled weight decay."""
+    """In-place Adam update with decoupled weight decay, over slabs of rows
+    holding at most _ADAM_ENTRIES entries: temporaries stay slab-sized, and
+    every entry sees the operations of a whole-array update."""
     state["step"] += 1
     t = state["step"]
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
+    for name, param in params.items():
+        grad = grads.get(name)
+        if grad is None:
             continue
-        m = state["m"][name]
-        v = state["v"][name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        if weight_decay:
-            p -= lr * weight_decay * p
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        rows = max(1, _ADAM_ENTRIES * len(param) // max(param.size, 1))
+        for lo in range(0, len(param), rows):
+            p, g, m, v = (a[lo:lo + rows] for a in
+                          (param, grad, state["m"][name], state["v"][name]))
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * g * g
+            if weight_decay:
+                p -= lr * weight_decay * p
+            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
 
 def _check_finite(loss: float, grads: dict, where: str):

@@ -29,7 +29,7 @@ from meshwave.filters import (
 from meshwave.geodesics import geodesic_multi
 from meshwave.mesh import TriMesh, cotangent_laplacian, lumped_areas
 from meshwave.spectral import SpectralBasis, eig_generalized, project
-from meshwave.synthetic import bent_bar, icosphere
+from meshwave.synthetic import bent_bar, grid_mesh, icosphere
 
 
 def basis_of(mesh: TriMesh, k: int) -> SpectralBasis:
@@ -81,6 +81,16 @@ def refit_constants(bank, eigenvalues=None):
     refit = replace(bank, amplitude=float(fit.x[0]), scaling_amplitude=float(fit.x[1]),
                     scaling_decay=float(fit.x[2]))
     return replace(refit, residual=frame_residual(refit, eigenvalues)[0])
+
+
+def strip_mesh(x_coords, height: float = 0.1) -> TriMesh:
+    """Two-row planar strip; bottom-row geodesics are exact prefix sums."""
+    x = np.asarray(x_coords, dtype=np.float64)
+
+    def surf(u, v):
+        return u, v * height, np.zeros_like(u)
+
+    return grid_mesh(x, np.array([0.0, 1.0]), surf)
 
 
 def permute_mesh(mesh: TriMesh, perm: np.ndarray) -> TriMesh:

@@ -5,7 +5,7 @@ from scipy.sparse.csgraph import dijkstra
 from meshwave import geodesics
 from meshwave.geodesics import edge_graph, geodesic_multi, geodesic_pairs
 from meshwave.mesh import TriMesh
-from meshwave.synthetic import bent_bar, icosphere, strip_mesh
+from meshwave.synthetic import bent_bar, icosphere
 
 import _shared
 
@@ -22,7 +22,7 @@ def test_strip_distances_are_prefix_sums():
     # on a flat strip the shortest path along the bottom row is the sum
     # of the segment lengths; vertex (i, j) sits at index 2 * i + j
     xs = np.array([0.0, 0.5, 1.7, 1.9, 4.0])
-    mesh = strip_mesh(xs, height=0.05)
+    mesh = _shared.strip_mesh(xs, height=0.05)
     d = geodesic_multi(mesh, [0])[0]
     expect = np.concatenate([[0.0], np.cumsum(np.diff(xs))])
     assert np.allclose(d[0::2], expect, rtol=1e-12)
@@ -30,7 +30,7 @@ def test_strip_distances_are_prefix_sums():
 
 def test_dijkstra_line_graph_prefix_sums():
     # the strip's bottom row is the path 0-2-4-6 with weights 2, 3, 5
-    mesh = strip_mesh(np.array([0.0, 2.0, 5.0, 10.0]), height=0.05)
+    mesh = _shared.strip_mesh(np.array([0.0, 2.0, 5.0, 10.0]), height=0.05)
     dist = geodesic_multi(mesh, np.array([0]))
     assert dist.shape == (1, mesh.n_vertices)
     assert np.array_equal(dist[0, 0::2], [0.0, 2.0, 5.0, 10.0])

@@ -274,6 +274,59 @@ def test_adam_skips_missing_grads():
     assert not np.array_equal(params["a"], np.ones(2))
 
 
+def _adam_reference(params, grads, state, lr, weight_decay, beta1=0.9, beta2=0.999, eps=1e-8):
+    """adam_step's whole-array formula, as it was before the row slabs."""
+    state["step"] += 1
+    bc1, bc2 = 1.0 - beta1 ** state["step"], 1.0 - beta2 ** state["step"]
+    for name, p in params.items():
+        g, m, v = grads[name], state["m"][name], state["v"][name]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        if weight_decay:
+            p -= lr * weight_decay * p
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
+def _adam_params(rng):
+    # the 7,000-class head at a 96-wide descriptor is several slabs; the rest fit in one
+    shapes = {"head.w": (96, 7000), "head.b": (7000,), "fc0.w": (16, 128), "fc0.b": (128,),
+              "odd.w": (3, 100_000)}
+    return {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+def test_adam_slabs_are_bit_identical_to_the_whole_array_formula(rng, weight_decay):
+    params = _adam_params(rng)
+    expect = {name: p.copy() for name, p in params.items()}
+    state, expect_state = adam_init(params), adam_init(expect)
+    for _ in range(3):
+        grads = {name: rng.standard_normal(p.shape) for name, p in params.items()}
+        adam_step(params, grads, state, 1e-3, weight_decay)
+        _adam_reference(expect, grads, expect_state, 1e-3, weight_decay)
+    for name in params:
+        assert np.array_equal(params[name], expect[name])
+        assert np.array_equal(state["m"][name], expect_state["m"][name])
+        assert np.array_equal(state["v"][name], expect_state["v"][name])
+
+
+def test_adam_step_peak_is_within_twice_the_largest_parameter(rng):
+    params = _adam_params(rng)
+    grads = {name: rng.standard_normal(p.shape) for name, p in params.items()}
+    state = adam_init(params)
+    largest = max(p.nbytes for p in params.values())
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        adam_step(params, grads, state, 1e-3, 1e-4)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * largest
+
+
 def _labeled_shape(rng, net, n, name=""):
     ops = _toy_ops(rng, n, required_operator_keys(net))
     features = rng.standard_normal((n, net.input_dim))

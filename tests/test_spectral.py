@@ -6,8 +6,10 @@ from scipy.sparse.linalg import eigsh
 
 from meshwave import spectral
 from meshwave.chebyshev import spectral_max
+from meshwave.cli import main
 from meshwave.errors import DataError, NumericalError
 from meshwave.mesh import TriMesh, cotangent_laplacian, lumped_areas, validate_mesh
+from meshwave.meshio import write_ply
 from meshwave.spectral import (
     eig_generalized,
     load_basis,
@@ -233,6 +235,23 @@ def test_lambda_max_property():
     assert basis.k == 12
 
 
+@pytest.fixture
+def watch(monkeypatch):
+    """watch(*names) wraps those spectral functions and returns the list
+    that records, in order, the name of each call made to them."""
+    calls = []
+
+    def wrap(*names):
+        for name in names:
+            def record(*args, _fn=getattr(spectral, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(spectral, name, record)
+        return calls
+
+    return wrap
+
+
 def _fan(ring):
     """A flat disk: one hub vertex joined to a ring of `ring` vertices, and a
     second, outer ring.  The hub's valence makes every ordering's band at
@@ -257,20 +276,13 @@ def _fan(ring):
     (bent_bar(0.3, nu=35, nv=20), 100, True),
     (_fan(400), 21, False),  # 801 vertices, band 398 > 4 sqrt(801)
 ], ids=["sphere", "bar", "fan"])
-def test_lanczos_matches_dense_oracle(monkeypatch, mesh, k, banded):
-    inverses = []
-    banded_inverse = spectral._banded_inverse
-
-    def spy(sym, sigma):
-        inverses.append(banded_inverse(sym, sigma))
-        return inverses[-1]
-
-    monkeypatch.setattr(spectral, "_banded_inverse", spy)
+def test_lanczos_matches_dense_oracle(watch, mesh, k, banded):
+    calls = watch("_shifted_solver", "splu")  # splu only past the band limit
     lap = cotangent_laplacian(mesh)
     areas = lumped_areas(mesh)
     basis = eig_generalized(lap, areas, k)
     assert mesh.n_vertices > spectral._DENSE_LIMIT
-    assert len(inverses) == 1 and (inverses[0] is not None) == banded
+    assert calls == (["_shifted_solver"] if banded else ["_shifted_solver", "splu"])
     vals, vecs = scipy.linalg.eigh(lap.toarray(), np.diag(areas))
     lam_max = vals[k - 1]
     assert vals[k] - lam_max > 1e-3 * lam_max  # the cut falls on a gap
@@ -354,3 +366,72 @@ def test_dense_and_lanczos_branches_agree(monkeypatch):
     half = np.sqrt(areas)[:, None]
     got, expect = half * lanczos.eigenvectors, half * dense.eigenvectors
     assert np.linalg.norm(got @ got.T - expect @ expect.T, 2) <= 1e-9
+
+
+def _cluster_errors(basis, areas, vals, vecs):
+    """Largest eigenvalue error over lambda_k, and the largest 2-norm error
+    of the A-weighted projector onto each whole oracle cluster below the cut.
+    In the A^1/2 frame both projectors are orthogonal and of equal rank, so
+    that error is |(I - P_got) P_expect| = |E - G G'E|."""
+    k = basis.k
+    scale = vals[k]  # the first eigenvalue past the cut, positive even at k = 1
+    bounds = np.flatnonzero(np.diff(vals[:k + 1]) > 1e-6 * scale) + 1
+    half = np.sqrt(areas)[:, None]
+    proj = 0.0
+    for lo, hi in zip(np.r_[0, bounds[:-1]], bounds):
+        got, expect = half * basis.eigenvectors[:, lo:hi], half * vecs[:, lo:hi]
+        proj = max(proj, np.linalg.norm(expect - got @ (got.T @ expect), 2))
+    return np.abs(basis.eigenvalues - vals[:k]).max() / scale, proj
+
+
+def test_krylov_schur_matches_arpack_on_the_2562_vertex_sphere(watch):
+    krylov_runs = watch("_krylov_schur")
+    mesh = icosphere(4)
+    lap, areas = cotangent_laplacian(mesh), lumped_areas(mesh)
+    basis = eig_generalized(lap, areas, 100)
+    assert len(krylov_runs) == 1
+    # ARPACK on the pencil itself with SuperLU solves: no standard form, band
+    # factor or Krylov-Schur code in the oracle
+    sigma = -0.01 * lap.diagonal().sum() / areas.sum()
+    vals, vecs = eigsh(lap.tocsc(), k=108, M=sparse.diags(areas).tocsc(), sigma=sigma,
+                       which="LM", tol=0, v0=np.random.default_rng(1).standard_normal(len(areas)))
+    order = np.argsort(vals)
+    eig_err, proj_err = _cluster_errors(basis, areas, vals[order], vecs[:, order])
+    assert eig_err <= 1e-10 and proj_err <= 1e-9
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])  # k + pad < 2 blocks
+def test_krylov_schur_few_pairs_match_dense_oracle(watch, k):
+    krylov_runs = watch("_krylov_schur")
+    mesh = bent_bar(0.3, nu=35, nv=20)  # 700 vertices
+    lap, areas = cotangent_laplacian(mesh), lumped_areas(mesh)
+    basis = eig_generalized(lap, areas, k)
+    assert len(krylov_runs) == 1 and k + spectral._PAD < 2 * spectral._BLOCK
+    vals, vecs = scipy.linalg.eigh(lap.toarray(), np.diag(areas))
+    eig_err, proj_err = _cluster_errors(basis, areas, vals, vecs)
+    assert eig_err <= 1e-10 and proj_err <= 1e-9
+
+
+@pytest.mark.parametrize("k, krylov", [(300, True), (500, False), (640, False)])
+def test_many_pairs_match_dense_oracle(watch, k, krylov):
+    krylov_runs = watch("_krylov_schur")
+    # 642 vertices: past 2 (k + pad) + 2 blocks > n the dense branch runs
+    mesh = icosphere(3)
+    lap, areas = cotangent_laplacian(mesh), lumped_areas(mesh)
+    basis = eig_generalized(lap, areas, k)
+    assert len(krylov_runs) == krylov
+    vals, vecs = scipy.linalg.eigh(lap.toarray(), np.diag(areas))
+    eig_err, proj_err = _cluster_errors(basis, areas, vals, vecs)
+    assert eig_err <= 1e-10 and proj_err <= 1e-9
+
+
+def test_restart_cap_is_a_numerical_error(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(spectral, "_MAX_RESTARTS", 0)
+    mesh = bent_bar(0.3, nu=35, nv=20)
+    with pytest.raises(NumericalError, match="did not converge"):
+        eig_generalized(cotangent_laplacian(mesh), lumped_areas(mesh), 20)
+    path, out = tmp_path / "bar.ply", tmp_path / "bar.basis.npz"
+    write_ply(path, mesh.vertices, mesh.triangles)
+    assert main(["basis", str(path), "-k", "20", "-o", str(out)]) == 3
+    assert "did not converge" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [path]
