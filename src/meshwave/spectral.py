@@ -3,21 +3,24 @@
 Solves L phi = lambda A phi for the k lowest pairs on the symmetric
 standard form C = A^-1/2 L A^-1/2, which has the pencil's eigenvalues; the
 eigenvectors come back as phi = A^-1/2 psi.  Up to 512 vertices, or when
-the Krylov basis of 2 (k + 8) + 2 blocks would not fit in n, dense LAPACK
-(syevd) solves C: at k = 100 on one thread that takes about 30 ms at 420
-vertices.  Otherwise a block Krylov-Schur iteration (Stewart, SIAM J.
-Matrix Anal. Appl. 23, 2001; Zhou & Saad, Numer. Algorithms 47, 2008) runs
-on T = (C - sigma I)^-1 with blocks of 8 vectors, so its Gram-Schmidt
-passes, restarts and Ritz vectors are GEMMs against a basis held as rows.
+more than n / 4 pairs are wanted (where it is the cheaper branch), dense
+LAPACK (syevd) solves C: at k = 100 on one thread that takes about 30 ms
+at 420 vertices.  Otherwise a block Krylov-Schur iteration (Stewart, SIAM
+J. Matrix Anal. Appl. 23, 2001; Zhou & Saad, Numer. Algorithms 47, 2008)
+runs on T = (C - sigma I)^-1 with blocks of 8 vectors, so its Gram-Schmidt
+passes, restarts and Ritz vectors are GEMMs against a basis held as rows;
+it locks converged Ritz pairs (Stathopoulos & McCombs, ACM TOMS 36, 2010)
+and runs its first Gram-Schmidt pass only against the rows T reaches.
 Its solves go through a band Cholesky factor of C - sigma I after reverse
 Cuthill-McKee ordering (George & Liu, 1981) while the ordered band b stays
 within 4 sqrt(n); wider bands fall back to scipy's SuperLU factor.
 Surface meshes have b near 1.6 sqrt(n) (icospheres) or 0.7 sqrt(n) (bent
 bars), where one band solve at 2,562 vertices takes 0.21 ms against
-SuperLU's 0.37 ms; a high-valence hub widens b to its valence.  Retained
-eigenvectors are A-orthonormal, ascending, sign-fixed (largest-magnitude
-entry positive), and the zero mode is clamped to exactly 0 after the
-residual checks pass.
+SuperLU's 0.37 ms; a high-valence hub widens b to its valence.  The
+iteration runs in the solver's vertex order; the Ritz vectors return to
+mesh order once, at the end.  Retained eigenvectors are A-orthonormal,
+ascending, sign-fixed (largest-magnitude entry positive), and the zero
+mode is clamped to exactly 0 after the residual checks pass.
 """
 
 from __future__ import annotations
@@ -114,15 +117,16 @@ def standard_form(laplacian, areas):
 
 
 def _shifted_solver(sym, sigma):
-    """A solve with C - sigma I on (n, j) blocks, through a band Cholesky
-    factor of the RCM-ordered matrix, or scipy's SuperLU factor when that
-    band is too wide."""
+    """A solve with C - sigma I on (n, j) blocks, and the vertex order it
+    works in.  The band Cholesky factor solves in RCM order, so its
+    right-hand sides and results are rows of C[perm][:, perm]; when that
+    band is too wide, scipy's SuperLU factor solves in the identity order."""
     n = sym.shape[0]
     perm = reverse_cuthill_mckee(sym, symmetric_mode=True)
     upper = sp.triu(sym[perm][:, perm], format="coo")
     band = int((upper.col - upper.row).max())
     if band > _BAND_PER_SQRT_N * np.sqrt(n):
-        return splu(sp.csc_matrix(sym - sigma * sp.identity(n))).solve
+        return splu(sp.csc_matrix(sym - sigma * sp.identity(n))).solve, np.arange(n)
     # upper band storage: entry (i, j), i <= j, sits at row band + i - j
     packed = np.zeros((band + 1, n))
     packed[band + upper.row - upper.col, upper.col] = upper.data
@@ -134,58 +138,68 @@ def _shifted_solver(sym, sigma):
         raise NumericalError(f"shifted operator is not positive definite: {exc}") from exc
 
     def solve(rhs):
-        out = np.empty_like(rhs)
-        out[perm] = scipy.linalg.cho_solve_banded((factor, False), rhs[perm],
-                                                  check_finite=False)
-        return out
+        return scipy.linalg.cho_solve_banded((factor, False), rhs, check_finite=False)
 
-    return solve
+    return solve, perm
 
 
 def _krylov_schur(solve, n, n_want):
     """Largest n_want eigenpairs (theta, Ritz vectors as (n, n_want)) of the
-    symmetric positive definite T = solve, by block Krylov-Schur.
+    symmetric positive definite T = solve, by block Krylov-Schur, in the
+    vertex order solve works in (RCM order for the band factor).
 
     The basis is kept as rows, so Gram-Schmidt and the restart are GEMMs;
-    the projected matrix H = V' T V comes from the Gram-Schmidt coefficients
-    and QR factors, read from its lower triangle.
+    H = V' T V comes from the Gram-Schmidt coefficients and QR factors, read
+    from its lower triangle.  H is block tridiagonal plus a restart's
+    arrowhead, so the first Gram-Schmidt pass runs only against the rows T
+    reaches (the previous block, or after a restart every active kept Ritz
+    row); the second runs against the whole basis.  After each Rayleigh-Ritz
+    step the leading run of converged wanted pairs is locked: those rows stay
+    at the front of the basis and leave H and the restart product.
     """
     b = _BLOCK
     m = b * -(-max(2 * n_want, n_want + 3 * b) // b)
     keep = m - b * ((m - n_want) // (2 * b))  # about n_want + (m - n_want) / 2
     basis = np.empty((m + b, n))
     proj = np.zeros((m, m))
+    theta = np.empty(keep)  # theta[:nl] belong to the locked rows
     start = np.random.default_rng(0x5EED).standard_normal((n, b))  # reruns identical
-    basis[:b] = np.linalg.qr(start)[0].T
-    size = 0  # basis[:size] spans the projection; basis[size:size + b] is open
+    basis[:b] = scipy.linalg.qr(start, mode="economic", check_finite=False)[0].T
+    # basis[:nl] is locked, basis[nl:size] spans H, basis[size:size + b] is open
+    size = lo = nl = 0
+    tol = None
+    chunk = max(1, _RESTART_ENTRIES // m)
     for _ in range(_MAX_RESTARTS + 1):
         while size < m:
             top = size + b
             block = solve(basis[size:top].T).T  # (b, n) rows, like the basis
-            coef = basis[:top] @ block.T
-            block -= coef.T @ basis[:top]
-            again = basis[:top] @ block.T  # second Gram-Schmidt pass
+            coef = basis[lo:top] @ block.T  # rows of basis[lo:top] that T reaches
+            block -= coef.T @ basis[lo:top]
+            again = basis[:top] @ block.T  # second Gram-Schmidt pass, full
             block -= again.T @ basis[:top]
-            coef += again
-            q, beta = np.linalg.qr(block.T)
+            q, beta = scipy.linalg.qr(block.T, mode="economic", check_finite=False)
             basis[top:top + b] = q.T
-            proj[size:top, size:top] = coef[size:]
+            proj[size:top, size:top] = coef[-b:] + again[size:]
             if top < m:
                 proj[top:top + b, size:top] = beta
-            size = top
-        theta, ritz = np.linalg.eigh(proj)  # syevd on the lower triangle
-        theta, ritz = theta[::-1], ritz[:, ::-1]  # largest theta first
-        coupling = beta @ ritz[m - b:]  # Ritz pair i's residual is basis[m:]' coupling[:, i]
-        if np.linalg.norm(coupling[:, :n_want], axis=0).max() <= _RITZ_TOL * theta[0]:
-            return theta[:n_want], basis[:m].T @ ritz[:, :n_want]
-        chunk = max(1, _RESTART_ENTRIES // m)
-        for lo in range(0, n, chunk):  # no second (m, n) array
-            basis[:keep, lo:lo + chunk] = ritz[:, :keep].T @ basis[:m, lo:lo + chunk]
+            lo, size = size, top
+        vals, ritz = np.linalg.eigh(proj[nl:, nl:])  # syevd on the lower triangle
+        vals, ritz = vals[::-1], ritz[:, ::-1]  # largest theta first
+        tol = _RITZ_TOL * vals[0] if tol is None else tol
+        coupling = beta @ ritz[-b:]  # Ritz pair i's residual is basis[m:]' coupling[:, i]
+        lock = int((np.linalg.norm(coupling[:, :n_want - nl], axis=0) <= tol).cumprod().sum())
+        rows = n_want if nl + lock == n_want else keep  # n_want: all converged
+        for col in range(0, n, chunk):  # no second (m, n) array
+            basis[nl:rows, col:col + chunk] = ritz[:, :rows - nl].T @ basis[nl:m, col:col + chunk]
+        theta[nl:rows] = vals[:rows - nl]
+        if rows == n_want:
+            return theta[:n_want], basis[:n_want].T
         basis[keep:keep + b] = basis[m:]
         proj[:] = 0.0
-        proj[:keep, :keep] = np.diag(theta[:keep])
-        proj[keep:keep + b, :keep] = coupling[:, :keep]
-        size = keep
+        proj[keep:keep + b, nl + lock:keep] = coupling[:, lock:keep - nl]
+        nl += lock
+        proj[nl:keep, nl:keep] = np.diag(theta[nl:keep])
+        size, lo = keep, nl
     raise NumericalError(f"eigensolver did not converge in {_MAX_RESTARTS} restarts")
 
 
@@ -198,16 +212,21 @@ def eig_generalized(laplacian, areas, k, mesh_hash=""):
     sym, inv_sqrt = standard_form(laplacian, areas)
     sym = sym.tocsr()
     n_want = k + _PAD
-    if n <= _DENSE_LIMIT or 2 * n_want + 2 * _BLOCK > n:
+    if n <= _DENSE_LIMIT or 4 * n_want > n:
         vals, vecs = scipy.linalg.eigh(sym.toarray(), driver="evd")
+        perm = np.arange(n)
     else:
         # shift slightly negative (spectrum is >= 0) at the pencil's scale
         sigma = -0.01 * (laplacian.diagonal().sum() / areas.sum())
-        theta, vecs = _krylov_schur(_shifted_solver(sym, sigma), n, n_want)
+        solve, perm = _shifted_solver(sym, sigma)
+        theta, vecs = _krylov_schur(solve, n, n_want)  # rows in the solver's order
+        del solve  # frees the factor before the checks below
         vals = sigma + 1.0 / theta
     order = np.argsort(vals)[:k]
     vals = vals[order]
-    vecs = np.ascontiguousarray(_fix_signs(vecs[:, order] * inv_sqrt[:, None]))
+    vecs = vecs[:, order]  # frees the Krylov basis before the un-permute copy
+    vecs = vecs[np.argsort(perm)]  # back to vertex order
+    vecs = np.ascontiguousarray(_fix_signs(vecs * inv_sqrt[:, None]))
     _verify(laplacian, areas, vals, vecs)
     lam1 = vals[1] if k > 1 else max(abs(vals[0]), 1.0)
     if abs(vals[0]) > _ZERO_MODE_REL * abs(lam1):

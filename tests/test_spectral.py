@@ -412,17 +412,46 @@ def test_krylov_schur_few_pairs_match_dense_oracle(watch, k):
     assert eig_err <= 1e-10 and proj_err <= 1e-9
 
 
-@pytest.mark.parametrize("k, krylov", [(300, True), (500, False), (640, False)])
-def test_many_pairs_match_dense_oracle(watch, k, krylov):
+@pytest.mark.parametrize("mesh, k, krylov", [
+    # Krylov-Schur restarts 4 times at 642 vertices, k = 100, and 3 times at
+    # 1,000 vertices, k = 200
+    pytest.param(icosphere(3), 100, True, id="100-True"),
+    pytest.param(bent_bar(0.3, 50, 20), 200, True, id="bar-200-True"),
+    # past n / 4 wanted pairs the dense branch runs
+    pytest.param(icosphere(3), 300, False, id="300-False"),
+    pytest.param(icosphere(3), 500, False, id="500-False"),
+    pytest.param(icosphere(3), 640, False, id="640-False"),
+])
+def test_many_pairs_match_dense_oracle(watch, mesh, k, krylov):
     krylov_runs = watch("_krylov_schur")
-    # 642 vertices: past 2 (k + pad) + 2 blocks > n the dense branch runs
-    mesh = icosphere(3)
     lap, areas = cotangent_laplacian(mesh), lumped_areas(mesh)
     basis = eig_generalized(lap, areas, k)
     assert len(krylov_runs) == krylov
     vals, vecs = scipy.linalg.eigh(lap.toarray(), np.diag(areas))
     eig_err, proj_err = _cluster_errors(basis, areas, vals, vecs)
     assert eig_err <= 1e-10 and proj_err <= 1e-9
+
+
+def test_krylov_schur_locks_part_of_a_degenerate_cluster(monkeypatch):
+    # T = Q diag(theta) Q' with a 5-fold and an 8-fold cluster among the 40
+    # wanted pairs; locking stops inside a cluster, so the rest of it has to
+    # converge in the active rows against its locked members
+    n, n_want = 400, 40
+    lam = np.linspace(0.01, 1.01, n)
+    lam[10:15], lam[24:32] = lam[10], lam[24]
+    theta = 1.0 / lam
+    q = np.linalg.qr(np.random.default_rng(7).standard_normal((n, n)))[0]
+    op = (q * theta) @ q.T
+    sizes, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(len(a)) or eigh(a))
+    got, vecs = spectral._krylov_schur(lambda rhs: op @ rhs, n, n_want)
+    locked = sizes[0] - np.array(sizes)  # rows locked before each Rayleigh-Ritz step
+    assert (((10 < locked) & (locked < 15)) | ((24 < locked) & (locked < 32))).any()
+    order = np.argsort(-got)
+    assert np.abs(got[order] - theta[:n_want]).max() <= 1e-12 * theta[0]
+    assert np.abs(vecs.T @ vecs - np.eye(n_want)).max() <= 1e-13
+    wanted = q[:, :n_want]
+    assert np.linalg.norm(wanted - vecs @ (vecs.T @ wanted), 2) <= 1e-11
 
 
 def test_restart_cap_is_a_numerical_error(monkeypatch, tmp_path, capsys):
