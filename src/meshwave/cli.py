@@ -59,7 +59,6 @@ from .filters import STOCK, build_filter_bank
 from .mesh import cotangent_laplacian, load_mesh, lumped_areas
 from .meshio import write_ply
 from .model import (
-    architecture_operator_keys,
     build_model,
     build_wavelet_operators,
     forward as model_forward,
@@ -82,41 +81,34 @@ def _log(msg: str):
     print(msg)
 
 
-def _compute_basis(mesh, k: int):
-    lap = cotangent_laplacian(mesh)
-    areas = lumped_areas(mesh)
-    return eig_generalized(lap, areas, k, mesh_hash=mesh.content_hash())
-
-
-def _basis_for(mesh, k: int, cache_path=None):
-    """Load a basis cache after verifying it matches the mesh, else compute."""
-    if cache_path is not None:
-        basis = load_basis(cache_path, expect_mesh_hash=mesh.content_hash())
-        if basis.k < k:
-            raise DataError(
-                f"basis cache {cache_path} holds k={basis.k} < requested {k}"
-            )
-        if basis.k > k:
-            basis = dataclasses.replace(
-                basis,
-                eigenvalues=basis.eigenvalues[:k].copy(),
-                eigenvectors=basis.eigenvectors[:, :k].copy(),
-            )
-        return basis
-    return _compute_basis(mesh, k)
-
-
-def _atom_cache(basis_path):
-    """The atom statistics sidecar of a basis cache file, or None."""
-    return None if basis_path is None else f"{basis_path}.atoms.npz"
+def _mesh_basis(mesh, k: int, path=None):
+    """(basis, sidecar): the mesh's first k eigenpairs, freshly solved with
+    no sidecar, or read from the cache file `path` (checked against the
+    mesh, refused if it holds fewer than k pairs, truncated if more) with
+    its atom statistics sidecar `path`.atoms.npz."""
+    if path is None:
+        lap = cotangent_laplacian(mesh)
+        areas = lumped_areas(mesh)
+        return eig_generalized(lap, areas, k, mesh_hash=mesh.content_hash()), None
+    basis = load_basis(path, expect_mesh_hash=mesh.content_hash())
+    if basis.k < k:
+        raise DataError(f"basis cache {path} holds k={basis.k} < requested {k}")
+    if basis.k > k:
+        basis = dataclasses.replace(
+            basis,
+            eigenvalues=basis.eigenvalues[:k].copy(),
+            eigenvectors=basis.eigenvectors[:, :k].copy(),
+        )
+    return basis, f"{path}.atoms.npz"
 
 
 def _bank(basis):
     return build_filter_bank(basis.lambda_max, eigenvalues=basis.eigenvalues)
 
 
-def _shape_operators(kind, mesh, basis, keys, atom_cache=None):
-    """A network's per-shape operators for its scale (or order) keys."""
+def _shape_operators(kind, mesh, keys, basis, atom_cache=None):
+    """A network's per-shape operators for its scale (or order) keys;
+    Chebyshev operators read no eigenbasis, so there `basis` may be None."""
     if kind == "chebyshev":
         lap = cotangent_laplacian(mesh)
         areas = lumped_areas(mesh)
@@ -181,7 +173,7 @@ def _cmd_basis(args, cfg):
             f"basis cache {out} holds k={cached.k}, requested {k}; "
             "remove it or pass --force"
         )
-    basis = _compute_basis(mesh, k)
+    basis, _ = _mesh_basis(mesh, k)
     save_basis(out, basis)
     _log(f"wrote {out} (k={basis.k}, n={basis.n_vertices})")
     return 0
@@ -195,8 +187,8 @@ def _cmd_descriptor(args, cfg):
     power = args.power if args.power is not None else cfg["descriptor"]["power"]
     if args.csv:  # a failed export must not leave the new .mwd behind
         _check_destination(args.csv)
-    basis = _basis_for(mesh, k, args.basis)
-    field = _descriptor_field(mesh, basis, kind, num, power, _atom_cache(args.basis))
+    basis, sidecar = _mesh_basis(mesh, k, args.basis)
+    field = _descriptor_field(mesh, basis, kind, num, power, sidecar)
     field.metadata["mesh_hash"] = mesh.content_hash()
     out = Path(args.out) if args.out else Path(f"{args.mesh}.{kind}.mwd")
     save_descriptors(out, field)
@@ -229,6 +221,11 @@ def _cmd_eval(args, cfg):
         raise UsageError(f"--n-radii must be at least 1, got {args.n_radii}")
     if not 0.0 <= args.max_radius < np.inf:
         raise UsageError(f"--max-radius must be finite and >= 0, got {args.max_radius}")
+    if (args.desc_a is None) != (args.desc_b is None):
+        raise UsageError("--desc-a and --desc-b must be given together")
+    if args.kmax is not None and (args.desc_a is None or args.kmax < 1):
+        raise UsageError(f"--kmax needs --desc-a and --desc-b and must be "
+                         f"at least 1, got {args.kmax}")
     target = load_mesh(args.target_mesh)
     pred = read_correspondence(args.correspondence, n_target=target.n_vertices,
                                expect_target_hash=target.content_hash())
@@ -239,7 +236,7 @@ def _cmd_eval(args, cfg):
     gt = GroundTruth(direct, symmetric)
     radii = np.linspace(0.0, args.max_radius, args.n_radii)
     report = evaluate_map(CorrespondenceMap(pred), gt, target, radii)
-    if args.desc_a and args.desc_b:
+    if args.desc_a is not None:
         da = load_descriptors(args.desc_a)
         db = load_descriptors(args.desc_b)
         kmax = args.kmax if args.kmax is not None else min(100, db.n_vertices)
@@ -258,28 +255,6 @@ def _cmd_eval(args, cfg):
     return 0
 
 
-def _load_training_shapes(cfg, kind, paths, corr_paths):
-    shapes = []
-    hashes = []
-    k = cfg["descriptor"]["k"]
-    num = cfg["descriptor"]["num"]
-    power = cfg["descriptor"]["power"]
-    dtype = cfg["descriptor"]["type"]
-    needed = architecture_operator_keys(cfg["model"]["architecture"], kind)
-    for i, path in enumerate(paths):
-        mesh = load_mesh(path)
-        basis = _compute_basis(mesh, k)
-        field = _descriptor_field(mesh, basis, dtype, num, power)
-        if corr_paths:
-            labels = read_correspondence(corr_paths[i])
-        else:
-            labels = np.arange(mesh.n_vertices, dtype=np.int64)
-        ops = _shape_operators(kind, mesh, basis, needed)
-        shapes.append(ShapeData(field.values, labels, ops, name=str(path)))
-        hashes.append(mesh.content_hash())
-    return shapes, hashes
-
-
 def _cmd_train(args, cfg):
     paths = cfg["train"]["meshes"]
     if not paths:
@@ -288,18 +263,28 @@ def _cmd_train(args, cfg):
     if corr_paths and len(corr_paths) != len(paths):
         raise DataError("one correspondence file per training mesh required")
     seed = args.seed if args.seed is not None else cfg["pipeline"]["seed"]
-    kind = cfg["model"]["kind"]
     out = Path(args.out) if args.out else Path(cfg["pipeline"]["output_dir"]) / "model.npz"
     _check_destination(out, make_parents=True)  # before training, not after
-    shapes, hashes = _load_training_shapes(cfg, kind, paths, corr_paths)
-    head_dim = int(max(int(s.labels.max()) for s in shapes)) + 1
+    # every input is read, and the model built, before any eigensolve
+    meshes = [load_mesh(path) for path in paths]
+    if corr_paths:
+        labels = [read_correspondence(path) for path in corr_paths]
+    else:
+        labels = [np.arange(mesh.n_vertices, dtype=np.int64) for mesh in meshes]
+    desc = cfg["descriptor"]
     net = build_model(
         cfg["model"]["architecture"],
-        input_dim=cfg["descriptor"]["num"],
-        kind=kind,
-        head_dim=head_dim,
+        input_dim=desc["num"],
+        kind=cfg["model"]["kind"],
+        head_dim=int(max(int(lab.max()) for lab in labels)) + 1,
         seed=seed,
     )
+    shapes = []
+    for path, mesh, lab in zip(paths, meshes, labels):
+        basis, _ = _mesh_basis(mesh, desc["k"])
+        field = _descriptor_field(mesh, basis, desc["type"], desc["num"], desc["power"])
+        ops = _shape_operators(net.kind, mesh, required_operator_keys(net), basis)
+        shapes.append(ShapeData(field.values, lab, ops, name=str(path)))
     settings = {f.name: cfg["train"][f.name]
                 for f in dataclasses.fields(TrainConfig) if f.name != "seed"}
     train_cfg = TrainConfig(**settings, seed=seed)
@@ -313,7 +298,7 @@ def _cmd_train(args, cfg):
     metadata = {
         "descriptor": cfg["descriptor"],
         "train_meshes": [str(p) for p in paths],
-        "mesh_hashes": hashes,
+        "mesh_hashes": [mesh.content_hash() for mesh in meshes],
         "history": history,
         "config": format_config(cfg),
     }
@@ -347,9 +332,10 @@ def _cmd_infer(args, cfg):
     if meta.get("bank", STOCK) != STOCK:
         raise DataError(f"{source}: [bank] must be absent or the stock {STOCK}, "
                         f"got {meta['bank']!r}")
-    basis = _basis_for(mesh, k, args.basis)
-    ops = _shape_operators(net.kind, mesh, basis, required_operator_keys(net),
-                           _atom_cache(args.basis))
+    basis = sidecar = None
+    if net.kind != "chebyshev":  # Chebyshev operators read no eigenbasis
+        basis, sidecar = _mesh_basis(mesh, k, args.basis)
+    ops = _shape_operators(net.kind, mesh, required_operator_keys(net), basis, sidecar)
     out_values, _ = model_forward(net, field.values, ops)
     learned = dataclasses.replace(
         field,
@@ -441,9 +427,9 @@ def build_parser() -> _Parser:
     p.add_argument("gt", help="ground-truth correspondence file")
     p.add_argument("target_mesh")
     p.add_argument("--gt-symmetric", help="symmetric ground-truth file")
-    p.add_argument("--desc-a", help="source descriptors (enables the rank curve)")
-    p.add_argument("--desc-b", help="target descriptors (enables the rank curve)")
-    p.add_argument("--kmax", type=int, help="rank curve depth")
+    p.add_argument("--desc-a", help="source descriptors (with --desc-b, the rank curve)")
+    p.add_argument("--desc-b", help="target descriptors (with --desc-a, the rank curve)")
+    p.add_argument("--kmax", type=int, help="rank curve depth (default min(100, target rows))")
     p.add_argument("--max-radius", type=float, default=0.25)
     p.add_argument("--n-radii", type=int, default=51)
     p.add_argument("-o", "--out-prefix", default="report",
@@ -460,9 +446,10 @@ def build_parser() -> _Parser:
     p.add_argument("checkpoint")
     p.add_argument("mesh")
     p.add_argument("descriptors", help="input descriptor file (network input)")
-    p.add_argument("-k", type=int, help="override the checkpoint's eigenpair count")
-    p.add_argument("--basis", help="use a cached basis file (atom statistics "
-                                    "are cached beside it in BASIS.atoms.npz)")
+    p.add_argument("-k", type=int, help="override the checkpoint's eigenpair count "
+                                         "(wavelet networks only)")
+    p.add_argument("--basis", help="use a cached basis file, atom statistics cached "
+                                    "beside it (wavelet networks only)")
     p.add_argument("-o", "--out", help="output file (default MESH.learned.mwd)")
     p.set_defaults(func=_cmd_infer)
 

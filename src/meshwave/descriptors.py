@@ -83,18 +83,6 @@ def _decompose_with_responses(basis, responses, signals, power):
     return ((tables * fields).sum(axis=2) * basis.areas[:, None]).T
 
 
-def energy_decomposition(basis, bank, signals, power=2):
-    """eps[m, v]: signal energy attributed to filter m at vertex v.
-
-    power=1 is the diagnostic mode whose total recovers the Dirichlet
-    energy (exactly for a perfect frame, within the frame slack
-    otherwise); power=2 makes the table invariant to uniform rescaling
-    of the mesh.
-    """
-    responses = filter_responses(bank, basis.eigenvalues).T
-    return _decompose_with_responses(basis, responses, signals, power)
-
-
 def _check_count(n):
     """Refuse a descriptor dimension below 1, as ``select_scales`` does."""
     if n < 1:
@@ -147,29 +135,27 @@ def weds(basis, bank, coords, n_dims=DEFAULT_DIMS, power=2, atom_cache=None):
     return DescriptorField(np.ascontiguousarray(values), "weds", meta)
 
 
-def hks(basis, n_times=DEFAULT_DIMS, times=None):
+def hks(basis, n_times=DEFAULT_DIMS):
     """Heat kernel signature over log-spaced diffusion times."""
     if basis.k < 2:
         raise DataError("heat kernel signature needs at least two eigenpairs")
-    if times is None:
-        _check_count(n_times)
-        lam1 = basis.eigenvalues[1]
-        lam_k = basis.eigenvalues[-1]
-        times = np.exp(
-            np.linspace(
-                np.log(4.0 * np.log(10.0) / lam_k),
-                np.log(4.0 * np.log(10.0) / lam1),
-                n_times,
-            )
+    _check_count(n_times)
+    lam1 = basis.eigenvalues[1]
+    lam_k = basis.eigenvalues[-1]
+    times = np.exp(
+        np.linspace(
+            np.log(4.0 * np.log(10.0) / lam_k),
+            np.log(4.0 * np.log(10.0) / lam1),
+            n_times,
         )
-    times = np.asarray(times, dtype=np.float64)
+    )
     decay = np.exp(-np.outer(basis.eigenvalues, times))
     values = (basis.eigenvectors ** 2) @ decay
     meta = {"type": "hks", "k": basis.k, "sample_count": len(times)}
     return DescriptorField(values, "hks", meta)
 
 
-def wks(basis, n_energies=DEFAULT_DIMS, sigma_factor=7.0):
+def wks(basis, n_energies=DEFAULT_DIMS):
     """Wave kernel signature: Gaussian band-passes in log-eigenvalue.
 
     Each band is normalized by its total weight over the spectrum; a band
@@ -180,7 +166,7 @@ def wks(basis, n_energies=DEFAULT_DIMS, sigma_factor=7.0):
         raise DataError("wave kernel signature needs at least three eigenpairs")
     log_ev = np.log(basis.eigenvalues[1:])
     spread = (log_ev[-1] - log_ev[0]) / n_energies
-    sigma = sigma_factor * spread
+    sigma = 7.0 * spread  # Aubry et al. 2011: sigma = 7 delta
     if log_ev[-1] - 2 * sigma <= log_ev[0] + 2 * sigma:
         raise DataError("spectrum too narrow for the requested energy count")
     energies = np.linspace(log_ev[0] + 2 * sigma, log_ev[-1] - 2 * sigma, n_energies)

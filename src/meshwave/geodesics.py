@@ -57,12 +57,6 @@ def _check_vertices(mesh: TriMesh, vertices, what: str) -> np.ndarray:
     return vertices
 
 
-def geodesic_multi(mesh: TriMesh, sources) -> np.ndarray:
-    """Distances from several source vertices; rows follow `sources`."""
-    sources = _check_vertices(mesh, sources, "source")
-    return np.atleast_2d(dijkstra(edge_graph(mesh), directed=False, indices=sources))
-
-
 def geodesic_pairs(mesh: TriMesh, sources, targets) -> np.ndarray:
     """Distance from sources[i] to targets[i], for each i.
 

@@ -105,13 +105,10 @@ def validate_mesh(mesh):
     return mesh
 
 
-def load_mesh(path, validate=True):
+def load_mesh(path):
     """Read and validate a mesh file (OFF/OBJ/PLY by extension)."""
     vertices, triangles = meshio.read_mesh_file(path)
-    mesh = TriMesh(vertices, triangles)
-    if validate:
-        validate_mesh(mesh)
-    return mesh
+    return validate_mesh(TriMesh(vertices, triangles))
 
 
 def lumped_areas(mesh):

@@ -160,12 +160,6 @@ def required_operator_keys(model: Model) -> list:
     return sorted(set().union(*model.scale_sets))
 
 
-def architecture_operator_keys(architecture: str, kind: str = "mgcn") -> list:
-    """The operator keys of a model with this architecture and kind,
-    without drawing its parameters."""
-    return sorted(set().union(*_scale_sets(kind, parse_architecture(architecture))))
-
-
 def build_wavelet_operators(
     basis: SpectralBasis, bank: FilterBank, keys, atom_cache=None
 ) -> WaveletOperator:

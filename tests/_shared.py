@@ -8,11 +8,12 @@ from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
+from scipy.sparse.csgraph import dijkstra
 from scipy.spatial.distance import cdist
 
 from meshwave.descriptors import (
     DescriptorField,
-    energy_decomposition,
+    _decompose_with_responses,
     save_descriptors,
     subsample_columns,
 )
@@ -26,7 +27,7 @@ from meshwave.filters import (
     g_of,
     select_scales,
 )
-from meshwave.geodesics import geodesic_multi
+from meshwave.geodesics import edge_graph
 from meshwave.mesh import TriMesh, cotangent_laplacian, lumped_areas
 from meshwave.spectral import SpectralBasis, eig_generalized, project
 from meshwave.synthetic import bent_bar, grid_mesh, icosphere
@@ -194,6 +195,11 @@ def three_stage_energy(basis: SpectralBasis, responses, signals, power: int):
     return (tables * fields).reshape(n, g.shape[1], -1).sum(axis=2).T
 
 
+def energy_decomposition(basis, bank, x, power=2):
+    """The energy table eps[m, v] of the columns of x under the whole bank."""
+    return _decompose_with_responses(basis, filter_responses(bank, basis.eigenvalues).T, x, power)
+
+
 def dense_weds(basis: SpectralBasis, bank, coords, n_dims: int, power: int = 2):
     """Oracle for descriptors.weds: per selected scale, the energy table
     times the column-minmax-normalized dense atom matrix, concatenated
@@ -261,6 +267,10 @@ def cdist_ranks(desc_a, desc_b, gt_direct) -> np.ndarray:
     d_true = d[np.arange(d.shape[0]), gt_direct][:, None]
     before = np.arange(d.shape[1])[None, :] < np.asarray(gt_direct)[:, None]
     return (d < d_true).sum(axis=1) + ((d == d_true) & before).sum(axis=1) + 1
+
+
+def geodesic_multi(mesh: TriMesh, sources) -> np.ndarray:  # oracle: a row per source
+    return dijkstra(edge_graph(mesh), directed=False, indices=sources)
 
 
 def table_errors(map_, gt, target_mesh):

@@ -519,10 +519,10 @@ def test_infer_rejects_wrong_input_dim(work, tmp_path, capsys):
 
 def test_train_output_under_a_file_exits_2_before_training(work, tmp_path, capsys,
                                                           monkeypatch):
-    def no_shapes(*args, **kwargs):
-        raise AssertionError("training shapes were loaded")
+    def no_meshes(*args, **kwargs):
+        raise AssertionError("training meshes were loaded")
 
-    monkeypatch.setattr(cli, "_load_training_shapes", no_shapes)
+    monkeypatch.setattr(cli, "load_mesh", no_meshes)
     cfg = default_config()
     cfg["train"]["meshes"] = [str(work["mesh_path"])]
     cfg_path = tmp_path / "p.cfg"
@@ -534,6 +534,45 @@ def test_train_output_under_a_file_exits_2_before_training(work, tmp_path, capsy
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write") and err.count("\n") == 1
     assert _tree(tmp_path) == before
+
+
+def test_train_reads_every_correspondence_before_any_eigensolve(work, tmp_path, capsys,
+                                                               monkeypatch):
+    solves = []
+
+    def counting(*args, **kwargs):
+        solves.append(args[2])
+        raise AssertionError("the eigensolver ran")
+
+    monkeypatch.setattr(cli, "eig_generalized", counting)
+    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+    write_correspondence(good, np.arange(60))
+    bad.write_text("0\n1\nnot an index\n")
+    cfg = default_config()
+    cfg["train"]["meshes"] = [str(work["mesh_path"])] * 2
+    cfg["train"]["correspondences"] = [str(good), str(bad)]
+    cfg_path = tmp_path / "p.cfg"
+    cfg_path.write_text(format_config(cfg))
+    ckpt = tmp_path / "model.npz"
+    assert main(["train", "--config", str(cfg_path), "-o", str(ckpt)]) == 2
+    assert "not an integer" in capsys.readouterr().err
+    assert solves == [] and not ckpt.exists()
+
+
+def test_infer_with_a_chebyshev_network_solves_no_eigenbasis(work, tmp_path, monkeypatch):
+    def no_solver(*args, **kwargs):
+        raise AssertionError("the eigensolver ran")
+
+    monkeypatch.setattr(cli, "eig_generalized", no_solver)
+    net = build_model("MGCONV8(3)+FC16", input_dim=16, kind="chebyshev", seed=3)
+    ckpt = tmp_path / "cheb.npz"
+    save_checkpoint(ckpt, net)  # no metadata: the default k = 100 > 60 vertices
+    out = tmp_path / "learned.mwd"
+    assert main(["infer", str(ckpt), str(work["mesh_path"]), str(work["desc_path"]),
+                 "-o", str(out)]) == 0
+    field = load_descriptors(out)
+    assert field.values.shape == (60, 16) and field.metadata["backbone"] == "chebyshev"
+    assert np.isfinite(field.values).all()
 
 
 def test_train_requires_meshes(tmp_path, capsys):
@@ -644,6 +683,23 @@ def test_eval_rejects_an_empty_or_negative_radius_range(work, tmp_path, capsys, 
     assert main(["eval", str(gt), str(gt), str(work["mesh_path"]), flag, value,
                  "-o", str(prefix)]) == 1
     assert flag in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gt.txt"]
+
+
+@pytest.mark.parametrize("flags, code", [
+    (["--desc-a", "D"], 1),
+    (["--desc-b", "D"], 1),
+    (["--kmax", "5"], 1),
+    (["--desc-a", "D", "--desc-b", "D", "--kmax", "0"], 1),
+    (["--desc-a", "D", "--desc-b", "D", "--kmax", "61"], 2),  # beyond the 60 rows
+], ids=["desc-a-alone", "desc-b-alone", "kmax-alone", "kmax-0", "kmax-past-rows"])
+def test_eval_rank_curve_flags(work, tmp_path, capsys, flags, code):
+    gt = tmp_path / "gt.txt"
+    write_correspondence(gt, np.arange(60))
+    flags = [str(work["desc_path"]) if f == "D" else f for f in flags]
+    assert main(["eval", str(gt), str(gt), str(work["mesh_path"]), *flags,
+                 "-o", str(tmp_path / "report")]) == code
+    assert ("kmax" if "--kmax" in flags else "--desc-") in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["gt.txt"]
 
 

@@ -11,7 +11,6 @@ from meshwave.descriptors import (
     DescriptorField,
     _decompose_with_responses,
     dirichlet_energy,
-    energy_decomposition,
     export_descriptors_csv,
     hks,
     load_descriptors,
@@ -119,7 +118,7 @@ def test_stock_bank_conserves_energy_within_slack():
     mesh = _shared.bar(0.3, nu=8, nv=4)
     basis = _shared.basis_of(mesh, mesh.n_vertices)
     bank = _shared.bank_for(basis.lambda_max)
-    eps = energy_decomposition(basis, bank, mesh.vertices, power=1)
+    eps = _shared.energy_decomposition(basis, bank, mesh.vertices, power=1)
     total = dirichlet_energy(cotangent_laplacian(mesh), mesh.vertices).sum()
     assert abs(eps.sum() - total) <= 0.03 * total
 
@@ -128,8 +127,8 @@ def test_translation_blind():
     mesh = _shared.bar(0.3, nu=8, nv=4)
     basis = _shared.basis_of(mesh, mesh.n_vertices)
     bank = _shared.bank_for(basis.lambda_max)
-    a = energy_decomposition(basis, bank, mesh.vertices)
-    b = energy_decomposition(basis, bank, mesh.vertices + np.array([5.0, -2.0, 0.7]))
+    a = _shared.energy_decomposition(basis, bank, mesh.vertices)
+    b = _shared.energy_decomposition(basis, bank, mesh.vertices + np.array([5.0, -2.0, 0.7]))
     assert np.abs(a - b).max() <= 1e-8 * np.abs(a).max()
 
 
@@ -137,7 +136,7 @@ def test_power_validation():
     basis = _shared.bar_basis(0.3, 5)
     bank = _shared.bank_for(basis.lambda_max)
     with pytest.raises(DataError, match="power"):
-        energy_decomposition(basis, bank, np.ones(basis.n_vertices), power=3)
+        _shared.energy_decomposition(basis, bank, np.ones(basis.n_vertices), power=3)
 
 
 def test_minmax_columns():
@@ -194,7 +193,7 @@ def test_weds_flat_atoms_weigh_every_vertex_by_half():
     got = weds(basis, flat_bank, mesh.vertices, n_dims=96).values
     want = _shared.dense_weds(basis, flat_bank, mesh.vertices, 96)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-    totals = energy_decomposition(basis, flat_bank, mesh.vertices).sum(axis=1)
+    totals = _shared.energy_decomposition(basis, flat_bank, mesh.vertices).sum(axis=1)
     assert np.array_equal(got[:, :32], np.broadcast_to(0.5 * totals[:32], (mesh.n_vertices, 32)))
 
 
@@ -252,8 +251,8 @@ def test_weds_scale_invariance():
     ds = weds(bs, _shared.bank_for(bs.lambda_max), scaled.vertices).values
     assert np.abs(da - ds).max() <= 1e-6 * np.abs(da).max()
     # power=1 energies pick up the squared scale factor instead
-    ea = energy_decomposition(ba, _shared.bank_for(ba.lambda_max), mesh.vertices, 1)
-    es = energy_decomposition(bs, _shared.bank_for(bs.lambda_max), scaled.vertices, 1)
+    ea = _shared.energy_decomposition(ba, _shared.bank_for(ba.lambda_max), mesh.vertices, 1)
+    es = _shared.energy_decomposition(bs, _shared.bank_for(bs.lambda_max), scaled.vertices, 1)
     assert np.abs(es - 4.0 * ea).max() <= 1e-6 * np.abs(es).max()
 
 
@@ -346,15 +345,6 @@ def test_hks_basics():
     assert (last.max() - last.min()) <= 1e-3 * last.mean()
 
 
-def test_hks_custom_times():
-    basis = _shared.bar_basis(0.3, 30)
-    times = np.array([0.1, 1.0])
-    field = hks(basis, times=times)
-    decay = np.exp(-np.outer(basis.eigenvalues, times))
-    expect = (basis.eigenvectors ** 2) @ decay
-    assert np.array_equal(field.values, expect)
-
-
 def test_hks_needs_two_modes():
     basis = _shared.bar_basis(0.3, 1)
     with pytest.raises(DataError):
@@ -371,13 +361,11 @@ def test_wks_basics():
 
 
 def test_wks_window_must_fit_spectrum():
-    # the +-2 sigma margins eat 28/n of the log range each side with the
-    # default sigma factor, so small energy counts cannot fit
+    # sigma is 7/n of the log range and the +-2 sigma margins eat 28/n of
+    # it each side, so small energy counts cannot fit
     basis = _shared.bar_basis(0.3, 40)
     with pytest.raises(DataError, match="too narrow"):
         wks(basis, n_energies=16)
-    with pytest.raises(DataError, match="too narrow"):
-        wks(basis, n_energies=64, sigma_factor=20.0)
 
 
 @pytest.mark.parametrize("count", [0, -3])

@@ -15,7 +15,6 @@ from meshwave.evaluation import (
     report_summary_text,
     write_correspondence,
 )
-from meshwave.geodesics import geodesic_multi
 from meshwave.mesh import TriMesh, lumped_areas
 from meshwave.synthetic import icosphere
 
@@ -120,7 +119,7 @@ def test_constant_map_against_geodesic_oracle():
     gt = GroundTruth(np.arange(n))
     direct, _ = normalized_errors(map_, gt, mesh)
     scale = np.sqrt(lumped_areas(mesh).sum())
-    expect = geodesic_multi(mesh, [0])[0] / scale  # distance from each true target to 0
+    expect = _shared.geodesic_multi(mesh, [0])[0] / scale  # distance from each true target to 0
     assert np.allclose(np.sort(direct), np.sort(expect), rtol=1e-12)
     assert direct[0] == 0.0
 

@@ -3,7 +3,7 @@ import pytest
 from scipy.sparse.csgraph import dijkstra
 
 from meshwave import geodesics
-from meshwave.geodesics import edge_graph, geodesic_multi, geodesic_pairs
+from meshwave.geodesics import edge_graph, geodesic_pairs
 from meshwave.mesh import TriMesh
 from meshwave.synthetic import bent_bar, icosphere
 
@@ -12,7 +12,7 @@ import _shared
 
 def test_source_distance_zero():
     mesh = _shared.bar(0.3)
-    d = geodesic_multi(mesh, [17])[0]
+    d = _shared.geodesic_multi(mesh, [17])[0]
     assert d[17] == 0.0
     assert (d >= 0).all()
     assert np.isfinite(d).all()
@@ -23,7 +23,7 @@ def test_strip_distances_are_prefix_sums():
     # of the segment lengths; vertex (i, j) sits at index 2 * i + j
     xs = np.array([0.0, 0.5, 1.7, 1.9, 4.0])
     mesh = _shared.strip_mesh(xs, height=0.05)
-    d = geodesic_multi(mesh, [0])[0]
+    d = _shared.geodesic_multi(mesh, [0])[0]
     expect = np.concatenate([[0.0], np.cumsum(np.diff(xs))])
     assert np.allclose(d[0::2], expect, rtol=1e-12)
 
@@ -31,7 +31,7 @@ def test_strip_distances_are_prefix_sums():
 def test_dijkstra_line_graph_prefix_sums():
     # the strip's bottom row is the path 0-2-4-6 with weights 2, 3, 5
     mesh = _shared.strip_mesh(np.array([0.0, 2.0, 5.0, 10.0]), height=0.05)
-    dist = geodesic_multi(mesh, np.array([0]))
+    dist = _shared.geodesic_multi(mesh, np.array([0]))
     assert dist.shape == (1, mesh.n_vertices)
     assert np.array_equal(dist[0, 0::2], [0.0, 2.0, 5.0, 10.0])
 
@@ -57,7 +57,7 @@ def test_pairs_gather_the_table(rng, monkeypatch, block_entries):
     sources[::4] = sources[0]  # repeated sources share one run
     targets = rng.integers(0, mesh.n_vertices, size=40)
     targets[1] = sources[1]  # a zero distance
-    table = geodesic_multi(mesh, sources)
+    table = _shared.geodesic_multi(mesh, sources)
     got = geodesic_pairs(mesh, sources, targets)
     assert np.array_equal(got, table[np.arange(40), targets])
     assert geodesic_pairs(mesh, [], []).shape == (0,)
@@ -74,7 +74,7 @@ def test_pairs_on_a_closing_bar_run_several_rounds(rng, monkeypatch, block_entri
     sources = np.concatenate([ends, rng.integers(0, mesh.n_vertices, size=30)])
     targets = np.concatenate([np.roll(ends, 6), rng.integers(0, mesh.n_vertices, size=30)])
     sources[-5:] = sources[0]  # repeated sources share one run
-    table = geodesic_multi(mesh, sources)
+    table = _shared.geodesic_multi(mesh, sources)
     expect = table[np.arange(sources.size), targets]
     euclid = np.linalg.norm(mesh.vertices[sources] - mesh.vertices[targets], axis=1)
     assert (expect[:12] > 10 * euclid[:12]).all()
@@ -87,7 +87,7 @@ def test_pairs_across_components_are_inf(monkeypatch):
     vertices = np.concatenate([np.eye(3), np.eye(3) + 10.0])
     mesh = TriMesh(vertices, [[0, 1, 2], [3, 4, 5]])  # two components
     sources, targets = np.array([0, 0, 4, 5, 1]), np.array([1, 3, 2, 4, 1])
-    expect = geodesic_multi(mesh, sources)[np.arange(5), targets]
+    expect = _shared.geodesic_multi(mesh, sources)[np.arange(5), targets]
     limits = _record_limits(monkeypatch)
     got = geodesic_pairs(mesh, sources, targets)
     assert np.array_equal(got, expect)
@@ -100,7 +100,7 @@ def test_pairs_across_components_are_inf(monkeypatch):
 def test_pairs_near_pair_runs_bounded(monkeypatch):
     mesh = _shared.sphere(4)  # 2,562 vertices
     source, target = mesh.edges()[0]
-    expect = geodesic_multi(mesh, [source])[0][target]
+    expect = _shared.geodesic_multi(mesh, [source])[0][target]
     limits = _record_limits(monkeypatch)
     assert geodesic_pairs(mesh, [source], [target])[0] == expect
     assert limits and np.isfinite(limits).all()
@@ -118,7 +118,7 @@ def test_pairs_validation():
 
 def test_triangle_inequality(rng):
     mesh = icosphere(2)
-    d = geodesic_multi(mesh, np.arange(12))
+    d = _shared.geodesic_multi(mesh, np.arange(12))
     for _ in range(60):
         a, b = rng.integers(0, 12, size=2)
         v = rng.integers(0, mesh.n_vertices)
@@ -128,7 +128,7 @@ def test_triangle_inequality(rng):
 def test_sphere_antipodal_distance():
     # graph distance overshoots the great-circle pi by a few percent
     mesh = icosphere(3)
-    d = geodesic_multi(mesh, [0])[0]
+    d = _shared.geodesic_multi(mesh, [0])[0]
     far = d.max()
     assert np.pi <= far <= 1.1 * np.pi
 
@@ -136,25 +136,15 @@ def test_sphere_antipodal_distance():
 def test_multi_matches_single():
     mesh = _shared.bar(0.4, nu=10, nv=5)
     sources = np.array([0, 13, 49])
-    multi = geodesic_multi(mesh, sources)
+    multi = _shared.geodesic_multi(mesh, sources)
     for row, s in enumerate(sources):
-        assert np.array_equal(multi[row], geodesic_multi(mesh, [s])[0])
+        assert np.array_equal(multi[row], _shared.geodesic_multi(mesh, [s])[0])
 
 
 def test_symmetry():
     mesh = _shared.bar(0.3, nu=8, nv=4)
-    d = geodesic_multi(mesh, np.arange(mesh.n_vertices))
+    d = _shared.geodesic_multi(mesh, np.arange(mesh.n_vertices))
     assert np.allclose(d, d.T, rtol=1e-12)
-
-
-def test_source_validation():
-    mesh = icosphere(1)
-    with pytest.raises(IndexError):
-        geodesic_multi(mesh, [mesh.n_vertices])
-    with pytest.raises(IndexError):
-        geodesic_multi(mesh, [-1])
-    with pytest.raises(ValueError):
-        geodesic_multi(mesh, [[0, 1]])
 
 
 def test_edge_graph_shape():

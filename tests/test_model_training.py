@@ -12,7 +12,6 @@ from meshwave.mesh import cotangent_laplacian, lumped_areas
 from meshwave.model import (
     DEFAULT_ARCHITECTURE,
     Model,
-    architecture_operator_keys,
     backward,
     build_model,
     build_wavelet_operators,
@@ -554,22 +553,6 @@ def test_backward_adds_into_given_gradients_bitwise(rng):
     assert np.array_equal(dx, backward(net, *runs[1])[0])
     for name, g in grads.items():
         assert np.array_equal(g, separate[0][name] + separate[1][name]), name
-
-
-@pytest.mark.parametrize("arch", [DEFAULT_ARCHITECTURE, "MGCONV8(5)+MGCONV4(3)+FC6", "FC4"])
-@pytest.mark.parametrize("kind", ["mgcn", "chebyshev"])
-def test_architecture_operator_keys_match_a_built_model(arch, kind):
-    net = build_model(arch, input_dim=3, kind=kind)
-    assert architecture_operator_keys(arch, kind) == required_operator_keys(net)
-
-
-def test_architecture_operator_keys_reject_what_build_model_rejects():
-    with pytest.raises(DataError, match="unknown model kind"):
-        architecture_operator_keys("FC4", "mystery")
-    with pytest.raises(DataError, match="at least 3 scales"):
-        architecture_operator_keys("MGCONV8(2)+FC4", "mgcn")
-    with pytest.raises(DataError, match="cannot parse"):
-        architecture_operator_keys("CONV8(3)", "mgcn")
 
 
 def test_phase1_epoch_holds_no_n_by_n_logits():
