@@ -11,14 +11,14 @@ command builds the stock bank (``filters.STOCK``) on the basis in use, and
 `infer` refuses a checkpoint that records any other [bank].
 
 `descriptor --basis B` and `infer --basis B` also keep the wavelet atom
-column statistics (L1 norms, minima, maxima; one symmetric tile sweep per
-scale set, see ``wavelets.atom_stats``) in the sidecar B.atoms.npz. It is
-keyed by the SHA-256 of the eigenvalues, eigenvectors and areas of the
-basis in use (after truncation to -k) and the filter bank's hash: scales
-stored under the same key are reused, missing ones are computed and merged
-in, and a sidecar under another key (a rebuilt basis that differs) is
-recomputed and replaced, so `basis --force` leaves it alone. A sidecar that
-fails its checks exits 2.
+column statistics in the sidecar B.atoms.npz, one table per statistic
+(`descriptor` the WEDS ranges, `infer` the L1 norms; see
+``wavelets.filter_atom_stats``), keyed by the SHA-256 of the eigenvalues,
+eigenvectors and areas of the basis in use (after truncation to -k) and
+the bank's hash: scales stored under the same key are reused, missing ones
+merged in, and a sidecar of another version or under another key (a
+rebuilt basis that differs) is replaced, so `basis --force` leaves it
+alone. A sidecar that fails its checks exits 2.
 """
 
 from __future__ import annotations
@@ -269,6 +269,9 @@ def _cmd_train(args, cfg):
     meshes = [load_mesh(path) for path in paths]
     if corr_paths:
         labels = [read_correspondence(path) for path in corr_paths]
+        for path, mesh, lab in zip(corr_paths, meshes, labels):
+            if lab.size != mesh.n_vertices:
+                raise DataError(f"{path}: {lab.size} labels for {mesh.n_vertices} vertices")
     else:
         labels = [np.arange(mesh.n_vertices, dtype=np.int64) for mesh in meshes]
     desc = cfg["descriptor"]

@@ -115,11 +115,12 @@ def weds(basis, bank, coords, n_dims=DEFAULT_DIMS, power=2, atom_cache=None):
     eps = _decompose_with_responses(basis, responses, coords, power)  # (n_filters, n)
     phi = basis.eigenvectors
     scales = select_scales(n_dims)
-    _, lo, hi = filter_atom_stats(basis, bank, responses, scales, atom_cache)  # (n, scales)
+    lo, hi = filter_atom_stats(basis, bank, responses, scales, "range", atom_cache)
     values = _spectral_filter(phi, responses[:, scales], (eps @ phi).T)  # (n, scales, filters)
     totals = eps.sum(axis=1)
     flat = hi == lo
-    values = (values - lo[:, :, None] * totals) / np.where(flat, 1.0, hi - lo)[:, :, None]
+    values -= lo[:, :, None] * totals
+    values /= np.where(flat, 1.0, hi - lo)[:, :, None]
     values[flat] = 0.5 * totals
     values = values.reshape(phi.shape[0], -1)
     if values.shape[1] > n_dims:

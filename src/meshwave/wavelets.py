@@ -6,25 +6,28 @@ psi[x] = a(v) * sum_j g_m(lambda_j) phi_j(v) phi_j(x); index 0 is the
 scaling-function atom.  Analysis coefficients use the A-inner product,
 so with the full basis and an exact frame, synthesis inverts analysis.
 
-Every filter K_s = Phi diag(g_s) Phi' is applied by one kernel,
-``_spectral_filter``: Phi diag(g_s) times spectral coefficients (one
-(k, d) block for all S filters or one per filter), for any rows of Phi,
-in one GEMM.  Analysis, the atom tiles, the forward conv pass, and the
-energy table and WEDS weights call it; synthesis and the backward pass
-keep their Phi'-side products.  For an A-orthonormal basis (Phi' A Phi
-= I) synthesis after analysis is Phi diag(G) Phi' A, with G = sum_s g_s^2
-the frame function of Hammond, Vandergheynst & Gribonval (ACHA 2011).
+Every filter K_s = Phi diag(g_s) Phi' is applied as one GEMM of rows of
+Phi against ``_weigh``'s block of diag(g_s) times spectral coefficients
+(one (k, d) block for all S filters or one per filter).  Analysis, the
+forward conv pass, and the energy table and WEDS weights call that
+product, ``_spectral_filter``; the atom sweep weighs each row block once
+for all its tiles.  Synthesis and the backward pass keep their Phi'-side
+products.  For an A-orthonormal basis (Phi' A Phi = I) synthesis after
+analysis is Phi diag(G) Phi' A, with G = sum_s g_s^2 the frame function
+of Hammond, Vandergheynst & Gribonval (ACHA 2011).
 
 Up to the positive area a(v), atom column v is column v of the symmetric
 filter K_m = Phi diag(g_m) Phi'.  WEDS needs each column's minimum and
-maximum, the conv layers its L1 norm.  ``atom_stats`` gets all three
-from one sweep over the tiles I <= J of K (symmetry supplies the tiles
-below the diagonal), S scales per GEMM and at most _BLOCK_ENTRIES
-entries per tile.  ``filter_atom_stats`` can keep them in a sidecar file
-keyed by the SHA-256 of the basis arrays (eigenvalues, eigenvectors,
-areas) and the bank's ``bank_hash``: scales stored for the same key are
-reused, missing ones are computed and merged in, and a file with
-another key is replaced.
+maximum (the "range" statistic), the conv layers its L1 norm ("l1").
+``_atom_sweep`` gets one statistic from one sweep over the tiles I <= J
+of K (symmetry supplies the rest), S scales per GEMM into one tile buffer
+of at most _BLOCK_ENTRIES entries.  ``filter_atom_stats`` can keep them
+in a sidecar file keyed by the SHA-256 of the basis arrays (eigenvalues,
+eigenvectors, areas) and the bank's ``bank_hash``.  Its version 2 holds
+one table per statistic, ``l1_filters``/``l1`` and ``range_filters``/
+``lo``/``hi``: scales stored for the same key are reused, missing ones
+are computed and merged into their table, and a file with another key or
+version (version 1 held one table of all three) is replaced.
 """
 
 from __future__ import annotations
@@ -44,14 +47,17 @@ from .spectral import project
 logger = logging.getLogger(__name__)
 
 
+def _weigh(responses, coeffs, out=None):
+    """(k, S*d) block [diag(g_1) C_1 ... diag(g_S) C_S] for the responses
+    (k, S) and one (k, d) block C shared by the filters or one (k, S, d)
+    block per filter; `out` is a (k, S, d) array or None."""
+    coeffs = coeffs[:, None, :] if coeffs.ndim == 2 else coeffs
+    return np.multiply(responses[:, :, None], coeffs, out=out).reshape(len(responses), -1)
+
+
 def _spectral_filter(phi, responses, coeffs):
-    """(rows, S, d): Phi diag(g_s) C_s for the rows of Phi given and the S
-    filter responses (k, S), in one GEMM; coeffs is one (k, d) block C
-    shared by the filters or one (k, S, d) block per filter."""
-    if coeffs.ndim == 2:
-        coeffs = coeffs[:, None, :]
-    slab = (responses[:, :, None] * coeffs).reshape(phi.shape[1], -1)
-    return (phi @ slab).reshape(phi.shape[0], responses.shape[1], -1)
+    """(rows, S, d): Phi diag(g_s) C_s for the rows of Phi given."""
+    return (phi @ _weigh(responses, coeffs)).reshape(len(phi), responses.shape[1], -1)
 
 
 def wavelet_coeffs(basis, bank, signal):
@@ -84,40 +90,47 @@ def _blocks(n: int, width: int):
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
-def atom_stats(phi, responses):
-    """(l1, lo, hi), each (n, S): column L1 norms, minima and maxima of
-    the filters K_s = Phi diag(g_s) Phi' (responses is (k, S)).
+# _atom_sweep's arrays for each statistic, and the value each starts from
+_STATS = {"l1": {"l1": 0.0}, "range": {"lo": np.inf, "hi": -np.inf}}
+_STATS_VERSION = 2
+
+
+def _atom_sweep(phi, responses, stat):
+    """Column statistic `stat` of the filters K_s = Phi diag(g_s) Phi'
+    (responses is (k, S)): (l1,), the column L1 norms, or (lo, hi), the
+    column minima and maxima; each is (n, S).
 
     K_s is symmetric, so only its tiles I <= J are formed, all S scales
-    in one GEMM.  Each tile is reduced along its rows into columns J and,
-    off the diagonal, along its columns into columns I.
+    in one GEMM; each row block is weighed once.  The tile buffer and the
+    slab are allocated once.  Each tile is reduced along its rows into
+    columns J and, off the diagonal, along its columns into columns I.
     """
-    n = phi.shape[0]
-    n_filters = responses.shape[1]
-    width = max(1, math.isqrt(_BLOCK_ENTRIES // max(1, n_filters)))
-    l1 = np.zeros((n, n_filters))
-    lo = np.full((n, n_filters), np.inf)
-    hi = np.full((n, n_filters), -np.inf)
+    (n, k), n_filters = phi.shape, responses.shape[1]
+    width = min(n, max(1, math.isqrt(_BLOCK_ENTRIES // max(1, n_filters))))
+    out = [np.full((n, n_filters), start) for start in _STATS[stat].values()]
+    tiles, slabs = np.empty(width * n_filters * width), np.empty(k * n_filters * width)
     for i in range(0, n, width):
         rows = slice(i, min(i + width, n))
+        r = rows.stop - i
+        # k-fastest, as numpy lays out a fresh slab for these column-major
+        # operands, so each tile rounds as in a sweep of fresh arrays
+        slab = _weigh(responses, phi[rows].T,
+                      slabs[: k * n_filters * r].reshape(n_filters, r, k).transpose(2, 0, 1))
         for j in range(i, n, width):
             cols = slice(j, min(j + width, n))
             # tile[v, s, x] = K_s[x, v] = K_s[v, x] for x in rows, v in cols
-            tile = _spectral_filter(phi[cols], responses, phi[rows].T)
-            sides = [(cols, tile)]
-            if i != j:
-                sides.append((rows, tile.transpose(2, 1, 0)))
+            tile = tiles[: (cols.stop - j) * n_filters * r].reshape(-1, n_filters * r)
+            tile = np.matmul(phi[cols], slab, out=tile).reshape(-1, n_filters, r)
+            sides = [(cols, tile)] + ([(rows, tile.transpose(2, 1, 0))] if i != j else [])
+            if stat == "l1":
+                np.abs(tile, out=tile)
             for into, side in sides:
-                np.minimum(lo[into], side.min(axis=2), out=lo[into])
-                np.maximum(hi[into], side.max(axis=2), out=hi[into])
-            np.abs(tile, out=tile)
-            for into, side in sides:
-                l1[into] += side.sum(axis=2)
-    return l1, lo, hi
-
-
-_STATS_VERSION = 1
-_STATS = ("l1", "lo", "hi")
+                if stat == "l1":
+                    out[0][into] += side.sum(axis=2)
+                else:
+                    np.minimum(out[0][into], side.min(axis=2), out=out[0][into])
+                    np.maximum(out[1][into], side.max(axis=2), out=out[1][into])
+    return tuple(out)
 
 
 def _basis_hash(basis) -> str:
@@ -131,70 +144,76 @@ def _basis_hash(basis) -> str:
 
 
 def _load_stats(path, keys, n, n_scales):
-    """(filters, [l1, lo, hi]) stored at path under keys, or None when
-    there is no file or it holds another basis or bank."""
+    """{stat: (filters, arrays)} stored at path under keys, or None when
+    there is no file or it holds another basis, bank or version."""
     if not os.path.exists(path):
         return None
     with open_npz(path, "atom statistics") as data:
-        if int(data["version"]) != _STATS_VERSION:
-            raise DataError(f"{path}: unsupported atom statistics version")
-        if (bytes(data["basis_hash"]), bytes(data["bank_hash"])) != keys:
+        if int(data["version"]) != _STATS_VERSION or (
+                bytes(data["basis_hash"]), bytes(data["bank_hash"])) != keys:
             return None
-        filters = data["filters"]
-        l1, lo, hi = arrays = [data[name] for name in _STATS]
-    if not (filters.ndim == 1 and filters.dtype.kind in "iu"
-            and np.unique(filters).size == filters.size
-            and ((0 <= filters) & (filters <= n_scales)).all()
-            and all(a.dtype == np.float64 and a.shape == (n, filters.size)
-                    and np.isfinite(a).all() for a in arrays)
-            and (lo <= hi).all() and (l1 >= np.maximum(hi, -lo)).all()):
+        tables = {stat: (data[f"{stat}_filters"], [data[name] for name in names])
+                  for stat, names in _STATS.items()}
+    (l1_filters, (l1,)), (range_filters, (lo, hi)) = tables["l1"], tables["range"]
+    if not (all(f.ndim == 1 and f.dtype.kind in "iu" and (f[1:] > f[:-1]).all()
+                and ((0 <= f) & (f <= n_scales)).all()
+                and all(a.dtype == np.float64 and a.shape == (n, f.size)
+                        and np.isfinite(a).all() for a in arrays)
+                for f, arrays in tables.values())
+            and (l1 >= 0).all() and (lo <= hi).all()
+            # the tables against each other, on the filters both hold
+            and (l1[:, np.isin(l1_filters, range_filters)]
+                 >= np.maximum(hi, -lo)[:, np.isin(range_filters, l1_filters)]).all()):
         raise DataError(
-            f"{path}: inconsistent atom statistics: need unique filter indices "
-            f"in 0..{n_scales} and finite float64 l1, lo, hi of shape (n={n}, "
-            f"filters) with lo <= hi <= l1 and -lo <= l1"
+            f"{path}: inconsistent atom statistics: need ascending filter indices in "
+            f"0..{n_scales}, finite float64 tables of shape (n={n}, filters), "
+            f"0 <= l1, lo <= hi, and hi <= l1 and -lo <= l1 where both tables hold a filter"
         )
-    return filters.astype(np.int64), arrays
+    return {stat: (f.astype(np.int64), arrays) for stat, (f, arrays) in tables.items()}
 
 
-def _save_stats(path, keys, filters, arrays):
+def _save_stats(path, keys, tables):
+    arrays = {name: a for stat, (filters, values) in tables.items()
+              for name, a in zip([f"{stat}_filters", *_STATS[stat]], [filters, *values])}
     try:
         with atomic_write(path) as handle:
-            np.savez(handle, version=np.int64(_STATS_VERSION),
-                     basis_hash=np.bytes_(keys[0]), bank_hash=np.bytes_(keys[1]),
-                     filters=filters, **dict(zip(_STATS, arrays)))
+            np.savez(handle, version=np.int64(_STATS_VERSION), basis_hash=np.bytes_(keys[0]),
+                     bank_hash=np.bytes_(keys[1]), **arrays)
     except (OSError, DataError) as exc:  # the statistics are a cache: the result stands
         logger.warning("%s: atom statistics not cached: %s", path, exc)
 
 
-def filter_atom_stats(basis, bank, responses, filters, cache=None):
-    """atom_stats of the bank's filters with indices `filters` (repeats
-    allowed): (l1, lo, hi), column j of each for filters[j].  responses
-    is the bank's (k, n_filters) table at the basis eigenvalues.
+def filter_atom_stats(basis, bank, responses, filters, stat, cache=None):
+    """Column statistic `stat` ("l1" or "range", see ``_atom_sweep``) of
+    the bank's filters with indices `filters` (repeats allowed): its
+    arrays, column j of each for filters[j].  responses is the bank's
+    (k, n_filters) table at the basis eigenvalues.
 
-    With `cache`, a sidecar file path, statistics stored there for the
-    same basis and bank are reused, the scales it lacks are computed and
-    merged in, and a file for another basis or bank is replaced.
+    With `cache`, a sidecar file path, the statistic's table stored there
+    for the same basis and bank is reused, the scales it lacks are
+    computed and merged in, and a file for another basis or bank is
+    replaced; the other statistic's table is kept as it is.
     """
     filters = np.asarray(filters, dtype=np.int64).reshape(-1)
     bad = filters[(filters < 0) | (filters > bank.n_scales)]
     if bad.size:
         raise DataError(f"filter index {bad[0]} out of range 0..{bank.n_scales}")
     n = basis.n_vertices
-    have, arrays = filters[:0], [np.empty((n, 0))] * 3
+    tables = {name: (filters[:0], [np.empty((n, 0))] * len(arrays))
+              for name, arrays in _STATS.items()}
     if cache is not None:
         keys = (_basis_hash(basis).encode(), bank_hash(bank).encode())
-        stored = _load_stats(cache, keys, n, bank.n_scales)
-        if stored is not None:
-            have, arrays = stored
+        tables = _load_stats(cache, keys, n, bank.n_scales) or tables
+    have, arrays = tables[stat]
     missing = np.setdiff1d(filters, have)
     if missing.size:
-        new = atom_stats(basis.eigenvectors, responses[:, missing])
-        have = np.concatenate([have, missing])
-        order = np.argsort(have)
-        have = have[order]
-        arrays = [np.hstack([a, b])[:, order] for a, b in zip(arrays, new)]
+        new = _atom_sweep(basis.eigenvectors, responses[:, missing], stat)
+        order = np.argsort(np.concatenate([have, missing]))
+        have = np.concatenate([have, missing])[order]
+        arrays = [np.hstack(pair)[:, order] for pair in zip(arrays, new)]
+        tables[stat] = have, arrays
         if cache is not None:
-            _save_stats(cache, keys, have, arrays)
+            _save_stats(cache, keys, tables)
     index = np.searchsorted(have, filters)
     return tuple(a[:, index] for a in arrays)
 

@@ -4,6 +4,7 @@ Eigendecompositions dominate suite runtime, so meshes and bases are
 memoized here.  Callers must treat everything returned as read-only.
 """
 
+import math
 from dataclasses import replace
 from functools import lru_cache
 
@@ -11,6 +12,7 @@ import numpy as np
 from scipy.sparse.csgraph import dijkstra
 from scipy.spatial.distance import cdist
 
+from meshwave import wavelets
 from meshwave.descriptors import (
     DescriptorField,
     _decompose_with_responses,
@@ -163,6 +165,32 @@ def wavelet_matrix(basis: SpectralBasis, bank, m: int) -> np.ndarray:
     atoms = (basis.eigenvectors * g[None, :]) @ basis.eigenvectors.T
     atoms *= basis.areas[None, :]
     return atoms
+
+
+def atom_stats(phi: np.ndarray, responses: np.ndarray):  # oracle: all statistics at once
+    """(l1, lo, hi), each (n, S): column L1 norms, minima and maxima of
+    K_s = Phi diag(g_s) Phi', all from one sweep over the same tiles I <= J
+    as ``wavelets._atom_sweep``, each tile a fresh array."""
+    n, k = phi.shape
+    n_filters = responses.shape[1]
+    width = max(1, math.isqrt(wavelets._BLOCK_ENTRIES // max(1, n_filters)))
+    l1 = np.zeros((n, n_filters))
+    lo = np.full((n, n_filters), np.inf)
+    hi = np.full((n, n_filters), -np.inf)
+    for i in range(0, n, width):
+        rows = slice(i, min(i + width, n))
+        slab = (responses[:, :, None] * phi[rows].T[:, None, :]).reshape(k, -1)
+        for j in range(i, n, width):
+            cols = slice(j, min(j + width, n))
+            tile = (phi[cols] @ slab).reshape(-1, n_filters, rows.stop - i)
+            sides = [(cols, tile)] + ([(rows, tile.transpose(2, 1, 0))] if i != j else [])
+            for into, side in sides:
+                np.minimum(lo[into], side.min(axis=2), out=lo[into])
+                np.maximum(hi[into], side.max(axis=2), out=hi[into])
+            np.abs(tile, out=tile)
+            for into, side in sides:
+                l1[into] += side.sum(axis=2)
+    return l1, lo, hi
 
 
 def minmax_columns(matrix: np.ndarray) -> np.ndarray:

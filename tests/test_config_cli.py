@@ -559,6 +559,30 @@ def test_train_reads_every_correspondence_before_any_eigensolve(work, tmp_path, 
     assert solves == [] and not ckpt.exists()
 
 
+def test_train_refuses_a_short_label_file_before_any_eigensolve(work, tmp_path, capsys,
+                                                                monkeypatch):
+    solves = []
+
+    def counting(*args, **kwargs):
+        solves.append(args[2])
+        raise AssertionError("the eigensolver ran")
+
+    monkeypatch.setattr(cli, "eig_generalized", counting)
+    good, short = tmp_path / "good.txt", tmp_path / "short.txt"
+    write_correspondence(good, np.arange(60))
+    write_correspondence(short, np.arange(59))  # one row short of the 60-vertex mesh
+    cfg = default_config()
+    cfg["train"]["meshes"] = [str(work["mesh_path"])] * 2
+    cfg["train"]["correspondences"] = [str(good), str(short)]
+    cfg_path = tmp_path / "p.cfg"
+    cfg_path.write_text(format_config(cfg))
+    ckpt = tmp_path / "model.npz"
+    assert main(["train", "--config", str(cfg_path), "-o", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert "59 labels for 60 vertices" in err and "Traceback" not in err
+    assert solves == [] and not ckpt.exists()
+
+
 def test_infer_with_a_chebyshev_network_solves_no_eigenbasis(work, tmp_path, monkeypatch):
     def no_solver(*args, **kwargs):
         raise AssertionError("the eigensolver ran")
@@ -743,6 +767,9 @@ def test_atom_sidecar_warm_descriptor_matches_cold(work, own_basis, tmp_path):
     assert _stamp(sidecar) == stamp  # a hit rewrites nothing
     assert warm.read_bytes() == cold.read_bytes()
     assert np.array_equal(load_descriptors(cold).values, _library_weds(work, own_basis, 16))
+    with np.load(sidecar) as data:  # WEDS stores the ranges alone
+        assert data["range_filters"].tolist() == [8, 16, 24]
+        assert data["l1_filters"].size == 0 and data["l1"].shape == (60, 0)
 
 
 def test_atom_sidecar_warm_infer_matches_cold(work, own_basis, tmp_path):
@@ -756,8 +783,49 @@ def test_atom_sidecar_warm_infer_matches_cold(work, own_basis, tmp_path):
                      "-k", "12", "--basis", str(own_basis), "-o", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
-    with np.load(_sidecar(own_basis)) as data:
-        assert data["filters"].tolist() == required_operator_keys(net)
+    with np.load(_sidecar(own_basis)) as data:  # the operators store the L1 norms alone
+        assert data["l1_filters"].tolist() == required_operator_keys(net)
+        assert data["range_filters"].size == 0 and data["lo"].shape == (60, 0)
+
+
+def test_atom_sidecar_holds_both_tables_for_descriptor_and_infer(work, own_basis, tmp_path):
+    ckpt = tmp_path / "net.npz"
+    save_checkpoint(ckpt, build_model("MGCONV8(3)+FC16", input_dim=16, seed=3))
+    sidecar = _sidecar(own_basis)
+    outs = {}
+    for name in ("cold", "warm"):
+        assert _descriptor(work, own_basis, tmp_path / f"{name}.mwd") == 0
+        assert _infer(work, ckpt, own_basis, tmp_path / f"{name}.out.mwd") == 0
+        outs[name] = [(tmp_path / f"{name}{ext}").read_bytes() for ext in (".mwd", ".out.mwd")]
+        if name == "cold":
+            stamp = _stamp(sidecar)
+    assert _stamp(sidecar) == stamp  # warm runs hit both tables
+    assert outs["warm"] == outs["cold"]
+    with np.load(sidecar) as data:
+        assert int(data["version"]) == 2
+        assert data["l1_filters"].tolist() == data["range_filters"].tolist() == [8, 16, 24]
+
+
+def test_version_1_atom_sidecar_is_replaced(work, own_basis, tmp_path):
+    ckpt = tmp_path / "net.npz"
+    save_checkpoint(ckpt, build_model("MGCONV8(3)+FC16", input_dim=16, seed=3))
+    sidecar = _sidecar(own_basis)
+    cold = tmp_path / "cold.mwd", tmp_path / "cold.out.mwd"
+    assert _descriptor(work, own_basis, cold[0]) == 0
+    assert _infer(work, ckpt, own_basis, cold[1]) == 0
+    with np.load(sidecar) as data:
+        # the version-1 layout under the same keys; its statistics, doubled,
+        # would change both outputs if they were used
+        np.savez(sidecar, version=np.int64(1), basis_hash=data["basis_hash"],
+                 bank_hash=data["bank_hash"], filters=data["l1_filters"],
+                 l1=2.0 * data["l1"], lo=2.0 * data["lo"], hi=2.0 * data["hi"])
+    warm = tmp_path / "warm.mwd", tmp_path / "warm.out.mwd"
+    assert _descriptor(work, own_basis, warm[0]) == 0
+    assert _infer(work, ckpt, own_basis, warm[1]) == 0
+    assert [p.read_bytes() for p in warm] == [p.read_bytes() for p in cold]
+    with np.load(sidecar) as data:
+        assert int(data["version"]) == 2 and "filters" not in data
+        assert data["l1_filters"].tolist() == data["range_filters"].tolist() == [8, 16, 24]
 
 
 @pytest.mark.parametrize("change", ["basis", "bank"])
@@ -777,7 +845,7 @@ def test_atom_sidecar_is_recomputed_for_another_basis_or_bank(work, own_basis, t
             build_filter_bank(basis.lambda_max, eigenvalues=basis.eigenvalues),
             amplitude=0.46)
         wavelets.filter_atom_stats(basis, bank, filter_responses(bank, basis.eigenvalues).T,
-                                   [24, 16, 8], cache=sidecar)
+                                   [24, 16, 8], "range", cache=sidecar)
         extra = []
     with np.load(sidecar) as data:
         keys = bytes(data["basis_hash"]), bytes(data["bank_hash"])
@@ -795,24 +863,25 @@ def test_atom_sidecar_is_recomputed_for_another_basis_or_bank(work, own_basis, t
 
 def test_atom_sidecar_merges_new_scales(work, own_basis, tmp_path, monkeypatch):
     computed = []
-    real = wavelets.atom_stats
+    real = wavelets._atom_sweep
 
-    def counting(phi, responses):
-        computed.append(responses.shape[1])
-        return real(phi, responses)
+    def counting(phi, responses, stat):
+        computed.append((stat, responses.shape[1]))
+        return real(phi, responses, stat)
 
-    monkeypatch.setattr(wavelets, "atom_stats", counting)
+    monkeypatch.setattr(wavelets, "_atom_sweep", counting)
     assert _descriptor(work, own_basis, tmp_path / "a.mwd") == 0  # scales 24, 16, 8
     sidecar = _sidecar(own_basis)
     with np.load(sidecar) as data:
-        first = {name: data[name] for name in ("filters", "l1", "lo", "hi")}
+        first = {name: data[name] for name in ("range_filters", "lo", "hi")}
     for _ in range(2):  # scales 26, 21, 16, 11, 6: four are new, then none
         assert _descriptor(work, own_basis, tmp_path / "b.mwd", "--num", "160") == 0
-    assert computed == [3, 4]
+    assert computed == [("range", 3), ("range", 4)]
     with np.load(sidecar) as data:
-        assert data["filters"].tolist() == [6, 8, 11, 16, 21, 24, 26]
-        kept = np.searchsorted(data["filters"], first["filters"])
-        for name in ("l1", "lo", "hi"):
+        assert data["range_filters"].tolist() == [6, 8, 11, 16, 21, 24, 26]
+        assert data["l1_filters"].size == 0
+        kept = np.searchsorted(data["range_filters"], first["range_filters"])
+        for name in ("lo", "hi"):
             assert np.array_equal(data[name][:, kept], first[name])
     want = _library_weds(work, own_basis, 160)
     got = load_descriptors(tmp_path / "b.mwd").values
@@ -835,6 +904,8 @@ def _corrupt(sidecar, how):
         arrays["l1"][3, 0] = np.nan
     elif how == "lo-above-hi":
         arrays["lo"][5, 1] = arrays["hi"][5, 1] + 1.0
+    elif how == "l1-below-hi":  # filter 8 is column 0 of both tables
+        arrays["l1"][2, 0] = 0.5 * max(arrays["hi"][2, 0], -arrays["lo"][2, 0])
     else:  # one vertex short
         for name in ("l1", "lo", "hi"):
             arrays[name] = arrays[name][:-1]
@@ -842,17 +913,21 @@ def _corrupt(sidecar, how):
 
 
 @pytest.mark.parametrize("command", ["descriptor", "infer"])
-@pytest.mark.parametrize("how", ["nan", "lo-above-hi", "wrong-shape", "truncated"])
+@pytest.mark.parametrize("how", ["nan", "lo-above-hi", "l1-below-hi", "wrong-shape",
+                                 "truncated"])
 def test_bad_atom_sidecar_exits_2(work, own_basis, tmp_path, capsys, command, how):
+    # both commands run first, so the sidecar holds both tables on filters
+    # 8, 16 and 24; each command checks the whole file, not its table alone
     ckpt = tmp_path / "net.npz"
     save_checkpoint(ckpt, build_model("MGCONV8(3)+FC16", input_dim=16, seed=3))
     out = tmp_path / "out.mwd"
     run = {
         "descriptor": lambda: _descriptor(work, own_basis, out),
         "infer": lambda: _infer(work, ckpt, own_basis, out),
-    }[command]
-    assert run() == 0
+    }
+    assert run["descriptor"]() == 0 and run["infer"]() == 0
     out.unlink()
+    run = run[command]
     _corrupt(_sidecar(own_basis), how)
     capsys.readouterr()
     assert run() == 2

@@ -203,7 +203,8 @@ def test_atom_ranges_blockwise_with_constant_columns(rng, monkeypatch):
     phi = np.column_stack([np.full(n, 0.5), rng.standard_normal((n, 3))])
     # a general filter, the zero filter, and one passing only the constant mode
     responses = np.column_stack([rng.standard_normal(4), np.zeros(4), [2.0, 0.0, 0.0, 0.0]])
-    l1, lo, hi = wavelets.atom_stats(phi, responses)
+    (l1,) = wavelets._atom_sweep(phi, responses, "l1")
+    lo, hi = wavelets._atom_sweep(phi, responses, "range")
     dense = (phi * responses[:, 0]) @ phi.T
     tol = 1e-14 * np.abs(dense).max()
     assert np.abs(lo[:, 0] - dense.min(axis=0)).max() <= tol

@@ -2,6 +2,8 @@
 properties the descriptor stack depends on."""
 
 import dataclasses
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,7 +54,11 @@ def test_atom_stats_match_dense_oracles(monkeypatch, case, block_entries, scales
     basis = _STATS_CASES[case]()
     bank = _shared.bank_for(basis.lambda_max)
     responses = filter_responses(bank, basis.eigenvalues)[scales].T
-    l1, lo, hi = wavelets.atom_stats(basis.eigenvectors, responses)
+    l1, lo, hi = _shared.atom_stats(basis.eigenvectors, responses)
+    # each one-statistic sweep gives the all-statistics sweep's bits
+    assert np.array_equal(wavelets._atom_sweep(basis.eigenvectors, responses, "l1")[0], l1)
+    got_lo, got_hi = wavelets._atom_sweep(basis.eigenvectors, responses, "range")
+    assert np.array_equal(got_lo, lo) and np.array_equal(got_hi, hi)
     a = basis.areas[None, :]
     for j, m in enumerate(scales):
         atoms = _shared.wavelet_matrix(basis, bank, m)  # column v is a(v) K_m[:, v]
@@ -74,9 +80,30 @@ def test_atom_stats_of_an_underflowing_scale_are_zero(monkeypatch):
     flat = dataclasses.replace(bank, scales=scales)
     assert not g_of(flat, 5, basis.eigenvalues).any()
     responses = filter_responses(flat, basis.eigenvalues).T
-    l1, lo, hi = wavelets.filter_atom_stats(basis, flat, responses, [5, 6])
+    (l1,) = wavelets.filter_atom_stats(basis, flat, responses, [5, 6], "l1")
+    lo, hi = wavelets.filter_atom_stats(basis, flat, responses, [5, 6], "range")
     assert not (l1[:, 0].any() or lo[:, 0].any() or hi[:, 0].any())
     assert (l1[:, 1] > 0).all() and (lo[:, 1] < hi[:, 1]).all()
+
+
+@pytest.mark.parametrize("stat", ["l1", "range"])
+def test_atom_sweep_holds_one_tile_at_a_time(stat):
+    basis = _STATS_CASES["sphere-642"]()
+    phi = basis.eigenvectors
+    (n, k), n_filters = phi.shape, 16
+    bank = _shared.bank_for(basis.lambda_max)
+    responses = filter_responses(bank, basis.eigenvalues)[:n_filters].T
+    width = math.isqrt(wavelets._BLOCK_ENTRIES // n_filters)  # 256: 3 row blocks, 6 tiles
+    tile, slab = 8 * width * n_filters * width, 8 * k * n_filters * width
+    outputs = 8 * n * n_filters * (1 if stat == "l1" else 2)
+    tracemalloc.start()
+    try:
+        wavelets._atom_sweep(phi, responses, stat)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a fresh tile per GEMM holds two tiles at once while the next is formed
+    assert peak <= tile + slab + outputs + tile // 8
 
 
 @pytest.mark.parametrize("rows", [slice(None), slice(3, 17), [29, 0, 5, 5]],
