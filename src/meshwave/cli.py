@@ -15,8 +15,9 @@ column statistics in the sidecar B.atoms.npz, one table per statistic
 (`descriptor` the WEDS ranges, `infer` the L1 norms; see
 ``wavelets.filter_atom_stats``), keyed by the SHA-256 of the eigenvalues,
 eigenvectors and areas of the basis in use (after truncation to -k) and
-the bank's hash: scales stored under the same key are reused, missing ones
-merged in, and a sidecar of another version or under another key (a
+the bank's hash. A table is reused only when it holds exactly the scales
+asked for, and is otherwise replaced, so the output is byte-identical to a
+run without --basis; a sidecar of another version or under another key (a
 rebuilt basis that differs) is replaced, so `basis --force` leaves it
 alone. A sidecar that fails its checks exits 2.
 """
@@ -262,9 +263,15 @@ def _cmd_train(args, cfg):
     corr_paths = cfg["train"]["correspondences"]
     if corr_paths and len(corr_paths) != len(paths):
         raise DataError("one correspondence file per training mesh required")
+    if args.seed is not None and args.seed < 0:
+        raise UsageError(f"--seed must be non-negative, got {args.seed}")
     seed = args.seed if args.seed is not None else cfg["pipeline"]["seed"]
+    if seed < 0:
+        raise DataError(f"[pipeline] seed must be non-negative, got {seed}")
     out = Path(args.out) if args.out else Path(cfg["pipeline"]["output_dir"]) / "model.npz"
     _check_destination(out, make_parents=True)  # before training, not after
+    train_cfg = TrainConfig(**{f.name: cfg["train"][f.name]
+                               for f in dataclasses.fields(TrainConfig)})
     # every input is read, and the model built, before any eigensolve
     meshes = [load_mesh(path) for path in paths]
     if corr_paths:
@@ -288,9 +295,6 @@ def _cmd_train(args, cfg):
         field = _descriptor_field(mesh, basis, desc["type"], desc["num"], desc["power"])
         ops = _shape_operators(net.kind, mesh, required_operator_keys(net), basis)
         shapes.append(ShapeData(field.values, lab, ops, name=str(path)))
-    settings = {f.name: cfg["train"][f.name]
-                for f in dataclasses.fields(TrainConfig) if f.name != "seed"}
-    train_cfg = TrainConfig(**settings, seed=seed)
     opt_state = adam_init(net.params)
     rng = np.random.default_rng(seed)
     net, history = train(net, shapes, train_cfg, opt_state=opt_state, rng=rng)

@@ -32,11 +32,10 @@ SCHEMA = {
         "architecture": (str, DEFAULT_ARCHITECTURE),
         "kind": (str, "mgcn"),
     },
-    "train": {  # the file lists, then every TrainConfig field but the seed
+    "train": {  # the file lists, then every TrainConfig field
         "meshes": (_PATHS, []),
         "correspondences": (_PATHS, []),
-        **{f.name: (type(f.default), f.default)
-           for f in dataclasses.fields(TrainConfig) if f.name != "seed"},
+        **{f.name: (type(f.default), f.default) for f in dataclasses.fields(TrainConfig)},
     },
 }
 

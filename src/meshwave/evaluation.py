@@ -117,7 +117,10 @@ def read_correspondence(path, n_target: Optional[int] = None,
             f"{path}: correspondence targets a different mesh "
             "(content hash mismatch); refusing stale artifact"
         )
-    idx = np.asarray(out, dtype=np.int64)
+    try:
+        idx = np.asarray(out, dtype=np.int64)
+    except OverflowError:
+        raise DataError(f"{path}: index beyond the int64 range") from None
     if idx.size == 0:
         raise DataError(f"{path}: no indices found")
     if idx.min() < 0:

@@ -1,8 +1,8 @@
 """Triangle mesh container, validation, and discrete operators.
 
 The Laplacian here is the cotangent-weighted graph operator with
-barycentric (area/3) mass lumping.  Both are assembled through the
-per-triangle kernels in _kernels.
+barycentric (area/3) mass lumping.  Both are assembled from one
+per-triangle pass over corner cotangents and triangle areas.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from . import _kernels, meshio
+from . import meshio
 from .errors import MeshError
 
 _DEGENERATE_REL_AREA = 1e-12
@@ -71,6 +71,30 @@ def _edges_and_counts(triangles, n):
     return np.stack([keys // n, keys % n], axis=1), counts
 
 
+def _triangle_geometry(vertices, triangles):
+    """Per-corner cotangents and per-triangle areas.
+
+    Returns (cots, areas): cots[t, c] is the cotangent of the interior
+    angle at corner c of triangle t, areas[t] the triangle area. Overflow
+    and zero areas give non-finite entries without a warning; the callers
+    reject them.
+    """
+    v0 = vertices[triangles[:, 0]]
+    v1 = vertices[triangles[:, 1]]
+    v2 = vertices[triangles[:, 2]]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        e0 = v2 - v1  # edge opposite corner 0
+        e1 = v0 - v2
+        e2 = v1 - v0
+        cr = np.cross(e2, -e1)  # (v1-v0) x (v2-v0)
+        double_area = np.sqrt((cr * cr).sum(axis=1))
+        cots = np.empty((len(triangles), 3), dtype=np.float64)
+        cots[:, 0] = -(e2 * e1).sum(axis=1) / double_area
+        cots[:, 1] = -(e0 * e2).sum(axis=1) / double_area
+        cots[:, 2] = -(e1 * e0).sum(axis=1) / double_area
+        return cots, double_area / 2.0
+
+
 def validate_mesh(mesh):
     """Raise MeshError unless the mesh is a connected edge-manifold
     triangulation with no degenerate triangles."""
@@ -85,7 +109,7 @@ def validate_mesh(mesh):
         (t[:, 0] == t[:, 1]) | (t[:, 1] == t[:, 2]) | (t[:, 0] == t[:, 2])
     ).any():
         raise MeshError("degenerate triangle: repeated vertex")
-    _, areas = _kernels.triangle_geometry(v, t)
+    _, areas = _triangle_geometry(v, t)
     if not np.isfinite(areas).all():
         raise MeshError("non-finite triangle area (coordinates too large?)")
     if (areas <= _DEGENERATE_REL_AREA * areas.mean()).any():
@@ -116,8 +140,11 @@ def lumped_areas(mesh):
 
     Entries are finite, strictly positive and sum to the total surface area.
     """
-    _, tri_areas = _kernels.triangle_geometry(mesh.vertices, mesh.triangles)
-    areas = _kernels.vertex_areas(mesh.triangles, tri_areas, mesh.n_vertices)
+    _, tri_areas = _triangle_geometry(mesh.vertices, mesh.triangles)
+    areas = np.zeros(mesh.n_vertices)
+    share = tri_areas / 3.0
+    for corner in range(3):
+        np.add.at(areas, mesh.triangles[:, corner], share)
     if not (np.isfinite(areas) & (areas > 0)).all():
         raise MeshError("vertex with non-finite or non-positive lumped area "
                         "(coordinates too large?)")
@@ -136,7 +163,7 @@ def cotangent_laplacian(mesh):
     """
     n = mesh.n_vertices
     t = mesh.triangles
-    cots, _ = _kernels.triangle_geometry(mesh.vertices, mesh.triangles)
+    cots, _ = _triangle_geometry(mesh.vertices, mesh.triangles)
     rows, cols, vals = [], [], []
     for corner in range(3):
         i = t[:, (corner + 1) % 3]

@@ -117,10 +117,11 @@ def read_obj(path):
             faces.append(idx)
     if not vertices:
         raise DataError(f"{path}: no vertices found")
-    return (
-        np.asarray(vertices, dtype=np.float64),
-        np.asarray(faces, dtype=np.int64).reshape(-1, 3),
-    )
+    try:
+        triangles = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
+    except OverflowError:
+        raise DataError(f"{path}: face index beyond the int64 range") from None
+    return np.asarray(vertices, dtype=np.float64), triangles
 
 
 class _PlyElement:

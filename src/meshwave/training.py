@@ -30,16 +30,17 @@ class TrainConfig:
     weight_decay_phase2: float = 5e-5
     margin: float = 1.0
     pairs_per_step: int = 512
-    seed: int = 0
 
     def __post_init__(self):
         if self.phase1_epochs < 0 or self.phase2_epochs < 0:
             raise DataError("epoch counts must be non-negative")
+        # NaN fails every comparison, so each check asks for the good case
         for name in ("lr_phase1", "lr_phase2", "margin"):
-            if getattr(self, name) <= 0:
-                raise DataError(f"{name} must be positive")
-        if self.weight_decay_phase1 < 0 or self.weight_decay_phase2 < 0:
-            raise DataError("weight decay must be non-negative")
+            if not 0 < getattr(self, name) < np.inf:
+                raise DataError(f"{name} must be finite and positive")
+        for name in ("weight_decay_phase1", "weight_decay_phase2"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise DataError(f"{name} must be finite and non-negative")
         if self.pairs_per_step < 2:
             raise DataError("pairs_per_step must be at least 2")
 
@@ -61,6 +62,9 @@ class ShapeData:
 
 
 _ADAM_ENTRIES = 1 << 16
+_BETA1 = 0.9  # Adam's first- and second-moment decay rates
+_BETA2 = 0.999
+_EPS = 1e-8  # keeps the update finite where the second moment is zero
 
 
 def adam_init(params: dict) -> dict:
@@ -71,23 +75,14 @@ def adam_init(params: dict) -> dict:
     }
 
 
-def adam_step(
-    params: dict,
-    grads: dict,
-    state: dict,
-    lr: float,
-    weight_decay: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-):
+def adam_step(params: dict, grads: dict, state: dict, lr: float, weight_decay: float):
     """In-place Adam update with decoupled weight decay, over slabs of rows
     holding at most _ADAM_ENTRIES entries: temporaries stay slab-sized, and
     every entry sees the operations of a whole-array update."""
     state["step"] += 1
     t = state["step"]
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
+    bc1 = 1.0 - _BETA1**t
+    bc2 = 1.0 - _BETA2**t
     for name, param in params.items():
         grad = grads.get(name)
         if grad is None:
@@ -96,13 +91,13 @@ def adam_step(
         for lo in range(0, len(param), rows):
             p, g, m, v = (a[lo:lo + rows] for a in
                           (param, grad, state["m"][name], state["v"][name]))
-            m *= beta1
-            m += (1.0 - beta1) * g
-            v *= beta2
-            v += (1.0 - beta2) * g * g
+            m *= _BETA1
+            m += (1.0 - _BETA1) * g
+            v *= _BETA2
+            v += (1.0 - _BETA2) * g * g
             if weight_decay:
                 p -= lr * weight_decay * p
-            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
 
 
 def _check_finite(loss: float, grads: dict, where: str):
@@ -195,13 +190,13 @@ def train(
     Raises NumericalError, before that step's update, when a loss or a
     gradient is not finite.  No step holds an (n, classes) array: the
     head's logits are formed a row block at a time (see the module
-    docstring).
+    docstring).  Phase-2 pairs are drawn from `rng`, default_rng(0) if None.
     """
     _check_dataset(net, shapes, need_labels=config.phase1_epochs > 0)
     if config.phase1_epochs > 0 and net.head_dim is None:
         raise DataError("phase 1 needs a model with a classification head")
     if rng is None:
-        rng = np.random.default_rng(config.seed)
+        rng = np.random.default_rng(0)
     if opt_state is None:
         opt_state = adam_init(net.params)
     history = {"phase1": [], "phase2": []}

@@ -23,11 +23,12 @@ maximum (the "range" statistic), the conv layers its L1 norm ("l1").
 of K (symmetry supplies the rest), S scales per GEMM into one tile buffer
 of at most _BLOCK_ENTRIES entries.  ``filter_atom_stats`` can keep them
 in a sidecar file keyed by the SHA-256 of the basis arrays (eigenvalues,
-eigenvectors, areas) and the bank's ``bank_hash``.  Its version 2 holds
+eigenvectors, areas) and the bank's ``bank_hash``.  Its version 3 holds
 one table per statistic, ``l1_filters``/``l1`` and ``range_filters``/
-``lo``/``hi``: scales stored for the same key are reused, missing ones
-are computed and merged into their table, and a file with another key or
-version (version 1 held one table of all three) is replaced.
+``lo``/``hi``.  A table is reused only when it holds exactly the filters
+asked for; any other request replaces it with a sweep of that set, so a
+cached statistic is byte for byte a fresh sweep's, whatever the file
+held.  A file with another key or version is replaced.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ def _blocks(n: int, width: int):
 
 # _atom_sweep's arrays for each statistic, and the value each starts from
 _STATS = {"l1": {"l1": 0.0}, "range": {"lo": np.inf, "hi": -np.inf}}
-_STATS_VERSION = 2
+_STATS_VERSION = 3
 
 
 def _atom_sweep(phi, responses, stat):
@@ -189,28 +190,27 @@ def filter_atom_stats(basis, bank, responses, filters, stat, cache=None):
     arrays, column j of each for filters[j].  responses is the bank's
     (k, n_filters) table at the basis eigenvalues.
 
-    With `cache`, a sidecar file path, the statistic's table stored there
-    for the same basis and bank is reused, the scales it lacks are
-    computed and merged in, and a file for another basis or bank is
-    replaced; the other statistic's table is kept as it is.
+    The sweep covers the distinct filters in ascending order, on which its
+    tile width and rounding depend.  With `cache`, a sidecar file path, the
+    statistic's table stored there for the same basis and bank is reused
+    only when it holds exactly that set; otherwise the set is swept and
+    replaces that table, and the other statistic's table is kept as it is.
+    An empty request sweeps nothing and writes nothing.
     """
     filters = np.asarray(filters, dtype=np.int64).reshape(-1)
     bad = filters[(filters < 0) | (filters > bank.n_scales)]
     if bad.size:
         raise DataError(f"filter index {bad[0]} out of range 0..{bank.n_scales}")
     n = basis.n_vertices
+    wanted = np.unique(filters)  # the set a fresh sweep covers
     tables = {name: (filters[:0], [np.empty((n, 0))] * len(arrays))
               for name, arrays in _STATS.items()}
     if cache is not None:
         keys = (_basis_hash(basis).encode(), bank_hash(bank).encode())
         tables = _load_stats(cache, keys, n, bank.n_scales) or tables
     have, arrays = tables[stat]
-    missing = np.setdiff1d(filters, have)
-    if missing.size:
-        new = _atom_sweep(basis.eigenvectors, responses[:, missing], stat)
-        order = np.argsort(np.concatenate([have, missing]))
-        have = np.concatenate([have, missing])[order]
-        arrays = [np.hstack(pair)[:, order] for pair in zip(arrays, new)]
+    if wanted.size and not np.array_equal(have, wanted):
+        have, arrays = wanted, _atom_sweep(basis.eigenvectors, responses[:, wanted], stat)
         tables[stat] = have, arrays
         if cache is not None:
             _save_stats(cache, keys, tables)

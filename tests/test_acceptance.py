@@ -294,7 +294,7 @@ def _learning_shapes(poses, nu, nv, k, needed):
     return shapes
 
 
-_SCALED_SCHEDULE = dict(lr_phase1=4e-3, lr_phase2=2e-3, seed=0)
+_SCALED_SCHEDULE = dict(lr_phase1=4e-3, lr_phase2=2e-3)
 
 
 def test_criterion_7_desk_scale_learning():

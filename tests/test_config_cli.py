@@ -583,6 +583,78 @@ def test_train_refuses_a_short_label_file_before_any_eigensolve(work, tmp_path, 
     assert solves == [] and not ckpt.exists()
 
 
+def _no_solver(*args, **kwargs):
+    raise AssertionError("the eigensolver ran")
+
+
+def _one_line_error(capsys, needle):
+    err = capsys.readouterr().err
+    return needle in err and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key, value", [
+    ("lr_phase1", "nan"), ("lr_phase2", "inf"), ("margin", "nan"), ("margin", "-inf"),
+    ("weight_decay_phase1", "nan"), ("weight_decay_phase2", "inf"),
+])
+def test_non_finite_train_setting_exits_2_before_any_eigensolve(work, tmp_path, capsys,
+                                                                monkeypatch, key, value):
+    # NaN passed the old `<= 0` checks, and training wrote all-NaN parameters
+    monkeypatch.setattr(cli, "eig_generalized", _no_solver)
+    cfg_path = tmp_path / "p.cfg"
+    cfg_path.write_text(f"[train]\nmeshes = {work['mesh_path']}\n{key} = {value}\n")
+    before = _tree(tmp_path)
+    assert main(["train", "--config", str(cfg_path), "-o", str(tmp_path / "m.npz")]) == 2
+    assert _one_line_error(capsys, key)
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("source, code", [("flag", 1), ("config", 2)])
+def test_negative_seed_exits_before_training(work, tmp_path, capsys, monkeypatch, source,
+                                             code):
+    monkeypatch.setattr(cli, "eig_generalized", _no_solver)
+    cfg_path = tmp_path / "p.cfg"
+    seed = "[pipeline]\nseed = -1\n" if source == "config" else ""
+    cfg_path.write_text(f"{seed}[train]\nmeshes = {work['mesh_path']}\n")
+    flags = ["--seed", "-1"] if source == "flag" else []
+    before = _tree(tmp_path)
+    assert main(["train", "--config", str(cfg_path), "-o", str(tmp_path / "m.npz"),
+                 *flags]) == code
+    assert _one_line_error(capsys, "seed must be non-negative")
+    assert _tree(tmp_path) == before
+
+
+def test_obj_face_index_beyond_int64_exits_2(work, tmp_path, capsys):
+    mesh = work["mesh"]
+    lines = [f"v {x!r} {y!r} {z!r}" for x, y, z in mesh.vertices.tolist()]
+    lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in mesh.triangles.tolist()]
+    lines[-1] = f"f 1 2 {2**64}"
+    path = tmp_path / "big.obj"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["basis", str(path), "-k", "8"]) == 2
+    assert _one_line_error(capsys, "int64")
+    assert _tree(tmp_path) == [path]
+
+
+@pytest.mark.parametrize("which", ["prediction", "truth", "train"])
+def test_correspondence_index_beyond_int64_exits_2(work, tmp_path, capsys, which):
+    gt, big = tmp_path / "gt.txt", tmp_path / "big.txt"
+    write_correspondence(gt, np.arange(60))
+    index = -2**70 if which == "truth" else 2**70
+    big.write_text("".join(f"{i}\n" for i in range(59)) + f"{index}\n")
+    if which == "train":
+        cfg_path = tmp_path / "p.cfg"
+        cfg_path.write_text(f"[train]\nmeshes = {work['mesh_path']}\n"
+                            f"correspondences = {big}\n")
+        argv = ["train", "--config", cfg_path, "-o", tmp_path / "m.npz"]
+    else:
+        pair = [big, gt] if which == "prediction" else [gt, big]
+        argv = ["eval", *pair, work["mesh_path"], "-o", tmp_path / "report"]
+    before = _tree(tmp_path)
+    assert main([str(a) for a in argv]) == 2
+    assert _one_line_error(capsys, "int64")
+    assert _tree(tmp_path) == before
+
+
 def test_infer_with_a_chebyshev_network_solves_no_eigenbasis(work, tmp_path, monkeypatch):
     def no_solver(*args, **kwargs):
         raise AssertionError("the eigensolver ran")
@@ -802,11 +874,12 @@ def test_atom_sidecar_holds_both_tables_for_descriptor_and_infer(work, own_basis
     assert _stamp(sidecar) == stamp  # warm runs hit both tables
     assert outs["warm"] == outs["cold"]
     with np.load(sidecar) as data:
-        assert int(data["version"]) == 2
+        assert int(data["version"]) == 3
         assert data["l1_filters"].tolist() == data["range_filters"].tolist() == [8, 16, 24]
 
 
-def test_version_1_atom_sidecar_is_replaced(work, own_basis, tmp_path):
+@pytest.mark.parametrize("version", [1, 2])
+def test_version_1_atom_sidecar_is_replaced(work, own_basis, tmp_path, version):
     ckpt = tmp_path / "net.npz"
     save_checkpoint(ckpt, build_model("MGCONV8(3)+FC16", input_dim=16, seed=3))
     sidecar = _sidecar(own_basis)
@@ -814,17 +887,22 @@ def test_version_1_atom_sidecar_is_replaced(work, own_basis, tmp_path):
     assert _descriptor(work, own_basis, cold[0]) == 0
     assert _infer(work, ckpt, own_basis, cold[1]) == 0
     with np.load(sidecar) as data:
-        # the version-1 layout under the same keys; its statistics, doubled,
-        # would change both outputs if they were used
-        np.savez(sidecar, version=np.int64(1), basis_hash=data["basis_hash"],
-                 bank_hash=data["bank_hash"], filters=data["l1_filters"],
-                 l1=2.0 * data["l1"], lo=2.0 * data["lo"], hi=2.0 * data["hi"])
+        # an older layout under the same keys (version 1 held one table of
+        # all three statistics, version 2 this one's two tables, possibly
+        # merged); its statistics, doubled, would change both outputs if used
+        arrays = {name: 2.0 * data[name] for name in ("l1", "lo", "hi")}
+        if version == 1:
+            arrays["filters"] = data["l1_filters"]
+        else:
+            arrays.update(l1_filters=data["l1_filters"], range_filters=data["range_filters"])
+        np.savez(sidecar, version=np.int64(version), basis_hash=data["basis_hash"],
+                 bank_hash=data["bank_hash"], **arrays)
     warm = tmp_path / "warm.mwd", tmp_path / "warm.out.mwd"
     assert _descriptor(work, own_basis, warm[0]) == 0
     assert _infer(work, ckpt, own_basis, warm[1]) == 0
     assert [p.read_bytes() for p in warm] == [p.read_bytes() for p in cold]
     with np.load(sidecar) as data:
-        assert int(data["version"]) == 2 and "filters" not in data
+        assert int(data["version"]) == 3 and "filters" not in data
         assert data["l1_filters"].tolist() == data["range_filters"].tolist() == [8, 16, 24]
 
 
@@ -861,7 +939,8 @@ def test_atom_sidecar_is_recomputed_for_another_basis_or_bank(work, own_basis, t
     assert changed == ((True, True) if change == "basis" else (False, True))
 
 
-def test_atom_sidecar_merges_new_scales(work, own_basis, tmp_path, monkeypatch):
+def test_atom_sidecar_replaces_the_range_table_for_a_new_scale_set(work, own_basis,
+                                                                   tmp_path, monkeypatch):
     computed = []
     real = wavelets._atom_sweep
 
@@ -871,21 +950,49 @@ def test_atom_sidecar_merges_new_scales(work, own_basis, tmp_path, monkeypatch):
 
     monkeypatch.setattr(wavelets, "_atom_sweep", counting)
     assert _descriptor(work, own_basis, tmp_path / "a.mwd") == 0  # scales 24, 16, 8
-    sidecar = _sidecar(own_basis)
-    with np.load(sidecar) as data:
-        first = {name: data[name] for name in ("range_filters", "lo", "hi")}
-    for _ in range(2):  # scales 26, 21, 16, 11, 6: four are new, then none
+    for _ in range(2):  # scales 26, 21, 16, 11, 6: swept once, then reused
         assert _descriptor(work, own_basis, tmp_path / "b.mwd", "--num", "160") == 0
-    assert computed == [("range", 3), ("range", 4)]
-    with np.load(sidecar) as data:
-        assert data["range_filters"].tolist() == [6, 8, 11, 16, 21, 24, 26]
+    assert computed == [("range", 3), ("range", 5)]
+    with np.load(_sidecar(own_basis)) as data:
+        assert data["range_filters"].tolist() == [6, 11, 16, 21, 26]
         assert data["l1_filters"].size == 0
-        kept = np.searchsorted(data["range_filters"], first["range_filters"])
-        for name in ("lo", "hi"):
-            assert np.array_equal(data[name][:, kept], first[name])
-    want = _library_weds(work, own_basis, 160)
     got = load_descriptors(tmp_path / "b.mwd").values
-    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert np.array_equal(got, _library_weds(work, own_basis, 160))
+
+
+def test_atom_sidecar_outputs_equal_fresh_runs_in_any_order(work, own_basis, tmp_path):
+    # the basis file holds exactly -k = 12 pairs, so it is used untruncated
+    assert load_basis(own_basis).k == 12
+    nets = {}
+    for scales in (3, 16):
+        nets[scales] = tmp_path / f"net{scales}.npz"
+        save_checkpoint(nets[scales], build_model(f"MGCONV8({scales})+FC16", input_dim=16,
+                                                  seed=3))
+    runs = [("infer", 3), ("infer", 16), ("infer", 3),
+            ("descriptor", 16), ("descriptor", 160), ("descriptor", 16)]
+    for i, (command, size) in enumerate(runs):
+        if command == "infer":
+            argv = ["infer", nets[size], work["mesh_path"], work["desc_path"], "-k", "12"]
+        else:
+            argv = ["descriptor", work["mesh_path"], "--type", "weds", "--num", size,
+                    "-k", "12"]
+        cached, fresh = tmp_path / f"{i}.cached.mwd", tmp_path / f"{i}.fresh.mwd"
+        assert main([str(a) for a in [*argv, "--basis", own_basis, "-o", cached]]) == 0
+        assert main([str(a) for a in [*argv, "-o", fresh]]) == 0
+        assert cached.read_bytes() == fresh.read_bytes(), (command, size)
+
+
+def test_fc_only_network_leaves_the_atom_sidecar_alone(work, own_basis, tmp_path):
+    ckpt, fc = tmp_path / "net.npz", tmp_path / "fc.npz"
+    save_checkpoint(ckpt, build_model("MGCONV8(3)+FC16", input_dim=16, seed=3))
+    save_checkpoint(fc, build_model("FC8", input_dim=16, seed=3))
+    assert _descriptor(work, own_basis, tmp_path / "d.mwd") == 0
+    assert _infer(work, ckpt, own_basis, tmp_path / "conv.mwd") == 0
+    sidecar = _sidecar(own_basis)
+    before = sidecar.read_bytes()
+    assert _infer(work, fc, own_basis, tmp_path / "fc.mwd") == 0  # asks for no scales
+    assert sidecar.read_bytes() == before
+    assert load_descriptors(tmp_path / "fc.mwd").values.shape == (60, 8)
 
 
 def _infer(work, ckpt, basis_path, out):

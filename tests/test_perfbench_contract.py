@@ -2,14 +2,17 @@
 
 perfbench's traced run wraps meshwave functions at the module attributes
 listed in ``perfbench/tracing.py`` HOOKS; a target that no longer resolves
-is skipped with a note, and its metrics then read 0 without failing. These
-tests read the harness's sources (they import and change none of them) so
-that a refactor which moves a hooked name out of ``meshwave.cli``, or drops
-the flag ``perfbench/run.py`` records, fails here instead.
+is skipped with a note, and its metrics then read 0 without failing. Its
+workloads call meshwave's library directly, and a call that no longer
+binds fails the run. These tests read the harness's sources (they import
+and change none of them) so that a refactor which moves a hooked name out
+of ``meshwave.cli``, drops the flag ``perfbench/run.py`` records, or
+changes a signature the workloads call, fails here instead.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -34,3 +37,33 @@ def test_every_cli_hook_target_resolves():
 def test_run_records_the_kernels_numba_flag():
     assert "_kernels.USE_NUMBA" in (PERFBENCH / "run.py").read_text(encoding="utf-8")
     assert isinstance(importlib.import_module("meshwave._kernels").USE_NUMBA, bool)
+
+
+def _workload_calls() -> list:
+    """(line, module, attribute, positional count, keyword names) of each
+    call of a meshwave module attribute in perfbench/workloads.py; starred
+    arguments are left out, as their length is not known here."""
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
+    modules = {alias.asname or alias.name: alias.name for node in tree.body
+               if isinstance(node, ast.ImportFrom) and node.module == "meshwave"
+               for alias in node.names}
+    return [(node.lineno, modules[node.func.value.id], node.func.attr,
+             sum(not isinstance(a, ast.Starred) for a in node.args),
+             [k.arg for k in node.keywords if k.arg is not None])
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name) and node.func.value.id in modules]
+
+
+def test_every_workload_library_call_binds():
+    calls = _workload_calls()
+    called = {(module, attr) for _, module, attr, _, _ in calls}
+    assert {("descriptors", "weds"), ("training", "TrainConfig"), ("cli", "main")} <= called
+    unbound = []
+    for line, module, attr, n_args, keywords in calls:
+        target = getattr(importlib.import_module(f"meshwave.{module}"), attr, None)
+        try:
+            inspect.signature(target).bind_partial(*[None] * n_args, **dict.fromkeys(keywords))
+        except (TypeError, ValueError) as exc:
+            unbound.append(f"workloads.py:{line}: {module}.{attr}: {exc}")
+    assert unbound == []
