@@ -1,0 +1,94 @@
+#!/usr/bin/env python3
+"""Alternating A/B pairs of the pipeline benchmark between two checkouts.
+
+    python3 benchmarks/ab_pairs.py PARENT_DIR CHANGE_DIR --workload describe \\
+        --pairs 10 --seconds 25 --seed0 901
+
+Pair i runs ``perfbench/run.py --workload W --seed K+i --seconds S --trace 0``
+in each checkout, with that checkout's own benchmark and sources, and flips
+which side runs first from one pair to the next.  Each run's result line
+(the last line perfbench prints) is echoed as ``pair I SIDE SEED LINE``.
+At the end, for each end-to-end metric, it prints each side's median and
+quartiles and the number of pairs the change won (ties count for neither),
+and whether a gain may be claimed: the change wins at least nine tenths of
+the pairs and the medians differ by more than the parent's interquartile
+range.  Standard library only; perfbench keeps its files in each
+checkout's .perfbench_work/, and this script writes nothing.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def summarize(parent_lines, change_lines, better=None):
+    """Report lines for pairs (parent_lines[i], change_lines[i]) of
+    perfbench result lines; `better` maps a metric to "lower" or "higher"
+    (default "lower")."""
+    better = better or {}
+    pairs = [tuple({name: m["value"] for name, m in json.loads(line)["metrics"].items()}
+                   for line in pair) for pair in zip(parent_lines, change_lines)]
+    report = [f"{len(pairs)} pairs"]
+    for name in pairs[0][0] if pairs else ():
+        sign = -1.0 if better.get(name, "lower") == "higher" else 1.0
+        sides = [[p[side][name] for p in pairs] for side in (0, 1)]
+        wins = sum(sign * (b - a) < 0 for a, b in zip(*sides))
+        (p1, pm, p3), (c1, cm, c3) = (_quartiles(values) for values in sides)
+        gap, iqr = sign * (pm - cm), p3 - p1
+        holds = wins >= 0.9 * len(pairs) and gap > iqr
+        report.append(
+            f"{name}: parent median {pm:.6g} (quartiles {p1:.6g}, {p3:.6g}); "
+            f"change median {cm:.6g} (quartiles {c1:.6g}, {c3:.6g}); "
+            f"change won {wins} of {len(pairs)}; median gain {gap:.6g} against parent IQR "
+            f"{iqr:.6g}: gain {'holds' if holds else 'does not hold'}")
+    return report
+
+
+def _quartiles(values):
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4)
+    return q1, statistics.median(values), q3
+
+
+def run_once(checkout, args, seed):
+    cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed", str(seed),
+           "--seconds", str(args.seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        sys.exit(f"{checkout}: {' '.join(cmd)} exited {proc.returncode}\n{proc.stderr.strip()}")
+    return lines[-1]
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("parent", type=Path)
+    p.add_argument("change", type=Path)
+    p.add_argument("--workload", required=True)
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seconds", type=float, default=25.0)
+    p.add_argument("--seed0", type=int, default=0)
+    args = p.parse_args(argv)
+    checkouts = dict(zip(SIDES, (args.parent.resolve(), args.change.resolve())))
+    spec = json.loads((checkouts["parent"] / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    lines = {side: [] for side in SIDES}
+    for i in range(args.pairs):
+        seed = args.seed0 + i
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            lines[side].append(run_once(checkouts[side], args, seed))
+            print(f"pair {i} {side} {seed} {lines[side][-1]}", flush=True)
+    print("\n".join(summarize(lines["parent"], lines["change"], better)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

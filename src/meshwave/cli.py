@@ -393,7 +393,6 @@ def _cmd_dissimilarity(args, cfg):
 def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="pipeline config file (key = value)")
-    common.add_argument("--seed", type=int, help="override the config rng seed")
 
     parser = _Parser(prog="meshwave", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -446,6 +445,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", parents=[common],
                        help="train a descriptor network from a config manifest")
     p.add_argument("-o", "--out", help="checkpoint path (default OUTDIR/model.npz)")
+    p.add_argument("--seed", type=int, help="override the config rng seed")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("infer", parents=[common],

@@ -219,11 +219,16 @@ def load_descriptors(path):
             raise DataError(f"{path}: truncated descriptor header") from exc
         if version != _VERSION:
             raise DataError(f"{path}: unsupported descriptor version {version}")
-        if meta_len + n * d * 8 > os.fstat(handle.fileno()).st_size - handle.tell():
+        if not n or not d:
+            raise DataError(f"{path}: empty descriptor field ({n}x{d} in header)")
+        spare = os.fstat(handle.fileno()).st_size - handle.tell() - meta_len - n * d * 8
+        if spare < 0:
             raise DataError(f"{path}: truncated descriptor data ({n}x{d} in header)")
+        if spare:
+            raise DataError(f"{path}: {spare} bytes past the descriptor data ({n}x{d} in header)")
         try:
             meta = json.loads(handle.read(meta_len).decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or deep nesting
             raise DataError(f"{path}: corrupt metadata block") from exc
         if not isinstance(meta, dict):
             raise DataError(f"{path}: metadata block is not a JSON object")

@@ -134,7 +134,8 @@ def read_correspondence(path, n_target: Optional[int] = None,
 
 def write_correspondence(path, indices, comment: Optional[str] = None):
     indices = np.asarray(indices, dtype=np.int64)
-    with atomic_write(path, "w", encoding="utf-8") as fh:
+    # a comment can carry lone surrogates from JSON escapes or file names
+    with atomic_write(path, "w", encoding="utf-8", errors="backslashreplace") as fh:
         if comment:
             for line in comment.splitlines():
                 fh.write(f"# {line}\n")

@@ -330,7 +330,7 @@ def load_checkpoint(path):
         arrays = {key: data[key] for key in data.files}
     try:
         meta = json.loads(bytes(arrays.pop("__meta__")).decode())
-    except ValueError:  # includes UnicodeDecodeError
+    except (ValueError, RecursionError):  # bad UTF-8 or JSON, or deep nesting
         raise DataError(f"{path}: checkpoint metadata is not valid JSON") from None
     if not isinstance(meta, dict):
         raise DataError(f"{path}: checkpoint metadata is not a JSON object")

@@ -9,8 +9,10 @@ at 420 vertices.  Otherwise a block Krylov-Schur iteration (Stewart, SIAM
 J. Matrix Anal. Appl. 23, 2001; Zhou & Saad, Numer. Algorithms 47, 2008)
 runs on T = (C - sigma I)^-1 with blocks of 8 vectors, so its Gram-Schmidt
 passes, restarts and Ritz vectors are GEMMs against a basis held as rows;
-it locks converged Ritz pairs (Stathopoulos & McCombs, ACM TOMS 36, 2010)
-and runs its first Gram-Schmidt pass only against the rows T reaches.
+it locks converged Ritz pairs (Stathopoulos & McCombs, ACM TOMS 36, 2010),
+runs its first Gram-Schmidt pass only against the rows T reaches, and
+stops once the k kept pairs are locked and no unconverged pad (one of the
+pairs solved past k) can sort among them.
 Its solves go through a band Cholesky factor of C - sigma I after reverse
 Cuthill-McKee ordering (George & Liu, 1981) while the ordered band b stays
 within 4 sqrt(n); wider bands fall back to scipy's SuperLU factor.
@@ -143,10 +145,11 @@ def _shifted_solver(sym, sigma):
     return solve, perm
 
 
-def _krylov_schur(solve, n, n_want):
-    """Largest n_want eigenpairs (theta, Ritz vectors as (n, n_want)) of the
+def _krylov_schur(solve, n, n_want, k):
+    """Largest n_want Ritz pairs (theta, Ritz vectors as (n, n_want)) of the
     symmetric positive definite T = solve, by block Krylov-Schur, in the
-    vertex order solve works in (RCM order for the band factor).
+    vertex order solve works in (RCM order for the band factor).  The first
+    k are converged; the pads past them may not be.
 
     The basis is kept as rows, so Gram-Schmidt and the restart are GEMMs;
     H = V' T V comes from the Gram-Schmidt coefficients and QR factors, read
@@ -155,7 +158,10 @@ def _krylov_schur(solve, n, n_want):
     reaches (the previous block, or after a restart every active kept Ritz
     row); the second runs against the whole basis.  After each Rayleigh-Ritz
     step the leading run of converged wanted pairs is locked: those rows stay
-    at the front of the basis and leave H and the restart product.
+    at the front of the basis and leave H and the restart product.  It stops
+    once the locked run covers k and no open pad can sort into the kept set:
+    theta + residual < theta[k - 1] - tol for each (so a cluster straddling
+    the cut converges first).
     """
     b = _BLOCK
     m = b * -(-max(2 * n_want, n_want + 3 * b) // b)
@@ -187,12 +193,14 @@ def _krylov_schur(solve, n, n_want):
         vals, ritz = vals[::-1], ritz[:, ::-1]  # largest theta first
         tol = _RITZ_TOL * vals[0] if tol is None else tol
         coupling = beta @ ritz[-b:]  # Ritz pair i's residual is basis[m:]' coupling[:, i]
-        lock = int((np.linalg.norm(coupling[:, :n_want - nl], axis=0) <= tol).cumprod().sum())
-        rows = n_want if nl + lock == n_want else keep  # n_want: all converged
+        resid = np.linalg.norm(coupling[:, :n_want - nl], axis=0)
+        lock = int((resid <= tol).cumprod().sum())
+        rows = n_want if nl + lock == n_want else keep  # keep on a stop at k: same bits
         for col in range(0, n, chunk):  # no second (m, n) array
             basis[nl:rows, col:col + chunk] = ritz[:, :rows - nl].T @ basis[nl:m, col:col + chunk]
         theta[nl:rows] = vals[:rows - nl]
-        if rows == n_want:
+        if rows == n_want or nl + lock >= k and (
+                vals[lock:n_want - nl] + resid[lock:] < theta[k - 1] - tol).all():
             return theta[:n_want], basis[:n_want].T
         basis[keep:keep + b] = basis[m:]
         proj[:] = 0.0
@@ -219,7 +227,7 @@ def eig_generalized(laplacian, areas, k, mesh_hash=""):
         # shift slightly negative (spectrum is >= 0) at the pencil's scale
         sigma = -0.01 * (laplacian.diagonal().sum() / areas.sum())
         solve, perm = _shifted_solver(sym, sigma)
-        theta, vecs = _krylov_schur(solve, n, n_want)  # rows in the solver's order
+        theta, vecs = _krylov_schur(solve, n, n_want, k)  # rows in the solver's order
         del solve  # frees the factor before the checks below
         vals = sigma + 1.0 / theta
     order = np.argsort(vals)[:k]

@@ -144,6 +144,22 @@ def test_usage_errors_exit_1(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["basis", "m.off"], ["descriptor", "m.off"], ["match", "a.mwd", "b.mwd", "-o", "c.txt"],
+    ["eval", "c.txt", "gt.txt", "m.off"], ["infer", "model.npz", "m.off", "d.mwd"],
+    ["dissimilarity", "d.mwd", "m.off", "--vertex", "0"],
+], ids=lambda argv: argv[0])
+def test_seed_is_a_usage_error_outside_train(tmp_path, monkeypatch, capsys, argv):
+    # only train draws random numbers; elsewhere --seed used to be ignored
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--seed", "5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: meshwave ") and "Traceback" not in err
+    assert err.splitlines()[-1] == "error: unrecognized arguments: --seed 5"
+    assert err.count("error:") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_basis_cache_hit(work, capsys):
     assert main(["basis", str(work["mesh_path"]), "-k", "12",
                  "-o", str(work["basis_path"])]) == 0

@@ -3,7 +3,9 @@
 Each case writes a valid input with one mutation (a token replaced, a line
 deleted, duplicated, swapped or inserted, the text truncated, or the
 numbers scaled) and runs a command on it: ``meshwave basis`` on OFF and
-OBJ meshes, ``meshwave eval`` on correspondence files.  Whatever the
+OBJ meshes, ``meshwave eval`` on correspondence files, ``meshwave match``
+on ``.mwd`` descriptor files (magic, header words, metadata bytes or
+payload values replaced, or the file truncated).  Whatever the
 mutation, the command exits 0, 2 (bad data) or 3 (numerical failure), says
 nothing on stderr that looks like a traceback, and leaves no new file when
 it fails.  Draws are derandomized, so the cases repeat from run to run.
@@ -11,13 +13,17 @@ it fails.  Draws are derandomized, so the cases repeat from run to run.
 
 import contextlib
 import io
+import struct
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from meshwave.cli import main
+from meshwave.descriptors import DescriptorField, save_descriptors
 from meshwave.synthetic import bent_bar
 
 
@@ -82,7 +88,8 @@ def _mutate(lines, kind, i, j, token, factor, rows=None):
 
 def _check_contract(argv, root, outputs):
     """Run meshwave in the directory `root`: it exits 0, 2 or 3 with no
-    traceback, and adds the files `outputs` on success and none otherwise."""
+    traceback, and adds the files `outputs` on success and none otherwise.
+    Returns the exit code."""
     inputs = set(root.iterdir())
     stderr = io.StringIO()
     with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
@@ -90,6 +97,7 @@ def _check_contract(argv, root, outputs):
     assert code in (0, 2, 3), stderr.getvalue()
     assert "Traceback" not in stderr.getvalue()
     assert set(root.iterdir()) == (inputs | outputs if code == 0 else inputs)
+    return code
 
 
 @settings(derandomize=True, max_examples=100, deadline=None, database=None,
@@ -149,3 +157,106 @@ def test_eval_on_mutated_correspondence_keeps_the_exit_contract(which, kind, i, 
             _mutate(_MAP, kind, i, j, token, factor, rows=slice(2, len(_MAP))))
         _check_contract(["eval", pred, truth, mesh, "-o", root / "report"], root,
                         {root / "report.summary.txt", root / "report.curves.csv"})
+
+
+def _mwd_bytes(values, meta):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "field.mwd"
+        save_descriptors(path, DescriptorField(values, "weds", meta))
+        return path.read_bytes()
+
+
+# two small fields; a .mwd file is the magic, the version, n, d and the
+# metadata length (bytes 4:32), the JSON metadata, then n x d float64 values
+_FIELDS = {
+    "a": _mwd_bytes(np.random.default_rng(5).standard_normal((6, 3)),
+                    {"k": 8, "mesh_hash": _TARGET.content_hash()}),
+    "b": _mwd_bytes(np.random.default_rng(6).standard_normal((7, 3)), {"k": 8}),
+}
+_WORDS = {"version": (4, "<I"), "n": (8, "<Q"), "d": (16, "<Q"), "meta_len": (24, "<Q")}
+_WORD_VALUES = [0, 1, 2, 3, 5, 6, 7, 8, 30, 31, 2**31, 2**32 - 1, 2**32, 2**62, 2**63,
+                2**64 - 1]
+_PAYLOAD = [np.nan, np.inf, -np.inf, 1e308, -1e308, 5e-324, -0.0]
+_MWD_MUTATIONS = ["magic", "header", "meta", "truncate", "payload"]
+
+
+def _mutate_mwd(data, kind, i, j, byte, word, value):
+    data = bytearray(data)
+    n, d, meta_len = struct.unpack("<QQQ", data[8:32])
+    if kind == "magic":
+        data[i % 4] = byte
+    elif kind == "header":
+        offset, fmt = _WORDS[word]
+        struct.pack_into(fmt, data, offset, value % 2 ** (8 * struct.calcsize(fmt)))
+    elif kind == "meta":
+        data[32 + i % meta_len] = byte
+    elif kind == "truncate":
+        del data[j % len(data):]
+    elif kind == "payload":
+        struct.pack_into("<d", data, 32 + meta_len + 8 * (i % (n * d)), _PAYLOAD[j % 7])
+    return bytes(data)
+
+
+def _match_contract(files):
+    """Exit code of ``meshwave match a.mwd b.mwd`` on the given file bytes,
+    which keeps the exit-code contract and writes the map only on success."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name, data in files.items():
+            (root / f"{name}.mwd").write_bytes(data)
+        out = root / "map.txt"
+        return _check_contract(["match", root / "a.mwd", root / "b.mwd", "-o", out], root,
+                               {out})
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(which=st.sampled_from(sorted(_FIELDS)), kind=st.sampled_from(_MWD_MUTATIONS),
+       i=st.integers(0, 10_000), j=st.integers(0, 100_000), byte=st.integers(0, 255),
+       word=st.sampled_from(sorted(_WORDS)), value=st.sampled_from(_WORD_VALUES))
+@example(which="a", kind="header", i=0, j=0, byte=0, word="n", value=0)
+@example(which="b", kind="meta", i=0, j=0, byte=ord("["), word="n", value=0)
+@example(which="a", kind="payload", i=4, j=0, byte=0, word="n", value=0)
+def test_match_on_mutated_descriptor_file_keeps_the_exit_contract(which, kind, i, j, byte,
+                                                                 word, value):
+    files = dict(_FIELDS)
+    files[which] = _mutate_mwd(files[which], kind, i, j, byte, word, value)
+    _match_contract(files)
+
+
+def _raw_mwd(n, d, meta, payload=b""):
+    return b"MWDF" + struct.pack("<IQQQ", 1, n, d, len(meta)) + meta + payload
+
+
+def test_match_refuses_an_empty_descriptor_field():
+    # a zero count beside a huge one made numpy raise from np.empty; an
+    # empty field matched to an empty map that eval then refused
+    for n, d in ((2**64 - 1, 0), (0, 2**63), (0, 3), (6, 0)):
+        assert _match_contract({"a": _raw_mwd(n, d, b"{}"), "b": _FIELDS["b"]}) == 2
+
+
+def test_match_refuses_a_descriptor_file_longer_than_its_header():
+    # a row or column count lowered in the header loaded the leading values
+    # and ignored the rest
+    for word, value in (("n", 5), ("d", 2)):
+        assert _match_contract({"a": _mutate_mwd(_FIELDS["a"], "header", 0, 0, 0, word, value),
+                                "b": _FIELDS["b"]}) == 2
+
+
+def test_match_refuses_deeply_nested_metadata():
+    # json.loads raised RecursionError out of load_descriptors
+    meta = b"[" * 100_000 + b"]" * 100_000
+    assert _match_contract({"a": _raw_mwd(6, 3, meta, bytes(6 * 3 * 8)),
+                            "b": _FIELDS["b"]}) == 2
+
+
+def test_match_escapes_lone_surrogates_in_metadata(tmp_path):
+    # a "\ud800" JSON escape in the mesh hash made writing the map's
+    # comment raise UnicodeEncodeError
+    meta = b'{"mesh_hash": "\\ud800"}'
+    payload = np.random.default_rng(5).standard_normal((6, 3)).tobytes()
+    (tmp_path / "a.mwd").write_bytes(_raw_mwd(6, 3, meta, payload))
+    (tmp_path / "b.mwd").write_bytes(_FIELDS["b"])
+    out = tmp_path / "map.txt"
+    assert main(["match", str(tmp_path / "a.mwd"), str(tmp_path / "b.mwd"), "-o", str(out)]) == 0
+    assert "# source_mesh = \\ud800\n" in out.read_text(encoding="utf-8")

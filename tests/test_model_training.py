@@ -458,6 +458,14 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
         load_checkpoint(q)
 
 
+def test_checkpoint_rejects_deeply_nested_metadata(tmp_path):
+    # json.loads raised RecursionError out of load_checkpoint
+    p = tmp_path / "deep.npz"
+    np.savez(p, __meta__=np.frombuffer(b"[" * 100_000 + b"]" * 100_000, dtype=np.uint8))
+    with pytest.raises(DataError, match="not valid JSON"):
+        load_checkpoint(p)
+
+
 def _tampered_checkpoint(tmp_path, edit_meta=None, edit_params=None):
     """A valid checkpoint rewritten with its metadata or parameters edited."""
     net = build_model("MGCONV6(3)+FC5", input_dim=4, head_dim=9, seed=5)

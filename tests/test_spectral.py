@@ -384,19 +384,31 @@ def _cluster_errors(basis, areas, vals, vecs):
     return np.abs(basis.eigenvalues - vals[:k]).max() / scale, proj
 
 
-def test_krylov_schur_matches_arpack_on_the_2562_vertex_sphere(watch):
+def _sphere_against_arpack(watch, k):
+    """_cluster_errors of the k-pair basis of the 2,562-vertex icosphere."""
     krylov_runs = watch("_krylov_schur")
     mesh = icosphere(4)
     lap, areas = cotangent_laplacian(mesh), lumped_areas(mesh)
-    basis = eig_generalized(lap, areas, 100)
+    basis = eig_generalized(lap, areas, k)
     assert len(krylov_runs) == 1
     # ARPACK on the pencil itself with SuperLU solves: no standard form, band
     # factor or Krylov-Schur code in the oracle
     sigma = -0.01 * lap.diagonal().sum() / areas.sum()
-    vals, vecs = eigsh(lap.tocsc(), k=108, M=sparse.diags(areas).tocsc(), sigma=sigma,
+    vals, vecs = eigsh(lap.tocsc(), k=k + 8, M=sparse.diags(areas).tocsc(), sigma=sigma,
                        which="LM", tol=0, v0=np.random.default_rng(1).standard_normal(len(areas)))
     order = np.argsort(vals)
-    eig_err, proj_err = _cluster_errors(basis, areas, vals[order], vecs[:, order])
+    return _cluster_errors(basis, areas, vals[order], vecs[:, order])
+
+
+def test_krylov_schur_matches_arpack_on_the_2562_vertex_sphere(watch):
+    eig_err, proj_err = _sphere_against_arpack(watch, 100)
+    assert eig_err <= 1e-10 and proj_err <= 1e-9
+
+
+def test_krylov_schur_stop_with_the_cut_inside_a_cluster_matches_arpack(watch):
+    # k = 101 keeps one member of the 4-fold lambda ~ 105.6 cluster, so the
+    # stop rule waits for the pads inside that cluster to converge
+    eig_err, proj_err = _sphere_against_arpack(watch, 101)
     assert eig_err <= 1e-10 and proj_err <= 1e-9
 
 
@@ -444,7 +456,7 @@ def test_krylov_schur_locks_part_of_a_degenerate_cluster(monkeypatch):
     op = (q * theta) @ q.T
     sizes, eigh = [], np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(len(a)) or eigh(a))
-    got, vecs = spectral._krylov_schur(lambda rhs: op @ rhs, n, n_want)
+    got, vecs = spectral._krylov_schur(lambda rhs: op @ rhs, n, n_want, n_want)
     locked = sizes[0] - np.array(sizes)  # rows locked before each Rayleigh-Ritz step
     assert (((10 < locked) & (locked < 15)) | ((24 < locked) & (locked < 32))).any()
     order = np.argsort(-got)
@@ -464,3 +476,52 @@ def test_restart_cap_is_a_numerical_error(monkeypatch, tmp_path, capsys):
     assert main(["basis", str(path), "-k", "20", "-o", str(out)]) == 3
     assert "did not converge" in capsys.readouterr().err
     assert sorted(tmp_path.iterdir()) == [path]
+
+
+def test_krylov_schur_stops_once_the_kept_pairs_are_locked(monkeypatch):
+    # the 6-fold cluster theta[30:36] straddles the cut at k = 33: its pads
+    # could sort into the kept set, so they converge before the run stops,
+    # while the pads past it are left unconverged
+    n, n_want, k = 400, 40, 33
+    lam = np.linspace(0.01, 1.01, n)
+    lam[10:15], lam[30:36] = lam[10], lam[30]
+    theta = 1.0 / lam
+    q = np.linalg.qr(np.random.default_rng(7).standard_normal((n, n)))[0]
+    op = (q * theta) @ q.T
+    steps, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: steps.append(len(a)) or eigh(a))
+    kept_theta, kept = spectral._krylov_schur(lambda rhs: op @ rhs, n, n_want, k)
+    kept_steps = len(steps)
+    all_theta, every = spectral._krylov_schur(lambda rhs: op @ rhs, n, n_want, n_want)
+    assert kept_steps < len(steps) - kept_steps
+    assert np.array_equal(kept_theta[:k], all_theta[:k])
+    assert np.array_equal(kept[:, :k], every[:, :k])
+    assert np.abs(kept_theta[:36] - theta[:36]).max() <= 1e-12 * theta[0]
+    assert (kept_theta[36:] < theta[k - 1]).all()
+    assert np.abs(kept[:, :k].T @ kept[:, :k] - np.eye(k)).max() <= 1e-13
+    cluster = q[:, 30:36]
+    assert np.linalg.norm(kept[:, 30:k] - cluster @ (cluster.T @ kept[:, 30:k]), 2) <= 1e-11
+    wanted = q[:, :30]
+    assert np.linalg.norm(wanted - kept[:, :k] @ (kept[:, :k].T @ wanted), 2) <= 1e-11
+
+
+def test_krylov_schur_with_k_kept_runs_one_restart_cycle_fewer(monkeypatch):
+    mesh = icosphere(4)
+    lap, areas = cotangent_laplacian(mesh), lumped_areas(mesh)
+    sym = spectral.standard_form(lap, areas)[0].tocsr()
+    solve = spectral._shifted_solver(sym, -0.01 * lap.diagonal().sum() / areas.sum())[0]
+    counts, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: counts.append("eigh") or eigh(a))
+
+    def counted(rhs):
+        counts.append("solve")
+        return solve(rhs)
+
+    runs = []
+    n_want = 100 + spectral._PAD
+    for kept in (100, n_want):
+        counts.clear()
+        spectral._krylov_schur(counted, mesh.n_vertices, n_want, kept)
+        runs.append((counts.count("solve"), counts.count("eigh")))
+    (solves, steps), (all_solves, all_steps) = runs
+    assert (all_solves - solves, all_steps - steps) == (6, 1)
