@@ -46,10 +46,10 @@ def spectral_max(laplacian, areas) -> float:
 class ChebyshevOperator:
     """Polynomial filters T_m(M) of a sparse M, one per entry of orders.
 
-    The layer interface is the one ``layers.DenseOperator`` documents:
-    forward runs T_m X = 2 M T_{m-1} X - T_{m-2} X up to the highest order
-    and does one GEMM; backward recomputes the T_m X for the weight
-    gradients and gets the input gradient from a Clenshaw pass with M'.
+    The layer interface is the one ``wavelets.WaveletOperator`` documents:
+    forward runs T_m X = 2 M T_{m-1} X - T_{m-2} X up to the highest order,
+    does one GEMM and keeps the terms T_m X for the weight gradients;
+    backward gets the input gradient from a Clenshaw pass with M'.
     """
 
     def __init__(self, base, orders):
@@ -80,11 +80,13 @@ class ChebyshevOperator:
 
     def forward(self, x, weights):
         terms = self._terms(x)
-        return np.hstack([terms[m] for m in self.orders]) @ np.vstack(weights)
+        return np.hstack([terms[m] for m in self.orders]) @ np.vstack(weights), terms
 
-    def backward(self, x, ds, weights):
-        terms = self._terms(x)
+    def backward(self, terms, ds, weights, input_grad=True):
         dws = [terms[m].T @ ds for m in self.orders]
+        if not input_grad:
+            return None, dws
+        x = terms[0]
         # dX = sum_m T_m(M') C_m with C_m = sum of dS W_j' over j of order m
         coeffs = [np.zeros_like(x) for _ in terms]
         for m, w in zip(self.orders, weights):

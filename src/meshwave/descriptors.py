@@ -27,7 +27,7 @@ import numpy as np
 from ._files import atomic_write, open_read
 from .errors import DataError, NumericalError
 from .filters import bank_hash, filter_responses, select_scales
-from .spectral import project
+from .spectral import check_mesh_hash, project
 from .wavelets import _spectral_filter, filter_atom_stats
 
 DEFAULT_DIMS = 128
@@ -232,6 +232,7 @@ def load_descriptors(path):
             raise DataError(f"{path}: corrupt metadata block") from exc
         if not isinstance(meta, dict):
             raise DataError(f"{path}: metadata block is not a JSON object")
+        check_mesh_hash(path, meta.get("mesh_hash"))
         values = np.empty((n, d), dtype=np.float64)
         if handle.readinto(values) != values.nbytes:
             raise DataError(f"{path}: truncated descriptor data ({n}x{d} in header)")

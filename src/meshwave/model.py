@@ -6,12 +6,11 @@ affine layers, described by an architecture string such as
 
     MGCONV96(16)+MGCONV96(16)+MGCONV128(16)+FC256
 
-Per-shape operators are an operator set keyed by scale index (see
-``layers.DenseOperator`` for the interface).  The wavelet network uses a
-``wavelets.WaveletOperator``: the transposed L1-normalized wavelet matrices
-in factored spectral form, never stored as n x n arrays.  The Chebyshev
-baseline plugs in its sparse polynomial recursion through the same
-interface, and a dict of explicit matrices also works.
+Per-shape operators are an operator set keyed by scale index: for the
+wavelet network a ``wavelets.WaveletOperator`` (which documents the
+interface), the transposed L1-normalized wavelet matrices in factored
+spectral form, never stored as n x n arrays; for the Chebyshev baseline
+its sparse polynomial recursion.
 """
 
 from __future__ import annotations
@@ -179,7 +178,7 @@ def build_wavelet_operators(
 
 def _layer_ops(model: Model, conv_i: int, shape_ops):
     try:
-        return layers.as_operator(shape_ops).select(model.scale_sets[conv_i])
+        return shape_ops.select(model.scale_sets[conv_i])
     except KeyError as exc:
         raise DataError(f"missing operator for scale index {exc.args[0]}") from None
 
@@ -207,7 +206,8 @@ def forward(model: Model, x: np.ndarray, shape_ops):
 
 
 def backward(model: Model, caches, dout: np.ndarray, shape_ops, grads=None):
-    """Gradients of every parameter plus the input, given d(output).
+    """Gradients of every parameter given d(output); not the input's, the
+    fixed descriptor field's.
 
     With a `grads` dict, each layer's gradients are added into its arrays
     in place (a name it lacks is set), and that dict is returned.
@@ -228,7 +228,7 @@ def backward(model: Model, caches, dout: np.ndarray, shape_ops, grads=None):
             conv_i -= 1
             ws = [model.params[f"conv{li}.w{j}"] for j in range(spec.n_scales)]
             dx, dws = layers.conv_backward(
-                caches[li], dx, ws, _layer_ops(model, conv_i, shape_ops)
+                caches[li], dx, ws, _layer_ops(model, conv_i, shape_ops), input_grad=li > 0
             )
             for j, dw in enumerate(dws):
                 put(f"conv{li}.w{j}", dw)
@@ -238,7 +238,7 @@ def backward(model: Model, caches, dout: np.ndarray, shape_ops, grads=None):
             )
             put(f"fc{li}.w", dw)
             put(f"fc{li}.b", db)
-    return dx, grads
+    return grads
 
 
 def save_checkpoint(

@@ -27,6 +27,7 @@ mode is clamped to exactly 0 after the residual checks pass.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -271,6 +272,14 @@ def save_basis(path, basis):
         )
 
 
+def check_mesh_hash(path, value):
+    """Refuse a stored mesh hash that is not absent, empty or 64 lowercase
+    hex digits; artifacts copy it into comment lines."""
+    if value not in (None, "") and not (isinstance(value, str)
+                                       and re.fullmatch("[0-9a-f]{64}", value)):
+        raise DataError(f"{path}: stored mesh_hash is not 64 lowercase hex digits")
+
+
 def load_basis(path, expect_mesh_hash=None):
     with open_npz(path, "basis cache") as data:
         if int(data["version"]) != _CACHE_VERSION:
@@ -281,6 +290,7 @@ def load_basis(path, expect_mesh_hash=None):
             data["areas"],
             bytes(data["mesh_hash"]).decode(),
         )
+    check_mesh_hash(path, basis.mesh_hash)
     vals, vecs, areas = basis.eigenvalues, basis.eigenvectors, basis.areas
     if not (all(a.dtype.kind == "f" and np.isfinite(a).all() for a in (vals, vecs, areas))
             and vals.ndim == 1 and vals.size and vals[0] == 0 and (np.diff(vals) >= 0).all()

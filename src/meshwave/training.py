@@ -136,8 +136,8 @@ def _phase1_epoch(net, shapes, state, cfg) -> float:
         loss, ddesc, dw, db = losses.head_cross_entropy(
             desc, net.params["head.w"], net.params["head.b"], sh.labels
         )
-        _, grads = model_mod.backward(net, caches, ddesc, sh.ops,
-                                      grads={"head.w": dw, "head.b": db})
+        grads = model_mod.backward(net, caches, ddesc, sh.ops,
+                                   grads={"head.w": dw, "head.b": db})
         del desc, caches, ddesc  # gone before the next shape's forward pass
         _check_finite(loss, grads, f"phase 1, shape {sh.name!r}")
         adam_step(net.params, grads, state, cfg.lr_phase1, cfg.weight_decay_phase1)
@@ -168,7 +168,7 @@ def _phase2_step(net, sa, sb, state, cfg, rng) -> float:
     dfull_a[ra] = da
     dfull_b[rb] = db
     del desc_a, desc_b
-    _, grads = model_mod.backward(net, caches_a, dfull_a, sa.ops)
+    grads = model_mod.backward(net, caches_a, dfull_a, sa.ops)
     # A's working set goes before B's backward adds into A's gradients
     del caches_a, dfull_a
     model_mod.backward(net, caches_b, dfull_b, sb.ops, grads=grads)

@@ -9,10 +9,11 @@ so with the full basis and an exact frame, synthesis inverts analysis.
 Every filter K_s = Phi diag(g_s) Phi' is applied as one GEMM of rows of
 Phi against ``_weigh``'s block of diag(g_s) times spectral coefficients
 (one (k, d) block for all S filters or one per filter).  Analysis, the
-forward conv pass, and the energy table and WEDS weights call that
-product, ``_spectral_filter``; the atom sweep weighs each row block once
-for all its tiles.  Synthesis and the backward pass keep their Phi'-side
-products.  For an A-orthonormal basis (Phi' A Phi = I) synthesis after
+energy table and WEDS weights call that product, ``_spectral_filter``;
+the atom sweep weighs each row block once for all its tiles, and the
+forward conv pass weighs its block once, in place, for all its row
+blocks, each formed in one reused workspace.  Synthesis and the backward
+pass keep their Phi'-side products.  For an A-orthonormal basis (Phi' A Phi = I) synthesis after
 analysis is Phi diag(G) Phi' A, with G = sum_s g_s^2 the frame function
 of Hammond, Vandergheynst & Gribonval (ACHA 2011).
 
@@ -37,6 +38,7 @@ import hashlib
 import logging
 import math
 import os
+import threading
 
 import numpy as np
 
@@ -89,6 +91,22 @@ def _blocks(n: int, width: int):
     """Slices cutting range(n) into blocks of at most _BLOCK_ENTRIES / width."""
     step = max(1, _BLOCK_ENTRIES // max(1, width))
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+# Scratch for the conv passes' (rows, S*d) row blocks: one buffer per
+# thread, grown to the largest block asked for (at most _BLOCK_ENTRIES
+# entries for blocks from _blocks), so every operator set shares it and a
+# training step holds one block however many shapes it has.
+_scratch = threading.local()
+
+
+def _workspace(shape):
+    """A float64 array of `shape` over this thread's scratch buffer; it
+    holds until the next call, so no returned array may alias it."""
+    size = math.prod(shape)
+    if getattr(_scratch, "buf", np.empty(0)).size < size:
+        _scratch.buf = np.empty(size)
+    return _scratch.buf[:size].reshape(shape)
 
 
 # _atom_sweep's arrays for each statistic, and the value each starts from
@@ -225,8 +243,15 @@ class WaveletOperator:
     P_s is the transposed, column-L1-normalised atom matrix of scale s
     (the vertex areas cancel in the normalisation).  Only Phi (n, k), the
     responses G (k, S) and the row normalisers R (n, S) are stored; one
-    column of G and R per entry of keys.  The layer interface is the one
-    ``layers.DenseOperator`` documents.
+    column of G and R per entry of keys.
+
+    This is the layer operator interface, which ``chebyshev.
+    ChebyshevOperator`` shares: ``key in op``, ``n_scales``, ``select(keys)``
+    (the operator over those keys, in that order; a ``KeyError`` names a
+    missing one), ``forward(x, weights)`` returning sum_s P_s X W_s and
+    the block its backward pass reuses, and ``backward(kept, ds, weights,
+    input_grad)`` returning the input gradient (None without `input_grad`)
+    and one weight gradient per scale.
     """
 
     def __init__(self, phi, responses, normalizers, keys):
@@ -254,29 +279,35 @@ class WaveletOperator:
         )
 
     def forward(self, x, weights):
-        """sum_s P_s X W_s: one Phi' X, one GEMM against [W_1 ... W_S],
-        then Phi diag(g_s) Z_s for every s and the R-weighted sum over
-        scales, a block of rows at a time."""
+        """(sum_s P_s X W_s, Phi' X): one Phi' X, one GEMM against
+        [W_1 ... W_S] weighed in place by the responses, then a block of
+        rows at a time Phi diag(g_s) Z_s into the workspace and the
+        R-weighted sum over scales."""
         n, k = self.phi.shape
-        n_out = weights[0].shape[1]
-        z = ((self.phi.T @ x) @ np.hstack(weights)).reshape(k, self.n_scales, n_out)
-        out = np.empty((n, n_out))
-        for rows in _blocks(n, self.n_scales * n_out):
-            u = _spectral_filter(self.phi[rows], self.responses, z)
-            out[rows] = np.einsum("ns,nsd->nd", self.normalizers[rows], u)
-        return out
+        phix = self.phi.T @ x
+        z = (phix @ np.hstack(weights)).reshape(k, self.n_scales, -1)
+        weighed = _weigh(self.responses, z, out=z)
+        out = np.empty((n, z.shape[2]))
+        for rows in _blocks(n, weighed.shape[1]):
+            u = np.matmul(self.phi[rows], weighed,
+                          out=_workspace((rows.stop - rows.start, weighed.shape[1])))
+            out[rows] = np.einsum("ns,nsd->nd", self.normalizers[rows],
+                                  u.reshape(-1, *z.shape[1:]))
+        return out, phix
 
-    def backward(self, x, ds, weights):
-        """With V_s = Phi' (r_s * dS), one product accumulated a block of
-        rows at a time: dW_s = (Phi' X)' G_s V_s and
-        dX = Phi sum_s G_s V_s W_s'."""
+    def backward(self, phix, ds, weights, input_grad=True):
+        """With V_s = Phi' (r_s * dS), summed over blocks of rows (each
+        r_s * dS formed in the workspace): dW_s = (Phi' X)' G_s V_s and,
+        with `input_grad`, dX = Phi sum_s G_s V_s W_s'."""
         n, k = self.phi.shape
-        n_out = ds.shape[1]
-        v = np.zeros((k, self.n_scales * n_out))
-        for rows in _blocks(n, v.shape[1]):
-            weighted = np.einsum("ns,nd->nsd", self.normalizers[rows], ds[rows])
-            v += self.phi[rows].T @ weighted.reshape(weighted.shape[0], -1)
-        v = (v.reshape(k, -1, n_out) * self.responses[:, :, None]).reshape(k, -1)
-        dws = np.hsplit((self.phi.T @ x).T @ v, self.n_scales)
-        dx = self.phi @ (v @ np.hstack(weights).T)
-        return dx, dws
+        v = None
+        for rows in _blocks(n, self.n_scales * ds.shape[1]):
+            weighted = np.einsum(
+                "ns,nd->nsd", self.normalizers[rows], ds[rows],
+                out=_workspace((rows.stop - rows.start, self.n_scales, ds.shape[1])))
+            block = self.phi[rows].T @ weighted.reshape(len(weighted), -1)
+            v = block if v is None else np.add(v, block, out=v)
+        per_scale = v.reshape(k, self.n_scales, -1)
+        _weigh(self.responses, per_scale, out=per_scale)
+        dws = np.hsplit(phix.T @ v, self.n_scales)
+        return (self.phi @ (v @ np.hstack(weights).T) if input_grad else None), dws

@@ -250,6 +250,45 @@ def dense_wavelet_operators(basis: SpectralBasis, bank, keys) -> dict:
             for s in keys}
 
 
+class DenseOperator:
+    """Layer operator over explicit (n, n) matrices P_s, a list or a dict
+    keyed by scale index, with the interface ``wavelets.WaveletOperator``
+    documents: the oracle for the factored operators, and how tests hand a
+    layer explicit matrices.  Its forward pass keeps X for the backward."""
+
+    def __init__(self, mats):
+        self.mats = dict(mats) if isinstance(mats, dict) else dict(enumerate(mats))
+
+    def __contains__(self, key) -> bool:
+        return key in self.mats
+
+    def __getitem__(self, key):
+        return self.mats[key]
+
+    @property
+    def n_scales(self) -> int:
+        return len(self.mats)
+
+    def select(self, keys) -> "DenseOperator":
+        return DenseOperator([self.mats[k] for k in keys])
+
+    def forward(self, x, weights):
+        mats = list(self.mats.values())
+        s = mats[0] @ (x @ weights[0])
+        for w, p in zip(weights[1:], mats[1:]):
+            s += p @ (x @ w)
+        return s, x
+
+    def backward(self, x, ds, weights, input_grad=True):
+        dx = np.zeros_like(x)
+        dws = []
+        for w, p in zip(weights, self.mats.values()):
+            u = p.T @ ds
+            dx += u @ w.T
+            dws.append(x.T @ u)
+        return (dx if input_grad else None), dws
+
+
 def dense_chebyshev(lap, areas: np.ndarray, lambda_max: float, order: int) -> dict:
     """Oracle for the recursive Chebyshev operator: dense {m: T_m(M)} for
     M = 2 A^-1 L / lambda_max - I, built by the matrix recursion."""

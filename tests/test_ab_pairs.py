@@ -1,5 +1,6 @@
-"""The A/B pair summary of benchmarks/ab_pairs.py, on canned perfbench
-result lines (no benchmark runs)."""
+"""The A/B pair summary of benchmarks/ab_pairs.py (gain rule and
+no-regression verdict) and its workload list, on canned perfbench result
+lines (no benchmark runs)."""
 
 import importlib.util
 import json
@@ -16,9 +17,9 @@ def _line(op, rss):
         "op_norm_s": {"value": op, "unit": "s"}, "peak_rss_mb": {"value": rss, "unit": "MB"}}})
 
 
-def _report(parent, change, better=None):
+def _report(parent, change, better=None, bounds=None):
     report = ab_pairs.summarize([_line(*m) for m in parent], [_line(*m) for m in change],
-                                better)
+                                better, bounds)
     assert report[0] == f"{len(parent)} pairs"
     return {line.split(":")[0]: line for line in report[1:]}
 
@@ -54,3 +55,48 @@ def test_higher_is_better_flips_the_winner():
     assert "change won 0 of 10" in _report(parent, change)["peak_rss_mb"]
     report = _report(parent, change, {"peak_rss_mb": "higher"})["peak_rss_mb"]
     assert "change won 10 of 10" in report and report.endswith("gain holds")
+
+
+def _verdict(parent_ops, change_ops):
+    report = _report([(op, 120.0) for op in parent_ops], [(op, 120.0) for op in change_ops],
+                     bounds={"op_norm_s": 0.25, "peak_rss_mb": 0.05})
+    assert report["peak_rss_mb"].endswith("; no regression: within bound")
+    return report["op_norm_s"].rsplit("; no regression: ", 1)[1]
+
+
+def test_no_regression_verdict_against_the_bound():
+    parent = [0.20 + 0.002 * (i % 5) for i in range(10)]
+    assert _verdict(parent, [v * 1.2 for v in parent]) == "within bound"
+    assert _verdict(parent, [v * 1.3 for v in parent]) == "regressed"
+    assert _verdict(parent, [v * 0.5 for v in parent]) == "within bound"
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved():
+    parent = [0.1, 0.1, 0.1, 0.3, 0.3, 0.3, 0.5, 0.5, 0.5, 0.5]  # IQR 0.4 around 0.3
+    assert _verdict(parent, parent) == "unresolved"
+    assert _verdict(parent, [0.09] * 10) == "within bound"  # every change run is better
+    assert _verdict(parent, [0.09] * 9 + [0.11]) == "unresolved"
+
+
+def test_a_workload_list_reports_each_workload_in_its_own_rows(tmp_path, monkeypatch, capsys):
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "parent" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "op_norm_s", "better": "lower", "bound": 0.25},
+        {"name": "peak_rss_mb", "better": "lower", "bound": 0.05}]}))
+    runs = []
+
+    def run_once(checkout, workload, args, seed):
+        runs.append((workload, seed))
+        op = {"learn": 0.5, "describe": 0.2}[workload]
+        return _line(op * (0.8 if checkout.name == "change" else 1.0), 100.0)
+
+    monkeypatch.setattr(ab_pairs, "run_once", run_once)
+    assert ab_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                          "--workload", "learn, describe", "--pairs", "2", "--seed0", "5"]) == 0
+    assert runs == [(w, s) for w in ("learn", "describe") for s in (5, 5, 6, 6)]
+    rows = capsys.readouterr().out.splitlines()[-6:]
+    assert rows[0] == "learn 2 pairs" and rows[3] == "describe 2 pairs"
+    assert rows[1].startswith("learn op_norm_s: parent median 0.5 ")
+    assert rows[4].startswith("describe op_norm_s: parent median 0.2 ")
+    assert all(row.endswith("no regression: within bound") for row in rows if "median" in row)

@@ -174,10 +174,10 @@ def _fd_suite_trials(rng, n_trials=20):
         x = rng.standard_normal((9, 3))
         weights = [rng.standard_normal((3, 2)) for _ in range(3)]
         ops = [rng.standard_normal((9, 9)) / 3.0 for _ in range(3)]
-        z, cache = conv_forward(x, weights, ops)
+        z, cache = conv_forward(x, weights, _shared.DenseOperator(ops))
         dz = rng.standard_normal(z.shape)
-        dx, dws = conv_backward(cache, dz, weights, ops)
-        _, _, mn, span = cache
+        dx, dws = conv_backward(cache, dz, weights, _shared.DenseOperator(ops))
+        mn, span = cache[-2:]
 
         def frozen(xv, wv):
             acc = sum(p @ (xv @ w) for w, p in zip(wv, ops))

@@ -366,6 +366,18 @@ def test_descriptor_rejects_inconsistent_basis(work, tmp_path, capsys):
     assert not (tmp_path / "d.mwd").exists()
 
 
+@pytest.mark.parametrize("suffix", ["\ntarget_mesh = 0", "\n", " "])
+def test_descriptor_refuses_a_basis_cache_whose_mesh_hash_is_not_hex(work, tmp_path, capsys,
+                                                                     suffix):
+    basis = load_basis(work["basis_path"])
+    bad = tmp_path / "bad.npz"
+    save_basis(bad, dataclasses.replace(basis, mesh_hash=basis.mesh_hash + suffix))
+    assert main(["descriptor", str(work["mesh_path"]), "-k", "12", "--basis", str(bad),
+                 "-o", str(tmp_path / "d.mwd")]) == 2
+    assert _one_line_error(capsys, "mesh_hash is not 64 lowercase hex digits")
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.npz"]
+
+
 @pytest.mark.parametrize("kind", ["weds", "hks", "wks"])
 def test_basis_with_a_second_zero_eigenvalue_exits_2(work, tmp_path, capsys, kind):
     # the eigensolver never writes one; hks/wks would take log(0) on it

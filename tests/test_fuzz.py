@@ -13,11 +13,14 @@ it fails.  Draws are derandomized, so the cases repeat from run to run.
 
 import contextlib
 import io
+import json
+import os
 import struct
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -251,12 +254,32 @@ def test_match_refuses_deeply_nested_metadata():
 
 
 def test_match_escapes_lone_surrogates_in_metadata(tmp_path):
-    # a "\ud800" JSON escape in the mesh hash made writing the map's
-    # comment raise UnicodeEncodeError
-    meta = b'{"mesh_hash": "\\ud800"}'
-    payload = np.random.default_rng(5).standard_normal((6, 3)).tobytes()
-    (tmp_path / "a.mwd").write_bytes(_raw_mwd(6, 3, meta, payload))
+    # a lone surrogate in the map's comment made writing it raise
+    # UnicodeEncodeError; a mesh hash can no longer carry one, an
+    # undecodable byte in a file name still does
+    source = tmp_path / os.fsdecode(b"a\xff.mwd")
+    source.write_bytes(_FIELDS["a"])
     (tmp_path / "b.mwd").write_bytes(_FIELDS["b"])
     out = tmp_path / "map.txt"
-    assert main(["match", str(tmp_path / "a.mwd"), str(tmp_path / "b.mwd"), "-o", str(out)]) == 0
-    assert "# source_mesh = \\ud800\n" in out.read_text(encoding="utf-8")
+    assert main(["match", str(source), str(tmp_path / "b.mwd"), "-o", str(out)]) == 0
+    assert "a\\udcff.mwd\n" in out.read_text(encoding="utf-8")
+
+
+_HEX = _TARGET.content_hash()
+
+
+@pytest.mark.parametrize("which, stored", [
+    ("a", "ab\ncd"),
+    ("b", f"{_HEX}\ntarget_mesh = {'0' * 64}"),
+    ("a", "\ud800"),
+    ("a", _HEX.upper()),
+    ("b", _HEX[:-1]),
+    ("a", 12345),
+])
+def test_match_refuses_a_mesh_hash_that_is_not_hex_digits(which, stored):
+    # match copied the stored hash into the map's comment, where a newline
+    # started a line of its own, such as a target_mesh line eval reads
+    files = dict(_FIELDS)
+    values = np.random.default_rng(7).standard_normal((6, 3))
+    files[which] = _raw_mwd(6, 3, json.dumps({"mesh_hash": stored}).encode(), values.tobytes())
+    assert _match_contract(files) == 2

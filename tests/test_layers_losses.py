@@ -105,7 +105,7 @@ def _random_conv(rng, n=11, c=3, o=2, n_ops=3):
 
 def test_conv_forward_matches_loop_oracle(rng):
     x, weights, ops = _random_conv(rng)
-    z, _ = conv_forward(x, weights, ops)
+    z, _ = conv_forward(x, weights, _shared.DenseOperator(ops))
     n, o = x.shape[0], weights[0].shape[1]
     s = np.zeros((n, o))
     for w, p in zip(weights, ops):
@@ -125,19 +125,19 @@ def test_conv_forward_matches_loop_oracle(rng):
 def test_conv_zero_weights_give_constant_half(rng):
     x, weights, ops = _random_conv(rng)
     zeroed = [np.zeros_like(w) for w in weights]
-    z, _ = conv_forward(x, zeroed, ops)
+    z, _ = conv_forward(x, zeroed, _shared.DenseOperator(ops))
     assert (z == 0.5).all()
-    z2, _ = conv_forward(np.zeros_like(x), weights, ops)
+    z2, _ = conv_forward(np.zeros_like(x), weights, _shared.DenseOperator(ops))
     assert (z2 == 0.5).all()
 
 
 def test_conv_gradients(rng):
     for _ in range(20):
         x, weights, ops = _random_conv(rng)
-        z, cache = conv_forward(x, weights, ops)
+        z, cache = conv_forward(x, weights, _shared.DenseOperator(ops))
         dz = rng.standard_normal(z.shape)
-        dx, dws = conv_backward(cache, dz, weights, ops)
-        _, _, mn, span = cache
+        dx, dws = conv_backward(cache, dz, weights, _shared.DenseOperator(ops))
+        mn, span = cache[-2:]
 
         def frozen(xv, wv):
             s = np.zeros((xv.shape[0], wv[0].shape[1]))
@@ -158,14 +158,14 @@ def test_conv_gradients(rng):
 
 def test_conv_backward_linearity(rng):
     x, weights, ops = _random_conv(rng)
-    _, cache = conv_forward(x, weights, ops)
+    _, cache = conv_forward(x, weights, _shared.DenseOperator(ops))
     dz = rng.standard_normal((x.shape[0], weights[0].shape[1]))
-    dx1, dws1 = conv_backward(cache, dz, weights, ops)
-    dx2, dws2 = conv_backward(cache, 2.0 * dz, weights, ops)
+    dx1, dws1 = conv_backward(cache, dz, weights, _shared.DenseOperator(ops))
+    dx2, dws2 = conv_backward(cache, 2.0 * dz, weights, _shared.DenseOperator(ops))
     assert np.allclose(dx2, 2.0 * dx1, rtol=1e-12)
     for a, b in zip(dws1, dws2):
         assert np.allclose(b, 2.0 * a, rtol=1e-12)
-    dx0, dws0 = conv_backward(cache, np.zeros_like(dz), weights, ops)
+    dx0, dws0 = conv_backward(cache, np.zeros_like(dz), weights, _shared.DenseOperator(ops))
     assert np.abs(dx0).max() == 0.0
     assert all(np.abs(d).max() == 0.0 for d in dws0)
 
@@ -173,9 +173,9 @@ def test_conv_backward_linearity(rng):
 def test_conv_shape_validation(rng):
     x, weights, ops = _random_conv(rng)
     with pytest.raises(DataError, match="one weight matrix per operator"):
-        conv_forward(x, weights[:-1], ops)
+        conv_forward(x, weights[:-1], _shared.DenseOperator(ops))
     with pytest.raises(DataError, match="input dim"):
-        conv_forward(x[:, :2], weights, ops)
+        conv_forward(x[:, :2], weights, _shared.DenseOperator(ops))
 
 
 def test_conv_permutation_equivariance(rng):
@@ -183,8 +183,8 @@ def test_conv_permutation_equivariance(rng):
     n = x.shape[0]
     perm = rng.permutation(n)
     p_ops = [op[np.ix_(perm, perm)] for op in ops]
-    base, _ = conv_forward(x, weights, ops)
-    moved, _ = conv_forward(x[perm], weights, p_ops)
+    base, _ = conv_forward(x, weights, _shared.DenseOperator(ops))
+    moved, _ = conv_forward(x[perm], weights, _shared.DenseOperator(p_ops))
     # reductions (column min/max) see a different order, so allow rounding
     assert np.allclose(moved, base[perm], rtol=1e-12, atol=1e-14)
 

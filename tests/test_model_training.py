@@ -105,7 +105,7 @@ def _toy_ops(rng, n, keys):
     for s in keys:
         raw = rng.standard_normal((n, n))
         ops[s] = _shared.normalize_columns(raw).T
-    return ops
+    return _shared.DenseOperator(ops)
 
 
 def _toy_model_and_shape(rng, n=20, head=None):
@@ -119,8 +119,7 @@ def test_forward_matches_manual_composition(rng):
     net, x, ops = _toy_model_and_shape(rng)
     out, _ = forward(net, x, ops)
     ws = [net.params[f"conv0.w{j}"] for j in range(3)]
-    layer_ops = [ops[s] for s in net.scale_sets[0]]
-    h, _ = layers.conv_forward(x, ws, layer_ops)
+    h, _ = layers.conv_forward(x, ws, ops.select(net.scale_sets[0]))
     expect, _ = layers.affine_forward(h, net.params["fc1.w"], net.params["fc1.b"])
     assert np.array_equal(out, expect)
 
@@ -130,7 +129,7 @@ def test_forward_validates_input(rng):
     with pytest.raises(DataError, match="expected input"):
         forward(net, x[:, :3], ops)
     with pytest.raises(DataError, match="missing operator"):
-        forward(net, x, {24: ops[24]})
+        forward(net, x, _shared.DenseOperator({24: ops[24]}))
 
 
 def test_zero_weights_collapse_rows(rng):
@@ -148,8 +147,8 @@ def test_backward_matches_frozen_finite_differences(rng):
     net, x, ops = _toy_model_and_shape(rng, n=12)
     out, caches = forward(net, x, ops)
     dout = rng.standard_normal(out.shape)
-    _, grads = backward(net, caches, dout, ops)
-    _, _, mn, span = caches[0]
+    grads = backward(net, caches, dout, ops)
+    mn, span = caches[0][-2:]
     layer_ops = [ops[s] for s in net.scale_sets[0]]
 
     def frozen_loss(params):
@@ -169,10 +168,27 @@ def test_backward_matches_frozen_finite_differences(rng):
         assert _shared.grads_close(grads[name], fd), name
 
 
+def test_backward_forms_no_input_gradient_at_the_first_layer(rng, monkeypatch):
+    net = build_model("MGCONV6(3)+MGCONV5(3)+FC5", input_dim=4, seed=1)
+    ops = _toy_ops(rng, 20, required_operator_keys(net))
+    out, caches = forward(net, rng.standard_normal((20, 4)), ops)
+    formed, conv_backward = [], layers.conv_backward
+
+    def watch(*args, **kwargs):
+        dx, dws = conv_backward(*args, **kwargs)
+        formed.append(dx is not None)
+        return dx, dws
+
+    monkeypatch.setattr(layers, "conv_backward", watch)
+    grads = backward(net, caches, rng.standard_normal(out.shape), ops)
+    assert formed == [True, False]  # the second conv layer first
+    assert sorted(grads) == sorted(net.params)
+
+
 def test_model_permutation_equivariance(rng):
     net, x, ops = _toy_model_and_shape(rng)
     perm = rng.permutation(x.shape[0])
-    p_ops = {s: op[np.ix_(perm, perm)] for s, op in ops.items()}
+    p_ops = _shared.DenseOperator({s: op[np.ix_(perm, perm)] for s, op in ops.mats.items()})
     base, _ = forward(net, x, ops)
     moved, _ = forward(net, x[perm], p_ops)
     assert np.allclose(moved, base[perm], rtol=1e-12, atol=1e-14)
@@ -188,7 +204,7 @@ def test_build_wavelet_operators():
     eye = np.eye(n)
     for keys in ([8], [16], [16, 8, 16]):
         # P_s applied to the identity reproduces the oracle matrix
-        applied = ops.select(keys).forward(eye, [eye] * len(keys))
+        applied, _ = ops.select(keys).forward(eye, [eye] * len(keys))
         expect = sum(dense[s] for s in keys)
         assert np.abs(applied - expect).max() <= 1e-12 * np.abs(expect).max()
         if len(keys) == 1:
@@ -207,7 +223,7 @@ def test_chebyshev_operators_match_eigen_oracle():
     dense = _shared.dense_chebyshev(lap, areas, lmax, order)
     n = mesh.n_vertices
     eye = np.eye(n)
-    assert np.array_equal(ops.select([0]).forward(eye, [eye]), eye)
+    assert np.array_equal(ops.select([0]).forward(eye, [eye])[0], eye)
     # generalized eigenvectors diagonalize the rescaled operator, so
     # T_m(base) = V diag(cos(m arccos(mu))) V^-1 with mu in [-1, 1]
     import scipy.linalg
@@ -219,7 +235,7 @@ def test_chebyshev_operators_match_eigen_oracle():
     for m in range(order):
         tm = np.cos(m * np.arccos(np.clip(mu, -1.0, 1.0)))
         expect = vecs @ (tm[:, None] * inv)
-        assert np.abs(ops.select([m]).forward(eye, [eye]) - expect).max() <= 1e-8
+        assert np.abs(ops.select([m]).forward(eye, [eye])[0] - expect).max() <= 1e-8
         assert np.abs(dense[m] - expect).max() <= 1e-8
 
 
@@ -352,7 +368,7 @@ def test_train_dataset_validation(rng):
     bad_dim = ShapeData(shape.features[:, :3], shape.labels, shape.ops)
     with pytest.raises(DataError, match="feature dim"):
         train(net, [bad_dim], cfg)
-    missing_ops = ShapeData(shape.features, shape.labels, {8: shape.ops[8]})
+    missing_ops = ShapeData(shape.features, shape.labels, _shared.DenseOperator({8: shape.ops[8]}))
     with pytest.raises(DataError, match="missing operators"):
         train(net, [missing_ops], cfg)
     unlabeled = ShapeData(shape.features, None, shape.ops)
@@ -554,11 +570,10 @@ def test_backward_adds_into_given_gradients_bitwise(rng):
     for features, shape_ops in ((x, ops), (x_b, ops_b)):
         out, caches = forward(net, features, shape_ops)
         runs.append((caches, rng.standard_normal(out.shape), shape_ops))
-    separate = [backward(net, *run)[1] for run in runs]
-    _, grads = backward(net, *runs[0])
-    dx, same = backward(net, *runs[1], grads=grads)
+    separate = [backward(net, *run) for run in runs]
+    grads = backward(net, *runs[0])
+    same = backward(net, *runs[1], grads=grads)
     assert same is grads and list(grads) == list(separate[0])
-    assert np.array_equal(dx, backward(net, *runs[1])[0])
     for name, g in grads.items():
         assert np.array_equal(g, separate[0][name] + separate[1][name]), name
 

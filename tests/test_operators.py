@@ -11,10 +11,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from meshwave import descriptors, filters, model, wavelets
+from meshwave import descriptors, filters, layers, model, wavelets
 from meshwave.chebyshev import chebyshev_operators, spectral_max
 from meshwave.errors import DataError
-from meshwave.layers import DenseOperator
 from meshwave.mesh import cotangent_laplacian, lumped_areas
 from meshwave.spectral import SpectralBasis
 
@@ -27,18 +26,26 @@ def _rel(got, expect) -> float:
     return float(np.abs(got - expect).max() / np.abs(expect).max())
 
 
-def _assert_parity(op, oracle, rng, n, keys):
+def _assert_parity(op, oracle, rng, n, keys, n_out=4):
+    """Forward and backward of op.select(keys) against the oracle's; returns
+    the arrays the operator returned."""
     x = rng.standard_normal((n, 5))
-    ds = rng.standard_normal((n, 4))
-    weights = [rng.standard_normal((5, 4)) for _ in keys]
+    ds = rng.standard_normal((n, n_out))
+    weights = [rng.standard_normal((5, n_out)) for _ in keys]
     layer, ref = op.select(keys), oracle.select(keys)
-    assert _rel(layer.forward(x, weights), ref.forward(x, weights)) <= _RTOL
-    dx, dws = layer.backward(x, ds, weights)
-    dx_ref, dws_ref = ref.backward(x, ds, weights)
+    (s, kept), (s_ref, kept_ref) = layer.forward(x, weights), ref.forward(x, weights)
+    assert _rel(s, s_ref) <= _RTOL
+    dx, dws = layer.backward(kept, ds, weights)
+    dx_ref, dws_ref = ref.backward(kept_ref, ds, weights)
     assert _rel(dx, dx_ref) <= _RTOL
     assert len(dws) == len(keys)
     for dw, dw_ref in zip(dws, dws_ref):
         assert _rel(dw, dw_ref) <= _RTOL
+    # without the input gradient, the same weight gradients and no dX
+    dx_none, dws_only = layer.backward(kept, ds, weights, input_grad=False)
+    assert dx_none is None
+    assert all(np.array_equal(a, b) for a, b in zip(dws_only, dws))
+    return [s, kept, dx, *dws]
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +64,7 @@ def test_wavelet_operator_matches_dense_oracle(bar_1100, rng, monkeypatch,
     keys = net.scale_sets[0]  # the default 16-scale set
     assert len(keys) == 16
     op = model.build_wavelet_operators(basis, bank, sorted(set(keys)))
-    oracle = DenseOperator(_shared.dense_wavelet_operators(basis, bank, set(keys)))
+    oracle = _shared.DenseOperator(_shared.dense_wavelet_operators(basis, bank, set(keys)))
     _assert_parity(op, oracle, rng, bar_1100.n_vertices, keys)
 
 
@@ -67,10 +74,53 @@ def test_chebyshev_operator_matches_dense_oracle(bar_1100, rng):
     lmax = spectral_max(lap, areas)
     order = 16
     op = chebyshev_operators(lap, areas, lmax, order)
-    oracle = DenseOperator(_shared.dense_chebyshev(lap, areas, lmax, order))
+    oracle = _shared.DenseOperator(_shared.dense_chebyshev(lap, areas, lmax, order))
     # every order, then a subset out of order with a repeat
     for keys in (list(range(order)), [7, 0, 15, 7]):
         _assert_parity(op, oracle, rng, bar_1100.n_vertices, keys)
+
+
+def test_wavelet_results_do_not_alias_the_workspace(bar_1100, rng, monkeypatch):
+    # several row blocks per pass, all in one workspace sized up front, so
+    # the second pair writes over what the first pair's blocks used
+    monkeypatch.setattr(wavelets, "_BLOCK_ENTRIES", 20_000)
+    wavelets._workspace((wavelets._BLOCK_ENTRIES,))
+    basis = _shared.bar_basis(0.6, 100, nu=50, nv=22)
+    bank = _shared.bank_for(basis.lambda_max)
+    keys = model.build_model(input_dim=5).scale_sets[0]
+    op = model.build_wavelet_operators(basis, bank, sorted(set(keys)))
+    oracle = _shared.DenseOperator(_shared.dense_wavelet_operators(basis, bank, set(keys)))
+    first = _assert_parity(op, oracle, rng, bar_1100.n_vertices, keys, n_out=7)
+    copies = [a.copy() for a in first]
+    second = _assert_parity(op, oracle, rng, bar_1100.n_vertices, keys, n_out=4)
+    assert all(np.array_equal(got, copy) for got, copy in zip(first, copies))
+    assert not any(np.shares_memory(a, wavelets._scratch.buf) for a in first + second)
+
+
+def test_warm_wavelet_conv_layer_peaks_below_one_row_block(bar_1100, rng):
+    # a pass once formed a fresh (n, S*d) block; now only k-row blocks
+    # and (n, d) arrays are new, and the rows go through the workspace
+    basis = _shared.bar_basis(0.6, 100, nu=50, nv=22)
+    keys = model.build_model(input_dim=8).scale_sets[0]
+    op = model.build_wavelet_operators(
+        basis, _shared.bank_for(basis.lambda_max), sorted(set(keys))).select(keys)
+    n, d = bar_1100.n_vertices, 32
+    x = rng.standard_normal((n, 8))
+    weights = [rng.standard_normal((8, d)) for _ in keys]
+    dz = rng.standard_normal((n, d))
+
+    def step():
+        _, cache = layers.conv_forward(x, weights, op)
+        return layers.conv_backward(cache, dz, weights, op)
+
+    step()  # sizes the workspace
+    tracemalloc.start()
+    try:
+        step()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * len(keys) * d * 8, f"peak {peak / 1e6:.2f} MB"
 
 
 def test_wavelet_operator_rejects_zero_column():
