@@ -56,9 +56,6 @@ class ChebyshevOperator:
         self.base = base
         self.orders = list(orders)
 
-    def __contains__(self, key) -> bool:
-        return key in self.orders
-
     @property
     def n_scales(self) -> int:
         return len(self.orders)

@@ -81,10 +81,10 @@ class EvalReport:
     cge_fractions: np.ndarray
     n_source: int
     n_target: int
+    exact_match_rate: float
     # rank curve is present only when descriptors (not just a map) were given
     cmc_ranks: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     cmc_fractions: np.ndarray = field(default_factory=lambda: np.empty(0))
-    extra: dict = field(default_factory=dict)
 
 
 def read_correspondence(path, n_target: Optional[int] = None,
@@ -365,7 +365,6 @@ def evaluate_map(
         radii = np.linspace(0.0, 0.25, 51)
     direct, symmetric = normalized_errors(map_, gt, target_mesh)
     fractions = (direct[None, :] <= np.asarray(radii)[:, None]).mean(axis=1)
-    exact = float((map_.indices == gt.direct).mean())
     return EvalReport(
         age_direct=float(direct.mean()),
         age_symmetric=None if symmetric is None else float(symmetric.mean()),
@@ -373,7 +372,7 @@ def evaluate_map(
         cge_fractions=fractions,
         n_source=int(map_.n_source),
         n_target=int(target_mesh.n_vertices),
-        extra={"exact_match_rate": exact},
+        exact_match_rate=float((map_.indices == gt.direct).mean()),
     )
 
 
@@ -387,8 +386,7 @@ def report_summary_text(report: EvalReport) -> str:
     if report.age_symmetric is not None:
         lines.append(f"age_symmetric = {report.age_symmetric:.17g}")
         lines.append(f"age_symmetric_x1e3 = {report.age_symmetric * 1e3:.17g}")
-    for key in sorted(report.extra):
-        lines.append(f"{key} = {report.extra[key]:.17g}")
+    lines.append(f"exact_match_rate = {report.exact_match_rate:.17g}")
     return "\n".join(lines) + "\n"
 
 

@@ -56,8 +56,9 @@ def minmax_backward(dz: np.ndarray, span: np.ndarray) -> np.ndarray:
 
 def conv_forward(x: np.ndarray, weights: list, op):
     """Z = Norm(ELU(sum_s P_s X W_s)) over the layer operator `op` (the
-    interface ``wavelets.WaveletOperator`` documents).  The cache holds X
-    first, then the block the operator keeps for its backward pass."""
+    interface ``wavelets.WaveletOperator`` documents).  The cache holds the
+    block the operator keeps for its backward pass, S, and the minmax
+    statistics (mn, span); X itself is not kept."""
     if len(weights) != op.n_scales:
         raise DataError("one weight matrix per operator required")
     if x.shape[1] != weights[0].shape[0]:
@@ -67,12 +68,12 @@ def conv_forward(x: np.ndarray, weights: list, op):
     s, kept = op.forward(x, weights)
     e = elu(s)
     z, mn, span = minmax_forward(e)
-    return z, (x, kept, s, mn, span)
+    return z, (kept, s, mn, span)
 
 
 def conv_backward(cache, dz: np.ndarray, weights: list, op, input_grad: bool = True):
     """(dX, [dW_s]); dX is None without `input_grad`, and is not formed."""
-    _, kept, s, _, span = cache
+    kept, s, _, span = cache
     de = minmax_backward(dz, span)
     ds = de * elu_grad(s)
     return op.backward(kept, ds, weights, input_grad)

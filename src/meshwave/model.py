@@ -6,6 +6,10 @@ affine layers, described by an architecture string such as
 
     MGCONV96(16)+MGCONV96(16)+MGCONV128(16)+FC256
 
+``Model`` derives each conv layer's scale set (its operator keys) from
+the architecture and the kind: wavelet scales for the MGCN, polynomial
+orders 0..S-1 for Chebyshev.  A checkpoint's stored copy must match it.
+
 Per-shape operators are an operator set keyed by scale index: for the
 wavelet network a ``wavelets.WaveletOperator`` (which documents the
 interface), the transposed L1-normalized wavelet matrices in factored
@@ -87,26 +91,16 @@ class Model:
     kind: str  # "mgcn" or "chebyshev"
     specs: list
     input_dim: int
-    scale_sets: list  # per conv layer, operator keys
     params: dict = field(default_factory=dict)
     head_dim: Optional[int] = None
+    scale_sets: list = field(init=False)  # per conv layer, operator keys
+
+    def __post_init__(self):
+        self.scale_sets = _scale_sets(self.kind, self.specs)
 
     @property
     def architecture(self) -> str:
         return format_architecture(self.specs)
-
-    @property
-    def output_dim(self) -> int:
-        return self.specs[-1].out_dim
-
-
-def _scale_set_for(kind: str, n_scales: int) -> list:
-    if kind == "chebyshev":
-        # polynomial order in place of a wavelet scale set
-        return list(range(n_scales))
-    if n_scales < 3:  # select_scales never returns fewer than three
-        raise DataError(f"a wavelet conv layer needs at least 3 scales, got {n_scales}")
-    return [int(s) for s in select_scales(32 * n_scales)]
 
 
 def _glorot(rng, shape):
@@ -135,7 +129,12 @@ def _param_shapes(specs, input_dim: int, head_dim: Optional[int]) -> dict:
 def _scale_sets(kind: str, specs) -> list:
     if kind not in ("mgcn", "chebyshev"):
         raise DataError(f"unknown model kind {kind!r}")
-    return [_scale_set_for(kind, s.n_scales) for s in specs if s.kind == "conv"]
+    counts = [s.n_scales for s in specs if s.kind == "conv"]
+    if kind == "chebyshev":  # polynomial orders in place of wavelet scales
+        return [list(range(n)) for n in counts]
+    if min(counts, default=3) < 3:  # select_scales never returns fewer than three
+        raise DataError(f"a wavelet conv layer needs at least 3 scales, got {min(counts)}")
+    return [[int(s) for s in select_scales(32 * n)] for n in counts]
 
 
 def build_model(
@@ -146,13 +145,12 @@ def build_model(
     seed: int = 0,
 ) -> Model:
     specs = parse_architecture(architecture)
-    scale_sets = _scale_sets(kind, specs)
     rng = np.random.default_rng(seed)
     params = {
         name: _glorot(rng, shape) if len(shape) == 2 else np.zeros(shape)
         for name, shape in _param_shapes(specs, input_dim, head_dim).items()
     }
-    return Model(kind, specs, input_dim, scale_sets, params, head_dim)
+    return Model(kind, specs, input_dim, params, head_dim)
 
 
 def required_operator_keys(model: Model) -> list:
@@ -271,13 +269,13 @@ def save_checkpoint(
         np.savez(fh, **arrays)
 
 
-def _is_count(value, minimum: int = 1) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 def _model_from_meta(meta: dict, params: dict, path) -> Model:
-    """The checkpoint's model, after checking its metadata fields and that
-    every parameter array has the shape the architecture implies."""
+    """The checkpoint's model, after checking its metadata fields (the scale
+    sets against the derived ones) and every parameter array's shape."""
 
     def bad(field, value):
         return DataError(f"{path}: checkpoint field {field!r} is missing or invalid: "
@@ -295,19 +293,9 @@ def _model_from_meta(meta: dict, params: dict, path) -> Model:
     head_dim = meta.get("head_dim")
     if head_dim is not None and not _is_count(head_dim):
         raise bad("head_dim", head_dim)
-    scale_sets = meta.get("scale_sets")
-    conv_specs = [sp for sp in specs if sp.kind == "conv"]
-    if not (
-        isinstance(scale_sets, list)
-        and len(scale_sets) == len(conv_specs)
-        and all(
-            isinstance(keys, list)
-            and len(keys) == sp.n_scales
-            and all(_is_count(k, 0) for k in keys)
-            for keys, sp in zip(scale_sets, conv_specs)
-        )
-    ):
-        raise bad("scale_sets", scale_sets)
+    model = Model(kind, specs, input_dim, params, head_dim)
+    if meta.get("scale_sets") != model.scale_sets:
+        raise bad("scale_sets", meta.get("scale_sets"))
     expected = _param_shapes(specs, input_dim, head_dim)
     if set(params) != set(expected):
         missing = sorted(set(expected) - set(params))
@@ -319,7 +307,7 @@ def _model_from_meta(meta: dict, params: dict, path) -> Model:
         if arr.shape != shape or arr.dtype.kind != "f":
             raise DataError(f"{path}: parameter {name} is {arr.dtype} {arr.shape}, "
                             f"the architecture needs float {shape}")
-    return Model(kind, specs, input_dim, scale_sets, params, head_dim)
+    return model
 
 
 def load_checkpoint(path):
@@ -347,7 +335,14 @@ def load_checkpoint(path):
     if not isinstance(metadata, dict):
         raise DataError(f"{path}: checkpoint metadata field is not a JSON object")
     opt_state = None
-    if "opt/step" in arrays:
-        opt_state = {"step": int(arrays["opt/step"]),
-                     "m": under("opt/m/"), "v": under("opt/v/")}
+    opt = under("opt/")
+    if opt:  # a non-negative integer step and one float moment per parameter
+        step = opt.pop("step", np.zeros(0))
+        shapes = {f"{m}/{name}": a.shape for m in "mv" for name, a in model.params.items()}
+        if not (step.shape == () and step.dtype.kind in "iu" and step >= 0
+                and {k: a.shape for k, a in opt.items()} == shapes
+                and all(a.dtype.kind == "f" for a in opt.values())):
+            raise DataError(f"{path}: checkpoint optimizer state does not match "
+                            "the parameters")
+        opt_state = {"step": int(step), "m": under("opt/m/"), "v": under("opt/v/")}
     return model, opt_state, meta.get("rng_state"), metadata

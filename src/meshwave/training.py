@@ -48,8 +48,8 @@ class TrainConfig:
 @dataclass
 class ShapeData:
     """One training shape: input features, template labels, and the
-    per-scale operator set the conv layers consume (``s in ops`` for each
-    scale index the model needs)."""
+    per-scale operator set the conv layers consume (``ops.select`` takes
+    each conv layer's scale set, ``Model.scale_sets``)."""
 
     features: np.ndarray  # (n, input_dim)
     labels: Optional[np.ndarray]  # per-vertex template vertex index
@@ -112,19 +112,17 @@ def _check_finite(loss: float, grads: dict, where: str):
 def _check_dataset(net: model_mod.Model, shapes, need_labels: bool):
     if not shapes:
         raise DataError("training dataset is empty")
-    needed = model_mod.required_operator_keys(net)
     for sh in shapes:
         if sh.features.shape[1] != net.input_dim:
             raise DataError(
                 f"shape {sh.name!r}: feature dim {sh.features.shape[1]} "
                 f"!= model input dim {net.input_dim}"
             )
-        missing = [s for s in needed if s not in sh.ops]
-        if missing:
-            raise DataError(f"shape {sh.name!r}: missing operators {missing}")
+        for conv_i in range(len(net.scale_sets)):
+            model_mod._layer_ops(net, conv_i, sh.ops)
         if need_labels:
             if sh.labels is None:
-                raise DataError(f"shape {sh.name!r}: phase 1 requires labels")
+                raise DataError(f"shape {sh.name!r}: training requires labels")
             if sh.labels.shape[0] != sh.n_vertices:
                 raise DataError(f"shape {sh.name!r}: one label per vertex required")
 
@@ -192,7 +190,7 @@ def train(
     head's logits are formed a row block at a time (see the module
     docstring).  Phase-2 pairs are drawn from `rng`, default_rng(0) if None.
     """
-    _check_dataset(net, shapes, need_labels=config.phase1_epochs > 0)
+    _check_dataset(net, shapes, need_labels=config.phase1_epochs + config.phase2_epochs > 0)
     if config.phase1_epochs > 0 and net.head_dim is None:
         raise DataError("phase 1 needs a model with a classification head")
     if rng is None:
@@ -205,9 +203,6 @@ def train(
     if config.phase2_epochs > 0:
         if len(shapes) < 2:
             raise DataError("phase 2 needs at least 2 shapes")
-        for sh in shapes:
-            if sh.labels is None:
-                raise DataError("phase 2 pairing requires labels on every shape")
         pairs = [
             (i, j)
             for i in range(len(shapes))

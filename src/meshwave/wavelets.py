@@ -246,8 +246,8 @@ class WaveletOperator:
     column of G and R per entry of keys.
 
     This is the layer operator interface, which ``chebyshev.
-    ChebyshevOperator`` shares: ``key in op``, ``n_scales``, ``select(keys)``
-    (the operator over those keys, in that order; a ``KeyError`` names a
+    ChebyshevOperator`` shares: ``n_scales``, ``select(keys)`` (the
+    operator over those keys, in that order; a ``KeyError`` names a
     missing one), ``forward(x, weights)`` returning sum_s P_s X W_s and
     the block its backward pass reuses, and ``backward(kept, ds, weights,
     input_grad)`` returning the input gradient (None without `input_grad`)
@@ -259,9 +259,6 @@ class WaveletOperator:
         self.responses = responses
         self.normalizers = normalizers
         self.keys = list(keys)
-
-    def __contains__(self, key) -> bool:
-        return key in self.keys
 
     @property
     def n_scales(self) -> int:

@@ -259,9 +259,6 @@ class DenseOperator:
     def __init__(self, mats):
         self.mats = dict(mats) if isinstance(mats, dict) else dict(enumerate(mats))
 
-    def __contains__(self, key) -> bool:
-        return key in self.mats
-
     def __getitem__(self, key):
         return self.mats[key]
 

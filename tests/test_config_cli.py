@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import struct
 import subprocess
@@ -25,6 +26,7 @@ from meshwave.filters import STOCK, build_filter_bank, filter_responses
 from meshwave.model import build_model, load_checkpoint, required_operator_keys, save_checkpoint
 from meshwave.spectral import load_basis, save_basis
 from meshwave.synthetic import bent_bar
+from meshwave.training import adam_init
 
 import _shared
 
@@ -1145,6 +1147,50 @@ def test_infer_rejects_bad_descriptor_metadata(work, own_basis, tmp_path, capsys
                  "--basis", str(own_basis), "-o", str(out)]) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def _checkpoint_with_optimizer(path, kind="mgcn", edit=None):
+    """A MGCONV8(3)+FC16 checkpoint with its optimizer state, rewritten by
+    edit(meta, arrays) when one is given."""
+    net = build_model("MGCONV8(3)+FC16", input_dim=16, kind=kind, seed=3)
+    save_checkpoint(path, net, opt_state=adam_init(net.params))
+    if edit is not None:
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        meta = json.loads(bytes(arrays["__meta__"]).decode())
+        edit(meta, arrays)
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(path, **arrays)
+    return path
+
+
+@pytest.mark.parametrize("kind, edit", [
+    ("mgcn", lambda meta, arrays: meta.update(scale_sets=[[1, 2, 3]])),
+    ("chebyshev", lambda meta, arrays: meta.update(scale_sets=[[0, 1, 3000]])),
+    ("mgcn", lambda meta, arrays: meta.pop("scale_sets")),
+    ("mgcn", lambda meta, arrays: arrays.update({"opt/step": np.asarray([1, 2])})),
+    ("mgcn", lambda meta, arrays: arrays.update({"opt/step": np.asarray("x")})),
+], ids=["other-scales", "chebyshev-huge-order", "scales-missing", "step-shape",
+        "step-string"])
+def test_infer_refuses_an_inconsistent_checkpoint(work, own_basis, tmp_path, capsys,
+                                                  monkeypatch, kind, edit):
+    # other scale sets ran the wrong wavelets, a huge Chebyshev order built
+    # that many terms, and a bad optimizer step raised out of int()
+    out = tmp_path / "out.mwd"
+    assert _infer(work, _checkpoint_with_optimizer(tmp_path / "good.npz", kind),
+                  own_basis, out) == 0
+    out.unlink()
+
+    def no_operators(*args, **kwargs):
+        raise AssertionError("operators were built for a refused checkpoint")
+
+    monkeypatch.setattr(cli, "_shape_operators", no_operators)
+    ckpt = _checkpoint_with_optimizer(tmp_path / "net.npz", kind, edit)
+    capsys.readouterr()
+    assert _infer(work, ckpt, own_basis, out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
 
 

@@ -205,8 +205,8 @@ def test_evaluate_end_to_end(rng):
     report = evaluate_map(nn_match(noisy, desc), gt, mesh)
     _, cmc = cmc_curve(noisy, desc, gt.direct, kmax=10)
     assert report.age_direct <= 1e-6
-    assert report.extra["exact_match_rate"] >= 0.99
-    assert cmc[0] == report.extra["exact_match_rate"]
+    assert report.exact_match_rate >= 0.99
+    assert cmc[0] == report.exact_match_rate
     assert report.cge_fractions[-1] == 1.0
     assert report.n_source == report.n_target == mesh.n_vertices
     assert report.cmc_ranks.size == 0

@@ -5,7 +5,9 @@ deleted, duplicated, swapped or inserted, the text truncated, or the
 numbers scaled) and runs a command on it: ``meshwave basis`` on OFF and
 OBJ meshes, ``meshwave eval`` on correspondence files, ``meshwave match``
 on ``.mwd`` descriptor files (magic, header words, metadata bytes or
-payload values replaced, or the file truncated).  Whatever the
+payload values replaced, or the file truncated), ``meshwave infer`` on
+checkpoints (a metadata field replaced, an array retyped, reshaped,
+dropped or added, or the file truncated).  Whatever the
 mutation, the command exits 0, 2 (bad data) or 3 (numerical failure), says
 nothing on stderr that looks like a traceback, and leaves no new file when
 it fails.  Draws are derandomized, so the cases repeat from run to run.
@@ -27,7 +29,9 @@ from hypothesis import strategies as st
 
 from meshwave.cli import main
 from meshwave.descriptors import DescriptorField, save_descriptors
+from meshwave.model import build_model, save_checkpoint
 from meshwave.synthetic import bent_bar
+from meshwave.training import adam_init
 
 
 def _off_text(mesh):
@@ -283,3 +287,90 @@ def test_match_refuses_a_mesh_hash_that_is_not_hex_digits(which, stored):
     values = np.random.default_rng(7).standard_normal((6, 3))
     files[which] = _raw_mwd(6, 3, json.dumps({"mesh_hash": stored}).encode(), values.tobytes())
     assert _match_contract(files) == 2
+
+
+def _checkpoint_arrays(kind):
+    """The arrays of a small checkpoint with its optimizer state, by name."""
+    net = build_model("MGCONV4(3)+FC4", input_dim=4, kind=kind, head_dim=5, seed=2)
+    state = adam_init(net.params)
+    state["step"] = 3
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "net.npz"
+        save_checkpoint(path, net, opt_state=state, metadata={"note": "fuzz"})
+        with np.load(path) as data:
+            return {key: data[key] for key in data.files}
+
+
+# a wavelet and a Chebyshev network over the 24-vertex bar, and the
+# descriptor field infer runs them on
+_NETS = {kind: _checkpoint_arrays(kind) for kind in ("mgcn", "chebyshev")}
+_INPUT = _mwd_bytes(np.random.default_rng(8).standard_normal((_TARGET.n_vertices, 4)),
+                    {"k": 8, "mesh_hash": _TARGET.content_hash()})
+_META_FIELDS = ["architecture", "kind", "input_dim", "head_dim", "scale_sets",
+                "format_version", "metadata"]
+# values small enough that nothing sized by them is allocated before the
+# checks that refuse them
+_META_VALUES = [None, 0, -1, 1, 3, 4, 2**64, 1.5, True, "x", "mgcn", "chebyshev",
+                "FC4", "MGCONV4(4)+FC4", "MGCONV5(3)+FC4", [], {}, [[24, 16, 8]],
+                [[8, 16, 24]], [[0, 1, 2]], [[1, 2, 3]], [[0, 1, 3000]],
+                {"descriptor": "x"}, {"bank": {}}]
+_ARRAY_EDITS = {
+    "float32": lambda a: a.astype(np.float32),
+    "int64": lambda a: a.astype(np.int64),
+    "complex": lambda a: a.astype(np.complex128),
+    "bool": lambda a: a.astype(bool),
+    "string": lambda a: np.asarray("x"),
+    "pair": lambda a: np.asarray([1, 2]),
+    "row": lambda a: a[None],
+    "short": lambda a: a.reshape(-1)[:-1],
+    "scalar": lambda a: a.reshape(-1)[0],
+}
+_ADDED = ["param/extra", "opt/m/extra", "opt/v/fc1.w.x", "opt/other", "other"]
+_CKPT_MUTATIONS = ["meta", "array", "drop", "add", "truncate"]
+
+
+def _mutate_checkpoint(arrays, kind, i, j, field, value, edit):
+    """The bytes of the checkpoint `arrays` after one mutation."""
+    arrays = dict(arrays)
+    names = sorted(arrays)
+    if kind == "meta":
+        meta = json.loads(bytes(arrays["__meta__"]).decode())
+        meta[field] = value
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    elif kind == "array":
+        name = names[i % len(names)]
+        arrays[name] = _ARRAY_EDITS[edit](arrays[name])
+    elif kind == "drop":
+        del arrays[names[i % len(names)]]
+    elif kind == "add":
+        arrays[_ADDED[i % len(_ADDED)]] = np.zeros(3)
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    data = buffer.getvalue()
+    return data[: j % len(data)] if kind == "truncate" else data
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(net=st.sampled_from(sorted(_NETS)), kind=st.sampled_from(_CKPT_MUTATIONS),
+       i=st.integers(0, 10_000), j=st.integers(0, 100_000),
+       field=st.sampled_from(_META_FIELDS), value=st.sampled_from(_META_VALUES),
+       edit=st.sampled_from(sorted(_ARRAY_EDITS)))
+@example(net="mgcn", kind="meta", i=0, j=0, field="scale_sets", value=[[1, 2, 3]],
+         edit="pair")
+@example(net="chebyshev", kind="meta", i=0, j=0, field="scale_sets", value=[[0, 1, 3000]],
+         edit="pair")
+@example(net="mgcn", kind="array", i=sorted(_NETS["mgcn"]).index("opt/step"), j=0,
+         field="kind", value=None, edit="pair")
+def test_infer_on_mutated_checkpoint_keeps_the_exit_contract(net, kind, i, j, field, value,
+                                                             edit):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        mesh, desc, ckpt, out = (root / name for name in
+                                 ("bar.off", "bar.mwd", "net.npz", "out.mwd"))
+        mesh.write_text("\n".join(_off_text(_TARGET)) + "\n")
+        desc.write_bytes(_INPUT)
+        ckpt.write_bytes(_mutate_checkpoint(_NETS[net], kind, i, j, field, value, edit))
+        code = _check_contract(["infer", ckpt, mesh, desc, "-k", "8", "-o", out], root, {out})
+        if kind == "meta" and field == "scale_sets" and value in ([[1, 2, 3]], [[0, 1, 3000]]):
+            assert code == 2  # a stored copy that differs from the derived sets

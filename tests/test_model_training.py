@@ -66,7 +66,7 @@ def test_build_model_shapes():
     assert net.params["fc2.w"].shape == (4, 6)
     assert net.params["fc2.b"].shape == (6,)
     assert net.params["head.w"].shape == (6, 11)
-    assert net.output_dim == 6
+    assert net.specs[-1].out_dim == 6
     assert net.head_dim == 11
     # wavelet scale sets follow the dimension budget of each conv layer
     assert net.scale_sets[0] == [24, 16, 8]
@@ -198,7 +198,9 @@ def test_build_wavelet_operators():
     basis = _shared.bar_basis(0.3, 15)
     bank = _shared.bank_for(basis.lambda_max)
     ops = build_wavelet_operators(basis, bank, [8, 16])
-    assert 8 in ops and 16 in ops and 24 not in ops
+    assert ops.keys == [8, 16]
+    with pytest.raises(KeyError):
+        ops.select([24])
     dense = _shared.dense_wavelet_operators(basis, bank, [8, 16])
     n = basis.n_vertices
     eye = np.eye(n)
@@ -219,7 +221,9 @@ def test_chebyshev_operators_match_eigen_oracle():
     lmax = spectral_max(lap, areas)
     order = 5
     ops = chebyshev_operators(lap, areas, lmax, order)
-    assert all(m in ops for m in range(order)) and order not in ops
+    assert ops.orders == list(range(order))
+    with pytest.raises(KeyError):
+        ops.select([order])
     dense = _shared.dense_chebyshev(lap, areas, lmax, order)
     n = mesh.n_vertices
     eye = np.eye(n)
@@ -369,7 +373,7 @@ def test_train_dataset_validation(rng):
     with pytest.raises(DataError, match="feature dim"):
         train(net, [bad_dim], cfg)
     missing_ops = ShapeData(shape.features, shape.labels, _shared.DenseOperator({8: shape.ops[8]}))
-    with pytest.raises(DataError, match="missing operators"):
+    with pytest.raises(DataError, match="missing operator for scale index 24"):
         train(net, [missing_ops], cfg)
     unlabeled = ShapeData(shape.features, None, shape.ops)
     with pytest.raises(DataError, match="labels"):
@@ -482,11 +486,12 @@ def test_checkpoint_rejects_deeply_nested_metadata(tmp_path):
         load_checkpoint(p)
 
 
-def _tampered_checkpoint(tmp_path, edit_meta=None, edit_params=None):
-    """A valid checkpoint rewritten with its metadata or parameters edited."""
-    net = build_model("MGCONV6(3)+FC5", input_dim=4, head_dim=9, seed=5)
+def _tampered_checkpoint(tmp_path, edit_meta=None, edit_params=None, kind="mgcn",
+                         with_optimizer=False):
+    """A valid checkpoint rewritten with its metadata or arrays edited."""
+    net = build_model("MGCONV6(3)+FC5", input_dim=4, head_dim=9, kind=kind, seed=5)
     good = tmp_path / "good.npz"
-    save_checkpoint(good, net)
+    save_checkpoint(good, net, opt_state=adam_init(net.params) if with_optimizer else None)
     with np.load(good) as data:
         arrays = {k: data[k] for k in data.files}
     meta = json.loads(bytes(arrays["__meta__"]).decode())
@@ -538,6 +543,64 @@ def test_checkpoint_rejects_bad_metadata(tmp_path, field, value):
 def test_checkpoint_rejects_mismatched_parameters(tmp_path, edit, match):
     with pytest.raises(DataError, match=match):
         load_checkpoint(_tampered_checkpoint(tmp_path, edit_params=edit))
+
+
+@pytest.mark.parametrize("kind, stored", [
+    ("mgcn", [[1, 2, 3]]),
+    ("mgcn", [[8, 16, 24]]),
+    ("chebyshev", [[0, 1, 3000]]),
+    ("chebyshev", [[0, 1]]),
+], ids=["other-scales", "reordered", "huge-order", "short"])
+def test_checkpoint_scale_sets_must_be_the_derived_ones(tmp_path, kind, stored):
+    # the stored copy was checked for shape only, so a MGCONV6(3) layer ran
+    # scales 1, 2, 3, and a Chebyshev one built 3,001 polynomial terms
+    def edit(meta):
+        meta["scale_sets"] = stored
+
+    with pytest.raises(DataError, match="scale_sets"):
+        load_checkpoint(_tampered_checkpoint(tmp_path, edit_meta=edit, kind=kind))
+
+
+def _optimizer_edit(key, value):
+    return lambda arrays: arrays.update({key: value})
+
+
+@pytest.mark.parametrize("step", [[1, 2], np.zeros((1,), dtype=np.int64)])
+def test_checkpoint_rejects_an_optimizer_step_that_is_not_a_scalar(tmp_path, step):
+    # int() raised TypeError out of load_checkpoint
+    bad = _tampered_checkpoint(tmp_path, with_optimizer=True,
+                               edit_params=_optimizer_edit("opt/step", np.asarray(step)))
+    with pytest.raises(DataError, match="optimizer state"):
+        load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("step", ["x", 1.5, -1, True])
+def test_checkpoint_rejects_an_optimizer_step_that_is_not_a_count(tmp_path, step):
+    # "x" made int() raise ValueError out of load_checkpoint
+    bad = _tampered_checkpoint(tmp_path, with_optimizer=True,
+                               edit_params=_optimizer_edit("opt/step", np.asarray(step)))
+    with pytest.raises(DataError, match="optimizer state"):
+        load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("key", ["opt/m/fc1.w", "opt/v/head.b", "opt/step"])
+def test_checkpoint_rejects_a_missing_optimizer_array(tmp_path, key):
+    bad = _tampered_checkpoint(tmp_path, with_optimizer=True,
+                               edit_params=lambda arrays: arrays.pop(key))
+    with pytest.raises(DataError, match="optimizer state"):
+        load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("opt/m/fc1.w", np.zeros((5, 6))),
+    ("opt/v/conv0.w1", np.zeros((4, 6), dtype=np.int64)),
+    ("opt/m/extra", np.zeros(3)),
+], ids=["wrong-shape", "wrong-dtype", "unexpected"])
+def test_checkpoint_rejects_a_mismatched_optimizer_moment(tmp_path, key, value):
+    bad = _tampered_checkpoint(tmp_path, with_optimizer=True,
+                               edit_params=_optimizer_edit(key, value))
+    with pytest.raises(DataError, match="optimizer state"):
+        load_checkpoint(bad)
 
 
 def test_train_stops_on_non_finite_loss(rng):

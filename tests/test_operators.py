@@ -152,7 +152,7 @@ def test_default_network_operators_stay_below_dense_size(rng):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert out.shape == (n, net.output_dim)
+    assert out.shape == (n, net.specs[-1].out_dim)
     # one dense P_s alone would take n^2 * 8 bytes
     assert _held_bytes(ops) < n * n * 8
     assert peak < n * n * 8, f"peak {peak / 1e6:.1f} MB"

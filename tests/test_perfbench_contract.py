@@ -6,8 +6,9 @@ is skipped with a note, and its metrics then read 0 without failing. Its
 workloads call meshwave's library directly, and a call that no longer
 binds fails the run. These tests read the harness's sources (they import
 and change none of them) so that a refactor which moves a hooked name out
-of ``meshwave.cli``, drops the flag ``perfbench/run.py`` records, or
-changes a signature the workloads call, fails here instead.
+of ``meshwave.cli``, drops the flag ``perfbench/run.py`` records,
+changes a signature the workloads call, or drops a model attribute the
+workloads read, fails here instead.
 """
 
 import ast
@@ -67,3 +68,29 @@ def test_every_workload_library_call_binds():
         except (TypeError, ValueError) as exc:
             unbound.append(f"workloads.py:{line}: {module}.{attr}: {exc}")
     assert unbound == []
+
+
+def _model_attributes() -> set:
+    """Every attribute perfbench/workloads.py reads on a model object, the
+    name ``net`` or the attribute ``self.net``."""
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
+
+    def is_model(node):
+        if isinstance(node, ast.Name):
+            return node.id == "net"
+        return (isinstance(node, ast.Attribute) and node.attr == "net"
+                and isinstance(node.value, ast.Name) and node.value.id == "self")
+
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and is_model(node.value)}
+
+
+def test_every_model_attribute_the_workloads_read_exists(tmp_path):
+    attributes = _model_attributes()
+    assert {"scale_sets", "specs", "params"} <= attributes
+    model = importlib.import_module("meshwave.model")
+    net = model.build_model(model.DEFAULT_ARCHITECTURE, input_dim=8)
+    model.save_checkpoint(tmp_path / "net.npz", net)
+    loaded, _, _, _ = model.load_checkpoint(tmp_path / "net.npz")
+    for obj in (net, loaded):
+        assert [a for a in sorted(attributes) if not hasattr(obj, a)] == []
