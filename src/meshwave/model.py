@@ -39,8 +39,8 @@ DEFAULT_ARCHITECTURE = (
 )
 DEFAULT_INPUT_DIM = 128
 
-_CONV_RE = re.compile(r"^MGCONV(\d+)\((\d+)\)$")
-_FC_RE = re.compile(r"^FC(\d+)$")
+_CONV_RE = re.compile(r"^MGCONV(\d{1,9})\((\d{1,9})\)$")  # int() refuses 4,301 digits
+_FC_RE = re.compile(r"^FC(\d{1,9})$")
 
 _CHECKPOINT_VERSION = 1
 
@@ -293,9 +293,12 @@ def _model_from_meta(meta: dict, params: dict, path) -> Model:
     head_dim = meta.get("head_dim")
     if head_dim is not None and not _is_count(head_dim):
         raise bad("head_dim", head_dim)
+    if sum(s.n_scales for s in specs if s.kind == "conv") > len(params):  # an array per scale
+        raise DataError(f"{path}: checkpoint has fewer parameter arrays than conv scales")
     model = Model(kind, specs, input_dim, params, head_dim)
-    if meta.get("scale_sets") != model.scale_sets:
-        raise bad("scale_sets", meta.get("scale_sets"))
+    stored = meta.get("scale_sets")  # equal as JSON text too: no 24.0 for 24
+    if stored != model.scale_sets or json.dumps(stored) != json.dumps(model.scale_sets):
+        raise bad("scale_sets", stored)
     expected = _param_shapes(specs, input_dim, head_dim)
     if set(params) != set(expected):
         missing = sorted(set(expected) - set(params))

@@ -4,6 +4,7 @@ Eigendecompositions dominate suite runtime, so meshes and bases are
 memoized here.  Callers must treat everything returned as read-only.
 """
 
+import json
 import math
 from dataclasses import replace
 from functools import lru_cache
@@ -31,6 +32,7 @@ from meshwave.filters import (
 )
 from meshwave.geodesics import edge_graph
 from meshwave.mesh import TriMesh, cotangent_laplacian, lumped_areas
+from meshwave.model import save_checkpoint
 from meshwave.spectral import SpectralBasis, eig_generalized, project
 from meshwave.synthetic import bent_bar, grid_mesh, icosphere
 
@@ -382,3 +384,21 @@ def write_raw_descriptors(path, values, kind: str = "weds"):
     data = bytearray(path.read_bytes())
     data[len(data) - values.nbytes:] = values.tobytes()
     path.write_bytes(bytes(data))
+
+
+def edited_checkpoint(path, net, edit_meta=None, edit_arrays=None, **save_kwargs):
+    """Saves net as a checkpoint at path (keywords go to ``save_checkpoint``)
+    and rewrites the file after edit_meta changes its metadata dict in place,
+    then edit_arrays its arrays by name, ``__meta__`` included."""
+    save_checkpoint(path, net, **save_kwargs)
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    if edit_meta is not None:
+        meta = json.loads(bytes(arrays["__meta__"]).decode())
+        edit_meta(meta)
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    if edit_arrays is not None:
+        edit_arrays(arrays)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    return path

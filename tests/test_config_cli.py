@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import os
 import struct
 import subprocess
@@ -1150,43 +1149,43 @@ def test_infer_rejects_bad_descriptor_metadata(work, own_basis, tmp_path, capsys
     assert not out.exists()
 
 
-def _checkpoint_with_optimizer(path, kind="mgcn", edit=None):
-    """A MGCONV8(3)+FC16 checkpoint with its optimizer state, rewritten by
-    edit(meta, arrays) when one is given."""
+def _net_with_optimizer(path, kind, edit_meta=None, edit_arrays=None):
     net = build_model("MGCONV8(3)+FC16", input_dim=16, kind=kind, seed=3)
-    save_checkpoint(path, net, opt_state=adam_init(net.params))
-    if edit is not None:
-        with np.load(path) as data:
-            arrays = {k: data[k] for k in data.files}
-        meta = json.loads(bytes(arrays["__meta__"]).decode())
-        edit(meta, arrays)
-        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-        np.savez(path, **arrays)
-    return path
+    return _shared.edited_checkpoint(path, net, edit_meta, edit_arrays,
+                                     opt_state=adam_init(net.params))
 
 
-@pytest.mark.parametrize("kind, edit", [
-    ("mgcn", lambda meta, arrays: meta.update(scale_sets=[[1, 2, 3]])),
-    ("chebyshev", lambda meta, arrays: meta.update(scale_sets=[[0, 1, 3000]])),
-    ("mgcn", lambda meta, arrays: meta.pop("scale_sets")),
-    ("mgcn", lambda meta, arrays: arrays.update({"opt/step": np.asarray([1, 2])})),
-    ("mgcn", lambda meta, arrays: arrays.update({"opt/step": np.asarray("x")})),
-], ids=["other-scales", "chebyshev-huge-order", "scales-missing", "step-shape",
-        "step-string"])
+@pytest.mark.parametrize("kind", ["mgcn", "chebyshev"])
+def test_infer_runs_a_checkpoint_with_optimizer_state(work, own_basis, tmp_path, kind):
+    assert _infer(work, _net_with_optimizer(tmp_path / "net.npz", kind), own_basis,
+                  tmp_path / "out.mwd") == 0
+
+
+def _set(**fields):
+    return lambda values: values.update(fields)
+
+
+@pytest.mark.parametrize("kind, edit_meta, edit_arrays", [
+    ("mgcn", _set(scale_sets=[[1, 2, 3]]), None),
+    ("chebyshev", _set(scale_sets=[[0, 1, 3000]]), None),
+    ("mgcn", lambda meta: meta.pop("scale_sets"), None),
+    ("mgcn", _set(architecture="MGCONV8(1000000000)+FC16"), None),
+    ("chebyshev", _set(architecture="MGCONV8(1000000)+FC16"), None),
+    ("mgcn", None, _set(**{"opt/step": np.asarray([1, 2])})),
+    ("mgcn", None, _set(**{"opt/step": np.asarray("x")})),
+], ids=["other-scales", "chebyshev-huge-order", "scales-missing", "ten-digit-scale-count",
+        "scale-count-beyond-arrays", "step-shape", "step-string"])
 def test_infer_refuses_an_inconsistent_checkpoint(work, own_basis, tmp_path, capsys,
-                                                  monkeypatch, kind, edit):
+                                                  monkeypatch, kind, edit_meta, edit_arrays):
     # other scale sets ran the wrong wavelets, a huge Chebyshev order built
-    # that many terms, and a bad optimizer step raised out of int()
-    out = tmp_path / "out.mwd"
-    assert _infer(work, _checkpoint_with_optimizer(tmp_path / "good.npz", kind),
-                  own_basis, out) == 0
-    out.unlink()
-
+    # that many terms, and a bad optimizer step raised out of int(); a scale
+    # count is refused before anything sized by it is made
     def no_operators(*args, **kwargs):
         raise AssertionError("operators were built for a refused checkpoint")
 
     monkeypatch.setattr(cli, "_shape_operators", no_operators)
-    ckpt = _checkpoint_with_optimizer(tmp_path / "net.npz", kind, edit)
+    ckpt = _net_with_optimizer(tmp_path / "net.npz", kind, edit_meta, edit_arrays)
+    out = tmp_path / "out.mwd"
     capsys.readouterr()
     assert _infer(work, ckpt, own_basis, out) == 2
     err = capsys.readouterr().err

@@ -29,9 +29,11 @@ from hypothesis import strategies as st
 
 from meshwave.cli import main
 from meshwave.descriptors import DescriptorField, save_descriptors
-from meshwave.model import build_model, save_checkpoint
+from meshwave.model import build_model
 from meshwave.synthetic import bent_bar
 from meshwave.training import adam_init
+
+import _shared
 
 
 def _off_text(mesh):
@@ -289,30 +291,29 @@ def test_match_refuses_a_mesh_hash_that_is_not_hex_digits(which, stored):
     assert _match_contract(files) == 2
 
 
-def _checkpoint_arrays(kind):
-    """The arrays of a small checkpoint with its optimizer state, by name."""
+def _fuzz_net(kind):
+    """A small network and its optimizer state, a few steps in."""
     net = build_model("MGCONV4(3)+FC4", input_dim=4, kind=kind, head_dim=5, seed=2)
     state = adam_init(net.params)
     state["step"] = 3
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "net.npz"
-        save_checkpoint(path, net, opt_state=state, metadata={"note": "fuzz"})
-        with np.load(path) as data:
-            return {key: data[key] for key in data.files}
+    return net, state
 
 
-# a wavelet and a Chebyshev network over the 24-vertex bar, and the
-# descriptor field infer runs them on
-_NETS = {kind: _checkpoint_arrays(kind) for kind in ("mgcn", "chebyshev")}
+# a wavelet and a Chebyshev network over the 24-vertex bar, the names of
+# their checkpoints' arrays, and the descriptor field infer runs them on
+_NETS = {kind: _fuzz_net(kind) for kind in ("mgcn", "chebyshev")}
+_NAMES = sorted(["__meta__", "opt/step", *(f"{group}/{name}" for name in _NETS["mgcn"][0].params
+                                           for group in ("param", "opt/m", "opt/v"))])
 _INPUT = _mwd_bytes(np.random.default_rng(8).standard_normal((_TARGET.n_vertices, 4)),
                     {"k": 8, "mesh_hash": _TARGET.content_hash()})
 _META_FIELDS = ["architecture", "kind", "input_dim", "head_dim", "scale_sets",
                 "format_version", "metadata"]
-# values small enough that nothing sized by them is allocated before the
-# checks that refuse them
+# the scale counts beyond the file's arrays must be refused before anything
+# sized by them is made; 10 digits and more are refused by the parser
+_HUGE = ["MGCONV4(1000000)+FC4", "MGCONV4(1000000000)+FC4", "MGCONV4(" + "9" * 5000 + ")+FC4"]
 _META_VALUES = [None, 0, -1, 1, 3, 4, 2**64, 1.5, True, "x", "mgcn", "chebyshev",
-                "FC4", "MGCONV4(4)+FC4", "MGCONV5(3)+FC4", [], {}, [[24, 16, 8]],
-                [[8, 16, 24]], [[0, 1, 2]], [[1, 2, 3]], [[0, 1, 3000]],
+                "FC4", "MGCONV4(4)+FC4", "MGCONV5(3)+FC4", *_HUGE, [], {}, [[24, 16, 8]],
+                [[8, 16, 24]], [[0, 1, 2]], [[1, 2, 3]], [[0, 1, 3000]], [[24.0, 16, 8]],
                 {"descriptor": "x"}, {"bank": {}}]
 _ARRAY_EDITS = {
     "float32": lambda a: a.astype(np.float32),
@@ -329,25 +330,27 @@ _ADDED = ["param/extra", "opt/m/extra", "opt/v/fc1.w.x", "opt/other", "other"]
 _CKPT_MUTATIONS = ["meta", "array", "drop", "add", "truncate"]
 
 
-def _mutate_checkpoint(arrays, kind, i, j, field, value, edit):
-    """The bytes of the checkpoint `arrays` after one mutation."""
-    arrays = dict(arrays)
-    names = sorted(arrays)
-    if kind == "meta":
-        meta = json.loads(bytes(arrays["__meta__"]).decode())
+def _write_mutated_checkpoint(path, net, kind, i, j, field, value, edit):
+    """The checkpoint of `net` at path, after one mutation."""
+
+    def edit_meta(meta):
         meta[field] = value
-        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    elif kind == "array":
-        name = names[i % len(names)]
-        arrays[name] = _ARRAY_EDITS[edit](arrays[name])
-    elif kind == "drop":
-        del arrays[names[i % len(names)]]
-    elif kind == "add":
-        arrays[_ADDED[i % len(_ADDED)]] = np.zeros(3)
-    buffer = io.BytesIO()
-    np.savez(buffer, **arrays)
-    data = buffer.getvalue()
-    return data[: j % len(data)] if kind == "truncate" else data
+
+    def edit_arrays(arrays):
+        name = _NAMES[i % len(_NAMES)]
+        if kind == "array":
+            arrays[name] = _ARRAY_EDITS[edit](arrays[name])
+        elif kind == "drop":
+            del arrays[name]
+        elif kind == "add":
+            arrays[_ADDED[i % len(_ADDED)]] = np.zeros(3)
+
+    model, state = _NETS[net]
+    _shared.edited_checkpoint(path, model, edit_meta if kind == "meta" else None, edit_arrays,
+                              opt_state=state, metadata={"note": "fuzz"})
+    if kind == "truncate":
+        data = path.read_bytes()
+        path.write_bytes(data[: j % len(data)])
 
 
 @settings(derandomize=True, max_examples=100, deadline=None, database=None,
@@ -360,8 +363,12 @@ def _mutate_checkpoint(arrays, kind, i, j, field, value, edit):
          edit="pair")
 @example(net="chebyshev", kind="meta", i=0, j=0, field="scale_sets", value=[[0, 1, 3000]],
          edit="pair")
-@example(net="mgcn", kind="array", i=sorted(_NETS["mgcn"]).index("opt/step"), j=0,
-         field="kind", value=None, edit="pair")
+@example(net="mgcn", kind="array", i=_NAMES.index("opt/step"), j=0, field="kind", value=None,
+         edit="pair")
+@example(net="chebyshev", kind="meta", i=0, j=0, field="architecture", value=_HUGE[0],
+         edit="pair")
+@example(net="mgcn", kind="meta", i=0, j=0, field="architecture", value=_HUGE[2],
+         edit="pair")
 def test_infer_on_mutated_checkpoint_keeps_the_exit_contract(net, kind, i, j, field, value,
                                                              edit):
     with tempfile.TemporaryDirectory() as tmp:
@@ -370,7 +377,8 @@ def test_infer_on_mutated_checkpoint_keeps_the_exit_contract(net, kind, i, j, fi
                                  ("bar.off", "bar.mwd", "net.npz", "out.mwd"))
         mesh.write_text("\n".join(_off_text(_TARGET)) + "\n")
         desc.write_bytes(_INPUT)
-        ckpt.write_bytes(_mutate_checkpoint(_NETS[net], kind, i, j, field, value, edit))
+        _write_mutated_checkpoint(ckpt, net, kind, i, j, field, value, edit)
         code = _check_contract(["infer", ckpt, mesh, desc, "-k", "8", "-o", out], root, {out})
-        if kind == "meta" and field == "scale_sets" and value in ([[1, 2, 3]], [[0, 1, 3000]]):
-            assert code == 2  # a stored copy that differs from the derived sets
+        refused = [[[1, 2, 3]], [[0, 1, 3000]], *_HUGE]
+        if kind == "meta" and field in ("scale_sets", "architecture") and value in refused:
+            assert code == 2  # stored sets other than the derived ones, or a count too large

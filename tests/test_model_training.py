@@ -1,4 +1,3 @@
-import json
 import tracemalloc
 
 import numpy as np
@@ -53,6 +52,9 @@ def test_architecture_rejects_malformed():
         "FC0",
         "MGCONV8(0)",
         "CONV8(3)",
+        "MGCONV8(1000000000)",  # ten digits and more; int() raised ValueError past 4,300
+        "FC" + "9" * 5000,
+        "MGCONV" + "1" * 5000 + "(3)",
     ):
         with pytest.raises(DataError):
             parse_architecture(bad)
@@ -490,19 +492,9 @@ def _tampered_checkpoint(tmp_path, edit_meta=None, edit_params=None, kind="mgcn"
                          with_optimizer=False):
     """A valid checkpoint rewritten with its metadata or arrays edited."""
     net = build_model("MGCONV6(3)+FC5", input_dim=4, head_dim=9, kind=kind, seed=5)
-    good = tmp_path / "good.npz"
-    save_checkpoint(good, net, opt_state=adam_init(net.params) if with_optimizer else None)
-    with np.load(good) as data:
-        arrays = {k: data[k] for k in data.files}
-    meta = json.loads(bytes(arrays["__meta__"]).decode())
-    if edit_meta:
-        edit_meta(meta)
-    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    if edit_params:
-        edit_params(arrays)
-    bad = tmp_path / "bad.npz"
-    np.savez(bad, **arrays)
-    return bad
+    opt_state = adam_init(net.params) if with_optimizer else None
+    return _shared.edited_checkpoint(tmp_path / "bad.npz", net, edit_meta, edit_params,
+                                     opt_state=opt_state)
 
 
 _MISSING = object()
@@ -550,7 +542,9 @@ def test_checkpoint_rejects_mismatched_parameters(tmp_path, edit, match):
     ("mgcn", [[8, 16, 24]]),
     ("chebyshev", [[0, 1, 3000]]),
     ("chebyshev", [[0, 1]]),
-], ids=["other-scales", "reordered", "huge-order", "short"])
+    ("mgcn", [[24.0, 16, 8]]),  # equal in Python, not as stored text
+    ("chebyshev", [[False, True, 2]]),
+], ids=["other-scales", "reordered", "huge-order", "short", "float-scale", "bool-order"])
 def test_checkpoint_scale_sets_must_be_the_derived_ones(tmp_path, kind, stored):
     # the stored copy was checked for shape only, so a MGCONV6(3) layer ran
     # scales 1, 2, 3, and a Chebyshev one built 3,001 polynomial terms
@@ -559,6 +553,24 @@ def test_checkpoint_scale_sets_must_be_the_derived_ones(tmp_path, kind, stored):
 
     with pytest.raises(DataError, match="scale_sets"):
         load_checkpoint(_tampered_checkpoint(tmp_path, edit_meta=edit, kind=kind))
+
+
+@pytest.mark.parametrize("kind", ["mgcn", "chebyshev"])
+def test_checkpoint_scale_count_is_bounded_by_its_arrays(tmp_path, kind):
+    # the scale sets were derived from a stored count before any array was
+    # compared, so a few bytes of metadata could ask for any allocation
+    def edit(meta):
+        meta["architecture"] = "MGCONV6(1000000)+FC5"
+
+    bad = _tampered_checkpoint(tmp_path, edit_meta=edit, kind=kind)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match="fewer parameter arrays than conv scales"):
+            load_checkpoint(bad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, f"peak {peak / 1e6:.1f} MB"
 
 
 def _optimizer_edit(key, value):
