@@ -60,8 +60,8 @@ def open_npz(path, what: str):
     naming `what`: a missing, truncated or non-zip file, a plain .npy, an
     absent key, an array stored with pickle.
     """
-    try:
-        with np.load(path) as data:  # a plain .npy raises TypeError here
+    try:  # np.load leaves a file it opened open when the zip is corrupt
+        with open(path, "rb") as fh, np.load(fh) as data:  # a plain .npy: TypeError
             yield data
     except (OSError, EOFError, KeyError, TypeError, ValueError,
             zipfile.BadZipFile) as exc:

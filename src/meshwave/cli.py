@@ -37,6 +37,7 @@ from ._files import atomic_write
 from .chebyshev import chebyshev_operators, spectral_max
 from .config import check_section, default_config, format_config, load_config
 from .descriptors import (
+    check_settings,
     export_descriptors_csv,
     hks,
     load_descriptors,
@@ -134,9 +135,7 @@ def _descriptor_field(mesh, basis, kind: str, num: int, power: int, atom_cache=N
                     power=power, atom_cache=atom_cache)
     if kind == "hks":
         return hks(basis, n_times=num)
-    if kind == "wks":
-        return wks(basis, n_energies=num)
-    raise DataError(f"unknown descriptor type {kind!r}")
+    return wks(basis, n_energies=num)  # the callers ran check_settings
 
 
 def _check_desc_mesh(desc, mesh, what: str):
@@ -186,6 +185,7 @@ def _cmd_descriptor(args, cfg):
     num = args.num if args.num is not None else cfg["descriptor"]["num"]
     k = args.k if args.k is not None else cfg["descriptor"]["k"]
     power = args.power if args.power is not None else cfg["descriptor"]["power"]
+    check_settings(kind, num, power)
     if args.csv:  # a failed export must not leave the new .mwd behind
         _check_destination(args.csv)
     basis, sidecar = _mesh_basis(mesh, k, args.basis)
@@ -282,6 +282,7 @@ def _cmd_train(args, cfg):
     else:
         labels = [np.arange(mesh.n_vertices, dtype=np.int64) for mesh in meshes]
     desc = cfg["descriptor"]
+    check_settings(desc["type"], desc["num"], desc["power"])
     net = build_model(
         cfg["model"]["architecture"],
         input_dim=desc["num"],

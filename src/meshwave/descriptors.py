@@ -83,9 +83,16 @@ def _decompose_with_responses(basis, responses, signals, power):
     return ((tables * fields).sum(axis=2) * basis.areas[:, None]).T
 
 
-def _check_count(n):
-    """Refuse a descriptor dimension below 1, as ``select_scales`` does."""
-    if n < 1:
+def check_settings(kind, num, power=2):
+    """Refuse a descriptor type, a dimension, or a WEDS power that `weds`,
+    `hks` or `wks` would refuse, before anything is computed."""
+    if kind not in ("weds", "hks", "wks"):
+        raise DataError(f"unknown descriptor type {kind!r}")
+    if kind == "weds" and num > 1024:
+        raise DataError("descriptor dimension is capped at 1024")
+    if kind == "weds" and power not in (1, 2):
+        raise DataError(f"power must be 1 or 2, got {power}")
+    if num < 1:  # as ``select_scales`` refuses it
         raise DataError("descriptor dimension must be positive")
 
 
@@ -109,8 +116,7 @@ def weds(basis, bank, coords, n_dims=DEFAULT_DIMS, power=2, atom_cache=None):
     ranges come from ``wavelets.filter_atom_stats``; `atom_cache` is its
     sidecar file, or None to compute them.
     """
-    if n_dims > 1024:
-        raise DataError("descriptor dimension is capped at 1024")
+    check_settings("weds", n_dims, power)
     responses = filter_responses(bank, basis.eigenvalues).T  # (k, n_filters)
     eps = _decompose_with_responses(basis, responses, coords, power)  # (n_filters, n)
     phi = basis.eigenvectors
@@ -140,7 +146,7 @@ def hks(basis, n_times=DEFAULT_DIMS):
     """Heat kernel signature over log-spaced diffusion times."""
     if basis.k < 2:
         raise DataError("heat kernel signature needs at least two eigenpairs")
-    _check_count(n_times)
+    check_settings("hks", n_times)
     lam1 = basis.eigenvalues[1]
     lam_k = basis.eigenvalues[-1]
     times = np.exp(
@@ -162,7 +168,7 @@ def wks(basis, n_energies=DEFAULT_DIMS):
     Each band is normalized by its total weight over the spectrum; a band
     narrow enough to fall between eigenvalues has its weight underflow and
     raises NumericalError."""
-    _check_count(n_energies)
+    check_settings("wks", n_energies)
     if basis.k < 3:
         raise DataError("wave kernel signature needs at least three eigenpairs")
     log_ev = np.log(basis.eigenvalues[1:])

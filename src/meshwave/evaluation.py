@@ -279,23 +279,13 @@ def normalized_errors(
     if gt.symmetric is not None:
         _check_against_target(gt.symmetric, n_t, "symmetric ground truth")
         truths.append(gt.symmetric)
-    wrong = [np.flatnonzero(pred != truth) for truth in truths]
-    dist = geodesic_pairs(
-        target_mesh,
-        pred[np.concatenate(wrong)],
-        np.concatenate([truth[w] for truth, w in zip(truths, wrong)]),
-    )
-    scale = 1.0 / np.sqrt(lumped_areas(target_mesh).sum())
-    errors, at = [], 0
-    for w in wrong:
-        err = np.zeros(pred.shape[0])
-        err[w] = dist[at : at + w.size] * scale
-        errors.append(err)
-        at += w.size
+    truths = np.stack(truths)  # (T, n): the direct map, then the symmetric one
+    which, wrong = np.nonzero(pred != truths)
+    errors = np.zeros(truths.shape)
+    errors[which, wrong] = geodesic_pairs(target_mesh, pred[wrong], truths[which, wrong])
+    errors *= 1.0 / np.sqrt(lumped_areas(target_mesh).sum())
     direct = errors[0]
-    symmetric = None
-    if gt.symmetric is not None:
-        symmetric = np.minimum(direct, errors[1])
+    symmetric = None if gt.symmetric is None else errors.min(axis=0)
     return direct, symmetric
 
 

@@ -76,11 +76,7 @@ def g_of(bank, m, lam):
 def filter_responses(bank, lam):
     """All filters stacked: row 0 the scaling filter, rows 1..K wavelets."""
     lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
-    out = np.empty((bank.n_filters, len(lam)))
-    out[0] = scaling_response(bank, lam)
-    for m, t in enumerate(bank.scales, start=1):
-        out[m] = wavelet_response(bank, t, lam)
-    return out
+    return np.stack([g_of(bank, m, lam) for m in range(bank.n_filters)])
 
 
 def _residual_grid(lambda_max, eigenvalues=None):

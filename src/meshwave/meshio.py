@@ -197,14 +197,14 @@ def _read_ply_faces(handle, element, fmt, path):
     prop = element.properties[0] if element.properties else ()
     if len(prop) != 3:
         raise DataError(f"{path}: face element lacks a list property")
+    if not all(_PLY_DTYPES.get(kind, "f")[0] in "iu" for kind in prop[1:]):  # integers only
+        raise DataError(f"{path}: unsupported PLY list types {prop[1:]}")
     if fmt == "ascii":
         # a missing row reads as a face of no vertices
         rows = [handle.readline().decode("ascii", "replace").strip() or "0"
                 for _ in range(element.count)]
         arity = _columns(path, rows, (0,), np.int64, "PLY face data")[:, 0]
     else:
-        if not {prop[1], prop[2]} <= _PLY_DTYPES.keys():
-            raise DataError(f"{path}: unsupported PLY list types {prop[1:]}")
         row = np.dtype([("n", "<" + _PLY_DTYPES[prop[1]]),
                         ("index", "<" + _PLY_DTYPES[prop[2]], (3,))])
         buf = handle.read(row.itemsize * element.count)
@@ -235,7 +235,7 @@ def read_ply(path):
                     rows = [tuple(handle.readline().split()) for _ in range(element.count)]
                     try:
                         data = np.array(rows, dtype=vdt)
-                    except ValueError as exc:
+                    except (ValueError, OverflowError) as exc:  # OverflowError: 300 as uchar
                         raise DataError(f"{path}: malformed PLY vertex row") from exc
                 else:
                     buf = handle.read(vdt.itemsize * element.count)

@@ -9,6 +9,8 @@ affine layers, described by an architecture string such as
 ``Model`` derives each conv layer's scale set (its operator keys) from
 the architecture and the kind: wavelet scales for the MGCN, polynomial
 orders 0..S-1 for Chebyshev.  A checkpoint's stored copy must match it.
+``_layer_params`` names each layer's parameters in the checkpoint's array
+order; ``_walk`` gives forward and backward each layer's names and operator.
 
 Per-shape operators are an operator set keyed by scale index: for the
 wavelet network a ``wavelets.WaveletOperator`` (which documents the
@@ -108,17 +110,21 @@ def _glorot(rng, shape):
     return rng.uniform(-bound, bound, size=shape)
 
 
+def _layer_params(li: int, spec: LayerSpec, dim: Optional[int] = None) -> dict:
+    """{name: shape} of layer li's parameters for input width dim, in
+    checkpoint order: a weight per scale for a conv layer, a weight and a
+    bias for an affine one."""
+    if spec.kind == "conv":
+        return {f"conv{li}.w{j}": (dim, spec.out_dim) for j in range(spec.n_scales)}
+    return {f"fc{li}.w": (dim, spec.out_dim), f"fc{li}.b": (spec.out_dim,)}
+
+
 def _param_shapes(specs, input_dim: int, head_dim: Optional[int]) -> dict:
     """{parameter name: shape} in initialization order."""
     shapes = {}
     dim = input_dim
     for li, spec in enumerate(specs):
-        if spec.kind == "conv":
-            for j in range(spec.n_scales):
-                shapes[f"conv{li}.w{j}"] = (dim, spec.out_dim)
-        else:
-            shapes[f"fc{li}.w"] = (dim, spec.out_dim)
-            shapes[f"fc{li}.b"] = (spec.out_dim,)
+        shapes.update(_layer_params(li, spec, dim))
         dim = spec.out_dim
     if head_dim is not None:
         shapes["head.w"] = (dim, head_dim)
@@ -174,31 +180,36 @@ def build_wavelet_operators(
     return WaveletOperator(basis.eigenvectors, responses[:, keys], 1.0 / norms, keys)
 
 
-def _layer_ops(model: Model, conv_i: int, shape_ops):
-    try:
-        return shape_ops.select(model.scale_sets[conv_i])
-    except KeyError as exc:
-        raise DataError(f"missing operator for scale index {exc.args[0]}") from None
+def _walk(model: Model, shape_ops):
+    """Yield (index, parameter names, operator) for each layer in order: a conv
+    layer's operator is `shape_ops` selected to its scale set, an affine one's None."""
+    scale_sets = iter(model.scale_sets)
+    for li, spec in enumerate(model.specs):
+        op = None
+        if spec.kind == "conv":
+            try:
+                op = shape_ops.select(next(scale_sets))
+            except KeyError as exc:
+                raise DataError(f"missing operator for scale index {exc.args[0]}") from None
+        yield li, list(_layer_params(li, spec)), op
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def forward(model: Model, x: np.ndarray, shape_ops):
-    """Run the stack; returns (descriptors, caches) for backward."""
+    """Run the stack; returns (descriptors, caches) for backward.  An
+    overflow gives inf or NaN rows, not a warning: the callers check them."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.input_dim:
         raise DataError(
             f"expected input of shape (n, {model.input_dim}), got {x.shape}"
         )
     caches = []
-    conv_i = 0
-    for li, spec in enumerate(model.specs):
-        if spec.kind == "conv":
-            ws = [model.params[f"conv{li}.w{j}"] for j in range(spec.n_scales)]
-            x, cache = layers.conv_forward(x, ws, _layer_ops(model, conv_i, shape_ops))
-            conv_i += 1
+    for _, names, op in _walk(model, shape_ops):
+        ws = [model.params[name] for name in names]
+        if op is None:
+            x, cache = layers.affine_forward(x, *ws)
         else:
-            x, cache = layers.affine_forward(
-                x, model.params[f"fc{li}.w"], model.params[f"fc{li}.b"]
-            )
+            x, cache = layers.conv_forward(x, ws, op)
         caches.append(cache)
     return x, caches
 
@@ -211,31 +222,18 @@ def backward(model: Model, caches, dout: np.ndarray, shape_ops, grads=None):
     in place (a name it lacks is set), and that dict is returned.
     """
     grads = {} if grads is None else grads
-
-    def put(name, g):
-        if name in grads:
-            grads[name] += g
-        else:
-            grads[name] = g
-
     dx = dout
-    conv_i = len(model.scale_sets)
-    for li in range(len(model.specs) - 1, -1, -1):
-        spec = model.specs[li]
-        if spec.kind == "conv":
-            conv_i -= 1
-            ws = [model.params[f"conv{li}.w{j}"] for j in range(spec.n_scales)]
-            dx, dws = layers.conv_backward(
-                caches[li], dx, ws, _layer_ops(model, conv_i, shape_ops), input_grad=li > 0
-            )
-            for j, dw in enumerate(dws):
-                put(f"conv{li}.w{j}", dw)
+    for li, names, op in reversed(list(_walk(model, shape_ops))):
+        ws = [model.params[name] for name in names]
+        if op is None:
+            dx, *dws = layers.affine_backward(caches[li], dx, ws[0])
         else:
-            dx, dw, db = layers.affine_backward(
-                caches[li], dx, model.params[f"fc{li}.w"]
-            )
-            put(f"fc{li}.w", dw)
-            put(f"fc{li}.b", db)
+            dx, dws = layers.conv_backward(caches[li], dx, ws, op, input_grad=li > 0)
+        for name, g in zip(names, dws):
+            if name in grads:
+                grads[name] += g
+            else:
+                grads[name] = g
     return grads
 
 
@@ -310,6 +308,8 @@ def _model_from_meta(meta: dict, params: dict, path) -> Model:
         if arr.shape != shape or arr.dtype.kind != "f":
             raise DataError(f"{path}: parameter {name} is {arr.dtype} {arr.shape}, "
                             f"the architecture needs float {shape}")
+        if not np.isfinite(arr).all():
+            raise DataError(f"{path}: parameter {name} holds non-finite values")
     return model
 
 

@@ -6,7 +6,7 @@ has a unique answer), bent around a cylinder of curvature kappa, on an
 nu-by-nv parameter grid.  Poses of one grid share vertex order, so the
 identity map is their exact ground truth.  ``midpoint_refine`` splits a
 mesh 1:4 and keeps every vertex index, which gives cross-resolution
-ground truth.
+ground truth; ``icosphere`` is that split, projected to the sphere.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ def equilateral_triangle(side=1.0):
 
 
 def icosphere(subdivisions, radius=1.0):
-    """Icosahedron subdivided `subdivisions` times, projected to the sphere.
+    """Icosahedron midpoint-refined `subdivisions` times, new vertices on the sphere.
 
     Vertex count is 10 * 4**subdivisions + 2.  The construction is exactly
     antipodally symmetric: for every vertex v, -v is also a vertex.
@@ -49,26 +49,13 @@ def icosphere(subdivisions, radius=1.0):
         ],
         dtype=np.int64,
     )
+    mesh = TriMesh(verts, faces)
     for _ in range(subdivisions):
-        vlist = list(verts)
-        midpoint = {}
-
-        def mid(a, b):
-            key = (a, b) if a < b else (b, a)
-            if key not in midpoint:
-                m = (vlist[a] + vlist[b]) / 2.0
-                m = m / np.linalg.norm(m)
-                midpoint[key] = len(vlist)
-                vlist.append(m)
-            return midpoint[key]
-
-        new_faces = []
-        for a, b, c in faces:
-            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-            new_faces += [[a, ab, ca], [ab, b, bc], [ca, bc, c], [ab, bc, ca]]
-        verts = np.array(vlist)
-        faces = np.array(new_faces, dtype=np.int64)
-    return TriMesh(verts * radius, faces)
+        n = mesh.n_vertices
+        mesh = midpoint_refine(mesh)
+        new = mesh.vertices[n:]
+        new /= np.sqrt([m.dot(m) for m in new])[:, None]  # np.linalg.norm's 1-D path
+    return TriMesh(mesh.vertices * radius, mesh.triangles)
 
 
 def antipodal_permutation(mesh, tol=1e-9):

@@ -11,6 +11,7 @@ and shape B's backward pass adds into it in place."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -118,8 +119,7 @@ def _check_dataset(net: model_mod.Model, shapes, need_labels: bool):
                 f"shape {sh.name!r}: feature dim {sh.features.shape[1]} "
                 f"!= model input dim {net.input_dim}"
             )
-        for conv_i in range(len(net.scale_sets)):
-            model_mod._layer_ops(net, conv_i, sh.ops)
+        list(model_mod._walk(net, sh.ops))  # refuses a missing conv operator
         if need_labels:
             if sh.labels is None:
                 raise DataError(f"shape {sh.name!r}: training requires labels")
@@ -203,12 +203,7 @@ def train(
     if config.phase2_epochs > 0:
         if len(shapes) < 2:
             raise DataError("phase 2 needs at least 2 shapes")
-        pairs = [
-            (i, j)
-            for i in range(len(shapes))
-            for j in range(len(shapes))
-            if i != j
-        ]
+        pairs = list(itertools.permutations(range(len(shapes)), 2))
         for _ in range(config.phase2_epochs):
             total = 0.0
             for i, j in pairs:

@@ -652,6 +652,51 @@ def test_negative_seed_exits_before_training(work, tmp_path, capsys, monkeypatch
     assert _tree(tmp_path) == before
 
 
+_BAD_DESCRIPTOR = [("type = foo", "unknown descriptor type 'foo'"),
+                   ("power = 3", "power must be 1 or 2, got 3"),
+                   ("num = 0", "descriptor dimension must be positive"),
+                   ("num = 1025", "descriptor dimension is capped at 1024")]
+
+
+def _counting_solver(monkeypatch):
+    """Replace the CLI's eigensolver by one that records each call; returns the record."""
+    solves = []
+    real = cli.eig_generalized
+
+    def counting(*args, **kwargs):
+        solves.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "eig_generalized", counting)
+    return solves
+
+
+@pytest.mark.parametrize("line, needle", _BAD_DESCRIPTOR)
+def test_train_refuses_descriptor_settings_before_any_eigensolve(work, tmp_path, capsys,
+                                                                 monkeypatch, line, needle):
+    # each solved one eigenbasis before the descriptor refused its settings
+    solves = _counting_solver(monkeypatch)
+    cfg_path = tmp_path / "p.cfg"
+    cfg_path.write_text(f"[descriptor]\nk = 12\n{line}\n[train]\nmeshes = {work['mesh_path']}\n")
+    before = _tree(tmp_path)
+    assert main(["train", "--config", str(cfg_path), "-o", str(tmp_path / "m.npz")]) == 2
+    assert _one_line_error(capsys, needle)
+    assert solves == [] and _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("line, needle", _BAD_DESCRIPTOR)
+def test_descriptor_refuses_config_settings_before_any_eigensolve(work, tmp_path, capsys,
+                                                                  monkeypatch, line, needle):
+    solves = _counting_solver(monkeypatch)
+    cfg_path = tmp_path / "d.cfg"
+    cfg_path.write_text(f"[descriptor]\nk = 12\n{line}\n")
+    out = tmp_path / "d.mwd"
+    assert main(["descriptor", str(work["mesh_path"]), "--config", str(cfg_path),
+                 "-o", str(out)]) == 2
+    assert _one_line_error(capsys, needle)
+    assert solves == [] and not out.exists()
+
+
 def test_obj_face_index_beyond_int64_exits_2(work, tmp_path, capsys):
     mesh = work["mesh"]
     lines = [f"v {x!r} {y!r} {z!r}" for x, y, z in mesh.vertices.tolist()]
@@ -1190,6 +1235,30 @@ def test_infer_refuses_an_inconsistent_checkpoint(work, own_basis, tmp_path, cap
     assert _infer(work, ckpt, own_basis, out) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["mgcn", "chebyshev"])
+@pytest.mark.parametrize("name", ["param/conv0.w0", "param/fc1.w"])
+@pytest.mark.parametrize("value, code", [(np.inf, 2), (np.nan, 2), (1e308, 3)],
+                         ids=["inf", "nan", "1e308"])
+def test_infer_on_non_finite_or_overflowing_parameters_prints_one_error(
+        work, own_basis, tmp_path, capsys, kind, name, value, code):
+    # inf printed two RuntimeWarnings and 1e308 an overflow warning before
+    # exit 3; non-finite values are now refused on load, and an overflow
+    # from finite ones is refused when the output is saved
+    def fill(arrays):
+        arrays[name] = np.full_like(arrays[name], value)
+
+    ckpt = _net_with_optimizer(tmp_path / "net.npz", kind, edit_arrays=fill)
+    out = tmp_path / "out.mwd"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _infer(work, ckpt, own_basis, out) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ("non-finite values" in err) == (code == 2)
     assert not out.exists()
 
 

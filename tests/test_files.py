@@ -1,9 +1,13 @@
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
 from meshwave import _files
 from meshwave.cli import main
 from meshwave.descriptors import DescriptorField, export_descriptors_csv, save_descriptors
+from meshwave.errors import DataError
 from meshwave.evaluation import write_correspondence
 from meshwave.meshio import write_ply
 from meshwave.model import build_model, save_checkpoint
@@ -75,3 +79,20 @@ def test_basis_is_written_to_the_exact_path(tmp_path):
     save_basis(path, basis)
     assert [p.name for p in tmp_path.iterdir()] == ["bar.cache"]
     assert np.array_equal(load_basis(path).eigenvectors, basis.eigenvectors)
+
+
+@pytest.mark.parametrize("cut", [0.2, 0.9])
+def test_a_truncated_archive_leaves_no_file_open(tmp_path, cut):
+    # np.load kept the file it opened when the zip directory was missing,
+    # which warned as unclosed when collected
+    path = tmp_path / "bad.npz"
+    np.savez(path, x=np.arange(100.0))
+    data = path.read_bytes()
+    path.write_bytes(data[: int(cut * len(data))])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DataError, match="unreadable archive"):
+            with _files.open_npz(path, "archive"):
+                pass
+        gc.collect()
+    assert [w.message for w in caught if w.category is ResourceWarning] == []

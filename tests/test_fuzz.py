@@ -3,14 +3,17 @@
 Each case writes a valid input with one mutation (a token replaced, a line
 deleted, duplicated, swapped or inserted, the text truncated, or the
 numbers scaled) and runs a command on it: ``meshwave basis`` on OFF and
-OBJ meshes, ``meshwave eval`` on correspondence files, ``meshwave match``
-on ``.mwd`` descriptor files (magic, header words, metadata bytes or
-payload values replaced, or the file truncated), ``meshwave infer`` on
-checkpoints (a metadata field replaced, an array retyped, reshaped,
-dropped or added, or the file truncated).  Whatever the
-mutation, the command exits 0, 2 (bad data) or 3 (numerical failure), says
-nothing on stderr that looks like a traceback, and leaves no new file when
-it fails.  Draws are derandomized, so the cases repeat from run to run.
+OBJ meshes and on ASCII and binary PLY meshes (a header line, a body
+token or a byte replaced, or the file truncated), ``meshwave eval`` on
+correspondence files, ``meshwave match`` on ``.mwd`` descriptor files
+(magic, header words, metadata bytes or payload values replaced, or the
+file truncated), ``meshwave infer`` on checkpoints (a metadata field
+replaced, an array retyped, reshaped, filled with inf, NaN or 1e308,
+dropped or added, or the file truncated).  Whatever the mutation, the
+command exits 0, 2 (bad data) or 3 (numerical failure), raises no
+warning, says nothing on stderr that looks like a traceback, and leaves
+no new file when it fails.  Every test runs the same `_FUZZ` settings:
+100 derandomized draws, so the cases repeat from run to run.
 """
 
 import contextlib
@@ -19,6 +22,7 @@ import json
 import os
 import struct
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +38,10 @@ from meshwave.synthetic import bent_bar
 from meshwave.training import adam_init
 
 import _shared
+
+# every fuzz test: 100 derandomized cases, no example database, no deadline
+_FUZZ = settings(derandomize=True, max_examples=100, deadline=None, database=None,
+                 suppress_health_check=[HealthCheck.too_slow])
 
 
 def _off_text(mesh):
@@ -97,20 +105,21 @@ def _mutate(lines, kind, i, j, token, factor, rows=None):
 
 def _check_contract(argv, root, outputs):
     """Run meshwave in the directory `root`: it exits 0, 2 or 3 with no
-    traceback, and adds the files `outputs` on success and none otherwise.
-    Returns the exit code."""
+    traceback and no warning, and adds the files `outputs` on success and
+    none otherwise.  Returns the exit code."""
     inputs = set(root.iterdir())
     stderr = io.StringIO()
-    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning fails the case as a traceback does
         code = main([str(a) for a in argv])
     assert code in (0, 2, 3), stderr.getvalue()
-    assert "Traceback" not in stderr.getvalue()
+    assert "Traceback" not in stderr.getvalue() and "Warning" not in stderr.getvalue()
     assert set(root.iterdir()) == (inputs | outputs if code == 0 else inputs)
     return code
 
 
-@settings(derandomize=True, max_examples=100, deadline=None, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@_FUZZ
 @given(mesh=st.sampled_from(sorted(_MESHES)), kind=st.sampled_from(_MUTATIONS),
        i=st.integers(0, 10_000), j=st.integers(0, 100_000), token=st.sampled_from(_TOKENS),
        factor=st.sampled_from([1e-200, 1e-8, 1e8, 1e150, 1e200]))
@@ -125,8 +134,7 @@ def test_basis_on_mutated_off_keeps_the_exit_contract(mesh, kind, i, j, token, f
         _check_contract(["basis", path, "-k", "8", "-o", out], root, {out})
 
 
-@settings(derandomize=True, max_examples=100, deadline=None, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@_FUZZ
 @given(kind=st.sampled_from(_MUTATIONS), i=st.integers(0, 10_000), j=st.integers(0, 100_000),
        token=st.sampled_from(_MORE_TOKENS),
        factor=st.sampled_from([1e-200, 1e-8, 1e8, 1e150, 1e200]))
@@ -141,14 +149,97 @@ def test_basis_on_mutated_obj_keeps_the_exit_contract(kind, i, j, token, factor)
         _check_contract(["basis", path, "-k", "8", "-o", out], root, {out})
 
 
+# the small bar as PLY: double coordinates, a uchar and an int vertex
+# property, and triangle lists of the drawn index type; a binary body is
+# packed by these types whatever the mutated header says
+_PLY_BAR = _BARS["small"]
+_PLY_ROWS = ([[f"{c:.17g}" for c in v] + [str(i % 256), str(1000 * i)]
+              for i, v in enumerate(_PLY_BAR.vertices)]
+             + [["3", *map(str, t)] for t in _PLY_BAR.triangles])
+_PLY_STRUCT = {"double": "d", "float": "f", "uchar": "B", "int": "i", "uint": "I"}
+_PLY_TOKENS = _TOKENS + ["300", "256", "255", "99999999999", "2147483648", "1e30"]
+_PLY_LINES = ["", "ply", "end_header", "comment x", "format ascii 1.0",
+              "format binary_little_endian 1.0", "format binary_big_endian 1.0",
+              "element vertex 0", "element vertex 25", "element vertex -1", "element face 0",
+              "element face 31", "element face 99999999999", "element edge 1",
+              "property uchar x", "property int x", "property float x", "property double",
+              "property list uchar float vertex_indices",
+              "property list float int vertex_indices",
+              "property list uchar double vertex_indices",
+              "property list int uint vertex_indices"]
+_PLY_MUTATIONS = ["header", "token", "byte", "truncate"]
+
+
+def _ply_field(token, kind):
+    """A body token packed as a binary field of PLY type `kind`, or as its
+    text when the type has no such value."""
+    code = _PLY_STRUCT[kind]
+    try:
+        return struct.pack("<" + code, (float if code in "fd" else int)(token))
+    except (ValueError, OverflowError, struct.error):
+        return token.encode()
+
+
+def _mutate_ply(fmt, index, kind, i, j, token, line, byte):
+    """The PLY file's bytes after one mutation: a header line replaced by
+    `line`, a body token by `token`, a byte by `byte`, or a truncation."""
+    header = ["ply", f"format {fmt} 1.0", f"element vertex {_PLY_BAR.n_vertices}",
+              "property double x", "property double y", "property double z",
+              "property uchar quality", "property int label",
+              f"element face {len(_PLY_BAR.triangles)}",
+              f"property list uchar {index} vertex_indices", "end_header"]
+    rows = [list(row) for row in _PLY_ROWS]
+    if kind == "header":
+        header[i % len(header)] = line
+    elif kind == "token":
+        row = rows[i % len(rows)]
+        row[j % len(row)] = token
+    if fmt == "ascii":
+        body = "".join(" ".join(row) + "\n" for row in rows).encode()
+    else:
+        types = {5: ["double"] * 3 + ["uchar", "int"], 4: ["uchar"] + [index] * 3}
+        body = b"".join(_ply_field(word, type_) for row in rows
+                        for word, type_ in zip(row, types[len(row)]))
+    data = bytearray(("\n".join(header) + "\n").encode() + body)
+    if kind == "byte":  # counted from the end, so small draws land in the body
+        data[-1 - i % len(data)] = byte
+    elif kind == "truncate":
+        del data[-1 - j % len(data):]
+    return bytes(data)
+
+
+@_FUZZ
+@given(fmt=st.sampled_from(["ascii", "binary_little_endian"]),
+       index=st.sampled_from(["int", "uint"]), kind=st.sampled_from(_PLY_MUTATIONS),
+       i=st.integers(0, 10_000), j=st.integers(0, 100_000), token=st.sampled_from(_PLY_TOKENS),
+       line=st.sampled_from(_PLY_LINES), byte=st.integers(0, 255))
+@example(fmt="ascii", index="int", kind="token", i=0, j=3, token="300", line="", byte=0)
+@example(fmt="ascii", index="int", kind="token", i=1, j=3, token="-1", line="", byte=0)
+@example(fmt="ascii", index="int", kind="token", i=2, j=4, token="99999999999", line="",
+         byte=0)
+# a float index type is refused, so only these examples draw it
+@example(fmt="binary_little_endian", index="float", kind="token", i=24, j=3, token="nan",
+         line="", byte=0)
+@example(fmt="binary_little_endian", index="float", kind="token", i=25, j=1, token="1e30",
+         line="", byte=0)
+@example(fmt="binary_little_endian", index="float", kind="token", i=26, j=2, token="2.5",
+         line="", byte=0)
+def test_basis_on_mutated_ply_keeps_the_exit_contract(fmt, index, kind, i, j, token, line,
+                                                      byte):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        path, out = root / "mesh.ply", root / "mesh.basis.npz"
+        path.write_bytes(_mutate_ply(fmt, index, kind, i, j, token, line, byte))
+        _check_contract(["basis", path, "-k", "8", "-o", out], root, {out})
+
+
 _TARGET = _BARS["small"]
 # the correspondence file `match` writes: comments, then one index per vertex
 _MAP = ["# source = a.mwd", f"# target_mesh = {_TARGET.content_hash()}",
         *(str(v) for v in range(_TARGET.n_vertices - 1, -1, -1))]
 
 
-@settings(derandomize=True, max_examples=100, deadline=None, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@_FUZZ
 @given(which=st.sampled_from(["prediction", "truth"]), kind=st.sampled_from(_MUTATIONS),
        i=st.integers(0, 10_000), j=st.integers(0, 100_000),
        token=st.sampled_from(_MORE_TOKENS), factor=st.sampled_from([1e-8, 2.0, 1e8, 1e200]))
@@ -218,8 +309,7 @@ def _match_contract(files):
                                {out})
 
 
-@settings(derandomize=True, max_examples=100, deadline=None, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@_FUZZ
 @given(which=st.sampled_from(sorted(_FIELDS)), kind=st.sampled_from(_MWD_MUTATIONS),
        i=st.integers(0, 10_000), j=st.integers(0, 100_000), byte=st.integers(0, 255),
        word=st.sampled_from(sorted(_WORDS)), value=st.sampled_from(_WORD_VALUES))
@@ -325,6 +415,9 @@ _ARRAY_EDITS = {
     "row": lambda a: a[None],
     "short": lambda a: a.reshape(-1)[:-1],
     "scalar": lambda a: a.reshape(-1)[0],
+    "inf": lambda a: np.full(a.shape, np.inf),
+    "nan": lambda a: np.full(a.shape, np.nan),
+    "1e308": lambda a: np.full(a.shape, 1e308),
 }
 _ADDED = ["param/extra", "opt/m/extra", "opt/v/fc1.w.x", "opt/other", "other"]
 _CKPT_MUTATIONS = ["meta", "array", "drop", "add", "truncate"]
@@ -353,8 +446,7 @@ def _write_mutated_checkpoint(path, net, kind, i, j, field, value, edit):
         path.write_bytes(data[: j % len(data)])
 
 
-@settings(derandomize=True, max_examples=100, deadline=None, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@_FUZZ
 @given(net=st.sampled_from(sorted(_NETS)), kind=st.sampled_from(_CKPT_MUTATIONS),
        i=st.integers(0, 10_000), j=st.integers(0, 100_000),
        field=st.sampled_from(_META_FIELDS), value=st.sampled_from(_META_VALUES),
@@ -369,6 +461,10 @@ def _write_mutated_checkpoint(path, net, kind, i, j, field, value, edit):
          edit="pair")
 @example(net="mgcn", kind="meta", i=0, j=0, field="architecture", value=_HUGE[2],
          edit="pair")
+@example(net="mgcn", kind="array", i=_NAMES.index("param/conv0.w0"), j=0, field="kind",
+         value=None, edit="inf")
+@example(net="chebyshev", kind="array", i=_NAMES.index("param/fc1.w"), j=0, field="kind",
+         value=None, edit="1e308")
 def test_infer_on_mutated_checkpoint_keeps_the_exit_contract(net, kind, i, j, field, value,
                                                              edit):
     with tempfile.TemporaryDirectory() as tmp:

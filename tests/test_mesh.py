@@ -108,6 +108,15 @@ def test_midpoint_refine_preserves_area_exactly():
     assert np.array_equal(fine.vertices[: mesh.n_vertices], mesh.vertices)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_icosphere_refines_the_coarser_icosphere(n):
+    # each level keeps the coarser vertices bit for bit, first, and splits
+    # its triangles as midpoint_refine does
+    coarse, fine = icosphere(n - 1), icosphere(n)
+    assert fine.vertices[: coarse.n_vertices].tobytes() == coarse.vertices.tobytes()
+    assert np.array_equal(fine.triangles, midpoint_refine(coarse).triangles)
+
+
 def test_refinement_stability_of_energy():
     coarse = bent_bar(0.3, nu=22, nv=10)
     fine = bent_bar(0.3, nu=43, nv=19)

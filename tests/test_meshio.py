@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -249,6 +250,18 @@ _PLY_HEAD = "ply\nformat ascii 1.0\nelement vertex {}\nproperty float x\n" \
     "property list uchar int vertex_indices\nend_header\n"
 
 
+def _ply_with(kind, row):
+    """_PLY_HEAD with vertex property x of PLY type `kind`, one row changed."""
+    return _PLY_HEAD.format(3).replace("float x", f"{kind} x") + row + "1 0 0\n0 1 0\n3 0 1 2\n"
+
+
+def _float_list_ply(last):
+    """A binary triangle whose vertex list is of floats, the last one `last`."""
+    head = _PLY_HEAD.format(3).replace("ascii", "binary_little_endian")
+    return (head.replace("uchar int", "uchar float").encode()
+            + struct.pack("<9fB3f", 0, 0, 0, 1, 0, 0, 0, 1, 0, 3, 0, 1, last))
+
+
 @pytest.mark.parametrize("name, text, message", [
     ("negative.off", "OFF\n-3 1 0\n", "do not fit"),
     ("huge.off", "OFF\n1000000000 1 0\n0 0 0\n", "do not fit"),
@@ -268,15 +281,28 @@ _PLY_HEAD = "ply\nformat ascii 1.0\nelement vertex {}\nproperty float x\n" \
      "malformed PLY line"),
     ("unnamed.ply", _PLY_HEAD.format(3).replace("float z", "double"),
      "malformed PLY line"),
+    # an out-of-range integer raised OverflowError (traceback, exit 1)
+    ("uchar300.ply", _ply_with("uchar", "300 0 0\n"), "malformed PLY vertex row"),
+    ("uchar-1.ply", _ply_with("uchar", "-1 0 0\n"), "malformed PLY vertex row"),
+    ("int-big.ply", _ply_with("int", "99999999999 0 0\n"), "malformed PLY vertex row"),
+    # float indices: NaN and 1e30 warned in the cast, 2.5 was read as 2
+    ("nan-index.ply", _float_list_ply(float("nan")), "unsupported PLY list types"),
+    ("big-index.ply", _float_list_ply(1e30), "unsupported PLY list types"),
+    ("half-index.ply", _float_list_ply(2.5), "unsupported PLY list types"),
 ], ids=["negative-off", "huge-off", "ply-count", "huge-ply", "short-ply-row",
         "short-ply-face", "non-numeric-ply-face", "missing-ply-face", "short-ply-list",
-        "bare-ply-format", "unnamed-ply-property"])
+        "bare-ply-format", "unnamed-ply-property", "ply-uchar-300", "ply-uchar-negative",
+        "ply-int-beyond-int32", "ply-nan-index", "ply-huge-index", "ply-fractional-index"])
 def test_malformed_mesh_exits_2(tmp_path, capsys, name, text, message):
     p = tmp_path / name
-    p.write_text(text)
-    assert main(["basis", str(p), "-k", "3", "-o", str(tmp_path / "b.npz")]) == 2
+    p.write_bytes(text if isinstance(text, bytes) else text.encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["basis", str(p), "-k", "3", "-o", str(tmp_path / "b.npz")]) == 2
     err = capsys.readouterr().err
     assert name in err and message in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "b.npz").exists()
 
 
 def test_unknown_extension(tmp_path):

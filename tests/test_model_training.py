@@ -75,6 +75,21 @@ def test_build_model_shapes():
     assert required_operator_keys(net) == [8, 16, 24]
 
 
+def test_parameter_names_order_and_shapes_are_the_checkpoint_layout(tmp_path):
+    # the checkpoint stores its parameter arrays under these names, in this order
+    net = build_model("MGCONV8(3)+FC4+MGCONV8(3)+FC2", input_dim=5, head_dim=3)
+    layout = [("conv0.w0", (5, 8)), ("conv0.w1", (5, 8)), ("conv0.w2", (5, 8)),
+              ("fc1.w", (8, 4)), ("fc1.b", (4,)),
+              ("conv2.w0", (4, 8)), ("conv2.w1", (4, 8)), ("conv2.w2", (4, 8)),
+              ("fc3.w", (8, 2)), ("fc3.b", (2,)), ("head.w", (2, 3)), ("head.b", (3,))]
+    assert [(name, p.shape) for name, p in net.params.items()] == layout
+    save_checkpoint(tmp_path / "net.npz", net)
+    with np.load(tmp_path / "net.npz") as data:
+        stored = [(key[len("param/"):], data[key].shape) for key in data.files
+                  if key.startswith("param/")]
+    assert stored == layout
+
+
 @pytest.mark.parametrize("n_scales", [1, 2])
 def test_wavelet_conv_needs_three_scales(n_scales):
     arch = f"MGCONV8({n_scales})+FC4"
