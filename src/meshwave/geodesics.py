@@ -5,10 +5,13 @@ Euclidean edge length. This overshoots true polyhedral geodesics by a small
 mesh-dependent factor (about 5% on a subdivided icosphere) but is consistent
 across the meshes being compared, which is all the matching metrics need.
 
-All distances come from scipy's csgraph Dijkstra. `geodesic_pairs` serves
-callers that need one distance per (source, target) pair: it runs Dijkstra
-once per distinct source, a block of sources at a time, and keeps only the
-requested entries, so its memory is bounded by the block, not by n x n.
+All distances come from scipy's csgraph Dijkstra, run one-way over
+`edge_graph`, which holds both directions of every edge with one weight, so
+each vertex settles over the same neighbours as in the undirected mode,
+which rebuilds the transpose on every call. `geodesic_pairs` serves callers
+that need one distance per (source, target) pair: it runs Dijkstra once per
+distinct source, a block of sources at a time, and keeps only the requested
+entries, so its memory is bounded by the block, not by n x n.
 
 It also stops each run at a radius. Every edge weighs its Euclidean length,
 so the graph distance from s to t is at least |x_s - x_t|: a source cannot
@@ -60,9 +63,10 @@ def _check_vertices(mesh: TriMesh, vertices, what: str) -> np.ndarray:
 def geodesic_pairs(mesh: TriMesh, sources, targets) -> np.ndarray:
     """Distance from sources[i] to targets[i], for each i.
 
-    The edge graph is built once, repeated sources share one Dijkstra run,
-    and the runs go in blocks of at most 2**20 table entries, from which
-    only the requested entries are gathered; no n x n array is formed.
+    The edge graph is built once, repeated sources share one one-way
+    Dijkstra run, and the runs go in blocks of at most 2**20 table entries,
+    from which only the requested entries are gathered; no n x n array is
+    formed.
     Runs stop at a radius that doubles each round from the smallest
     Euclidean source-target distance; a source joins the first round whose
     radius covers the Euclidean distance to its farthest target and reruns
@@ -97,7 +101,7 @@ def geodesic_pairs(mesh: TriMesh, sources, targets) -> np.ndarray:
             pos[block] = np.arange(block.size)
             sel = np.flatnonzero(pos[row] >= 0)
             # the block's table is a temporary: freed before the next is made
-            out[sel] = dijkstra(graph, directed=False, indices=uniq[block],
+            out[sel] = dijkstra(graph, directed=True, indices=uniq[block],
                                 limit=limit if bounded else np.inf)[pos[row[sel]], targets[sel]]
         pending[:] = False
         pending[row[np.isinf(out)]] = bounded

@@ -51,6 +51,7 @@ _RITZ_TOL = 1e-14
 _MAX_RESTARTS = 100
 _RESTART_ENTRIES = 1 << 18  # slab size of the in-place restart product
 _ZERO_MODE_REL = 1e-8
+_ZERO_MODE_EPS = 32  # lambda_0's rounding: eps * lambda_max <= eps * ||C||_inf
 _ORTHO_TOL = 1e-7
 _RESIDUAL_REL = 1e-6
 # A band Cholesky factor costs n b^2 flops and each solve 4 n b, so it only
@@ -238,7 +239,8 @@ def eig_generalized(laplacian, areas, k, mesh_hash=""):
     vecs = np.ascontiguousarray(_fix_signs(vecs * inv_sqrt[:, None]))
     _verify(laplacian, areas, vals, vecs)
     lam1 = vals[1] if k > 1 else max(abs(vals[0]), 1.0)
-    if abs(vals[0]) > _ZERO_MODE_REL * abs(lam1):
+    rounding = _ZERO_MODE_EPS * np.finfo(float).eps * abs(sym).sum(axis=1).max()
+    if abs(vals[0]) > max(_ZERO_MODE_REL * abs(lam1), rounding):
         raise NumericalError(
             f"zero mode missing: lambda_0={vals[0]:.3e} vs lambda_1={lam1:.3e}"
         )

@@ -88,6 +88,36 @@ def refit_constants(bank, eigenvalues=None):
     return replace(refit, residual=frame_residual(refit, eigenvalues)[0])
 
 
+def equilateral_triangle(side=1.0):
+    """Single equilateral triangle in the z=0 plane."""
+    vertices = np.array(
+        [[0.0, 0.0, 0.0], [side, 0.0, 0.0], [side / 2.0, side * np.sqrt(3.0) / 2.0, 0.0]]
+    )
+    return TriMesh(vertices, np.array([[0, 1, 2]]))
+
+
+def antipodal_permutation(mesh, tol=1e-9):
+    """Index permutation p with vertices[p[i]] == -vertices[i]."""
+    v = mesh.vertices
+    perm = np.full(mesh.n_vertices, -1, dtype=np.int64)
+    order = np.lexsort((v[:, 2], v[:, 1], v[:, 0]))
+    sorted_v = v[order]
+    for i in range(mesh.n_vertices):
+        target = -v[i]
+        j = np.searchsorted(sorted_v[:, 0], target[0] - tol)
+        while j < mesh.n_vertices:
+            cand = order[j]
+            if sorted_v[j, 0] > target[0] + tol:
+                break
+            if np.abs(v[cand] - target).max() <= tol:
+                perm[i] = cand
+                break
+            j += 1
+        if perm[i] < 0:
+            raise ValueError("mesh is not antipodally symmetric")
+    return perm
+
+
 def strip_mesh(x_coords, height: float = 0.1) -> TriMesh:
     """Two-row planar strip; bottom-row geodesics are exact prefix sums."""
     x = np.asarray(x_coords, dtype=np.float64)

@@ -44,9 +44,7 @@ from meshwave.model import (
 )
 from meshwave.spectral import eig_generalized
 from meshwave.synthetic import (
-    antipodal_permutation,
     bent_bar,
-    equilateral_triangle,
     icosphere,
 )
 from meshwave.training import (
@@ -94,7 +92,7 @@ def test_criterion_2_energy_identity():
     t0 = time.perf_counter()
     checks = []
     meshes = {
-        "triangle": equilateral_triangle(),
+        "triangle": _shared.equilateral_triangle(),
         "flat bar": bent_bar(0.0),
         "bent bar": bent_bar(0.6),
         "sphere 642": icosphere(3),
@@ -117,7 +115,7 @@ def test_criterion_2_energy_identity():
 def test_criterion_3_reconstruction():
     t0 = time.perf_counter()
     checks = []
-    for name, mesh in (("triangle", equilateral_triangle()),
+    for name, mesh in (("triangle", _shared.equilateral_triangle()),
                        ("sphere 162", icosphere(2)),
                        ("bar 220", bent_bar(0.3))):
         basis = _basis(mesh, mesh.n_vertices)
@@ -401,7 +399,7 @@ def test_criterion_9_metric_sanity():
     checks.append(("identity descriptors: CMC(1) == 1", cmc[0] == 1.0))
     checks.append(("CMC curve monotone", np.all(np.diff(cmc) >= 0)))
 
-    sym = antipodal_permutation(mesh)
+    sym = _shared.antipodal_permutation(mesh)
     rng = np.random.default_rng(9)
     sym_ok, monotone_ok = True, True
     for _ in range(20):

@@ -22,7 +22,7 @@ from meshwave.descriptors import (
 from meshwave.errors import DataError, NumericalError
 from meshwave.filters import build_filter_bank, filter_responses, select_scales
 from meshwave.mesh import TriMesh, cotangent_laplacian, lumped_areas
-from meshwave.synthetic import antipodal_permutation, bent_bar, icosphere
+from meshwave.synthetic import bent_bar, icosphere
 
 import _shared
 
@@ -277,7 +277,7 @@ def _inverse(perm):
 
 def test_sphere_antipodal_symmetry():
     mesh = _shared.sphere(2)
-    perm = antipodal_permutation(mesh)
+    perm = _shared.antipodal_permutation(mesh)
     basis = _shared.sphere_basis(2, 36)  # k on a full multiplet boundary
     bank = build_filter_bank(basis.lambda_max, eigenvalues=basis.eigenvalues)
     values = weds(basis, bank, mesh.vertices, n_dims=64).values

@@ -36,13 +36,16 @@ def test_dijkstra_line_graph_prefix_sums():
     assert np.array_equal(dist[0, 0::2], [0.0, 2.0, 5.0, 10.0])
 
 
-def _record_limits(monkeypatch) -> list:
-    """Make geodesic_pairs' Dijkstra calls log their `limit` argument."""
+def _record_limits(monkeypatch, runs=None) -> list:
+    """Make geodesic_pairs' Dijkstra calls log their `limit` argument and,
+    into `runs` if given, the vertices each call runs from."""
     limits = []
 
-    def recording(*args, limit=np.inf, **kwargs):
+    def recording(*args, limit=np.inf, indices=None, **kwargs):
         limits.append(limit)
-        return dijkstra(*args, limit=limit, **kwargs)
+        if runs is not None:
+            runs.append(np.atleast_1d(indices))
+        return dijkstra(*args, limit=limit, indices=indices, **kwargs)
 
     monkeypatch.setattr(geodesics, "dijkstra", recording)
     return limits
@@ -83,9 +86,13 @@ def test_pairs_on_a_closing_bar_run_several_rounds(rng, monkeypatch, block_entri
     assert len(set(limits)) >= 4 and np.isfinite(limits).all()
 
 
-def test_pairs_across_components_are_inf(monkeypatch):
+def _two_triangles() -> TriMesh:
     vertices = np.concatenate([np.eye(3), np.eye(3) + 10.0])
-    mesh = TriMesh(vertices, [[0, 1, 2], [3, 4, 5]])  # two components
+    return TriMesh(vertices, [[0, 1, 2], [3, 4, 5]])
+
+
+def test_pairs_across_components_are_inf(monkeypatch):
+    mesh = _two_triangles()  # two components
     sources, targets = np.array([0, 0, 4, 5, 1]), np.array([1, 3, 2, 4, 1])
     expect = _shared.geodesic_multi(mesh, sources)[np.arange(5), targets]
     limits = _record_limits(monkeypatch)
@@ -104,6 +111,63 @@ def test_pairs_near_pair_runs_bounded(monkeypatch):
     limits = _record_limits(monkeypatch)
     assert geodesic_pairs(mesh, [source], [target])[0] == expect
     assert limits and np.isfinite(limits).all()
+
+
+@pytest.mark.parametrize("mesh", [_shared.bar(0.4, nu=10, nv=5), _shared.sphere(3),
+                                  _two_triangles()], ids=["bar", "sphere", "two components"])
+def test_one_way_traversal_equals_the_undirected_table(rng, mesh):
+    # edge_graph holds both directions with one weight, so a one-way run
+    # relaxes the same neighbours as scipy's undirected mode
+    n = mesh.n_vertices
+    table = _shared.geodesic_multi(mesh, np.arange(n))
+    assert np.array_equal(dijkstra(edge_graph(mesh), directed=True), table)
+    sources, targets = rng.integers(0, n, size=(2, 50))
+    assert np.array_equal(geodesic_pairs(mesh, sources, targets), table[sources, targets])
+
+
+def _far_pairs(name, rng):
+    if name == "closing bar":  # the ends: near in space, a bar length apart
+        mesh = bent_bar(3.0, nu=40, nv=6)
+        ends = np.concatenate([np.arange(6), np.arange(234, 240)])
+        sources = np.concatenate([ends, np.arange(12, 234, 3), ends])
+        targets = np.concatenate([np.roll(ends, 6), rng.integers(0, 240, size=74), ends[::-1]])
+    else:  # antipodes, the farthest targets, and random ones
+        mesh = _shared.sphere(3)
+        sources = np.concatenate([np.arange(0, 642, 4), np.arange(0, 642, 8)])
+        targets = np.concatenate([_shared.antipodal_permutation(mesh)[::4],
+                                  rng.integers(0, 642, size=81)])
+    return mesh, sources, targets
+
+
+@pytest.mark.parametrize("name", ["closing bar", "sphere"])
+def test_far_pairs_from_many_sources(rng, monkeypatch, name):
+    mesh, sources, targets = _far_pairs(name, rng)
+    uniq = np.unique(sources)
+    expect = _shared.geodesic_multi(mesh, sources)[np.arange(sources.size), targets]
+    runs = []
+    limits = _record_limits(monkeypatch, runs)
+    assert np.array_equal(geodesic_pairs(mesh, sources, targets), expect)
+    # every source runs, and never before the radius covers the Euclidean
+    # distance to its farthest target, which its graph distance exceeds
+    need = np.zeros(mesh.n_vertices)
+    np.maximum.at(need, sources, np.linalg.norm(mesh.vertices[sources] - mesh.vertices[targets],
+                                                axis=1))
+    assert all((need[r] <= limit).all() for r, limit in zip(runs, limits))
+    assert np.isin(uniq, np.concatenate(runs)).all() and np.isfinite(limits).all()
+
+
+def test_pairs_from_many_sources_across_components(rng):
+    # two copies of a bar: a pair across the copies runs until the radius
+    # passes the total edge length, then unbounded, and ends as inf
+    bar = _shared.bar(0.4, nu=10, nv=5)
+    n = bar.n_vertices
+    mesh = TriMesh(np.concatenate([bar.vertices, bar.vertices + 10.0]),
+                   np.concatenate([bar.triangles, bar.triangles + n]))
+    sources, targets = np.arange(2 * n), rng.integers(0, 2 * n, size=2 * n)
+    expect = _shared.geodesic_multi(mesh, sources)[sources, targets]
+    got = geodesic_pairs(mesh, sources, targets)
+    assert np.array_equal(got, expect)
+    assert np.isinf(got).any() and np.isfinite(got).any()
 
 
 def test_pairs_validation():

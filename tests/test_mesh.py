@@ -11,7 +11,6 @@ from meshwave.mesh import (
 )
 from meshwave.synthetic import (
     bent_bar,
-    equilateral_triangle,
     icosphere,
     midpoint_refine,
 )
@@ -26,7 +25,7 @@ _VERTEX_AREA = np.sqrt(3.0) / 12.0
 
 
 def test_equilateral_laplacian_entries():
-    lap = cotangent_laplacian(equilateral_triangle()).toarray()
+    lap = cotangent_laplacian(_shared.equilateral_triangle()).toarray()
     for i in range(3):
         for j in range(3):
             expect = _DIAG if i == j else _OFFDIAG
@@ -34,7 +33,7 @@ def test_equilateral_laplacian_entries():
 
 
 def test_equilateral_lumped_areas():
-    areas = lumped_areas(equilateral_triangle())
+    areas = lumped_areas(_shared.equilateral_triangle())
     assert np.allclose(areas, _VERTEX_AREA, rtol=1e-14)
     assert areas.sum() == pytest.approx(np.sqrt(3.0) / 4.0, rel=1e-14)
 
@@ -78,7 +77,7 @@ def test_positive_semidefinite(rng):
 
 def test_dirichlet_energy_of_coordinates_is_twice_area():
     # exact identity for the cotangent operator, not an approximation
-    for mesh in (equilateral_triangle(), _shared.bar(0.4), icosphere(2)):
+    for mesh in (_shared.equilateral_triangle(), _shared.bar(0.4), icosphere(2)):
         lap = cotangent_laplacian(mesh)
         energy = sum(
             float(mesh.vertices[:, d] @ (lap @ mesh.vertices[:, d]))
@@ -125,7 +124,7 @@ def test_refinement_stability_of_energy():
 
 
 def test_validate_accepts_good_meshes():
-    for mesh in (equilateral_triangle(), icosphere(1), _shared.bar(0.2)):
+    for mesh in (_shared.equilateral_triangle(), icosphere(1), _shared.bar(0.2)):
         assert validate_mesh(mesh) is mesh
 
 
@@ -190,8 +189,8 @@ def test_trimesh_shape_errors():
 
 
 def test_content_hash_sensitivity():
-    mesh = equilateral_triangle()
-    same = equilateral_triangle()
+    mesh = _shared.equilateral_triangle()
+    same = _shared.equilateral_triangle()
     assert mesh.content_hash() == same.content_hash()
     bumped = mesh.vertices.copy()
     bumped[0, 0] += 1e-12
@@ -201,12 +200,12 @@ def test_content_hash_sensitivity():
 
 
 def test_edges_unique_and_sorted():
-    edges = equilateral_triangle().edges()
+    edges = _shared.equilateral_triangle().edges()
     assert np.array_equal(edges, [[0, 1], [0, 2], [1, 2]])
 
 
 @pytest.mark.parametrize(
-    "mesh", [_shared.sphere(4), bent_bar(3.0, nu=40, nv=6), equilateral_triangle()],
+    "mesh", [_shared.sphere(4), bent_bar(3.0, nu=40, nv=6), _shared.equilateral_triangle()],
     ids=["icosphere", "bent_bar", "triangle"],
 )
 def test_edges_match_rowwise_unique(mesh):

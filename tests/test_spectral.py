@@ -16,7 +16,7 @@ from meshwave.spectral import (
     project,
     save_basis,
 )
-from meshwave.synthetic import bent_bar, equilateral_triangle, icosphere
+from meshwave.synthetic import bent_bar, icosphere
 
 import _shared
 
@@ -31,7 +31,7 @@ def test_first_mode_is_constant():
 
 
 def test_triangle_full_basis_orthonormal():
-    mesh = equilateral_triangle()
+    mesh = _shared.equilateral_triangle()
     basis = _shared.basis_of(mesh, 3)
     gram = basis.eigenvectors.T @ (basis.areas[:, None] * basis.eigenvectors)
     assert np.allclose(gram, np.eye(3), atol=1e-12)
@@ -137,7 +137,7 @@ def test_permutation_leaves_spectrum(rng):
 
 
 def test_k_out_of_range():
-    mesh = equilateral_triangle()
+    mesh = _shared.equilateral_triangle()
     lap = cotangent_laplacian(mesh)
     areas = lumped_areas(mesh)
     with pytest.raises(DataError, match="out of range"):
@@ -152,6 +152,22 @@ def test_broken_operator_rejected():
     lap[0, 0] = -50.0  # destroys positive semidefiniteness
     with pytest.raises(NumericalError):
         eig_generalized(lap.tocsr(), lumped_areas(mesh), 5)
+
+
+def test_long_spike_keeps_its_zero_mode(tmp_path, capsys):
+    # lambda_max / lambda_1 is about 3.5e8 here, so rounding leaves
+    # lambda_0 = 2.0e-12 > 1e-8 * lambda_1 although the constant mode is there
+    mesh = bent_bar(0.3, 6, 4)
+    vertices = mesh.vertices.copy()
+    vertices[0, 0] = 256.0
+    mesh = TriMesh(vertices, mesh.triangles)
+    basis = eig_generalized(cotangent_laplacian(mesh), lumped_areas(mesh), 8)
+    assert basis.eigenvalues[0] == 0.0 and (basis.eigenvalues[1:] > 0).all()
+    path, out = tmp_path / "spike.ply", tmp_path / "spike.basis.npz"
+    write_ply(path, mesh.vertices, mesh.triangles)
+    assert main(["basis", str(path), "-k", "8", "-o", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert np.array_equal(load_basis(out).eigenvalues, basis.eigenvalues)
 
 
 def test_save_load_round_trip(tmp_path):
