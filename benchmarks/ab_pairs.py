@@ -2,16 +2,18 @@
 """Alternating A/B pairs of the pipeline benchmark between two checkouts.
 
     python3 benchmarks/ab_pairs.py PARENT_DIR CHANGE_DIR --workload learn,describe \\
-        --pairs 10 --seconds 25 --seed0 901
+        --pairs 10 --seconds 25 --seed 901
 
-For each workload W of the comma-separated list, pair i runs
-``perfbench/run.py --workload W --seed K+i --seconds S --trace 0`` in each
+For each workload W of the comma-separated list, every pair runs
+``perfbench/run.py --workload W --seed K --seconds S --trace 0`` in each
 checkout, with that checkout's own benchmark and sources, and flips which
-side runs first from one pair to the next.  Each run's result line (the
-last line perfbench prints) is echoed as ``W pair I SIDE SEED LINE``.  At
-the end, one row per workload and end-to-end metric gives each side's
-median and quartiles, the number of pairs the change won (ties count for
-neither), whether a gain may be claimed (the change wins at least nine
+side runs first from one pair to the next.  All pairs share the one seed
+K, so the parent's interquartile range measures run-to-run noise, not how
+heavy each seed's draws are.  Each run's result line (the last line
+perfbench prints) is echoed as ``W pair I SIDE SEED LINE``.  At the end,
+one row per workload and end-to-end metric gives each side's median and
+quartiles, the number of pairs the change won (ties count for neither),
+whether a gain may be claimed (the change wins at least nine
 tenths of the pairs and the medians differ by more than the parent's
 interquartile range), and the no-regression verdict against the metric's
 bound in the parent's BENCHMARK.json, a fraction of the parent's median:
@@ -88,7 +90,7 @@ def main(argv=None):
     p.add_argument("--workload", required=True, help="one workload or a comma-separated list")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=25.0)
-    p.add_argument("--seed0", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0)
     args = p.parse_args(argv)
     checkouts = dict(zip(SIDES, (args.parent.resolve(), args.change.resolve())))
     spec = json.loads((checkouts["parent"] / "BENCHMARK.json").read_text())
@@ -98,10 +100,9 @@ def main(argv=None):
     for workload in [w.strip() for w in args.workload.split(",") if w.strip()]:
         lines = {side: [] for side in SIDES}
         for i in range(args.pairs):
-            seed = args.seed0 + i
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                lines[side].append(run_once(checkouts[side], workload, args, seed))
-                print(f"{workload} pair {i} {side} {seed} {lines[side][-1]}", flush=True)
+                lines[side].append(run_once(checkouts[side], workload, args, args.seed))
+                print(f"{workload} pair {i} {side} {args.seed} {lines[side][-1]}", flush=True)
         report += [f"{workload} {line}"
                    for line in summarize(lines["parent"], lines["change"], better, bounds)]
     print("\n".join(report))

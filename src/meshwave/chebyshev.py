@@ -2,9 +2,9 @@
 
 Applies T_m of the rescaled random-walk Laplacian through the sparse
 three-term recursion (Defferrard et al., NeurIPS 2016), behind the same
-operator interface as the wavelet network's layers; no T_m is formed.  Test
-fixture for the resolution ordering experiment, not a supported product
-surface.
+operator interface as the wavelet network's layers; no T_m is formed.  They
+serve ``[model] kind = chebyshev`` in `train` and `infer`, the baseline of
+the resolution ordering experiment.
 """
 
 from __future__ import annotations
@@ -16,11 +16,9 @@ from scipy.sparse.linalg import eigsh
 from .errors import DataError, NumericalError
 from .spectral import standard_form
 
-_DENSE_LIMIT = 320
-
 
 def spectral_max(laplacian, areas) -> float:
-    """Largest generalized eigenvalue of (L, diag(areas)).
+    """Largest generalized eigenvalue of (L, diag(areas)), from ARPACK.
 
     The Chebyshev rescaling needs the top of the full spectrum; a truncated
     basis only knows lambda_k, and values above it push the recursion outside
@@ -28,16 +26,12 @@ def spectral_max(laplacian, areas) -> float:
     """
     areas = np.asarray(areas, dtype=np.float64)
     sym = standard_form(laplacian, areas)[0]
-    n = areas.shape[0]
-    if n <= _DENSE_LIMIT:
-        top = float(np.linalg.eigvalsh(sym.toarray())[-1])
-    else:
-        rng = np.random.default_rng(0x5EED)  # fixed start vector: reruns identical
-        try:
-            top = float(eigsh(sym.tocsc(), k=1, which="LA", v0=rng.standard_normal(n),
-                              return_eigenvectors=False)[0])
-        except Exception as exc:
-            raise NumericalError(f"spectral max estimation failed: {exc}")
+    rng = np.random.default_rng(0x5EED)  # fixed start vector: reruns identical
+    try:
+        top = float(eigsh(sym.tocsc(), k=1, which="LA", v0=rng.standard_normal(len(areas)),
+                          return_eigenvectors=False)[0])
+    except Exception as exc:
+        raise NumericalError(f"spectral max estimation failed: {exc}")
     if not np.isfinite(top) or top <= 0:
         raise NumericalError("spectral max came out non-positive")
     return top
@@ -95,18 +89,16 @@ class ChebyshevOperator:
         return dx, dws
 
 
-def chebyshev_operators(laplacian, areas, lambda_max: float, order: int):
-    """T_m(rescaled A^-1 L) for m = 0..order-1, as a ``ChebyshevOperator``.
+def chebyshev_operators(laplacian, areas, keys) -> ChebyshevOperator:
+    """T_m(rescaled A^-1 L) for the orders m in keys, as a ``ChebyshevOperator``.
 
-    The operator is rescaled to 2*(A^-1 L)/lambda_max - I so its spectrum
-    lies in [-1, 1] where the recursion is stable; it stays sparse.
+    It is rescaled by ``spectral_max`` to 2*(A^-1 L)/lambda_max - I so its
+    spectrum lies in [-1, 1] where the recursion is stable; it stays sparse.
     """
-    if order < 1:
-        raise DataError("polynomial order must be at least 1")
-    if lambda_max <= 0:
-        raise DataError("lambda_max must be positive")
+    keys = [int(m) for m in keys]
+    if min(keys, default=0) < 0:
+        raise DataError(f"polynomial order must be non-negative, got {min(keys)}")
     areas = np.asarray(areas, dtype=np.float64)
-    n = areas.shape[0]
     walk = sparse.diags(1.0 / areas) @ sparse.csr_matrix(laplacian)
-    base = ((2.0 / lambda_max) * walk - sparse.identity(n)).tocsr()
-    return ChebyshevOperator(base, range(order))
+    base = ((2.0 / spectral_max(laplacian, areas)) * walk - sparse.identity(len(areas))).tocsr()
+    return ChebyshevOperator(base, keys)

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from ._files import atomic_write
-from .chebyshev import chebyshev_operators, spectral_max
+from .chebyshev import chebyshev_operators
 from .config import check_section, default_config, format_config, load_config
 from .descriptors import (
     check_settings,
@@ -108,13 +108,12 @@ def _bank(basis):
     return build_filter_bank(basis.lambda_max, eigenvalues=basis.eigenvalues)
 
 
-def _shape_operators(kind, mesh, keys, basis, atom_cache=None):
-    """A network's per-shape operators for its scale (or order) keys;
+def _shape_operators(net, mesh, basis, atom_cache=None):
+    """The network's per-shape operators for its scale (or order) keys;
     Chebyshev operators read no eigenbasis, so there `basis` may be None."""
-    if kind == "chebyshev":
-        lap = cotangent_laplacian(mesh)
-        areas = lumped_areas(mesh)
-        return chebyshev_operators(lap, areas, spectral_max(lap, areas), max(keys) + 1)
+    keys = required_operator_keys(net)
+    if net.kind == "chebyshev":
+        return chebyshev_operators(cotangent_laplacian(mesh), lumped_areas(mesh), keys)
     return build_wavelet_operators(basis, _bank(basis), keys, atom_cache)
 
 
@@ -294,7 +293,7 @@ def _cmd_train(args, cfg):
     for path, mesh, lab in zip(paths, meshes, labels):
         basis, _ = _mesh_basis(mesh, desc["k"])
         field = _descriptor_field(mesh, basis, desc["type"], desc["num"], desc["power"])
-        ops = _shape_operators(net.kind, mesh, required_operator_keys(net), basis)
+        ops = _shape_operators(net, mesh, basis)
         shapes.append(ShapeData(field.values, lab, ops, name=str(path)))
     opt_state = adam_init(net.params)
     rng = np.random.default_rng(seed)
@@ -335,6 +334,11 @@ def _cmd_infer(args, cfg):
         )
     source = f"{args.checkpoint} metadata"
     desc_cfg = check_section("descriptor", meta.get("descriptor", cfg["descriptor"]), source)
+    trained = (desc_cfg["type"], desc_cfg["power"] if desc_cfg["type"] == "weds" else None)
+    given = (field.kind, field.metadata.get("power", trained[1]) if field.kind == "weds" else None)
+    if "descriptor" in meta and given != trained:
+        raise DataError(f"{args.descriptors}: descriptor type and power {given} differ "
+                        f"from the {trained} the network was trained on")
     k = args.k if args.k is not None else desc_cfg["k"]
     # older checkpoints record the bank's constants; only the stock bank exists
     if meta.get("bank", STOCK) != STOCK:
@@ -343,7 +347,7 @@ def _cmd_infer(args, cfg):
     basis = sidecar = None
     if net.kind != "chebyshev":  # Chebyshev operators read no eigenbasis
         basis, sidecar = _mesh_basis(mesh, k, args.basis)
-    ops = _shape_operators(net.kind, mesh, required_operator_keys(net), basis, sidecar)
+    ops = _shape_operators(net, mesh, basis, sidecar)
     out_values, _ = model_forward(net, field.values, ops)
     learned = dataclasses.replace(
         field,

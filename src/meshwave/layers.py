@@ -3,9 +3,9 @@
 Everything is float64 and comes in forward/backward pairs returning exact
 analytic gradients; the test suite drives every op through central finite
 differences.  A conv layer calls its operator (``wavelets.WaveletOperator``
-or ``chebyshev.ChebyshevOperator``) once each way; the backward pass
-reuses what the forward pass kept and forms the input gradient only when
-asked.
+or ``chebyshev.ChebyshevOperator``) once each way; the forward pass keeps
+the operator in its cache, so the backward pass runs the same one, reuses
+what the forward pass kept and forms the input gradient only when asked.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def minmax_backward(dz: np.ndarray, span: np.ndarray) -> np.ndarray:
 def conv_forward(x: np.ndarray, weights: list, op):
     """Z = Norm(ELU(sum_s P_s X W_s)) over the layer operator `op` (the
     interface ``wavelets.WaveletOperator`` documents).  The cache holds the
-    block the operator keeps for its backward pass, S, and the minmax
+    operator, the block it keeps for its backward pass, S, and the minmax
     statistics (mn, span); X itself is not kept."""
     if len(weights) != op.n_scales:
         raise DataError("one weight matrix per operator required")
@@ -68,12 +68,12 @@ def conv_forward(x: np.ndarray, weights: list, op):
     s, kept = op.forward(x, weights)
     e = elu(s)
     z, mn, span = minmax_forward(e)
-    return z, (kept, s, mn, span)
+    return z, (op, kept, s, mn, span)
 
 
-def conv_backward(cache, dz: np.ndarray, weights: list, op, input_grad: bool = True):
-    """(dX, [dW_s]); dX is None without `input_grad`, and is not formed."""
-    kept, s, _, span = cache
+def conv_backward(cache, dz: np.ndarray, weights: list, input_grad: bool = True):
+    """(dX, [dW_s]) by the cached operator; without `input_grad` dX is None, not formed."""
+    op, kept, s, _, span = cache
     de = minmax_backward(dz, span)
     ds = de * elu_grad(s)
     return op.backward(kept, ds, weights, input_grad)

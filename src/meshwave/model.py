@@ -10,7 +10,7 @@ affine layers, described by an architecture string such as
 the architecture and the kind: wavelet scales for the MGCN, polynomial
 orders 0..S-1 for Chebyshev.  A checkpoint's stored copy must match it.
 ``_layer_params`` names each layer's parameters in the checkpoint's array
-order; ``_walk`` gives forward and backward each layer's names and operator.
+order; ``_walk`` gives the forward pass each layer's names and operator.
 
 Per-shape operators are an operator set keyed by scale index: for the
 wavelet network a ``wavelets.WaveletOperator`` (which documents the
@@ -181,7 +181,7 @@ def build_wavelet_operators(
 
 
 def _walk(model: Model, shape_ops):
-    """Yield (index, parameter names, operator) for each layer in order: a conv
+    """Yield (parameter names, operator) for each layer in order: a conv
     layer's operator is `shape_ops` selected to its scale set, an affine one's None."""
     scale_sets = iter(model.scale_sets)
     for li, spec in enumerate(model.specs):
@@ -191,7 +191,7 @@ def _walk(model: Model, shape_ops):
                 op = shape_ops.select(next(scale_sets))
             except KeyError as exc:
                 raise DataError(f"missing operator for scale index {exc.args[0]}") from None
-        yield li, list(_layer_params(li, spec)), op
+        yield list(_layer_params(li, spec)), op
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -204,7 +204,7 @@ def forward(model: Model, x: np.ndarray, shape_ops):
             f"expected input of shape (n, {model.input_dim}), got {x.shape}"
         )
     caches = []
-    for _, names, op in _walk(model, shape_ops):
+    for names, op in _walk(model, shape_ops):
         ws = [model.params[name] for name in names]
         if op is None:
             x, cache = layers.affine_forward(x, *ws)
@@ -214,21 +214,22 @@ def forward(model: Model, x: np.ndarray, shape_ops):
     return x, caches
 
 
-def backward(model: Model, caches, dout: np.ndarray, shape_ops, grads=None):
-    """Gradients of every parameter given d(output); not the input's, the
-    fixed descriptor field's.
+def backward(model: Model, caches, dout: np.ndarray, grads=None):
+    """Gradients of every parameter given d(output) and the caches of the
+    forward pass; not the input's, the fixed descriptor field's.
 
     With a `grads` dict, each layer's gradients are added into its arrays
     in place (a name it lacks is set), and that dict is returned.
     """
     grads = {} if grads is None else grads
     dx = dout
-    for li, names, op in reversed(list(_walk(model, shape_ops))):
+    for li, spec in reversed(list(enumerate(model.specs))):
+        names = list(_layer_params(li, spec))
         ws = [model.params[name] for name in names]
-        if op is None:
+        if spec.kind == "fc":
             dx, *dws = layers.affine_backward(caches[li], dx, ws[0])
         else:
-            dx, dws = layers.conv_backward(caches[li], dx, ws, op, input_grad=li > 0)
+            dx, dws = layers.conv_backward(caches[li], dx, ws, input_grad=li > 0)
         for name, g in zip(names, dws):
             if name in grads:
                 grads[name] += g

@@ -16,8 +16,8 @@ import numpy as np
 from .mesh import TriMesh
 
 
-def icosphere(subdivisions, radius=1.0):
-    """Icosahedron midpoint-refined `subdivisions` times, new vertices on the sphere.
+def icosphere(subdivisions):
+    """Icosahedron midpoint-refined `subdivisions` times, new vertices on the unit sphere.
 
     Vertex count is 10 * 4**subdivisions + 2.  The construction is exactly
     antipodally symmetric: for every vertex v, -v is also a vertex.
@@ -47,7 +47,7 @@ def icosphere(subdivisions, radius=1.0):
         mesh = midpoint_refine(mesh)
         new = mesh.vertices[n:]
         new /= np.sqrt([m.dot(m) for m in new])[:, None]  # np.linalg.norm's 1-D path
-    return TriMesh(mesh.vertices * radius, mesh.triangles)
+    return mesh
 
 
 def grid_mesh(u_coords, v_coords, surface):

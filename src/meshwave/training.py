@@ -134,8 +134,7 @@ def _phase1_epoch(net, shapes, state, cfg) -> float:
         loss, ddesc, dw, db = losses.head_cross_entropy(
             desc, net.params["head.w"], net.params["head.b"], sh.labels
         )
-        grads = model_mod.backward(net, caches, ddesc, sh.ops,
-                                   grads={"head.w": dw, "head.b": db})
+        grads = model_mod.backward(net, caches, ddesc, grads={"head.w": dw, "head.b": db})
         del desc, caches, ddesc  # gone before the next shape's forward pass
         _check_finite(loss, grads, f"phase 1, shape {sh.name!r}")
         adam_step(net.params, grads, state, cfg.lr_phase1, cfg.weight_decay_phase1)
@@ -166,10 +165,10 @@ def _phase2_step(net, sa, sb, state, cfg, rng) -> float:
     dfull_a[ra] = da
     dfull_b[rb] = db
     del desc_a, desc_b
-    grads = model_mod.backward(net, caches_a, dfull_a, sa.ops)
+    grads = model_mod.backward(net, caches_a, dfull_a)
     # A's working set goes before B's backward adds into A's gradients
     del caches_a, dfull_a
-    model_mod.backward(net, caches_b, dfull_b, sb.ops, grads=grads)
+    model_mod.backward(net, caches_b, dfull_b, grads=grads)
     _check_finite(loss, grads, f"phase 2, shapes {sa.name!r}/{sb.name!r}")
     adam_step(net.params, grads, state, cfg.lr_phase2, cfg.weight_decay_phase2)
     return loss

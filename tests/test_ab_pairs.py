@@ -93,8 +93,8 @@ def test_a_workload_list_reports_each_workload_in_its_own_rows(tmp_path, monkeyp
 
     monkeypatch.setattr(ab_pairs, "run_once", run_once)
     assert ab_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
-                          "--workload", "learn, describe", "--pairs", "2", "--seed0", "5"]) == 0
-    assert runs == [(w, s) for w in ("learn", "describe") for s in (5, 5, 6, 6)]
+                          "--workload", "learn, describe", "--pairs", "2", "--seed", "5"]) == 0
+    assert runs == [(w, 5) for w in ("learn", "describe") for _ in range(4)]  # one seed
     rows = capsys.readouterr().out.splitlines()[-6:]
     assert rows[0] == "learn 2 pairs" and rows[3] == "describe 2 pairs"
     assert rows[1].startswith("learn op_norm_s: parent median 0.5 ")

@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from meshwave.chebyshev import chebyshev_operators, spectral_max
+from meshwave.chebyshev import chebyshev_operators
 from meshwave.descriptors import dirichlet_energy, hks, weds, wks
 from meshwave.evaluation import (
     CorrespondenceMap,
@@ -174,7 +174,7 @@ def _fd_suite_trials(rng, n_trials=20):
         ops = [rng.standard_normal((9, 9)) / 3.0 for _ in range(3)]
         z, cache = conv_forward(x, weights, _shared.DenseOperator(ops))
         dz = rng.standard_normal(z.shape)
-        dx, dws = conv_backward(cache, dz, weights, _shared.DenseOperator(ops))
+        dx, dws = conv_backward(cache, dz, weights)
         mn, span = cache[-2:]
 
         def frozen(xv, wv):
@@ -330,8 +330,7 @@ def _xyz_shapes(kind, poses, nu, nv, k, needed):
         if kind == "chebyshev":
             lap = cotangent_laplacian(mesh)
             areas = lumped_areas(mesh)
-            ops = chebyshev_operators(lap, areas, spectral_max(lap, areas),
-                                      max(needed) + 1)
+            ops = chebyshev_operators(lap, areas, needed)
         else:
             basis = _basis(mesh, k)
             bank = _bank(basis)

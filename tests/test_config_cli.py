@@ -745,6 +745,60 @@ def test_infer_with_a_chebyshev_network_solves_no_eigenbasis(work, tmp_path, mon
     assert np.isfinite(field.values).all()
 
 
+def _train_config(work, tmp_path, architecture, kind="mgcn"):
+    cfg = default_config()
+    cfg["descriptor"]["k"] = 12
+    cfg["descriptor"]["num"] = 16
+    cfg["model"]["architecture"] = architecture
+    cfg["model"]["kind"] = kind
+    cfg["train"]["meshes"] = [str(work["mesh_path"])]
+    cfg["train"]["phase1_epochs"] = 1
+    cfg["train"]["phase2_epochs"] = 0
+    cfg_path = tmp_path / "train.cfg"
+    cfg_path.write_text(format_config(cfg))
+    return cfg_path
+
+
+def test_fc_only_chebyshev_network_trains(work, tmp_path):
+    # it asks for no polynomial order, so it builds an empty operator set
+    ckpt = tmp_path / "cheb.npz"
+    cfg_path = _train_config(work, tmp_path, "FC8", kind="chebyshev")
+    assert main(["train", "--config", str(cfg_path), "-o", str(ckpt)]) == 0
+    net, _, _, _ = load_checkpoint(ckpt)
+    assert net.kind == "chebyshev" and net.scale_sets == []
+
+
+def test_fc_only_chebyshev_network_infers(work, tmp_path):
+    ckpt, out = tmp_path / "cheb.npz", tmp_path / "learned.mwd"
+    save_checkpoint(ckpt, build_model("FC8", input_dim=16, kind="chebyshev", seed=3))
+    assert main(["infer", str(ckpt), str(work["mesh_path"]), str(work["desc_path"]),
+                 "-o", str(out)]) == 0
+    field = load_descriptors(out)
+    assert field.values.shape == (60, 8) and field.metadata["backbone"] == "chebyshev"
+
+
+@pytest.mark.parametrize("flags", [["--type", "hks"], ["--type", "weds", "--power", "1"]],
+                         ids=["hks", "weds-power-1"])
+def test_infer_refuses_a_field_other_than_the_one_it_trained_on(work, tmp_path, capsys,
+                                                                 flags):
+    ckpt, other, out = tmp_path / "net.npz", tmp_path / "other.mwd", tmp_path / "out.mwd"
+    cfg_path = _train_config(work, tmp_path, "MGCONV8(3)+FC16")  # WEDS, power 2
+    assert main(["train", "--config", str(cfg_path), "-o", str(ckpt)]) == 0
+    assert main(["descriptor", str(work["mesh_path"]), *flags, "--num", "16", "-k", "12",
+                 "--basis", str(work["basis_path"]), "-o", str(other)]) == 0
+    capsys.readouterr()
+    infer = ["infer", str(ckpt), str(work["mesh_path"]), str(other), "-k", "12",
+             "--basis", str(work["basis_path"]), "-o", str(out)]
+    assert main(infer) == 2
+    assert _one_line_error(capsys, "the network was trained on") and not out.exists()
+    # the field it trained on runs; a checkpoint with no [descriptor] takes any field
+    assert main(infer[:3] + [str(work["desc_path"])] + infer[4:]) == 0
+    net, _, _, _ = load_checkpoint(ckpt)
+    save_checkpoint(ckpt, net)
+    out.unlink()
+    assert main(infer) == 0 and out.exists()
+
+
 def test_train_requires_meshes(tmp_path, capsys):
     cfg_path = tmp_path / "empty.cfg"
     cfg_path.write_text(format_config(default_config()))

@@ -136,7 +136,7 @@ def test_conv_gradients(rng):
         x, weights, ops = _random_conv(rng)
         z, cache = conv_forward(x, weights, _shared.DenseOperator(ops))
         dz = rng.standard_normal(z.shape)
-        dx, dws = conv_backward(cache, dz, weights, _shared.DenseOperator(ops))
+        dx, dws = conv_backward(cache, dz, weights)
         mn, span = cache[-2:]
 
         def frozen(xv, wv):
@@ -160,12 +160,12 @@ def test_conv_backward_linearity(rng):
     x, weights, ops = _random_conv(rng)
     _, cache = conv_forward(x, weights, _shared.DenseOperator(ops))
     dz = rng.standard_normal((x.shape[0], weights[0].shape[1]))
-    dx1, dws1 = conv_backward(cache, dz, weights, _shared.DenseOperator(ops))
-    dx2, dws2 = conv_backward(cache, 2.0 * dz, weights, _shared.DenseOperator(ops))
+    dx1, dws1 = conv_backward(cache, dz, weights)
+    dx2, dws2 = conv_backward(cache, 2.0 * dz, weights)
     assert np.allclose(dx2, 2.0 * dx1, rtol=1e-12)
     for a, b in zip(dws1, dws2):
         assert np.allclose(b, 2.0 * a, rtol=1e-12)
-    dx0, dws0 = conv_backward(cache, np.zeros_like(dz), weights, _shared.DenseOperator(ops))
+    dx0, dws0 = conv_backward(cache, np.zeros_like(dz), weights)
     assert np.abs(dx0).max() == 0.0
     assert all(np.abs(d).max() == 0.0 for d in dws0)
 

@@ -21,7 +21,7 @@ from meshwave.model import (
     required_operator_keys,
     save_checkpoint,
 )
-from meshwave.synthetic import bent_bar
+from meshwave.synthetic import bent_bar, icosphere
 from meshwave.training import (
     ShapeData,
     TrainConfig,
@@ -164,7 +164,7 @@ def test_backward_matches_frozen_finite_differences(rng):
     net, x, ops = _toy_model_and_shape(rng, n=12)
     out, caches = forward(net, x, ops)
     dout = rng.standard_normal(out.shape)
-    grads = backward(net, caches, dout, ops)
+    grads = backward(net, caches, dout)
     mn, span = caches[0][-2:]
     layer_ops = [ops[s] for s in net.scale_sets[0]]
 
@@ -197,7 +197,7 @@ def test_backward_forms_no_input_gradient_at_the_first_layer(rng, monkeypatch):
         return dx, dws
 
     monkeypatch.setattr(layers, "conv_backward", watch)
-    grads = backward(net, caches, rng.standard_normal(out.shape), ops)
+    grads = backward(net, caches, rng.standard_normal(out.shape))
     assert formed == [True, False]  # the second conv layer first
     assert sorted(grads) == sorted(net.params)
 
@@ -237,7 +237,7 @@ def test_chebyshev_operators_match_eigen_oracle():
     areas = lumped_areas(mesh)
     lmax = spectral_max(lap, areas)
     order = 5
-    ops = chebyshev_operators(lap, areas, lmax, order)
+    ops = chebyshev_operators(lap, areas, range(order))
     assert ops.orders == list(range(order))
     with pytest.raises(KeyError):
         ops.select([order])
@@ -264,23 +264,27 @@ def test_chebyshev_validation():
     mesh = _shared.bar(0.3, nu=6, nv=4)
     lap = cotangent_laplacian(mesh)
     areas = lumped_areas(mesh)
-    with pytest.raises(DataError):
-        chebyshev_operators(lap, areas, 10.0, 0)
-    with pytest.raises(DataError):
-        chebyshev_operators(lap, areas, 0.0, 3)
+    with pytest.raises(DataError, match="non-negative, got -1"):
+        chebyshev_operators(lap, areas, [2, -1, 0])
+    # a network with no conv layer asks for no order, and gets an empty set
+    assert chebyshev_operators(lap, areas, []).orders == []
+    # exactly the orders asked for, in their order
+    assert chebyshev_operators(lap, areas, [3, 1]).orders == [3, 1]
 
 
-def test_spectral_max_dense_and_iterative():
+def test_spectral_max_matches_lapack_and_reruns_bitwise():
     import scipy.linalg
 
-    small = _shared.bar(0.3, nu=8, nv=4)  # dense path
-    big = bent_bar(0.3, nu=32, nv=14)  # 448 vertices, iterative path
-    for mesh in (small, big):
+    # ARPACK at every size: from one triangle up past the 320 vertices
+    # where a dense solve once ran
+    small = _shared.bar(0.3, nu=8, nv=4)  # 32 vertices
+    big = bent_bar(0.3, nu=32, nv=14)  # 448 vertices
+    for mesh in (_shared.equilateral_triangle(), small, icosphere(2), big):
         lap = cotangent_laplacian(mesh)
         areas = lumped_areas(mesh)
         top = spectral_max(lap, areas)
         dense = scipy.linalg.eigh(lap.toarray(), np.diag(areas), eigvals_only=True)[-1]
-        assert top == pytest.approx(dense, rel=1e-8)
+        assert top == pytest.approx(dense, rel=1e-12)
         # a rerun is bitwise identical, so the Chebyshev baseline is deterministic
         assert all(spectral_max(lap, areas) == top for _ in range(5))
     basis = _shared.bar_basis(0.3, 20, nu=8, nv=4)
@@ -659,7 +663,7 @@ def test_backward_adds_into_given_gradients_bitwise(rng):
     runs = []
     for features, shape_ops in ((x, ops), (x_b, ops_b)):
         out, caches = forward(net, features, shape_ops)
-        runs.append((caches, rng.standard_normal(out.shape), shape_ops))
+        runs.append((caches, rng.standard_normal(out.shape)))
     separate = [backward(net, *run) for run in runs]
     grads = backward(net, *runs[0])
     same = backward(net, *runs[1], grads=grads)
