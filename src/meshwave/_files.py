@@ -1,10 +1,15 @@
-"""Artifact file access: atomic writes (a new file beside the target, then
-os.replace) and reads whose file-system failures are DataErrors."""
+"""File access for every input and output. Writes are atomic: a new file
+beside the target, then os.replace. A failed read of an input (a missing
+file, a directory, no permission, text that is not UTF-8, metadata that
+is not a JSON object, an archive that is not one) raises a one-line
+DataError, so every command exits 2 on an input it cannot read."""
 
 from __future__ import annotations
 
 import contextlib
+import json
 import os
+import re
 import zipfile
 
 import numpy as np
@@ -50,6 +55,37 @@ def open_read(path, what: str, mode: str = "rb", **kwargs):
         return open(path, mode, **kwargs)
     except OSError as exc:
         raise DataError(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
+
+
+def read_text(path, what: str) -> str:
+    """The text file at `path`, read as UTF-8 with universal newlines; a
+    failed open or decode raises DataError naming `what`."""
+    with open_read(path, what, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DataError(f"cannot read {what} {path}: {exc}") from None
+
+
+def json_object(raw: bytes, path, what: str) -> dict:
+    """The JSON object the bytes `raw` hold; bad UTF-8, bad JSON, nesting
+    too deep to parse, or any value other than an object raises DataError
+    naming `what`."""
+    try:
+        value = json.loads(raw.decode())
+    except (ValueError, RecursionError):  # UnicodeDecodeError is a ValueError
+        raise DataError(f"{path}: {what} is not valid JSON") from None
+    if not isinstance(value, dict):
+        raise DataError(f"{path}: {what} is not a JSON object")
+    return value
+
+
+def check_mesh_hash(path, value):
+    """Refuse a stored mesh hash that is not absent, empty or 64 lowercase
+    hex digits; artifacts copy it into comment lines."""
+    if value not in (None, "") and not (isinstance(value, str)
+                                       and re.fullmatch("[0-9a-f]{64}", value)):
+        raise DataError(f"{path}: stored mesh_hash is not 64 lowercase hex digits")
 
 
 @contextlib.contextmanager

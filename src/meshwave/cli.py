@@ -5,10 +5,12 @@ Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 numerical
 failure. Artifacts carry the content hashes of their inputs; a cached file
 whose hash no longer matches its input is refused, never silently reused.
 
-`--config` files set the [pipeline], [descriptor], [model] and [train]
-sections of ``config.SCHEMA``. The filter bank has no settings: every
-command builds the stock bank (``filters.STOCK``) on the basis in use, and
-`infer` refuses a checkpoint that records any other [bank].
+`basis`, `descriptor`, `train` and `infer` take `--config`, a file that
+sets the [pipeline], [descriptor], [model] and [train] sections of
+``config.SCHEMA``; the other commands read none. The filter bank has no
+settings: every command builds the stock bank (``filters.STOCK``) on the
+basis in use, and `infer` refuses a checkpoint that records any other
+[bank].
 
 `descriptor --basis B` and `infer --basis B` also keep the wavelet atom
 column statistics in the sidecar B.atoms.npz, one table per statistic
@@ -109,12 +111,12 @@ def _bank(basis):
 
 
 def _shape_operators(net, mesh, basis, atom_cache=None):
-    """The network's per-shape operators for its scale (or order) keys;
-    Chebyshev operators read no eigenbasis, so there `basis` may be None."""
+    """The network's per-shape operators for its scale (or order) keys, None
+    for a wavelet network with none; only wavelet scales read `basis`."""
     keys = required_operator_keys(net)
     if net.kind == "chebyshev":
         return chebyshev_operators(cotangent_laplacian(mesh), lumped_areas(mesh), keys)
-    return build_wavelet_operators(basis, _bank(basis), keys, atom_cache)
+    return build_wavelet_operators(basis, _bank(basis), keys, atom_cache) if keys else None
 
 
 def _check_destination(out, make_parents=False):
@@ -339,29 +341,24 @@ def _cmd_infer(args, cfg):
     if "descriptor" in meta and given != trained:
         raise DataError(f"{args.descriptors}: descriptor type and power {given} differ "
                         f"from the {trained} the network was trained on")
-    k = args.k if args.k is not None else desc_cfg["k"]
     # older checkpoints record the bank's constants; only the stock bank exists
     if meta.get("bank", STOCK) != STOCK:
         raise DataError(f"{source}: [bank] must be absent or the stock {STOCK}, "
                         f"got {meta['bank']!r}")
+    metadata = {"type": "learned", "backbone": net.kind, "architecture": net.architecture,
+                "mesh_hash": mesh.content_hash(),
+                "input_type": field.metadata.get("type", field.kind)}
     basis = sidecar = None
-    if net.kind != "chebyshev":  # Chebyshev operators read no eigenbasis
+    if net.kind != "chebyshev" and required_operator_keys(net):
+        metadata["k"] = k = args.k if args.k is not None else desc_cfg["k"]
         basis, sidecar = _mesh_basis(mesh, k, args.basis)
+    elif args.k is not None or args.basis is not None:
+        raise UsageError(f"-k and --basis set an eigenbasis, and this {net.kind} "
+                         f"network ({net.architecture}) reads none")
     ops = _shape_operators(net, mesh, basis, sidecar)
     out_values, _ = model_forward(net, field.values, ops)
-    learned = dataclasses.replace(
-        field,
-        values=np.ascontiguousarray(out_values),
-        kind="learned",
-        metadata={
-            "type": "learned",
-            "backbone": net.kind,
-            "architecture": net.architecture,
-            "k": int(k),
-            "mesh_hash": mesh.content_hash(),
-            "input_type": field.metadata.get("type", field.kind),
-        },
-    )
+    learned = dataclasses.replace(field, values=np.ascontiguousarray(out_values),
+                                  kind="learned", metadata=metadata)
     out = Path(args.out) if args.out else Path(str(args.mesh) + ".learned.mwd")
     save_descriptors(out, learned)
     _log(f"wrote {out} (n={learned.n_vertices}, d={learned.n_dims})")
@@ -425,15 +422,13 @@ def build_parser() -> _Parser:
     p.add_argument("--csv", help="also export the field as CSV")
     p.set_defaults(func=_cmd_descriptor)
 
-    p = sub.add_parser("match", parents=[common],
-                       help="nearest-neighbor matching between descriptor files")
+    p = sub.add_parser("match", help="nearest-neighbor matching between descriptor files")
     p.add_argument("desc_a")
     p.add_argument("desc_b")
     p.add_argument("-o", "--out", required=True, help="correspondence file")
     p.set_defaults(func=_cmd_match)
 
-    p = sub.add_parser("eval", parents=[common],
-                       help="score a correspondence against ground truth")
+    p = sub.add_parser("eval", help="score a correspondence against ground truth")
     p.add_argument("correspondence")
     p.add_argument("gt", help="ground-truth correspondence file")
     p.add_argument("target_mesh")
@@ -459,13 +454,13 @@ def build_parser() -> _Parser:
     p.add_argument("mesh")
     p.add_argument("descriptors", help="input descriptor file (network input)")
     p.add_argument("-k", type=int, help="override the checkpoint's eigenpair count "
-                                         "(wavelet networks only)")
+                                         "(wavelet conv layers only)")
     p.add_argument("--basis", help="use a cached basis file, atom statistics cached "
-                                    "beside it (wavelet networks only)")
+                                    "beside it (wavelet conv layers only)")
     p.add_argument("-o", "--out", help="output file (default MESH.learned.mwd)")
     p.set_defaults(func=_cmd_infer)
 
-    p = sub.add_parser("dissimilarity", parents=[common],
+    p = sub.add_parser("dissimilarity",
                        help="export per-vertex descriptor distance as a colored PLY")
     p.add_argument("descriptors")
     p.add_argument("mesh")
@@ -480,7 +475,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = load_config(args.config) if args.config else default_config()
+        cfg = load_config(args.config) if getattr(args, "config", None) else default_config()
         return args.func(args, cfg)
     except MeshwaveError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 
+from ._files import read_text
 from .errors import DataError
 from .model import DEFAULT_ARCHITECTURE
 from .training import TrainConfig
@@ -119,9 +120,4 @@ def format_config(cfg: dict) -> str:
 
 
 def load_config(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read config {path}: {exc}") from None
-    return parse_config(text, source=str(path))
+    return parse_config(read_text(path, "config"), source=str(path))

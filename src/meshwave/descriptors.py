@@ -24,10 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._files import atomic_write, open_read
+from ._files import atomic_write, check_mesh_hash, json_object, open_read
 from .errors import DataError, NumericalError
 from .filters import bank_hash, filter_responses, select_scales
-from .spectral import check_mesh_hash, project
+from .spectral import project
 from .wavelets import _spectral_filter, filter_atom_stats
 
 DEFAULT_DIMS = 128
@@ -232,12 +232,7 @@ def load_descriptors(path):
             raise DataError(f"{path}: truncated descriptor data ({n}x{d} in header)")
         if spare:
             raise DataError(f"{path}: {spare} bytes past the descriptor data ({n}x{d} in header)")
-        try:
-            meta = json.loads(handle.read(meta_len).decode())
-        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or deep nesting
-            raise DataError(f"{path}: corrupt metadata block") from exc
-        if not isinstance(meta, dict):
-            raise DataError(f"{path}: metadata block is not a JSON object")
+        meta = json_object(handle.read(meta_len), path, "descriptor metadata")
         check_mesh_hash(path, meta.get("mesh_hash"))
         values = np.empty((n, d), dtype=np.float64)
         if handle.readinto(values) != values.nbytes:

@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from ._files import atomic_write
+from ._files import atomic_write, read_text
 from .errors import DataError
 from .geodesics import geodesic_pairs
 from .mesh import TriMesh, lumped_areas
@@ -94,24 +94,21 @@ def read_correspondence(path, n_target: Optional[int] = None,
     expect_target_hash when that is given."""
     out = []
     target_hash = None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for ln, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if line.startswith("#"):
-                    key, eq, val = line[1:].partition("=")
-                    if eq and key.strip() == "target_mesh":
-                        target_hash = val.strip()
-                    continue
-                if not line:
-                    continue
-                try:
-                    val = int(line)
-                except ValueError:
-                    raise DataError(f"{path}:{ln}: not an integer: {line!r}") from None
-                out.append(val)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read correspondence {path}: {exc}") from None
+    # the text holds only "\n" newlines, so these are the lines a file iterates
+    for ln, raw in enumerate(read_text(path, "correspondence").split("\n"), start=1):
+        line = raw.strip()
+        if line.startswith("#"):
+            key, eq, val = line[1:].partition("=")
+            if eq and key.strip() == "target_mesh":
+                target_hash = val.strip()
+            continue
+        if not line:
+            continue
+        try:
+            val = int(line)
+        except ValueError:
+            raise DataError(f"{path}:{ln}: not an integer: {line!r}") from None
+        out.append(val)
     if expect_target_hash is not None and target_hash not in (None, expect_target_hash):
         raise DataError(
             f"{path}: correspondence targets a different mesh "

@@ -114,31 +114,25 @@ def hardnet_loss(desc_a: np.ndarray, desc_b: np.ndarray, margin: float = 1.0):
     sym = np.minimum(dist, dist.T)
     np.fill_diagonal(sym, np.inf)
     neg_idx = np.argmin(sym, axis=1)
-    rows = np.arange(m)
-    hardest = sym[rows, neg_idx]
-    pos = dist[rows, rows]
+    hardest = sym.min(axis=1)
+    pos = np.diagonal(dist)
     per_anchor = margin + pos - hardest
     active = per_anchor > 0
     loss = float(np.maximum(per_anchor, 0.0).mean())
 
-    # route each active anchor's negative gradient through whichever of
-    # D_ij / D_ji won the min (ties take the row direction)
+    # each active anchor's positive pair, then its negative routed through
+    # whichever of D_ij / D_ji won the min (ties take the row direction);
+    # ufunc.at adds the rows in this order, anchor by anchor
+    act = np.flatnonzero(active)
+    neg = neg_idx[act]
+    row_dir = dist[act, neg] <= dist[neg, act]
+    ia = np.stack([act, np.where(row_dir, act, neg)], axis=1).ravel()
+    ib = np.stack([act, np.where(row_dir, neg, act)], axis=1).ravel()
+    coef = np.tile([1.0 / m, -1.0 / m], act.size)
+    # d/d a_i, d/d b_j of dist[i, j]
+    g = coef[:, None] * (a[ia] - b[ib]) / np.maximum(dist[ia, ib], _DIST_FLOOR)[:, None]
     da = np.zeros_like(a)
     db = np.zeros_like(b)
-    inv = 1.0 / m
-
-    def add_dist_grad(i, j, coef):
-        # d/d a_i, d/d b_j of dist[i, j]
-        d = max(dist[i, j], _DIST_FLOOR)
-        g = coef * (a[i] - b[j]) / d
-        da[i] += g
-        db[j] -= g
-
-    for i in np.nonzero(active)[0]:
-        add_dist_grad(i, i, inv)
-        j = neg_idx[i]
-        if dist[i, j] <= dist[j, i]:
-            add_dist_grad(i, j, -inv)
-        else:
-            add_dist_grad(j, i, -inv)
+    np.add.at(da, ia, g)
+    np.subtract.at(db, ib, g)
     return loss, da, db

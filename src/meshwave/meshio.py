@@ -1,9 +1,11 @@
 """Triangle-mesh file readers and writers.
 
-Readers: OFF and OBJ (ASCII), PLY (ASCII and binary little-endian).
+Readers: OFF and OBJ (UTF-8 text), PLY (ASCII and binary little-endian).
 Writer: PLY, optionally with per-vertex uchar red/green/blue columns.
 All readers return raw (vertices, triangles) arrays; structural
-validation lives in mesh.load_mesh.
+validation lives in mesh.load_mesh. Files are opened through ``_files``,
+so a missing or unreadable file, or OFF and OBJ text that is not UTF-8,
+is a DataError like a malformed one.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._files import atomic_write
+from ._files import atomic_write, open_read, read_text
 from .errors import DataError
 
 _PLY_DTYPES = {
@@ -46,7 +48,7 @@ def _data_lines(text):
 
 
 def read_off(path):
-    text = Path(path).read_text()
+    text = read_text(path, "mesh")
     lines = _data_lines(text)
     try:
         first = next(lines)
@@ -94,7 +96,7 @@ def _columns(path, rows, columns, dtype, what):
 def read_obj(path):
     vertices = []
     faces = []
-    for line in _data_lines(Path(path).read_text()):
+    for line in _data_lines(read_text(path, "mesh")):
         parts = line.split()
         if parts[0] == "v":
             try:
@@ -221,7 +223,7 @@ def _read_ply_faces(handle, element, fmt, path):
 
 
 def read_ply(path):
-    with open(path, "rb") as handle:
+    with open_read(path, "mesh") as handle:
         fmt, elements = _parse_ply_header(handle, path)
         by_name = {e.name: e for e in elements}
         if "vertex" not in by_name or "face" not in by_name:
@@ -297,6 +299,4 @@ def read_mesh_file(path):
     reader = _READERS.get(suffix)
     if reader is None:
         raise DataError(f"{path}: unsupported mesh format {suffix!r}")
-    if not Path(path).exists():
-        raise DataError(f"{path}: no such file")
     return reader(path)

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import layers
-from ._files import atomic_write, open_npz
+from ._files import atomic_write, json_object, open_npz
 from .errors import DataError
 from .filters import FilterBank, filter_responses, select_scales
 from .spectral import SpectralBasis
@@ -320,12 +320,7 @@ def load_checkpoint(path):
         if "__meta__" not in data.files:
             raise DataError(f"{path}: not a checkpoint file")
         arrays = {key: data[key] for key in data.files}
-    try:
-        meta = json.loads(bytes(arrays.pop("__meta__")).decode())
-    except (ValueError, RecursionError):  # bad UTF-8 or JSON, or deep nesting
-        raise DataError(f"{path}: checkpoint metadata is not valid JSON") from None
-    if not isinstance(meta, dict):
-        raise DataError(f"{path}: checkpoint metadata is not a JSON object")
+    meta = json_object(bytes(arrays.pop("__meta__")), path, "checkpoint metadata")
     if meta.get("format_version") != _CHECKPOINT_VERSION:
         raise DataError(
             f"{path}: unsupported checkpoint version {meta.get('format_version')}"

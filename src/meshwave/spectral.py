@@ -27,7 +27,6 @@ mode is clamped to exactly 0 after the residual checks pass.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +35,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
-from ._files import atomic_write, open_npz
+from ._files import atomic_write, check_mesh_hash, open_npz
 from .errors import DataError, NumericalError
 
 _DENSE_LIMIT = 512
@@ -272,14 +271,6 @@ def save_basis(path, basis):
             areas=basis.areas,
             mesh_hash=np.bytes_(basis.mesh_hash.encode()),
         )
-
-
-def check_mesh_hash(path, value):
-    """Refuse a stored mesh hash that is not absent, empty or 64 lowercase
-    hex digits; artifacts copy it into comment lines."""
-    if value not in (None, "") and not (isinstance(value, str)
-                                       and re.fullmatch("[0-9a-f]{64}", value)):
-        raise DataError(f"{path}: stored mesh_hash is not 64 lowercase hex digits")
 
 
 def load_basis(path, expect_mesh_hash=None):

@@ -1,5 +1,5 @@
-"""The A/B pair summary of benchmarks/ab_pairs.py (gain rule and
-no-regression verdict) and its workload list, on canned perfbench result
+"""The A/B pair summary of benchmarks/ab_pairs.py (gain rule, run-order
+medians and no-regression verdict) and its workload list, on canned perfbench result
 lines (no benchmark runs)."""
 
 import importlib.util
@@ -34,6 +34,18 @@ def test_a_clear_gain_holds():
     # equal values are ties, which count for neither side
     assert "change won 0 of 10" in report["peak_rss_mb"]
     assert report["peak_rss_mb"].endswith("does not hold")
+
+
+def test_the_runs_that_went_first_and_second_have_their_own_medians():
+    # pair i even ran the parent first; here the second run of each pair is
+    # 0.01 s faster whichever side it was, and the sides tie in the median
+    parent = [(0.20 if i % 2 == 0 else 0.19, 120.0) for i in range(10)]
+    change = [(0.19 if i % 2 == 0 else 0.20, 120.0) for i in range(10)]
+    report = _report(parent, change)["op_norm_s"]
+    assert "parent median 0.195 " in report and "change median 0.195 " in report
+    assert "; run first median 0.2, run second median 0.19; " in report
+    assert "run first median 120, run second median 120; " in _report(parent, change)[
+        "peak_rss_mb"]
 
 
 def test_eight_wins_in_ten_do_not_hold():

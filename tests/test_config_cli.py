@@ -161,6 +161,55 @@ def test_seed_is_a_usage_error_outside_train(tmp_path, monkeypatch, capsys, argv
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["match", "a.mwd", "b.mwd", "-o", "c.txt"], ["eval", "c.txt", "gt.txt", "m.off"],
+    ["dissimilarity", "d.mwd", "m.off", "--vertex", "0"],
+], ids=lambda argv: argv[0])
+def test_config_is_a_usage_error_where_no_command_reads_it(tmp_path, monkeypatch, capsys,
+                                                           argv):
+    # these commands parsed and checked a config they never read, so a
+    # broken one exited 2 for a file the command does not need
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.cfg").write_bytes(b"[nope]\n")
+    assert main([*argv, "--config", "x.cfg"]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == "error: unrecognized arguments: --config x.cfg"
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["x.cfg"]
+
+
+_BAR_OFF = "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n"
+
+
+@pytest.mark.parametrize("name, data", [
+    ("m.off", None), ("m.obj", None), ("m.ply", None),
+    ("m.off", b"# caf\xff\n" + _BAR_OFF.encode()),
+    ("m.obj", b"# caf\xff\nv 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n"),
+], ids=["off-directory", "obj-directory", "ply-directory", "off-0xff", "obj-0xff"])
+def test_basis_on_an_unreadable_mesh_exits_2_with_one_line(tmp_path, capsys, name, data):
+    # a directory ended in IsADirectoryError and a byte that is not UTF-8
+    # in UnicodeDecodeError, each a traceback with exit 1
+    path = tmp_path / name
+    if data is None:
+        path.mkdir()
+    else:
+        path.write_bytes(data)
+    before = _tree(tmp_path)
+    assert main(["basis", str(path), "-k", "2"]) == 2
+    assert _one_line_error(capsys, f"cannot read mesh {path}")
+    assert _tree(tmp_path) == before
+
+
+def test_basis_config_with_a_byte_that_is_not_utf8_exits_2_with_one_line(tmp_path, capsys):
+    mesh, cfg = tmp_path / "m.off", tmp_path / "x.cfg"
+    mesh.write_text(_BAR_OFF)
+    cfg.write_bytes(b"# caf\xff\n[descriptor]\nk = 2\n")
+    before = _tree(tmp_path)
+    assert main(["basis", str(mesh), "--config", str(cfg)]) == 2
+    assert _one_line_error(capsys, f"cannot read config {cfg}: 'utf-8' codec can't decode")
+    assert _tree(tmp_path) == before
+
+
 def test_basis_cache_hit(work, capsys):
     assert main(["basis", str(work["mesh_path"]), "-k", "12",
                  "-o", str(work["basis_path"])]) == 0
@@ -745,6 +794,41 @@ def test_infer_with_a_chebyshev_network_solves_no_eigenbasis(work, tmp_path, mon
     assert np.isfinite(field.values).all()
 
 
+def test_infer_with_an_fc_only_wavelet_network_solves_no_eigenbasis(work, tmp_path, capsys,
+                                                                     monkeypatch):
+    # its operators read no basis, but infer solved one (k = 100 for 60
+    # vertices exited 2) and recorded its k
+    def no_solver(*args, **kwargs):
+        raise AssertionError("the eigensolver ran")
+
+    monkeypatch.setattr(cli, "eig_generalized", no_solver)
+    ckpt, out = tmp_path / "fc.npz", tmp_path / "learned.mwd"
+    save_checkpoint(ckpt, build_model("FC8", input_dim=16, seed=3))  # no metadata: k = 100
+    assert main(["infer", str(ckpt), str(work["mesh_path"]), str(work["desc_path"]),
+                 "-o", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    field = load_descriptors(out)
+    assert field.values.shape == (60, 8) and "k" not in field.metadata
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fc.npz", "learned.mwd"]
+
+
+@pytest.mark.parametrize("kind, architecture", [("chebyshev", "MGCONV8(3)+FC16"),
+                                                ("chebyshev", "FC8"), ("mgcn", "FC8")])
+@pytest.mark.parametrize("flags", [["-k", "7"], ["--basis", "nope.npz"]], ids=["k", "basis"])
+def test_infer_refuses_basis_flags_for_a_network_that_reads_no_basis(
+        work, tmp_path, capsys, monkeypatch, kind, architecture, flags):
+    # a Chebyshev run with -k 7 wrote "k": 7, and one with --basis never
+    # opened the file; both exited 0
+    monkeypatch.chdir(tmp_path)
+    save_checkpoint(tmp_path / "net.npz", build_model(architecture, input_dim=16, kind=kind,
+                                                      seed=3))
+    before = _tree(tmp_path)
+    assert main(["infer", "net.npz", str(work["mesh_path"]), str(work["desc_path"]), *flags,
+                 "-o", "out.mwd"]) == 1
+    assert _one_line_error(capsys, f"this {kind} network ({architecture}) reads none")
+    assert _tree(tmp_path) == before
+
+
 def _train_config(work, tmp_path, architecture, kind="mgcn"):
     cfg = default_config()
     cfg["descriptor"]["k"] = 12
@@ -1118,14 +1202,17 @@ def test_fc_only_network_leaves_the_atom_sidecar_alone(work, own_basis, tmp_path
     assert _infer(work, ckpt, own_basis, tmp_path / "conv.mwd") == 0
     sidecar = _sidecar(own_basis)
     before = sidecar.read_bytes()
-    assert _infer(work, fc, own_basis, tmp_path / "fc.mwd") == 0  # asks for no scales
+    assert _infer(work, fc, None, tmp_path / "fc.mwd") == 0  # asks for no scales
     assert sidecar.read_bytes() == before
     assert load_descriptors(tmp_path / "fc.mwd").values.shape == (60, 8)
 
 
 def _infer(work, ckpt, basis_path, out):
+    """Run infer on the bar's field; with `basis_path` (for a network with
+    wavelet conv layers), also -k 12 and --basis."""
+    basis = ["-k", "12", "--basis", str(basis_path)] if basis_path is not None else []
     return main(["infer", str(ckpt), str(work["mesh_path"]), str(work["desc_path"]),
-                 "-k", "12", "--basis", str(basis_path), "-o", str(out)])
+                 *basis, "-o", str(out)])
 
 
 def _corrupt(sidecar, how):
@@ -1256,8 +1343,8 @@ def _net_with_optimizer(path, kind, edit_meta=None, edit_arrays=None):
 
 @pytest.mark.parametrize("kind", ["mgcn", "chebyshev"])
 def test_infer_runs_a_checkpoint_with_optimizer_state(work, own_basis, tmp_path, kind):
-    assert _infer(work, _net_with_optimizer(tmp_path / "net.npz", kind), own_basis,
-                  tmp_path / "out.mwd") == 0
+    assert _infer(work, _net_with_optimizer(tmp_path / "net.npz", kind),
+                  own_basis if kind == "mgcn" else None, tmp_path / "out.mwd") == 0
 
 
 def _set(**fields):
@@ -1309,7 +1396,7 @@ def test_infer_on_non_finite_or_overflowing_parameters_prints_one_error(
     capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _infer(work, ckpt, own_basis, out) == code
+        assert _infer(work, ckpt, own_basis if kind == "mgcn" else None, out) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert ("non-finite values" in err) == (code == 2)

@@ -9,7 +9,10 @@ correspondence files, ``meshwave match`` on ``.mwd`` descriptor files
 (magic, header words, metadata bytes or payload values replaced, or the
 file truncated), ``meshwave infer`` on checkpoints (a metadata field
 replaced, an array retyped, reshaped, filled with inf, NaN or 1e308,
-dropped or added, or the file truncated).  Whatever the mutation, the
+dropped or added, or the file truncated).  File-level faults (a
+directory in place of the file, an empty file, one 0xFF byte) run on
+each mesh format and the config under ``basis``, correspondences under
+``eval`` and ``.mwd`` files under ``match``.  Whatever the mutation, the
 command exits 0, 2 (bad data) or 3 (numerical failure), raises no
 warning, says nothing on stderr that looks like a traceback, and leaves
 no new file when it fails.  Every test runs the same `_FUZZ` settings:
@@ -32,6 +35,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from meshwave.cli import main
+from meshwave.config import default_config, format_config
 from meshwave.descriptors import DescriptorField, save_descriptors
 from meshwave.model import build_model
 from meshwave.synthetic import bent_bar
@@ -419,6 +423,9 @@ _ARRAY_EDITS = {
     "nan": lambda a: np.full(a.shape, np.nan),
     "1e308": lambda a: np.full(a.shape, 1e308),
 }
+# the checkpoints record k = 8 (-k is a usage error for a network that
+# reads no eigenbasis, which a mutation can make)
+_K8 = dict(default_config()["descriptor"], k=8)
 _ADDED = ["param/extra", "opt/m/extra", "opt/v/fc1.w.x", "opt/other", "other"]
 _CKPT_MUTATIONS = ["meta", "array", "drop", "add", "truncate"]
 
@@ -440,7 +447,7 @@ def _write_mutated_checkpoint(path, net, kind, i, j, field, value, edit):
 
     model, state = _NETS[net]
     _shared.edited_checkpoint(path, model, edit_meta if kind == "meta" else None, edit_arrays,
-                              opt_state=state, metadata={"note": "fuzz"})
+                              opt_state=state, metadata={"note": "fuzz", "descriptor": _K8})
     if kind == "truncate":
         data = path.read_bytes()
         path.write_bytes(data[: j % len(data)])
@@ -474,7 +481,69 @@ def test_infer_on_mutated_checkpoint_keeps_the_exit_contract(net, kind, i, j, fi
         mesh.write_text("\n".join(_off_text(_TARGET)) + "\n")
         desc.write_bytes(_INPUT)
         _write_mutated_checkpoint(ckpt, net, kind, i, j, field, value, edit)
-        code = _check_contract(["infer", ckpt, mesh, desc, "-k", "8", "-o", out], root, {out})
+        code = _check_contract(["infer", ckpt, mesh, desc, "-o", out], root, {out})
         refused = [[[1, 2, 3]], [[0, 1, 3000]], *_HUGE]
         if kind == "meta" and field in ("scale_sets", "architecture") and value in refused:
             assert code == 2  # stored sets other than the derived ones, or a count too large
+
+
+# the inputs of the file-level faults: each file's name and valid bytes
+_FILES = {
+    "off": ("mesh.off", ("\n".join(_MESHES["small"]) + "\n").encode()),
+    "obj": ("mesh.obj", ("\n".join(_OBJ) + "\n").encode()),
+    "ply-ascii": ("mesh.ply", _mutate_ply("ascii", "int", "none", 0, 0, "", "", 0)),
+    "ply-binary": ("mesh.ply", _mutate_ply("binary_little_endian", "int", "none", 0, 0, "",
+                                           "", 0)),
+    "config": ("x.cfg", format_config(dict(default_config(), descriptor=_K8)).encode()),
+    "prediction": ("pred.txt", ("\n".join(_MAP) + "\n").encode()),
+    "truth": ("truth.txt", ("\n".join(_MAP) + "\n").encode()),
+    "mwd": ("a.mwd", _FIELDS["a"]),
+}
+
+
+def _file_fault_contract(name, fault, offset=0):
+    """Write every input the command of `name` reads, the one `name` names
+    with the fault, and check the exit-code contract on that command."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        mesh, out = root / "mesh.off", root / "out"
+        mesh.write_text("\n".join(_off_text(_TARGET)) + "\n")
+        for key in ("config", "prediction", "truth"):
+            (root / _FILES[key][0]).write_bytes(_FILES[key][1])
+        (root / "b.mwd").write_bytes(_FIELDS["b"])
+        path, data = root / _FILES[name][0], _FILES[name][1]
+        if fault == "directory":
+            path.unlink(missing_ok=True)
+            path.mkdir()
+        elif fault == "empty":
+            path.write_bytes(b"")
+        else:
+            data = bytearray(data)
+            data[offset % len(data)] = 0xFF
+            path.write_bytes(bytes(data))
+        if name in ("prediction", "truth"):
+            argv, outputs = (["eval", root / "pred.txt", root / "truth.txt", mesh, "-o", out],
+                             {root / "out.summary.txt", root / "out.curves.csv"})
+        elif name == "mwd":
+            argv, outputs = ["match", path, root / "b.mwd", "-o", out], {out}
+        elif name == "config":
+            argv, outputs = ["basis", mesh, "--config", path, "-o", out], {out}
+        else:
+            argv, outputs = ["basis", path, "-k", "8", "-o", out], {out}
+        return _check_contract(argv, root, outputs)
+
+
+@pytest.mark.parametrize("fault", ["directory", "empty"])
+@pytest.mark.parametrize("name", sorted(_FILES))
+def test_a_directory_or_empty_file_in_place_of_an_input_keeps_the_exit_contract(name, fault):
+    code = _file_fault_contract(name, fault)
+    assert code == 2 or (fault, name) == ("empty", "config")  # an empty config is the default
+
+
+@_FUZZ
+@given(name=st.sampled_from(sorted(_FILES)), offset=st.integers(0, 100_000))
+@example(name="off", offset=0)
+@example(name="obj", offset=0)
+@example(name="config", offset=0)
+def test_a_0xff_byte_in_an_input_keeps_the_exit_contract(name, offset):
+    _file_fault_contract(name, offset=offset, fault="byte")

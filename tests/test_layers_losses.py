@@ -18,6 +18,7 @@ from meshwave.layers import (
     minmax_forward,
 )
 from meshwave.losses import (
+    _pairwise_distances,
     cross_entropy,
     hardnet_loss,
     head_cross_entropy,
@@ -337,6 +338,39 @@ def test_hardnet_needs_two_pairs():
         hardnet_loss(np.zeros((1, 3)), np.zeros((1, 3)))
     with pytest.raises(DataError, match="equal shape"):
         hardnet_loss(np.zeros((3, 2)), np.zeros((3, 3)))
+
+
+def _hardnet_grads_by_anchor(a, b, margin=1.0):
+    """The gradients of ``hardnet_loss`` summed one active anchor at a time:
+    its positive pair, then its negative in the direction that won the min."""
+    dist = _pairwise_distances(a, b)
+    sym = np.minimum(dist, dist.T)
+    np.fill_diagonal(sym, np.inf)
+    neg_idx = np.argmin(sym, axis=1)
+    m = len(a)
+    da, db = np.zeros_like(a), np.zeros_like(b)
+    for i in range(m):
+        if margin + dist[i, i] - sym[i, neg_idx[i]] <= 0:
+            continue
+        j = neg_idx[i]
+        for r, c, coef in ((i, i, 1.0 / m),
+                           (i, j, -1.0 / m) if dist[i, j] <= dist[j, i] else (j, i, -1.0 / m)):
+            g = coef * (a[r] - b[c]) / max(dist[r, c], 1e-12)
+            da[r] += g
+            db[c] -= g
+    return da, db
+
+
+@pytest.mark.parametrize("m, d, scale", [(420, 128, 0.05), (512, 128, 0.04), (6, 4, 0.5),
+                                         (40, 3, 0.2)])
+def test_hardnet_gradients_are_the_loop_over_anchors_bit_for_bit(m, d, scale):
+    rng = np.random.default_rng(m + d)
+    a = scale * rng.standard_normal((m, d))
+    b = a + 0.5 * scale * rng.standard_normal((m, d))
+    _, da, db = hardnet_loss(a, b)
+    ref_a, ref_b = _hardnet_grads_by_anchor(a, b)
+    assert np.count_nonzero(np.abs(ref_a).sum(1)) > 2  # several active anchors
+    assert np.array_equal(da, ref_a) and np.array_equal(db, ref_b)
 
 
 def _well_separated_case(rng, m=5, d=4):

@@ -313,7 +313,7 @@ def test_unknown_extension(tmp_path):
 
 
 def test_missing_file(tmp_path):
-    with pytest.raises(DataError, match="no such file"):
+    with pytest.raises(DataError, match="cannot read mesh .*: No such file"):
         read_mesh_file(tmp_path / "nope.off")
 
 
