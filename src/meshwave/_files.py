@@ -2,7 +2,8 @@
 beside the target, then os.replace. A failed read of an input (a missing
 file, a directory, no permission, text that is not UTF-8, metadata that
 is not a JSON object, an archive that is not one) raises a one-line
-DataError, so every command exits 2 on an input it cannot read."""
+DataError, so every command exits 2 on an input it cannot read, and
+`check_destination` lets it exit 2 on an output it cannot write before any work."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import json
 import os
 import re
 import zipfile
+from pathlib import Path
 
 import numpy as np
 
@@ -46,6 +48,32 @@ def atomic_write(path, mode: str = "wb", **kwargs):
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def check_destination(path, make_parents=False) -> Path:
+    """`path` as a Path if it can name a file (it is no directory and ends in
+    no separator) and its directory exists (or with `make_parents` its
+    nearest existing ancestor is one), else DataError."""
+    text = os.fspath(path)
+    if text.endswith(os.sep):  # Path drops it: "out/" would write the file "out"
+        raise DataError(f"cannot write {text}: a file name cannot end in {os.sep}")
+    path = Path(text)
+    if path.is_dir():
+        raise DataError(f"cannot write {path}: Is a directory")
+    parent = path.parent
+    while make_parents and not parent.exists() and parent != parent.parent:
+        parent = parent.parent
+    if not parent.is_dir():
+        raise DataError(f"cannot write {path}: {parent} is not a directory")
+    return path
+
+
+def create_parents(path):
+    """Make the missing directories above `path`, or raise DataError."""
+    try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def open_read(path, what: str, mode: str = "rb", **kwargs):
@@ -90,15 +118,17 @@ def check_mesh_hash(path, value):
 
 @contextlib.contextmanager
 def open_npz(path, what: str):
-    """Open the .npz archive at `path` and yield it.
+    """Open the .npz archive at `path` through ``open_read`` and yield it.
 
-    Any failure to read it, in the open or in the block, raises DataError
-    naming `what`: a missing, truncated or non-zip file, a plain .npy, an
+    Any failure to read the archive, in the load or in the block, raises
+    DataError naming `what`: a truncated or non-zip file, a plain .npy, an
     absent key, an array stored with pickle.
     """
-    try:  # np.load leaves a file it opened open when the zip is corrupt
-        with open(path, "rb") as fh, np.load(fh) as data:  # a plain .npy: TypeError
-            yield data
-    except (OSError, EOFError, KeyError, TypeError, ValueError,
-            zipfile.BadZipFile) as exc:
-        raise DataError(f"{path}: unreadable {what}: {exc}") from exc
+    # np.load leaves a file it opened open when the zip is corrupt
+    with open_read(path, what) as fh:
+        try:
+            with np.load(fh) as data:  # a plain .npy: TypeError
+                yield data
+        except (OSError, EOFError, KeyError, TypeError, ValueError,
+                zipfile.BadZipFile) as exc:
+            raise DataError(f"{path}: unreadable {what}: {exc}") from exc

@@ -4,6 +4,8 @@ training, inference, and visualization export.
 Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 numerical
 failure. Artifacts carry the content hashes of their inputs; a cached file
 whose hash no longer matches its input is refused, never silently reused.
+Every command reads and writes files through ``_files``, and checks each
+output path there before any eigensolve, match, epoch or forward pass.
 
 `basis`, `descriptor`, `train` and `infer` take `--config`, a file that
 sets the [pipeline], [descriptor], [model] and [train] sections of
@@ -35,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._files import atomic_write
+from ._files import atomic_write, check_destination, create_parents
 from .chebyshev import chebyshev_operators
 from .config import check_section, default_config, format_config, load_config
 from .descriptors import (
@@ -98,11 +100,8 @@ def _mesh_basis(mesh, k: int, path=None):
     if basis.k < k:
         raise DataError(f"basis cache {path} holds k={basis.k} < requested {k}")
     if basis.k > k:
-        basis = dataclasses.replace(
-            basis,
-            eigenvalues=basis.eigenvalues[:k].copy(),
-            eigenvectors=basis.eigenvectors[:, :k].copy(),
-        )
+        basis = dataclasses.replace(basis, eigenvalues=basis.eigenvalues[:k].copy(),
+                                    eigenvectors=basis.eigenvectors[:, :k].copy())
     return basis, f"{path}.atoms.npz"
 
 
@@ -119,17 +118,6 @@ def _shape_operators(net, mesh, basis, atom_cache=None):
     return build_wavelet_operators(basis, _bank(basis), keys, atom_cache) if keys else None
 
 
-def _check_destination(out, make_parents=False):
-    """Refuse an output path before any work is done: its directory must
-    exist, or with `make_parents` its nearest existing ancestor must be a
-    directory."""
-    parent = Path(out).parent
-    while make_parents and not parent.exists() and parent != parent.parent:
-        parent = parent.parent
-    if not parent.is_dir():
-        raise DataError(f"cannot write {out}: {parent} is not a directory")
-
-
 def _descriptor_field(mesh, basis, kind: str, num: int, power: int, atom_cache=None):
     if kind == "weds":
         return weds(basis, _bank(basis), mesh.vertices, n_dims=num,
@@ -142,15 +130,11 @@ def _descriptor_field(mesh, basis, kind: str, num: int, power: int, atom_cache=N
 def _check_desc_mesh(desc, mesh, what: str):
     stored = desc.metadata.get("mesh_hash")
     if stored and stored != mesh.content_hash():
-        raise DataError(
-            f"{what}: descriptor file was computed for a different mesh "
-            "(content hash mismatch); refusing stale artifact"
-        )
+        raise DataError(f"{what}: descriptor file was computed for a different mesh "
+                        "(content hash mismatch); refusing stale artifact")
     if desc.n_vertices != mesh.n_vertices:
-        raise DataError(
-            f"{what}: descriptor rows ({desc.n_vertices}) do not match "
-            f"mesh vertices ({mesh.n_vertices})"
-        )
+        raise DataError(f"{what}: descriptor rows ({desc.n_vertices}) do not match "
+                        f"mesh vertices ({mesh.n_vertices})")
 
 
 # ---------------------------------------------------------------- commands
@@ -159,21 +143,16 @@ def _check_desc_mesh(desc, mesh, what: str):
 def _cmd_basis(args, cfg):
     mesh = load_mesh(args.mesh)
     k = args.k if args.k is not None else cfg["descriptor"]["k"]
-    out = Path(args.out) if args.out else Path(str(args.mesh) + ".basis.npz")
+    out = check_destination(args.out or f"{args.mesh}.basis.npz")
     if out.exists() and not args.force:
         try:
             cached = load_basis(out, expect_mesh_hash=mesh.content_hash())
+            if cached.k != k:
+                raise DataError(f"basis cache {out} holds k={cached.k}, requested {k}")
         except DataError as exc:
-            raise DataError(
-                f"stale basis cache {out}: {exc}; remove it or pass --force"
-            ) from None
-        if cached.k == k:
-            _log(f"cache hit: {out} (k={k}, n={cached.n_vertices})")
-            return 0
-        raise DataError(
-            f"basis cache {out} holds k={cached.k}, requested {k}; "
-            "remove it or pass --force"
-        )
+            raise DataError(f"{exc}; remove it or pass --force") from None
+        _log(f"cache hit: {out} (k={k}, n={cached.n_vertices})")
+        return 0
     basis, _ = _mesh_basis(mesh, k)
     save_basis(out, basis)
     _log(f"wrote {out} (k={basis.k}, n={basis.n_vertices})")
@@ -187,34 +166,31 @@ def _cmd_descriptor(args, cfg):
     k = args.k if args.k is not None else cfg["descriptor"]["k"]
     power = args.power if args.power is not None else cfg["descriptor"]["power"]
     check_settings(kind, num, power)
-    if args.csv:  # a failed export must not leave the new .mwd behind
-        _check_destination(args.csv)
+    out = check_destination(args.out or f"{args.mesh}.{kind}.mwd")
+    csv = args.csv and check_destination(args.csv)
     basis, sidecar = _mesh_basis(mesh, k, args.basis)
     field = _descriptor_field(mesh, basis, kind, num, power, sidecar)
     field.metadata["mesh_hash"] = mesh.content_hash()
-    out = Path(args.out) if args.out else Path(f"{args.mesh}.{kind}.mwd")
     save_descriptors(out, field)
     _log(f"wrote {out} (n={field.n_vertices}, d={field.n_dims}, type={kind})")
-    if args.csv:
-        export_descriptors_csv(args.csv, field)
-        _log(f"wrote {args.csv}")
+    if csv:
+        export_descriptors_csv(csv, field)
+        _log(f"wrote {csv}")
     return 0
 
 
 def _cmd_match(args, cfg):
+    out = check_destination(args.out)
     desc_a = load_descriptors(args.desc_a)
     desc_b = load_descriptors(args.desc_b)
     corr = nn_match(desc_a.values, desc_b.values)
-    comment_lines = [
-        f"source = {args.desc_a}",
-        f"target = {args.desc_b}",
-    ]
+    comment_lines = [f"source = {args.desc_a}", f"target = {args.desc_b}"]
     for name, desc in (("source", desc_a), ("target", desc_b)):
         h = desc.metadata.get("mesh_hash")
         if h:
             comment_lines.append(f"{name}_mesh = {h}")
-    write_correspondence(args.out, corr.indices, comment="\n".join(comment_lines))
-    _log(f"wrote {args.out} ({corr.n_source} correspondences)")
+    write_correspondence(out, corr.indices, comment="\n".join(comment_lines))
+    _log(f"wrote {out} ({corr.n_source} correspondences)")
     return 0
 
 
@@ -228,6 +204,9 @@ def _cmd_eval(args, cfg):
     if args.kmax is not None and (args.desc_a is None or args.kmax < 1):
         raise UsageError(f"--kmax needs --desc-a and --desc-b and must be "
                          f"at least 1, got {args.kmax}")
+    # the suffixes extend the whole prefix: "-o run.1" writes run.1.summary.txt
+    paths = [check_destination(f"{args.out_prefix}.{suffix}")
+             for suffix in ("summary.txt", "curves.csv")]
     target = load_mesh(args.target_mesh)
     pred = read_correspondence(args.correspondence, n_target=target.n_vertices,
                                expect_target_hash=target.content_hash())
@@ -245,15 +224,12 @@ def _cmd_eval(args, cfg):
         ks, fractions = cmc_curve(da.values, db.values, gt.direct, kmax)
         report = dataclasses.replace(report, cmc_ranks=ks, cmc_fractions=fractions)
     summary = report_summary_text(report)
-    # the suffixes extend the whole prefix: "-o run.1" writes run.1.summary.txt
-    summary_path = f"{args.out_prefix}.summary.txt"
-    curves_path = f"{args.out_prefix}.curves.csv"
-    for path, text in ((summary_path, summary), (curves_path, report_csv_text(report))):
+    for path, text in zip(paths, (summary, report_csv_text(report))):
         with atomic_write(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     sys.stdout.write(summary)
-    _log(f"wrote {summary_path}")
-    _log(f"wrote {curves_path}")
+    for path in paths:
+        _log(f"wrote {path}")
     return 0
 
 
@@ -269,8 +245,8 @@ def _cmd_train(args, cfg):
     seed = args.seed if args.seed is not None else cfg["pipeline"]["seed"]
     if seed < 0:
         raise DataError(f"[pipeline] seed must be non-negative, got {seed}")
-    out = Path(args.out) if args.out else Path(cfg["pipeline"]["output_dir"]) / "model.npz"
-    _check_destination(out, make_parents=True)  # before training, not after
+    out = check_destination(args.out or Path(cfg["pipeline"]["output_dir"]) / "model.npz",
+                            make_parents=True)
     train_cfg = TrainConfig(**{f.name: cfg["train"][f.name]
                                for f in dataclasses.fields(TrainConfig)})
     # every input is read, and the model built, before any eigensolve
@@ -300,10 +276,7 @@ def _cmd_train(args, cfg):
     opt_state = adam_init(net.params)
     rng = np.random.default_rng(seed)
     net, history = train(net, shapes, train_cfg, opt_state=opt_state, rng=rng)
-    try:
-        out.parent.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise DataError(f"cannot write {out}: {exc.strerror or exc}") from exc
+    create_parents(out)
     metadata = {
         "descriptor": cfg["descriptor"],
         "train_meshes": [str(p) for p in paths],
@@ -325,15 +298,14 @@ def _cmd_train(args, cfg):
 
 
 def _cmd_infer(args, cfg):
+    out = check_destination(args.out or f"{args.mesh}.learned.mwd")
     net, _, _, meta = load_checkpoint(args.checkpoint)
     mesh = load_mesh(args.mesh)
     field = load_descriptors(args.descriptors)
     _check_desc_mesh(field, mesh, str(args.descriptors))
     if field.n_dims != net.input_dim:
-        raise DataError(
-            f"descriptor dim {field.n_dims} does not match model input "
-            f"{net.input_dim}"
-        )
+        raise DataError(f"descriptor dim {field.n_dims} does not match model input "
+                        f"{net.input_dim}")
     source = f"{args.checkpoint} metadata"
     desc_cfg = check_section("descriptor", meta.get("descriptor", cfg["descriptor"]), source)
     trained = (desc_cfg["type"], desc_cfg["power"] if desc_cfg["type"] == "weds" else None)
@@ -359,28 +331,25 @@ def _cmd_infer(args, cfg):
     out_values, _ = model_forward(net, field.values, ops)
     learned = dataclasses.replace(field, values=np.ascontiguousarray(out_values),
                                   kind="learned", metadata=metadata)
-    out = Path(args.out) if args.out else Path(str(args.mesh) + ".learned.mwd")
     save_descriptors(out, learned)
     _log(f"wrote {out} (n={learned.n_vertices}, d={learned.n_dims})")
     return 0
 
 
 def _cmd_dissimilarity(args, cfg):
+    out = check_destination(args.out or f"{args.mesh}.dissim.ply")
     field = load_descriptors(args.descriptors)
     mesh = load_mesh(args.mesh)
     _check_desc_mesh(field, mesh, str(args.descriptors))
     v = args.vertex
     if not 0 <= v < field.n_vertices:
-        raise DataError(
-            f"reference vertex {v} out of range for {field.n_vertices} vertices"
-        )
+        raise DataError(f"reference vertex {v} out of range for {field.n_vertices} vertices")
     dist = np.linalg.norm(field.values - field.values[v][None, :], axis=1)
     peak = dist.max()
     t = dist / peak if peak > 0 else np.zeros_like(dist)
     colors = np.zeros((mesh.n_vertices, 3), dtype=np.uint8)
     colors[:, 0] = np.rint(255.0 * t).astype(np.uint8)  # red = far
     colors[:, 2] = np.rint(255.0 * (1.0 - t)).astype(np.uint8)  # blue = near
-    out = Path(args.out) if args.out else Path(str(args.mesh) + ".dissim.ply")
     write_ply(
         out, mesh.vertices, mesh.triangles, colors=colors,
         comment=f"descriptor dissimilarity to vertex {v}",

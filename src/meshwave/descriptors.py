@@ -121,7 +121,7 @@ def weds(basis, bank, coords, n_dims=DEFAULT_DIMS, power=2, atom_cache=None):
     eps = _decompose_with_responses(basis, responses, coords, power)  # (n_filters, n)
     phi = basis.eigenvectors
     scales = select_scales(n_dims)
-    lo, hi = filter_atom_stats(basis, bank, responses, scales, "range", atom_cache)
+    lo, hi = filter_atom_stats(basis, bank, scales, "range", atom_cache)
     values = _spectral_filter(phi, responses[:, scales], (eps @ phi).T)  # (n, scales, filters)
     totals = eps.sum(axis=1)
     flat = hi == lo

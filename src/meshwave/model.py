@@ -172,7 +172,7 @@ def build_wavelet_operators(
     None to compute them."""
     keys = [int(s) for s in keys]
     responses = filter_responses(bank, basis.eigenvalues).T
-    (norms,) = filter_atom_stats(basis, bank, responses, keys, "l1", atom_cache)
+    (norms,) = filter_atom_stats(basis, bank, keys, "l1", atom_cache)
     zero = np.argwhere(norms == 0.0)
     if zero.size:
         v, j = zero[0]

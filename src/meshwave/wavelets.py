@@ -202,11 +202,10 @@ def _save_stats(path, keys, tables):
         logger.warning("%s: atom statistics not cached: %s", path, exc)
 
 
-def filter_atom_stats(basis, bank, responses, filters, stat, cache=None):
+def filter_atom_stats(basis, bank, filters, stat, cache=None):
     """Column statistic `stat` ("l1" or "range", see ``_atom_sweep``) of
-    the bank's filters with indices `filters` (repeats allowed): its
-    arrays, column j of each for filters[j].  responses is the bank's
-    (k, n_filters) table at the basis eigenvalues.
+    the bank's filters with indices `filters` (repeats allowed) at the
+    basis eigenvalues: its arrays, column j of each for filters[j].
 
     The sweep covers the distinct filters in ascending order, on which its
     tile width and rounding depend.  With `cache`, a sidecar file path, the
@@ -228,7 +227,8 @@ def filter_atom_stats(basis, bank, responses, filters, stat, cache=None):
         tables = _load_stats(cache, keys, n, bank.n_scales) or tables
     have, arrays = tables[stat]
     if wanted.size and not np.array_equal(have, wanted):
-        have, arrays = wanted, _atom_sweep(basis.eigenvectors, responses[:, wanted], stat)
+        responses = filter_responses(bank, basis.eigenvalues)[wanted].T
+        have, arrays = wanted, _atom_sweep(basis.eigenvectors, responses, stat)
         tables[stat] = have, arrays
         if cache is not None:
             _save_stats(cache, keys, tables)

@@ -21,7 +21,7 @@ from meshwave.descriptors import DescriptorField, load_descriptors, save_descrip
 from meshwave.errors import DataError, MeshwaveError, NumericalError, UsageError
 from meshwave.evaluation import read_correspondence, write_correspondence
 from meshwave.meshio import write_ply
-from meshwave.filters import STOCK, build_filter_bank, filter_responses
+from meshwave.filters import STOCK, build_filter_bank
 from meshwave.model import build_model, load_checkpoint, required_operator_keys, save_checkpoint
 from meshwave.spectral import load_basis, save_basis
 from meshwave.synthetic import bent_bar
@@ -230,6 +230,32 @@ def test_basis_cache_stale_mesh(work, tmp_path, capsys):
     assert main(["basis", str(other), "-k", "12",
                  "-o", str(work["basis_path"])]) == 2
     assert "stale basis cache" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fault, needle", [("k", "holds k=12, requested 9"),
+                                           ("stale", "stale basis cache"),
+                                           ("truncated", "unreadable basis cache")],
+                         ids=["k", "stale", "truncated"])
+def test_basis_refuses_a_cache_it_cannot_use_in_one_line(work, tmp_path, capsys, fault,
+                                                          needle):
+    # a stale or unreadable cache named its path two or three times
+    out = tmp_path / "b.npz"
+    out.write_bytes(work["basis_path"].read_bytes())
+    mesh = work["mesh_path"]
+    if fault == "stale":
+        moved = work["mesh"].vertices.copy()
+        moved[0, 2] += 0.05
+        mesh = tmp_path / "moved.ply"
+        write_ply(mesh, moved, work["mesh"].triangles)
+    elif fault == "truncated":
+        out.write_bytes(out.read_bytes()[:100])
+    before = _tree(tmp_path)
+    assert main(["basis", str(mesh), "-k", "9" if fault == "k" else "12", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert needle in err and err.count(str(out)) == 1
+    assert err.count("remove it or pass --force") == 1
+    assert _tree(tmp_path) == before
 
 
 def test_basis_force_rebuilds(work, tmp_path):
@@ -1134,8 +1160,7 @@ def test_atom_sidecar_is_recomputed_for_another_basis_or_bank(work, own_basis, t
         bank = dataclasses.replace(
             build_filter_bank(basis.lambda_max, eigenvalues=basis.eigenvalues),
             amplitude=0.46)
-        wavelets.filter_atom_stats(basis, bank, filter_responses(bank, basis.eigenvalues).T,
-                                   [24, 16, 8], "range", cache=sidecar)
+        wavelets.filter_atom_stats(basis, bank, [24, 16, 8], "range", cache=sidecar)
         extra = []
     with np.load(sidecar) as data:
         keys = bytes(data["basis_hash"]), bytes(data["bank_hash"])

@@ -1,9 +1,12 @@
+import ast
 import gc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import meshwave
 from meshwave import _files
 from meshwave.cli import main
 from meshwave.descriptors import DescriptorField, export_descriptors_csv, save_descriptors
@@ -96,3 +99,56 @@ def test_a_truncated_archive_leaves_no_file_open(tmp_path, cut):
                 pass
         gc.collect()
     assert [w.message for w in caught if w.category is ResourceWarning] == []
+
+
+# calls that open, read, write, create, replace or remove a file, by dotted
+# name or, for Path methods, by attribute
+_FS_CALLS = {"open", "np.load", "os.replace", "os.remove", "os.makedirs", "os.path.exists"}
+_FS_METHODS = {"mkdir", "read_text", "read_bytes", "write_text", "write_bytes"}
+# a missing atom statistics sidecar is a cache miss, not a fault
+_ALLOWED = {("wavelets.py", "_load_stats", "os.path.exists")}
+
+
+def _dotted(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return base and f"{base}.{node.attr}"
+    return None
+
+
+def _calls(node, scope=None):
+    """(enclosing function, call node) for every call under `node`."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            yield scope, child
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        yield from _calls(child, inner)
+
+
+def test_only_files_touches_the_file_system():
+    found = []
+    for path in sorted(Path(meshwave.__file__).parent.glob("*.py")):
+        if path.name == "_files.py":
+            continue
+        for scope, call in _calls(ast.parse(path.read_text(encoding="utf-8"))):
+            name = _dotted(call.func)
+            if name in _FS_CALLS or (isinstance(call.func, ast.Attribute)
+                                     and call.func.attr in _FS_METHODS):
+                if (path.name, scope, name) not in _ALLOWED:
+                    found.append(f"{path.name}:{call.lineno} {scope}: {name}")
+    assert found == []
+
+
+@pytest.mark.parametrize("fault, reason", [("missing", "No such file or directory"),
+                                           ("directory", "Is a directory")])
+def test_an_archive_that_cannot_be_opened_reads_like_any_input(tmp_path, fault, reason):
+    # it read "PATH: unreadable basis cache: [Errno 21] Is a directory: 'PATH'"
+    path = tmp_path / "a.npz"
+    if fault == "directory":
+        path.mkdir()
+    with pytest.raises(DataError) as info:
+        with _files.open_npz(path, "basis cache"):
+            pass
+    assert str(info.value) == f"cannot read basis cache {path}: {reason}"

@@ -16,7 +16,10 @@ each mesh format and the config under ``basis``, correspondences under
 command exits 0, 2 (bad data) or 3 (numerical failure), raises no
 warning, says nothing on stderr that looks like a traceback, and leaves
 no new file when it fails.  Every test runs the same `_FUZZ` settings:
-100 derandomized draws, so the cases repeat from run to run.
+100 derandomized draws, so the cases repeat from run to run.  Each output
+path of every command, given a directory in its place, a missing
+directory, a regular file where its directory should be or a trailing
+separator, exits 2 with one line before any work.
 """
 
 import contextlib
@@ -34,10 +37,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from meshwave import cli
 from meshwave.cli import main
 from meshwave.config import default_config, format_config
 from meshwave.descriptors import DescriptorField, save_descriptors
-from meshwave.model import build_model
+from meshwave.model import build_model, save_checkpoint
 from meshwave.synthetic import bent_bar
 from meshwave.training import adam_init
 
@@ -547,3 +551,76 @@ def test_a_directory_or_empty_file_in_place_of_an_input_keeps_the_exit_contract(
 @example(name="config", offset=0)
 def test_a_0xff_byte_in_an_input_keeps_the_exit_contract(name, offset):
     _file_fault_contract(name, offset=offset, fault="byte")
+
+
+# every output of every command: the argv that writes it to OUT (for eval,
+# the prefix whose suffix names it), the suffix, and the work each run counts
+_OUT = object()
+_OUTPUTS = {
+    "basis": (["basis", "mesh.off", "-k", "8", "-o", _OUT], "", "eig_generalized"),
+    "basis-force": (["basis", "mesh.off", "-k", "8", "-o", _OUT, "--force"], "",
+                    "eig_generalized"),
+    "descriptor": (["descriptor", "mesh.off", "--type", "hks", "--num", "4", "-k", "8",
+                    "-o", _OUT], "", "eig_generalized"),
+    "descriptor-csv": (["descriptor", "mesh.off", "--type", "hks", "--num", "4", "-k", "8",
+                        "-o", "ok.mwd", "--csv", _OUT], "", "eig_generalized"),
+    "match": (["match", "a.mwd", "b.mwd", "-o", _OUT], "", "nn_match"),
+    "eval-summary": (["eval", "pred.txt", "truth.txt", "mesh.off", "-o", _OUT],
+                     ".summary.txt", "evaluate_map"),
+    "eval-curves": (["eval", "pred.txt", "truth.txt", "mesh.off", "-o", _OUT],
+                    ".curves.csv", "evaluate_map"),
+    "train": (["train", "--config", "train.cfg", "-o", _OUT], "", "eig_generalized"),
+    "infer": (["infer", "net.npz", "mesh.off", "bar.mwd", "-o", _OUT], "", "eig_generalized"),
+    "dissimilarity": (["dissimilarity", "bar.mwd", "mesh.off", "--vertex", "0", "-o", _OUT],
+                      "", None),
+}
+
+
+def _write_inputs(root):
+    """Valid inputs for every command in `_OUTPUTS`, so only the output fails."""
+    (root / "mesh.off").write_text("\n".join(_off_text(_TARGET)) + "\n")
+    for name in ("a", "b"):
+        (root / f"{name}.mwd").write_bytes(_FIELDS[name])
+    for name in ("pred.txt", "truth.txt"):
+        (root / name).write_text("\n".join(_MAP) + "\n")
+    (root / "bar.mwd").write_bytes(_INPUT)
+    save_checkpoint(root / "net.npz", _NETS["mgcn"][0], metadata={"descriptor": _K8})
+    cfg = default_config()
+    cfg["descriptor"].update(_K8, type="hks", num=4)
+    cfg["train"].update(meshes=[str(root / "mesh.off")], phase1_epochs=1, phase2_epochs=1)
+    (root / "train.cfg").write_text(format_config(cfg))
+
+
+@pytest.mark.parametrize("fault", ["directory", "missing", "file", "separator"])
+@pytest.mark.parametrize("output", sorted(_OUTPUTS))
+def test_an_output_that_cannot_be_written_exits_2_before_any_work(tmp_path, monkeypatch,
+                                                                   output, fault):
+    argv, suffix, work = _OUTPUTS[output]
+    calls = []
+    if work:
+        real = getattr(cli, work)
+        monkeypatch.setattr(cli, work, lambda *a, **k: calls.append(1) or real(*a, **k))
+    _write_inputs(tmp_path)
+    (tmp_path / "plain").write_text("a file, not a directory\n")
+    # a trailing separator names a directory, though Path("new/") is "new"
+    out = {"directory": "out", "missing": "nodir/out", "file": "plain/out",
+           "separator": "new/"}[fault]
+    if fault == "directory":
+        (tmp_path / f"{out}{suffix}").mkdir()
+    elif (fault, output) == ("missing", "train"):  # it makes them, but not under a file
+        out = "plain/nodir/out"
+    out = f"{tmp_path}/{out}"
+    before = sorted(tmp_path.rglob("*"))
+    stderr = io.StringIO()
+    monkeypatch.chdir(tmp_path)
+    with contextlib.redirect_stderr(stderr), \
+            contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([out if a is _OUT else a for a in argv])
+    err = stderr.getvalue()
+    assert code == 2, err
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1, err
+    # the path once, not once per wrapper; eval names the summary first
+    assert err.count(out) == 1 and (fault != "directory" or f"{out}{suffix}:" in err), err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert calls == []

@@ -158,8 +158,11 @@ def test_default_network_operators_stay_below_dense_size(rng):
     assert peak < n * n * 8, f"peak {peak / 1e6:.1f} MB"
 
 
-def test_one_response_table_per_weds_and_operator_build(monkeypatch):
-    # the (k, n_filters) table is built once per call and handed down
+def test_one_response_table_per_weds_or_operator_build_and_per_atom_sweep(monkeypatch,
+                                                                          tmp_path):
+    # weds and the operator build each make the (k, n_filters) table they
+    # apply; the atom statistics make their own, from the bank that keys
+    # their sidecar, only when they sweep
     calls = []
 
     def counting(*args, **kwargs):
@@ -170,7 +173,10 @@ def test_one_response_table_per_weds_and_operator_build(monkeypatch):
         monkeypatch.setattr(module, "filter_responses", counting)
     basis, mesh = _shared.bar_basis(0.3, 40), _shared.bar(0.3)
     bank = _shared.bank_for(basis.lambda_max)
-    descriptors.weds(basis, bank, mesh.vertices)
-    assert len(calls) == 1
-    model.build_wavelet_operators(basis, bank, [3, 9, 17])
-    assert len(calls) == 2
+    sidecar = tmp_path / "b.atoms.npz"
+    for build in (lambda: descriptors.weds(basis, bank, mesh.vertices, atom_cache=sidecar),
+                  lambda: model.build_wavelet_operators(basis, bank, [3, 9, 17], sidecar)):
+        for expected in (2, 1):  # a sweep, then a sidecar hit
+            calls.clear()
+            build()
+            assert len(calls) == expected

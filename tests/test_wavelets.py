@@ -79,9 +79,8 @@ def test_atom_stats_of_an_underflowing_scale_are_zero(monkeypatch):
     scales[4] = 1e3 / basis.eigenvalues[1]  # g_5 = 0 at every eigenvalue
     flat = dataclasses.replace(bank, scales=scales)
     assert not g_of(flat, 5, basis.eigenvalues).any()
-    responses = filter_responses(flat, basis.eigenvalues).T
-    (l1,) = wavelets.filter_atom_stats(basis, flat, responses, [5, 6], "l1")
-    lo, hi = wavelets.filter_atom_stats(basis, flat, responses, [5, 6], "range")
+    (l1,) = wavelets.filter_atom_stats(basis, flat, [5, 6], "l1")
+    lo, hi = wavelets.filter_atom_stats(basis, flat, [5, 6], "range")
     assert not (l1[:, 0].any() or lo[:, 0].any() or hi[:, 0].any())
     assert (l1[:, 1] > 0).all() and (lo[:, 1] < hi[:, 1]).all()
 
