@@ -12,13 +12,14 @@ K, so the parent's interquartile range measures run-to-run noise, not how
 heavy each seed's draws are.  Each run's result line (the last line
 perfbench prints) is echoed as ``W pair I SIDE SEED LINE``.  At the end,
 one row per workload and end-to-end metric gives each side's median and
-quartiles, the medians of the runs that went first and of those that went
-second (which shows any bias from run order), the number of pairs the
-change won (ties count for neither), whether a gain may be claimed (the
-change wins at least nine tenths of the pairs and the medians differ by
-more than the parent's interquartile range), and the no-regression
-verdict against the metric's bound in the parent's BENCHMARK.json, a
-fraction of the parent's median:
+quartiles, the median and quartiles of the per-pair ratios change/parent
+(nan when every parent value is 0), the medians of the runs that went
+first and of those that went second (which shows any bias from run
+order), the number of pairs the change won (ties count for neither),
+whether a gain may be claimed (the change wins at least nine tenths of
+the pairs and the medians differ by more than the parent's interquartile
+range), and the no-regression verdict against the metric's bound in the
+parent's BENCHMARK.json, a fraction of the parent's median:
 ``unresolved`` when the parent's interquartile range exceeds the bound
 and not every change run beats every parent run, else ``regressed`` when
 the change's median is worse by more than the bound, else ``within
@@ -52,6 +53,8 @@ def summarize(parent_lines, change_lines, better=None, bounds=None):
         sides = [[p[side][name] for p in pairs] for side in (0, 1)]
         wins = sum(sign * (b - a) < 0 for a, b in zip(*sides))
         (p1, pm, p3), (c1, cm, c3) = (_quartiles(values) for values in sides)
+        ratios = [c / p for p, c in zip(*sides) if p]
+        r1, rm, r3 = _quartiles(ratios) if ratios else (float("nan"),) * 3
         gap, iqr = sign * (pm - cm), p3 - p1
         holds = wins >= 0.9 * len(pairs) and gap > iqr
         # pair i even ran the parent first
@@ -59,6 +62,7 @@ def summarize(parent_lines, change_lines, better=None, bounds=None):
                          for k in (0, 1))
         line = (f"{name}: parent median {pm:.6g} (quartiles {p1:.6g}, {p3:.6g}); "
                 f"change median {cm:.6g} (quartiles {c1:.6g}, {c3:.6g}); "
+                f"per-pair ratio change/parent median {rm:.4g} (quartiles {r1:.4g}, {r3:.4g}); "
                 f"run first median {first:.6g}, run second median {second:.6g}; "
                 f"change won {wins} of {len(pairs)}; median gain {gap:.6g} against parent "
                 f"IQR {iqr:.6g}: gain {'holds' if holds else 'does not hold'}")

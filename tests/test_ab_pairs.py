@@ -1,6 +1,6 @@
-"""The A/B pair summary of benchmarks/ab_pairs.py (gain rule, run-order
-medians and no-regression verdict) and its workload list, on canned perfbench result
-lines (no benchmark runs)."""
+"""The A/B pair summary of benchmarks/ab_pairs.py (gain rule, per-pair
+ratios, run-order medians and no-regression verdict) and its workload
+list, on canned perfbench result lines (no benchmark runs)."""
 
 import importlib.util
 import json
@@ -46,6 +46,22 @@ def test_the_runs_that_went_first_and_second_have_their_own_medians():
     assert "; run first median 0.2, run second median 0.19; " in report
     assert "run first median 120, run second median 120; " in _report(parent, change)[
         "peak_rss_mb"]
+
+
+def test_per_pair_ratios_have_their_own_median_and_quartiles():
+    # the sides' medians alone read an 8% gain; the pairs show its spread
+    parent = [(0.50 + 0.01 * i, 120.0) for i in range(10)]
+    change = [(p * r, 120.0) for (p, _), r in
+              zip(parent, (0.85, 0.9, 0.9, 0.92, 0.92, 0.92, 0.95, 0.95, 1.0, 1.02))]
+    report = _report(parent, change)
+    assert ("; per-pair ratio change/parent median 0.92 (quartiles 0.9, 0.9625); "
+            in report["op_norm_s"])
+    assert "; per-pair ratio change/parent median 1 (quartiles 1, 1); " in report["peak_rss_mb"]
+    # a parent value of 0 gives no ratio; the other pairs still do
+    zeros = _report([(0.0, 120.0), (0.2, 120.0)], [(0.1, 120.0), (0.1, 120.0)])
+    assert "; per-pair ratio change/parent median 0.5 (quartiles 0.5, 0.5); " in zeros["op_norm_s"]
+    none = _report([(0.0, 120.0)], [(0.1, 120.0)])["op_norm_s"]
+    assert "; per-pair ratio change/parent median nan (quartiles nan, nan); " in none
 
 
 def test_eight_wins_in_ten_do_not_hold():

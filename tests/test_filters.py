@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from meshwave import filters
 from meshwave.errors import DataError, NumericalError
 from meshwave.filters import (
     FRAME_TOL,
@@ -184,3 +185,24 @@ def test_eigenvalue_aware_residual():
     dev, where = frame_residual(bank, ev)
     assert dev >= bank.residual  # grid is augmented, never replaced
     assert 0.0 <= where <= 10.0
+
+
+def test_every_response_is_zero_or_above_the_floor():
+    # the Mexican hat and the scaling filter pass through (0, 2^-900) on
+    # their way to 0: from lambda / lambda_max of about 0.55, 0.65, 0.78 and
+    # 0.94 for wavelets 1-4, and from 0.222 to 0.236 for the scaling filter
+    bank, floor = build_filter_bank(10.0), 2.0**-900
+    lam = np.linspace(0.2, 1.0, 160001) * bank.lambda_max
+    x = bank.scales[:4, None] * lam
+    raw = np.vstack([
+        bank.scaling_amplitude * np.exp(-(bank.scaling_decay * lam / bank.lambda_max) ** 3),
+        bank.amplitude * x * x * np.exp(1.0 - x * x)])
+    assert ((raw > 0) & (raw < floor)).any(axis=1).all()  # the grid crosses every band
+    responses = filter_responses(bank, lam)
+    assert ((responses == 0) | (responses >= floor)).all()
+    assert np.array_equal(responses[:5], np.where(raw < floor, 0.0, raw))
+    # a scalar stays a scalar, on either side of the floor
+    for m, ratio, zero in ((0, 0.23, True), (1, 0.57, True), (1, 0.5, False)):
+        value = g_of(bank, m, ratio * bank.lambda_max)
+        assert np.ndim(value) == 0 and (value == 0) == zero
+    assert filters._RESPONSE_FLOOR == floor

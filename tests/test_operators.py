@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from meshwave import descriptors, filters, layers, model, wavelets
+from meshwave import descriptors, filters, layers, model, training, wavelets
 from meshwave.chebyshev import chebyshev_operators, spectral_max
 from meshwave.errors import DataError
 from meshwave.mesh import cotangent_laplacian, lumped_areas
@@ -180,3 +180,72 @@ def test_one_response_table_per_weds_or_operator_build_and_per_atom_sweep(monkey
             calls.clear()
             build()
             assert len(calls) == expected
+
+
+def _learn_bar():
+    """A 420-vertex bar on the grid of the benchmark's learn workload, k = 100."""
+    return _shared.bar_basis(0.5, 100, nu=30, nv=14), _shared.bar(0.5, nu=30, nv=14)
+
+
+def test_learn_sized_conv_pass_forms_no_subnormal(monkeypatch, rng):
+    # scales 2 and 4 of the default set have responses below 2^-900 here;
+    # a product of one with a coefficient of order 1 would be subnormal
+    basis, _ = _learn_bar()
+    net = model.build_model(input_dim=128, seed=0)
+    ops = model.build_wavelet_operators(basis, _shared.bank_for(basis.lambda_max),
+                                        model.required_operator_keys(net))
+    weighed, weigh = [], wavelets._weigh
+
+    def recording(responses, coeffs, out=None):
+        weighed.append(weigh(responses, coeffs, out=out).copy())
+        return weighed[-1]
+
+    monkeypatch.setattr(wavelets, "_weigh", recording)
+    model.forward(net, rng.standard_normal((basis.n_vertices, 128)), ops)
+    assert len(weighed) == len(net.scale_sets)  # one weighed block per conv layer
+    tiny = np.finfo(np.float64).tiny
+    subnormal = [int(np.count_nonzero((b != 0) & (np.abs(b) < tiny))) for b in weighed]
+    assert subnormal == [0] * len(weighed)
+
+
+def _floor_outputs(meshes):
+    """Every product of the response tables that the floor could move, on
+    each (basis, mesh): the atom statistics of the filters with sub-floor
+    responses, WEDS and the operator normalizers; then the forward and
+    backward passes of the default network in one phase-1 step on the
+    first mesh and one phase-2 step on the pair, and its parameters after
+    them."""
+    outputs, shapes, n_max = [], [], max(basis.n_vertices for basis, _ in meshes)
+    net = model.build_model(input_dim=128, head_dim=n_max, seed=0)
+    for basis, mesh in meshes:
+        bank = _shared.bank_for(basis.lambda_max)
+        for stat in ("l1", "range"):
+            outputs += wavelets.filter_atom_stats(basis, bank, range(5), stat)
+        field = descriptors.weds(basis, bank, mesh.vertices).values
+        ops = model.build_wavelet_operators(basis, bank, model.required_operator_keys(net))
+        outputs += [field, ops.normalizers]
+        shapes.append(training.ShapeData(field, np.arange(basis.n_vertices), ops))
+    config, state = training.TrainConfig(pairs_per_step=64), training.adam_init(net.params)
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("forward", "backward"):
+            def recording(*args, name=name, run=getattr(model, name), **kwargs):
+                result = run(*args, **kwargs)
+                arrays = [result[0]] if name == "forward" else result.values()
+                outputs.extend(a.copy() for a in arrays)
+                return result
+            patch.setattr(model, name, recording)
+        training._phase1_epoch(net, shapes[:1], state, config)
+        training._phase2_step(net, *shapes, state, config, np.random.default_rng(0))
+    return outputs + list(net.params.values())
+
+
+def test_the_response_floor_keeps_every_byte(monkeypatch):
+    # the 420-vertex bar (sub-floor responses on filters 1-4) and icosphere(4)
+    # (filters 0, 3 and 4); the operators' own response tables differ, below
+    # the floor only, and nothing they feed does
+    meshes = [_learn_bar(), (_shared.sphere_basis(4, 100), _shared.sphere(4))]
+    floored = _floor_outputs(meshes)
+    monkeypatch.setattr(filters, "_RESPONSE_FLOOR", 0.0)  # the responses as computed
+    reference = _floor_outputs(meshes)
+    assert len(floored) == len(reference) > 200
+    assert all(np.array_equal(a, b) for a, b in zip(floored, reference))
