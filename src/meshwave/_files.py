@@ -3,7 +3,8 @@ beside the target, then os.replace. A failed read of an input (a missing
 file, a directory, no permission, text that is not UTF-8, metadata that
 is not a JSON object, an archive that is not one) raises a one-line
 DataError, so every command exits 2 on an input it cannot read, and
-`check_destination` lets it exit 2 on an output it cannot write before any work."""
+`check_destination` lets it exit 2 on an output it cannot write, or that
+names another of its files, before any work."""
 
 from __future__ import annotations
 
@@ -50,10 +51,11 @@ def atomic_write(path, mode: str = "wb", **kwargs):
         raise
 
 
-def check_destination(path, make_parents=False) -> Path:
+def check_destination(path, *others, make_parents=False) -> Path:
     """`path` as a Path if it can name a file (it is no directory and ends in
-    no separator) and its directory exists (or with `make_parents` its
-    nearest existing ancestor is one), else DataError."""
+    no separator), its directory exists (or with `make_parents` its nearest
+    existing ancestor is one) and, once resolved, it names none of `others`,
+    the command's other files (empty entries are skipped); else DataError."""
     text = os.fspath(path)
     if text.endswith(os.sep):  # Path drops it: "out/" would write the file "out"
         raise DataError(f"cannot write {text}: a file name cannot end in {os.sep}")
@@ -65,6 +67,9 @@ def check_destination(path, make_parents=False) -> Path:
         parent = parent.parent
     if not parent.is_dir():
         raise DataError(f"cannot write {path}: {parent} is not a directory")
+    for other in filter(None, others):
+        if os.path.realpath(other) == os.path.realpath(path):
+            raise DataError(f"cannot write {path}: {other} names the same file")
     return path
 
 
@@ -108,12 +113,16 @@ def json_object(raw: bytes, path, what: str) -> dict:
     return value
 
 
-def check_mesh_hash(path, value):
-    """Refuse a stored mesh hash that is not absent, empty or 64 lowercase
-    hex digits; artifacts copy it into comment lines."""
+def check_mesh_hash(path, value, what: str, mesh=None):
+    """Refuse a recorded mesh hash that is not None, "" or 64 lowercase hex
+    digits (artifacts copy it into comment lines), or, given the `mesh` the
+    artifact `what` serves, one other than its content hash. None is no claim."""
     if value not in (None, "") and not (isinstance(value, str)
                                        and re.fullmatch("[0-9a-f]{64}", value)):
         raise DataError(f"{path}: stored mesh_hash is not 64 lowercase hex digits")
+    if mesh is not None and value is not None and value != mesh.content_hash():
+        raise DataError(f"{path}: stale {what}: computed for a different mesh "
+                        "(content hash mismatch)")
 
 
 @contextlib.contextmanager

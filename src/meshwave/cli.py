@@ -2,10 +2,12 @@
 training, inference, and visualization export.
 
 Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 numerical
-failure. Artifacts carry the content hashes of their inputs; a cached file
-whose hash no longer matches its input is refused, never silently reused.
-Every command reads and writes files through ``_files``, and checks each
-output path there before any eigensolve, match, epoch or forward pass.
+failure. Basis caches, descriptor files and correspondence maps record the
+content hash of the mesh they were computed for, and each is read against
+the mesh it serves: one recorded for another mesh is refused, never reused
+(``_files.check_mesh_hash``). Every command reads and writes files through
+``_files``, and checks each output path there, against its other files
+too, before any eigensolve, match, epoch or forward pass.
 
 `basis`, `descriptor`, `train` and `infer` take `--config`, a file that
 sets the [pipeline], [descriptor], [model] and [train] sections of
@@ -96,7 +98,7 @@ def _mesh_basis(mesh, k: int, path=None):
         lap = cotangent_laplacian(mesh)
         areas = lumped_areas(mesh)
         return eig_generalized(lap, areas, k, mesh_hash=mesh.content_hash()), None
-    basis = load_basis(path, expect_mesh_hash=mesh.content_hash())
+    basis = load_basis(path, mesh)
     if basis.k < k:
         raise DataError(f"basis cache {path} holds k={basis.k} < requested {k}")
     if basis.k > k:
@@ -127,26 +129,16 @@ def _descriptor_field(mesh, basis, kind: str, num: int, power: int, atom_cache=N
     return wks(basis, n_energies=num)  # the callers ran check_settings
 
 
-def _check_desc_mesh(desc, mesh, what: str):
-    stored = desc.metadata.get("mesh_hash")
-    if stored and stored != mesh.content_hash():
-        raise DataError(f"{what}: descriptor file was computed for a different mesh "
-                        "(content hash mismatch); refusing stale artifact")
-    if desc.n_vertices != mesh.n_vertices:
-        raise DataError(f"{what}: descriptor rows ({desc.n_vertices}) do not match "
-                        f"mesh vertices ({mesh.n_vertices})")
-
-
 # ---------------------------------------------------------------- commands
 
 
 def _cmd_basis(args, cfg):
     mesh = load_mesh(args.mesh)
     k = args.k if args.k is not None else cfg["descriptor"]["k"]
-    out = check_destination(args.out or f"{args.mesh}.basis.npz")
+    out = check_destination(args.out or f"{args.mesh}.basis.npz", args.mesh, args.config)
     if out.exists() and not args.force:
         try:
-            cached = load_basis(out, expect_mesh_hash=mesh.content_hash())
+            cached = load_basis(out, mesh)
             if cached.k != k:
                 raise DataError(f"basis cache {out} holds k={cached.k}, requested {k}")
         except DataError as exc:
@@ -166,8 +158,9 @@ def _cmd_descriptor(args, cfg):
     k = args.k if args.k is not None else cfg["descriptor"]["k"]
     power = args.power if args.power is not None else cfg["descriptor"]["power"]
     check_settings(kind, num, power)
-    out = check_destination(args.out or f"{args.mesh}.{kind}.mwd")
-    csv = args.csv and check_destination(args.csv)
+    inputs = [args.mesh, args.config, args.basis, args.basis and f"{args.basis}.atoms.npz"]
+    out = check_destination(args.out or f"{args.mesh}.{kind}.mwd", *inputs)
+    csv = args.csv and check_destination(args.csv, out, *inputs)
     basis, sidecar = _mesh_basis(mesh, k, args.basis)
     field = _descriptor_field(mesh, basis, kind, num, power, sidecar)
     field.metadata["mesh_hash"] = mesh.content_hash()
@@ -180,14 +173,14 @@ def _cmd_descriptor(args, cfg):
 
 
 def _cmd_match(args, cfg):
-    out = check_destination(args.out)
+    out = check_destination(args.out, args.desc_a, args.desc_b)
     desc_a = load_descriptors(args.desc_a)
     desc_b = load_descriptors(args.desc_b)
     corr = nn_match(desc_a.values, desc_b.values)
     comment_lines = [f"source = {args.desc_a}", f"target = {args.desc_b}"]
     for name, desc in (("source", desc_a), ("target", desc_b)):
         h = desc.metadata.get("mesh_hash")
-        if h:
+        if h is not None:
             comment_lines.append(f"{name}_mesh = {h}")
     write_correspondence(out, corr.indices, comment="\n".join(comment_lines))
     _log(f"wrote {out} ({corr.n_source} correspondences)")
@@ -205,21 +198,19 @@ def _cmd_eval(args, cfg):
         raise UsageError(f"--kmax needs --desc-a and --desc-b and must be "
                          f"at least 1, got {args.kmax}")
     # the suffixes extend the whole prefix: "-o run.1" writes run.1.summary.txt
-    paths = [check_destination(f"{args.out_prefix}.{suffix}")
+    paths = [check_destination(f"{args.out_prefix}.{suffix}", args.correspondence, args.gt,
+                               args.target_mesh, args.gt_symmetric, args.desc_a, args.desc_b)
              for suffix in ("summary.txt", "curves.csv")]
     target = load_mesh(args.target_mesh)
-    pred = read_correspondence(args.correspondence, n_target=target.n_vertices,
-                               expect_target_hash=target.content_hash())
-    direct = read_correspondence(args.gt, n_target=target.n_vertices)
-    symmetric = None
-    if args.gt_symmetric:
-        symmetric = read_correspondence(args.gt_symmetric, n_target=target.n_vertices)
+    pred = read_correspondence(args.correspondence, target)
+    direct = read_correspondence(args.gt, target)
+    symmetric = read_correspondence(args.gt_symmetric, target) if args.gt_symmetric else None
     gt = GroundTruth(direct, symmetric)
     radii = np.linspace(0.0, args.max_radius, args.n_radii)
     report = evaluate_map(CorrespondenceMap(pred), gt, target, radii)
     if args.desc_a is not None:
         da = load_descriptors(args.desc_a)
-        db = load_descriptors(args.desc_b)
+        db = load_descriptors(args.desc_b, target)
         kmax = args.kmax if args.kmax is not None else min(100, db.n_vertices)
         ks, fractions = cmc_curve(da.values, db.values, gt.direct, kmax)
         report = dataclasses.replace(report, cmc_ranks=ks, cmc_fractions=fractions)
@@ -246,7 +237,7 @@ def _cmd_train(args, cfg):
     if seed < 0:
         raise DataError(f"[pipeline] seed must be non-negative, got {seed}")
     out = check_destination(args.out or Path(cfg["pipeline"]["output_dir"]) / "model.npz",
-                            make_parents=True)
+                            args.config, *paths, *corr_paths, make_parents=True)
     train_cfg = TrainConfig(**{f.name: cfg["train"][f.name]
                                for f in dataclasses.fields(TrainConfig)})
     # every input is read, and the model built, before any eigensolve
@@ -298,11 +289,12 @@ def _cmd_train(args, cfg):
 
 
 def _cmd_infer(args, cfg):
-    out = check_destination(args.out or f"{args.mesh}.learned.mwd")
+    out = check_destination(args.out or f"{args.mesh}.learned.mwd", args.checkpoint, args.mesh,
+                            args.descriptors, args.config, args.basis,
+                            args.basis and f"{args.basis}.atoms.npz")
     net, _, _, meta = load_checkpoint(args.checkpoint)
     mesh = load_mesh(args.mesh)
-    field = load_descriptors(args.descriptors)
-    _check_desc_mesh(field, mesh, str(args.descriptors))
+    field = load_descriptors(args.descriptors, mesh)
     if field.n_dims != net.input_dim:
         raise DataError(f"descriptor dim {field.n_dims} does not match model input "
                         f"{net.input_dim}")
@@ -337,10 +329,9 @@ def _cmd_infer(args, cfg):
 
 
 def _cmd_dissimilarity(args, cfg):
-    out = check_destination(args.out or f"{args.mesh}.dissim.ply")
-    field = load_descriptors(args.descriptors)
+    out = check_destination(args.out or f"{args.mesh}.dissim.ply", args.descriptors, args.mesh)
     mesh = load_mesh(args.mesh)
-    _check_desc_mesh(field, mesh, str(args.descriptors))
+    field = load_descriptors(args.descriptors, mesh)
     v = args.vertex
     if not 0 <= v < field.n_vertices:
         raise DataError(f"reference vertex {v} out of range for {field.n_vertices} vertices")
@@ -403,7 +394,8 @@ def build_parser() -> _Parser:
     p.add_argument("target_mesh")
     p.add_argument("--gt-symmetric", help="symmetric ground-truth file")
     p.add_argument("--desc-a", help="source descriptors (with --desc-b, the rank curve)")
-    p.add_argument("--desc-b", help="target descriptors (with --desc-a, the rank curve)")
+    p.add_argument("--desc-b", help="target descriptors, of TARGET_MESH (with --desc-a, "
+                                    "the rank curve)")
     p.add_argument("--kmax", type=int, help="rank curve depth (default min(100, target rows))")
     p.add_argument("--max-radius", type=float, default=0.25)
     p.add_argument("--n-radii", type=int, default=51)

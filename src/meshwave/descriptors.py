@@ -215,7 +215,9 @@ def save_descriptors(path, descriptor_field):
         handle.write(values.tobytes())
 
 
-def load_descriptors(path):
+def load_descriptors(path, mesh=None):
+    """The descriptor file at `path`; given the `mesh` it serves, one recorded
+    for no other mesh with a row per vertex, checked before the values are read."""
     with open_read(path, "descriptor file") as handle:
         if handle.read(4) != _MAGIC:
             raise DataError(f"{path}: not a descriptor file")
@@ -233,7 +235,10 @@ def load_descriptors(path):
         if spare:
             raise DataError(f"{path}: {spare} bytes past the descriptor data ({n}x{d} in header)")
         meta = json_object(handle.read(meta_len), path, "descriptor metadata")
-        check_mesh_hash(path, meta.get("mesh_hash"))
+        check_mesh_hash(path, meta.get("mesh_hash"), "descriptor file", mesh)
+        if mesh is not None and n != mesh.n_vertices:
+            raise DataError(f"{path}: descriptor rows ({n}) do not match "
+                            f"mesh vertices ({mesh.n_vertices})")
         values = np.empty((n, d), dtype=np.float64)
         if handle.readinto(values) != values.nbytes:
             raise DataError(f"{path}: truncated descriptor data ({n}x{d} in header)")

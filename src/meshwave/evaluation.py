@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from ._files import atomic_write, read_text
+from ._files import atomic_write, check_mesh_hash, read_text
 from .errors import DataError
 from .geodesics import geodesic_pairs
 from .mesh import TriMesh, lumped_areas
@@ -87,11 +87,10 @@ class EvalReport:
     cmc_fractions: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
-def read_correspondence(path, n_target: Optional[int] = None,
-                        expect_target_hash: Optional[str] = None) -> np.ndarray:
-    """One 0-based target index per line; '#' lines are comments, and a
-    '# target_mesh = HASH' comment (as `match` writes) must equal
-    expect_target_hash when that is given."""
+def read_correspondence(path, target=None) -> np.ndarray:
+    """One 0-based index per line; '#' lines are comments. Given the mesh
+    `target`, a '# target_mesh = HASH' comment (as `match` writes) is
+    checked against it (``_files.check_mesh_hash``), as is each index."""
     out = []
     target_hash = None
     # the text holds only "\n" newlines, so these are the lines a file iterates
@@ -109,11 +108,7 @@ def read_correspondence(path, n_target: Optional[int] = None,
         except ValueError:
             raise DataError(f"{path}:{ln}: not an integer: {line!r}") from None
         out.append(val)
-    if expect_target_hash is not None and target_hash not in (None, expect_target_hash):
-        raise DataError(
-            f"{path}: correspondence targets a different mesh "
-            "(content hash mismatch); refusing stale artifact"
-        )
+    check_mesh_hash(path, target_hash, "correspondence", target)
     try:
         idx = np.asarray(out, dtype=np.int64)
     except OverflowError:
@@ -122,10 +117,9 @@ def read_correspondence(path, n_target: Optional[int] = None,
         raise DataError(f"{path}: no indices found")
     if idx.min() < 0:
         raise DataError(f"{path}: negative index {idx.min()}")
-    if n_target is not None and idx.max() >= n_target:
-        raise DataError(
-            f"{path}: index {idx.max()} out of range for {n_target} target vertices"
-        )
+    if target is not None and idx.max() >= target.n_vertices:
+        raise DataError(f"{path}: index {idx.max()} out of range for "
+                        f"{target.n_vertices} target vertices")
     return idx
 
 

@@ -273,17 +273,16 @@ def save_basis(path, basis):
         )
 
 
-def load_basis(path, expect_mesh_hash=None):
+def load_basis(path, mesh=None):
+    """The basis cache at `path`; given the `mesh` it serves, one recorded
+    for no other mesh (``_files.check_mesh_hash``) with a row per vertex."""
     with open_npz(path, "basis cache") as data:
         if int(data["version"]) != _CACHE_VERSION:
             raise DataError(f"{path}: unsupported basis cache version")
-        basis = SpectralBasis(
-            data["eigenvalues"],
-            data["eigenvectors"],
-            data["areas"],
-            bytes(data["mesh_hash"]).decode(),
-        )
-    check_mesh_hash(path, basis.mesh_hash)
+        stored = bytes(data["mesh_hash"]).decode() if "mesh_hash" in data else None
+        basis = SpectralBasis(data["eigenvalues"], data["eigenvectors"], data["areas"],
+                              stored or "")
+    check_mesh_hash(path, stored, "basis cache", mesh)
     vals, vecs, areas = basis.eigenvalues, basis.eigenvectors, basis.areas
     if not (all(a.dtype.kind == "f" and np.isfinite(a).all() for a in (vals, vecs, areas))
             and vals.ndim == 1 and vals.size and vals[0] == 0 and (np.diff(vals) >= 0).all()
@@ -293,13 +292,11 @@ def load_basis(path, expect_mesh_hash=None):
         raise DataError(f"{path}: inconsistent basis cache: need finite eigenvalues (k,) "
                         "ascending from a single 0, eigenvectors (n, k) and positive "
                         f"areas (n,); got {vals.shape}, {vecs.shape}, {areas.shape}")
+    if mesh is not None and basis.n_vertices != mesh.n_vertices:
+        raise DataError(f"{path}: basis cache rows ({basis.n_vertices}) do not match "
+                        f"mesh vertices ({mesh.n_vertices})")
     ortho_err = _ortho_error(vecs * areas[:, None], vecs)
     if ortho_err > _ORTHO_TOL:
         raise DataError(f"{path}: inconsistent basis cache: eigenvectors not "
                         f"A-orthonormal (max deviation {ortho_err:.3e})")
-    if expect_mesh_hash is not None and basis.mesh_hash != expect_mesh_hash:
-        raise DataError(
-            f"{path}: stale basis cache (mesh content hash mismatch); "
-            "recompute with the current mesh"
-        )
     return basis

@@ -474,8 +474,8 @@ def test_basis_with_a_second_zero_eigenvalue_exits_2(work, tmp_path, capsys, kin
 def test_eval_stale_correspondence(work, tmp_path, capsys):
     corr = tmp_path / "stale.txt"
     write_correspondence(gt_path := tmp_path / "g.txt", np.arange(60))
-    write_correspondence(corr, np.arange(60),
-                         comment="target_mesh = 0000deadbeef")
+    other = _shared.bar(0.0, nu=10, nv=6)  # another pose, the same vertex count
+    write_correspondence(corr, np.arange(60), comment=f"target_mesh = {other.content_hash()}")
     rc = main(["eval", str(corr), str(gt_path), str(work["mesh_path"])])
     assert rc == 2
     assert "different mesh" in capsys.readouterr().err
@@ -538,6 +538,68 @@ def test_dissimilarity_wrong_mesh(work, tmp_path, capsys):
                "--vertex", "0", "-o", str(tmp_path / "x.ply")])
     assert rc == 2
     assert "different mesh" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def poses(work, tmp_path_factory):
+    """Two more poses of the module's bar, B and C, with its 60 vertices:
+    each one's mesh, basis cache and WEDS field, and the map `match` writes
+    from the module's field onto B's."""
+    root = tmp_path_factory.mktemp("poses")
+    files = {}
+    for name, curvature in (("b", 0.0), ("c", 0.6)):
+        mesh = _shared.bar(curvature, nu=10, nv=6)
+        paths = [root / f"{name}{ext}" for ext in (".ply", ".basis.npz", ".mwd")]
+        files.update(zip((name, f"{name}_basis", f"{name}_desc"), paths))
+        write_ply(paths[0], mesh.vertices, mesh.triangles)
+        assert main(["basis", str(paths[0]), "-k", "12", "-o", str(paths[1])]) == 0
+        assert main(["descriptor", str(paths[0]), "--type", "weds", "--num", "16", "-k", "12",
+                     "--basis", str(paths[1]), "-o", str(paths[2])]) == 0
+    files["map"] = root / "a_to_b.txt"
+    assert main(["match", str(work["desc_path"]), str(files["b_desc"]),
+                 "-o", str(files["map"])]) == 0
+    return files
+
+
+# each reads an artifact of another pose than the mesh it is used with:
+# (argv, the artifact) from the module's files, the poses and tmp_path
+_FOREIGN = {
+    "basis cache hit": lambda w, p, t: (["basis", w["mesh_path"], "-k", "12", "-o", t / "b.npz"],
+                                        t / "b.npz"),
+    "descriptor --basis": lambda w, p, t: (["descriptor", w["mesh_path"], "-k", "12",
+                                            "--basis", p["b_basis"], "-o", t / "d.mwd"],
+                                           p["b_basis"]),
+    "infer --basis": lambda w, p, t: (["infer", t / "net.npz", w["mesh_path"], w["desc_path"],
+                                       "-k", "12", "--basis", p["b_basis"], "-o", t / "o.mwd"],
+                                      p["b_basis"]),
+    "infer": lambda w, p, t: (["infer", t / "net.npz", w["mesh_path"], p["b_desc"],
+                               "-o", t / "o.mwd"], p["b_desc"]),
+    "dissimilarity": lambda w, p, t: (["dissimilarity", p["b_desc"], w["mesh_path"],
+                                       "--vertex", "0", "-o", t / "x.ply"], p["b_desc"]),
+    "eval map": lambda w, p, t: (["eval", p["map"], t / "gt.txt", w["mesh_path"],
+                                  "-o", t / "r"], p["map"]),
+    "eval --desc-b": lambda w, p, t: (["eval", p["map"], t / "gt.txt", p["b"], "--desc-a",
+                                       w["desc_path"], "--desc-b", p["c_desc"], "-o", t / "r"],
+                                      p["c_desc"]),
+    "eval swapped": lambda w, p, t: (["eval", p["map"], t / "gt.txt", p["b"], "--desc-a",
+                                      p["b_desc"], "--desc-b", w["desc_path"], "-o", t / "r"],
+                                     w["desc_path"]),
+}
+
+
+@pytest.mark.parametrize("case", _FOREIGN)
+def test_an_artifact_of_another_pose_exits_2_naming_it(work, poses, tmp_path, capsys, case):
+    # eval took --desc-b from any mesh, and with the two fields swapped
+    (tmp_path / "b.npz").write_bytes(poses["b_basis"].read_bytes())
+    write_correspondence(tmp_path / "gt.txt", np.arange(60))
+    save_checkpoint(tmp_path / "net.npz", build_model("MGCONV8(3)+FC16", input_dim=16, seed=3))
+    argv, artifact = _FOREIGN[case](work, poses, tmp_path)
+    before = _tree(tmp_path, work["root"], poses["b"].parent)
+    assert main([str(a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"{artifact}: stale " in err and "computed for a different mesh" in err, err
+    assert _tree(tmp_path, work["root"], poses["b"].parent) == before
 
 
 def test_train_and_infer_end_to_end(work, tmp_path, capsys):

@@ -460,6 +460,18 @@ def test_load_rejects_bad_files(tmp_path):
         load_descriptors(q)
 
 
+def test_load_against_a_mesh_checks_the_row_count_before_the_values(tmp_path):
+    # a file that records no mesh makes no claim, so only its size tells
+    mesh = _shared.bar(0.3, nu=6, nv=4)  # 24 vertices
+    p = tmp_path / "field.mwd"
+    _shared.write_raw_descriptors(p, np.full((24, 2), np.nan))
+    with pytest.raises(DataError, match="non-finite"):
+        load_descriptors(p, mesh)
+    _shared.write_raw_descriptors(p, np.full((23, 2), np.nan))
+    with pytest.raises(DataError, match=r"rows \(23\) do not match mesh vertices \(24\)"):
+        load_descriptors(p, mesh)
+
+
 def test_csv_export(tmp_path):
     field = DescriptorField(np.array([[1.0 / 3.0, 2.0], [3.0, 4.0]]), "weds")
     p = tmp_path / "field.csv"

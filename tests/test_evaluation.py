@@ -237,7 +237,7 @@ def test_correspondence_file_round_trip(tmp_path):
     assert text.startswith("# made by a test\n# second line\n")
     back = read_correspondence(p)
     assert np.array_equal(back, idx)
-    back_checked = read_correspondence(p, n_target=18)
+    back_checked = read_correspondence(p, _shared.bar(0.3, nu=6, nv=3))  # 18 vertices
     assert np.array_equal(back_checked, idx)
 
 
@@ -249,7 +249,7 @@ def test_correspondence_file_errors(tmp_path):
     q = tmp_path / "range.txt"
     q.write_text("3\n99\n")
     with pytest.raises(DataError, match="out of range"):
-        read_correspondence(q, n_target=10)
+        read_correspondence(q, _shared.bar(0.3, nu=5, nv=2))  # 10 vertices
     r = tmp_path / "neg.txt"
     r.write_text("-2\n")
     with pytest.raises(DataError, match="negative"):
@@ -264,13 +264,15 @@ def test_correspondence_file_errors(tmp_path):
 
 def test_correspondence_target_hash(tmp_path):
     p = tmp_path / "map.txt"
-    write_correspondence(p, [1, 0], comment="source_mesh = aa\ntarget_mesh = bb")
-    assert read_correspondence(p, expect_target_hash="bb").tolist() == [1, 0]
+    a, b = (_shared.bar(curvature, nu=6, nv=4) for curvature in (0.0, 0.3))  # two poses
+    write_correspondence(p, [1, 0], comment=f"source_mesh = {a.content_hash()}\n"
+                                            f"target_mesh = {b.content_hash()}")
+    assert read_correspondence(p, b).tolist() == [1, 0]
     with pytest.raises(DataError, match="different mesh"):
-        read_correspondence(p, expect_target_hash="aa")
+        read_correspondence(p, a)
     # a file without the comment (hand-written ground truth) carries no claim
     write_correspondence(p, [1, 0])
-    assert read_correspondence(p, expect_target_hash="aa").tolist() == [1, 0]
+    assert read_correspondence(p, a).tolist() == [1, 0]
 
 
 def _adversarial_pairs(seed):

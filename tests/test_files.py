@@ -141,6 +141,37 @@ def test_only_files_touches_the_file_system():
     assert found == []
 
 
+def _is_mesh_hash(node):
+    """A `content_hash()` call, or a name or attribute ending in mesh_hash
+    or target_hash."""
+    if isinstance(node, ast.Call):
+        return (_dotted(node.func) or "").split(".")[-1] == "content_hash"
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
+    return name.endswith(("mesh_hash", "target_hash"))
+
+
+def _scoped(node, scope=None):
+    """(enclosing function, node) for every node under `node`."""
+    for child in ast.iter_child_nodes(node):
+        yield scope, child
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        yield from _scoped(child, inner)
+
+
+def test_only_files_compares_mesh_hashes():
+    # whether an artifact serves a mesh is decided by _files.check_mesh_hash
+    # alone; a caller that compares hashes itself can decide differently
+    found = []
+    for path in sorted(Path(meshwave.__file__).parent.glob("*.py")):
+        if path.name == "_files.py":
+            continue
+        for scope, node in _scoped(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Compare) and any(map(_is_mesh_hash,
+                                                         [node.left, *node.comparators])):
+                found.append(f"{path.name}:{node.lineno} {scope}")
+    assert found == []
+
+
 @pytest.mark.parametrize("fault, reason", [("missing", "No such file or directory"),
                                            ("directory", "Is a directory")])
 def test_an_archive_that_cannot_be_opened_reads_like_any_input(tmp_path, fault, reason):

@@ -19,7 +19,12 @@ no new file when it fails.  Every test runs the same `_FUZZ` settings:
 100 derandomized draws, so the cases repeat from run to run.  Each output
 path of every command, given a directory in its place, a missing
 directory, a regular file where its directory should be or a trailing
-separator, exits 2 with one line before any work.
+separator, exits 2 with one line before any work, as does one that names
+another file of the command.  The mesh hash a basis cache, a descriptor
+file or a map's target_mesh comment records is drawn from absent, null,
+"", the mesh's own or another pose's hash and near misses of it, and each
+command that reads it against a mesh exits 0 exactly when it is absent or
+the mesh's own, and otherwise 2 with one line and no new file.
 """
 
 import contextlib
@@ -111,18 +116,24 @@ def _mutate(lines, kind, i, j, token, factor, rows=None):
     return "\n".join(lines) + "\n"
 
 
-def _check_contract(argv, root, outputs):
-    """Run meshwave in the directory `root`: it exits 0, 2 or 3 with no
-    traceback and no warning, and adds the files `outputs` on success and
-    none otherwise.  Returns the exit code."""
-    inputs = set(root.iterdir())
+def _run(argv):
+    """meshwave's exit code and stderr on `argv`, with stdout dropped."""
     stderr = io.StringIO()
     with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()), \
             warnings.catch_warnings():
         warnings.simplefilter("error")  # a warning fails the case as a traceback does
         code = main([str(a) for a in argv])
-    assert code in (0, 2, 3), stderr.getvalue()
-    assert "Traceback" not in stderr.getvalue() and "Warning" not in stderr.getvalue()
+    return code, stderr.getvalue()
+
+
+def _check_contract(argv, root, outputs):
+    """Run meshwave in the directory `root`: it exits 0, 2 or 3 with no
+    traceback and no warning, and adds the files `outputs` on success and
+    none otherwise.  Returns the exit code."""
+    inputs = set(root.iterdir())
+    code, err = _run(argv)
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err and "Warning" not in err
     assert set(root.iterdir()) == (inputs | outputs if code == 0 else inputs)
     return code
 
@@ -624,3 +635,142 @@ def test_an_output_that_cannot_be_written_exits_2_before_any_work(tmp_path, monk
     assert err.count(out) == 1 and (fault != "directory" or f"{out}{suffix}:" in err), err
     assert sorted(tmp_path.rglob("*")) == before
     assert calls == []
+
+
+# the mesh hash an artifact records: absent, or any value below; only
+# absent (None included) or _TARGET's own hash, _HEX, is accepted
+_POSE = bent_bar(0.6, 6, 4)  # another pose of _TARGET, the same 24 vertices
+_BASIS = _shared.basis_of(_TARGET, 8)
+_ABSENT = "absent"
+_HEX_DIGITS = "0123456789abcdef"
+_ONE_DIGIT = st.integers(0, 63).map(
+    lambda i: _HEX[:i] + _HEX_DIGITS[(_HEX_DIGITS.index(_HEX[i]) + 1) % 16] + _HEX[i + 1:])
+_STRINGS = st.one_of(st.sampled_from(["", _HEX, _POSE.content_hash(), _HEX.upper(), _HEX[:63],
+                                      f"{_HEX[:32]}\n{_HEX[32:]}"]), _ONE_DIGIT)
+_RECORDED = {"text": st.one_of(st.sampled_from([_ABSENT, None]), _STRINGS),
+             "json": st.one_of(st.sampled_from([_ABSENT, None, 12345, [_HEX]]), _STRINGS)}
+
+
+def _write_basis(path, value):
+    """_BASIS as a cache recording `value` (no key if absent or None)."""
+    arrays = dict(version=np.int64(1), eigenvalues=_BASIS.eigenvalues,
+                  eigenvectors=_BASIS.eigenvectors, areas=_BASIS.areas)
+    if value not in (_ABSENT, None):
+        arrays["mesh_hash"] = np.bytes_(value.encode())
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def _write_field(path, value):
+    """A WEDS field of _TARGET recording `value` (no key if absent)."""
+    meta = {"type": "weds"} if value == _ABSENT else {"type": "weds", "mesh_hash": value}
+    values = np.random.default_rng(9).standard_normal((_TARGET.n_vertices, 4))
+    path.write_bytes(_raw_mwd(*values.shape, json.dumps(meta).encode(), values.tobytes()))
+
+
+def _write_map(path, value):
+    """`match`'s map onto _TARGET, its target_mesh comment holding `value`
+    (no comment if absent or None)."""
+    lines = [line for line in _MAP if not line.startswith("# target_mesh")]
+    if value not in (_ABSENT, None):
+        lines.insert(1, f"# target_mesh = {value}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+# the file the value is written to, the command that reads it, and the
+# files that command writes
+_SITES = {
+    "basis": (_write_basis, "x.npz", ["basis", "mesh.off", "-k", "8", "-o", "x.npz"], []),
+    "descriptor --basis": (_write_basis, "x.npz",
+                           ["descriptor", "mesh.off", "--type", "hks", "--num", "4", "-k", "8",
+                            "--basis", "x.npz", "-o", "out"], ["out"]),
+    "infer --basis": (_write_basis, "x.npz",
+                      ["infer", "net.npz", "mesh.off", "bar.mwd", "--basis", "x.npz",
+                       "-o", "out"], ["out", "x.npz.atoms.npz"]),
+    "infer": (_write_field, "x.mwd", ["infer", "net.npz", "mesh.off", "x.mwd", "-o", "out"],
+              ["out"]),
+    "dissimilarity": (_write_field, "x.mwd",
+                      ["dissimilarity", "x.mwd", "mesh.off", "--vertex", "0", "-o", "out"],
+                      ["out"]),
+    "eval --desc-b": (_write_field, "x.mwd",
+                      ["eval", "pred.txt", "truth.txt", "mesh.off", "--desc-a", "bar.mwd",
+                       "--desc-b", "x.mwd", "-o", "out"], ["out.summary.txt", "out.curves.csv"]),
+    "eval": (_write_map, "x.txt", ["eval", "x.txt", "truth.txt", "mesh.off", "-o", "out"],
+             ["out.summary.txt", "out.curves.csv"]),
+}
+
+
+def _site_and_value(site):
+    return st.tuples(st.just(site), _RECORDED["json" if _SITES[site][0] is _write_field
+                                              else "text"])
+
+
+@_FUZZ
+@given(case=st.sampled_from(sorted(_SITES)).flatmap(_site_and_value))
+@example(case=("basis", _HEX))
+@example(case=("basis", _POSE.content_hash()))
+@example(case=("descriptor --basis", _HEX))
+@example(case=("descriptor --basis", ""))
+@example(case=("infer --basis", _HEX))
+@example(case=("infer --basis", _POSE.content_hash()))
+@example(case=("descriptor --basis", _ABSENT))
+@example(case=("infer", _POSE.content_hash()))
+@example(case=("eval", _HEX))
+@example(case=("eval", _ABSENT))
+@example(case=("eval", f"{_HEX[:32]}\n{_HEX[32:]}"))
+def test_an_artifact_is_used_only_with_the_mesh_it_records(case):
+    site, value = case
+    write, name, argv, outputs = _SITES[site]
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        root = Path(tmp)
+        _write_inputs(root)
+        write(root / name, value)
+        before = set(root.iterdir())
+        code, err = _run(argv)
+        assert set(root.iterdir()) == before | {root / out for out in outputs if code == 0}
+    if value in (_ABSENT, None, _HEX):
+        assert (code, err) == (0, "")
+    else:
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def _files_in(root):
+    return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+# per command, an output that names one of its inputs or another output
+_COLLISIONS = {
+    "basis-mesh": ["basis", "mesh.off", "-k", "8", "-o", "mesh.off"],
+    "basis-config": ["basis", "mesh.off", "--config", "train.cfg", "-o", "train.cfg"],
+    "descriptor-csv": ["descriptor", "mesh.off", "--type", "hks", "--num", "4", "-k", "8",
+                       "-o", "x.mwd", "--csv", "x.mwd"],
+    "descriptor-mesh": ["descriptor", "mesh.off", "--type", "hks", "--num", "4", "-k", "8",
+                        "-o", "mesh.off"],
+    "descriptor-sidecar": ["descriptor", "mesh.off", "-k", "8", "--basis", "x.npz",
+                           "--csv", "x.npz.atoms.npz"],
+    "match": ["match", "a.mwd", "b.mwd", "-o", "b.mwd"],
+    "eval": ["eval", "rep.summary.txt", "truth.txt", "mesh.off", "-o", "rep"],
+    "train": ["train", "--config", "train.cfg", "-o", "mesh.off"],
+    "infer": ["infer", "net.npz", "mesh.off", "bar.mwd", "-o", "net.npz"],
+    "infer-basis": ["infer", "net.npz", "mesh.off", "bar.mwd", "--basis", "x.npz",
+                    "-o", "x.npz"],
+    "dissimilarity": ["dissimilarity", "bar.mwd", "mesh.off", "--vertex", "0",
+                      "-o", "./mesh.off"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_COLLISIONS))
+def test_an_output_that_names_another_file_of_the_command_exits_2_before_any_work(
+        tmp_path, monkeypatch, case):
+    # descriptor -o x.mwd --csv x.mwd left a CSV in x.mwd, and descriptor
+    # b.ply -o b.ply overwrote its own mesh
+    monkeypatch.setattr(cli, "eig_generalized", lambda *a, **k: pytest.fail("eigensolve"))
+    _write_inputs(tmp_path)
+    _write_basis(tmp_path / "x.npz", _HEX)
+    (tmp_path / "rep.summary.txt").write_text("\n".join(_MAP) + "\n")
+    before = _files_in(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    code, err = _run(_COLLISIONS[case])
+    assert code == 2, err
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1, err
+    assert _files_in(tmp_path) == before

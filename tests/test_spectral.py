@@ -174,7 +174,7 @@ def test_save_load_round_trip(tmp_path):
     basis = _shared.bar_basis(0.3, 8)
     p = tmp_path / "basis.npz"
     save_basis(p, basis)
-    loaded = load_basis(p, expect_mesh_hash=basis.mesh_hash)
+    loaded = load_basis(p, _shared.bar(0.3))
     assert np.array_equal(loaded.eigenvalues, basis.eigenvalues)
     assert np.array_equal(loaded.eigenvectors, basis.eigenvectors)
     assert np.array_equal(loaded.areas, basis.areas)
@@ -186,7 +186,19 @@ def test_load_rejects_stale_hash(tmp_path):
     p = tmp_path / "basis.npz"
     save_basis(p, basis)
     with pytest.raises(DataError, match="stale"):
-        load_basis(p, expect_mesh_hash="0" * 64)
+        load_basis(p, _shared.bar(0.0))  # another pose, the same vertex count
+
+
+def test_a_cache_that_records_no_mesh_is_checked_by_its_rows(tmp_path):
+    # no mesh_hash key makes no claim: the cache serves any mesh of its size
+    basis = _shared.bar_basis(0.3, 8)
+    p = tmp_path / "basis.npz"
+    np.savez(p, version=np.int64(1), eigenvalues=basis.eigenvalues,
+             eigenvectors=basis.eigenvectors, areas=basis.areas)
+    assert load_basis(p, _shared.bar(0.0)).mesh_hash == ""
+    with pytest.raises(DataError, match=r"basis cache rows \(220\) do not match mesh "
+                                        r"vertices \(60\)"):
+        load_basis(p, _shared.bar(0.3, nu=10, nv=6))
 
 
 def test_load_rejects_garbage(tmp_path):
