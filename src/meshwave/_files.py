@@ -116,11 +116,13 @@ def json_object(raw: bytes, path, what: str) -> dict:
 def check_mesh_hash(path, value, what: str, mesh=None):
     """Refuse a recorded mesh hash that is not None, "" or 64 lowercase hex
     digits (artifacts copy it into comment lines), or, given the `mesh` the
-    artifact `what` serves, one other than its content hash. None is no claim."""
+    artifact `what` serves (or the hash another artifact records for that
+    mesh), one other than its content hash. None is no claim."""
     if value not in (None, "") and not (isinstance(value, str)
                                        and re.fullmatch("[0-9a-f]{64}", value)):
         raise DataError(f"{path}: stored mesh_hash is not 64 lowercase hex digits")
-    if mesh is not None and value is not None and value != mesh.content_hash():
+    if mesh is not None and value is not None and value != (
+            mesh if isinstance(mesh, str) else mesh.content_hash()):
         raise DataError(f"{path}: stale {what}: computed for a different mesh "
                         "(content hash mismatch)")
 

@@ -4,8 +4,11 @@ training, inference, and visualization export.
 Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 numerical
 failure. Basis caches, descriptor files and correspondence maps record the
 content hash of the mesh they were computed for, and each is read against
-the mesh it serves: one recorded for another mesh is refused, never reused
-(``_files.check_mesh_hash``). Every command reads and writes files through
+the mesh it serves (`eval --desc-a` against its map's `# source_mesh`): one
+recorded for another mesh is refused, never reused (``_files.check_mesh_hash``).
+A basis cache serves every k from 1 to the pairs it holds: `basis -o`,
+`descriptor --basis` and `infer --basis` read its first -k pairs through
+``spectral.load_basis``. Every command reads and writes files through
 ``_files``, and checks each output path there, against its other files
 too, before any eigensolve, match, epoch or forward pass.
 
@@ -20,12 +23,13 @@ basis in use, and `infer` refuses a checkpoint that records any other
 column statistics in the sidecar B.atoms.npz, one table per statistic
 (`descriptor` the WEDS ranges, `infer` the L1 norms; see
 ``wavelets.filter_atom_stats``), keyed by the SHA-256 of the eigenvalues,
-eigenvectors and areas of the basis in use (after truncation to -k) and
-the bank's hash. A table is reused only when it holds exactly the scales
-asked for, and is otherwise replaced, so the output is byte-identical to a
-run without --basis; a sidecar of another version or under another key (a
-rebuilt basis that differs) is replaced, so `basis --force` leaves it
-alone. A sidecar that fails its checks exits 2.
+eigenvectors and areas of the basis in use (the cache's first -k pairs)
+and the bank's hash. A table is reused only when it holds exactly the
+scales asked for, and is otherwise replaced, so the output is
+byte-identical to a run without --basis; a sidecar of another version or
+under another key (a rebuilt basis that differs) is replaced, so
+`basis --force` leaves it alone. A sidecar that fails its checks, or
+whose tables differ from their stored digest, exits 2.
 """
 
 from __future__ import annotations
@@ -91,20 +95,14 @@ def _log(msg: str):
 
 def _mesh_basis(mesh, k: int, path=None):
     """(basis, sidecar): the mesh's first k eigenpairs, freshly solved with
-    no sidecar, or read from the cache file `path` (checked against the
-    mesh, refused if it holds fewer than k pairs, truncated if more) with
-    its atom statistics sidecar `path`.atoms.npz."""
+    no sidecar, or the first k pairs of the cache file `path` (read against
+    the mesh; it serves every k from 1 to the pairs it holds) with its atom
+    statistics sidecar `path`.atoms.npz."""
     if path is None:
         lap = cotangent_laplacian(mesh)
         areas = lumped_areas(mesh)
         return eig_generalized(lap, areas, k, mesh_hash=mesh.content_hash()), None
-    basis = load_basis(path, mesh)
-    if basis.k < k:
-        raise DataError(f"basis cache {path} holds k={basis.k} < requested {k}")
-    if basis.k > k:
-        basis = dataclasses.replace(basis, eigenvalues=basis.eigenvalues[:k].copy(),
-                                    eigenvectors=basis.eigenvectors[:, :k].copy())
-    return basis, f"{path}.atoms.npz"
+    return load_basis(path, mesh, k), f"{path}.atoms.npz"
 
 
 def _bank(basis):
@@ -138,9 +136,7 @@ def _cmd_basis(args, cfg):
     out = check_destination(args.out or f"{args.mesh}.basis.npz", args.mesh, args.config)
     if out.exists() and not args.force:
         try:
-            cached = load_basis(out, mesh)
-            if cached.k != k:
-                raise DataError(f"basis cache {out} holds k={cached.k}, requested {k}")
+            cached = load_basis(out, mesh, k)
         except DataError as exc:
             raise DataError(f"{exc}; remove it or pass --force") from None
         _log(f"cache hit: {out} (k={k}, n={cached.n_vertices})")
@@ -202,15 +198,17 @@ def _cmd_eval(args, cfg):
                                args.target_mesh, args.gt_symmetric, args.desc_a, args.desc_b)
              for suffix in ("summary.txt", "curves.csv")]
     target = load_mesh(args.target_mesh)
-    pred = read_correspondence(args.correspondence, target)
+    da = db = source = None
+    if args.desc_a is not None:  # --desc-a is read against the map's source_mesh
+        da, db = load_descriptors(args.desc_a), load_descriptors(args.desc_b, target)
+        source = args.desc_a, da.metadata.get("mesh_hash")
+    pred = read_correspondence(args.correspondence, target, source)
     direct = read_correspondence(args.gt, target)
     symmetric = read_correspondence(args.gt_symmetric, target) if args.gt_symmetric else None
     gt = GroundTruth(direct, symmetric)
     radii = np.linspace(0.0, args.max_radius, args.n_radii)
     report = evaluate_map(CorrespondenceMap(pred), gt, target, radii)
-    if args.desc_a is not None:
-        da = load_descriptors(args.desc_a)
-        db = load_descriptors(args.desc_b, target)
+    if da is not None:
         kmax = args.kmax if args.kmax is not None else min(100, db.n_vertices)
         ks, fractions = cmc_curve(da.values, db.values, gt.direct, kmax)
         report = dataclasses.replace(report, cmc_ranks=ks, cmc_fractions=fractions)

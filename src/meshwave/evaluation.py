@@ -87,19 +87,21 @@ class EvalReport:
     cmc_fractions: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
-def read_correspondence(path, target=None) -> np.ndarray:
+def read_correspondence(path, target=None, source=None) -> np.ndarray:
     """One 0-based index per line; '#' lines are comments. Given the mesh
     `target`, a '# target_mesh = HASH' comment (as `match` writes) is
-    checked against it (``_files.check_mesh_hash``), as is each index."""
+    checked against it (``_files.check_mesh_hash``), as is each index.
+    Given `source`, the (path, recorded mesh hash) of the source's descriptor
+    file, that file is checked against a '# source_mesh = HASH' comment."""
     out = []
-    target_hash = None
+    recorded = {}  # the last 'key = value' comment of each key
     # the text holds only "\n" newlines, so these are the lines a file iterates
     for ln, raw in enumerate(read_text(path, "correspondence").split("\n"), start=1):
         line = raw.strip()
         if line.startswith("#"):
             key, eq, val = line[1:].partition("=")
-            if eq and key.strip() == "target_mesh":
-                target_hash = val.strip()
+            if eq:
+                recorded[key.strip()] = val.strip()
             continue
         if not line:
             continue
@@ -108,7 +110,11 @@ def read_correspondence(path, target=None) -> np.ndarray:
         except ValueError:
             raise DataError(f"{path}:{ln}: not an integer: {line!r}") from None
         out.append(val)
-    check_mesh_hash(path, target_hash, "correspondence", target)
+    check_mesh_hash(path, recorded.get("target_mesh"), "correspondence", target)
+    if source is not None:
+        source_hash = recorded.get("source_mesh")
+        check_mesh_hash(path, source_hash, "correspondence")
+        check_mesh_hash(*source, "descriptor file", source_hash)
     try:
         idx = np.asarray(out, dtype=np.int64)
     except OverflowError:

@@ -273,9 +273,11 @@ def save_basis(path, basis):
         )
 
 
-def load_basis(path, mesh=None):
+def load_basis(path, mesh=None, k=None):
     """The basis cache at `path`; given the `mesh` it serves, one recorded
-    for no other mesh (``_files.check_mesh_hash``) with a row per vertex."""
+    for no other mesh (``_files.check_mesh_hash``) with a row per vertex.
+    Given `k`, its first k pairs: a cache serves every k from 1 to the
+    number of pairs it holds, and refuses any other."""
     with open_npz(path, "basis cache") as data:
         if int(data["version"]) != _CACHE_VERSION:
             raise DataError(f"{path}: unsupported basis cache version")
@@ -299,4 +301,9 @@ def load_basis(path, mesh=None):
     if ortho_err > _ORTHO_TOL:
         raise DataError(f"{path}: inconsistent basis cache: eigenvectors not "
                         f"A-orthonormal (max deviation {ortho_err:.3e})")
-    return basis
+    if k is None or k == basis.k:
+        return basis
+    if not 1 <= k < basis.k:
+        raise DataError(f"{path}: basis cache holds k={basis.k}, requested {k}: "
+                        f"it serves 1 <= k <= {basis.k}")
+    return SpectralBasis(vals[:k].copy(), vecs[:, :k].copy(), areas, basis.mesh_hash)

@@ -24,12 +24,14 @@ maximum (the "range" statistic), the conv layers its L1 norm ("l1").
 of K (symmetry supplies the rest), S scales per GEMM into one tile buffer
 of at most _BLOCK_ENTRIES entries.  ``filter_atom_stats`` can keep them
 in a sidecar file keyed by the SHA-256 of the basis arrays (eigenvalues,
-eigenvectors, areas) and the bank's ``bank_hash``.  Its version 3 holds
+eigenvectors, areas) and the bank's ``bank_hash``.  Its version 4 holds
 one table per statistic, ``l1_filters``/``l1`` and ``range_filters``/
-``lo``/``hi``.  A table is reused only when it holds exactly the filters
-asked for; any other request replaces it with a sweep of that set, so a
-cached statistic is byte for byte a fresh sweep's, whatever the file
-held.  A file with another key or version is replaced.
+``lo``/``hi``, and the SHA-256 of all five arrays, ``tables_hash``.  A
+table is reused only when it holds exactly the filters asked for; any
+other request replaces it with a sweep of that set, so a cached statistic
+is byte for byte a fresh sweep's, whatever the file held.  A file with
+another key or version is replaced; one whose tables fail their checks
+or differ from their digest is refused.
 """
 
 from __future__ import annotations
@@ -111,7 +113,7 @@ def _workspace(shape):
 
 # _atom_sweep's arrays for each statistic, and the value each starts from
 _STATS = {"l1": {"l1": 0.0}, "range": {"lo": np.inf, "hi": -np.inf}}
-_STATS_VERSION = 3
+_STATS_VERSION = 4
 
 
 def _atom_sweep(phi, responses, stat):
@@ -152,14 +154,18 @@ def _atom_sweep(phi, responses, stat):
     return tuple(out)
 
 
-def _basis_hash(basis) -> str:
-    """SHA-256 of a basis's eigenvalues, eigenvectors and areas."""
+def _digest(arrays) -> bytes:
+    """SHA-256 (hex) of the arrays' shapes and float64 values."""
     digest = hashlib.sha256()
-    for array in (basis.eigenvalues, basis.eigenvectors, basis.areas):
+    for array in arrays:
         array = np.ascontiguousarray(array, dtype=np.float64)
         digest.update(repr(array.shape).encode())
         digest.update(array)
-    return digest.hexdigest()
+    return digest.hexdigest().encode()
+
+
+def _tables_digest(tables):
+    return _digest(a for filters, arrays in tables.values() for a in (filters, *arrays))
 
 
 def _load_stats(path, keys, n, n_scales):
@@ -173,6 +179,7 @@ def _load_stats(path, keys, n, n_scales):
             return None
         tables = {stat: (data[f"{stat}_filters"], [data[name] for name in names])
                   for stat, names in _STATS.items()}
+        stored = bytes(data["tables_hash"])
     (l1_filters, (l1,)), (range_filters, (lo, hi)) = tables["l1"], tables["range"]
     if not (all(f.ndim == 1 and f.dtype.kind in "iu" and (f[1:] > f[:-1]).all()
                 and ((0 <= f) & (f <= n_scales)).all()
@@ -182,11 +189,14 @@ def _load_stats(path, keys, n, n_scales):
             and (l1 >= 0).all() and (lo <= hi).all()
             # the tables against each other, on the filters both hold
             and (l1[:, np.isin(l1_filters, range_filters)]
-                 >= np.maximum(hi, -lo)[:, np.isin(range_filters, l1_filters)]).all()):
+                 >= np.maximum(hi, -lo)[:, np.isin(range_filters, l1_filters)]).all()
+            # and against their digest: a value moved within the rules above
+            and _tables_digest(tables) == stored):
         raise DataError(
             f"{path}: inconsistent atom statistics: need ascending filter indices in "
             f"0..{n_scales}, finite float64 tables of shape (n={n}, filters), "
-            f"0 <= l1, lo <= hi, and hi <= l1 and -lo <= l1 where both tables hold a filter"
+            "0 <= l1, lo <= hi, and hi <= l1 and -lo <= l1 where both tables hold a filter, "
+            "matching the digest stored with them"
         )
     return {stat: (f.astype(np.int64), arrays) for stat, (f, arrays) in tables.items()}
 
@@ -197,7 +207,8 @@ def _save_stats(path, keys, tables):
     try:
         with atomic_write(path) as handle:
             np.savez(handle, version=np.int64(_STATS_VERSION), basis_hash=np.bytes_(keys[0]),
-                     bank_hash=np.bytes_(keys[1]), **arrays)
+                     bank_hash=np.bytes_(keys[1]), tables_hash=np.bytes_(_tables_digest(tables)),
+                     **arrays)
     except (OSError, DataError) as exc:  # the statistics are a cache: the result stands
         logger.warning("%s: atom statistics not cached: %s", path, exc)
 
@@ -223,7 +234,8 @@ def filter_atom_stats(basis, bank, filters, stat, cache=None):
     tables = {name: (filters[:0], [np.empty((n, 0))] * len(arrays))
               for name, arrays in _STATS.items()}
     if cache is not None:
-        keys = (_basis_hash(basis).encode(), bank_hash(bank).encode())
+        keys = (_digest([basis.eigenvalues, basis.eigenvectors, basis.areas]),
+                bank_hash(bank).encode())
         tables = _load_stats(cache, keys, n, bank.n_scales) or tables
     have, arrays = tables[stat]
     if wanted.size and not np.array_equal(have, wanted):

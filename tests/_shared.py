@@ -88,6 +88,18 @@ def refit_constants(bank, eigenvalues=None):
     return replace(refit, residual=frame_residual(refit, eigenvalues)[0])
 
 
+def bar_uv(nu: int, nv: int) -> np.ndarray:
+    """(n, 2) grid parameters (u, v) of the vertices of bent_bar(., nu, nv)."""
+    u, v = np.meshgrid(np.linspace(0.0, 1.0, nu), np.linspace(0.0, 1.0, nv), indexing="ij")
+    return np.stack([u.ravel(), v.ravel()], axis=1)
+
+
+def uv_correspondence(source, target) -> np.ndarray:
+    """For each vertex of the bent-bar grid source = (nu, nv), the vertex of
+    the grid target nearest in (u, v): a map across discretizations."""
+    return cdist(bar_uv(*source), bar_uv(*target)).argmin(axis=1)
+
+
 def equilateral_triangle(side=1.0):
     """Single equilateral triangle in the z=0 plane."""
     vertices = np.array(

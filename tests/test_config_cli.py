@@ -217,7 +217,7 @@ def test_basis_cache_hit(work, capsys):
 
 
 def test_basis_cache_wrong_k(work, capsys):
-    assert main(["basis", str(work["mesh_path"]), "-k", "9",
+    assert main(["basis", str(work["mesh_path"]), "-k", "13",
                  "-o", str(work["basis_path"])]) == 2
     assert "holds k=12" in capsys.readouterr().err
 
@@ -232,7 +232,7 @@ def test_basis_cache_stale_mesh(work, tmp_path, capsys):
     assert "stale basis cache" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("fault, needle", [("k", "holds k=12, requested 9"),
+@pytest.mark.parametrize("fault, needle", [("k", "holds k=12, requested 13"),
                                            ("stale", "stale basis cache"),
                                            ("truncated", "unreadable basis cache")],
                          ids=["k", "stale", "truncated"])
@@ -250,12 +250,73 @@ def test_basis_refuses_a_cache_it_cannot_use_in_one_line(work, tmp_path, capsys,
     elif fault == "truncated":
         out.write_bytes(out.read_bytes()[:100])
     before = _tree(tmp_path)
-    assert main(["basis", str(mesh), "-k", "9" if fault == "k" else "12", "-o", str(out)]) == 2
+    assert main(["basis", str(mesh), "-k", "13" if fault == "k" else "12", "-o", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert needle in err and err.count(str(out)) == 1
     assert err.count("remove it or pass --force") == 1
     assert _tree(tmp_path) == before
+
+
+@pytest.fixture(scope="module")
+def cache30(tmp_path_factory):
+    """bent_bar(0.3, 20, 8) (160 vertices) on disk with a 30-pair basis
+    cache, a WEDS-16 field and a wavelet network that reads a basis."""
+    root = tmp_path_factory.mktemp("cache30")
+    mesh = bent_bar(0.3, 20, 8)
+    write_ply(root / "bar.ply", mesh.vertices, mesh.triangles)
+    assert main(["basis", str(root / "bar.ply"), "-k", "30", "-o", str(root / "b.npz")]) == 0
+    assert main(["descriptor", str(root / "bar.ply"), "--num", "16", "-k", "20",
+                 "-o", str(root / "field.mwd")]) == 0
+    save_checkpoint(root / "net.npz", build_model("MGCONV8(3)+FC16", input_dim=16, seed=3))
+    return root
+
+
+# descriptor and infer at k pairs, from the cache `basis` if one is given
+_K_COMMANDS = {
+    "descriptor": lambda root, k, out: ["descriptor", root / "bar.ply", "--num", "16",
+                                        "-k", k, "-o", out],
+    "infer": lambda root, k, out: ["infer", root / "net.npz", root / "bar.ply",
+                                   root / "field.mwd", "-k", k, "-o", out],
+}
+
+
+@pytest.mark.parametrize("k", [0, -5, 31])
+@pytest.mark.parametrize("command", sorted(_K_COMMANDS))
+def test_a_basis_cache_serves_no_k_outside_1_to_its_pairs(cache30, monkeypatch, capsys,
+                                                          command, k):
+    # -k 0 ended in an IndexError traceback, and -k -5 wrote a field of 25 pairs
+    monkeypatch.setattr(cli, "eig_generalized", lambda *a, **kw: pytest.fail("eigensolve"))
+    argv = _K_COMMANDS[command](cache30, k, cache30 / "out.mwd") + ["--basis", cache30 / "b.npz"]
+    before = _tree(cache30)
+    assert main([str(a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"holds k=30, requested {k}" in err and "Traceback" not in err
+    assert _tree(cache30) == before
+
+
+@pytest.mark.parametrize("k, code", [(0, 2), (31, 2), (20, 0)])
+def test_basis_takes_a_cache_for_every_k_it_serves(cache30, capsys, k, code):
+    # a 30-pair cache exited 2 for -k 20, which descriptor --basis accepted
+    cache = cache30 / "b.npz"
+    data = cache.read_bytes()
+    assert main(["basis", str(cache30 / "bar.ply"), "-k", str(k), "-o", str(cache)]) == code
+    out, err = capsys.readouterr()
+    assert ("cache hit" in out) == (code == 0)
+    assert code == 0 or f"holds k=30, requested {k}" in err
+    assert cache.read_bytes() == data
+
+
+@pytest.mark.parametrize("command", sorted(_K_COMMANDS))
+def test_a_cut_cache_gives_the_bytes_of_a_fresh_solve(cache30, tmp_path, command):
+    # both solves take the dense branch at 160 vertices, where the first 20
+    # pairs do not depend on how many are kept
+    (tmp_path / "b.npz").write_bytes((cache30 / "b.npz").read_bytes())
+    cut = _K_COMMANDS[command](cache30, 20, tmp_path / "cut.mwd") + ["--basis", tmp_path / "b.npz"]
+    fresh = _K_COMMANDS[command](cache30, 20, tmp_path / "fresh.mwd")
+    assert main([str(a) for a in cut]) == 0 and main([str(a) for a in fresh]) == 0
+    assert (tmp_path / "cut.mwd").read_bytes() == (tmp_path / "fresh.mwd").read_bytes()
 
 
 def test_basis_force_rebuilds(work, tmp_path):
@@ -584,12 +645,19 @@ _FOREIGN = {
     "eval swapped": lambda w, p, t: (["eval", p["map"], t / "gt.txt", p["b"], "--desc-a",
                                       p["b_desc"], "--desc-b", w["desc_path"], "-o", t / "r"],
                                      w["desc_path"]),
+    "eval --desc-a": lambda w, p, t: (["eval", p["map"], t / "gt.txt", p["b"], "--desc-a",
+                                       p["c_desc"], "--desc-b", p["b_desc"], "-o", t / "r"],
+                                      p["c_desc"]),
+    "eval --desc-a of the target": lambda w, p, t: (["eval", p["map"], t / "gt.txt", p["b"],
+                                                     "--desc-a", p["b_desc"], "--desc-b",
+                                                     p["b_desc"], "-o", t / "r"], p["b_desc"]),
 }
 
 
 @pytest.mark.parametrize("case", _FOREIGN)
 def test_an_artifact_of_another_pose_exits_2_naming_it(work, poses, tmp_path, capsys, case):
-    # eval took --desc-b from any mesh, and with the two fields swapped
+    # eval took --desc-b from any mesh, and with the two fields swapped;
+    # it took --desc-a from any mesh but the map's source
     (tmp_path / "b.npz").write_bytes(poses["b_basis"].read_bytes())
     write_correspondence(tmp_path / "gt.txt", np.arange(60))
     save_checkpoint(tmp_path / "net.npz", build_model("MGCONV8(3)+FC16", input_dim=16, seed=3))
@@ -600,6 +668,61 @@ def test_an_artifact_of_another_pose_exits_2_naming_it(work, poses, tmp_path, ca
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert f"{artifact}: stale " in err and "computed for a different mesh" in err, err
     assert _tree(tmp_path, work["root"], poses["b"].parent) == before
+
+
+@pytest.mark.parametrize("side", ["map", "field"])
+def test_eval_desc_a_with_no_recorded_hash_is_read_as_before(work, poses, tmp_path, side):
+    # a map without a source_mesh comment, or a field without a mesh_hash,
+    # makes no claim: a third pose's field still gives a rank curve
+    write_correspondence(tmp_path / "gt.txt", np.arange(60))
+    corr, desc_a = poses["map"], poses["c_desc"]
+    if side == "map":
+        corr = tmp_path / "map.txt"
+        corr.write_text("".join(line for line in poses["map"].open()
+                                if not line.startswith("# source_mesh")))
+    else:
+        field = load_descriptors(desc_a)
+        del field.metadata["mesh_hash"]
+        desc_a = tmp_path / "c.mwd"
+        save_descriptors(desc_a, field)
+    assert main(["eval", str(corr), str(tmp_path / "gt.txt"), str(poses["b"]), "--desc-a",
+                 str(desc_a), "--desc-b", str(poses["b_desc"]), "-o", str(tmp_path / "r")]) == 0
+    assert "\ncmc,1," in (tmp_path / "r.curves.csv").read_text()
+
+
+def test_cli_learning_holds_across_discretizations(tmp_path, monkeypatch):
+    # MGCN's claim of robustness to the triangulation, through the commands:
+    # train on 220- and 448-vertex poses labelled by the template's nearest
+    # (u, v), then map the 448-vertex pose onto a held-out 720-vertex one
+    monkeypatch.chdir(tmp_path)
+    grids = {"a": (0.3, 22, 10), "b": (0.6, 32, 14), "c": (0.45, 40, 18)}
+    for name, (curvature, nu, nv) in grids.items():
+        mesh = bent_bar(curvature, nu, nv)
+        write_ply(f"{name}.ply", mesh.vertices, mesh.triangles)
+    write_correspondence("a.txt", np.arange(220))
+    write_correspondence("b.txt", _shared.uv_correspondence((32, 14), (22, 10)))
+    write_correspondence("gt.txt", _shared.uv_correspondence((32, 14), (40, 18)))
+    cfg = default_config()
+    cfg["descriptor"]["k"] = 60
+    cfg["train"].update(meshes=["a.ply", "b.ply"], correspondences=["a.txt", "b.txt"],
+                        phase1_epochs=30, phase2_epochs=10, pairs_per_step=64)
+    Path("train.cfg").write_text(format_config(cfg))
+    runs = [["train", "--config", "train.cfg", "-o", "model.npz"]]
+    for name in "bc":
+        runs += [["descriptor", f"{name}.ply", "-k", "60", "-o", f"{name}.mwd"],
+                 ["infer", "model.npz", f"{name}.ply", f"{name}.mwd", "-o", f"{name}.net.mwd"]]
+    for field in ("", ".net"):  # raw WEDS, then the network's field
+        runs += [["match", f"b{field}.mwd", f"c{field}.mwd", "-o", f"map{field}.txt"],
+                 ["eval", f"map{field}.txt", "gt.txt", "c.ply", "--desc-a", f"b{field}.mwd",
+                  "--desc-b", f"c{field}.mwd", "-o", f"report{field}"]]
+    for argv in runs:
+        assert main(argv) == 0, argv
+    age = {}
+    for field in ("", ".net"):
+        summary = Path(f"report{field}.summary.txt").read_text()
+        age[field] = float(summary.split("age_direct = ")[1].split()[0])
+    # seed 0 gave AGE 0.399 raw and 0.114 learned: at least halved
+    assert age[".net"] <= 0.5 * age[""], age
 
 
 def test_train_and_infer_end_to_end(work, tmp_path, capsys):
@@ -1174,11 +1297,11 @@ def test_atom_sidecar_holds_both_tables_for_descriptor_and_infer(work, own_basis
     assert _stamp(sidecar) == stamp  # warm runs hit both tables
     assert outs["warm"] == outs["cold"]
     with np.load(sidecar) as data:
-        assert int(data["version"]) == 3
+        assert int(data["version"]) == 4
         assert data["l1_filters"].tolist() == data["range_filters"].tolist() == [8, 16, 24]
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_version_1_atom_sidecar_is_replaced(work, own_basis, tmp_path, version):
     ckpt = tmp_path / "net.npz"
     save_checkpoint(ckpt, build_model("MGCONV8(3)+FC16", input_dim=16, seed=3))
@@ -1189,7 +1312,8 @@ def test_version_1_atom_sidecar_is_replaced(work, own_basis, tmp_path, version):
     with np.load(sidecar) as data:
         # an older layout under the same keys (version 1 held one table of
         # all three statistics, version 2 this one's two tables, possibly
-        # merged); its statistics, doubled, would change both outputs if used
+        # merged, version 3 them without their digest); its statistics,
+        # doubled, would change both outputs if used
         arrays = {name: 2.0 * data[name] for name in ("l1", "lo", "hi")}
         if version == 1:
             arrays["filters"] = data["l1_filters"]
@@ -1202,7 +1326,7 @@ def test_version_1_atom_sidecar_is_replaced(work, own_basis, tmp_path, version):
     assert _infer(work, ckpt, own_basis, warm[1]) == 0
     assert [p.read_bytes() for p in warm] == [p.read_bytes() for p in cold]
     with np.load(sidecar) as data:
-        assert int(data["version"]) == 3 and "filters" not in data
+        assert int(data["version"]) == 4 and "filters" not in data
         assert data["l1_filters"].tolist() == data["range_filters"].tolist() == [8, 16, 24]
 
 
@@ -1315,6 +1439,8 @@ def _corrupt(sidecar, how):
         arrays["lo"][5, 1] = arrays["hi"][5, 1] + 1.0
     elif how == "l1-below-hi":  # filter 8 is column 0 of both tables
         arrays["l1"][2, 0] = 0.5 * max(arrays["hi"][2, 0], -arrays["lo"][2, 0])
+    elif how == "l1-one-ulp":  # consistent, but not what the sweep wrote
+        arrays["l1"][2, 0] = np.nextafter(arrays["l1"][2, 0], np.inf)
     else:  # one vertex short
         for name in ("l1", "lo", "hi"):
             arrays[name] = arrays[name][:-1]
@@ -1322,8 +1448,8 @@ def _corrupt(sidecar, how):
 
 
 @pytest.mark.parametrize("command", ["descriptor", "infer"])
-@pytest.mark.parametrize("how", ["nan", "lo-above-hi", "l1-below-hi", "wrong-shape",
-                                 "truncated"])
+@pytest.mark.parametrize("how", ["nan", "lo-above-hi", "l1-below-hi", "l1-one-ulp",
+                                 "wrong-shape", "truncated"])
 def test_bad_atom_sidecar_exits_2(work, own_basis, tmp_path, capsys, command, how):
     # both commands run first, so the sidecar holds both tables on filters
     # 8, 16 and 24; each command checks the whole file, not its table alone

@@ -141,13 +141,29 @@ def test_only_files_touches_the_file_system():
     assert found == []
 
 
+def test_only_spectral_makes_a_spectral_basis():
+    # which pairs a basis holds is decided by eig_generalized and load_basis;
+    # a caller that cuts or builds one itself can serve another k
+    found = []
+    for path in sorted(Path(meshwave.__file__).parent.glob("*.py")):
+        if path.name == "spectral.py":
+            continue
+        for scope, call in _calls(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (_dotted(call.func) or "").split(".")[-1]
+            keywords = {kw.arg for kw in call.keywords}
+            if name == "SpectralBasis" or (name == "replace"
+                                           and keywords & {"eigenvalues", "eigenvectors"}):
+                found.append(f"{path.name}:{call.lineno} {scope}: {name}")
+    assert found == []
+
+
 def _is_mesh_hash(node):
-    """A `content_hash()` call, or a name or attribute ending in mesh_hash
-    or target_hash."""
+    """A `content_hash()` call, or a name or attribute ending in mesh_hash,
+    source_hash or target_hash."""
     if isinstance(node, ast.Call):
         return (_dotted(node.func) or "").split(".")[-1] == "content_hash"
     name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
-    return name.endswith(("mesh_hash", "target_hash"))
+    return name.endswith(("mesh_hash", "source_hash", "target_hash"))
 
 
 def _scoped(node, scope=None):

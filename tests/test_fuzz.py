@@ -23,11 +23,17 @@ separator, exits 2 with one line before any work, as does one that names
 another file of the command.  The mesh hash a basis cache, a descriptor
 file or a map's target_mesh comment records is drawn from absent, null,
 "", the mesh's own or another pose's hash and near misses of it, and each
-command that reads it against a mesh exits 0 exactly when it is absent or
-the mesh's own, and otherwise 2 with one line and no new file.
+command that reads it against a mesh (``eval --desc-a`` against the map's
+source_mesh comment) exits 0 exactly when it is absent or the mesh's own,
+and otherwise 2 with one line and no new file.  An atom statistics
+sidecar holding both tables, with one array's entry, dtype or shape
+changed, an array dropped or the file truncated, makes ``descriptor
+--basis`` and ``infer --basis`` either exit 2 and leave it as it was or
+write the bytes they write without ``--basis``.
 """
 
 import contextlib
+import functools
 import io
 import json
 import os
@@ -254,7 +260,8 @@ def test_basis_on_mutated_ply_keeps_the_exit_contract(fmt, index, kind, i, j, to
 
 _TARGET = _BARS["small"]
 # the correspondence file `match` writes: comments, then one index per vertex
-_MAP = ["# source = a.mwd", f"# target_mesh = {_TARGET.content_hash()}",
+_MAP = ["# source = a.mwd", f"# source_mesh = {_TARGET.content_hash()}",
+        f"# target_mesh = {_TARGET.content_hash()}",
         *(str(v) for v in range(_TARGET.n_vertices - 1, -1, -1))]
 
 
@@ -273,7 +280,7 @@ def test_eval_on_mutated_correspondence_keeps_the_exit_contract(which, kind, i, 
         for path in (pred, truth):
             path.write_text("\n".join(_MAP) + "\n")
         (pred if which == "prediction" else truth).write_text(
-            _mutate(_MAP, kind, i, j, token, factor, rows=slice(2, len(_MAP))))
+            _mutate(_MAP, kind, i, j, token, factor, rows=slice(3, len(_MAP))))
         _check_contract(["eval", pred, truth, mesh, "-o", root / "report"], root,
                         {root / "report.summary.txt", root / "report.curves.csv"})
 
@@ -695,6 +702,9 @@ _SITES = {
     "eval --desc-b": (_write_field, "x.mwd",
                       ["eval", "pred.txt", "truth.txt", "mesh.off", "--desc-a", "bar.mwd",
                        "--desc-b", "x.mwd", "-o", "out"], ["out.summary.txt", "out.curves.csv"]),
+    "eval --desc-a": (_write_field, "x.mwd",
+                      ["eval", "pred.txt", "truth.txt", "mesh.off", "--desc-a", "x.mwd",
+                       "--desc-b", "bar.mwd", "-o", "out"], ["out.summary.txt", "out.curves.csv"]),
     "eval": (_write_map, "x.txt", ["eval", "x.txt", "truth.txt", "mesh.off", "-o", "out"],
              ["out.summary.txt", "out.curves.csv"]),
 }
@@ -715,6 +725,8 @@ def _site_and_value(site):
 @example(case=("infer --basis", _POSE.content_hash()))
 @example(case=("descriptor --basis", _ABSENT))
 @example(case=("infer", _POSE.content_hash()))
+@example(case=("eval --desc-a", _POSE.content_hash()))
+@example(case=("eval --desc-a", None))
 @example(case=("eval", _HEX))
 @example(case=("eval", _ABSENT))
 @example(case=("eval", f"{_HEX[:32]}\n{_HEX[32:]}"))
@@ -774,3 +786,98 @@ def test_an_output_that_names_another_file_of_the_command_exits_2_before_any_wor
     assert code == 2, err
     assert err.startswith("error: cannot write ") and err.count("\n") == 1, err
     assert _files_in(tmp_path) == before
+
+
+# the commands that read an atom statistics sidecar, and its arrays
+_SIDECAR_RUNS = {
+    "descriptor": ["descriptor", "mesh.off", "--num", "4", "-k", "8"],
+    "infer": ["infer", "net.npz", "mesh.off", "bar.mwd"],
+}
+_SIDECAR_NAMES = ["bank_hash", "basis_hash", "hi", "l1", "l1_filters", "lo", "range_filters",
+                  "tables_hash", "version"]
+
+
+@functools.lru_cache(maxsize=None)
+def _sidecar_and_fresh_outputs():
+    """The sidecar of _BASIS after descriptor and infer ran on it, so it
+    holds both tables (its bytes and arrays), and each command's output
+    without --basis."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        _write_inputs(Path(tmp))
+        _write_basis(Path("x.npz"), _HEX)
+        fresh = {}
+        for command, argv in _SIDECAR_RUNS.items():
+            assert _run([*argv, "--basis", "x.npz", "-o", "cached"]) == (0, "")
+            assert _run([*argv, "-o", "fresh"]) == (0, "")
+            fresh[command] = Path("fresh").read_bytes()
+            assert Path("cached").read_bytes() == fresh[command]
+        with np.load("x.npz.atoms.npz") as data:
+            arrays = {name: data[name] for name in data.files}
+        assert sorted(arrays) == _SIDECAR_NAMES
+        return Path("x.npz.atoms.npz").read_bytes(), arrays, fresh
+
+
+# entries of a filter index table, a version and the values of a table
+_ENTRIES = {"filters": [-1, 0, 1, 2, 3, 4, 5, 17, 2**40],
+            "version": [-1, 0, 1, 2, 3, 4, 5, 2**40],
+            "values": [np.nan, np.inf, -np.inf, 1e308, -1e308, 0.0, -0.0, 5e-324, -1.0, 1.0,
+                       "ulp", "double"]}
+_SIDECAR_MUTATIONS = ["entry", "array", "drop", "truncate"]
+
+
+def _entry(array, i, value):
+    """`array` with entry i replaced by `value`: a number, or "ulp" or
+    "double" for the entry moved by one ulp or doubled."""
+    array = array.copy()
+    flat = array.reshape(-1)
+    old = flat[i % flat.size]
+    flat[i % flat.size] = (np.nextafter(old, np.inf) if value == "ulp"
+                           else 2 * old if value == "double" else value)
+    return array
+
+
+def _mutated_sidecar(kind, name, i, j, edit):
+    data, arrays, _ = _sidecar_and_fresh_outputs()
+    if kind == "truncate":
+        return data[: j % len(data)]
+    arrays = dict(arrays)
+    if kind == "drop":
+        del arrays[name]
+    elif kind == "array":
+        arrays[name] = _ARRAY_EDITS[edit](arrays[name])
+    elif name.endswith("_hash"):
+        arrays[name] = np.bytes_(bytes(arrays[name])[::-1])
+    elif arrays[name].size:  # an entry of the filters, the version or a table
+        entries = _ENTRIES[name if name == "version" else
+                           "filters" if "filters" in name else "values"]
+        arrays[name] = _entry(arrays[name], i, entries[j % len(entries)])
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    return buffer.getvalue()
+
+
+@_FUZZ
+@given(kind=st.sampled_from(_SIDECAR_MUTATIONS), name=st.sampled_from(_SIDECAR_NAMES),
+       i=st.integers(0, 10_000), j=st.integers(0, 100_000),
+       edit=st.sampled_from(sorted(_ARRAY_EDITS)))
+@example(kind="entry", name="l1", i=0, j=_ENTRIES["values"].index("ulp"), edit="pair")
+@example(kind="entry", name="hi", i=5, j=_ENTRIES["values"].index(1e308), edit="pair")
+@example(kind="entry", name="l1", i=7, j=_ENTRIES["values"].index("double"), edit="pair")
+@example(kind="entry", name="version", i=0, j=_ENTRIES["version"].index(2), edit="pair")
+@example(kind="drop", name="l1_filters", i=0, j=0, edit="pair")
+def test_a_mutated_atom_sidecar_gives_the_fresh_output_or_exits_2(kind, name, i, j, edit):
+    sidecar = _mutated_sidecar(kind, name, i, j, edit)
+    fresh = _sidecar_and_fresh_outputs()[2]
+    for command, argv in _SIDECAR_RUNS.items():
+        with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+            root = Path(tmp)
+            _write_inputs(root)
+            _write_basis(root / "x.npz", _HEX)
+            (root / "x.npz.atoms.npz").write_bytes(sidecar)
+            code = _check_contract([*argv, "--basis", "x.npz", "-o", "out"], root,
+                                   {root / "out"})
+            if code == 0:
+                assert (root / "out").read_bytes() == fresh[command], command
+            else:
+                assert code == 2, command
+                assert (root / "x.npz.atoms.npz").read_bytes() == sidecar, command
