@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -79,7 +78,7 @@ from .model import (
     save_checkpoint,
 )
 from .spectral import eig_generalized, load_basis, save_basis
-from .training import ShapeData, TrainConfig, adam_init, train
+from .training import ShapeData, TrainConfig, train
 
 
 class _Parser(argparse.ArgumentParser):
@@ -137,8 +136,9 @@ def _cmd_basis(args, cfg):
     if out.exists() and not args.force:
         try:
             cached = load_basis(out, mesh, k)
-        except DataError as exc:
-            raise DataError(f"{exc}; remove it or pass --force") from None
+        except DataError as exc:  # --force helps only a k the mesh can serve
+            hint = "; remove it or pass --force" if 1 <= k <= mesh.n_vertices else ""
+            raise DataError(f"{exc}{hint}") from None
         _log(f"cache hit: {out} (k={k}, n={cached.n_vertices})")
         return 0
     basis, _ = _mesh_basis(mesh, k)
@@ -262,9 +262,7 @@ def _cmd_train(args, cfg):
         field = _descriptor_field(mesh, basis, desc["type"], desc["num"], desc["power"])
         ops = _shape_operators(net, mesh, basis)
         shapes.append(ShapeData(field.values, lab, ops, name=str(path)))
-    opt_state = adam_init(net.params)
-    rng = np.random.default_rng(seed)
-    net, history = train(net, shapes, train_cfg, opt_state=opt_state, rng=rng)
+    net, history = train(net, shapes, train_cfg, rng=np.random.default_rng(seed))
     create_parents(out)
     metadata = {
         "descriptor": cfg["descriptor"],
@@ -273,11 +271,7 @@ def _cmd_train(args, cfg):
         "history": history,
         "config": format_config(cfg),
     }
-    save_checkpoint(
-        out, net, opt_state=opt_state,
-        rng_state=json.loads(json.dumps(rng.bit_generator.state)),
-        metadata=metadata,
-    )
+    save_checkpoint(out, net, metadata=metadata)
     for phase in ("phase1", "phase2"):
         if history[phase]:
             _log(f"{phase}: {len(history[phase])} epochs, "

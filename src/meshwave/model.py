@@ -238,13 +238,8 @@ def backward(model: Model, caches, dout: np.ndarray, grads=None):
     return grads
 
 
-def save_checkpoint(
-    path,
-    model: Model,
-    opt_state: Optional[dict] = None,
-    rng_state: Optional[dict] = None,
-    metadata: Optional[dict] = None,
-):
+def save_checkpoint(path, model: Model, metadata: Optional[dict] = None):
+    """Write the network alone: its metadata and its parameter arrays."""
     meta = {
         "format_version": _CHECKPOINT_VERSION,
         "kind": model.kind,
@@ -253,17 +248,10 @@ def save_checkpoint(
         "scale_sets": model.scale_sets,
         "head_dim": model.head_dim,
         "metadata": metadata or {},
-        "rng_state": rng_state,
     }
     arrays = {"__meta__": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)}
     for name, arr in model.params.items():
         arrays[f"param/{name}"] = arr
-    if opt_state is not None:
-        arrays["opt/step"] = np.asarray(opt_state["step"], dtype=np.int64)
-        for name, arr in opt_state["m"].items():
-            arrays[f"opt/m/{name}"] = arr
-        for name, arr in opt_state["v"].items():
-            arrays[f"opt/v/{name}"] = arr
     with atomic_write(path) as fh:
         np.savez(fh, **arrays)
 
@@ -315,33 +303,19 @@ def _model_from_meta(meta: dict, params: dict, path) -> Model:
 
 
 def load_checkpoint(path):
-    """Returns (model, opt_state, rng_state, metadata)."""
+    """Returns (model, None, None, metadata), reading only ``__meta__`` and
+    ``param/*``: the optimizer and generator state older files hold is
+    ignored, and its two slots stay None for callers that unpack four."""
     with open_npz(path, "checkpoint") as data:
         if "__meta__" not in data.files:
             raise DataError(f"{path}: not a checkpoint file")
-        arrays = {key: data[key] for key in data.files}
-    meta = json_object(bytes(arrays.pop("__meta__")), path, "checkpoint metadata")
-    if meta.get("format_version") != _CHECKPOINT_VERSION:
-        raise DataError(
-            f"{path}: unsupported checkpoint version {meta.get('format_version')}"
-        )
-
-    def under(prefix):
-        return {k[len(prefix) :]: a for k, a in arrays.items() if k.startswith(prefix)}
-
-    model = _model_from_meta(meta, under("param/"), path)
+        meta = json_object(bytes(data["__meta__"]), path, "checkpoint metadata")
+        if meta.get("format_version") != _CHECKPOINT_VERSION:
+            raise DataError(f"{path}: unsupported checkpoint version "
+                            f"{meta.get('format_version')}")
+        params = {k[len("param/"):]: data[k] for k in data.files if k.startswith("param/")}
+    model = _model_from_meta(meta, params, path)
     metadata = meta.get("metadata", {})
     if not isinstance(metadata, dict):
         raise DataError(f"{path}: checkpoint metadata field is not a JSON object")
-    opt_state = None
-    opt = under("opt/")
-    if opt:  # a non-negative integer step and one float moment per parameter
-        step = opt.pop("step", np.zeros(0))
-        shapes = {f"{m}/{name}": a.shape for m in "mv" for name, a in model.params.items()}
-        if not (step.shape == () and step.dtype.kind in "iu" and step >= 0
-                and {k: a.shape for k, a in opt.items()} == shapes
-                and all(a.dtype.kind == "f" for a in opt.values())):
-            raise DataError(f"{path}: checkpoint optimizer state does not match "
-                            "the parameters")
-        opt_state = {"step": int(step), "m": under("opt/m/"), "v": under("opt/v/")}
-    return model, opt_state, meta.get("rng_state"), metadata
+    return model, None, None, metadata

@@ -37,6 +37,7 @@ from scipy.sparse.linalg import splu
 
 from ._files import atomic_write, check_mesh_hash, open_npz
 from .errors import DataError, NumericalError
+from .mesh import cotangent_laplacian
 
 _DENSE_LIMIT = 512
 # Solve a few pairs past k and keep the first k, so a degenerate cluster
@@ -96,14 +97,19 @@ def _ortho_error(a_vecs, vecs):
     return np.abs(a_vecs.T @ vecs - np.eye(vecs.shape[1])).max()
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow fails the checks, unwarned
 def _verify(laplacian, areas, vals, vecs):
+    """Raise NumericalError unless the pairs are A-orthonormal and, given
+    the Laplacian, solve the pencil."""
     a_vecs = vecs * areas[:, None]
     ortho_err = _ortho_error(a_vecs, vecs)
-    if ortho_err > _ORTHO_TOL:
+    if not ortho_err <= _ORTHO_TOL:
         raise NumericalError(f"basis not A-orthonormal: max deviation {ortho_err:.3e}")
+    if laplacian is None:
+        return
     resid = laplacian @ vecs - a_vecs * vals[None, :]
     rel = np.linalg.norm(resid, axis=0) / np.linalg.norm(a_vecs, axis=0)
-    if rel.max() > _RESIDUAL_REL:
+    if not rel.max() <= _RESIDUAL_REL:
         raise NumericalError(f"eigenpair residual {rel.max():.3e} over tolerance")
 
 
@@ -275,11 +281,13 @@ def save_basis(path, basis):
 
 def load_basis(path, mesh=None, k=None):
     """The basis cache at `path`; given the `mesh` it serves, one recorded
-    for no other mesh (``_files.check_mesh_hash``) with a row per vertex.
+    for no other mesh (``_files.check_mesh_hash``) with a row per vertex,
+    whose pairs solve the mesh's pencil if it records the mesh's hash.
     Given `k`, its first k pairs: a cache serves every k from 1 to the
     number of pairs it holds, and refuses any other."""
     with open_npz(path, "basis cache") as data:
-        if int(data["version"]) != _CACHE_VERSION:
+        version = data["version"]  # an integer scalar; a float, even 1.0, is not one
+        if version.shape or version.dtype.kind not in "iu" or version != _CACHE_VERSION:
             raise DataError(f"{path}: unsupported basis cache version")
         stored = bytes(data["mesh_hash"]).decode() if "mesh_hash" in data else None
         basis = SpectralBasis(data["eigenvalues"], data["eigenvectors"], data["areas"],
@@ -297,10 +305,11 @@ def load_basis(path, mesh=None, k=None):
     if mesh is not None and basis.n_vertices != mesh.n_vertices:
         raise DataError(f"{path}: basis cache rows ({basis.n_vertices}) do not match "
                         f"mesh vertices ({mesh.n_vertices})")
-    ortho_err = _ortho_error(vecs * areas[:, None], vecs)
-    if ortho_err > _ORTHO_TOL:
-        raise DataError(f"{path}: inconsistent basis cache: eigenvectors not "
-                        f"A-orthonormal (max deviation {ortho_err:.3e})")
+    try:
+        _verify(None if stored is None or mesh is None else cotangent_laplacian(mesh),
+                areas, vals, vecs)
+    except NumericalError as exc:
+        raise DataError(f"{path}: inconsistent basis cache: {exc}") from None
     if k is None or k == basis.k:
         return basis
     if not 1 <= k < basis.k:

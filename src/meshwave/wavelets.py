@@ -174,7 +174,8 @@ def _load_stats(path, keys, n, n_scales):
     if not os.path.exists(path):
         return None
     with open_npz(path, "atom statistics") as data:
-        if int(data["version"]) != _STATS_VERSION or (
+        version = data["version"]  # as in a basis cache, an integer scalar
+        if version.shape or version.dtype.kind not in "iu" or version != _STATS_VERSION or (
                 bytes(data["basis_hash"]), bytes(data["bank_hash"])) != keys:
             return None
         tables = {stat: (data[f"{stat}_filters"], [data[name] for name in names])

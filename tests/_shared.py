@@ -428,17 +428,27 @@ def write_raw_descriptors(path, values, kind: str = "weds"):
     path.write_bytes(bytes(data))
 
 
-def edited_checkpoint(path, net, edit_meta=None, edit_arrays=None, **save_kwargs):
+def edited_checkpoint(path, net, edit_meta=None, edit_arrays=None, legacy=False,
+                      **save_kwargs):
     """Saves net as a checkpoint at path (keywords go to ``save_checkpoint``)
     and rewrites the file after edit_meta changes its metadata dict in place,
-    then edit_arrays its arrays by name, ``__meta__`` included."""
+    then edit_arrays its arrays by name, ``__meta__`` included.  With
+    `legacy`, the file first gains the training state older checkpoints
+    held, which the reader ignores: Adam's step (``opt/step``) and moments
+    (``opt/m/*``, ``opt/v/*``) and the generator's ``rng_state``."""
     save_checkpoint(path, net, **save_kwargs)
     with np.load(path) as data:
         arrays = {k: data[k] for k in data.files}
+    meta = json.loads(bytes(arrays["__meta__"]).decode())
+    if legacy:
+        meta["rng_state"] = np.random.default_rng(0).bit_generator.state
+        arrays["opt/step"] = np.asarray(3, dtype=np.int64)
+        for name, arr in net.params.items():
+            arrays[f"opt/m/{name}"] = 0.1 * arr
+            arrays[f"opt/v/{name}"] = 0.01 * arr * arr
     if edit_meta is not None:
-        meta = json.loads(bytes(arrays["__meta__"]).decode())
         edit_meta(meta)
-        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     if edit_arrays is not None:
         edit_arrays(arrays)
     with open(path, "wb") as fh:

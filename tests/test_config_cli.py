@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import struct
 import subprocess
@@ -25,7 +26,6 @@ from meshwave.filters import STOCK, build_filter_bank
 from meshwave.model import build_model, load_checkpoint, required_operator_keys, save_checkpoint
 from meshwave.spectral import load_basis, save_basis
 from meshwave.synthetic import bent_bar
-from meshwave.training import adam_init
 
 import _shared
 
@@ -306,6 +306,23 @@ def test_basis_takes_a_cache_for_every_k_it_serves(cache30, capsys, k, code):
     assert ("cache hit" in out) == (code == 0)
     assert code == 0 or f"holds k=30, requested {k}" in err
     assert cache.read_bytes() == data
+
+
+@pytest.mark.parametrize("k", [0, 500, 31])
+def test_basis_advises_force_only_for_a_k_the_mesh_can_serve(cache30, tmp_path, capsys, k):
+    # -k 0 and -k 500 on the 160-vertex bar advised --force, and with it
+    # exited 2 with "k=0 out of range for 160 vertices"
+    cache = tmp_path / "b.npz"
+    cache.write_bytes((cache30 / "b.npz").read_bytes())
+    argv = ["basis", str(cache30 / "bar.ply"), "-k", str(k), "-o", str(cache)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"holds k=30, requested {k}" in err, err
+    assert ("remove it or pass --force" in err) == (k == 31), err
+    if k != 31:
+        assert main(argv + ["--force"]) == 2
+        assert f"k={k} out of range for 160 vertices" in capsys.readouterr().err
+    assert cache.read_bytes() == (cache30 / "b.npz").read_bytes()
 
 
 @pytest.mark.parametrize("command", sorted(_K_COMMANDS))
@@ -744,7 +761,10 @@ def test_train_and_infer_end_to_end(work, tmp_path, capsys):
     assert net.head_dim == 60
     assert len(meta["history"]["phase1"]) == 2
     assert meta["mesh_hashes"] == [work["mesh"].content_hash()]
-    assert opt_state["step"] > 0 and rng_state is not None
+    assert opt_state is None and rng_state is None
+    with np.load(ckpt) as data:  # the network alone, no training state
+        assert sorted(data.files) == sorted(["__meta__", *(f"param/{k}" for k in net.params)])
+        assert "rng_state" not in json.loads(bytes(data["__meta__"]).decode())
 
     learned = tmp_path / "learned.mwd"
     assert main([
@@ -1549,41 +1569,64 @@ def test_infer_rejects_bad_descriptor_metadata(work, own_basis, tmp_path, capsys
 
 
 def _net_with_optimizer(path, kind, edit_meta=None, edit_arrays=None):
+    """A checkpoint holding the training state older files held."""
     net = build_model("MGCONV8(3)+FC16", input_dim=16, kind=kind, seed=3)
-    return _shared.edited_checkpoint(path, net, edit_meta, edit_arrays,
-                                     opt_state=adam_init(net.params))
-
-
-@pytest.mark.parametrize("kind", ["mgcn", "chebyshev"])
-def test_infer_runs_a_checkpoint_with_optimizer_state(work, own_basis, tmp_path, kind):
-    assert _infer(work, _net_with_optimizer(tmp_path / "net.npz", kind),
-                  own_basis if kind == "mgcn" else None, tmp_path / "out.mwd") == 0
+    return _shared.edited_checkpoint(path, net, edit_meta, edit_arrays, legacy=True)
 
 
 def _set(**fields):
     return lambda values: values.update(fields)
 
 
-@pytest.mark.parametrize("kind, edit_meta, edit_arrays", [
-    ("mgcn", _set(scale_sets=[[1, 2, 3]]), None),
-    ("chebyshev", _set(scale_sets=[[0, 1, 3000]]), None),
-    ("mgcn", lambda meta: meta.pop("scale_sets"), None),
-    ("mgcn", _set(architecture="MGCONV8(1000000000)+FC16"), None),
-    ("chebyshev", _set(architecture="MGCONV8(1000000)+FC16"), None),
-    ("mgcn", None, _set(**{"opt/step": np.asarray([1, 2])})),
-    ("mgcn", None, _set(**{"opt/step": np.asarray("x")})),
+def _drop(key):
+    return lambda arrays: arrays.pop(key)
+
+
+@pytest.mark.parametrize("kind, edit_arrays", [
+    ("mgcn", None),
+    ("chebyshev", None),
+    *(("mgcn", _set(**{"opt/step": np.asarray(step)}))
+      for step in ([1, 2], np.zeros((1,), dtype=np.int64), "x", 1.5, -1, True)),
+    ("mgcn", _drop("opt/m/fc1.w")),
+    ("mgcn", _drop("opt/v/fc1.b")),
+    ("chebyshev", _drop("opt/step")),
+    ("mgcn", _set(**{"opt/m/fc1.w": np.zeros((5, 6))})),
+    ("mgcn", _set(**{"opt/v/conv0.w1": np.zeros((4, 6), dtype=np.int64)})),
+    ("mgcn", _set(**{"opt/m/extra": np.zeros(3)})),
+], ids=["mgcn", "chebyshev", "step-pair", "step-row", "step-string", "step-float",
+        "step-negative", "step-bool", "m-missing", "v-missing", "step-missing",
+        "m-wrong-shape", "v-wrong-dtype", "m-unexpected"])
+def test_infer_ignores_the_training_state_of_older_checkpoints(work, own_basis, tmp_path,
+                                                               kind, edit_arrays):
+    # the optimizer state was read and checked, and a malformed one refused,
+    # though no command reads it; now it is not read at all
+    basis = own_basis if kind == "mgcn" else None
+    plain = tmp_path / "plain.npz"
+    save_checkpoint(plain, build_model("MGCONV8(3)+FC16", input_dim=16, kind=kind, seed=3))
+    old = _net_with_optimizer(tmp_path / "old.npz", kind, edit_arrays=edit_arrays)
+    assert _infer(work, plain, basis, tmp_path / "plain.mwd") == 0
+    assert _infer(work, old, basis, tmp_path / "old.mwd") == 0
+    assert (tmp_path / "old.mwd").read_bytes() == (tmp_path / "plain.mwd").read_bytes()
+
+
+@pytest.mark.parametrize("kind, edit_meta", [
+    ("mgcn", _set(scale_sets=[[1, 2, 3]])),
+    ("chebyshev", _set(scale_sets=[[0, 1, 3000]])),
+    ("mgcn", lambda meta: meta.pop("scale_sets")),
+    ("mgcn", _set(architecture="MGCONV8(1000000000)+FC16")),
+    ("chebyshev", _set(architecture="MGCONV8(1000000)+FC16")),
 ], ids=["other-scales", "chebyshev-huge-order", "scales-missing", "ten-digit-scale-count",
-        "scale-count-beyond-arrays", "step-shape", "step-string"])
+        "scale-count-beyond-arrays"])
 def test_infer_refuses_an_inconsistent_checkpoint(work, own_basis, tmp_path, capsys,
-                                                  monkeypatch, kind, edit_meta, edit_arrays):
-    # other scale sets ran the wrong wavelets, a huge Chebyshev order built
-    # that many terms, and a bad optimizer step raised out of int(); a scale
-    # count is refused before anything sized by it is made
+                                                  monkeypatch, kind, edit_meta):
+    # other scale sets ran the wrong wavelets, and a huge Chebyshev order
+    # built that many terms; a scale count is refused before anything sized
+    # by it is made
     def no_operators(*args, **kwargs):
         raise AssertionError("operators were built for a refused checkpoint")
 
     monkeypatch.setattr(cli, "_shape_operators", no_operators)
-    ckpt = _net_with_optimizer(tmp_path / "net.npz", kind, edit_meta, edit_arrays)
+    ckpt = _net_with_optimizer(tmp_path / "net.npz", kind, edit_meta)
     out = tmp_path / "out.mwd"
     capsys.readouterr()
     assert _infer(work, ckpt, own_basis, out) == 2

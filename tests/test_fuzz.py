@@ -54,7 +54,6 @@ from meshwave.config import default_config, format_config
 from meshwave.descriptors import DescriptorField, save_descriptors
 from meshwave.model import build_model, save_checkpoint
 from meshwave.synthetic import bent_bar
-from meshwave.training import adam_init
 
 import _shared
 
@@ -407,18 +406,12 @@ def test_match_refuses_a_mesh_hash_that_is_not_hex_digits(which, stored):
     assert _match_contract(files) == 2
 
 
-def _fuzz_net(kind):
-    """A small network and its optimizer state, a few steps in."""
-    net = build_model("MGCONV4(3)+FC4", input_dim=4, kind=kind, head_dim=5, seed=2)
-    state = adam_init(net.params)
-    state["step"] = 3
-    return net, state
-
-
 # a wavelet and a Chebyshev network over the 24-vertex bar, the names of
-# their checkpoints' arrays, and the descriptor field infer runs them on
-_NETS = {kind: _fuzz_net(kind) for kind in ("mgcn", "chebyshev")}
-_NAMES = sorted(["__meta__", "opt/step", *(f"{group}/{name}" for name in _NETS["mgcn"][0].params
+# the arrays of their checkpoints (holding the training state older files
+# held), and the descriptor field infer runs them on
+_NETS = {kind: build_model("MGCONV4(3)+FC4", input_dim=4, kind=kind, head_dim=5, seed=2)
+         for kind in ("mgcn", "chebyshev")}
+_NAMES = sorted(["__meta__", "opt/step", *(f"{group}/{name}" for name in _NETS["mgcn"].params
                                            for group in ("param", "opt/m", "opt/v"))])
 _INPUT = _mwd_bytes(np.random.default_rng(8).standard_normal((_TARGET.n_vertices, 4)),
                     {"k": 8, "mesh_hash": _TARGET.content_hash()})
@@ -467,9 +460,9 @@ def _write_mutated_checkpoint(path, net, kind, i, j, field, value, edit):
         elif kind == "add":
             arrays[_ADDED[i % len(_ADDED)]] = np.zeros(3)
 
-    model, state = _NETS[net]
-    _shared.edited_checkpoint(path, model, edit_meta if kind == "meta" else None, edit_arrays,
-                              opt_state=state, metadata={"note": "fuzz", "descriptor": _K8})
+    _shared.edited_checkpoint(path, _NETS[net], edit_meta if kind == "meta" else None,
+                              edit_arrays, legacy=True,
+                              metadata={"note": "fuzz", "descriptor": _K8})
     if kind == "truncate":
         data = path.read_bytes()
         path.write_bytes(data[: j % len(data)])
@@ -602,7 +595,7 @@ def _write_inputs(root):
     for name in ("pred.txt", "truth.txt"):
         (root / name).write_text("\n".join(_MAP) + "\n")
     (root / "bar.mwd").write_bytes(_INPUT)
-    save_checkpoint(root / "net.npz", _NETS["mgcn"][0], metadata={"descriptor": _K8})
+    save_checkpoint(root / "net.npz", _NETS["mgcn"], metadata={"descriptor": _K8})
     cfg = default_config()
     cfg["descriptor"].update(_K8, type="hks", num=4)
     cfg["train"].update(meshes=[str(root / "mesh.off")], phase1_epochs=1, phase2_epochs=1)
@@ -658,14 +651,19 @@ _RECORDED = {"text": st.one_of(st.sampled_from([_ABSENT, None]), _STRINGS),
              "json": st.one_of(st.sampled_from([_ABSENT, None, 12345, [_HEX]]), _STRINGS)}
 
 
-def _write_basis(path, value):
-    """_BASIS as a cache recording `value` (no key if absent or None)."""
+def _basis_arrays(value):
+    """_BASIS's cache arrays, recording `value` (no key if absent or None)."""
     arrays = dict(version=np.int64(1), eigenvalues=_BASIS.eigenvalues,
                   eigenvectors=_BASIS.eigenvectors, areas=_BASIS.areas)
     if value not in (_ABSENT, None):
         arrays["mesh_hash"] = np.bytes_(value.encode())
+    return arrays
+
+
+def _write_basis(path, value, arrays=None):
+    """_BASIS as a cache recording `value`, or the cache `arrays`."""
     with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+        np.savez(fh, **(arrays or _basis_arrays(value)))
 
 
 def _write_field(path, value):
@@ -865,6 +863,7 @@ def _mutated_sidecar(kind, name, i, j, edit):
 @example(kind="entry", name="l1", i=7, j=_ENTRIES["values"].index("double"), edit="pair")
 @example(kind="entry", name="version", i=0, j=_ENTRIES["version"].index(2), edit="pair")
 @example(kind="drop", name="l1_filters", i=0, j=0, edit="pair")
+@example(kind="array", name="version", i=0, j=0, edit="inf")  # int() raised OverflowError
 def test_a_mutated_atom_sidecar_gives_the_fresh_output_or_exits_2(kind, name, i, j, edit):
     sidecar = _mutated_sidecar(kind, name, i, j, edit)
     fresh = _sidecar_and_fresh_outputs()[2]
@@ -881,3 +880,72 @@ def test_a_mutated_atom_sidecar_gives_the_fresh_output_or_exits_2(kind, name, i,
             else:
                 assert code == 2, command
                 assert (root / "x.npz.atoms.npz").read_bytes() == sidecar, command
+
+
+# the arrays of a basis cache a mutation changes, and the factors a
+# "scale" mutation multiplies one by
+_CACHE_NAMES = ["areas", "eigenvalues", "eigenvectors", "version"]
+_CACHE_MUTATIONS = ["array", "entry", "order", "scale", "drop"]
+_FACTORS = [-1.0, 0.0, 0.5, 2.0, 1 + 2.0**-40, 1e-300, 1e300]
+
+
+def _mutated_basis_arrays(kind, name, i, j, edit, factor):
+    """_BASIS's cache arrays after one mutation of the array `name`."""
+    arrays = _basis_arrays(_HEX)
+    array = np.asarray(arrays[name])
+    if kind == "drop":
+        del arrays[name]
+    elif kind == "array":
+        arrays[name] = _ARRAY_EDITS[edit](array)
+    elif kind == "entry":
+        entries = _ENTRIES["version" if name == "version" else "values"]
+        arrays[name] = _entry(array, i, entries[j % len(entries)])
+    elif kind == "order":  # reversed along one axis
+        arrays[name] = np.flip(array, axis=j % array.ndim) if array.ndim else array
+    else:
+        arrays[name] = array * factor
+    return arrays
+
+
+@_FUZZ
+@given(kind=st.sampled_from(_CACHE_MUTATIONS), name=st.sampled_from(_CACHE_NAMES),
+       i=st.integers(0, 10_000), j=st.integers(0, 100_000),
+       edit=st.sampled_from(sorted(_ARRAY_EDITS)), factor=st.sampled_from(_FACTORS))
+@example(kind="array", name="areas", i=0, j=0, edit="1e308", factor=-1.0)
+@example(kind="array", name="version", i=0, j=0, edit="inf", factor=-1.0)
+@example(kind="scale", name="eigenvalues", i=0, j=0, edit="pair", factor=1e300)
+@example(kind="entry", name="eigenvalues", i=7, j=_ENTRIES["values"].index(1e308), edit="pair",
+         factor=-1.0)
+def test_a_mutated_basis_cache_keeps_the_exit_contract(kind, name, i, j, edit, factor):
+    arrays = _mutated_basis_arrays(kind, name, i, j, edit, factor)
+    for argv in _SIDECAR_RUNS.values():
+        with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+            root = Path(tmp)
+            _write_inputs(root)
+            _write_basis(root / "x.npz", _HEX, arrays)
+            _check_contract([*argv, "--basis", "x.npz", "-o", "out"], root,
+                            {root / "out", root / "x.npz.atoms.npz"})
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("areas", lambda a: np.full(a.shape, 1e308)),
+    ("version", lambda a: np.float64(np.inf)),
+    ("eigenvalues", lambda a: a * 1e300),
+    ("eigenvalues", lambda a: np.append(a[:-1], 1e308)),
+    ("eigenvalues", lambda a: a * 2),
+], ids=["huge-areas", "inf-version", "huge-eigenvalues", "huge-last-eigenvalue",
+        "doubled-eigenvalues"])
+def test_a_basis_cache_whose_pairs_do_not_solve_the_mesh_exits_2(name, edit):
+    # the orthonormality check overflowed with a warning on huge areas, int()
+    # raised OverflowError on an inf version, WEDS's lambda^2 or the filter
+    # bank overflowed with a warning on huge eigenvalues, and doubled ones
+    # gave a descriptor of no mesh; the pairs are now checked against the
+    # mesh's pencil, as a fresh solve's are
+    arrays = _basis_arrays(_HEX)
+    arrays[name] = edit(arrays[name])
+    for argv in _SIDECAR_RUNS.values():
+        with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+            root = Path(tmp)
+            _write_inputs(root)
+            _write_basis(root / "x.npz", _HEX, arrays)
+            assert _check_contract([*argv, "--basis", "x.npz", "-o", "out"], root, set()) == 2

@@ -7,7 +7,8 @@ workloads call meshwave's library directly, and a call that no longer
 binds fails the run. These tests read the harness's sources (they import
 and change none of them) so that a refactor which renames or moves a
 hooked name, drops the flag ``perfbench/run.py`` records,
-changes a signature the workloads call, or drops a model attribute the
+changes a signature the workloads call, changes the length of the tuple
+they unpack from ``load_checkpoint``, or drops a model attribute the
 workloads read, fails here instead.
 """
 
@@ -93,6 +94,20 @@ def test_every_workload_library_call_binds():
         except (TypeError, ValueError) as exc:
             unbound.append(f"workloads.py:{line}: {module}.{attr}: {exc}")
     assert unbound == []
+
+
+def test_every_unpacking_of_load_checkpoint_takes_what_it_returns(tmp_path):
+    # the workloads unpack load_checkpoint's tuple by position, so its
+    # length cannot change before they do
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
+    counts = [(node.lineno, len(node.targets[0].elts)) for node in ast.walk(tree)
+              if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Tuple)
+              and isinstance(node.value, ast.Call)
+              and ast.unparse(node.value.func) == "model.load_checkpoint"]
+    model = importlib.import_module("meshwave.model")
+    model.save_checkpoint(tmp_path / "net.npz", model.build_model("FC4", input_dim=3))
+    returned = len(model.load_checkpoint(tmp_path / "net.npz"))
+    assert len(counts) >= 2 and all(n == returned for _, n in counts), (counts, returned)
 
 
 def _model_attributes() -> set:
