@@ -19,17 +19,14 @@ settings: every command builds the stock bank (``filters.STOCK``) on the
 basis in use, and `infer` refuses a checkpoint that records any other
 [bank].
 
-`descriptor --basis B` and `infer --basis B` also keep the wavelet atom
-column statistics in the sidecar B.atoms.npz, one table per statistic
-(`descriptor` the WEDS ranges, `infer` the L1 norms; see
-``wavelets.filter_atom_stats``), keyed by the SHA-256 of the eigenvalues,
-eigenvectors and areas of the basis in use (the cache's first -k pairs)
-and the bank's hash. A table is reused only when it holds exactly the
-scales asked for, and is otherwise replaced, so the output is
-byte-identical to a run without --basis; a sidecar of another version or
-under another key (a rebuilt basis that differs) is replaced, so
-`basis --force` leaves it alone. A sidecar that fails its checks, or
-whose tables differ from their stored digest, exits 2.
+`descriptor --basis B` keeps the WEDS atom column ranges in the sidecar
+B.range.npz, and `infer --basis B` the L1 norms in B.l1.npz
+(``_sidecar``). Each holds one table under one key, the SHA-256 of
+everything it depends on: the statistic, the bank, the basis in use (the
+cache's first -k pairs) and the scale set (``wavelets.filter_atom_stats``).
+A sidecar under another key is replaced, so the output is byte-identical
+to a run without --basis and `basis --force` leaves the sidecars alone; a
+table under the key that fails its checks or its digest exits 2.
 """
 
 from __future__ import annotations
@@ -93,15 +90,20 @@ def _log(msg: str):
 
 
 def _mesh_basis(mesh, k: int, path=None):
-    """(basis, sidecar): the mesh's first k eigenpairs, freshly solved with
-    no sidecar, or the first k pairs of the cache file `path` (read against
-    the mesh; it serves every k from 1 to the pairs it holds) with its atom
-    statistics sidecar `path`.atoms.npz."""
+    """The mesh's first k eigenpairs, freshly solved, or the first k pairs
+    of the cache file `path`, read against the mesh (it serves every k from
+    1 to the pairs it holds)."""
     if path is None:
         lap = cotangent_laplacian(mesh)
         areas = lumped_areas(mesh)
-        return eig_generalized(lap, areas, k, mesh_hash=mesh.content_hash()), None
-    return load_basis(path, mesh, k), f"{path}.atoms.npz"
+        return eig_generalized(lap, areas, k, mesh_hash=mesh.content_hash())
+    return load_basis(path, mesh, k)
+
+
+def _sidecar(path, stat):
+    """The file beside the basis cache `path` (None for none) that keeps
+    the atom statistic `stat` (``wavelets.filter_atom_stats``)."""
+    return path and f"{path}.{stat}.npz"
 
 
 def _bank(basis):
@@ -141,7 +143,7 @@ def _cmd_basis(args, cfg):
             raise DataError(f"{exc}{hint}") from None
         _log(f"cache hit: {out} (k={k}, n={cached.n_vertices})")
         return 0
-    basis, _ = _mesh_basis(mesh, k)
+    basis = _mesh_basis(mesh, k)
     save_basis(out, basis)
     _log(f"wrote {out} (k={basis.k}, n={basis.n_vertices})")
     return 0
@@ -154,10 +156,11 @@ def _cmd_descriptor(args, cfg):
     k = args.k if args.k is not None else cfg["descriptor"]["k"]
     power = args.power if args.power is not None else cfg["descriptor"]["power"]
     check_settings(kind, num, power)
-    inputs = [args.mesh, args.config, args.basis, args.basis and f"{args.basis}.atoms.npz"]
+    sidecar = _sidecar(args.basis, "range")
+    inputs = [args.mesh, args.config, args.basis, sidecar]
     out = check_destination(args.out or f"{args.mesh}.{kind}.mwd", *inputs)
     csv = args.csv and check_destination(args.csv, out, *inputs)
-    basis, sidecar = _mesh_basis(mesh, k, args.basis)
+    basis = _mesh_basis(mesh, k, args.basis)
     field = _descriptor_field(mesh, basis, kind, num, power, sidecar)
     field.metadata["mesh_hash"] = mesh.content_hash()
     save_descriptors(out, field)
@@ -202,6 +205,9 @@ def _cmd_eval(args, cfg):
     if args.desc_a is not None:  # --desc-a is read against the map's source_mesh
         da, db = load_descriptors(args.desc_a), load_descriptors(args.desc_b, target)
         source = args.desc_a, da.metadata.get("mesh_hash")
+        kmax = args.kmax if args.kmax is not None else min(100, db.n_vertices)
+        if kmax > db.n_vertices:  # before the geodesic work; cmc_curve's message
+            raise DataError(f"kmax must be in [1, {db.n_vertices}], got {kmax}")
     pred = read_correspondence(args.correspondence, target, source)
     direct = read_correspondence(args.gt, target)
     symmetric = read_correspondence(args.gt_symmetric, target) if args.gt_symmetric else None
@@ -209,7 +215,6 @@ def _cmd_eval(args, cfg):
     radii = np.linspace(0.0, args.max_radius, args.n_radii)
     report = evaluate_map(CorrespondenceMap(pred), gt, target, radii)
     if da is not None:
-        kmax = args.kmax if args.kmax is not None else min(100, db.n_vertices)
         ks, fractions = cmc_curve(da.values, db.values, gt.direct, kmax)
         report = dataclasses.replace(report, cmc_ranks=ks, cmc_fractions=fractions)
     summary = report_summary_text(report)
@@ -258,7 +263,7 @@ def _cmd_train(args, cfg):
     )
     shapes = []
     for path, mesh, lab in zip(paths, meshes, labels):
-        basis, _ = _mesh_basis(mesh, desc["k"])
+        basis = _mesh_basis(mesh, desc["k"])
         field = _descriptor_field(mesh, basis, desc["type"], desc["num"], desc["power"])
         ops = _shape_operators(net, mesh, basis)
         shapes.append(ShapeData(field.values, lab, ops, name=str(path)))
@@ -281,9 +286,9 @@ def _cmd_train(args, cfg):
 
 
 def _cmd_infer(args, cfg):
+    sidecar = _sidecar(args.basis, "l1")
     out = check_destination(args.out or f"{args.mesh}.learned.mwd", args.checkpoint, args.mesh,
-                            args.descriptors, args.config, args.basis,
-                            args.basis and f"{args.basis}.atoms.npz")
+                            args.descriptors, args.config, args.basis, sidecar)
     net, _, _, meta = load_checkpoint(args.checkpoint)
     mesh = load_mesh(args.mesh)
     field = load_descriptors(args.descriptors, mesh)
@@ -304,10 +309,10 @@ def _cmd_infer(args, cfg):
     metadata = {"type": "learned", "backbone": net.kind, "architecture": net.architecture,
                 "mesh_hash": mesh.content_hash(),
                 "input_type": field.metadata.get("type", field.kind)}
-    basis = sidecar = None
+    basis = None
     if net.kind != "chebyshev" and required_operator_keys(net):
         metadata["k"] = k = args.k if args.k is not None else desc_cfg["k"]
-        basis, sidecar = _mesh_basis(mesh, k, args.basis)
+        basis = _mesh_basis(mesh, k, args.basis)
     elif args.k is not None or args.basis is not None:
         raise UsageError(f"-k and --basis set an eigenbasis, and this {net.kind} "
                          f"network ({net.architecture}) reads none")
@@ -327,7 +332,9 @@ def _cmd_dissimilarity(args, cfg):
     v = args.vertex
     if not 0 <= v < field.n_vertices:
         raise DataError(f"reference vertex {v} out of range for {field.n_vertices} vertices")
-    dist = np.linalg.norm(field.values - field.values[v][None, :], axis=1)
+    # scaled by a power of two into [-2, 2], no distance overflows; t keeps its bits
+    values = field.values / np.ldexp(1.0, np.frexp(np.abs(field.values).max())[1] - 1)
+    dist = np.linalg.norm(values - values[v][None, :], axis=1)
     peak = dist.max()
     t = dist / peak if peak > 0 else np.zeros_like(dist)
     colors = np.zeros((mesh.n_vertices, 3), dtype=np.uint8)
@@ -368,8 +375,8 @@ def build_parser() -> _Parser:
     p.add_argument("-k", type=int, help="number of eigenpairs")
     p.add_argument("--power", type=int, choices=(1, 2),
                    help="eigenvalue power in the energy table")
-    p.add_argument("--basis", help="use a cached basis file (atom statistics "
-                                    "are cached beside it in BASIS.atoms.npz)")
+    p.add_argument("--basis", help="use a cached basis file (WEDS atom ranges "
+                                    "are cached beside it in BASIS.range.npz)")
     p.add_argument("-o", "--out", help="output file (default MESH.TYPE.mwd)")
     p.add_argument("--csv", help="also export the field as CSV")
     p.set_defaults(func=_cmd_descriptor)
@@ -408,8 +415,8 @@ def build_parser() -> _Parser:
     p.add_argument("descriptors", help="input descriptor file (network input)")
     p.add_argument("-k", type=int, help="override the checkpoint's eigenpair count "
                                          "(wavelet conv layers only)")
-    p.add_argument("--basis", help="use a cached basis file, atom statistics cached "
-                                    "beside it (wavelet conv layers only)")
+    p.add_argument("--basis", help="use a cached basis file, atom L1 norms cached "
+                                    "beside it in BASIS.l1.npz (wavelet conv layers only)")
     p.add_argument("-o", "--out", help="output file (default MESH.learned.mwd)")
     p.set_defaults(func=_cmd_infer)
 

@@ -282,7 +282,7 @@ def save_basis(path, basis):
 def load_basis(path, mesh=None, k=None):
     """The basis cache at `path`; given the `mesh` it serves, one recorded
     for no other mesh (``_files.check_mesh_hash``) with a row per vertex,
-    whose pairs solve the mesh's pencil if it records the mesh's hash.
+    whose pairs solve the mesh's pencil.
     Given `k`, its first k pairs: a cache serves every k from 1 to the
     number of pairs it holds, and refuses any other."""
     with open_npz(path, "basis cache") as data:
@@ -306,8 +306,7 @@ def load_basis(path, mesh=None, k=None):
         raise DataError(f"{path}: basis cache rows ({basis.n_vertices}) do not match "
                         f"mesh vertices ({mesh.n_vertices})")
     try:
-        _verify(None if stored is None or mesh is None else cotangent_laplacian(mesh),
-                areas, vals, vecs)
+        _verify(None if mesh is None else cotangent_laplacian(mesh), areas, vals, vecs)
     except NumericalError as exc:
         raise DataError(f"{path}: inconsistent basis cache: {exc}") from None
     if k is None or k == basis.k:

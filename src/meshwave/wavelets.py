@@ -22,16 +22,14 @@ filter K_m = Phi diag(g_m) Phi'.  WEDS needs each column's minimum and
 maximum (the "range" statistic), the conv layers its L1 norm ("l1").
 ``_atom_sweep`` gets one statistic from one sweep over the tiles I <= J
 of K (symmetry supplies the rest), S scales per GEMM into one tile buffer
-of at most _BLOCK_ENTRIES entries.  ``filter_atom_stats`` can keep them
-in a sidecar file keyed by the SHA-256 of the basis arrays (eigenvalues,
-eigenvectors, areas) and the bank's ``bank_hash``.  Its version 4 holds
-one table per statistic, ``l1_filters``/``l1`` and ``range_filters``/
-``lo``/``hi``, and the SHA-256 of all five arrays, ``tables_hash``.  A
-table is reused only when it holds exactly the filters asked for; any
-other request replaces it with a sweep of that set, so a cached statistic
-is byte for byte a fresh sweep's, whatever the file held.  A file with
-another key or version is replaced; one whose tables fail their checks
-or differ from their digest is refused.
+of at most _BLOCK_ENTRIES entries.  ``filter_atom_stats`` can keep one
+statistic's table for one request in a sidecar file, under one key: the
+SHA-256 of the format version, the statistic, the bank's ``bank_hash``,
+the basis arrays (eigenvalues, eigenvectors, areas) and the distinct
+ascending filter set, beside the SHA-256 of the table, ``tables_hash``.
+A file with no key or another one is replaced by a sweep of exactly that
+set, so a cached statistic is byte for byte a fresh sweep's; a table
+under the key that fails its checks or its digest is refused.
 """
 
 from __future__ import annotations
@@ -113,7 +111,7 @@ def _workspace(shape):
 
 # _atom_sweep's arrays for each statistic, and the value each starts from
 _STATS = {"l1": {"l1": 0.0}, "range": {"lo": np.inf, "hi": -np.inf}}
-_STATS_VERSION = 4
+_STATS_VERSION = 5
 
 
 def _atom_sweep(phi, responses, stat):
@@ -154,9 +152,9 @@ def _atom_sweep(phi, responses, stat):
     return tuple(out)
 
 
-def _digest(arrays) -> bytes:
-    """SHA-256 (hex) of the arrays' shapes and float64 values."""
-    digest = hashlib.sha256()
+def _digest(arrays, head="") -> bytes:
+    """SHA-256 (hex) of `head` and the arrays' shapes and float64 values."""
+    digest = hashlib.sha256(head.encode())
     for array in arrays:
         array = np.ascontiguousarray(array, dtype=np.float64)
         digest.update(repr(array.shape).encode())
@@ -164,52 +162,28 @@ def _digest(arrays) -> bytes:
     return digest.hexdigest().encode()
 
 
-def _tables_digest(tables):
-    return _digest(a for filters, arrays in tables.values() for a in (filters, *arrays))
-
-
-def _load_stats(path, keys, n, n_scales):
-    """{stat: (filters, arrays)} stored at path under keys, or None when
-    there is no file or it holds another basis, bank or version."""
+def _load_stats(path, key, shape, stat):
+    """The arrays of `stat` stored at path under key, or None: no file, or not that key."""
     if not os.path.exists(path):
         return None
     with open_npz(path, "atom statistics") as data:
-        version = data["version"]  # as in a basis cache, an integer scalar
-        if version.shape or version.dtype.kind not in "iu" or version != _STATS_VERSION or (
-                bytes(data["basis_hash"]), bytes(data["bank_hash"])) != keys:
+        if "key" not in data or data["key"].tobytes() != key:
             return None
-        tables = {stat: (data[f"{stat}_filters"], [data[name] for name in names])
-                  for stat, names in _STATS.items()}
-        stored = bytes(data["tables_hash"])
-    (l1_filters, (l1,)), (range_filters, (lo, hi)) = tables["l1"], tables["range"]
-    if not (all(f.ndim == 1 and f.dtype.kind in "iu" and (f[1:] > f[:-1]).all()
-                and ((0 <= f) & (f <= n_scales)).all()
-                and all(a.dtype == np.float64 and a.shape == (n, f.size)
-                        and np.isfinite(a).all() for a in arrays)
-                for f, arrays in tables.values())
-            and (l1 >= 0).all() and (lo <= hi).all()
-            # the tables against each other, on the filters both hold
-            and (l1[:, np.isin(l1_filters, range_filters)]
-                 >= np.maximum(hi, -lo)[:, np.isin(range_filters, l1_filters)]).all()
-            # and against their digest: a value moved within the rules above
-            and _tables_digest(tables) == stored):
-        raise DataError(
-            f"{path}: inconsistent atom statistics: need ascending filter indices in "
-            f"0..{n_scales}, finite float64 tables of shape (n={n}, filters), "
-            "0 <= l1, lo <= hi, and hi <= l1 and -lo <= l1 where both tables hold a filter, "
-            "matching the digest stored with them"
-        )
-    return {stat: (f.astype(np.int64), arrays) for stat, (f, arrays) in tables.items()}
+        arrays, stored = [data[name] for name in _STATS[stat]], data["tables_hash"].tobytes()
+    if not (all(a.dtype == np.float64 and a.shape == shape and np.isfinite(a).all()
+                for a in arrays)
+            and (0 <= arrays[0] if stat == "l1" else arrays[0] <= arrays[1]).all()
+            and _digest(arrays) == stored):  # a value moved within the rules above
+        raise DataError(f"{path}: inconsistent atom statistics: need finite float64 tables "
+                        f"of shape {shape}, 0 <= l1 or lo <= hi, matching their digest")
+    return arrays
 
 
-def _save_stats(path, keys, tables):
-    arrays = {name: a for stat, (filters, values) in tables.items()
-              for name, a in zip([f"{stat}_filters", *_STATS[stat]], [filters, *values])}
+def _save_stats(path, key, stat, arrays):
     try:
         with atomic_write(path) as handle:
-            np.savez(handle, version=np.int64(_STATS_VERSION), basis_hash=np.bytes_(keys[0]),
-                     bank_hash=np.bytes_(keys[1]), tables_hash=np.bytes_(_tables_digest(tables)),
-                     **arrays)
+            np.savez(handle, key=np.bytes_(key), tables_hash=np.bytes_(_digest(arrays)),
+                     **dict(zip(_STATS[stat], arrays)))
     except (OSError, DataError) as exc:  # the statistics are a cache: the result stands
         logger.warning("%s: atom statistics not cached: %s", path, exc)
 
@@ -221,31 +195,25 @@ def filter_atom_stats(basis, bank, filters, stat, cache=None):
 
     The sweep covers the distinct filters in ascending order, on which its
     tile width and rounding depend.  With `cache`, a sidecar file path, the
-    statistic's table stored there for the same basis and bank is reused
-    only when it holds exactly that set; otherwise the set is swept and
-    replaces that table, and the other statistic's table is kept as it is.
-    An empty request sweeps nothing and writes nothing.
+    table stored there under this request's key is reused; any other file
+    is replaced by the sweep.  An empty request sweeps and writes nothing.
     """
     filters = np.asarray(filters, dtype=np.int64).reshape(-1)
     bad = filters[(filters < 0) | (filters > bank.n_scales)]
     if bad.size:
         raise DataError(f"filter index {bad[0]} out of range 0..{bank.n_scales}")
-    n = basis.n_vertices
     wanted = np.unique(filters)  # the set a fresh sweep covers
-    tables = {name: (filters[:0], [np.empty((n, 0))] * len(arrays))
-              for name, arrays in _STATS.items()}
-    if cache is not None:
-        keys = (_digest([basis.eigenvalues, basis.eigenvectors, basis.areas]),
-                bank_hash(bank).encode())
-        tables = _load_stats(cache, keys, n, bank.n_scales) or tables
-    have, arrays = tables[stat]
-    if wanted.size and not np.array_equal(have, wanted):
+    if not wanted.size:
+        return tuple(np.empty((basis.n_vertices, 0)) for _ in _STATS[stat])
+    key = cache and _digest([basis.eigenvalues, basis.eigenvectors, basis.areas, wanted],
+                            f"{_STATS_VERSION} {stat} {bank_hash(bank)}")
+    arrays = key and _load_stats(cache, key, (basis.n_vertices, wanted.size), stat)
+    if not arrays:  # no cache, or a miss
         responses = filter_responses(bank, basis.eigenvalues)[wanted].T
-        have, arrays = wanted, _atom_sweep(basis.eigenvectors, responses, stat)
-        tables[stat] = have, arrays
-        if cache is not None:
-            _save_stats(cache, keys, tables)
-    index = np.searchsorted(have, filters)
+        arrays = _atom_sweep(basis.eigenvectors, responses, stat)
+        if key:
+            _save_stats(cache, key, stat, arrays)
+    index = np.searchsorted(wanted, filters)
     return tuple(a[:, index] for a in arrays)
 
 

@@ -22,7 +22,7 @@ from meshwave.descriptors import DescriptorField, load_descriptors, save_descrip
 from meshwave.errors import DataError, MeshwaveError, NumericalError, UsageError
 from meshwave.evaluation import read_correspondence, write_correspondence
 from meshwave.meshio import write_ply
-from meshwave.filters import STOCK, build_filter_bank
+from meshwave.filters import STOCK, bank_hash, build_filter_bank
 from meshwave.model import build_model, load_checkpoint, required_operator_keys, save_checkpoint
 from meshwave.spectral import load_basis, save_basis
 from meshwave.synthetic import bent_bar
@@ -599,6 +599,34 @@ def test_dissimilarity_constant_field(work, tmp_path):
     start = text.index("end_header") + 1
     tints = {tuple(text[start + i].split()[3:6]) for i in range(60)}
     assert tints == {("0", "0", "255")}
+
+
+def _dissimilarity_ply(mesh, values, v, path):
+    """The PLY `dissimilarity` wrote before it scaled the values: colours
+    from the distances of the values as they are."""
+    dist = np.linalg.norm(values - values[v][None, :], axis=1)
+    t = dist / dist.max()
+    colors = np.zeros((mesh.n_vertices, 3), dtype=np.uint8)
+    colors[:, 0] = np.rint(255.0 * t).astype(np.uint8)
+    colors[:, 2] = np.rint(255.0 * (1.0 - t)).astype(np.uint8)
+    write_ply(path, mesh.vertices, mesh.triangles, colors=colors,
+              comment=f"descriptor dissimilarity to vertex {v}")
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200], ids=["ordinary", "huge"])
+def test_dissimilarity_of_large_finite_values(work, tmp_path, scale):
+    # entries of +-1e200 overflowed the distances: three RuntimeWarnings and
+    # NaN cast into the colours; an ordinary field keeps its bytes
+    field = load_descriptors(work["desc_path"])
+    values = field.values if scale == 1.0 else np.where(field.values > 0.5, 1.0, -1.0)
+    fp, out = tmp_path / "field.mwd", tmp_path / "d.ply"
+    save_descriptors(fp, dataclasses.replace(field, values=scale * values))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["dissimilarity", str(fp), str(work["mesh_path"]), "--vertex", "5",
+                     "-o", str(out)]) == 0
+    assert out.read_bytes() == _dissimilarity_ply(work["mesh"], values, 5, tmp_path / "e.ply")
 
 
 def test_dissimilarity_vertex_range(work, tmp_path, capsys):
@@ -1242,6 +1270,21 @@ def test_eval_rank_curve_flags(work, tmp_path, capsys, flags, code):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["gt.txt"]
 
 
+def test_eval_refuses_a_kmax_past_the_rows_before_the_geodesic_work(work, tmp_path, capsys,
+                                                                    monkeypatch):
+    # the map is wrong everywhere, so scoring it would run geodesic_pairs
+    monkeypatch.setattr(evaluation, "geodesic_pairs",
+                        lambda *a, **k: pytest.fail("geodesic work before the kmax check"))
+    pred, gt = tmp_path / "pred.txt", tmp_path / "gt.txt"
+    write_correspondence(pred, np.roll(np.arange(60), 7))
+    write_correspondence(gt, np.arange(60))
+    desc = str(work["desc_path"])
+    assert main(["eval", str(pred), str(gt), str(work["mesh_path"]), "--desc-a", desc,
+                 "--desc-b", desc, "--kmax", "500", "-o", str(tmp_path / "report")]) == 2
+    assert capsys.readouterr().err == "error: kmax must be in [1, 60], got 500\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gt.txt", "pred.txt"]
+
+
 # ------------------------------------------------- atom statistics sidecar
 
 
@@ -1253,13 +1296,16 @@ def own_basis(work, tmp_path):
     return path
 
 
-def _sidecar(basis_path):
-    return basis_path.parent / (basis_path.name + ".atoms.npz")
+def _sidecar(basis_path, stat):
+    """The file beside `basis_path` that keeps the atom statistic `stat`."""
+    return basis_path.parent / f"{basis_path.name}.{stat}.npz"
 
 
 def _descriptor(work, basis_path, out, *extra):
+    """Run WEDS 16 at -k 12 on the bar, with --basis unless `basis_path` is None."""
+    basis = ["--basis", str(basis_path)] if basis_path is not None else []
     return main(["descriptor", str(work["mesh_path"]), "--type", "weds", "--num", "16",
-                 "-k", "12", "--basis", str(basis_path), "-o", str(out), *extra])
+                 "-k", "12", *basis, "-o", str(out), *extra])
 
 
 def _library_weds(work, basis_path, n_dims):
@@ -1276,15 +1322,16 @@ def _stamp(path):
 def test_atom_sidecar_warm_descriptor_matches_cold(work, own_basis, tmp_path):
     cold, warm = tmp_path / "cold.mwd", tmp_path / "warm.mwd"
     assert _descriptor(work, own_basis, cold) == 0
-    sidecar = _sidecar(own_basis)
+    sidecar = _sidecar(own_basis, "range")
     stamp = _stamp(sidecar)
     assert _descriptor(work, own_basis, warm) == 0
     assert _stamp(sidecar) == stamp  # a hit rewrites nothing
     assert warm.read_bytes() == cold.read_bytes()
     assert np.array_equal(load_descriptors(cold).values, _library_weds(work, own_basis, 16))
-    with np.load(sidecar) as data:  # WEDS stores the ranges alone
-        assert data["range_filters"].tolist() == [8, 16, 24]
-        assert data["l1_filters"].size == 0 and data["l1"].shape == (60, 0)
+    with np.load(sidecar) as data:  # WEDS stores the ranges of scales 8, 16 and 24 alone
+        assert sorted(data.files) == ["hi", "key", "lo", "tables_hash"]
+        assert data["lo"].shape == data["hi"].shape == (60, 3)
+    assert not _sidecar(own_basis, "l1").exists()
 
 
 def test_atom_sidecar_warm_infer_matches_cold(work, own_basis, tmp_path):
@@ -1298,62 +1345,83 @@ def test_atom_sidecar_warm_infer_matches_cold(work, own_basis, tmp_path):
                      "-k", "12", "--basis", str(own_basis), "-o", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
-    with np.load(_sidecar(own_basis)) as data:  # the operators store the L1 norms alone
-        assert data["l1_filters"].tolist() == required_operator_keys(net)
-        assert data["range_filters"].size == 0 and data["lo"].shape == (60, 0)
+    with np.load(_sidecar(own_basis, "l1")) as data:  # the operators store the L1 norms alone
+        assert sorted(data.files) == ["key", "l1", "tables_hash"]
+        assert data["l1"].shape == (60, len(required_operator_keys(net)))
+    assert not _sidecar(own_basis, "range").exists()
 
 
-def test_atom_sidecar_holds_both_tables_for_descriptor_and_infer(work, own_basis, tmp_path):
+@pytest.mark.parametrize("order", ["didi", "idid"])
+def test_descriptor_and_infer_stay_warm_after_each_other(work, own_basis, tmp_path, order):
+    # each command keeps its own sidecar, so neither evicts the other's table
     ckpt = tmp_path / "net.npz"
     save_checkpoint(ckpt, build_model("MGCONV8(3)+FC16", input_dim=16, seed=3))
-    sidecar = _sidecar(own_basis)
+    run = {"d": lambda basis, out: _descriptor(work, basis, out),
+           "i": lambda basis, out: _infer(work, ckpt, basis, out, *[] if basis else ["-k", "12"])}
+    sidecars = {"d": _sidecar(own_basis, "range"), "i": _sidecar(own_basis, "l1")}
+    for i, command in enumerate(order):
+        before = {c: _stamp(path) for c, path in sidecars.items() if path.exists()}
+        cached, fresh = tmp_path / f"{i}.cached.mwd", tmp_path / f"{i}.fresh.mwd"
+        assert run[command](own_basis, cached) == 0
+        assert run[command](None, fresh) == 0
+        assert cached.read_bytes() == fresh.read_bytes(), (i, command)
+        after = {c: _stamp(path) for c, path in sidecars.items() if path.exists()}
+        # a command's first run writes its own sidecar alone, its second none
+        assert after == (before if i >= 2 else {**before, command: after.get(command)})
+        assert command in after
+    assert sorted(p.name for p in own_basis.parent.glob(f"{own_basis.name}.*")) == [
+        f"{own_basis.name}.l1.npz", f"{own_basis.name}.range.npz"]
+
+
+def _key(stat, basis, bank, filters, version=wavelets._STATS_VERSION):
+    """The key filter_atom_stats stores a table under (see its module)."""
+    arrays = [basis.eigenvalues, basis.eigenvectors, basis.areas, np.unique(filters)]
+    return wavelets._digest(arrays, f"{version} {stat} {bank_hash(bank)}")
+
+
+@pytest.mark.parametrize("stale", ["version", "stat", "no-key"])
+def test_a_sidecar_under_another_key_is_replaced(work, own_basis, tmp_path, stale):
+    # its table, doubled (with a matching digest), would change the output if used
+    cold = tmp_path / "cold.mwd"
+    assert _descriptor(work, own_basis, cold) == 0
+    sidecar = _sidecar(own_basis, "range")
+    with np.load(sidecar) as data:
+        arrays = {name: 2.0 * data[name] for name in ("lo", "hi")}
+        key = data["key"]
+    basis = load_basis(own_basis)
+    bank = build_filter_bank(basis.lambda_max, eigenvalues=basis.eigenvalues)
+    assert key.tobytes() == _key("range", basis, bank, [8, 16, 24])
+    if stale != "no-key":
+        arrays["key"] = np.bytes_(_key("l1", basis, bank, [8, 16, 24]) if stale == "stat"
+                                  else _key("range", basis, bank, [8, 16, 24], version=4))
+    tables_hash = wavelets._digest([arrays["lo"], arrays["hi"]])
+    np.savez(sidecar, tables_hash=np.bytes_(tables_hash), **arrays)
+    warm = tmp_path / "warm.mwd"
+    assert _descriptor(work, own_basis, warm) == 0
+    assert warm.read_bytes() == cold.read_bytes()
+    with np.load(sidecar) as data:
+        assert data["key"] == key and np.array_equal(data["lo"], 0.5 * arrays["lo"])
+
+
+def test_a_two_table_atoms_sidecar_is_neither_read_nor_required(work, own_basis, tmp_path):
+    # B.atoms.npz, which held both tables, is no file of either command now
+    ckpt = tmp_path / "net.npz"
+    save_checkpoint(ckpt, build_model("MGCONV8(3)+FC16", input_dim=16, seed=3))
+    atoms = own_basis.parent / f"{own_basis.name}.atoms.npz"
+    atoms.write_bytes(b"not an archive")
     outs = {}
-    for name in ("cold", "warm"):
-        assert _descriptor(work, own_basis, tmp_path / f"{name}.mwd") == 0
-        assert _infer(work, ckpt, own_basis, tmp_path / f"{name}.out.mwd") == 0
-        outs[name] = [(tmp_path / f"{name}{ext}").read_bytes() for ext in (".mwd", ".out.mwd")]
-        if name == "cold":
-            stamp = _stamp(sidecar)
-    assert _stamp(sidecar) == stamp  # warm runs hit both tables
-    assert outs["warm"] == outs["cold"]
-    with np.load(sidecar) as data:
-        assert int(data["version"]) == 4
-        assert data["l1_filters"].tolist() == data["range_filters"].tolist() == [8, 16, 24]
-
-
-@pytest.mark.parametrize("version", [1, 2, 3])
-def test_version_1_atom_sidecar_is_replaced(work, own_basis, tmp_path, version):
-    ckpt = tmp_path / "net.npz"
-    save_checkpoint(ckpt, build_model("MGCONV8(3)+FC16", input_dim=16, seed=3))
-    sidecar = _sidecar(own_basis)
-    cold = tmp_path / "cold.mwd", tmp_path / "cold.out.mwd"
-    assert _descriptor(work, own_basis, cold[0]) == 0
-    assert _infer(work, ckpt, own_basis, cold[1]) == 0
-    with np.load(sidecar) as data:
-        # an older layout under the same keys (version 1 held one table of
-        # all three statistics, version 2 this one's two tables, possibly
-        # merged, version 3 them without their digest); its statistics,
-        # doubled, would change both outputs if used
-        arrays = {name: 2.0 * data[name] for name in ("l1", "lo", "hi")}
-        if version == 1:
-            arrays["filters"] = data["l1_filters"]
-        else:
-            arrays.update(l1_filters=data["l1_filters"], range_filters=data["range_filters"])
-        np.savez(sidecar, version=np.int64(version), basis_hash=data["basis_hash"],
-                 bank_hash=data["bank_hash"], **arrays)
-    warm = tmp_path / "warm.mwd", tmp_path / "warm.out.mwd"
-    assert _descriptor(work, own_basis, warm[0]) == 0
-    assert _infer(work, ckpt, own_basis, warm[1]) == 0
-    assert [p.read_bytes() for p in warm] == [p.read_bytes() for p in cold]
-    with np.load(sidecar) as data:
-        assert int(data["version"]) == 4 and "filters" not in data
-        assert data["l1_filters"].tolist() == data["range_filters"].tolist() == [8, 16, 24]
+    for name, basis in (("cold", None), ("warm", own_basis)):
+        outs[name] = [tmp_path / f"{name}.mwd", tmp_path / f"{name}.out.mwd"]
+        assert _descriptor(work, basis, outs[name][0]) == 0
+        assert _infer(work, ckpt, basis, outs[name][1], *[] if basis else ["-k", "12"]) == 0
+    assert [p.read_bytes() for p in outs["warm"]] == [p.read_bytes() for p in outs["cold"]]
+    assert atoms.read_bytes() == b"not an archive"
 
 
 @pytest.mark.parametrize("change", ["basis", "bank"])
 def test_atom_sidecar_is_recomputed_for_another_basis_or_bank(work, own_basis, tmp_path,
                                                                change):
-    sidecar = _sidecar(own_basis)
+    sidecar = _sidecar(own_basis, "range")
     if change == "basis":  # more pairs: the basis in use changes, its path does not
         assert _descriptor(work, own_basis, tmp_path / "first.mwd") == 0
         stamp = _stamp(sidecar)
@@ -1369,7 +1437,7 @@ def test_atom_sidecar_is_recomputed_for_another_basis_or_bank(work, own_basis, t
         wavelets.filter_atom_stats(basis, bank, [24, 16, 8], "range", cache=sidecar)
         extra = []
     with np.load(sidecar) as data:
-        keys = bytes(data["basis_hash"]), bytes(data["bank_hash"])
+        key = data["key"].tobytes()
     fresh = tmp_path / "fresh" / own_basis.name
     fresh.parent.mkdir()
     fresh.write_bytes(own_basis.read_bytes())
@@ -1377,9 +1445,7 @@ def test_atom_sidecar_is_recomputed_for_another_basis_or_bank(work, own_basis, t
     assert _descriptor(work, own_basis, tmp_path / "stale.mwd", *extra) == 0
     assert (tmp_path / "stale.mwd").read_bytes() == (tmp_path / "cold.mwd").read_bytes()
     with np.load(sidecar) as data:
-        changed = bytes(data["basis_hash"]) != keys[0], bytes(data["bank_hash"]) != keys[1]
-    # a new basis also moves lambda_max, on which the bank depends
-    assert changed == ((True, True) if change == "basis" else (False, True))
+        assert data["key"].tobytes() != key
 
 
 def test_atom_sidecar_replaces_the_range_table_for_a_new_scale_set(work, own_basis,
@@ -1396,9 +1462,8 @@ def test_atom_sidecar_replaces_the_range_table_for_a_new_scale_set(work, own_bas
     for _ in range(2):  # scales 26, 21, 16, 11, 6: swept once, then reused
         assert _descriptor(work, own_basis, tmp_path / "b.mwd", "--num", "160") == 0
     assert computed == [("range", 3), ("range", 5)]
-    with np.load(_sidecar(own_basis)) as data:
-        assert data["range_filters"].tolist() == [6, 11, 16, 21, 26]
-        assert data["l1_filters"].size == 0
+    with np.load(_sidecar(own_basis, "range")) as data:
+        assert data["lo"].shape == (60, 5)
     got = load_descriptors(tmp_path / "b.mwd").values
     assert np.array_equal(got, _library_weds(work, own_basis, 160))
 
@@ -1429,66 +1494,69 @@ def test_fc_only_network_leaves_the_atom_sidecar_alone(work, own_basis, tmp_path
     ckpt, fc = tmp_path / "net.npz", tmp_path / "fc.npz"
     save_checkpoint(ckpt, build_model("MGCONV8(3)+FC16", input_dim=16, seed=3))
     save_checkpoint(fc, build_model("FC8", input_dim=16, seed=3))
-    assert _descriptor(work, own_basis, tmp_path / "d.mwd") == 0
     assert _infer(work, ckpt, own_basis, tmp_path / "conv.mwd") == 0
-    sidecar = _sidecar(own_basis)
+    sidecar = _sidecar(own_basis, "l1")
     before = sidecar.read_bytes()
     assert _infer(work, fc, None, tmp_path / "fc.mwd") == 0  # asks for no scales
     assert sidecar.read_bytes() == before
     assert load_descriptors(tmp_path / "fc.mwd").values.shape == (60, 8)
 
 
-def _infer(work, ckpt, basis_path, out):
+def _infer(work, ckpt, basis_path, out, *extra):
     """Run infer on the bar's field; with `basis_path` (for a network with
     wavelet conv layers), also -k 12 and --basis."""
     basis = ["-k", "12", "--basis", str(basis_path)] if basis_path is not None else []
     return main(["infer", str(ckpt), str(work["mesh_path"]), str(work["desc_path"]),
-                 *basis, "-o", str(out)])
+                 *basis, *extra, "-o", str(out)])
 
 
-def _corrupt(sidecar, how):
+def _corrupt(sidecar, stat, how):
     if how == "truncated":
         data = sidecar.read_bytes()
         sidecar.write_bytes(data[: len(data) // 2])
         return
     with np.load(sidecar) as data:
         arrays = dict(data)
+    first = "l1" if stat == "l1" else "lo"
     if how == "nan":
-        arrays["l1"][3, 0] = np.nan
-    elif how == "lo-above-hi":
-        arrays["lo"][5, 1] = arrays["hi"][5, 1] + 1.0
-    elif how == "l1-below-hi":  # filter 8 is column 0 of both tables
-        arrays["l1"][2, 0] = 0.5 * max(arrays["hi"][2, 0], -arrays["lo"][2, 0])
-    elif how == "l1-one-ulp":  # consistent, but not what the sweep wrote
-        arrays["l1"][2, 0] = np.nextafter(arrays["l1"][2, 0], np.inf)
+        arrays[first][3, 0] = np.nan
+    elif how == "order":  # a negative L1 norm, or lo above hi
+        arrays[first][5, 1] = -1.0 if stat == "l1" else arrays["hi"][5, 1] + 1.0
+    elif how == "one-ulp":  # consistent, but not what the sweep wrote
+        arrays[first][2, 0] = np.nextafter(arrays[first][2, 0], np.inf)
+    elif how == "float32":
+        arrays[first] = arrays[first].astype(np.float32)
+    elif how == "missing-table":
+        del arrays[first]
     else:  # one vertex short
-        for name in ("l1", "lo", "hi"):
+        for name in wavelets._STATS[stat]:
             arrays[name] = arrays[name][:-1]
     np.savez(sidecar, **arrays)
 
 
 @pytest.mark.parametrize("command", ["descriptor", "infer"])
-@pytest.mark.parametrize("how", ["nan", "lo-above-hi", "l1-below-hi", "l1-one-ulp",
+@pytest.mark.parametrize("how", ["nan", "order", "one-ulp", "float32", "missing-table",
                                  "wrong-shape", "truncated"])
 def test_bad_atom_sidecar_exits_2(work, own_basis, tmp_path, capsys, command, how):
-    # both commands run first, so the sidecar holds both tables on filters
-    # 8, 16 and 24; each command checks the whole file, not its table alone
+    # the table under the request's key fails its checks or its digest
+    stat = {"descriptor": "range", "infer": "l1"}[command]
     ckpt = tmp_path / "net.npz"
     save_checkpoint(ckpt, build_model("MGCONV8(3)+FC16", input_dim=16, seed=3))
     out = tmp_path / "out.mwd"
     run = {
         "descriptor": lambda: _descriptor(work, own_basis, out),
         "infer": lambda: _infer(work, ckpt, own_basis, out),
-    }
-    assert run["descriptor"]() == 0 and run["infer"]() == 0
+    }[command]
+    assert run() == 0
     out.unlink()
-    run = run[command]
-    _corrupt(_sidecar(own_basis), how)
+    sidecar = _sidecar(own_basis, stat)
+    _corrupt(sidecar, stat, how)
+    corrupted = sidecar.read_bytes()
     capsys.readouterr()
     assert run() == 2
     err = capsys.readouterr().err
-    assert "atom statistics" in err and "Traceback" not in err
-    assert not out.exists()
+    assert err.startswith("error: ") and err.count("\n") == 1 and "atom statistics" in err
+    assert not out.exists() and sidecar.read_bytes() == corrupted
 
 
 def _unreadable(path, how):
@@ -1667,7 +1735,7 @@ def test_unwritable_atom_sidecar_leaves_the_result(work, own_basis, tmp_path, mo
     monkeypatch.setattr(wavelets, "atomic_write", refuse)
     out = tmp_path / "x.mwd"
     assert _descriptor(work, own_basis, out) == 0
-    assert not _sidecar(own_basis).exists()
+    assert not _sidecar(own_basis, "range").exists()
     assert "atom statistics not cached" in caplog.text
     assert np.array_equal(load_descriptors(out).values, _library_weds(work, own_basis, 16))
 
@@ -1675,13 +1743,13 @@ def test_unwritable_atom_sidecar_leaves_the_result(work, own_basis, tmp_path, mo
 def test_sidecar_in_an_unwritable_place_leaves_the_result(work, own_basis, tmp_path,
                                                          monkeypatch, caplog):
     def refuse_sidecar(path, *args, **kwargs):
-        if ".atoms.npz." in str(path):  # the sidecar's temporary file
+        if ".range.npz." in str(path):  # the sidecar's temporary file
             raise PermissionError(13, "Permission denied")
         return open(path, *args, **kwargs)
 
     monkeypatch.setattr(_files, "open", refuse_sidecar, raising=False)
     out = tmp_path / "x.mwd"
     assert _descriptor(work, own_basis, out) == 0
-    assert not _sidecar(own_basis).exists()
+    assert not _sidecar(own_basis, "range").exists()
     assert "atom statistics not cached" in caplog.text
     assert np.array_equal(load_descriptors(out).values, _library_weds(work, own_basis, 16))

@@ -15,7 +15,9 @@ each mesh format and the config under ``basis``, correspondences under
 ``eval`` and ``.mwd`` files under ``match``.  Whatever the mutation, the
 command exits 0, 2 (bad data) or 3 (numerical failure), raises no
 warning, says nothing on stderr that looks like a traceback, and leaves
-no new file when it fails.  Every test runs the same `_FUZZ` settings:
+no new file when it fails.  So do ``descriptor`` and ``infer --basis`` on
+a ``--config`` file with one mutation of its text.  Every test runs the
+same `_FUZZ` settings:
 100 derandomized draws, so the cases repeat from run to run.  Each output
 path of every command, given a directory in its place, a missing
 directory, a regular file where its directory should be or a trailing
@@ -25,11 +27,11 @@ file or a map's target_mesh comment records is drawn from absent, null,
 "", the mesh's own or another pose's hash and near misses of it, and each
 command that reads it against a mesh (``eval --desc-a`` against the map's
 source_mesh comment) exits 0 exactly when it is absent or the mesh's own,
-and otherwise 2 with one line and no new file.  An atom statistics
-sidecar holding both tables, with one array's entry, dtype or shape
-changed, an array dropped or the file truncated, makes ``descriptor
---basis`` and ``infer --basis`` either exit 2 and leave it as it was or
-write the bytes they write without ``--basis``.
+and otherwise 2 with one line and no new file.  The atom statistics
+sidecar ``descriptor --basis`` or ``infer --basis`` keeps, with one
+array's entry, dtype or shape changed, an array dropped or the file
+truncated, makes the command either exit 2 and leave it as it was or
+write the bytes it writes without ``--basis``.
 """
 
 import contextlib
@@ -691,7 +693,7 @@ _SITES = {
                             "--basis", "x.npz", "-o", "out"], ["out"]),
     "infer --basis": (_write_basis, "x.npz",
                       ["infer", "net.npz", "mesh.off", "bar.mwd", "--basis", "x.npz",
-                       "-o", "out"], ["out", "x.npz.atoms.npz"]),
+                       "-o", "out"], ["out", "x.npz.l1.npz"]),
     "infer": (_write_field, "x.mwd", ["infer", "net.npz", "mesh.off", "x.mwd", "-o", "out"],
               ["out"]),
     "dissimilarity": (_write_field, "x.mwd",
@@ -757,13 +759,15 @@ _COLLISIONS = {
     "descriptor-mesh": ["descriptor", "mesh.off", "--type", "hks", "--num", "4", "-k", "8",
                         "-o", "mesh.off"],
     "descriptor-sidecar": ["descriptor", "mesh.off", "-k", "8", "--basis", "x.npz",
-                           "--csv", "x.npz.atoms.npz"],
+                           "--csv", "x.npz.range.npz"],
     "match": ["match", "a.mwd", "b.mwd", "-o", "b.mwd"],
     "eval": ["eval", "rep.summary.txt", "truth.txt", "mesh.off", "-o", "rep"],
     "train": ["train", "--config", "train.cfg", "-o", "mesh.off"],
     "infer": ["infer", "net.npz", "mesh.off", "bar.mwd", "-o", "net.npz"],
     "infer-basis": ["infer", "net.npz", "mesh.off", "bar.mwd", "--basis", "x.npz",
                     "-o", "x.npz"],
+    "infer-sidecar": ["infer", "net.npz", "mesh.off", "bar.mwd", "--basis", "x.npz",
+                      "-o", "x.npz.l1.npz"],
     "dissimilarity": ["dissimilarity", "bar.mwd", "mesh.off", "--vertex", "0",
                       "-o", "./mesh.off"],
 }
@@ -786,40 +790,42 @@ def test_an_output_that_names_another_file_of_the_command_exits_2_before_any_wor
     assert _files_in(tmp_path) == before
 
 
-# the commands that read an atom statistics sidecar, and its arrays
+# the commands that read an atom statistics sidecar, and the sidecar each keeps
 _SIDECAR_RUNS = {
-    "descriptor": ["descriptor", "mesh.off", "--num", "4", "-k", "8"],
-    "infer": ["infer", "net.npz", "mesh.off", "bar.mwd"],
+    "descriptor": (["descriptor", "mesh.off", "--num", "4", "-k", "8"], "x.npz.range.npz"),
+    "infer": (["infer", "net.npz", "mesh.off", "bar.mwd"], "x.npz.l1.npz"),
 }
-_SIDECAR_NAMES = ["bank_hash", "basis_hash", "hi", "l1", "l1_filters", "lo", "range_filters",
-                  "tables_hash", "version"]
+# each command and an array of its sidecar
+_SIDECAR_ARRAYS = [(command, name) for command, names in (
+    ("descriptor", ["hi", "key", "lo", "tables_hash"]),
+    ("infer", ["key", "l1", "tables_hash"])) for name in names]
 
 
 @functools.lru_cache(maxsize=None)
-def _sidecar_and_fresh_outputs():
-    """The sidecar of _BASIS after descriptor and infer ran on it, so it
-    holds both tables (its bytes and arrays), and each command's output
-    without --basis."""
+def _sidecars_and_fresh_outputs():
+    """Per command, the sidecar it leaves beside _BASIS (its bytes and
+    arrays) and its output without --basis."""
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
         _write_inputs(Path(tmp))
         _write_basis(Path("x.npz"), _HEX)
-        fresh = {}
-        for command, argv in _SIDECAR_RUNS.items():
+        result = {}
+        for command, (argv, sidecar) in _SIDECAR_RUNS.items():
             assert _run([*argv, "--basis", "x.npz", "-o", "cached"]) == (0, "")
             assert _run([*argv, "-o", "fresh"]) == (0, "")
-            fresh[command] = Path("fresh").read_bytes()
-            assert Path("cached").read_bytes() == fresh[command]
-        with np.load("x.npz.atoms.npz") as data:
-            arrays = {name: data[name] for name in data.files}
-        assert sorted(arrays) == _SIDECAR_NAMES
-        return Path("x.npz.atoms.npz").read_bytes(), arrays, fresh
+            assert Path("cached").read_bytes() == Path("fresh").read_bytes()
+            with np.load(sidecar) as data:
+                arrays = {name: data[name] for name in data.files}
+            assert sorted(arrays) == [n for c, n in _SIDECAR_ARRAYS if c == command]
+            result[command] = Path(sidecar).read_bytes(), arrays, Path("fresh").read_bytes()
+        return result
 
 
-# entries of a filter index table, a version and the values of a table
-_ENTRIES = {"filters": [-1, 0, 1, 2, 3, 4, 5, 17, 2**40],
-            "version": [-1, 0, 1, 2, 3, 4, 5, 2**40],
+# values of a table entry, and edits of a key or digest
+_ENTRIES = {"version": [-1, 0, 1, 2, 3, 4, 5, 2**40],
             "values": [np.nan, np.inf, -np.inf, 1e308, -1e308, 0.0, -0.0, 5e-324, -1.0, 1.0,
                        "ulp", "double"]}
+_HASH_EDITS = [lambda h: h[::-1], lambda h: h[:-1], lambda h: h + b"0", lambda h: h.upper(),
+               lambda h: b""]
 _SIDECAR_MUTATIONS = ["entry", "array", "drop", "truncate"]
 
 
@@ -834,52 +840,53 @@ def _entry(array, i, value):
     return array
 
 
-def _mutated_sidecar(kind, name, i, j, edit):
-    data, arrays, _ = _sidecar_and_fresh_outputs()
+def _mutated_sidecar(command, kind, name, i, j, edit):
+    data, arrays, _ = _sidecars_and_fresh_outputs()[command]
     if kind == "truncate":
         return data[: j % len(data)]
     arrays = dict(arrays)
     if kind == "drop":
         del arrays[name]
+    elif arrays[name].dtype.kind == "S":  # the key or the digest
+        hashed = arrays[name].tobytes()
+        arrays[name] = (_ARRAY_EDITS[edit](np.zeros(3)) if kind == "array"
+                        else np.bytes_(_HASH_EDITS[j % len(_HASH_EDITS)](hashed)))
     elif kind == "array":
         arrays[name] = _ARRAY_EDITS[edit](arrays[name])
-    elif name.endswith("_hash"):
-        arrays[name] = np.bytes_(bytes(arrays[name])[::-1])
-    elif arrays[name].size:  # an entry of the filters, the version or a table
-        entries = _ENTRIES[name if name == "version" else
-                           "filters" if "filters" in name else "values"]
-        arrays[name] = _entry(arrays[name], i, entries[j % len(entries)])
+    else:
+        arrays[name] = _entry(arrays[name], i, _ENTRIES["values"][j % len(_ENTRIES["values"])])
     buffer = io.BytesIO()
     np.savez(buffer, **arrays)
     return buffer.getvalue()
 
 
 @_FUZZ
-@given(kind=st.sampled_from(_SIDECAR_MUTATIONS), name=st.sampled_from(_SIDECAR_NAMES),
+@given(case=st.sampled_from(_SIDECAR_ARRAYS), kind=st.sampled_from(_SIDECAR_MUTATIONS),
        i=st.integers(0, 10_000), j=st.integers(0, 100_000),
        edit=st.sampled_from(sorted(_ARRAY_EDITS)))
-@example(kind="entry", name="l1", i=0, j=_ENTRIES["values"].index("ulp"), edit="pair")
-@example(kind="entry", name="hi", i=5, j=_ENTRIES["values"].index(1e308), edit="pair")
-@example(kind="entry", name="l1", i=7, j=_ENTRIES["values"].index("double"), edit="pair")
-@example(kind="entry", name="version", i=0, j=_ENTRIES["version"].index(2), edit="pair")
-@example(kind="drop", name="l1_filters", i=0, j=0, edit="pair")
-@example(kind="array", name="version", i=0, j=0, edit="inf")  # int() raised OverflowError
-def test_a_mutated_atom_sidecar_gives_the_fresh_output_or_exits_2(kind, name, i, j, edit):
-    sidecar = _mutated_sidecar(kind, name, i, j, edit)
-    fresh = _sidecar_and_fresh_outputs()[2]
-    for command, argv in _SIDECAR_RUNS.items():
-        with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
-            root = Path(tmp)
-            _write_inputs(root)
-            _write_basis(root / "x.npz", _HEX)
-            (root / "x.npz.atoms.npz").write_bytes(sidecar)
-            code = _check_contract([*argv, "--basis", "x.npz", "-o", "out"], root,
-                                   {root / "out"})
-            if code == 0:
-                assert (root / "out").read_bytes() == fresh[command], command
-            else:
-                assert code == 2, command
-                assert (root / "x.npz.atoms.npz").read_bytes() == sidecar, command
+@example(case=("infer", "l1"), kind="entry", i=0, j=_ENTRIES["values"].index("ulp"), edit="pair")
+@example(case=("descriptor", "hi"), kind="entry", i=5, j=_ENTRIES["values"].index(1e308),
+         edit="pair")
+@example(case=("infer", "l1"), kind="entry", i=7, j=_ENTRIES["values"].index("double"),
+         edit="pair")
+@example(case=("descriptor", "key"), kind="drop", i=0, j=0, edit="pair")
+@example(case=("infer", "key"), kind="entry", i=0, j=0, edit="pair")
+@example(case=("descriptor", "tables_hash"), kind="array", i=0, j=0, edit="inf")
+def test_a_mutated_atom_sidecar_gives_the_fresh_output_or_exits_2(case, kind, i, j, edit):
+    command, name = case
+    sidecar = _mutated_sidecar(command, kind, name, i, j, edit)
+    argv, path = _SIDECAR_RUNS[command]
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        root = Path(tmp)
+        _write_inputs(root)
+        _write_basis(root / "x.npz", _HEX)
+        (root / path).write_bytes(sidecar)
+        code = _check_contract([*argv, "--basis", "x.npz", "-o", "out"], root, {root / "out"})
+        if code == 0:
+            assert (root / "out").read_bytes() == _sidecars_and_fresh_outputs()[command][2]
+        else:
+            assert code == 2
+            assert (root / path).read_bytes() == sidecar
 
 
 # the arrays of a basis cache a mutation changes, and the factors a
@@ -918,13 +925,13 @@ def _mutated_basis_arrays(kind, name, i, j, edit, factor):
          factor=-1.0)
 def test_a_mutated_basis_cache_keeps_the_exit_contract(kind, name, i, j, edit, factor):
     arrays = _mutated_basis_arrays(kind, name, i, j, edit, factor)
-    for argv in _SIDECAR_RUNS.values():
+    for argv, sidecar in _SIDECAR_RUNS.values():
         with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
             root = Path(tmp)
             _write_inputs(root)
             _write_basis(root / "x.npz", _HEX, arrays)
             _check_contract([*argv, "--basis", "x.npz", "-o", "out"], root,
-                            {root / "out", root / "x.npz.atoms.npz"})
+                            {root / "out", root / sidecar})
 
 
 @pytest.mark.parametrize("name, edit", [
@@ -943,9 +950,64 @@ def test_a_basis_cache_whose_pairs_do_not_solve_the_mesh_exits_2(name, edit):
     # mesh's pencil, as a fresh solve's are
     arrays = _basis_arrays(_HEX)
     arrays[name] = edit(arrays[name])
-    for argv in _SIDECAR_RUNS.values():
+    for argv, _ in _SIDECAR_RUNS.values():
         with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
             root = Path(tmp)
             _write_inputs(root)
             _write_basis(root / "x.npz", _HEX, arrays)
             assert _check_contract([*argv, "--basis", "x.npz", "-o", "out"], root, set()) == 2
+
+
+@pytest.mark.parametrize("factor", [2.0, 1e300])
+@pytest.mark.parametrize("command", sorted(_SIDECAR_RUNS))
+def test_a_cache_that_records_no_mesh_is_checked_against_the_mesh_pencil(command, factor):
+    # with no mesh_hash the pencil check was skipped: doubled eigenvalues
+    # gave a field of no mesh and left a new sidecar, and eigenvalues times
+    # 1e300 warned of overflow before exit 3
+    arrays = _basis_arrays(_ABSENT)
+    arrays["eigenvalues"] = factor * arrays["eigenvalues"]
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        root = Path(tmp)
+        _write_inputs(root)
+        _write_basis(root / "x.npz", _ABSENT, arrays)
+        before = set(root.iterdir())
+        code, err = _run([*_SIDECAR_RUNS[command][0], "--basis", "x.npz", "-o", "out"])
+        assert set(root.iterdir()) == before
+    assert code == 2 and err.count("\n") == 1, err
+    assert err.startswith("error: x.npz: inconsistent basis cache: eigenpair residual"), err
+
+
+# a config for _TARGET: WEDS of 4 dimensions from 8 pairs, the rest default
+_CONFIG = format_config(dict(default_config(), descriptor=dict(_K8, num=4))).splitlines()
+_CONFIG_TOKENS = _TOKENS + ["[descriptor]", "[model]", "[train]", "[pipeline]", "[x]", "=",
+                            "k", "num", "type", "power", "k = 8", "k = 9", "num = 1024",
+                            "power = 1", "power = 3", "type = hks", "type = wks", "type = x",
+                            "seed = -1", "kind = chebyshev", "architecture = FC4", "x = 1"]
+# `infer` reads the config's [descriptor] for a checkpoint that records none
+_CONFIG_RUNS = {
+    "descriptor": (["descriptor", "mesh.off", "--config", "x.cfg", "-o", "out"], ["out"]),
+    "infer --basis": (["infer", "plain.npz", "mesh.off", "bar.mwd", "--config", "x.cfg",
+                       "--basis", "x.npz", "-o", "out"], ["out", "x.npz.l1.npz"]),
+}
+
+
+@_FUZZ
+@given(run=st.sampled_from(sorted(_CONFIG_RUNS)), kind=st.sampled_from(_MUTATIONS),
+       i=st.integers(0, 10_000), j=st.integers(0, 100_000),
+       token=st.sampled_from(_CONFIG_TOKENS), factor=st.sampled_from([1e-8, 0.5, 2.0, 1e8]))
+@example(run="infer --basis", kind="token", i=_CONFIG.index("k = 8"), j=2, token="9",
+         factor=1.0)
+@example(run="descriptor", kind="token", i=_CONFIG.index("type = weds"), j=2, token="hks",
+         factor=1.0)
+@example(run="descriptor", kind="scale", i=0, j=0, token="", factor=1e8)
+@example(run="infer --basis", kind="insert", i=1, j=0, token="x = 1", factor=1.0)
+def test_a_mutated_config_keeps_the_exit_contract(run, kind, i, j, token, factor):
+    argv, outputs = _CONFIG_RUNS[run]
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        root = Path(tmp)
+        _write_inputs(root)
+        _write_basis(root / "x.npz", _HEX)
+        save_checkpoint(root / "plain.npz", _NETS["mgcn"])
+        (root / "x.cfg").write_text(_mutate(_CONFIG, kind, i, j, token, factor,
+                                            rows=slice(None)))
+        _check_contract(argv, root, {root / out for out in outputs})

@@ -190,12 +190,15 @@ def test_load_rejects_stale_hash(tmp_path):
 
 
 def test_a_cache_that_records_no_mesh_is_checked_by_its_rows(tmp_path):
-    # no mesh_hash key makes no claim: the cache serves any mesh of its size
+    # no mesh_hash key makes no claim, so its pairs are checked against the
+    # mesh's pencil as any cache's are: another pose of its size is refused
     basis = _shared.bar_basis(0.3, 8)
     p = tmp_path / "basis.npz"
     np.savez(p, version=np.int64(1), eigenvalues=basis.eigenvalues,
              eigenvectors=basis.eigenvectors, areas=basis.areas)
-    assert load_basis(p, _shared.bar(0.0)).mesh_hash == ""
+    assert load_basis(p, _shared.bar(0.3)).mesh_hash == ""
+    with pytest.raises(DataError, match="inconsistent basis cache: eigenpair residual"):
+        load_basis(p, _shared.bar(0.0))
     with pytest.raises(DataError, match=r"basis cache rows \(220\) do not match mesh "
                                         r"vertices \(60\)"):
         load_basis(p, _shared.bar(0.3, nu=10, nv=6))

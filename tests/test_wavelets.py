@@ -86,6 +86,17 @@ def test_atom_stats_of_an_underflowing_scale_are_zero(monkeypatch):
 
 
 @pytest.mark.parametrize("stat", ["l1", "range"])
+def test_an_empty_atom_stats_request_sweeps_and_writes_nothing(monkeypatch, tmp_path, stat):
+    monkeypatch.setattr(wavelets, "_atom_sweep", lambda *a: pytest.fail("swept"))
+    mesh, basis = _small_basis()
+    sidecar = tmp_path / "stats.npz"
+    arrays = wavelets.filter_atom_stats(basis, _shared.bank_for(basis.lambda_max), [], stat,
+                                        cache=sidecar)
+    assert [a.shape for a in arrays] == [(mesh.n_vertices, 0)] * len(wavelets._STATS[stat])
+    assert not sidecar.exists()
+
+
+@pytest.mark.parametrize("stat", ["l1", "range"])
 def test_atom_sweep_holds_one_tile_at_a_time(stat):
     basis = _STATS_CASES["sphere-642"]()
     phi = basis.eigenvectors
