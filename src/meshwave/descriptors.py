@@ -252,6 +252,4 @@ def export_descriptors_csv(path, descriptor_field):
     values = descriptor_field.values
     header = ",".join(f"dim_{i}" for i in range(values.shape[1]))
     with atomic_write(path, "w") as handle:
-        handle.write(header + "\n")
-        for row in values:
-            handle.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        np.savetxt(handle, values, fmt="%.17g", delimiter=",", header=header, comments="")

@@ -133,11 +133,8 @@ def write_correspondence(path, indices, comment: Optional[str] = None):
     indices = np.asarray(indices, dtype=np.int64)
     # a comment can carry lone surrogates from JSON escapes or file names
     with atomic_write(path, "w", encoding="utf-8", errors="backslashreplace") as fh:
-        if comment:
-            for line in comment.splitlines():
-                fh.write(f"# {line}\n")
-        for v in indices:
-            fh.write(f"{v}\n")
+        np.savetxt(fh, indices, fmt="%d", comments="",
+                   header="\n".join(f"# {line}" for line in (comment or "").splitlines()))
 
 
 def _descriptor_pair(desc_a, desc_b) -> tuple[np.ndarray, np.ndarray]:

@@ -1,17 +1,19 @@
 """Triangle-mesh file readers and writers.
 
-Readers: OFF and OBJ (UTF-8 text), PLY (ASCII and binary little-endian).
-Writer: PLY, optionally with per-vertex uchar red/green/blue columns.
-All readers return raw (vertices, triangles) arrays; structural
-validation lives in mesh.load_mesh. Files are opened through ``_files``,
-so a missing or unreadable file, or OFF and OBJ text that is not UTF-8,
-is a DataError like a malformed one.
+Readers: OFF and OBJ (UTF-8 text), PLY (ASCII and binary little-endian);
+every numeric text row parses with np.loadtxt (`_columns`).
+Writer: PLY, optionally with per-vertex uchar red/green/blue columns, its
+rows written with np.savetxt. All readers return raw (vertices, triangles)
+arrays; structural validation lives in mesh.load_mesh. Files are opened
+through ``_files``, so a missing or unreadable file, or OFF and OBJ text
+that is not UTF-8, is a DataError like a malformed one.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -83,47 +85,37 @@ def read_off(path):
 
 def _columns(path, rows, columns, dtype, what):
     """(len(rows), len(columns)) array of the given columns of text rows
-    (an OFF body, PLY faces); columns past the last one read are neither
-    parsed nor checked."""
-    if not rows:
-        return np.empty((0, len(columns)), dtype=dtype)
-    try:
-        return np.loadtxt(rows, dtype=dtype, usecols=columns, ndmin=2, comments=None)
+    (an OFF body, OBJ lines, PLY faces); columns past the last one read are
+    neither parsed nor checked. With `columns` None, (len(rows),) records of
+    the structured `dtype`, one to a row of exactly its fields (PLY vertices)."""
+    shape = (len(rows),) if columns is None else (len(rows), len(columns))
+    try:  # loadtxt warns on no rows, and skips blank ones
+        table = np.loadtxt(rows, dtype=dtype, usecols=columns, ndmin=len(shape),
+                           comments=None) if rows else np.empty(shape, dtype=dtype)
     except ValueError as exc:
         raise DataError(f"{path}: truncated or malformed {what}") from exc
+    if table.shape != shape:
+        raise DataError(f"{path}: truncated or malformed {what}")
+    return table
 
 
 def read_obj(path):
-    vertices = []
-    faces = []
+    """`v` x y z and `f` vertex indices; the rest of the file is skipped."""
+    rows = {"v": [], "f": []}
     for line in _data_lines(read_text(path, "mesh")):
-        parts = line.split()
-        if parts[0] == "v":
-            try:
-                vertices.append([float(parts[1]), float(parts[2]), float(parts[3])])
-            except (IndexError, ValueError) as exc:
-                raise DataError(f"{path}: malformed vertex line {line!r}") from exc
-        elif parts[0] == "f":
-            refs = parts[1:]
-            if len(refs) != 3:
-                raise DataError(f"{path}: face {line!r} has {len(refs)} vertices, need 3")
-            idx = []
-            for ref in refs:
-                try:
-                    value = int(ref.split("/")[0])
-                except ValueError as exc:
-                    raise DataError(f"{path}: malformed face line {line!r}") from exc
-                if value < 0:
-                    raise DataError(f"{path}: negative OBJ indices are not supported")
-                idx.append(value - 1)  # OBJ counts from 1
-            faces.append(idx)
-    if not vertices:
+        keyword, *refs = line.split()
+        if keyword == "f" and len(refs) != 3:
+            raise DataError(f"{path}: face {line!r} has {len(refs)} vertices, need 3")
+        if keyword in rows:
+            rows[keyword].append(line)
+    if not rows["v"]:
         raise DataError(f"{path}: no vertices found")
-    try:
-        triangles = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
-    except OverflowError:
-        raise DataError(f"{path}: face index beyond the int64 range") from None
-    return np.asarray(vertices, dtype=np.float64), triangles
+    vertices = _columns(path, rows["v"], (1, 2, 3), np.float64, "OBJ vertex")
+    faces = re.sub(r"/\S*", "", "\n".join(rows["f"])).splitlines()  # a reference's vertex
+    triangles = _columns(path, faces, (1, 2, 3), np.int64, "OBJ face of int64 indices")
+    if (triangles < 0).any():
+        raise DataError(f"{path}: negative OBJ indices are not supported")
+    return vertices, triangles - 1  # OBJ counts from 1
 
 
 class _PlyElement:
@@ -234,11 +226,9 @@ def read_ply(path):
             if element.name == "vertex":
                 vdt = _ply_vertex_dtype(element, path)
                 if fmt == "ascii":
-                    rows = [tuple(handle.readline().split()) for _ in range(element.count)]
-                    try:
-                        data = np.array(rows, dtype=vdt)
-                    except (ValueError, OverflowError) as exc:  # OverflowError: 300 as uchar
-                        raise DataError(f"{path}: malformed PLY vertex row") from exc
+                    rows = [handle.readline().decode("ascii", "replace").strip()
+                            for _ in range(element.count)]
+                    data = _columns(path, rows, None, vdt, "PLY vertex row")
                 else:
                     buf = handle.read(vdt.itemsize * element.count)
                     if len(buf) != vdt.itemsize * element.count:
@@ -278,16 +268,11 @@ def write_ply(path, vertices, triangles, colors=None, comment=None):
     lines.append(f"element face {len(triangles)}")
     lines.append("property list uchar int vertex_indices")
     lines.append("end_header")
-    for i, v in enumerate(vertices):
-        row = f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}"
-        if colors is not None:
-            c = colors[i]
-            row += f" {c[0]} {c[1]} {c[2]}"
-        lines.append(row)
-    for t in triangles:
-        lines.append(f"3 {t[0]} {t[1]} {t[2]}")
     with atomic_write(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+        # %.17g writes a colour, an integer below 2^53, as its digits
+        np.savetxt(handle, vertices if colors is None else np.hstack([vertices, colors]),
+                   fmt="%.17g", header="\n".join(lines), comments="")
+        np.savetxt(handle, triangles, fmt="3 %d %d %d")
 
 
 _READERS = {".off": read_off, ".obj": read_obj, ".ply": read_ply}

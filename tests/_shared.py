@@ -454,3 +454,92 @@ def edited_checkpoint(path, net, edit_meta=None, edit_arrays=None, legacy=False,
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
     return path
+
+
+# Oracles for meshio, evaluation and descriptors text IO: one Python
+# float or int per token read, one f-string per value written.
+
+def loop_read_off(path):
+    """Oracle for read_off's body parse: one Python float/int per token."""
+    lines = [raw.split("#", 1)[0].strip() for raw in path.read_text().splitlines()]
+    lines = [line for line in lines if line]
+    n_vert, n_face = (int(c) for c in lines[1].split()[:2])
+    body = [line.split() for line in lines[2:2 + n_vert + n_face]]
+    vertices = np.array([[float(t) for t in row[:3]] for row in body[:n_vert]])
+    triangles = np.array([[int(t) for t in row[1:4]] for row in body[n_vert:]])
+    return vertices.reshape(n_vert, 3), triangles.reshape(n_face, 3)
+
+
+def loop_read_obj(path):
+    vertices, faces = [], []
+    for raw in path.read_text().splitlines():
+        parts = raw.split("#", 1)[0].split()
+        if parts and parts[0] == "v":
+            vertices.append([float(t) for t in parts[1:4]])
+        elif parts and parts[0] == "f":
+            faces.append([int(ref.split("/")[0]) - 1 for ref in parts[1:]])
+    return np.array(vertices).reshape(-1, 3), np.array(faces, dtype=np.int64).reshape(-1, 3)
+
+
+def loop_read_ply_vertices(path):
+    """(n, 3) float64 x, y, z of an ASCII PLY whose first element is its vertices."""
+    from meshwave.meshio import _PLY_DTYPES
+
+    head, body = path.read_bytes().split(b"end_header\n", 1)
+    lines = head.decode().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("element vertex"))
+    count = int(lines[start].split()[2])
+    fields = []
+    for line in lines[start + 1:]:
+        if not line.startswith("property"):
+            break
+        fields.append((line.split()[2], "<" + _PLY_DTYPES[line.split()[1]]))
+    rows = [tuple(line.split()) for line in body.splitlines()[:count]]
+    data = np.array(rows, dtype=fields)
+    return np.stack([data["x"], data["y"], data["z"]], axis=1).astype(np.float64)
+
+
+def loop_write_ply(path, vertices, triangles, colors=None, comment=None):
+    vertices = np.asarray(vertices, dtype=np.float64)
+    triangles = np.asarray(triangles, dtype=np.int64)
+    lines = ["ply", "format ascii 1.0"]
+    if comment:
+        lines.append(f"comment {comment}")
+    lines.append(f"element vertex {len(vertices)}")
+    lines += ["property double x", "property double y", "property double z"]
+    if colors is not None:
+        colors = np.clip(np.rint(np.asarray(colors)), 0, 255).astype(np.uint8)
+        lines += ["property uchar red", "property uchar green", "property uchar blue"]
+    lines += [f"element face {len(triangles)}", "property list uchar int vertex_indices",
+              "end_header"]
+    for i, v in enumerate(vertices):
+        row = f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}"
+        if colors is not None:
+            c = colors[i]
+            row += f" {c[0]} {c[1]} {c[2]}"
+        lines.append(row)
+    for t in triangles:
+        lines.append(f"3 {t[0]} {t[1]} {t[2]}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def loop_write_correspondence(path, indices, comment=None):
+    with open(path, "w", encoding="utf-8", errors="backslashreplace") as fh:
+        if comment:
+            for line in comment.splitlines():
+                fh.write(f"# {line}\n")
+        for v in np.asarray(indices, dtype=np.int64):
+            fh.write(f"{v}\n")
+
+
+def loop_export_descriptors_csv(path, values):
+    with open(path, "w") as handle:
+        handle.write(",".join(f"dim_{i}" for i in range(values.shape[1])) + "\n")
+        for row in values:
+            handle.write(",".join(f"{x:.17g}" for x in row) + "\n")
+
+
+# finite doubles a text writer must keep to the bit: signed zeros,
+# subnormals, the extremes and every digit of 1/3
+EDGE_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308,
+                        1.7976931348623157e308, 1 / 3, -2.5, 1e16, 123456789.0])

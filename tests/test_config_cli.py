@@ -723,7 +723,7 @@ def test_eval_desc_a_with_no_recorded_hash_is_read_as_before(work, poses, tmp_pa
     corr, desc_a = poses["map"], poses["c_desc"]
     if side == "map":
         corr = tmp_path / "map.txt"
-        corr.write_text("".join(line for line in poses["map"].open()
+        corr.write_text("".join(line for line in poses["map"].read_text().splitlines(True)
                                 if not line.startswith("# source_mesh")))
     else:
         field = load_descriptors(desc_a)

@@ -481,3 +481,13 @@ def test_csv_export(tmp_path):
     assert len(lines) == 3
     back = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
     assert np.array_equal(back, field.values)  # 17 digits round-trips exactly
+
+
+@pytest.mark.parametrize("shape", [(12, 1), (4, 3), (1, 12), (0, 5)])
+def test_csv_export_matches_loop_oracle(tmp_path, shape, rng):
+    # signed zeros, subnormals and the extremes, in every column
+    values = rng.permutation(np.resize(_shared.EDGE_VALUES, shape[0] * shape[1]))
+    values = values.reshape(shape)
+    export_descriptors_csv(tmp_path / "new.csv", DescriptorField(values, "weds"))
+    _shared.loop_export_descriptors_csv(tmp_path / "old.csv", values)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

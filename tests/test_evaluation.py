@@ -241,6 +241,16 @@ def test_correspondence_file_round_trip(tmp_path):
     assert np.array_equal(back_checked, idx)
 
 
+@pytest.mark.parametrize("comment", [None, "", "\n", "one line", "made by a test\r\nsecond\n",
+                                     "a\x0bb\u2028c", "lone \ud800 surrogate\n\nlast"],
+                         ids=["none", "empty", "newline", "one", "crlf", "vt-ls", "surrogate"])
+def test_write_correspondence_matches_loop_oracle(tmp_path, comment):
+    idx = np.array([0, 7, 2**63 - 1, 123456789012, 3])
+    write_correspondence(tmp_path / "new.txt", idx, comment=comment)
+    _shared.loop_write_correspondence(tmp_path / "old.txt", idx, comment=comment)
+    assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
+
+
 def test_correspondence_file_errors(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("3\nfour\n")

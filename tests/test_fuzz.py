@@ -12,7 +12,9 @@ replaced, an array retyped, reshaped, filled with inf, NaN or 1e308,
 dropped or added, or the file truncated).  File-level faults (a
 directory in place of the file, an empty file, one 0xFF byte) run on
 each mesh format and the config under ``basis``, correspondences under
-``eval`` and ``.mwd`` files under ``match``.  Whatever the mutation, the
+``eval`` and ``.mwd`` files under ``match``.  ``meshwave dissimilarity``
+runs on fields of signed zeros, subnormals, ±1e308, constants, NaN and
+inf, and writes a PLY of the mesh's vertices.  Whatever the mutation, the
 command exits 0, 2 (bad data) or 3 (numerical failure), raises no
 warning, says nothing on stderr that looks like a traceback, and leaves
 no new file when it fails.  So do ``descriptor`` and ``infer --basis`` on
@@ -26,8 +28,9 @@ another file of the command.  The mesh hash a basis cache, a descriptor
 file or a map's target_mesh comment records is drawn from absent, null,
 "", the mesh's own or another pose's hash and near misses of it, and each
 command that reads it against a mesh (``eval --desc-a`` against the map's
-source_mesh comment) exits 0 exactly when it is absent or the mesh's own,
-and otherwise 2 with one line and no new file.  The atom statistics
+source_mesh comment) exits 0 exactly when it is absent, the mesh's own or
+a basis cache's "" (what ``save_basis`` records for no mesh), and
+otherwise 2 with one line and no new file.  The atom statistics
 sidecar ``descriptor --basis`` or ``infer --basis`` keeps, with one
 array's entry, dtype or shape changed, an array dropped or the file
 truncated, makes the command either exit 2 and leave it as it was or
@@ -54,6 +57,7 @@ from meshwave import cli
 from meshwave.cli import main
 from meshwave.config import default_config, format_config
 from meshwave.descriptors import DescriptorField, save_descriptors
+from meshwave.meshio import read_ply
 from meshwave.model import build_model, save_checkpoint
 from meshwave.synthetic import bent_bar
 
@@ -408,6 +412,41 @@ def test_match_refuses_a_mesh_hash_that_is_not_hex_digits(which, stored):
     assert _match_contract(files) == 2
 
 
+# the values of dissimilarity's field: signed zeros, subnormals, the
+# extremes, and NaN and inf, which save_descriptors would refuse to write
+_FIELD_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.5e-308, 1.0, -3.0, 1e308, -1e308,
+                 np.nan, np.inf, -np.inf]
+
+
+@_FUZZ
+@given(fill=st.sampled_from([None, *_FIELD_VALUES]),
+       spots=st.lists(st.tuples(st.integers(0, 10_000), st.sampled_from(_FIELD_VALUES)),
+                      max_size=5),
+       vertex=st.integers(0, _TARGET.n_vertices - 1), d=st.sampled_from([1, 3]))
+@example(fill=0.0, spots=[], vertex=0, d=3)  # a constant field: every distance 0
+@example(fill=None, spots=[(4, 1e308), (5, -1e308)], vertex=1, d=3)
+@example(fill=5e-324, spots=[(0, -5e-324)], vertex=0, d=1)
+@example(fill=None, spots=[(7, np.nan)], vertex=2, d=3)
+def test_dissimilarity_on_fuzzed_field_values_keeps_the_exit_contract(fill, spots, vertex, d):
+    # a random field or a constant one, with a few values replaced
+    n = _TARGET.n_vertices
+    values = (np.random.default_rng(10).standard_normal((n, d)) if fill is None
+              else np.full((n, d), fill))
+    for i, value in spots:
+        values.flat[i % values.size] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        mesh, field, out = root / "mesh.off", root / "x.mwd", root / "out.ply"
+        mesh.write_text("\n".join(_off_text(_TARGET)) + "\n")
+        meta = json.dumps({"type": "weds", "mesh_hash": _HEX}).encode()
+        field.write_bytes(_raw_mwd(n, d, meta, values.tobytes()))
+        code = _check_contract(["dissimilarity", field, mesh, "--vertex", vertex, "-o", out],
+                               root, {out})
+        if code == 0:
+            assert read_ply(out)[0].tobytes() == _TARGET.vertices.tobytes()
+    assert code == (0 if np.isfinite(values).all() else 2)
+
+
 # a wavelet and a Chebyshev network over the 24-vertex bar, the names of
 # the arrays of their checkpoints (holding the training state older files
 # held), and the descriptor field infer runs them on
@@ -640,7 +679,8 @@ def test_an_output_that_cannot_be_written_exits_2_before_any_work(tmp_path, monk
 
 
 # the mesh hash an artifact records: absent, or any value below; only
-# absent (None included) or _TARGET's own hash, _HEX, is accepted
+# absent (None included), _TARGET's own hash, _HEX, or a basis cache's ""
+# is accepted
 _POSE = bent_bar(0.6, 6, 4)  # another pose of _TARGET, the same 24 vertices
 _BASIS = _shared.basis_of(_TARGET, 8)
 _ABSENT = "absent"
@@ -740,7 +780,7 @@ def test_an_artifact_is_used_only_with_the_mesh_it_records(case):
         before = set(root.iterdir())
         code, err = _run(argv)
         assert set(root.iterdir()) == before | {root / out for out in outputs if code == 0}
-    if value in (_ABSENT, None, _HEX):
+    if value in (_ABSENT, None, _HEX) or (value == "" and write is _write_basis):
         assert (code, err) == (0, "")
     else:
         assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, err

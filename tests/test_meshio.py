@@ -10,6 +10,8 @@ from meshwave.mesh import load_mesh
 from meshwave.meshio import read_mesh_file, read_obj, read_off, read_ply, write_ply
 from meshwave.synthetic import bent_bar, icosphere
 
+import _shared
+
 TRI_OFF = """OFF
 3 1 0
 0 0 0
@@ -195,17 +197,6 @@ def test_off_truncated_body(tmp_path):
         read_off(p)
 
 
-def _loop_read_off(path):
-    """Oracle for read_off's body parse: one Python float/int per token."""
-    lines = [raw.split("#", 1)[0].strip() for raw in path.read_text().splitlines()]
-    lines = [line for line in lines if line]
-    n_vert, n_face = (int(c) for c in lines[1].split()[:2])
-    body = [line.split() for line in lines[2:2 + n_vert + n_face]]
-    vertices = np.array([[float(t) for t in row[:3]] for row in body[:n_vert]])
-    triangles = np.array([[int(t) for t in row[1:4]] for row in body[n_vert:]])
-    return vertices.reshape(n_vert, 3), triangles.reshape(n_face, 3)
-
-
 @pytest.mark.parametrize("mesh", [icosphere(4), bent_bar(0.6, nu=50, nv=22)],
                          ids=["sphere-2562", "bar-1100"])
 def test_read_off_matches_loop_oracle(tmp_path, mesh, rng):
@@ -221,11 +212,64 @@ def test_read_off_matches_loop_oracle(tmp_path, mesh, rng):
     p.write_text("OFF\n# made by a test\n" + f"{len(rows)} {len(faces)} 0\n"
                  + "\n".join(rows[:5]) + "\n\n" + "\n".join(rows[5:] + faces) + "\n")
     vertices, triangles = read_off(p)
-    want_v, want_t = _loop_read_off(p)
+    want_v, want_t = _shared.loop_read_off(p)
     assert vertices.dtype == np.float64 and triangles.dtype == np.int64
     assert vertices.tobytes() == want_v.tobytes()
     assert triangles.tobytes() == want_t.tobytes()
     assert np.array_equal(vertices, coords)
+
+
+@pytest.mark.parametrize("mesh, scale", [(icosphere(4), 1.0), (bent_bar(0.6, nu=50, nv=22), 0.37)],
+                         ids=["sphere-2562", "bar-1100"])
+def test_read_obj_matches_loop_oracle(tmp_path, mesh, scale):
+    # 17-digit coordinates, tabs, comments, extra v columns, keywords that
+    # are skipped and every form of face reference
+    lines = ["# made by a test", "o part", "g group", "vt 0.5 0.5", "vn 0 0 1"]
+    lines += [f"v\t{x:.17g} {y:.17g}\t{z:.17g}" for x, y, z in mesh.vertices * scale]
+    lines[7] += " 1.0"  # w
+    lines[8] += " 0.5 0.25 0.125  # rgb"
+    forms = ["{}", "{}/1", "{}/1/1", "{}//1", "{}/"]
+    lines += ["f " + " ".join(forms[(i + j) % 5].format(v + 1) for j, v in enumerate(t))
+              for i, t in enumerate(mesh.triangles)]
+    p = tmp_path / "m.obj"
+    p.write_text("\n".join(lines) + "\n")
+    vertices, triangles = read_obj(p)
+    want_v, want_t = _shared.loop_read_obj(p)
+    assert vertices.dtype == np.float64 and triangles.dtype == np.int64
+    assert vertices.tobytes() == want_v.tobytes()
+    assert triangles.tobytes() == want_t.tobytes() == mesh.triangles.astype(np.int64).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["float", "double", "uchar"])
+def test_read_ply_ascii_vertices_match_loop_oracle(tmp_path, kind, rng):
+    # x of each type, y and z double, and a uchar quality after them
+    mesh = bent_bar(0.6, nu=30, nv=12)
+    coords = mesh.vertices * 0.37
+    if kind == "uchar":
+        coords[:, 0] = rng.integers(0, 256, mesh.n_vertices)
+    rows = [f"{x:.17g} {y:.17g} {z:.17g} {i % 256}" for i, (x, y, z) in enumerate(coords)]
+    p = tmp_path / "m.ply"
+    p.write_text(_PLY_HEAD.format(mesh.n_vertices).replace("float x", f"{kind} x")
+                 .replace("float y", "double y").replace("float z", "double z\nproperty uchar q")
+                 .replace("element face 1", f"element face {len(mesh.triangles)}")
+                 + "\n".join(rows) + "\n"
+                 + "".join(f"3 {a} {b} {c}\n" for a, b, c in mesh.triangles))
+    vertices, triangles = read_ply(p)
+    assert vertices.tobytes() == _shared.loop_read_ply_vertices(p).tobytes()
+    assert triangles.tobytes() == mesh.triangles.astype(np.int64).tobytes()
+
+
+@pytest.mark.parametrize("colored", [False, True], ids=["plain", "colors"])
+def test_write_ply_matches_loop_oracle(tmp_path, colored, rng):
+    mesh = icosphere(2)
+    vertices = mesh.vertices.copy()
+    vertices.flat[:len(_shared.EDGE_VALUES)] = _shared.EDGE_VALUES
+    colors = rng.uniform(-40.0, 300.0, (mesh.n_vertices, 3)) if colored else None
+    write_ply(tmp_path / "new.ply", vertices, mesh.triangles, colors=colors, comment="a test")
+    _shared.loop_write_ply(tmp_path / "old.ply", vertices, mesh.triangles, colors=colors,
+                           comment="a test")
+    assert (tmp_path / "new.ply").read_bytes() == (tmp_path / "old.ply").read_bytes()
+    assert read_ply(tmp_path / "new.ply")[0].tobytes() == vertices.tobytes()
 
 
 @pytest.mark.parametrize("body, message", [
@@ -248,6 +292,9 @@ def test_off_body_errors(tmp_path, body, message):
 _PLY_HEAD = "ply\nformat ascii 1.0\nelement vertex {}\nproperty float x\n" \
     "property float y\nproperty float z\nelement face 1\n" \
     "property list uchar int vertex_indices\nend_header\n"
+
+
+_OBJ_TRI = "v 0 0 0\nv 1 0 0\nv 0 1 0\n"
 
 
 def _ply_with(kind, row):
@@ -289,10 +336,26 @@ def _float_list_ply(last):
     ("nan-index.ply", _float_list_ply(float("nan")), "unsupported PLY list types"),
     ("big-index.ply", _float_list_ply(1e30), "unsupported PLY list types"),
     ("half-index.ply", _float_list_ply(2.5), "unsupported PLY list types"),
+    # a blank row is one loadtxt would skip, an extra column one it would not
+    ("blank_row.ply", _PLY_HEAD.format(3) + "0 0 0\n\n0 1 0\n3 0 1 2\n",
+     "malformed PLY vertex row"),
+    ("long_row.ply", _PLY_HEAD.format(3) + "0 0 0 7\n1 0 0\n0 1 0\n3 0 1 2\n",
+     "malformed PLY vertex row"),
+    ("quad.obj", _OBJ_TRI + "f 1 2 3 1\n", "has 4 vertices, need 3"),
+    ("short_v.obj", _OBJ_TRI.replace("v 1 0 0", "v 1 0") + "f 1 2 3\n", "malformed OBJ vertex"),
+    ("word_v.obj", _OBJ_TRI.replace("v 1 0 0", "v 1 x 0") + "f 1 2 3\n", "malformed OBJ vertex"),
+    ("word_index.obj", _OBJ_TRI + "f 1 x 3\n", "malformed OBJ face"),
+    ("float_index.obj", _OBJ_TRI + "f 1 2.5 3\n", "malformed OBJ face"),
+    ("bare_slash.obj", _OBJ_TRI + "f /1 2 3\n", "malformed OBJ face"),
+    ("negative.obj", _OBJ_TRI + "f -1 2 3\n", "negative OBJ indices"),
+    ("no_vertex.obj", "vt 0 0\nf 1 2 3\n", "no vertices found"),
 ], ids=["negative-off", "huge-off", "ply-count", "huge-ply", "short-ply-row",
         "short-ply-face", "non-numeric-ply-face", "missing-ply-face", "short-ply-list",
         "bare-ply-format", "unnamed-ply-property", "ply-uchar-300", "ply-uchar-negative",
-        "ply-int-beyond-int32", "ply-nan-index", "ply-huge-index", "ply-fractional-index"])
+        "ply-int-beyond-int32", "ply-nan-index", "ply-huge-index", "ply-fractional-index",
+        "ply-blank-row", "ply-long-row", "obj-quad", "obj-short-vertex", "obj-word-vertex",
+        "obj-word-index", "obj-float-index", "obj-bare-slash", "obj-negative-index",
+        "obj-no-vertex"])
 def test_malformed_mesh_exits_2(tmp_path, capsys, name, text, message):
     p = tmp_path / name
     p.write_bytes(text if isinstance(text, bytes) else text.encode())

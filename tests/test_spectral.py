@@ -204,6 +204,36 @@ def test_a_cache_that_records_no_mesh_is_checked_by_its_rows(tmp_path):
         load_basis(p, _shared.bar(0.3, nu=10, nv=6))
 
 
+def _no_hash_bar_cache(path):
+    """A 72-vertex bar and the 20 pairs save_basis wrote for it with no mesh hash."""
+    mesh = bent_bar(0.3, 12, 6)
+    basis = eig_generalized(cotangent_laplacian(mesh), lumped_areas(mesh), 20)
+    save_basis(path, basis)
+    return mesh, basis
+
+
+def test_a_cache_saved_with_no_mesh_hash_loads_and_is_checked_by_its_rows(tmp_path):
+    # the default mesh_hash "" is stored as a |S1 array that bytes() read back
+    # as "\x00", which was refused as not hex; b"" is no claim
+    mesh, basis = _no_hash_bar_cache(tmp_path / "nohash.npz")
+    for served in (None, mesh):
+        loaded = load_basis(tmp_path / "nohash.npz", served)
+        assert loaded.mesh_hash == ""
+        assert loaded.eigenvectors.tobytes() == basis.eigenvectors.tobytes()
+    with pytest.raises(DataError, match="inconsistent basis cache: eigenpair residual"):
+        load_basis(tmp_path / "nohash.npz", bent_bar(0.6, 12, 6))
+
+
+def test_descriptor_with_a_cache_that_records_no_mesh_hash_matches_a_fresh_solve(tmp_path):
+    mesh, _ = _no_hash_bar_cache(tmp_path / "nohash.npz")
+    write_ply(tmp_path / "bar.ply", mesh.vertices, mesh.triangles)
+    argv = ["descriptor", str(tmp_path / "bar.ply"), "-k", "20", "--num", "32"]
+    assert main(argv + ["-o", str(tmp_path / "fresh.mwd")]) == 0
+    assert main(argv + ["--basis", str(tmp_path / "nohash.npz"),
+                        "-o", str(tmp_path / "cached.mwd")]) == 0
+    assert (tmp_path / "cached.mwd").read_bytes() == (tmp_path / "fresh.mwd").read_bytes()
+
+
 def test_load_rejects_garbage(tmp_path):
     p = tmp_path / "junk.npz"
     p.write_bytes(b"not an npz archive")
