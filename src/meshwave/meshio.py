@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import os
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -89,12 +90,15 @@ def _columns(path, rows, columns, dtype, what):
     neither parsed nor checked. With `columns` None, (len(rows),) records of
     the structured `dtype`, one to a row of exactly its fields (PLY vertices)."""
     shape = (len(rows),) if columns is None else (len(rows), len(columns))
-    try:  # loadtxt warns on no rows, and skips blank ones
-        table = np.loadtxt(rows, dtype=dtype, usecols=columns, ndmin=len(shape),
-                           comments=None) if rows else np.empty(shape, dtype=dtype)
-    except ValueError as exc:
+    # loadtxt only warns on all-blank rows and (older numpy) integers read as floats
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(rows, dtype=dtype, usecols=columns, ndmin=len(shape),
+                               comments=None) if rows else np.empty(shape, dtype=dtype)
+    except (ValueError, Warning) as exc:
         raise DataError(f"{path}: truncated or malformed {what}") from exc
-    if table.shape != shape:
+    if table.shape != shape:  # loadtxt skips blank rows
         raise DataError(f"{path}: truncated or malformed {what}")
     return table
 

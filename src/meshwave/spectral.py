@@ -49,9 +49,7 @@ _BLOCK = 8
 # Converged when every wanted Ritz residual is below this times theta_max.
 _RITZ_TOL = 1e-14
 _MAX_RESTARTS = 100
-# Slab size of the in-place restart product, part of a cache's bits: 2^20
-# rounds the k = 100 pairs of icosphere(4), (5) and bent_bar(0.6, 60, 29) apart.
-_RESTART_ENTRIES = 1 << 18
+_RESTART_ENTRIES = 1 << 18  # restart product's slab, part of a cache's bits: 2^20 moves them
 _ZERO_MODE_REL = 1e-8
 _ZERO_MODE_EPS = 32  # lambda_0's rounding: eps * lambda_max <= eps * ||C||_inf
 _ORTHO_TOL = 1e-7
@@ -291,9 +289,7 @@ def load_basis(path, mesh=None, k=None):
         version = data["version"]  # an integer scalar; a float, even 1.0, is not one
         if version.shape or version.dtype.kind not in "iu" or version != _CACHE_VERSION:
             raise DataError(f"{path}: unsupported basis cache version")
-        stored = data["mesh_hash"].item() if "mesh_hash" in data else None
-        if isinstance(stored, bytes):  # save_basis stores no hash as b"", no claim
-            stored = stored.decode() or None
+        stored = data["mesh_hash"].astype(str).item() if "mesh_hash" in data else None
         basis = SpectralBasis(data["eigenvalues"], data["eigenvectors"], data["areas"],
                               stored or "")
     check_mesh_hash(path, stored, "basis cache", mesh)

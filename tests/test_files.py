@@ -188,6 +188,16 @@ def test_only_files_compares_mesh_hashes():
     assert found == []
 
 
+@pytest.mark.parametrize("mesh", [None, "", "0" * 64, _shared.bar(0.3)])
+def test_an_empty_mesh_hash_is_no_claim_for_any_artifact(mesh):
+    # "" passed the form check and was then refused as stale against every
+    # mesh, though a basis cache saved for no mesh records it
+    _files.check_mesh_hash("x", "", "descriptor file", mesh)
+    _files.check_mesh_hash("x", "a" * 64, "descriptor file", "")  # the other side's ""
+    with pytest.raises(DataError, match="x: stored mesh_hash is not 64 lowercase hex"):
+        _files.check_mesh_hash("x", "A" * 64, "descriptor file", mesh)
+
+
 @pytest.mark.parametrize("fault, reason", [("missing", "No such file or directory"),
                                            ("directory", "Is a directory")])
 def test_an_archive_that_cannot_be_opened_reads_like_any_input(tmp_path, fault, reason):

@@ -28,9 +28,9 @@ another file of the command.  The mesh hash a basis cache, a descriptor
 file or a map's target_mesh comment records is drawn from absent, null,
 "", the mesh's own or another pose's hash and near misses of it, and each
 command that reads it against a mesh (``eval --desc-a`` against the map's
-source_mesh comment) exits 0 exactly when it is absent, the mesh's own or
-a basis cache's "" (what ``save_basis`` records for no mesh), and
-otherwise 2 with one line and no new file.  The atom statistics
+source_mesh comment) exits 0 exactly when it is absent, "" (what
+``save_basis`` records for no mesh) or the mesh's own, and otherwise 2
+with one line and no new file.  The atom statistics
 sidecar ``descriptor --basis`` or ``infer --basis`` keeps, with one
 array's entry, dtype or shape changed, an array dropped or the file
 truncated, makes the command either exit 2 and leave it as it was or
@@ -679,8 +679,7 @@ def test_an_output_that_cannot_be_written_exits_2_before_any_work(tmp_path, monk
 
 
 # the mesh hash an artifact records: absent, or any value below; only
-# absent (None included), _TARGET's own hash, _HEX, or a basis cache's ""
-# is accepted
+# absent (None included), "" or _TARGET's own hash, _HEX, is accepted
 _POSE = bent_bar(0.6, 6, 4)  # another pose of _TARGET, the same 24 vertices
 _BASIS = _shared.basis_of(_TARGET, 8)
 _ABSENT = "absent"
@@ -761,6 +760,8 @@ def _site_and_value(site):
 @example(case=("basis", _POSE.content_hash()))
 @example(case=("descriptor --basis", _HEX))
 @example(case=("descriptor --basis", ""))
+@example(case=("dissimilarity", ""))
+@example(case=("eval", ""))
 @example(case=("infer --basis", _HEX))
 @example(case=("infer --basis", _POSE.content_hash()))
 @example(case=("descriptor --basis", _ABSENT))
@@ -780,7 +781,7 @@ def test_an_artifact_is_used_only_with_the_mesh_it_records(case):
         before = set(root.iterdir())
         code, err = _run(argv)
         assert set(root.iterdir()) == before | {root / out for out in outputs if code == 0}
-    if value in (_ABSENT, None, _HEX) or (value == "" and write is _write_basis):
+    if value in (_ABSENT, None, "", _HEX):
         assert (code, err) == (0, "")
     else:
         assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, err

@@ -1,9 +1,14 @@
+import os
 import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import meshwave
 from meshwave.cli import main
 from meshwave.errors import DataError, MeshError
 from meshwave.mesh import load_mesh
@@ -337,6 +342,7 @@ def _float_list_ply(last):
     ("big-index.ply", _float_list_ply(1e30), "unsupported PLY list types"),
     ("half-index.ply", _float_list_ply(2.5), "unsupported PLY list types"),
     # a blank row is one loadtxt would skip, an extra column one it would not
+    ("no_row.ply", _PLY_HEAD.format(3), "malformed PLY vertex row"),
     ("blank_row.ply", _PLY_HEAD.format(3) + "0 0 0\n\n0 1 0\n3 0 1 2\n",
      "malformed PLY vertex row"),
     ("long_row.ply", _PLY_HEAD.format(3) + "0 0 0 7\n1 0 0\n0 1 0\n3 0 1 2\n",
@@ -353,7 +359,7 @@ def _float_list_ply(last):
         "short-ply-face", "non-numeric-ply-face", "missing-ply-face", "short-ply-list",
         "bare-ply-format", "unnamed-ply-property", "ply-uchar-300", "ply-uchar-negative",
         "ply-int-beyond-int32", "ply-nan-index", "ply-huge-index", "ply-fractional-index",
-        "ply-blank-row", "ply-long-row", "obj-quad", "obj-short-vertex", "obj-word-vertex",
+        "ply-no-vertex-row", "ply-blank-row", "ply-long-row", "obj-quad", "obj-short-vertex", "obj-word-vertex",
         "obj-word-index", "obj-float-index", "obj-bare-slash", "obj-negative-index",
         "obj-no-vertex"])
 def test_malformed_mesh_exits_2(tmp_path, capsys, name, text, message):
@@ -366,6 +372,28 @@ def test_malformed_mesh_exits_2(tmp_path, capsys, name, text, message):
     assert name in err and message in err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "b.npz").exists()
+
+
+@pytest.mark.parametrize("name, text", [
+    ("float_index.obj", _OBJ_TRI + "f 1 2.5 3\n"),
+    ("uchar300.ply", _ply_with("uchar", "300 0 0\n")),
+    ("no_row.ply", _PLY_HEAD.format(3)),
+], ids=["obj-float-index", "ply-uchar-300", "ply-no-vertex-row"])
+def test_malformed_mesh_exits_2_under_default_warning_filters(tmp_path, name, text):
+    # test_malformed_mesh_exits_2 turns warnings into errors; the command
+    # line does not, and loadtxt warned (and printed a line) where it refused
+    mesh = tmp_path / name
+    mesh.write_text(text)
+    out = tmp_path / "b.npz"
+    src = str(Path(meshwave.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    env.pop("PYTHONWARNINGS", None)
+    run = subprocess.run([sys.executable, "-m", "meshwave", "basis", str(mesh), "-k", "3",
+                          "-o", str(out)], capture_output=True, text=True, env=env)
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.startswith(f"error: {mesh}: ") and run.stderr.count("\n") == 1, run.stderr
+    assert not out.exists()
 
 
 def test_unknown_extension(tmp_path):

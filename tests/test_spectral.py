@@ -214,7 +214,7 @@ def _no_hash_bar_cache(path):
 
 def test_a_cache_saved_with_no_mesh_hash_loads_and_is_checked_by_its_rows(tmp_path):
     # the default mesh_hash "" is stored as a |S1 array that bytes() read back
-    # as "\x00", which was refused as not hex; b"" is no claim
+    # as "\x00", which was refused as not hex; "" is no claim
     mesh, basis = _no_hash_bar_cache(tmp_path / "nohash.npz")
     for served in (None, mesh):
         loaded = load_basis(tmp_path / "nohash.npz", served)
@@ -222,6 +222,15 @@ def test_a_cache_saved_with_no_mesh_hash_loads_and_is_checked_by_its_rows(tmp_pa
         assert loaded.eigenvectors.tobytes() == basis.eigenvectors.tobytes()
     with pytest.raises(DataError, match="inconsistent basis cache: eigenpair residual"):
         load_basis(tmp_path / "nohash.npz", bent_bar(0.6, 12, 6))
+
+
+def test_a_cache_recording_an_empty_str_mesh_hash_loads_like_bytes(tmp_path):
+    # bytes b"" and str "" are both no claim (_files.check_mesh_hash)
+    basis = _shared.bar_basis(0.3, 8)
+    p = tmp_path / "basis.npz"
+    np.savez(p, version=np.int64(1), eigenvalues=basis.eigenvalues,
+             eigenvectors=basis.eigenvectors, areas=basis.areas, mesh_hash=np.str_(""))
+    assert load_basis(p, _shared.bar(0.3)).mesh_hash == ""
 
 
 def test_descriptor_with_a_cache_that_records_no_mesh_hash_matches_a_fresh_solve(tmp_path):
