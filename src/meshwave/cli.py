@@ -205,17 +205,16 @@ def _cmd_eval(args, cfg):
     if args.desc_a is not None:  # --desc-a is read against the map's source_mesh
         da, db = load_descriptors(args.desc_a), load_descriptors(args.desc_b, target)
         source = args.desc_a, da.metadata.get("mesh_hash")
-        kmax = args.kmax if args.kmax is not None else min(100, db.n_vertices)
-        if kmax > db.n_vertices:  # before the geodesic work; cmc_curve's message
-            raise DataError(f"kmax must be in [1, {db.n_vertices}], got {kmax}")
     pred = read_correspondence(args.correspondence, target, source)
     direct = read_correspondence(args.gt, target)
     symmetric = read_correspondence(args.gt_symmetric, target) if args.gt_symmetric else None
     gt = GroundTruth(direct, symmetric)
+    if da is not None:  # cmc_curve checks kmax before the geodesic work
+        kmax = args.kmax if args.kmax is not None else min(100, db.n_vertices)
+        ks, fractions = cmc_curve(da.values, db.values, gt.direct, kmax)
     radii = np.linspace(0.0, args.max_radius, args.n_radii)
     report = evaluate_map(CorrespondenceMap(pred), gt, target, radii)
     if da is not None:
-        ks, fractions = cmc_curve(da.values, db.values, gt.direct, kmax)
         report = dataclasses.replace(report, cmc_ranks=ks, cmc_fractions=fractions)
     summary = report_summary_text(report)
     for path, text in zip(paths, (summary, report_csv_text(report))):

@@ -106,10 +106,11 @@ def read_correspondence(path, target=None, source=None) -> np.ndarray:
         if not line:
             continue
         try:
-            val = int(line)
+            if "_" in line or not line.isascii():  # int() reads "1_0" as 10, "٣" as 3
+                raise ValueError
+            out.append(int(line))
         except ValueError:
             raise DataError(f"{path}:{ln}: not an integer: {line!r}") from None
-        out.append(val)
     check_mesh_hash(path, recorded.get("target_mesh"), "correspondence", target)
     if source is not None:
         source_hash = recorded.get("source_mesh")

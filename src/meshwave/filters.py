@@ -57,33 +57,23 @@ class FilterBank:
         return len(self.scales) + 1
 
 
-def wavelet_response(bank, scale, lam):
-    """Band-pass response g(t * lambda) = amp * x^2 exp(1 - x^2)."""
-    x = scale * np.asarray(lam, dtype=np.float64)
-    g = bank.amplitude * x * x * np.exp(1.0 - x * x)
-    return np.where(g < _RESPONSE_FLOOR, 0.0, g)[()]
-
-
-def scaling_response(bank, lam):
-    """Low-pass response h(lambda) = B exp(-(C lambda / lambda_max)^3)."""
-    x = bank.scaling_decay * np.asarray(lam, dtype=np.float64) / bank.lambda_max
-    g = bank.scaling_amplitude * np.exp(-(x ** 3))
-    return np.where(g < _RESPONSE_FLOOR, 0.0, g)[()]
-
-
 def g_of(bank, m, lam):
-    """Filter m evaluated at lam; m = 0 is the scaling filter."""
+    """Filter m evaluated at lam, shaped like lam; m = 0 is the scaling filter."""
     if not 0 <= m <= bank.n_scales:
         raise ValueError(f"filter index {m} out of range 0..{bank.n_scales}")
-    if m == 0:
-        return scaling_response(bank, lam)
-    return wavelet_response(bank, bank.scales[m - 1], lam)
+    return filter_responses(bank, lam)[m].reshape(np.shape(lam))[()]
 
 
 def filter_responses(bank, lam):
-    """All filters stacked: row 0 the scaling filter, rows 1..K wavelets."""
+    """All filters at lam, shape (K + 1, *lam.shape), a scalar lam read as (1,):
+    row 0 the low-pass h = B exp(-(C lambda / lambda_max)^3), rows 1..K the
+    band-pass g = amp * x^2 exp(1 - x^2) with x = t_m lambda."""
     lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
-    return np.stack([g_of(bank, m, lam) for m in range(bank.n_filters)])
+    x = np.multiply.outer(bank.scales, lam)
+    h = bank.scaling_amplitude * np.exp(-((bank.scaling_decay * lam / bank.lambda_max) ** 3))
+    table = np.concatenate([h[None], bank.amplitude * x * x * np.exp(1.0 - x * x)])
+    table[table < _RESPONSE_FLOOR] = 0.0
+    return table
 
 
 def _residual_grid(lambda_max, eigenvalues=None):

@@ -58,17 +58,10 @@ def read_off(path):
     except StopIteration:
         raise DataError(f"{path}: empty OFF file") from None
     if first.startswith("OFF"):
-        rest = first[3:].strip()
-        counts = rest.split() if rest else next(lines, "").split()
-    else:
-        # headerless variant: counts on the first line
-        counts = first.split()
-    if len(counts) < 2:
-        raise DataError(f"{path}: malformed OFF counts line")
-    try:
-        n_vert, n_face = int(counts[0]), int(counts[1])
-    except ValueError as exc:
-        raise DataError(f"{path}: malformed OFF counts line") from exc
+        first = first[3:].strip() or next(lines, "")
+    # the headerless variant has its counts on the first line
+    counts = _columns(path, [first], (0, 1), np.int64, "OFF counts line")
+    n_vert, n_face = counts[0].tolist()  # Python ints, whose sum cannot wrap
     if min(n_vert, n_face) < 0 or n_vert + n_face > len(text):
         raise DataError(f"{path}: OFF counts {n_vert}, {n_face} do not fit the file")
     body = list(itertools.islice(lines, n_vert + n_face))
@@ -85,10 +78,11 @@ def read_off(path):
 
 
 def _columns(path, rows, columns, dtype, what):
-    """(len(rows), len(columns)) array of the given columns of text rows
-    (an OFF body, OBJ lines, PLY faces); columns past the last one read are
-    neither parsed nor checked. With `columns` None, (len(rows),) records of
-    the structured `dtype`, one to a row of exactly its fields (PLY vertices)."""
+    """(len(rows), len(columns)) array of the given columns of text rows (OFF
+    counts and body, OBJ lines, PLY element counts and faces); columns past
+    the last one read are neither parsed nor checked. With `columns` None,
+    (len(rows),) records of the structured `dtype`, one to a row of exactly
+    its fields (PLY vertices)."""
     shape = (len(rows),) if columns is None else (len(rows), len(columns))
     # loadtxt only warns on all-blank rows and (older numpy) integers read as floats
     try:
@@ -156,11 +150,9 @@ def _parse_ply_header(handle, path):
         if keyword == "format":
             fmt = parts[1]
         elif keyword == "element":
-            try:
-                elements.append(_PlyElement(parts[1], int(parts[2])))
-            except ValueError:
-                raise DataError(f"{path}: malformed PLY line {line!r}") from None
-            if not 0 <= elements[-1].count <= os.fstat(handle.fileno()).st_size:
+            count = _columns(path, [line], (2,), np.int64, f"PLY line {line!r}").item()
+            elements.append(_PlyElement(parts[1], count))
+            if not 0 <= count <= os.fstat(handle.fileno()).st_size:
                 raise DataError(f"{path}: PLY element count does not fit the file")
         elif keyword == "end_header":
             break

@@ -41,8 +41,8 @@ DEFAULT_ARCHITECTURE = (
 )
 DEFAULT_INPUT_DIM = 128
 
-_CONV_RE = re.compile(r"^MGCONV(\d{1,9})\((\d{1,9})\)$")  # int() refuses 4,301 digits
-_FC_RE = re.compile(r"^FC(\d{1,9})$")
+_CONV_RE = re.compile(r"^MGCONV([0-9]{1,9})\(([0-9]{1,9})\)$")  # int() refuses 4,301 digits
+_FC_RE = re.compile(r"^FC([0-9]{1,9})$")  # ASCII digits: \d also takes "٣"
 
 _CHECKPOINT_VERSION = 1
 

@@ -23,6 +23,7 @@ from meshwave.descriptors import (
 from meshwave.errors import DataError
 from meshwave.evaluation import normalized_errors
 from meshwave.filters import (
+    _RESPONSE_FLOOR,
     _residual_grid,
     build_filter_bank,
     filter_responses,
@@ -454,6 +455,30 @@ def edited_checkpoint(path, net, edit_meta=None, edit_arrays=None, legacy=False,
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
     return path
+
+
+# Oracle for filters.filter_responses: each filter's formula on its own,
+# stacked by a loop over the bank.
+
+def wavelet_response(bank, scale, lam):
+    """Band-pass response g(t * lambda) = amp * x^2 exp(1 - x^2)."""
+    x = scale * np.asarray(lam, dtype=np.float64)
+    g = bank.amplitude * x * x * np.exp(1.0 - x * x)
+    return np.where(g < _RESPONSE_FLOOR, 0.0, g)[()]
+
+
+def scaling_response(bank, lam):
+    """Low-pass response h(lambda) = B exp(-(C lambda / lambda_max)^3)."""
+    x = bank.scaling_decay * np.asarray(lam, dtype=np.float64) / bank.lambda_max
+    g = bank.scaling_amplitude * np.exp(-(x ** 3))
+    return np.where(g < _RESPONSE_FLOOR, 0.0, g)[()]
+
+
+def loop_filter_responses(bank, lam):
+    """Row 0 the scaling filter, rows 1..K the wavelets, one filter at a time."""
+    lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
+    return np.stack([scaling_response(bank, lam)]
+                    + [wavelet_response(bank, scale, lam) for scale in bank.scales])
 
 
 # Oracles for meshio, evaluation and descriptors text IO: one Python

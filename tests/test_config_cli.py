@@ -896,6 +896,63 @@ def test_train_reads_every_correspondence_before_any_eigensolve(work, tmp_path, 
     assert solves == [] and not ckpt.exists()
 
 
+# a label int() reads as its row's index, and np.loadtxt and meshwave refuse
+_INT_ONLY_LABELS = {"underscore": (10, "1_0"), "arabic-indic": (3, "٣"),
+                    "fullwidth": (12, "１２")}
+
+
+def _identity_labels_with(path, case):
+    """0..59 one to a line, with row `row` written as `text`; returns the line number."""
+    row, text = _INT_ONLY_LABELS[case]
+    path.write_text("".join(f"{text if i == row else i}\n" for i in range(60)),
+                    encoding="utf-8")
+    return row + 1
+
+
+@pytest.mark.parametrize("side", ["map", "gt"])
+@pytest.mark.parametrize("case", sorted(_INT_ONLY_LABELS))
+def test_eval_refuses_an_index_only_int_reads(work, tmp_path, capsys, case, side):
+    files = {"map": tmp_path / "map.txt", "gt": tmp_path / "gt.txt"}
+    for path in files.values():
+        write_correspondence(path, np.arange(60))
+    ln = _identity_labels_with(files[side], case)
+    before = _tree(tmp_path)
+    assert main(["eval", str(files["map"]), str(files["gt"]), str(work["mesh_path"]),
+                 "-o", str(tmp_path / "report")]) == 2
+    assert _one_line_error(capsys, f"{files[side]}:{ln}: not an integer")
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("case", sorted(_INT_ONLY_LABELS))
+def test_train_refuses_a_label_only_int_reads(work, tmp_path, capsys, monkeypatch, case):
+    monkeypatch.setattr(cli, "eig_generalized", _no_solver)
+    labels = tmp_path / "labels.txt"
+    ln = _identity_labels_with(labels, case)
+    cfg = default_config()
+    cfg["train"]["meshes"] = [str(work["mesh_path"])]
+    cfg["train"]["correspondences"] = [str(labels)]
+    (cfg_path := tmp_path / "p.cfg").write_text(format_config(cfg))
+    before = _tree(tmp_path)
+    assert main(["train", "--config", str(cfg_path), "-o", str(tmp_path / "m.npz")]) == 2
+    assert _one_line_error(capsys, f"{labels}:{ln}: not an integer")
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("architecture, term", [
+    ("MGCONV٣٢(٣)+FC１６", "MGCONV٣٢(٣)"),
+    ("MGCONV8(3)+FC１６", "FC１６"),
+], ids=["conv", "fc"])
+def test_train_refuses_an_architecture_of_unicode_digits(work, tmp_path, capsys, monkeypatch,
+                                                         architecture, term):
+    # a \d pattern took them, and the network was built as MGCONV32(3)+FC16
+    monkeypatch.setattr(cli, "eig_generalized", _no_solver)
+    cfg_path = _train_config(work, tmp_path, architecture)
+    before = _tree(tmp_path)
+    assert main(["train", "--config", str(cfg_path), "-o", str(tmp_path / "m.npz")]) == 2
+    assert _one_line_error(capsys, f"cannot parse architecture term {term!r}")
+    assert _tree(tmp_path) == before
+
+
 def test_train_refuses_a_short_label_file_before_any_eigensolve(work, tmp_path, capsys,
                                                                 monkeypatch):
     solves = []
@@ -1098,7 +1155,7 @@ def _train_config(work, tmp_path, architecture, kind="mgcn"):
     cfg["train"]["phase1_epochs"] = 1
     cfg["train"]["phase2_epochs"] = 0
     cfg_path = tmp_path / "train.cfg"
-    cfg_path.write_text(format_config(cfg))
+    cfg_path.write_text(format_config(cfg), encoding="utf-8")
     return cfg_path
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -270,6 +272,21 @@ def test_correspondence_file_errors(tmp_path):
         read_correspondence(s)
     with pytest.raises(DataError, match="cannot read correspondence"):
         read_correspondence(tmp_path / "missing.txt")
+
+
+@pytest.mark.parametrize("line", ["1_0", "٣", "１２", "+1_2"],
+                         ids=["underscore", "arabic-indic", "fullwidth", "signed-underscore"])
+def test_a_correspondence_index_is_ascii_digits_without_underscores(tmp_path, line):
+    # int() reads "1_0" as 10 and the Arabic-Indic "٣" as 3
+    p = tmp_path / "map.txt"
+    p.write_text(f"0\n{line}\n2\n", encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(f"map.txt:2: not an integer: '{line}'")):
+        read_correspondence(p)
+    p.write_text("0\n1_0\n٣\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"map.txt:2: not an integer: '1_0'$"):
+        read_correspondence(p)
+    p.write_text(" +3 \n0\n", encoding="utf-8")  # a sign and blanks stay as int() reads them
+    assert read_correspondence(p).tolist() == [3, 0]
 
 
 def test_correspondence_target_hash(tmp_path):

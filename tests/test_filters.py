@@ -16,7 +16,6 @@ from meshwave.filters import (
     g_of,
     select_scales,
     serialize_bank,
-    wavelet_response,
 )
 
 import _shared
@@ -84,15 +83,46 @@ def test_responses_shape_and_rows():
     resp = filter_responses(bank, lam)
     assert resp.shape == (32, 11)
     assert np.array_equal(resp[0], g_of(bank, 0, lam))
-    assert np.array_equal(resp[7], wavelet_response(bank, bank.scales[6], lam))
+    assert np.array_equal(resp[7], _shared.wavelet_response(bank, bank.scales[6], lam))
+
+
+@pytest.mark.parametrize("lambda_max", [1e-3, 1.0, 7.3, 537.0, 1e6])
+def test_responses_are_the_per_filter_oracle_to_the_bit(lambda_max):
+    # lambda = 0, past lambda_max, and a grid on which every filter's
+    # response crosses 2^-900 (test_every_response_is_zero_or_above_the_floor)
+    bank = build_filter_bank(lambda_max)
+    crossing = np.linspace(0.2, 1.0, 4001) * lambda_max
+    beyond = np.array([1.0 + 1e-12, 1.5, 3.0, 40.0]) * lambda_max
+    for lam in (0.0, np.zeros(3), crossing, beyond, crossing[:3990].reshape(570, 7),
+                np.concatenate([crossing, beyond])[::-1].reshape(5, -1, 1)):
+        table, oracle = filter_responses(bank, lam), _shared.loop_filter_responses(bank, lam)
+        assert table.shape == oracle.shape == (32, *np.shape(np.atleast_1d(lam)))
+        assert table.dtype == oracle.dtype and table.tobytes() == oracle.tobytes()
+    # the grid reaches both sides of the floor on the scaling filter and wavelets 1-4
+    near = filter_responses(bank, crossing)[:5]
+    assert ((near > 0) & (near < 2.0**-890)).any(axis=1).all()
+    assert (near == 0).any(axis=1).all()
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (100,), (5, 7)])
+def test_g_of_is_a_row_of_the_table_shaped_like_lambda(shape):
+    bank = build_filter_bank(10.0)
+    lam = np.linspace(0.0, 12.0, int(np.prod(shape))).reshape(shape)
+    for m in (0, 1, 16, 31):
+        value = g_of(bank, m, lam)
+        assert np.shape(value) == shape and np.asarray(value).dtype == np.float64
+        assert np.array_equal(np.ravel(value), filter_responses(bank, lam)[m].ravel())
+    assert isinstance(g_of(bank, 3, 2.5), np.float64)  # a scalar stays a scalar
+    assert g_of(bank, 3, [2.5]).shape == (1,)
 
 
 def test_g_of_index_bounds():
     bank = build_filter_bank(10.0)
-    with pytest.raises(ValueError, match="out of range"):
-        g_of(bank, 32, 1.0)
-    with pytest.raises(ValueError, match="out of range"):
-        g_of(bank, -1, 1.0)
+    for m in (32, -1, 100):
+        with pytest.raises(ValueError, match="out of range 0..31"):
+            g_of(bank, m, 1.0)
+        with pytest.raises(ValueError, match="out of range"):
+            g_of(bank, m, np.ones((2, 3)))
 
 
 def test_bad_arguments():

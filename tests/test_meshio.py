@@ -307,6 +307,24 @@ def _ply_with(kind, row):
     return _PLY_HEAD.format(3).replace("float x", f"{kind} x") + row + "1 0 0\n0 1 0\n3 0 1 2\n"
 
 
+# icosphere(1)'s 42 vertex and 80 face rows, under counts int() reads as 42
+# and 80 and np.loadtxt refuses: the file loads if a count parses as int() would
+_ICO1 = icosphere(1)
+_ICO1_ROWS = "".join(f"{x!r} {y!r} {z!r}\n" for x, y, z in _ICO1.vertices.tolist())
+_ICO1_FACES = "".join(f"3 {a} {b} {c}\n" for a, b, c in _ICO1.triangles.tolist())
+_ICO1_PLY = _PLY_HEAD.replace("face 1", "face {}") + _ICO1_ROWS + _ICO1_FACES
+_COUNT_CASES = {
+    "off-underscore-count": ("under.off", "OFF\n4_2 8_0 0\n" + _ICO1_ROWS + _ICO1_FACES,
+                             "malformed OFF counts line"),
+    "off-arabic-indic-count": ("arabic.off", "OFF\n٤٢ ٨٠ 0\n" + _ICO1_ROWS + _ICO1_FACES,
+                               "malformed OFF counts line"),
+    "ply-underscore-vertex-count": ("vertex.ply", _ICO1_PLY.format("4_2", 80),
+                                    "malformed PLY line 'element vertex 4_2'"),
+    "ply-underscore-face-count": ("face.ply", _ICO1_PLY.format(42, "8_0"),
+                                  "malformed PLY line 'element face 8_0'"),
+}
+
+
 def _float_list_ply(last):
     """A binary triangle whose vertex list is of floats, the last one `last`."""
     head = _PLY_HEAD.format(3).replace("ascii", "binary_little_endian")
@@ -355,13 +373,14 @@ def _float_list_ply(last):
     ("bare_slash.obj", _OBJ_TRI + "f /1 2 3\n", "malformed OBJ face"),
     ("negative.obj", _OBJ_TRI + "f -1 2 3\n", "negative OBJ indices"),
     ("no_vertex.obj", "vt 0 0\nf 1 2 3\n", "no vertices found"),
+    *_COUNT_CASES.values(),
 ], ids=["negative-off", "huge-off", "ply-count", "huge-ply", "short-ply-row",
         "short-ply-face", "non-numeric-ply-face", "missing-ply-face", "short-ply-list",
         "bare-ply-format", "unnamed-ply-property", "ply-uchar-300", "ply-uchar-negative",
         "ply-int-beyond-int32", "ply-nan-index", "ply-huge-index", "ply-fractional-index",
         "ply-no-vertex-row", "ply-blank-row", "ply-long-row", "obj-quad", "obj-short-vertex", "obj-word-vertex",
         "obj-word-index", "obj-float-index", "obj-bare-slash", "obj-negative-index",
-        "obj-no-vertex"])
+        "obj-no-vertex", *_COUNT_CASES])
 def test_malformed_mesh_exits_2(tmp_path, capsys, name, text, message):
     p = tmp_path / name
     p.write_bytes(text if isinstance(text, bytes) else text.encode())
@@ -378,12 +397,13 @@ def test_malformed_mesh_exits_2(tmp_path, capsys, name, text, message):
     ("float_index.obj", _OBJ_TRI + "f 1 2.5 3\n"),
     ("uchar300.ply", _ply_with("uchar", "300 0 0\n")),
     ("no_row.ply", _PLY_HEAD.format(3)),
-], ids=["obj-float-index", "ply-uchar-300", "ply-no-vertex-row"])
+    *(case[:2] for case in _COUNT_CASES.values()),
+], ids=["obj-float-index", "ply-uchar-300", "ply-no-vertex-row", *_COUNT_CASES])
 def test_malformed_mesh_exits_2_under_default_warning_filters(tmp_path, name, text):
     # test_malformed_mesh_exits_2 turns warnings into errors; the command
     # line does not, and loadtxt warned (and printed a line) where it refused
     mesh = tmp_path / name
-    mesh.write_text(text)
+    mesh.write_text(text, encoding="utf-8")
     out = tmp_path / "b.npz"
     src = str(Path(meshwave.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -394,6 +414,17 @@ def test_malformed_mesh_exits_2_under_default_warning_filters(tmp_path, name, te
     assert run.returncode == 2, run.stderr
     assert run.stderr.startswith(f"error: {mesh}: ") and run.stderr.count("\n") == 1, run.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", sorted(_COUNT_CASES))
+def test_a_count_int_would_read_heads_a_file_that_loads(tmp_path, case):
+    # the body of every _COUNT_CASES file fits the counts int() reads
+    name, text, _ = _COUNT_CASES[case]
+    fixed = tmp_path / name
+    fixed.write_text(text.replace("4_2", "42").replace("8_0", "80").replace("٤٢ ٨٠", "42 80"))
+    vertices, triangles = read_mesh_file(fixed)
+    assert np.allclose(vertices, _ICO1.vertices, atol=1e-7)  # a PLY's x, y, z are floats
+    assert np.array_equal(triangles, _ICO1.triangles)
 
 
 def test_unknown_extension(tmp_path):

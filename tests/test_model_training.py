@@ -56,6 +56,12 @@ def test_architecture_rejects_malformed():
         "MGCONV8(1000000000)",  # ten digits and more; int() raised ValueError past 4,300
         "FC" + "9" * 5000,
         "MGCONV" + "1" * 5000 + "(3)",
+        # Unicode digits, which a \d pattern and int() both take
+        "MGCONV٣٢(٣)+FC１６",
+        "FC１６",
+        "MGCONV8(٣)",
+        "MGCONV٨(3)",
+        "FC1_6",
     ):
         with pytest.raises(DataError):
             parse_architecture(bad)
