@@ -100,6 +100,11 @@ def read_text(path, what: str) -> str:
             raise DataError(f"cannot read {what} {path}: {exc}") from None
 
 
+def plain_number(text: str) -> bool:
+    """ASCII with no `_`: int() and float() would read "1_0" as 10, "٣" as 3."""
+    return text.isascii() and "_" not in text
+
+
 def json_object(raw: bytes, path, what: str) -> dict:
     """The JSON object the bytes `raw` hold; bad UTF-8, bad JSON, nesting
     too deep to parse, or any value other than an object raises DataError

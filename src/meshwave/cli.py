@@ -240,8 +240,6 @@ def _cmd_train(args, cfg):
         raise DataError(f"[pipeline] seed must be non-negative, got {seed}")
     out = check_destination(args.out or Path(cfg["pipeline"]["output_dir"]) / "model.npz",
                             args.config, *paths, *corr_paths, make_parents=True)
-    train_cfg = TrainConfig(**{f.name: cfg["train"][f.name]
-                               for f in dataclasses.fields(TrainConfig)})
     # every input is read, and the model built, before any eigensolve
     meshes = [load_mesh(path) for path in paths]
     if corr_paths:
@@ -252,14 +250,19 @@ def _cmd_train(args, cfg):
     else:
         labels = [np.arange(mesh.n_vertices, dtype=np.int64) for mesh in meshes]
     desc = cfg["descriptor"]
-    check_settings(desc["type"], desc["num"], desc["power"])
-    net = build_model(
-        cfg["model"]["architecture"],
-        input_dim=desc["num"],
-        kind=cfg["model"]["kind"],
-        head_dim=int(max(int(lab.max()) for lab in labels)) + 1,
-        seed=seed,
-    )
+    try:  # a refused config value names its file
+        train_cfg = TrainConfig(**{f.name: cfg["train"][f.name]
+                                   for f in dataclasses.fields(TrainConfig)})
+        check_settings(desc["type"], desc["num"], desc["power"])
+        net = build_model(
+            cfg["model"]["architecture"],
+            input_dim=desc["num"],
+            kind=cfg["model"]["kind"],
+            head_dim=int(max(int(lab.max()) for lab in labels)) + 1,
+            seed=seed,
+        )
+    except DataError as exc:
+        raise DataError(f"{args.config}: {exc}") from None
     shapes = []
     for path, mesh, lab in zip(paths, meshes, labels):
         basis = _mesh_basis(mesh, desc["k"])

@@ -10,7 +10,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 
-from ._files import read_text
+from ._files import plain_number, read_text
 from .errors import DataError
 from .model import DEFAULT_ARCHITECTURE
 from .training import TrainConfig
@@ -51,10 +51,10 @@ def default_config() -> dict:
 def _parse_value(tag, raw: str, where: str):
     raw = raw.strip()
     try:
-        if tag is int:
-            return int(raw)
-        if tag is float:
-            return float(raw)
+        if tag in (int, float):
+            if not plain_number(raw):  # the rule of every numeric file
+                raise ValueError
+            return tag(raw)
         if tag is _PATHS:
             return [p.strip() for p in raw.split(",") if p.strip()]
         return raw

@@ -66,8 +66,6 @@ def _decompose_with_responses(basis, responses, signals, power):
     two calls of the filter kernel on the analysis coefficients sigma_i
     of the signal columns; K_m(c) is Phi diag(g_m) c.
     """
-    if power not in (1, 2):
-        raise DataError(f"power must be 1 or 2, got {power}")
     signals = np.asarray(signals, dtype=np.float64)
     if signals.ndim == 1:
         signals = signals[:, None]

@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from ._files import atomic_write, check_mesh_hash, read_text
+from ._files import atomic_write, check_mesh_hash, plain_number, read_text
 from .errors import DataError
 from .geodesics import geodesic_pairs
 from .mesh import TriMesh, lumped_areas
@@ -106,7 +106,7 @@ def read_correspondence(path, target=None, source=None) -> np.ndarray:
         if not line:
             continue
         try:
-            if "_" in line or not line.isascii():  # int() reads "1_0" as 10, "٣" as 3
+            if not plain_number(line):
                 raise ValueError
             out.append(int(line))
         except ValueError:
@@ -132,10 +132,10 @@ def read_correspondence(path, target=None, source=None) -> np.ndarray:
 
 def write_correspondence(path, indices, comment: Optional[str] = None):
     indices = np.asarray(indices, dtype=np.int64)
+    header = "".join(f"# {line}\n" for line in (comment or "").splitlines())
     # a comment can carry lone surrogates from JSON escapes or file names
     with atomic_write(path, "w", encoding="utf-8", errors="backslashreplace") as fh:
-        np.savetxt(fh, indices, fmt="%d", comments="",
-                   header="\n".join(f"# {line}" for line in (comment or "").splitlines()))
+        fh.write(header + "".join(f"{i}\n" for i in indices.tolist()))
 
 
 def _descriptor_pair(desc_a, desc_b) -> tuple[np.ndarray, np.ndarray]:

@@ -2,7 +2,8 @@
 
 The Laplacian here is the cotangent-weighted graph operator with
 barycentric (area/3) mass lumping.  Both are assembled from one
-per-triangle pass over corner cotangents and triangle areas.
+per-triangle pass over corner cotangents and triangle areas, on a mesh
+`validate_mesh` accepted: every command reads meshes through `load_mesh`.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from . import meshio
 from .errors import MeshError
 
 _DEGENERATE_REL_AREA = 1e-12
-_ROWSUM_REL_TOL = 1e-10
-_MASS_REL_TOL = 1e-10
 
 
 @dataclass
@@ -76,8 +75,8 @@ def _triangle_geometry(vertices, triangles):
 
     Returns (cots, areas): cots[t, c] is the cotangent of the interior
     angle at corner c of triangle t, areas[t] the triangle area. Overflow
-    and zero areas give non-finite entries without a warning; the callers
-    reject them.
+    and zero areas give non-finite entries without a warning, which
+    `validate_mesh` and `cotangent_laplacian` reject.
     """
     v0 = vertices[triangles[:, 0]]
     v1 = vertices[triangles[:, 1]]
@@ -97,7 +96,8 @@ def _triangle_geometry(vertices, triangles):
 
 def validate_mesh(mesh):
     """Raise MeshError unless the mesh is a connected edge-manifold
-    triangulation with no degenerate triangles."""
+    triangulation: finite coordinates, triangle areas finite and above 1e-12
+    of their mean, no edge on more than two triangles, no isolated vertex."""
     v, t = mesh.vertices, mesh.triangles
     if not np.isfinite(v).all():
         raise MeshError("non-finite vertex coordinates")
@@ -136,22 +136,11 @@ def load_mesh(path):
 
 
 def lumped_areas(mesh):
-    """Barycentric vertex areas: one third of each incident triangle.
-
-    Entries are finite, strictly positive and sum to the total surface area.
-    """
+    """Barycentric vertex areas: one third of each incident triangle. On a
+    validated mesh they are finite, positive and sum to the surface area."""
     _, tri_areas = _triangle_geometry(mesh.vertices, mesh.triangles)
-    areas = np.zeros(mesh.n_vertices)
-    share = tri_areas / 3.0
-    for corner in range(3):
-        np.add.at(areas, mesh.triangles[:, corner], share)
-    if not (np.isfinite(areas) & (areas > 0)).all():
-        raise MeshError("vertex with non-finite or non-positive lumped area "
-                        "(coordinates too large?)")
-    total = tri_areas.sum()
-    if abs(areas.sum() - total) > _MASS_REL_TOL * total:
-        raise MeshError("lumped areas do not sum to the surface area")
-    return areas
+    return np.bincount(mesh.triangles.T.ravel(), weights=np.tile(tri_areas / 3.0, 3),
+                       minlength=mesh.n_vertices)
 
 
 def cotangent_laplacian(mesh):
@@ -159,7 +148,8 @@ def cotangent_laplacian(mesh):
 
     Off-diagonal (i, j): -(cot(alpha) + cot(beta)) / 2 over the triangles
     sharing edge (i, j); diagonal: minus the row's off-diagonal sum, so
-    row sums vanish and f' L f is the Dirichlet energy of f.
+    row sums vanish and f' L f is the Dirichlet energy of f. On a validated
+    mesh a sliver can still overflow a cotangent, which raises MeshError.
     """
     n = mesh.n_vertices
     t = mesh.triangles
@@ -178,11 +168,4 @@ def cotangent_laplacian(mesh):
     ).tocsr()
     if not np.isfinite(lap.data).all():
         raise MeshError("non-finite Laplacian entry (coordinates too large?)")
-    asym = abs(lap - lap.T)
-    if asym.nnz and asym.max() > 0:
-        raise MeshError("Laplacian assembly lost symmetry")
-    row_sums = np.abs(np.asarray(lap.sum(axis=1)).ravel())
-    row_scale = np.asarray(np.abs(lap).sum(axis=1)).ravel()
-    if (row_sums > _ROWSUM_REL_TOL * np.maximum(row_scale, 1e-300)).any():
-        raise MeshError("Laplacian row sums are not numerically zero")
     return lap

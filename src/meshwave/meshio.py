@@ -236,8 +236,8 @@ def read_ply(path):
             elif element.name == "face":
                 triangles = _read_ply_faces(handle, element, fmt, path)
             else:
-                # skip unknown elements conservatively (ascii lines / raw guess
-                # is impossible without fixed-size rows, so refuse)
+                # refuse other elements: without fixed-size rows there is
+                # no telling where one ends
                 raise DataError(f"{path}: unsupported PLY element {element.name!r}")
         return vertices, triangles
 

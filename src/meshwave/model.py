@@ -73,8 +73,6 @@ def parse_architecture(text: str) -> list:
             specs.append(LayerSpec("fc", out))
             continue
         raise DataError(f"cannot parse architecture term {term!r}")
-    if not specs:
-        raise DataError("empty architecture string")
     return specs
 
 

@@ -949,7 +949,86 @@ def test_train_refuses_an_architecture_of_unicode_digits(work, tmp_path, capsys,
     cfg_path = _train_config(work, tmp_path, architecture)
     before = _tree(tmp_path)
     assert main(["train", "--config", str(cfg_path), "-o", str(tmp_path / "m.npz")]) == 2
-    assert _one_line_error(capsys, f"cannot parse architecture term {term!r}")
+    assert _one_line_error(capsys, f"{cfg_path}: cannot parse architecture term {term!r}")
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("model", "architecture", "MGCONV0(3)", "bad layer sizes in 'MGCONV0(3)'"),
+    ("model", "kind", "resnet", "unknown model kind 'resnet'"),
+    ("model", "architecture", "MGCONV8(2)+FC4",
+     "a wavelet conv layer needs at least 3 scales, got 2"),
+    ("descriptor", "type", "foo", "unknown descriptor type 'foo'"),
+    ("train", "phase1_epochs", -1, "epoch counts must be non-negative"),
+], ids=["layer size", "kind", "scale count", "descriptor type", "epochs"])
+def test_train_names_its_config_in_a_refused_setting(work, tmp_path, capsys, monkeypatch,
+                                                     section, key, value, message):
+    monkeypatch.setattr(cli, "eig_generalized", _no_solver)
+    cfg_path = _train_config(work, tmp_path, "MGCONV8(3)+FC16")
+    cfg = load_config(cfg_path)
+    cfg[section][key] = value
+    cfg_path.write_text(format_config(cfg), encoding="utf-8")
+    before = _tree(tmp_path)
+    assert main(["train", "--config", str(cfg_path), "-o", str(tmp_path / "m.npz")]) == 2
+    assert _one_line_error(capsys, f"{cfg_path}: {message}")
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("descriptor", "k", "1_00"), ("descriptor", "num", "١٢٨"), ("train", "phase1_epochs", "０"),
+    ("pipeline", "seed", "1_0"), ("train", "lr_phase1", "1_0e-3"), ("train", "margin", "０.5"),
+])
+def test_config_numbers_follow_the_rule_for_files(work, tmp_path, capsys, monkeypatch,
+                                                  section, key, value):
+    # int() and float() read these as 100, 128, 0, 10, 0.01 and 0.5, where a
+    # mesh or correspondence file holding the same text exits 2
+    monkeypatch.setattr(cli, "eig_generalized", _no_solver)
+    cfg_path = tmp_path / "p.cfg"
+    cfg_path.write_text(f"[train]\nmeshes = {work['mesh_path']}\n[{section}]\n{key} = {value}\n",
+                        encoding="utf-8")
+    before = _tree(tmp_path)
+    assert main(["train", "--config", str(cfg_path), "-o", str(tmp_path / "m.npz")]) == 2
+    assert _one_line_error(capsys, f"{cfg_path}:4: cannot parse value {value!r}")
+    assert _tree(tmp_path) == before
+
+
+def test_train_refuses_a_correspondence_list_of_another_length(work, tmp_path, capsys,
+                                                               monkeypatch):
+    monkeypatch.setattr(cli, "eig_generalized", _no_solver)
+    labels = tmp_path / "labels.txt"
+    write_correspondence(labels, np.arange(work["mesh"].n_vertices))
+    cfg = default_config()
+    cfg["train"]["meshes"] = [str(work["mesh_path"])] * 2
+    cfg["train"]["correspondences"] = [str(labels)]
+    cfg_path = tmp_path / "p.cfg"
+    cfg_path.write_text(format_config(cfg))
+    before = _tree(tmp_path)
+    assert main(["train", "--config", str(cfg_path), "-o", str(tmp_path / "m.npz")]) == 2
+    assert _one_line_error(capsys, "one correspondence file per training mesh required")
+    assert _tree(tmp_path) == before
+
+
+def test_match_refuses_a_descriptor_file_of_another_version(work, tmp_path, capsys):
+    raw = bytearray(work["desc_path"].read_bytes())
+    raw[4:8] = struct.pack("<I", 2)  # the version field after the magic
+    bad = tmp_path / "v2.mwd"
+    bad.write_bytes(bytes(raw))
+    before = _tree(tmp_path)
+    assert main(["match", str(bad), str(work["desc_path"]), "-o", str(tmp_path / "m.txt")]) == 2
+    assert _one_line_error(capsys, f"{bad}: unsupported descriptor version 2")
+    assert _tree(tmp_path) == before
+
+
+def test_basis_refuses_a_validated_sliver_whose_cotangent_overflows(tmp_path, capsys,
+                                                                    monkeypatch):
+    # validate_mesh passes its finite area, 4.6e153, but one cotangent overflows
+    monkeypatch.setattr(cli, "eig_generalized", _no_solver)
+    a = 1.3e154
+    sliver = tmp_path / "sliver.ply"
+    write_ply(sliver, [[0.0, 0.0, 0.0], [a, a, 0.0], [a, a, 0.5]], [[0, 1, 2]])
+    before = _tree(tmp_path)
+    assert main(["basis", str(sliver), "-k", "2", "-o", str(tmp_path / "b.npz")]) == 2
+    assert _one_line_error(capsys, "non-finite Laplacian entry")
     assert _tree(tmp_path) == before
 
 
@@ -998,7 +1077,7 @@ def test_non_finite_train_setting_exits_2_before_any_eigensolve(work, tmp_path, 
     cfg_path.write_text(f"[train]\nmeshes = {work['mesh_path']}\n{key} = {value}\n")
     before = _tree(tmp_path)
     assert main(["train", "--config", str(cfg_path), "-o", str(tmp_path / "m.npz")]) == 2
-    assert _one_line_error(capsys, key)
+    assert _one_line_error(capsys, f"{cfg_path}: {key} must be finite")
     assert _tree(tmp_path) == before
 
 

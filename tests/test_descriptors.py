@@ -133,10 +133,11 @@ def test_translation_blind():
 
 
 def test_power_validation():
+    # weds checks the power before its energy table, which trusts it
     basis = _shared.bar_basis(0.3, 5)
     bank = _shared.bank_for(basis.lambda_max)
-    with pytest.raises(DataError, match="power"):
-        _shared.energy_decomposition(basis, bank, np.ones(basis.n_vertices), power=3)
+    with pytest.raises(DataError, match="power must be 1 or 2, got 3"):
+        weds(basis, bank, np.ones((basis.n_vertices, 3)), power=3)
 
 
 def test_minmax_columns():

@@ -374,6 +374,12 @@ def test_screened_match_and_ranks_equal_cdist(seed):
             assert np.array_equal(got, _shared.cdist_ranks(a, b, truth)), name
 
 
+def test_match_ranks_refuses_a_ground_truth_of_another_length(rng):
+    a, b = rng.standard_normal((5, 2)), rng.standard_normal((6, 2))
+    with pytest.raises(DataError, match="ground truth length differs from source descriptor"):
+        match_ranks(a, b, np.arange(4))
+
+
 def test_match_rejects_non_finite(rng):
     a = rng.standard_normal((5, 2))
     for bad in (np.nan, np.inf, -np.inf):

@@ -1,5 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from meshwave.errors import MeshError
 from meshwave.mesh import (
@@ -252,3 +256,63 @@ def test_vertex_areas_conserve_total():
     assert v.shape == (mesh.n_vertices,)
     assert v.sum() == pytest.approx(tri_areas.sum(), rel=1e-12)
     assert (v > 0).all()
+
+
+# ------------------------- the operators trust validate_mesh, checked here
+
+_OPERATOR_MESHES = {
+    **{f"icosphere({n})": functools.partial(_shared.sphere, n) for n in range(6)},
+    "bar(0.3)": functools.partial(_shared.bar, 0.3),
+    "bar(1.2, 30, 8)": functools.partial(_shared.bar, 1.2, 30, 8),
+    "bar(3.0, 40, 6)": functools.partial(_shared.bar, 3.0, 40, 6),
+}
+
+
+def _check_operator_invariants(mesh):
+    """What a validated mesh guarantees the operators without a check of
+    their own: L exactly symmetric, each row sum within 64 eps of the row's
+    absolute sum, areas positive and summing to the surface area."""
+    lap = cotangent_laplacian(mesh)
+    assert (lap != lap.T).nnz == 0
+    row_sums = np.abs(np.asarray(lap.sum(axis=1)).ravel())
+    row_scale = np.asarray(abs(lap).sum(axis=1)).ravel()
+    assert (row_sums <= 64 * np.finfo(float).eps * row_scale).all()
+    areas = lumped_areas(mesh)
+    total = _triangle_geometry(mesh.vertices, mesh.triangles)[1].sum()
+    assert (areas > 0).all()
+    assert abs(areas.sum() - total) <= 1e-12 * total
+
+
+@pytest.mark.parametrize("name", list(_OPERATOR_MESHES))
+def test_lumped_areas_equal_the_add_at_oracle(name):
+    # one corner-major bincount adds each vertex's shares in the order of
+    # the three np.add.at passes, so the bytes agree
+    mesh = _OPERATOR_MESHES[name]()
+    assert lumped_areas(mesh).tobytes() == _shared.add_at_lumped_areas(mesh).tobytes()
+
+
+@pytest.mark.parametrize("name", list(_OPERATOR_MESHES))
+def test_operator_invariants_hold_on_validated_meshes(name):
+    _check_operator_invariants(validate_mesh(_OPERATOR_MESHES[name]()))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(name=st.sampled_from(list(_OPERATOR_MESHES)), seed=st.integers(0, 2**32 - 1),
+       log_scale=st.floats(-100, 100), jitter=st.floats(0, 0.1))
+def test_operator_invariants_hold_under_motion_scaling_and_jitter(name, seed, log_scale,
+                                                                  jitter):
+    # every vertex moves by up to `jitter` of the shortest edge, then the
+    # mesh is rotated, translated and scaled by 10**log_scale; only meshes
+    # validate_mesh accepts reach the operators
+    mesh = _OPERATOR_MESHES[name]()
+    rng = np.random.default_rng(seed)
+    ends = mesh.vertices[mesh.edges()]
+    shortest = np.linalg.norm(ends[:, 0] - ends[:, 1], axis=1).min()
+    moved = mesh.vertices + jitter * shortest * rng.uniform(-1.0, 1.0, mesh.vertices.shape)
+    moved = (moved @ _shared.random_rotation(rng).T + rng.standard_normal(3)) * 10.0**log_scale
+    mesh = TriMesh(moved, mesh.triangles)
+    try:
+        validate_mesh(mesh)
+    except MeshError:
+        assume(False)
+    _check_operator_invariants(mesh)

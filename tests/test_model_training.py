@@ -65,6 +65,9 @@ def test_architecture_rejects_malformed():
     ):
         with pytest.raises(DataError):
             parse_architecture(bad)
+    # an empty string splits into one empty term, which matches no layer
+    with pytest.raises(DataError, match="cannot parse architecture term ''"):
+        parse_architecture(" ")
 
 
 def test_build_model_shapes():
