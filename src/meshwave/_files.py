@@ -4,7 +4,8 @@ file, a directory, no permission, text that is not UTF-8, metadata that
 is not a JSON object, an archive that is not one) raises a one-line
 DataError, so every command exits 2 on an input it cannot read, and
 `check_destination` lets it exit 2 on an output it cannot write, or that
-names another of its files, before any work."""
+names another of its files, before any work. `numeric_rows` parses every
+number in input text."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import contextlib
 import json
 import os
 import re
+import warnings
 import zipfile
 from pathlib import Path
 
@@ -100,9 +102,25 @@ def read_text(path, what: str) -> str:
             raise DataError(f"cannot read {what} {path}: {exc}") from None
 
 
-def plain_number(text: str) -> bool:
-    """ASCII with no `_`: int() and float() would read "1_0" as 10, "٣" as 3."""
-    return text.isascii() and "_" not in text
+def numeric_rows(path, rows, columns, dtype, what):
+    """The given columns of text rows as a (len(rows), len(columns)) array;
+    columns past the last one read are neither parsed nor checked. With
+    `columns` None, (len(rows),) values, one to a row of exactly one value
+    or of exactly the fields of a structured `dtype`. The one parser of the
+    numbers in input text (meshes, maps, configs): ASCII without `_`,
+    integers within int64; anything else raises DataError naming `what`."""
+    shape = (len(rows),) if columns is None else (len(rows), len(columns))
+    # loadtxt only warns on all-blank rows and (older numpy) integers read as floats
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(rows, dtype=dtype, usecols=columns, ndmin=len(shape),
+                               comments=None) if rows else np.empty(shape, dtype=dtype)
+    except (ValueError, Warning) as exc:
+        raise DataError(f"{path}: truncated or malformed {what}") from exc
+    if table.shape != shape:  # loadtxt skips blank rows
+        raise DataError(f"{path}: truncated or malformed {what}")
+    return table
 
 
 def json_object(raw: bytes, path, what: str) -> dict:

@@ -253,7 +253,6 @@ def _cmd_train(args, cfg):
     try:  # a refused config value names its file
         train_cfg = TrainConfig(**{f.name: cfg["train"][f.name]
                                    for f in dataclasses.fields(TrainConfig)})
-        check_settings(desc["type"], desc["num"], desc["power"])
         net = build_model(
             cfg["model"]["architecture"],
             input_dim=desc["num"],

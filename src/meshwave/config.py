@@ -10,7 +10,8 @@ from __future__ import annotations
 import copy
 import dataclasses
 
-from ._files import plain_number, read_text
+from ._files import numeric_rows, read_text
+from .descriptors import check_settings
 from .errors import DataError
 from .model import DEFAULT_ARCHITECTURE
 from .training import TrainConfig
@@ -50,15 +51,13 @@ def default_config() -> dict:
 
 def _parse_value(tag, raw: str, where: str):
     raw = raw.strip()
-    try:
-        if tag in (int, float):
-            if not plain_number(raw):  # the rule of every numeric file
-                raise ValueError
-            return tag(raw)
-        if tag is _PATHS:
-            return [p.strip() for p in raw.split(",") if p.strip()]
+    if tag is _PATHS:
+        return [p.strip() for p in raw.split(",") if p.strip()]
+    if tag is str:
         return raw
-    except ValueError:
+    try:  # np.dtype(int) is int64, np.dtype(float) float64
+        return numeric_rows(where, [raw], None, tag, "value").item()
+    except DataError:
         raise DataError(f"{where}: cannot parse value {raw!r}") from None
 
 
@@ -93,6 +92,13 @@ def parse_config(text: str, source: str = "<config>") -> dict:
             raise DataError(f"{where}: unknown key {key!r} in [{section}]")
         tag, _ = SCHEMA[section][key]
         cfg[section][key] = _parse_value(tag, raw_val, where)
+    desc = cfg["descriptor"]
+    try:  # a refused [descriptor] value names its file, whichever command reads it
+        check_settings(desc["type"], desc["num"], desc["power"])
+        if desc["k"] < 1:
+            raise DataError(f"k must be at least 1, got {desc['k']}")
+    except DataError as exc:
+        raise DataError(f"{source}: {exc}") from None
     return cfg
 
 

@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from ._files import atomic_write, check_mesh_hash, plain_number, read_text
+from ._files import atomic_write, check_mesh_hash, numeric_rows, read_text
 from .errors import DataError
 from .geodesics import geodesic_pairs
 from .mesh import TriMesh, lumped_areas
@@ -93,33 +93,26 @@ def read_correspondence(path, target=None, source=None) -> np.ndarray:
     checked against it (``_files.check_mesh_hash``), as is each index.
     Given `source`, the (path, recorded mesh hash) of the source's descriptor
     file, that file is checked against a '# source_mesh = HASH' comment."""
-    out = []
-    recorded = {}  # the last 'key = value' comment of each key
     # the text holds only "\n" newlines, so these are the lines a file iterates
-    for ln, raw in enumerate(read_text(path, "correspondence").split("\n"), start=1):
-        line = raw.strip()
-        if line.startswith("#"):
-            key, eq, val = line[1:].partition("=")
-            if eq:
-                recorded[key.strip()] = val.strip()
-            continue
-        if not line:
-            continue
-        try:
-            if not plain_number(line):
-                raise ValueError
-            out.append(int(line))
-        except ValueError:
-            raise DataError(f"{path}:{ln}: not an integer: {line!r}") from None
+    lines = list(map(str.strip, read_text(path, "correspondence").split("\n")))
+    recorded = {key.strip(): val.strip() for key, eq, val in  # the last of each key
+                (line[1:].partition("=") for line in lines if line[:1] == "#") if eq}
+    rows = [line for line in lines if line and line[0] != "#"]
+    try:
+        idx = numeric_rows(path, rows, None, np.int64, "correspondence")
+    except DataError:  # name the first row refused; no line above it has its text
+        for line in rows:
+            try:
+                numeric_rows(path, [line], None, np.int64, "correspondence")
+            except DataError:
+                ln = lines.index(line) + 1
+                raise DataError(f"{path}:{ln}: not an integer: {line!r}") from None
+        raise
     check_mesh_hash(path, recorded.get("target_mesh"), "correspondence", target)
     if source is not None:
         source_hash = recorded.get("source_mesh")
         check_mesh_hash(path, source_hash, "correspondence")
         check_mesh_hash(*source, "descriptor file", source_hash)
-    try:
-        idx = np.asarray(out, dtype=np.int64)
-    except OverflowError:
-        raise DataError(f"{path}: index beyond the int64 range") from None
     if idx.size == 0:
         raise DataError(f"{path}: no indices found")
     if idx.min() < 0:

@@ -1,7 +1,7 @@
 """Triangle-mesh file readers and writers.
 
 Readers: OFF and OBJ (UTF-8 text), PLY (ASCII and binary little-endian);
-every numeric text row parses with np.loadtxt (`_columns`).
+every numeric text row parses with np.loadtxt (`_files.numeric_rows`).
 Writer: PLY, optionally with per-vertex uchar red/green/blue columns, its
 rows written with np.savetxt. All readers return raw (vertices, triangles)
 arrays; structural validation lives in mesh.load_mesh. Files are opened
@@ -14,12 +14,11 @@ from __future__ import annotations
 import itertools
 import os
 import re
-import warnings
 from pathlib import Path
 
 import numpy as np
 
-from ._files import atomic_write, open_read, read_text
+from ._files import atomic_write, numeric_rows, open_read, read_text
 from .errors import DataError
 
 _PLY_DTYPES = {
@@ -60,41 +59,21 @@ def read_off(path):
     if first.startswith("OFF"):
         first = first[3:].strip() or next(lines, "")
     # the headerless variant has its counts on the first line
-    counts = _columns(path, [first], (0, 1), np.int64, "OFF counts line")
+    counts = numeric_rows(path, [first], (0, 1), np.int64, "OFF counts line")
     n_vert, n_face = counts[0].tolist()  # Python ints, whose sum cannot wrap
     if min(n_vert, n_face) < 0 or n_vert + n_face > len(text):
         raise DataError(f"{path}: OFF counts {n_vert}, {n_face} do not fit the file")
     body = list(itertools.islice(lines, n_vert + n_face))
     if len(body) < n_vert + n_face:
         raise DataError(f"{path}: truncated or malformed OFF body")
-    vertices = _columns(path, body[:n_vert], (0, 1, 2), np.float64, "OFF body")
-    arity = _columns(path, body[n_vert:], (0,), np.int64, "OFF body")[:, 0]
+    vertices = numeric_rows(path, body[:n_vert], (0, 1, 2), np.float64, "OFF body")
+    arity = numeric_rows(path, body[n_vert:], (0,), np.int64, "OFF body")[:, 0]
     bad = np.flatnonzero(arity != 3)
     if bad.size:
         i = bad[0]
         raise DataError(f"{path}: face {i} has {body[n_vert + i].split()[0]} vertices, need 3")
-    triangles = _columns(path, body[n_vert:], (1, 2, 3), np.int64, "OFF body")
+    triangles = numeric_rows(path, body[n_vert:], (1, 2, 3), np.int64, "OFF body")
     return vertices, triangles
-
-
-def _columns(path, rows, columns, dtype, what):
-    """(len(rows), len(columns)) array of the given columns of text rows (OFF
-    counts and body, OBJ lines, PLY element counts and faces); columns past
-    the last one read are neither parsed nor checked. With `columns` None,
-    (len(rows),) records of the structured `dtype`, one to a row of exactly
-    its fields (PLY vertices)."""
-    shape = (len(rows),) if columns is None else (len(rows), len(columns))
-    # loadtxt only warns on all-blank rows and (older numpy) integers read as floats
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            table = np.loadtxt(rows, dtype=dtype, usecols=columns, ndmin=len(shape),
-                               comments=None) if rows else np.empty(shape, dtype=dtype)
-    except (ValueError, Warning) as exc:
-        raise DataError(f"{path}: truncated or malformed {what}") from exc
-    if table.shape != shape:  # loadtxt skips blank rows
-        raise DataError(f"{path}: truncated or malformed {what}")
-    return table
 
 
 def read_obj(path):
@@ -108,9 +87,9 @@ def read_obj(path):
             rows[keyword].append(line)
     if not rows["v"]:
         raise DataError(f"{path}: no vertices found")
-    vertices = _columns(path, rows["v"], (1, 2, 3), np.float64, "OBJ vertex")
+    vertices = numeric_rows(path, rows["v"], (1, 2, 3), np.float64, "OBJ vertex")
     faces = re.sub(r"/\S*", "", "\n".join(rows["f"])).splitlines()  # a reference's vertex
-    triangles = _columns(path, faces, (1, 2, 3), np.int64, "OBJ face of int64 indices")
+    triangles = numeric_rows(path, faces, (1, 2, 3), np.int64, "OBJ face of int64 indices")
     if (triangles < 0).any():
         raise DataError(f"{path}: negative OBJ indices are not supported")
     return vertices, triangles - 1  # OBJ counts from 1
@@ -150,7 +129,7 @@ def _parse_ply_header(handle, path):
         if keyword == "format":
             fmt = parts[1]
         elif keyword == "element":
-            count = _columns(path, [line], (2,), np.int64, f"PLY line {line!r}").item()
+            count = numeric_rows(path, [line], (2,), np.int64, f"PLY line {line!r}").item()
             elements.append(_PlyElement(parts[1], count))
             if not 0 <= count <= os.fstat(handle.fileno()).st_size:
                 raise DataError(f"{path}: PLY element count does not fit the file")
@@ -193,7 +172,7 @@ def _read_ply_faces(handle, element, fmt, path):
         # a missing row reads as a face of no vertices
         rows = [handle.readline().decode("ascii", "replace").strip() or "0"
                 for _ in range(element.count)]
-        arity = _columns(path, rows, (0,), np.int64, "PLY face data")[:, 0]
+        arity = numeric_rows(path, rows, (0,), np.int64, "PLY face data")[:, 0]
     else:
         row = np.dtype([("n", "<" + _PLY_DTYPES[prop[1]]),
                         ("index", "<" + _PLY_DTYPES[prop[2]], (3,))])
@@ -204,7 +183,7 @@ def _read_ply_faces(handle, element, fmt, path):
     if bad.size:
         raise DataError(f"{path}: face {bad[0]} is not a triangle")
     if fmt == "ascii":
-        return _columns(path, rows, (1, 2, 3), np.int64, "PLY face data")
+        return numeric_rows(path, rows, (1, 2, 3), np.int64, "PLY face data")
     if faces.size != element.count:
         raise DataError(f"{path}: truncated PLY face data")
     return faces["index"].astype(np.int64)
@@ -224,7 +203,7 @@ def read_ply(path):
                 if fmt == "ascii":
                     rows = [handle.readline().decode("ascii", "replace").strip()
                             for _ in range(element.count)]
-                    data = _columns(path, rows, None, vdt, "PLY vertex row")
+                    data = numeric_rows(path, rows, None, vdt, "PLY vertex row")
                 else:
                     buf = handle.read(vdt.itemsize * element.count)
                     if len(buf) != vdt.itemsize * element.count:

@@ -574,6 +574,15 @@ def loop_export_descriptors_csv(path, values):
             handle.write(",".join(f"{x:.17g}" for x in row) + "\n")
 
 
+def plain_number(text: str, tag):
+    """Oracle for `_files.numeric_rows` on one config value or map line: the
+    rule those two inputs had before it, ASCII without `_` (int() and float()
+    read "1_0" as 10 and "٣" as 3), then `tag`'s int() or float()."""
+    if not (text.isascii() and "_" not in text):
+        raise ValueError(f"not a plain number: {text!r}")
+    return tag(text)
+
+
 # finite doubles a text writer must keep to the bit: signed zeros,
 # subnormals, the extremes and every digit of 1/3
 EDGE_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308,

@@ -735,7 +735,8 @@ def test_eval_desc_a_with_no_recorded_hash_is_read_as_before(work, poses, tmp_pa
     assert "\ncmc,1," in (tmp_path / "r.curves.csv").read_text()
 
 
-def test_cli_learning_holds_across_discretizations(tmp_path, monkeypatch):
+@pytest.mark.parametrize("kind, ratio", [("weds", 0.5), ("hks", 0.7)], ids=["weds", "hks"])
+def test_cli_learning_holds_across_discretizations(tmp_path, monkeypatch, kind, ratio):
     # MGCN's claim of robustness to the triangulation, through the commands:
     # train on 220- and 448-vertex poses labelled by the template's nearest
     # (u, v), then map the 448-vertex pose onto a held-out 720-vertex one
@@ -748,15 +749,15 @@ def test_cli_learning_holds_across_discretizations(tmp_path, monkeypatch):
     write_correspondence("b.txt", _shared.uv_correspondence((32, 14), (22, 10)))
     write_correspondence("gt.txt", _shared.uv_correspondence((32, 14), (40, 18)))
     cfg = default_config()
-    cfg["descriptor"]["k"] = 60
+    cfg["descriptor"].update(k=60, type=kind)
     cfg["train"].update(meshes=["a.ply", "b.ply"], correspondences=["a.txt", "b.txt"],
                         phase1_epochs=30, phase2_epochs=10, pairs_per_step=64)
     Path("train.cfg").write_text(format_config(cfg))
     runs = [["train", "--config", "train.cfg", "-o", "model.npz"]]
     for name in "bc":
-        runs += [["descriptor", f"{name}.ply", "-k", "60", "-o", f"{name}.mwd"],
+        runs += [["descriptor", f"{name}.ply", "--config", "train.cfg", "-o", f"{name}.mwd"],
                  ["infer", "model.npz", f"{name}.ply", f"{name}.mwd", "-o", f"{name}.net.mwd"]]
-    for field in ("", ".net"):  # raw WEDS, then the network's field
+    for field in ("", ".net"):  # the raw descriptor, then the network's field
         runs += [["match", f"b{field}.mwd", f"c{field}.mwd", "-o", f"map{field}.txt"],
                  ["eval", f"map{field}.txt", "gt.txt", "c.ply", "--desc-a", f"b{field}.mwd",
                   "--desc-b", f"c{field}.mwd", "-o", f"report{field}"]]
@@ -766,8 +767,9 @@ def test_cli_learning_holds_across_discretizations(tmp_path, monkeypatch):
     for field in ("", ".net"):
         summary = Path(f"report{field}.summary.txt").read_text()
         age[field] = float(summary.split("age_direct = ")[1].split()[0])
-    # seed 0 gave AGE 0.399 raw and 0.114 learned: at least halved
-    assert age[".net"] <= 0.5 * age[""], age
+    # seed 0 gave AGE 0.399 raw and 0.114 learned on WEDS (at least halved),
+    # 0.248 and 0.133 on HKS (README "Learning across discretizations")
+    assert age[".net"] <= ratio * age[""], age
 
 
 def test_train_and_infer_end_to_end(work, tmp_path, capsys):
@@ -1096,10 +1098,13 @@ def test_negative_seed_exits_before_training(work, tmp_path, capsys, monkeypatch
     assert _tree(tmp_path) == before
 
 
+# a refused [descriptor] line and its message, which the config's path prefixes
 _BAD_DESCRIPTOR = [("type = foo", "unknown descriptor type 'foo'"),
                    ("power = 3", "power must be 1 or 2, got 3"),
                    ("num = 0", "descriptor dimension must be positive"),
-                   ("num = 1025", "descriptor dimension is capped at 1024")]
+                   ("num = 1025", "descriptor dimension is capped at 1024"),
+                   ("k = 0", "k must be at least 1, got 0"),
+                   ("k = -3", "k must be at least 1, got -3")]
 
 
 def _counting_solver(monkeypatch):
@@ -1124,7 +1129,7 @@ def test_train_refuses_descriptor_settings_before_any_eigensolve(work, tmp_path,
     cfg_path.write_text(f"[descriptor]\nk = 12\n{line}\n[train]\nmeshes = {work['mesh_path']}\n")
     before = _tree(tmp_path)
     assert main(["train", "--config", str(cfg_path), "-o", str(tmp_path / "m.npz")]) == 2
-    assert _one_line_error(capsys, needle)
+    assert _one_line_error(capsys, f"error: {cfg_path}: {needle}\n")
     assert solves == [] and _tree(tmp_path) == before
 
 
@@ -1137,7 +1142,7 @@ def test_descriptor_refuses_config_settings_before_any_eigensolve(work, tmp_path
     out = tmp_path / "d.mwd"
     assert main(["descriptor", str(work["mesh_path"]), "--config", str(cfg_path),
                  "-o", str(out)]) == 2
-    assert _one_line_error(capsys, needle)
+    assert _one_line_error(capsys, f"error: {cfg_path}: {needle}\n")
     assert solves == [] and not out.exists()
 
 
@@ -1169,7 +1174,78 @@ def test_correspondence_index_beyond_int64_exits_2(work, tmp_path, capsys, which
         argv = ["eval", *pair, work["mesh_path"], "-o", tmp_path / "report"]
     before = _tree(tmp_path)
     assert main([str(a) for a in argv]) == 2
-    assert _one_line_error(capsys, "int64")
+    # refused by the int64 parser, it names its line as any refused index does
+    assert _one_line_error(capsys, f"{big}:60: not an integer: '{index}'")
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("command", ["basis", "infer"])
+@pytest.mark.parametrize("line, needle", _BAD_DESCRIPTOR)
+def test_basis_and_infer_refuse_a_bad_descriptor_section(work, tmp_path, capsys, monkeypatch,
+                                                         command, line, needle):
+    # the section is checked once the file is parsed, whichever command reads
+    # it: infer ignored it when its checkpoint recorded one
+    monkeypatch.setattr(cli, "eig_generalized", _no_solver)
+    cfg_path = tmp_path / "t.cfg"
+    cfg_path.write_text(f"[descriptor]\n{line}\n")
+    save_checkpoint(ckpt := tmp_path / "m.npz", build_model("FC8", input_dim=16))
+    argv = {"basis": ["basis", work["mesh_path"]],
+            "infer": ["infer", ckpt, work["mesh_path"], work["desc_path"]]}[command]
+    before = _tree(tmp_path)
+    assert main([str(a) for a in [*argv, "--config", cfg_path, "-o", tmp_path / "out"]]) == 2
+    assert _one_line_error(capsys, f"error: {cfg_path}: {needle}\n")
+    assert _tree(tmp_path) == before
+
+
+# each ASCII PLY header fault, as a rewrite of the bar's file
+_PLY_HEADER_FAULTS = {
+    "unterminated": (lambda t: t.split("end_header")[0], "unterminated PLY header"),
+    "vertex list": (lambda t: t.replace("property double z\n",
+                                        "property double z\nproperty list uchar int n\n"),
+                    "list property in vertex element"),
+    "face without list": (lambda t: t.replace("property list uchar int", "property int"),
+                          "face element lacks a list property"),
+    "edge element": (lambda t: t.replace("end_header", "element edge 0\nend_header"),
+                     "unsupported PLY element 'edge'"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_PLY_HEADER_FAULTS))
+def test_a_ply_header_fault_exits_2(work, tmp_path, capsys, fault):
+    edit, needle = _PLY_HEADER_FAULTS[fault]
+    path = tmp_path / "bad.ply"
+    path.write_text(edit(work["mesh_path"].read_text()))
+    before = _tree(tmp_path)
+    assert main(["basis", str(path), "-k", "8"]) == 2
+    assert _one_line_error(capsys, f"error: {path}: {needle}\n")
+    assert _tree(tmp_path) == before
+
+
+def test_infer_refuses_a_checkpoint_of_another_format_version(work, tmp_path, capsys):
+    ckpt = _shared.edited_checkpoint(tmp_path / "m.npz", build_model("FC8", input_dim=16),
+                                     lambda meta: meta.update(format_version=2))
+    before = _tree(tmp_path)
+    assert main(["infer", str(ckpt), str(work["mesh_path"]), str(work["desc_path"]),
+                 "-o", str(tmp_path / "out.mwd")]) == 2
+    assert _one_line_error(capsys, f"error: {ckpt}: unsupported checkpoint version 2\n")
+    assert _tree(tmp_path) == before
+
+
+def test_train_refuses_label_files_sharing_fewer_than_2_labels(work, tmp_path, capsys):
+    # two copies of the bar labelled 0..59 and 59..118 share one label, which
+    # phase 2 finds after the eigensolves and the phase-1 epoch
+    mesh = work["mesh_path"]
+    write_correspondence(tmp_path / "a.txt", np.arange(60))
+    write_correspondence(tmp_path / "b.txt", np.arange(59, 119))
+    cfg = default_config()
+    cfg["descriptor"].update(k=12, num=16)
+    cfg["model"]["architecture"] = "MGCONV8(3)+FC16"
+    cfg["train"].update(meshes=[str(mesh)] * 2, phase1_epochs=1, phase2_epochs=1,
+                        correspondences=[str(tmp_path / "a.txt"), str(tmp_path / "b.txt")])
+    (cfg_path := tmp_path / "p.cfg").write_text(format_config(cfg))
+    before = _tree(tmp_path)
+    assert main(["train", "--config", str(cfg_path), "-o", str(tmp_path / "m.npz")]) == 2
+    assert _one_line_error(capsys, f"shapes '{mesh}' and '{mesh}' share fewer than 2 labels\n")
     assert _tree(tmp_path) == before
 
 

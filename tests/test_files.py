@@ -1,10 +1,13 @@
 import ast
 import gc
+import math
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import meshwave
 from meshwave import _files
@@ -139,6 +142,76 @@ def test_only_files_touches_the_file_system():
                 if (path.name, scope, name) not in _ALLOWED:
                     found.append(f"{path.name}:{call.lineno} {scope}: {name}")
     assert found == []
+
+
+def test_only_files_parses_numeric_text():
+    # every number in an input's text goes through one parser, so the mesh
+    # readers, the correspondence reader and the config cannot drift apart
+    loadtxt, callers = [], set()
+    for path in sorted(Path(meshwave.__file__).parent.glob("*.py")):
+        for scope, call in _calls(ast.parse(path.read_text(encoding="utf-8"))):
+            name = _dotted(call.func)
+            if name == "np.loadtxt":
+                loadtxt.append(f"{path.name}:{call.lineno} {scope}")
+            elif name == "numeric_rows":
+                callers.add((path.name, scope))
+    assert [entry.split(":")[0] for entry in loadtxt] == ["_files.py"]
+    assert {("config.py", "_parse_value"), ("evaluation.py", "read_correspondence"),
+            ("meshio.py", "read_off"), ("meshio.py", "read_obj"),
+            ("meshio.py", "_parse_ply_header"), ("meshio.py", "_read_ply_faces"),
+            ("meshio.py", "read_ply")} <= callers
+
+
+# what a config value or a map line is made of, and what comes near a number
+_NUMBER_TEXT = st.one_of(
+    st.text(st.sampled_from("0123456789+-.eE_ \t٣１nafityNAFITY"), max_size=12),
+    st.integers(-2**70, 2**70).map(str),
+    st.floats().flatmap(lambda x: st.sampled_from(
+        [repr(x), f"{x:.17g}", f"{x:.25g}", f"{x:.5e}"])),
+)
+
+
+@settings(derandomize=True, max_examples=2000, deadline=None, database=None)
+@given(text=_NUMBER_TEXT, tag=st.sampled_from([int, float]))
+@example(text="1_0", tag=int).via("int() reads it as 10")
+@example(text="٣", tag=float).via("float() reads it as 3.0")
+@example(text=str(2**63), tag=int).via("int64's first integer past the end")
+@example(text=" -nan ", tag=float).via("NaN, with a sign and blanks")
+@example(text="1e999", tag=float).via("a float past the largest double")
+def test_numeric_rows_reads_a_number_as_the_old_rule_did(text, tag):
+    try:
+        expected = _shared.plain_number(text, tag)
+    except ValueError:
+        expected = None
+    if tag is int and expected is not None and not -2**63 <= expected < 2**63:
+        expected = None  # the one change: an integer past int64 is refused
+    try:
+        got = _files.numeric_rows("x.cfg:1", [text], None, tag, "value").item()
+    except DataError:
+        got = None
+    assert (got is None) == (expected is None), (got, expected)
+    if got is not None:
+        assert type(got) is tag
+        assert got == expected or (math.isnan(got) and math.isnan(expected))
+
+
+def test_atomic_write_onto_a_directory_leaves_no_file(tmp_path):
+    (tmp_path / "out").mkdir()
+    with pytest.raises(DataError) as caught:
+        with _files.atomic_write(tmp_path / "out", "w") as fh:
+            fh.write("data")
+    assert str(caught.value) == f"cannot write {tmp_path / 'out'}: Is a directory"
+    assert [p.name for p in tmp_path.rglob("*")] == ["out"]  # no .tmp file
+
+
+@pytest.mark.parametrize("below", ["model.npz", "sub/model.npz"])
+def test_create_parents_under_a_file_raises_one_line(tmp_path, below):
+    (tmp_path / "plain").write_text("a file, not a directory\n")
+    with pytest.raises(DataError) as caught:
+        _files.create_parents(tmp_path / "plain" / below)
+    assert str(caught.value).startswith(f"cannot write {tmp_path / 'plain' / below}: ")
+    assert "\n" not in str(caught.value)
+    assert [p.name for p in tmp_path.rglob("*")] == ["plain"]
 
 
 def test_only_spectral_makes_a_spectral_basis():

@@ -8,14 +8,20 @@ binds fails the run. These tests read the harness's sources (they import
 and change none of them) so that a refactor which renames or moves a
 hooked name, drops the flag ``perfbench/run.py`` records,
 changes a signature the workloads call, changes the length of the tuple
-they unpack from ``load_checkpoint``, or drops a model attribute the
-workloads read, fails here instead.
+they unpack from ``load_checkpoint``, drops a model attribute the
+workloads read, or changes an output format they parse themselves, fails
+here instead.
 """
 
 import ast
+import contextlib
 import importlib
 import inspect
+import io
+import struct
 from pathlib import Path
+
+import numpy as np
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -134,3 +140,50 @@ def test_every_model_attribute_the_workloads_read_exists(tmp_path):
     loaded, _, _, _ = model.load_checkpoint(tmp_path / "net.npz")
     for obj in (net, loaded):
         assert [a for a in sorted(attributes) if not hasattr(obj, a)] == []
+
+
+def test_the_outputs_the_workloads_parse_keep_their_format(tmp_path):
+    # the describe and correspond workloads read the CLI's outputs with their
+    # own parsers, not meshwave's; each parse below is theirs, on a bar pair
+    cli, synthetic = (importlib.import_module(f"meshwave.{m}") for m in ("cli", "synthetic"))
+    descriptors, evaluation = (importlib.import_module(f"meshwave.{m}")
+                               for m in ("descriptors", "evaluation"))
+    for tag, curvature in zip("ab", (0.2, 0.5)):  # written as workloads.write_off does
+        pose = synthetic.bent_bar(curvature, 16, 10)
+        lines = [f"OFF\n{len(pose.vertices)} {len(pose.triangles)} 0"]
+        lines += [f"{x!r} {y!r} {z!r}" for x, y, z in pose.vertices.tolist()]
+        lines += [f"3 {a} {b} {c}" for a, b, c in pose.triangles.tolist()]
+        (tmp_path / f"{tag}.off").write_text("\n".join(lines) + "\n")
+    (tmp_path / "gt.txt").write_text("".join(f"{i}\n" for i in range(160)))
+    a, b, cache, corr, prefix = (tmp_path / name for name in
+                                 ("a.mwd", "b.mwd", "basis.npz", "map.txt", "report"))
+    runs = [["basis", tmp_path / "a.off", "-k", 20, "-o", cache, "--force"],
+            ["descriptor", tmp_path / "a.off", "--type", "weds", "--num", 16, "-k", 20,
+             "--basis", cache, "-o", a],
+            ["descriptor", tmp_path / "b.off", "--type", "weds", "--num", 16, "-k", 20, "-o", b],
+            ["match", a, b, "-o", corr],
+            ["eval", corr, tmp_path / "gt.txt", tmp_path / "b.off", "--desc-a", a,
+             "--desc-b", b, "-o", prefix]]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert [cli.main([str(x) for x in argv]) for argv in runs] == [0] * len(runs)
+
+    with np.load(cache) as data:
+        lam, vecs, areas = data["eigenvalues"], data["eigenvectors"], data["areas"]
+    assert (lam.shape, vecs.shape, areas.shape) == ((20,), (160, 20), (160,))
+    for path in (a, b):  # workloads.read_mwd
+        data = path.read_bytes()
+        n, d, meta_len = struct.unpack_from("<QQQ", data, 8)
+        values = np.frombuffer(data[32 + meta_len:], dtype="<f8").reshape(n, d)
+        assert data[:4] == b"MWDF" and (n, d) == (160, 16)
+        assert np.array_equal(values, descriptors.load_descriptors(path).values)
+    rows = [ln for ln in corr.read_text().splitlines() if ln and not ln.startswith("#")]
+    assert np.array_equal(np.array(rows, dtype=np.int64), evaluation.read_correspondence(corr))
+    summary = {}
+    for line in prefix.with_suffix(".summary.txt").read_text().splitlines():
+        key, _, value = line.partition("=")
+        summary[key.strip()] = float(value)
+    assert {"exact_match_rate", "age_direct_x1e3"} <= set(summary)
+    assert 0 <= summary["exact_match_rate"] <= 1 and summary["age_direct_x1e3"] >= 0
+    cmc = [float(ln.split(",")[2]) for ln in
+           prefix.with_suffix(".curves.csv").read_text().splitlines() if ln.startswith("cmc,")]
+    assert len(cmc) == 100 and (np.diff(cmc) >= 0).all() and cmc[-1] <= 1.0
