@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import sys
 from pathlib import Path
 
@@ -75,7 +76,7 @@ from .model import (
     save_checkpoint,
 )
 from .spectral import eig_generalized, load_basis, save_basis
-from .training import ShapeData, TrainConfig, train
+from .training import ShapeData, TrainConfig, common_vertices, train
 
 
 class _Parser(argparse.ArgumentParser):
@@ -262,6 +263,10 @@ def _cmd_train(args, cfg):
         )
     except DataError as exc:
         raise DataError(f"{args.config}: {exc}") from None
+    if train_cfg.phase2_epochs > 0:  # phase 2 pairs every two shapes by their labels
+        named = [ShapeData(None, lab, None, str(p)) for p, lab in zip(corr_paths or paths, labels)]
+        for sa, sb in itertools.combinations(named, 2):
+            common_vertices(sa, sb)
     shapes = []
     for path, mesh, lab in zip(paths, meshes, labels):
         basis = _mesh_basis(mesh, desc["k"])

@@ -142,18 +142,16 @@ def _phase1_epoch(net, shapes, state, cfg) -> float:
     return total / len(shapes)
 
 
-def _common_vertices(sa: ShapeData, sb: ShapeData):
-    """Row indices of label-matched vertices in both shapes."""
+def common_vertices(sa: ShapeData, sb: ShapeData):
+    """Row indices of label-matched vertices in both shapes (phase 2 needs 2)."""
     common, ia, ib = np.intersect1d(sa.labels, sb.labels, return_indices=True)
     if common.size < 2:
-        raise DataError(
-            f"shapes {sa.name!r} and {sb.name!r} share fewer than 2 labels"
-        )
+        raise DataError(f"{sa.name!r} and {sb.name!r} share fewer than 2 labels")
     return ia, ib
 
 
 def _phase2_step(net, sa, sb, state, cfg, rng) -> float:
-    ia, ib = _common_vertices(sa, sb)
+    ia, ib = common_vertices(sa, sb)
     n_pairs = min(cfg.pairs_per_step, ia.size)
     pick = rng.choice(ia.size, size=n_pairs, replace=False)
     ra, rb = ia[pick], ib[pick]

@@ -1231,22 +1231,38 @@ def test_infer_refuses_a_checkpoint_of_another_format_version(work, tmp_path, ca
     assert _tree(tmp_path) == before
 
 
-def test_train_refuses_label_files_sharing_fewer_than_2_labels(work, tmp_path, capsys):
-    # two copies of the bar labelled 0..59 and 59..118 share one label, which
-    # phase 2 finds after the eigensolves and the phase-1 epoch
-    mesh = work["mesh_path"]
+def _disjoint_label_config(tmp_path, mesh, phase2_epochs):
+    """A config training two copies of the bar labelled 0..59 and 59..118,
+    which share one label, for 50 phase-1 epochs."""
     write_correspondence(tmp_path / "a.txt", np.arange(60))
     write_correspondence(tmp_path / "b.txt", np.arange(59, 119))
     cfg = default_config()
     cfg["descriptor"].update(k=12, num=16)
     cfg["model"]["architecture"] = "MGCONV8(3)+FC16"
-    cfg["train"].update(meshes=[str(mesh)] * 2, phase1_epochs=1, phase2_epochs=1,
+    cfg["train"].update(meshes=[str(mesh)] * 2, phase1_epochs=50, phase2_epochs=phase2_epochs,
                         correspondences=[str(tmp_path / "a.txt"), str(tmp_path / "b.txt")])
     (cfg_path := tmp_path / "p.cfg").write_text(format_config(cfg))
+    return cfg_path
+
+
+def test_train_refuses_label_files_sharing_fewer_than_2_labels(work, tmp_path, capsys,
+                                                              monkeypatch):
+    # phase 2 pairs the shapes by their labels; the label files alone show
+    # they cannot pair, so no eigensolve or phase-1 epoch runs first
+    solves = []
+    monkeypatch.setattr(cli, "eig_generalized", lambda *a, **kw: solves.append(a))
+    cfg_path = _disjoint_label_config(tmp_path, work["mesh_path"], phase2_epochs=1)
     before = _tree(tmp_path)
     assert main(["train", "--config", str(cfg_path), "-o", str(tmp_path / "m.npz")]) == 2
-    assert _one_line_error(capsys, f"shapes '{mesh}' and '{mesh}' share fewer than 2 labels\n")
-    assert _tree(tmp_path) == before
+    assert _one_line_error(capsys, f"error: '{tmp_path / 'a.txt'}' and '{tmp_path / 'b.txt'}' "
+                                   "share fewer than 2 labels\n")
+    assert solves == [] and _tree(tmp_path) == before
+
+
+def test_train_without_phase_2_takes_label_files_that_cannot_pair(work, tmp_path):
+    cfg_path = _disjoint_label_config(tmp_path, work["mesh_path"], phase2_epochs=0)
+    assert main(["train", "--config", str(cfg_path), "-o", str(tmp_path / "m.npz")]) == 0
+    assert load_checkpoint(tmp_path / "m.npz")[3]["history"]["phase1"]
 
 
 def test_infer_with_a_chebyshev_network_solves_no_eigenbasis(work, tmp_path, monkeypatch):

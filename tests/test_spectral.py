@@ -8,7 +8,8 @@ from meshwave import spectral
 from meshwave.chebyshev import spectral_max
 from meshwave.cli import main
 from meshwave.errors import DataError, NumericalError
-from meshwave.mesh import TriMesh, cotangent_laplacian, lumped_areas, validate_mesh
+from meshwave.mesh import (TriMesh, cotangent_laplacian, load_mesh, lumped_areas,
+                           validate_mesh)
 from meshwave.meshio import write_ply
 from meshwave.spectral import (
     eig_generalized,
@@ -154,13 +155,19 @@ def test_broken_operator_rejected():
         eig_generalized(lap.tocsr(), lumped_areas(mesh), 5)
 
 
-def test_long_spike_keeps_its_zero_mode(tmp_path, capsys):
-    # lambda_max / lambda_1 is about 3.5e8 here, so rounding leaves
-    # lambda_0 = 2.0e-12 > 1e-8 * lambda_1 although the constant mode is there
+def _long_spike():
+    """The 24-vertex bar with one corner pulled out to x = 256, and its k."""
     mesh = bent_bar(0.3, 6, 4)
     vertices = mesh.vertices.copy()
     vertices[0, 0] = 256.0
-    mesh = TriMesh(vertices, mesh.triangles)
+    return TriMesh(vertices, mesh.triangles), 8
+
+
+def test_long_spike_keeps_its_zero_mode(tmp_path, capsys):
+    # lambda_max / lambda_1 is about 3.5e8 here, and rounding leaves lambda_0
+    # at 2.0e-12; clamped to 0, the constant mode's backward error is about
+    # 2e-16, while doubled eigenvalues give 5.8e-5
+    mesh = _long_spike()[0]
     basis = eig_generalized(cotangent_laplacian(mesh), lumped_areas(mesh), 8)
     assert basis.eigenvalues[0] == 0.0 and (basis.eigenvalues[1:] > 0).all()
     path, out = tmp_path / "spike.ply", tmp_path / "spike.basis.npz"
@@ -168,6 +175,70 @@ def test_long_spike_keeps_its_zero_mode(tmp_path, capsys):
     assert main(["basis", str(path), "-k", "8", "-o", str(out)]) == 0
     assert capsys.readouterr().err == ""
     assert np.array_equal(load_basis(out).eigenvalues, basis.eigenvalues)
+
+
+# ROADMAP item 3's calibration meshes, and the coordinate scales the
+# acceptance rule must not depend on
+_CALIBRATION = {"bar-24": (bent_bar(0.3, 6, 4), 8), "bar-220": (bent_bar(0.3, 22, 10), 60),
+                "sphere-642": (icosphere(3), 100), "bar-1740": (bent_bar(0.5, 60, 29), 100)}
+_SCALES = (1e-10, 1e-6, 1e-4, 1e-3, 1e-2, 1.0, 1e5, 1e10)
+
+
+@pytest.mark.parametrize("zero_mode_alone", [False, True], ids=["k", "k=1"])
+@pytest.mark.parametrize("name", sorted(_CALIBRATION))
+def test_basis_solves_and_loads_at_every_scale(tmp_path, name, zero_mode_alone):
+    # lambda scales as 1/s^2, so a bound on |L phi - lambda A phi| / |A phi|
+    # would refuse sound pairs at some small s; the backward error has no units
+    mesh, k = _CALIBRATION[name]
+    k = 1 if zero_mode_alone else k
+    for s in _SCALES:
+        path, out = tmp_path / f"m{s:g}.ply", tmp_path / f"m{s:g}.basis.npz"
+        write_ply(path, mesh.vertices * s, mesh.triangles)
+        assert main(["basis", str(path), "-k", str(k), "-o", str(out)]) == 0, s
+        basis = load_basis(out, load_mesh(path))
+        assert basis.k == k and basis.eigenvalues[0] == 0.0
+
+
+@pytest.mark.parametrize("name", sorted(_CALIBRATION) + ["spike"])
+def test_doubled_and_even_grid_spectra_are_refused_at_every_scale(tmp_path, name):
+    # at every s a solved pair's backward error is at most 1.7e-13, and a
+    # doubled spectrum's at least 5.8e-5 (on the spike)
+    mesh, k = _long_spike() if name == "spike" else _CALIBRATION[name]
+    for s in _SCALES:
+        scaled = validate_mesh(TriMesh(mesh.vertices * s, mesh.triangles))
+        basis = _shared.basis_of(scaled, k)
+        for fake in (2 * basis.eigenvalues, np.linspace(0.0, 3 * basis.lambda_max, k)):
+            save_basis(tmp_path / "fake.npz", spectral.SpectralBasis(
+                fake, basis.eigenvectors, basis.areas, basis.mesh_hash))
+            with pytest.raises(DataError, match="inconsistent basis cache: eigenpair residual"):
+                load_basis(tmp_path / "fake.npz", scaled)
+
+
+def _graded(mesh, vertex, towards, f):
+    """The mesh with `vertex` slid along its edge to `towards`, to within f
+    of that edge's length of the far end: its triangles there become slivers."""
+    vertices = mesh.vertices.copy()
+    vertices[vertex] = vertices[towards] + f * (vertices[vertex] - vertices[towards])
+    return validate_mesh(TriMesh(vertices, mesh.triangles))
+
+
+# an interior vertex and a neighbour of each; the 220-vertex bar runs dense
+_GRADED = {"bar-220": (bent_bar(0.3, 22, 10), 115, 125),
+           "bar-1740": (bent_bar(0.5, 60, 29), 884, 913),
+           "sphere-2562": (icosphere(4), 1000, 999)}
+
+
+@pytest.mark.parametrize("f", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10])
+@pytest.mark.parametrize("k", [20, 100])
+@pytest.mark.parametrize("name", sorted(_GRADED))
+def test_a_graded_mesh_solves_to_a_basis_load_basis_accepts(tmp_path, name, k, f):
+    # one sliver's cotangents dominate a sum over vertices, so the
+    # Krylov-Schur shift comes from the median of diag(L) / A
+    mesh, vertex, towards = _GRADED[name]
+    assert towards in mesh.triangles[(mesh.triangles == vertex).any(axis=1)]
+    graded = _graded(mesh, vertex, towards, f)
+    save_basis(tmp_path / "b.npz", _shared.basis_of(graded, k))
+    assert load_basis(tmp_path / "b.npz", graded, k).k == k
 
 
 def test_save_load_round_trip(tmp_path):
@@ -579,7 +650,7 @@ def test_krylov_schur_with_k_kept_runs_one_restart_cycle_fewer(monkeypatch):
     mesh = icosphere(4)
     lap, areas = cotangent_laplacian(mesh), lumped_areas(mesh)
     sym = spectral.standard_form(lap, areas)[0].tocsr()
-    solve = spectral._shifted_solver(sym, -0.01 * lap.diagonal().sum() / areas.sum())[0]
+    solve = spectral._shifted_solver(sym, -0.01 * np.median(lap.diagonal() / areas))[0]
     counts, eigh = [], np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: counts.append("eigh") or eigh(a))
 
