@@ -264,9 +264,8 @@ def _cmd_train(args, cfg):
     except DataError as exc:
         raise DataError(f"{args.config}: {exc}") from None
     if train_cfg.phase2_epochs > 0:  # phase 2 pairs every two shapes by their labels
-        named = [ShapeData(None, lab, None, str(p)) for p, lab in zip(corr_paths or paths, labels)]
-        for sa, sb in itertools.combinations(named, 2):
-            common_vertices(sa, sb)
+        for (pa, la), (pb, lb) in itertools.combinations(zip(corr_paths or paths, labels), 2):
+            common_vertices(la, lb, str(pa), str(pb))
     shapes = []
     for path, mesh, lab in zip(paths, meshes, labels):
         basis = _mesh_basis(mesh, desc["k"])

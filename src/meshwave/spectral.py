@@ -2,13 +2,14 @@
 
 Solves L phi = lambda A phi for the k lowest pairs on the symmetric
 standard form C = A^-1/2 L A^-1/2, which has the pencil's eigenvalues; the
-eigenvectors come back as phi = A^-1/2 psi.  Up to 512 vertices, or when
-more than n / 4 pairs are wanted (where it is the cheaper branch), dense
-LAPACK (syevd) solves C: at k = 100 on one thread that takes about 30 ms
-at 420 vertices.  Otherwise a block Krylov-Schur iteration (Stewart, SIAM
-J. Matrix Anal. Appl. 23, 2001; Zhou & Saad, Numer. Algorithms 47, 2008)
-runs on T = (C - sigma I)^-1 with blocks of 8 vectors, so its Gram-Schmidt
-passes, restarts and Ritz vectors are GEMMs against a basis held as rows;
+eigenvectors come back as phi = A^-1/2 psi.  Up to 512 vertices, or past
+n / 4 wanted pairs (where it is cheaper), dense LAPACK (syevd) solves C, in
+30 ms at 420 vertices and k = 100 on one thread, or (C - sigma I)^-1 if a
+sliver's entries leave C's pairs over the row-wise check.  Otherwise block
+Krylov-Schur (Stewart, SIAM J. Matrix Anal. Appl. 23, 2001; Zhou & Saad,
+Numer. Algorithms 47, 2008) runs on T = (C - sigma I)^-1 with blocks of 8
+vectors, so its Gram-Schmidt passes, restarts and Ritz vectors are GEMMs
+against a basis held as rows;
 it locks converged Ritz pairs (Stathopoulos & McCombs, ACM TOMS 36, 2010),
 runs its first Gram-Schmidt pass only against the rows T reaches, and
 stops once the k kept pairs are locked and no unconverged pad (one of the
@@ -51,7 +52,8 @@ _RITZ_TOL = 1e-14
 _MAX_RESTARTS = 100
 _RESTART_ENTRIES = 1 << 18  # restart product's slab, part of a cache's bits: 2^20 moves them
 _ORTHO_TOL = 1e-7
-_BACKWARD_TOL = 1e-10
+_BACKWARD_TOL = 1e-10  # normwise: one sliver's cotangents set |L|_inf and loosen it,
+_ROW_TOL = 1e-6  # so each row is also held to its own scale
 # A band Cholesky factor costs n b^2 flops and each solve 4 n b, so it only
 # beats SuperLU's fill-reducing LU while the ordered band b is narrow.  A hub
 # vertex of valence d makes b at least d/2 under any ordering: a 4,001-vertex
@@ -90,27 +92,31 @@ def _fix_signs(vectors):
     return vectors * signs
 
 
-def _ortho_error(a_vecs, vecs):
-    """max |Phi' A Phi - I| from A Phi and Phi."""
-    return np.abs(a_vecs.T @ vecs - np.eye(vecs.shape[1])).max()
-
-
-@np.errstate(over="ignore", invalid="ignore")  # an overflow fails the checks, unwarned
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # these fail the checks, unwarned
 def _verify(laplacian, areas, vals, vecs):
-    """Raise NumericalError unless the pairs are A-orthonormal and, given the
-    Laplacian, each pair's unitless backward error |L phi - lambda A phi| / ((|L|_inf
-    + |lambda| max A) |phi|) (Higham & Higham, SIMAX 20, 1998) is within _BACKWARD_TOL."""
+    """Raise NumericalError unless the pairs are A-orthonormal and, given L, each
+    pair's unitless backward errors (Higham & Higham, SIMAX 20, 1998) for r = L phi -
+    lambda A phi are in bounds: normwise, |r| / ((|L|_inf + |lambda| max A) |phi|);
+    row-wise, max |r_i| / s_i for s = |L| |phi| + |lambda| A |phi|, each s_i raised to a
+    typical row's (median |L_ii| + |lambda| median A) rms(phi), which no sliver sets."""
     a_vecs = vecs * areas[:, None]
-    ortho_err = _ortho_error(a_vecs, vecs)
+    ortho_err = np.abs(a_vecs.T @ vecs - np.eye(vecs.shape[1])).max()  # max |Phi' A Phi - I|
     if not ortho_err <= _ORTHO_TOL:
         raise NumericalError(f"basis not A-orthonormal: max deviation {ortho_err:.3e}")
     if laplacian is None:
         return
-    resid = laplacian @ vecs - a_vecs * vals[None, :]
-    scale = abs(laplacian).sum(axis=1).max() + np.abs(vals) * areas.max()
-    err = np.linalg.norm(resid, axis=0) / (scale * np.linalg.norm(vecs, axis=0))
-    if not err.max() <= _BACKWARD_TOL:
-        raise NumericalError(f"eigenpair residual {err.max():.3e} over tolerance")
+    a_vecs *= vals[None, :]  # lambda A phi from here on: (n, k) arrays are large
+    resid = laplacian @ vecs - a_vecs
+    mag, norms = abs(laplacian), np.linalg.norm(vecs, axis=0)
+    scale = mag.sum(axis=1).max() + np.abs(vals) * areas.max()
+    err = (np.linalg.norm(resid, axis=0) / (scale * norms)).max()
+    rows = mag @ np.abs(vecs) + np.abs(a_vecs, out=a_vecs)
+    typical = (np.median(mag.diagonal()) + np.abs(vals) * np.median(areas)) * norms
+    np.maximum(rows, typical / np.sqrt(len(areas)), out=rows)
+    rows = (np.abs(resid, out=resid) / rows).max()
+    if not (err <= _BACKWARD_TOL and rows <= _ROW_TOL):
+        raise NumericalError(f"eigenpair residual over tolerance: backward error {err:.3e} "
+                             f"normwise, {rows:.3e} row-wise")
 
 
 def standard_form(laplacian, areas):
@@ -225,25 +231,30 @@ def eig_generalized(laplacian, areas, k, mesh_hash=""):
         raise DataError(f"k={k} out of range for {n} vertices")
     areas = np.asarray(areas, dtype=np.float64)
     sym, inv_sqrt = standard_form(laplacian, areas)
-    sym = sym.tocsr()
     n_want = k + _PAD
+    sigma = -0.01 * np.median(laplacian.diagonal() / areas)  # below 0; a sliver swamps sums
+
+    def checked(pairs, perm, inverted):  # inverted: pairs() gives theta of (C - sigma I)^-1
+        vals, vecs = pairs()  # a Krylov basis is referenced only here
+        vals = sigma + 1.0 / vals if inverted else vals
+        order = np.argsort(vals)[:k]
+        vals, vecs = vals[order], vecs[:, order]  # frees the Krylov basis
+        vecs = vecs[np.argsort(perm)]  # back to vertex order
+        vecs = np.ascontiguousarray(_fix_signs(vecs * inv_sqrt[:, None]))
+        vals[0] = 0.0  # the constant mode, held to the pencil by _verify
+        _verify(laplacian, areas, vals, vecs)
+        return vals, vecs
+
     if n <= _DENSE_LIMIT or 4 * n_want > n:
-        vals, vecs = scipy.linalg.eigh(sym.toarray(), driver="evd")
-        perm = np.arange(n)
-    else:
-        # slightly below the spectrum (>= 0); a median, as one sliver can dominate a sum
-        sigma = -0.01 * np.median(laplacian.diagonal() / areas)
-        solve, perm = _shifted_solver(sym, sigma)
-        theta, vecs = _krylov_schur(solve, n, n_want, k)  # rows in the solver's order
-        del solve  # frees the factor before the checks below
-        vals = sigma + 1.0 / theta
-    order = np.argsort(vals)[:k]
-    vals = vals[order]
-    vecs = vecs[:, order]  # frees the Krylov basis before the un-permute copy
-    vecs = vecs[np.argsort(perm)]  # back to vertex order
-    vecs = np.ascontiguousarray(_fix_signs(vecs * inv_sqrt[:, None]))
-    vals[0] = 0.0  # the constant mode, held to the pencil by _verify
-    _verify(laplacian, areas, vals, vecs)
+        dense, rows = sym.toarray(), np.arange(n)
+        try:
+            vals, vecs = checked(lambda: scipy.linalg.eigh(dense, driver="evd"), rows, False)
+        except NumericalError:  # one sliver's entries swamp C's low modes, not T's
+            dense = np.linalg.inv(dense - sigma * np.eye(n))
+            vals, vecs = checked(lambda: scipy.linalg.eigh(dense, driver="evd"), rows, True)
+    else:  # Ritz vectors come in the solver's vertex order
+        solve, perm = _shifted_solver(sym.tocsr(), sigma)
+        vals, vecs = checked(lambda: _krylov_schur(solve, n, n_want, k), perm, True)
     if (vals[1:] <= 0).any():
         raise NumericalError("nonpositive eigenvalue beyond the zero mode")
     return SpectralBasis(vals, vecs, areas, mesh_hash)
@@ -252,9 +263,8 @@ def eig_generalized(laplacian, areas, k, mesh_hash=""):
 def project(basis, signal):
     """A-inner-product coefficients: sigma = Phi' A f (per column of f)."""
     signal = np.asarray(signal, dtype=np.float64)
-    return basis.eigenvectors.T @ (basis.areas[: , None] * signal
-                                   if signal.ndim == 2
-                                   else basis.areas * signal)
+    weights = basis.areas[:, None] if signal.ndim == 2 else basis.areas
+    return basis.eigenvectors.T @ (weights * signal)
 
 
 _CACHE_VERSION = 1
@@ -263,14 +273,9 @@ _CACHE_VERSION = 1
 def save_basis(path, basis):
     """Write the basis cache to exactly `path` (no ".npz" is appended)."""
     with atomic_write(path) as handle:
-        np.savez(
-            handle,
-            version=np.int64(_CACHE_VERSION),
-            eigenvalues=basis.eigenvalues,
-            eigenvectors=basis.eigenvectors,
-            areas=basis.areas,
-            mesh_hash=np.bytes_(basis.mesh_hash.encode()),
-        )
+        np.savez(handle, version=np.int64(_CACHE_VERSION), eigenvalues=basis.eigenvalues,
+                 eigenvectors=basis.eigenvectors, areas=basis.areas,
+                 mesh_hash=np.bytes_(basis.mesh_hash.encode()))
 
 
 def load_basis(path, mesh=None, k=None):
@@ -290,8 +295,7 @@ def load_basis(path, mesh=None, k=None):
     vals, vecs, areas = basis.eigenvalues, basis.eigenvectors, basis.areas
     if not (all(a.dtype.kind == "f" and np.isfinite(a).all() for a in (vals, vecs, areas))
             and vals.ndim == 1 and vals.size and vals[0] == 0 and (np.diff(vals) >= 0).all()
-            and (vals[1:] > 0).all()
-            and areas.ndim == 1 and (areas > 0).all()
+            and (vals[1:] > 0).all() and areas.ndim == 1 and (areas > 0).all()
             and vecs.shape == (areas.shape[0], vals.shape[0])):
         raise DataError(f"{path}: inconsistent basis cache: need finite eigenvalues (k,) "
                         "ascending from a single 0, eigenvectors (n, k) and positive "

@@ -142,16 +142,16 @@ def _phase1_epoch(net, shapes, state, cfg) -> float:
     return total / len(shapes)
 
 
-def common_vertices(sa: ShapeData, sb: ShapeData):
-    """Row indices of label-matched vertices in both shapes (phase 2 needs 2)."""
-    common, ia, ib = np.intersect1d(sa.labels, sb.labels, return_indices=True)
+def common_vertices(labels_a, labels_b, name_a, name_b):
+    """Row indices of label-matched vertices in two shapes (phase 2 needs 2)."""
+    common, ia, ib = np.intersect1d(labels_a, labels_b, return_indices=True)
     if common.size < 2:
-        raise DataError(f"{sa.name!r} and {sb.name!r} share fewer than 2 labels")
+        raise DataError(f"{name_a!r} and {name_b!r} share fewer than 2 labels")
     return ia, ib
 
 
 def _phase2_step(net, sa, sb, state, cfg, rng) -> float:
-    ia, ib = common_vertices(sa, sb)
+    ia, ib = common_vertices(sa.labels, sb.labels, sa.name, sb.name)
     n_pairs = min(cfg.pairs_per_step, ia.size)
     pick = rng.choice(ia.size, size=n_pairs, replace=False)
     ra, rb = ia[pick], ib[pick]

@@ -199,21 +199,6 @@ def test_basis_solves_and_loads_at_every_scale(tmp_path, name, zero_mode_alone):
         assert basis.k == k and basis.eigenvalues[0] == 0.0
 
 
-@pytest.mark.parametrize("name", sorted(_CALIBRATION) + ["spike"])
-def test_doubled_and_even_grid_spectra_are_refused_at_every_scale(tmp_path, name):
-    # at every s a solved pair's backward error is at most 1.7e-13, and a
-    # doubled spectrum's at least 5.8e-5 (on the spike)
-    mesh, k = _long_spike() if name == "spike" else _CALIBRATION[name]
-    for s in _SCALES:
-        scaled = validate_mesh(TriMesh(mesh.vertices * s, mesh.triangles))
-        basis = _shared.basis_of(scaled, k)
-        for fake in (2 * basis.eigenvalues, np.linspace(0.0, 3 * basis.lambda_max, k)):
-            save_basis(tmp_path / "fake.npz", spectral.SpectralBasis(
-                fake, basis.eigenvectors, basis.areas, basis.mesh_hash))
-            with pytest.raises(DataError, match="inconsistent basis cache: eigenpair residual"):
-                load_basis(tmp_path / "fake.npz", scaled)
-
-
 def _graded(mesh, vertex, towards, f):
     """The mesh with `vertex` slid along its edge to `towards`, to within f
     of that edge's length of the far end: its triangles there become slivers."""
@@ -228,6 +213,44 @@ _GRADED = {"bar-220": (bent_bar(0.3, 22, 10), 115, 125),
            "sphere-2562": (icosphere(4), 1000, 999)}
 
 
+def _case(name):
+    """The mesh and k of a calibration mesh, the spike or a graded mesh
+    named "mesh/f/k"."""
+    if name == "spike":
+        return _long_spike()
+    if name in _CALIBRATION:
+        return _CALIBRATION[name]
+    mesh, f, k = name.split("/")
+    return _graded(*_GRADED[mesh], float(f)), int(k)
+
+
+@pytest.mark.parametrize("name", sorted(_CALIBRATION) + ["spike"] + [
+    f"{mesh}/{f}/{k}" for mesh in sorted(_GRADED) for f in ("1e-8", "1e-10") for k in (20, 100)])
+def test_doubled_and_even_grid_spectra_are_refused_at_every_scale(tmp_path, name):
+    # a solved pair's row-wise backward error is at most 2.8e-8 on these
+    # meshes, and a fake's at least 1.7e-5 (the spike, lambda_1 halved); on the graded
+    # meshes one sliver's cotangents set |L|_inf, and the normwise error of a
+    # doubled spectrum falls to 3.5e-12 at f = 1e-10, under its bound
+    mesh, k = _case(name)
+    basis = _shared.basis_of(mesh, k)
+    for s in _SCALES:
+        scaled = validate_mesh(TriMesh(mesh.vertices * s, mesh.triangles))
+        # the scaled mesh's basis, up to rounding: lambda / s^2 and phi / s
+        vals, vecs = basis.eigenvalues / s**2, basis.eigenvectors / s
+        save_basis(tmp_path / "b.npz", spectral.SpectralBasis(
+            vals, vecs, lumped_areas(scaled), scaled.content_hash()))
+        assert load_basis(tmp_path / "b.npz", scaled).k == k
+        # every eigenvalue doubled, an even grid, lambda_1 halved, and phi_1
+        # posing as the zero mode
+        for fake_vals, fake_vecs in ((2 * vals, vecs), (np.linspace(0.0, 3 * vals[-1], k), vecs),
+                                     (np.r_[0.0, vals[1] / 2, vals[2:]], vecs),
+                                     (vals, vecs[:, np.r_[1, 0, 2:k]])):
+            save_basis(tmp_path / "b.npz", spectral.SpectralBasis(
+                fake_vals, fake_vecs, lumped_areas(scaled), scaled.content_hash()))
+            with pytest.raises(DataError, match="inconsistent basis cache: eigenpair residual"):
+                load_basis(tmp_path / "b.npz", scaled)
+
+
 @pytest.mark.parametrize("f", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10])
 @pytest.mark.parametrize("k", [20, 100])
 @pytest.mark.parametrize("name", sorted(_GRADED))
@@ -239,6 +262,22 @@ def test_a_graded_mesh_solves_to_a_basis_load_basis_accepts(tmp_path, name, k, f
     graded = _graded(mesh, vertex, towards, f)
     save_basis(tmp_path / "b.npz", _shared.basis_of(graded, k))
     assert load_basis(tmp_path / "b.npz", graded, k).k == k
+
+
+def test_a_graded_dense_solve_falls_back_to_the_inverted_operator(watch):
+    # on C itself syevd's pairs have a row-wise backward error of 1.2e-5 here,
+    # over the bound; (C - sigma I)^-1 has no large entries for a sliver to set
+    graded = _graded(*_GRADED["bar-220"], 1e-10)
+    lap, areas = cotangent_laplacian(graded), lumped_areas(graded)
+    calls = watch("_krylov_schur", "_verify")
+    basis = eig_generalized(lap, areas, 20)
+    assert calls == ["_verify", "_verify"]
+    sym, inv_sqrt = spectral.standard_form(lap, areas)
+    vals, vecs = scipy.linalg.eigh(sym.toarray(), driver="evd")
+    vals[0] = 0.0
+    with pytest.raises(NumericalError, match="eigenpair residual"):
+        spectral._verify(lap, areas, vals[:20], vecs[:, :20] * inv_sqrt[:, None])
+    assert np.abs(basis.eigenvalues[1:] / vals[1:20] - 1).max() <= 1e-5
 
 
 def test_save_load_round_trip(tmp_path):
